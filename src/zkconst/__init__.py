@@ -8,6 +8,7 @@ recurrence and sign claim tying them together.
 """
 
 from .bell import MultiPoly, bell_determinant, bell_eval, bell_symbolic
+from .chain import table
 from .eta_sigma import (
     eta_from_gamma,
     eta_from_gamma_coffey,
@@ -72,6 +73,7 @@ __all__ = [
     "sigma_table",
     "stieltjes_gamma",
     "stieltjes_table",
+    "table",
     "xi_deriv_at_one",
     "xi_deriv_at_zero",
     "xi_deriv_recurrence",

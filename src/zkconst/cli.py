@@ -6,6 +6,9 @@
                   [--digits <D>] [--tol-exp <T>] [--format <text|json>]
     zkconst li-check --max-n <N> [--digits <D>] [--format <text|json>]
 
+--digits D lies in [10, 60]; --tol-exp T (default D - 5) judges identities
+against 10^-T and lies in [1, D].
+
 Exit codes: 0 success, 1 verification failure, 2 usage or cap error,
 3 convergence failure.  Numeric values are emitted as decimal strings, never
 binary floats, and identical invocations produce byte-identical output.
@@ -19,17 +22,15 @@ import sys
 
 from mpmath import mp
 
-from . import eta_sigma, li_keiper, xi, zeta_derivs
-from .precision import ConvergenceError, PrecisionContext
+from . import chain, li_keiper
+from .precision import MAX_DIGITS, MIN_DIGITS, ConvergenceError, PrecisionContext
 from .reports import all_passed
-from .stieltjes import ConstantTable, stieltjes_table
+from .stieltjes import FAMILIES, ConstantTable
 from .verify import SUITES, run_suite
 
 DEFAULT_DIGITS = 30
 DEFAULT_GUARD = 10
 DEFAULT_CONSECUTIVE_SMALL = 4
-
-TABLE_CAPS = {"gamma": 20, "eta": 20, "sigma": 20, "lambda": 20, "xi1": 12, "zeta0": 10}
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,8 +39,8 @@ EXIT_CONVERGENCE = 3
 
 
 def _context(digits: int) -> PrecisionContext:
-    if not 10 <= digits <= 60:
-        raise ValueError("digits must lie in [10, 60]")
+    if not MIN_DIGITS <= digits <= MAX_DIGITS:
+        raise ValueError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}]")
     return PrecisionContext(
         digits=digits,
         guard_digits=DEFAULT_GUARD,
@@ -56,36 +57,6 @@ def _parse_u(raw: str, ctx: PrecisionContext):
         if not (mp.isfinite(u) and u > 0):
             raise ValueError("--u must be a finite real > 0")
         return u
-
-
-def build_table(seq: str, max_n: int, ctx: PrecisionContext, u=None) -> ConstantTable:
-    """Assemble the requested constant family up to max_n."""
-    if seq not in TABLE_CAPS:
-        raise ValueError(f"unknown sequence {seq!r}")
-    if u is not None and seq != "gamma":
-        raise ValueError("--u is only meaningful with --seq gamma")
-    start = 0 if seq in ("gamma", "eta", "zeta0") else 1
-    if not start <= max_n <= TABLE_CAPS[seq]:
-        raise ValueError(
-            f"--max-n for {seq} must lie in [{start}, {TABLE_CAPS[seq]}]"
-        )
-    if seq == "gamma":
-        return stieltjes_table(max_n, ctx, u=u if u is not None else 1)
-    if seq == "eta":
-        gammas = stieltjes_table(max_n, ctx)
-        return eta_sigma.eta_from_gamma(max_n, gammas, ctx)
-    gammas = stieltjes_table(max(0, max_n - 1), ctx)
-    etas = eta_sigma.eta_from_gamma(max(0, max_n - 1), gammas, ctx)
-    if seq == "sigma":
-        return eta_sigma.sigma_table(max_n, etas, ctx)
-    if seq == "lambda":
-        sigmas = eta_sigma.sigma_table(max_n, etas, ctx)
-        return li_keiper.lambda_table(max_n, sigmas, ctx)
-    if seq == "xi1":
-        sigmas = eta_sigma.sigma_table(max_n, etas, ctx)
-        return xi.xi_table(max_n, sigmas, ctx)
-    # zeta0: triangular inversion from the gamma table
-    return zeta_derivs.zeta_derivs_at_zero(max_n, "apostol", ctx, gammas=gammas)
 
 
 def _emit_table(table: ConstantTable, seq: str, fmt: str, out) -> None:
@@ -130,7 +101,7 @@ def _emit_reports(reports, head_key: str, head_val: str, digits: int, fmt: str, 
 def _cmd_table(args, out) -> int:
     ctx = _context(args.digits)
     u = _parse_u(args.u, ctx) if args.u is not None else None
-    table = build_table(args.seq, args.max_n, ctx, u=u)
+    table = chain.table(args.seq, args.max_n, ctx, u=u)
     _emit_table(table, args.seq, args.format, out)
     return EXIT_OK
 
@@ -138,6 +109,8 @@ def _cmd_table(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     ctx = _context(args.digits)
     tol_exp = args.tol_exp if args.tol_exp is not None else ctx.digits - 5
+    if not 1 <= tol_exp <= ctx.digits:
+        raise ValueError(f"--tol-exp must lie in [1, {ctx.digits}]")
     reports = run_suite(args.suite, ctx, tol_exp)
     _emit_reports(reports, "suite", args.suite, ctx.digits, args.format, out)
     return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
@@ -145,8 +118,9 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_li_check(args, out) -> int:
     ctx = _context(args.digits)
-    if not 1 <= args.max_n <= 20:
-        raise ValueError("--max-n for li-check must lie in [1, 20]")
+    start, cap = FAMILIES["lambda"]
+    if not start <= args.max_n <= cap:
+        raise ValueError(f"--max-n for li-check must lie in [{start}, {cap}]")
     reports = li_keiper.positivity_report(args.max_n, ctx)
     _emit_reports(reports, "suite", "li-check", ctx.digits, args.format, out)
     return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
@@ -163,10 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit one constant family")
-    p_table.add_argument(
-        "--seq", required=True,
-        choices=["gamma", "eta", "sigma", "lambda", "xi1", "zeta0"],
-    )
+    p_table.add_argument("--seq", required=True, choices=list(FAMILIES))
     p_table.add_argument("--max-n", required=True, type=int, dest="max_n")
     p_table.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_table.add_argument("--u", default=None)

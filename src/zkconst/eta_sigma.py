@@ -37,7 +37,7 @@ from mpmath import mp, mpf
 from .bell import bell_recurrence_value
 from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
 from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import ConstantTable, TableEntry
+from .stieltjes import ConstantTable, TableEntry, require
 
 ETA_TAG = "recurrence-4.4"
 ETA_COFFEY_TAG = "coffey-4.5"
@@ -46,18 +46,9 @@ SIGMA_CLOSED_TAG = "closed-2.13"
 SIGMA_TAG = "eta-zeta-s4"
 
 
-def _require(table: ConstantTable, kind: str, max_n: int, who: str):
-    if table.kind != kind:
-        raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
-    if table.max_n < max_n:
-        raise ValueError(
-            f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"
-        )
-
-
 def eta_from_gamma(max_n: int, gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """eta_0 .. eta_max_n by solving the gamma/eta recurrence in rising n."""
-    _require(gammas, "gamma", max_n, "eta_from_gamma")
+    require(gammas, "gamma", max_n, "eta_from_gamma")
     with mp.workdps(ctx.working_dps + 10):
         etas = []
         for n in range(max_n + 1):
@@ -81,7 +72,7 @@ def eta_from_gamma_coffey(
     max_n: int, gammas: ConstantTable, ctx: PrecisionContext
 ) -> ConstantTable:
     """Same map through the rearranged recurrence, as an independent code path."""
-    _require(gammas, "gamma", max_n, "eta_from_gamma_coffey")
+    require(gammas, "gamma", max_n, "eta_from_gamma_coffey")
     with mp.workdps(ctx.working_dps + 10):
         etas = []
         for n in range(max_n + 1):
@@ -105,7 +96,7 @@ def eta_from_gamma_coffey(
 
 def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)."""
-    _require(etas, "eta", max_n, "gamma_from_eta")
+    require(etas, "eta", max_n, "gamma_from_eta")
     with mp.workdps(ctx.working_dps + 10):
         args = [-mp.factorial(r - 1) * etas.mpf(r - 1) for r in range(1, max_n + 2)]
         values = []
@@ -124,7 +115,7 @@ def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigRea
     if not isinstance(k, int) or k <= 0:
         raise ValueError("sigma index must be an integer >= 1")
     if k == 1:
-        _require(etas, "eta", 0, "sigma_from_eta")
+        require(etas, "eta", 0, "sigma_from_eta")
         with mp.workdps(ctx.working_dps):
             gamma = -etas.mpf(0)
             value = +(
@@ -132,7 +123,7 @@ def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigRea
             )
         return make_bigreal(value, ctx)
     n = k - 1
-    _require(etas, "eta", n, "sigma_from_eta")
+    require(etas, "eta", n, "sigma_from_eta")
     with mp.workdps(ctx.working_dps + 5):
         z = zeta_int_mpf(n + 1, ctx, extra_dps=5)
         value = +(

@@ -30,7 +30,7 @@ from .kernel import (
     zeta_int_mpf,
 )
 from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import ConstantTable, TableEntry
+from .stieltjes import FAMILIES, ConstantTable, TableEntry, require
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAGS = {1: "closed-2.13", 2: "closed-3.6"}
@@ -63,15 +63,6 @@ def binomial_alternating_transform(seq):
         sum(math.comb(n, k) * (-1) ** k * seq[k] for k in range(n + 1))
         for n in range(len(seq))
     ]
-
-
-def _require(table: ConstantTable, kind: str, max_n: int, who: str):
-    if table.kind != kind:
-        raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
-    if table.max_n < max_n:
-        raise ValueError(
-            f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"
-        )
 
 
 def lambda_closed(n: int, ctx: PrecisionContext) -> BigReal:
@@ -109,7 +100,7 @@ def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Bi
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("lambda index must be an integer >= 1")
-    _require(sigmas, "sigma", r, "lambda_via_sigma")
+    require(sigmas, "sigma", r, "lambda_via_sigma")
     with mp.workdps(ctx.working_dps + 5):
         acc = mp.mpf(0)
         for j in range(1, r + 1):
@@ -144,7 +135,7 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bi
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError("lambda index must be an integer >= 1")
-    _require(etas, "eta", r - 1, "lambda_via_eta_psi")
+    require(etas, "eta", r - 1, "lambda_via_eta_psi")
     with mp.workdps(ctx.working_dps + 5):
         gamma = -etas.mpf(0)
         acc = _linear_term(r, gamma, ctx)
@@ -180,7 +171,7 @@ def coffey_constant(etas: ConstantTable, ctx: PrecisionContext):
     0, 1 or 2, so it is fixed numerically against the lambda_2 closed form
     and reported alongside any value computed through the route.
     """
-    _require(etas, "eta", 1, "coffey_constant")
+    require(etas, "eta", 1, "coffey_constant")
     with mp.workdps(ctx.working_dps + 5):
         return +(lambda_closed(2, ctx).value - _coffey_sum(2, etas, ctx))
 
@@ -189,7 +180,7 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Big
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
     if not isinstance(r, int) or r < 2:
         raise ValueError("this route is defined for r >= 2")
-    _require(etas, "eta", r - 1, "lambda_via_coffey")
+    require(etas, "eta", r - 1, "lambda_via_coffey")
     with mp.workdps(ctx.working_dps + 5):
         value = +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
     return make_bigreal(value, ctx)
@@ -206,7 +197,7 @@ def g_derivs_at_one(
     """
     if not isinstance(r, int) or r < 0:
         raise ValueError("derivative order must be an integer >= 0")
-    _require(lambdas, "lambda", r + 1, "g_derivs_at_one")
+    require(lambdas, "lambda", r + 1, "g_derivs_at_one")
     if ctx is None:
         ctx = PrecisionContext(digits=lambdas.digits)
     with mp.workdps(ctx.working_dps + 5):
@@ -224,7 +215,7 @@ def g_derivs_at_one_via_eta(
     - [r = 0] log(pi)/2."""
     if not isinstance(r, int) or r < 0:
         raise ValueError("derivative order must be an integer >= 0")
-    _require(etas, "eta", r, "g_derivs_at_one_via_eta")
+    require(etas, "eta", r, "g_derivs_at_one_via_eta")
     with mp.workdps(ctx.working_dps + 5):
         value = polygamma_three_halves_mpf(r, ctx) / mpf(2) ** (r + 1)
         value -= mp.factorial(r) * etas.mpf(r)
@@ -256,8 +247,8 @@ def recurrence_residual_3_13(
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("recurrence index must be an integer >= 0")
-    _require(gammas, "gamma", n + 1, "recurrence_residual_3_13")
-    _require(lambdas, "lambda", n + 2, "recurrence_residual_3_13")
+    require(gammas, "gamma", n + 1, "recurrence_residual_3_13")
+    require(lambdas, "lambda", n + 2, "recurrence_residual_3_13")
     with mp.workdps(ctx.working_dps + n + 10):
         psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
         lhs = psis[n + 1] / mpf(2) ** (n + 2)
@@ -298,17 +289,13 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     lambda_2 > lambda_1, and for lambda_3 > 0.  Failures are reported, not
     raised.
     """
-    from .eta_sigma import eta_from_gamma, sigma_table
+    from .chain import table
     from .reports import inequality_report
-    from .stieltjes import stieltjes_table
 
-    if not isinstance(max_n, int) or not 1 <= max_n <= 20:
-        raise ValueError("need 1 <= max_n <= 20")
-    depth = max(max_n, 3)
-    gammas = stieltjes_table(depth - 1, ctx)
-    etas = eta_from_gamma(depth - 1, gammas, ctx)
-    sigmas = sigma_table(depth, etas, ctx)
-    lambdas = lambda_table(depth, sigmas, ctx)
+    start, cap = FAMILIES["lambda"]
+    if not isinstance(max_n, int) or not start <= max_n <= cap:
+        raise ValueError(f"need {start} <= max_n <= {cap}")
+    lambdas = table("lambda", max(max_n, 3), ctx)
     reports = []
     for r in range(1, max_n + 1):
         reports.append(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -41,10 +42,17 @@ from .precision import (
 
 GAMMA_TAG = "hasse-2.8"
 
-MAX_INDEX = 20  # supported gamma_n index at digits <= MAX_DIGITS
+# family -> (first index, largest supported index at digits <= MAX_DIGITS);
+# zeta0 is held lower by the error growth of Gamma^(m)(1) and eta_m
+FAMILIES = {"gamma": (0, 20), "eta": (0, 20), "sigma": (1, 20),
+            "lambda": (1, 20), "xi1": (1, 12), "zeta0": (0, 10)}
 
-TABLE_KINDS = ("gamma", "eta", "sigma", "lambda", "xi1", "zeta0")
-TABLE_START = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
+
+def family(kind: str) -> tuple:
+    """(first index, largest supported index) of a constant family."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown table kind {kind!r}")
+    return FAMILIES[kind]
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,8 @@ class TableEntry:
 class ConstantTable:
     """An indexed constant family with a method tag per entry.
 
-    Indices are contiguous from the family's natural start (gamma and zeta0
-    from 0, the others from 1) and every entry names the formula route that
-    produced it.
+    Indices are contiguous from the family's first index in FAMILIES, and
+    every entry names the formula route that produced it.
     """
 
     kind: str
@@ -68,9 +75,7 @@ class ConstantTable:
     digits: int
 
     def __post_init__(self):
-        if self.kind not in TABLE_KINDS:
-            raise ValueError(f"unknown table kind {self.kind!r}")
-        start = TABLE_START[self.kind]
+        start, _ = family(self.kind)
         for offset, entry in enumerate(self.entries):
             if entry.n != start + offset:
                 raise ValueError(
@@ -81,7 +86,7 @@ class ConstantTable:
 
     @property
     def start(self) -> int:
-        return TABLE_START[self.kind]
+        return FAMILIES[self.kind][0]
 
     @property
     def max_n(self) -> int:
@@ -102,6 +107,18 @@ class ConstantTable:
 
     def __iter__(self):
         return iter(self.entries)
+
+
+def require(table, kind: str, max_n: int, who: str):
+    """Raise ValueError unless `table` is a `kind` table reaching index max_n."""
+    if table is None:
+        raise ValueError(f"{who} needs a {kind} table")
+    if table.kind != kind:
+        raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
+    if table.max_n < max_n:
+        raise ValueError(
+            f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"
+        )
 
 
 def alternating_binomial_sum(values):
@@ -186,6 +203,12 @@ def _hasse_tail(n: int, big_u, ctx: PrecisionContext):
         row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
 
 
+def _work_dps(n: int, ctx: PrecisionContext) -> int:
+    # headroom: the shifted partial sum and the series value at the shifted
+    # argument are both ~log^(n+1)(shift)/(n+1) and cancel to an O(1) result
+    return ctx.working_dps + n + 15
+
+
 def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> BigReal:
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
@@ -194,17 +217,24 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> BigReal:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("stieltjes index must be an integer >= 0")
-    if n > MAX_INDEX:
-        raise ValueError(f"supported range is n <= {MAX_INDEX}")
+    _, cap = FAMILIES["gamma"]
+    if n > cap:
+        raise ValueError(f"supported range is n <= {cap}")
     if ctx.digits > MAX_DIGITS:
         raise ValueError(f"supported range is digits <= {MAX_DIGITS}")
-    # headroom: the shifted partial sum and the series value at the shifted
-    # argument are both ~log^(n+1)(shift)/(n+1) and cancel to an O(1) result
-    work_dps = ctx.working_dps + n + 15
-    with mp.workdps(work_dps):
+    with mp.workdps(_work_dps(n, ctx)):
         u_mp = _to_mpf(u)
-        if not (mp.isfinite(u_mp) and u_mp > 0):
-            raise ValueError("u must be a finite real > 0")
+    if not (mp.isfinite(u_mp) and u_mp > 0):
+        raise ValueError("u must be a finite real > 0")
+    return _gamma_memo(n, u_mp, ctx)
+
+
+@lru_cache(maxsize=4096)
+def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> BigReal:
+    """gamma_n(u_mp), memoised: u_mp is u converted at the working precision,
+    so 1, "1", Fraction(1), mpf(1) and 1.0 share an entry, while contexts
+    that differ in any field stay separate computations."""
+    with mp.workdps(_work_dps(n, ctx)):
         target = ctx.working_dps + 2
         shift = max(0, int(mp.ceil(target - u_mp)))
         direct = mp.mpf(0)
@@ -217,8 +247,9 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> BigReal:
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
     """gamma_0(u) .. gamma_max_n(u) as a table (u defaults to 1)."""
-    if not isinstance(max_n, int) or not 0 <= max_n <= MAX_INDEX:
-        raise ValueError(f"need 0 <= max_n <= {MAX_INDEX}")
+    _, cap = FAMILIES["gamma"]
+    if not isinstance(max_n, int) or not 0 <= max_n <= cap:
+        raise ValueError(f"need 0 <= max_n <= {cap}")
     entries = []
     for n in range(max_n + 1):
         try:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import bell, eta_sigma, li_keiper, xi, zeta_derivs
+from .chain import table
 from .kernel import log_2pi_mpf, zeta_int_mpf
 from .precision import MAX_DIGITS, PrecisionContext
 from .reports import (
@@ -24,9 +25,7 @@ from .reports import (
     exact_report,
     inequality_report,
 )
-from .stieltjes import alternating_binomial_sum, stieltjes_gamma, stieltjes_table
-
-SUITES = ("all", "bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs")
+from .stieltjes import alternating_binomial_sum, stieltjes_gamma
 
 _RNG_SEED = 1729
 
@@ -257,8 +256,8 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
     max_n = 12
-    gammas = stieltjes_table(max_n, ctx)
-    etas = eta_sigma.eta_from_gamma(max_n, gammas, ctx)
+    gammas = table("gamma", max_n, ctx)
+    etas = table("eta", max_n, ctx)
     etas_alt = eta_sigma.eta_from_gamma_coffey(max_n, gammas, ctx)
 
     with mp.workdps(ctx.working_dps + 5):
@@ -341,10 +340,9 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
     max_r = 10
-    gammas = stieltjes_table(max_r + 1, ctx)
-    etas = eta_sigma.eta_from_gamma(max_r + 1, gammas, ctx)
-    sigmas = eta_sigma.sigma_table(max_r + 2, etas, ctx)
-    lambdas = li_keiper.lambda_table(max_r + 2, sigmas, ctx)
+    gammas = table("gamma", max_r + 1, ctx)
+    etas = table("eta", max_r + 1, ctx)
+    lambdas = table("lambda", max_r + 2, ctx)
 
     closed = {r: li_keiper.lambda_closed(r, ctx).value for r in (1, 2)}
     eta_psi = {
@@ -477,11 +475,9 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
     max_n = 10
-    gammas = stieltjes_table(max_n, ctx)
-    etas = eta_sigma.eta_from_gamma(max_n, gammas, ctx)
-    sigmas = eta_sigma.sigma_table(max_n, etas, ctx)
-    lambdas = li_keiper.lambda_table(max_n, sigmas, ctx)
-    xi_bell = xi.xi_table(max_n, sigmas, ctx)
+    sigmas = table("sigma", max_n, ctx)
+    lambdas = table("lambda", max_n, ctx)
+    xi_bell = table("xi1", max_n, ctx)
     xi_rec = xi.xi_deriv_recurrence(max_n, sigmas, ctx)
 
     with mp.workdps(ctx.working_dps + 5):
@@ -585,9 +581,9 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
     max_n = 8
-    gammas = stieltjes_table(max_n, ctx)
-    etas = eta_sigma.eta_from_gamma(max_n, gammas, ctx)
-    z_ap = zeta_derivs.zeta_derivs_at_zero(max_n, "apostol", ctx, gammas=gammas)
+    gammas = table("gamma", max_n, ctx)
+    etas = table("eta", max_n, ctx)
+    z_ap = table("zeta0", max_n, ctx)
     z_lc = zeta_derivs.zeta_derivs_at_zero(max_n, "log_chain", ctx, etas=etas)
 
     with mp.workdps(ctx.working_dps + 10):
@@ -717,13 +713,12 @@ _SUITE_RUNNERS = {
 }
 
 
+SUITES = ("all", *_SUITE_RUNNERS)
+
+
 def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):
     """Run one named suite (or all of them) and return its reports."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if suite == "all":
-        reports = []
-        for name in ("bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs"):
-            reports.extend(_SUITE_RUNNERS[name](ctx, tol_exp))
-        return reports
-    return _SUITE_RUNNERS[suite](ctx, tol_exp)
+    names = _SUITE_RUNNERS if suite == "all" else (suite,)
+    return [r for name in names for r in _SUITE_RUNNERS[name](ctx, tol_exp)]

@@ -27,22 +27,13 @@ from mpmath import mp
 
 from .bell import bell_recurrence_value
 from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import ConstantTable, TableEntry
+from .stieltjes import ConstantTable, TableEntry, require
 
 XI_BELL_TAG = "bell-3.25"
 XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
 # the recurrence variant validated against the Bell route, recorded for
 # report output: sigma index n-k+1, factorial (n-k)!, sign (-1)^(n-k)
 XI_RECURRENCE_CONVENTION = "sigma[n-k+1] * (n-k)! * (-1)^(n-k)"
-
-
-def _require_sigmas(sigmas: ConstantTable, max_k: int, who: str):
-    if sigmas.kind != "sigma":
-        raise ValueError(f"{who} needs a sigma table, got {sigmas.kind}")
-    if sigmas.max_n < max_k:
-        raise ValueError(
-            f"{who} needs sigma entries up to {max_k}, table stops at {sigmas.max_n}"
-        )
 
 
 def _bell_args(sigmas: ConstantTable, count: int):
@@ -57,7 +48,7 @@ def xi_deriv_at_one(n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Big
     """xi^(n)(1) through the Bell-polynomial route."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("derivative order must be an integer >= 1")
-    _require_sigmas(sigmas, n, "xi_deriv_at_one")
+    require(sigmas, "sigma", n, "xi_deriv_at_one")
     with mp.workdps(ctx.working_dps + 5):
         y = bell_recurrence_value(_bell_args(sigmas, n))
         value = +(y / 2)
@@ -81,7 +72,7 @@ def xi_deriv_recurrence(
     """xi^(n)(1) for n = 1..n_max by the recurrence, as a verification route."""
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("xi recurrence needs n_max >= 1")
-    _require_sigmas(sigmas, n_max, "xi_deriv_recurrence")
+    require(sigmas, "sigma", n_max, "xi_deriv_recurrence")
     with mp.workdps(ctx.working_dps + 5):
         xs = [mp.mpf(0)]  # placeholder for unused index 0
         xs.append(+(sigmas.mpf(1) / 2))  # xi'(1) = sigma_1 / 2

@@ -42,27 +42,14 @@ from mpmath import mp, mpf
 from .bell import bell_recurrence_value
 from .kernel import log_2pi_mpf, zeta_int_mpf
 from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import ConstantTable, TableEntry
+from .stieltjes import FAMILIES, ConstantTable, TableEntry, require
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
 GAMMA_DERIV_TAG = "bell-A.7"
 L_DERIV_TAG = "eta-zeta-s4"
 
-MAX_N = 10  # documented cap: Gamma^(m)(1) and eta_m error growth
-
 ROUTES = ("apostol", "log_chain")
-
-
-def _require(table, kind: str, max_n: int, who: str):
-    if table is None:
-        raise ValueError(f"{who} needs a {kind} table")
-    if table.kind != kind:
-        raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
-    if table.max_n < max_n:
-        raise ValueError(
-            f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"
-        )
 
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
@@ -98,7 +85,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> BigR
         if n == 0:
             value = +(log_2pi_mpf(ctx) - 1)
         else:
-            _require(etas, "eta", n, "L_derivs_at_zero")
+            require(etas, "eta", n, "L_derivs_at_zero")
             fact = mp.factorial(n)
             zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
             value = +(
@@ -161,14 +148,15 @@ def zeta_derivs_at_zero(
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}")
-    if not isinstance(max_n, int) or not 0 <= max_n <= MAX_N:
-        raise ValueError(f"need 0 <= max_n <= {MAX_N}")
+    _, cap = FAMILIES["zeta0"]
+    if not isinstance(max_n, int) or not 0 <= max_n <= cap:
+        raise ValueError(f"need 0 <= max_n <= {cap}")
     boost = 2 * max_n + 10
     with mp.workdps(ctx.working_dps + boost):
         values = [mpf(-1) / 2]
         if route == "apostol":
             if max_n >= 1:
-                _require(gammas, "gamma", max_n - 1, "zeta_derivs_at_zero")
+                require(gammas, "gamma", max_n - 1, "zeta_derivs_at_zero")
             for n in range(1, max_n + 1):
                 # pivot: the coefficient of zeta^(n)(0) in the rhs is exactly 2
                 rhs0 = _apostol_rhs(n, values + [mp.mpf(0)], ctx)
@@ -177,7 +165,7 @@ def zeta_derivs_at_zero(
             tag = APOSTOL_TAG
         else:
             if max_n >= 2:
-                _require(etas, "eta", max_n - 1, "zeta_derivs_at_zero")
+                require(etas, "eta", max_n - 1, "zeta_derivs_at_zero")
             lder = [L_derivs_at_zero(m - 1, etas, ctx).value for m in range(1, max_n + 1)]
             half = mpf(1) / 2
             for n in range(1, max_n + 1):
@@ -195,7 +183,7 @@ def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) 
     """gamma_{n-1} by forward evaluation of the triangular relation."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("index must be an integer >= 1")
-    _require(zeta0, "zeta0", n, "gamma_from_zeta_derivs")
+    require(zeta0, "zeta0", n, "gamma_from_zeta_derivs")
     with mp.workdps(ctx.working_dps + 2 * n + 10):
         vals = [zeta0.mpf(l) for l in range(n + 1)]
         value = +(_apostol_rhs(n, vals, ctx) / n)

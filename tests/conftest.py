@@ -3,10 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from zkconst.eta_sigma import eta_from_gamma, sigma_table
-from zkconst.li_keiper import lambda_table
+from zkconst.chain import table
 from zkconst.precision import PrecisionContext
-from zkconst.stieltjes import stieltjes_table
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -26,9 +24,6 @@ def em_gammas():
 
 @pytest.fixture(scope="session")
 def chain30(ctx30):
-    """The table chain gamma -> eta -> sigma -> lambda at 30 digits."""
-    gammas = stieltjes_table(13, ctx30)
-    etas = eta_from_gamma(13, gammas, ctx30)
-    sigmas = sigma_table(13, etas, ctx30)
-    lambdas = lambda_table(13, sigmas, ctx30)
-    return {"gammas": gammas, "etas": etas, "sigmas": sigmas, "lambdas": lambdas}
+    """The table chain gamma -> eta -> sigma -> lambda at 30 digits, each to 13."""
+    kinds = {"gammas": "gamma", "etas": "eta", "sigmas": "sigma", "lambdas": "lambda"}
+    return {name: table(kind, 13, ctx30) for name, kind in kinds.items()}

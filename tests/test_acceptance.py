@@ -16,22 +16,16 @@ from mpmath import mp, mpf
 
 from oracles import FROZEN
 from zkconst.bell import bell_determinant, bell_recurrence_value, bell_symbolic
-from zkconst.eta_sigma import (
-    eta_from_gamma,
-    eta_from_gamma_coffey,
-    gamma_from_eta,
-    sigma_table,
-)
+from zkconst.chain import table
+from zkconst.eta_sigma import eta_from_gamma_coffey, gamma_from_eta
 from zkconst.li_keiper import (
     lambda_closed,
-    lambda_table,
     lambda_via_coffey,
     lambda_via_eta_psi,
     lambda_via_sigma,
     recurrence_residual_3_13,
 )
 from zkconst.precision import PrecisionContext
-from zkconst.stieltjes import stieltjes_table
 from zkconst.xi import xi_deriv_recurrence, xi_table
 from zkconst.zeta_derivs import gamma_from_zeta_derivs, zeta_derivs_at_zero
 
@@ -52,11 +46,8 @@ def report(num, elapsed, limit, detail):
 
 
 def build_chain(max_index, ctx):
-    gammas = stieltjes_table(max_index, ctx)
-    etas = eta_from_gamma(max_index, gammas, ctx)
-    sigmas = sigma_table(max_index, etas, ctx)
-    lambdas = lambda_table(max_index, sigmas, ctx)
-    return gammas, etas, sigmas, lambdas
+    kinds = ("gamma", "eta", "sigma", "lambda")
+    return tuple(table(kind, max_index, ctx) for kind in kinds)
 
 
 def test_criterion_1_lambda1_value():
@@ -136,8 +127,8 @@ def test_criterion_4_bell_triple_equality():
 def test_criterion_5_eta_identities():
     start = time.perf_counter()
     ctx = PrecisionContext(digits=30)
-    gammas = stieltjes_table(12, ctx)
-    etas = eta_from_gamma(12, gammas, ctx)
+    gammas = table("gamma", 12, ctx)
+    etas = table("eta", 12, ctx)
     etas_alt = eta_from_gamma_coffey(12, gammas, ctx)
     with mp.workdps(60):
         g0, g1, g2 = gammas.mpf(0), gammas.mpf(1), gammas.mpf(2)
@@ -161,8 +152,8 @@ def test_criterion_5_eta_identities():
 def test_criterion_6_zeta_derivatives():
     start = time.perf_counter()
     ctx = PrecisionContext(digits=30)
-    gammas = stieltjes_table(8, ctx)
-    etas = eta_from_gamma(8, gammas, ctx)
+    gammas = table("gamma", 8, ctx)
+    etas = table("eta", 8, ctx)
     apostol = zeta_derivs_at_zero(8, "apostol", ctx, gammas=gammas)
     log_chain = zeta_derivs_at_zero(8, "log_chain", ctx, etas=etas)
     with mp.workdps(60):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
 from mpmath import mp, mpf
 
 from oracles import FROZEN
@@ -81,12 +83,19 @@ class TestTableCommand:
         assert out.returncode == 2
         out = run_cli("table", "--seq", "xi1", "--max-n", "13")
         assert out.returncode == 2
+        for seq, start in (("eta", 0), ("sigma", 1), ("lambda", 1)):
+            out = run_cli("table", "--seq", seq, "--max-n", "21")
+            assert out.returncode == 2
+            assert f"--max-n for {seq} must lie in [{start}, 20]" in out.stderr
 
     def test_digits_out_of_range(self):
         out = run_cli("table", "--seq", "gamma", "--max-n", "0", "--digits", "5")
         assert out.returncode == 2
         out = run_cli("table", "--seq", "gamma", "--max-n", "0", "--digits", "65")
         assert out.returncode == 2
+        for digits in ("9", "61"):
+            out = run_cli("table", "--seq", "gamma", "--max-n", "0", "--digits", digits)
+            assert out.returncode == 2
 
     def test_bad_u_value(self):
         out = run_cli("table", "--seq", "gamma", "--max-n", "0", "--u", "-1")
@@ -137,6 +146,16 @@ class TestVerifyCommand:
         out = run_cli("verify", "--suite", "stieltjes", "--tol-exp", "10")
         assert out.returncode == 0
 
+    @pytest.mark.parametrize("tol_exp", ["-5", "0", "31"])
+    def test_tol_exp_out_of_range(self, tol_exp):
+        # 1e5 would pass vacuously, and no check can meet 10^-(digits+1)
+        out = run_cli(
+            "verify", "--suite", "bell", "--digits", "30", "--tol-exp", tol_exp
+        )
+        assert out.returncode == 2
+        assert "--tol-exp must lie in [1, 30]" in out.stderr
+        assert out.stdout == ""
+
 
 class TestLiCheckCommand:
     def test_single_lambda(self):
@@ -155,6 +174,7 @@ class TestLiCheckCommand:
     def test_cap(self):
         out = run_cli("li-check", "--max-n", "21")
         assert out.returncode == 2
+        assert "[1, 20]" in out.stderr
 
     def test_json_format(self):
         out = run_cli("li-check", "--max-n", "2", "--format", "json")
@@ -167,13 +187,13 @@ class TestExitCodeWiring:
     """In-process checks of the error-to-exit-code mapping."""
 
     def test_convergence_error_maps_to_3(self, monkeypatch, capsys):
-        from zkconst import cli
+        from zkconst import chain, cli
         from zkconst.precision import ConvergenceError
 
         def explode(seq, max_n, ctx, u=None):
             raise ConvergenceError("stalled", partial=None, index=4)
 
-        monkeypatch.setattr(cli, "build_table", explode)
+        monkeypatch.setattr(chain, "table", explode)
         rc = cli.main(["table", "--seq", "gamma", "--max-n", "3"])
         assert rc == 3
         assert "index 4" in capsys.readouterr().err
@@ -196,3 +216,36 @@ class TestExitCodeWiring:
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout
+
+
+# sha256 of stdout for a fixed command set, pinned from the pre-memo code:
+# a refactor is correct exactly when these stay byte-identical
+GOLDEN_STDOUT = {
+    "verify --suite all --digits 10":
+        "76784d938a2dfe372f686324e0f6724263afabafb5ef019728ae0acf099126f9",
+    "table --seq gamma --max-n 20 --digits 10":
+        "39a847bc2f0379176161bb35f6311dfe89bd9eaa394b7e8da873b7d92166ee54",
+    "table --seq eta --max-n 20 --digits 10":
+        "7b228581c3e3f5a804a0455965a7a4240ddbc42936ae1dddabf4d7b3874f40af",
+    "table --seq sigma --max-n 20 --digits 10":
+        "39bdab05b275aa0134a21c62072d46071d3a95150b91e22bcc95a4fd2e2fd253",
+    "table --seq lambda --max-n 20 --digits 10":
+        "a611ee4024dca100246d7c73a23420876d6eb6e105ec38a261e77feb76e563fe",
+    "table --seq xi1 --max-n 12 --digits 10":
+        "91ddcb6053de1c38ad32697534853b6fab72160c53ad57f9018402e65d7f109d",
+    "table --seq zeta0 --max-n 10 --digits 10":
+        "3249bd5abd6eaaa819aa2b17bfc91d660f03514c3a898f41864b1bf13b3b2c46",
+    "table --seq gamma --max-n 20 --u 0.001 --digits 10":
+        "3674c647be139dab25236756cae7449427c8fb56aad2f4ff89aad3d02ac548bb",
+    "li-check --max-n 20 --digits 10":
+        "9ca5c4169fe6567a826db9eb57c8f36464f50a55dec098e17483ae5141b522d2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(command, capsys):
+    from zkconst import cli
+
+    assert cli.main(command.split()) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_STDOUT[command]

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from oracles import FROZEN, em_gamma_table
+from zkconst import stieltjes as stieltjes_module
 from zkconst.precision import ConvergenceError, PrecisionContext
 from zkconst.stieltjes import (
     GAMMA_TAG,
@@ -125,6 +128,7 @@ class TestErrors:
         # simulated with an artificially tiny context via monkeypatched cap
         from zkconst import stieltjes as module
 
+        module._gamma_memo.cache_clear()
         original = module._hasse_tail
 
         def strangled(n, big_u, ctx):
@@ -140,3 +144,54 @@ class TestErrors:
             assert info2.value.index == 0  # failing table index
         finally:
             module._hasse_tail = original
+
+
+class TestMemo:
+    """gamma_n(u) is memoised on (n, u at working precision, context)."""
+
+    @pytest.fixture
+    def tail_calls(self, monkeypatch):
+        stieltjes_module._gamma_memo.cache_clear()
+        calls = []
+        original = stieltjes_module._hasse_tail
+
+        def counted(n, big_u, ctx):
+            calls.append((n, ctx))
+            return original(n, big_u, ctx)
+
+        monkeypatch.setattr(stieltjes_module, "_hasse_tail", counted)
+        yield calls
+        stieltjes_module._gamma_memo.cache_clear()
+
+    def test_spellings_of_one_u_share_an_entry(self, ctx30, tail_calls):
+        values = [
+            stieltjes_gamma(0, u, ctx30)
+            for u in (1, "1", Fraction(1), mpf(1), 1.0)
+        ]
+        assert len(tail_calls) == 1
+        assert all(v is values[0] for v in values)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            PrecisionContext(digits=31),
+            PrecisionContext(digits=30, guard_digits=11),
+            PrecisionContext(digits=30, consecutive_small=5),
+        ],
+        ids=["digits", "guard_digits", "consecutive_small"],
+    )
+    def test_each_context_field_is_part_of_the_key(self, ctx30, other, tail_calls):
+        stieltjes_gamma(0, 1, ctx30)
+        stieltjes_gamma(0, 1, other)
+        assert tail_calls == [(0, ctx30), (0, other)]
+
+    def test_convergence_error_is_not_cached(self, ctx30, monkeypatch, tail_calls):
+        def strangled(n, big_u, ctx):
+            tail_calls.append((n, ctx))
+            raise ConvergenceError("forced", partial=mpf(0), index=7)
+
+        monkeypatch.setattr(stieltjes_module, "_hasse_tail", strangled)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError):
+                stieltjes_gamma(0, 1, ctx30)
+        assert len(tail_calls) == 2
