@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .precision import BigReal, PrecisionContext, make_bigreal
+from .precision import BigReal, PrecisionContext
 
 MAX_SYMBOLIC_N = 20  # partition enumeration cap; p(20) = 627 partitions
 
@@ -135,7 +135,7 @@ def bell_eval(args, ctx: PrecisionContext) -> BigReal:
         result = +bell_recurrence_value(vals)
         if not mp.isfinite(result):
             raise ValueError("Bell recurrence overflowed at working precision")
-    return make_bigreal(result, ctx)
+    return BigReal(result, ctx.digits)
 
 
 def bracket_determinant(cs) -> Fraction:

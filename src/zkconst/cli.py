@@ -10,8 +10,9 @@
 against 10^-T and lies in [1, D].
 
 Exit codes: 0 success, 1 verification failure, 2 usage or cap error,
-3 convergence failure.  Numeric values are emitted as decimal strings, never
-binary floats, and identical invocations produce byte-identical output.
+3 convergence failure, 4 internal error (any other exception, reported as one
+line on stderr).  Numeric values are emitted as decimal strings, never binary
+floats, and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,24 +29,17 @@ from .reports import all_passed
 from .stieltjes import FAMILIES, ConstantTable
 from .verify import SUITES, run_suite
 
-DEFAULT_DIGITS = 30
-DEFAULT_GUARD = 10
-DEFAULT_CONSECUTIVE_SMALL = 4
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
+EXIT_INTERNAL = 4
 
 
 def _context(digits: int) -> PrecisionContext:
     if not MIN_DIGITS <= digits <= MAX_DIGITS:
         raise ValueError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}]")
-    return PrecisionContext(
-        digits=digits,
-        guard_digits=DEFAULT_GUARD,
-        consecutive_small=DEFAULT_CONSECUTIVE_SMALL,
-    )
+    return PrecisionContext(digits=digits)
 
 
 def _parse_u(raw: str, ctx: PrecisionContext):
@@ -108,19 +102,15 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     ctx = _context(args.digits)
-    tol_exp = args.tol_exp if args.tol_exp is not None else ctx.digits - 5
-    if not 1 <= tol_exp <= ctx.digits:
+    if args.tol_exp is not None and not 1 <= args.tol_exp <= ctx.digits:
         raise ValueError(f"--tol-exp must lie in [1, {ctx.digits}]")
-    reports = run_suite(args.suite, ctx, tol_exp)
+    reports = run_suite(args.suite, ctx, args.tol_exp)
     _emit_reports(reports, "suite", args.suite, ctx.digits, args.format, out)
     return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
 
 
 def _cmd_li_check(args, out) -> int:
     ctx = _context(args.digits)
-    start, cap = FAMILIES["lambda"]
-    if not start <= args.max_n <= cap:
-        raise ValueError(f"--max-n for li-check must lie in [{start}, {cap}]")
     reports = li_keiper.positivity_report(args.max_n, ctx)
     _emit_reports(reports, "suite", "li-check", ctx.digits, args.format, out)
     return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
@@ -139,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="emit one constant family")
     p_table.add_argument("--seq", required=True, choices=list(FAMILIES))
     p_table.add_argument("--max-n", required=True, type=int, dest="max_n")
-    p_table.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    p_table.add_argument("--digits", type=int, default=PrecisionContext.digits)
     p_table.add_argument("--u", default=None)
     p_table.add_argument(
         "--format", choices=["text", "csv", "json"], default="text"
@@ -148,14 +138,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", required=True, choices=list(SUITES))
-    p_verify.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    p_verify.add_argument("--digits", type=int, default=PrecisionContext.digits)
     p_verify.add_argument("--tol-exp", type=int, default=None, dest="tol_exp")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_li = sub.add_parser("li-check", help="desk-scale Li positivity check")
     p_li.add_argument("--max-n", required=True, type=int, dest="max_n")
-    p_li.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    p_li.add_argument("--digits", type=int, default=PrecisionContext.digits)
     p_li.add_argument("--format", choices=["text", "json"], default="text")
     p_li.set_defaults(func=_cmd_li_check)
     return parser
@@ -172,6 +162,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a crash must not read as exit 1, "a verification failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

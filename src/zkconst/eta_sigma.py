@@ -36,8 +36,8 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value
 from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
-from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import ConstantTable, TableEntry, require
+from .precision import BigReal, PrecisionContext
+from .stieltjes import ConstantTable, require
 
 ETA_TAG = "recurrence-4.4"
 ETA_COFFEY_TAG = "coffey-4.5"
@@ -61,11 +61,7 @@ def eta_from_gamma(max_n: int, gammas: ConstantTable, ctx: PrecisionContext) -> 
                     / mp.factorial(j - 1)
                 )
             etas.append(+acc)
-    entries = tuple(
-        TableEntry(n=n, value=BigReal(v, ctx.digits), method=ETA_TAG)
-        for n, v in enumerate(etas)
-    )
-    return ConstantTable(kind="eta", entries=entries, digits=ctx.digits)
+    return ConstantTable.of("eta", etas, ETA_TAG, ctx)
 
 
 def eta_from_gamma_coffey(
@@ -87,11 +83,7 @@ def eta_from_gamma_coffey(
                 )
             acc += (-1) ** (n + 1) * mp.factorial(n) * inner
             etas.append(+(acc / mp.factorial(n)))
-    entries = tuple(
-        TableEntry(n=n, value=BigReal(v, ctx.digits), method=ETA_COFFEY_TAG)
-        for n, v in enumerate(etas)
-    )
-    return ConstantTable(kind="eta", entries=entries, digits=ctx.digits)
+    return ConstantTable.of("eta", etas, ETA_COFFEY_TAG, ctx)
 
 
 def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
@@ -103,11 +95,7 @@ def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> Co
         for n in range(max_n + 1):
             y = bell_recurrence_value(args[: n + 1])
             values.append(+((-1) ** n * y / (n + 1)))
-    entries = tuple(
-        TableEntry(n=n, value=BigReal(v, ctx.digits), method=GAMMA_FROM_ETA_TAG)
-        for n, v in enumerate(values)
-    )
-    return ConstantTable(kind="gamma", entries=entries, digits=ctx.digits)
+    return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
 def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:
@@ -121,7 +109,7 @@ def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigRea
             value = +(
                 -log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx)
             )
-        return make_bigreal(value, ctx)
+        return BigReal(value, ctx.digits)
     n = k - 1
     require(etas, "eta", n, "sigma_from_eta")
     with mp.workdps(ctx.working_dps + 5):
@@ -131,17 +119,17 @@ def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigRea
             - (1 - mpf(2) ** (-(n + 1))) * z
             + 1
         )
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def sigma_table(max_k: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """sigma_1 .. sigma_max_k with per-entry route tags."""
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError("sigma table needs max_k >= 1")
-    entries = []
-    for k in range(1, max_k + 1):
-        tag = SIGMA_CLOSED_TAG if k == 1 else SIGMA_TAG
-        entries.append(
-            TableEntry(n=k, value=sigma_from_eta(k, etas, ctx), method=tag)
-        )
-    return ConstantTable(kind="sigma", entries=tuple(entries), digits=ctx.digits)
+    ks = range(1, max_k + 1)
+    return ConstantTable.of(
+        "sigma",
+        [sigma_from_eta(k, etas, ctx).value for k in ks],
+        [SIGMA_CLOSED_TAG if k == 1 else SIGMA_TAG for k in ks],
+        ctx,
+    )

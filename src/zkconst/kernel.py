@@ -1,8 +1,8 @@
 """Arbitrary-precision numeric substrate.
 
-Fundamental constants (pi, log 2, log pi), integer-argument zeta values, and
-polygamma values at 3/2.  Everything downstream (eta constants, sigma
-coefficients, Li/Keiper constants, xi and zeta derivatives) pulls its
+Fundamental logarithms (log 2, log pi, log 2 pi), integer-argument zeta
+values, and polygamma values at 3/2.  Everything downstream (eta constants,
+sigma coefficients, Li/Keiper constants, xi and zeta derivatives) pulls its
 transcendental atoms from here, so that a wrong digit in one place shows up
 as a route disagreement rather than being silently re-derived.
 
@@ -20,17 +20,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .precision import BigReal, PrecisionContext, make_bigreal
-
-# route tags emitted with values derived from these kernels
-ZETA_TAG = "eta-series-accel"
-POLYGAMMA_TAG = "closed-3.5.1"
-
-
-def pi_mpf(ctx: PrecisionContext):
-    """pi at working precision."""
-    with mp.workdps(ctx.working_dps):
-        return +mp.pi
+from .precision import BigReal, PrecisionContext
 
 
 def log2_mpf(ctx: PrecisionContext):
@@ -78,7 +68,7 @@ def zeta_int_mpf(n: int, ctx: PrecisionContext, extra_dps: int = 0):
 
 def zeta_int(n: int, ctx: PrecisionContext) -> BigReal:
     """zeta(n) for integer n >= 2, accurate to ctx.digits decimal digits."""
-    return make_bigreal(zeta_int_mpf(n, ctx), ctx)
+    return BigReal(zeta_int_mpf(n, ctx), ctx.digits)
 
 
 def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
@@ -111,4 +101,4 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
 
 def polygamma_three_halves(n: int, ctx: PrecisionContext) -> BigReal:
     """psi^(n)(3/2): the n-th polygamma value at 3/2."""
-    return make_bigreal(polygamma_three_halves_mpf(n, ctx), ctx)
+    return BigReal(polygamma_three_halves_mpf(n, ctx), ctx.digits)

@@ -29,8 +29,8 @@ from .kernel import (
     polygamma_three_halves_mpf,
     zeta_int_mpf,
 )
-from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import FAMILIES, ConstantTable, TableEntry, require
+from .precision import BigReal, PrecisionContext
+from .stieltjes import FAMILIES, ConstantTable, require
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAGS = {1: "closed-2.13", 2: "closed-3.6"}
@@ -89,7 +89,7 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> BigReal:
                 - logpi
                 - 2 * gamma1
             )
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> BigReal:
@@ -106,18 +106,15 @@ def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Bi
         for j in range(1, r + 1):
             acc += (-1) ** j * math.comb(r, j) * sigmas.mpf(j)
         value = +(-acc)
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def lambda_table(max_r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """lambda_1 .. lambda_max_r through the canonical sigma route."""
     if not isinstance(max_r, int) or max_r < 1:
         raise ValueError("lambda table needs max_r >= 1")
-    entries = tuple(
-        TableEntry(n=r, value=lambda_via_sigma(r, sigmas, ctx), method=LAMBDA_TAG)
-        for r in range(1, max_r + 1)
-    )
-    return ConstantTable(kind="lambda", entries=entries, digits=ctx.digits)
+    values = [lambda_via_sigma(r, sigmas, ctx).value for r in range(1, max_r + 1)]
+    return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
 
 
 def _linear_term(r: int, gamma, ctx: PrecisionContext):
@@ -144,7 +141,7 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bi
             bracket = psi / mpf(2) ** j - mp.factorial(j - 1) * etas.mpf(j - 1)
             acc += math.comb(r, j) * bracket / mp.factorial(j - 1)
         value = +acc
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def _coffey_sum(r: int, etas: ConstantTable, ctx: PrecisionContext):
@@ -183,12 +180,10 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Big
     require(etas, "eta", r - 1, "lambda_via_coffey")
     with mp.workdps(ctx.working_dps + 5):
         value = +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
-def g_derivs_at_one(
-    r: int, lambdas: ConstantTable, ctx: PrecisionContext | None = None
-) -> BigReal:
+def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> BigReal:
     """Derivatives at 1 of the log-derivative of xi:
 
     g^(r)(1) = (-1)^(r+1) r! sum_{j=1}^{r+1} C(r+1,j) (-1)^j lambda_j
@@ -198,14 +193,12 @@ def g_derivs_at_one(
     if not isinstance(r, int) or r < 0:
         raise ValueError("derivative order must be an integer >= 0")
     require(lambdas, "lambda", r + 1, "g_derivs_at_one")
-    if ctx is None:
-        ctx = PrecisionContext(digits=lambdas.digits)
     with mp.workdps(ctx.working_dps + 5):
         acc = mp.mpf(0)
         for j in range(1, r + 2):
             acc += math.comb(r + 1, j) * (-1) ** j * lambdas.mpf(j)
         value = +((-1) ** (r + 1) * mp.factorial(r) * acc)
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def g_derivs_at_one_via_eta(
@@ -222,7 +215,7 @@ def g_derivs_at_one_via_eta(
         if r == 0:
             value -= log_pi_mpf(ctx) / 2
         value = +value
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def recurrence_residual_3_13(
@@ -278,7 +271,7 @@ def recurrence_residual_3_13(
         rhs += (-1) ** (n + 1) * (n + 1) * double
 
         value = +abs(lhs - rhs)
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def positivity_report(max_n: int, ctx: PrecisionContext):
@@ -287,14 +280,15 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     Returns one VerificationReport per lambda index asserting nonnegativity,
     dedicated reports for lambda_2 > lambda_1 (2 - lambda_1), for
     lambda_2 > lambda_1, and for lambda_3 > 0.  Failures are reported, not
-    raised.
+    raised.  The range error names the li-check flag, since the CLI passes
+    --max-n straight through.
     """
     from .chain import table
     from .reports import inequality_report
 
     start, cap = FAMILIES["lambda"]
     if not isinstance(max_n, int) or not start <= max_n <= cap:
-        raise ValueError(f"need {start} <= max_n <= {cap}")
+        raise ValueError(f"--max-n for li-check must lie in [{start}, {cap}]")
     lambdas = table("lambda", max(max_n, 3), ctx)
     reports = []
     for r in range(1, max_n + 1):

@@ -2,9 +2,10 @@
 
 Every numeric operation in the package is a pure function of its arguments
 plus a PrecisionContext.  The context fixes the number of decimal digits the
-caller wants to trust, the extra guard digits carried internally, and the
-truncation policy for infinite series.  Results are returned as BigReal
-records so a value never travels without the precision it was computed at.
+caller wants to trust and the extra guard digits carried internally, which
+together set the truncation threshold for infinite series.  Results are
+returned as BigReal records so a value never travels without the precision it
+was computed at.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from mpmath import mp, mpf
 MIN_DIGITS = 10
 MAX_DIGITS = 60
 MIN_GUARD = 5
-MIN_CONSECUTIVE_SMALL = 3
 
 
 class ConvergenceError(ArithmeticError):
@@ -36,29 +36,18 @@ class ConvergenceError(ArithmeticError):
 class PrecisionContext:
     """Target accuracy plus working headroom for series evaluation.
 
-    digits            decimal digits of target accuracy (>= 10)
-    guard_digits      extra working digits (>= 5)
-    consecutive_small consecutive below-threshold terms required before an
-                      infinite sum may stop (>= 3); guards against series
-                      whose terms do not decay monotonically
+    digits        decimal digits of target accuracy (>= 10)
+    guard_digits  extra working digits (>= 5)
     """
 
     digits: int = 30
     guard_digits: int = 10
-    consecutive_small: int = 4
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < MIN_DIGITS:
             raise ValueError(f"digits must be an integer >= {MIN_DIGITS}")
         if not isinstance(self.guard_digits, int) or self.guard_digits < MIN_GUARD:
             raise ValueError(f"guard_digits must be an integer >= {MIN_GUARD}")
-        if (
-            not isinstance(self.consecutive_small, int)
-            or self.consecutive_small < MIN_CONSECUTIVE_SMALL
-        ):
-            raise ValueError(
-                f"consecutive_small must be an integer >= {MIN_CONSECUTIVE_SMALL}"
-            )
 
     @property
     def working_dps(self) -> int:
@@ -73,11 +62,7 @@ class PrecisionContext:
 
     def escalated(self, extra_digits: int) -> "PrecisionContext":
         """Same policy with `extra_digits` more digits of target accuracy."""
-        return PrecisionContext(
-            digits=self.digits + extra_digits,
-            guard_digits=self.guard_digits,
-            consecutive_small=self.consecutive_small,
-        )
+        return PrecisionContext(self.digits + extra_digits, self.guard_digits)
 
 
 @dataclass(frozen=True)
@@ -106,11 +91,6 @@ class BigReal:
 
     def __repr__(self) -> str:
         return f"BigReal({self.decimal()}, digits={self.digits})"
-
-
-def make_bigreal(value, ctx: PrecisionContext) -> BigReal:
-    """Wrap an mpf computed under `ctx` into a BigReal tagged with ctx.digits."""
-    return BigReal(value=value, digits=ctx.digits)
 
 
 def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:

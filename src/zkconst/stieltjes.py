@@ -32,15 +32,13 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .precision import (
-    MAX_DIGITS,
-    BigReal,
-    ConvergenceError,
-    PrecisionContext,
-    make_bigreal,
-)
+from .precision import MAX_DIGITS, BigReal, ConvergenceError, PrecisionContext
 
 GAMMA_TAG = "hasse-2.8"
+
+# below-threshold outer terms in a row before the double series may stop;
+# one small term alone could be a sign change of a non-monotone tail
+CONSECUTIVE_SMALL = 4
 
 # family -> (first index, largest supported index at digits <= MAX_DIGITS);
 # zeta0 is held lower by the error growth of Gamma^(m)(1) and eta_m
@@ -83,6 +81,19 @@ class ConstantTable:
                 )
             if not entry.method:
                 raise ValueError("every table entry needs a method tag")
+
+    @classmethod
+    def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
+        """A `kind` table of a list of raw mpf values from the family's first
+        index on; `method` is one tag for every entry or a list of per-entry
+        tags."""
+        tags = [method] * len(values) if isinstance(method, str) else method
+        start, _ = family(kind)
+        entries = tuple(
+            TableEntry(n=start + i, value=BigReal(v, ctx.digits), method=tag)
+            for i, (v, tag) in enumerate(zip(values, tags, strict=True))
+        )
+        return cls(kind=kind, entries=entries, digits=ctx.digits)
 
     @property
     def start(self) -> int:
@@ -188,7 +199,7 @@ def _hasse_tail(n: int, big_u, ctx: PrecisionContext):
         total += outer_term
         if abs(outer_term) < tol:
             small_run += 1
-            if small_run >= ctx.consecutive_small:
+            if small_run >= CONSECUTIVE_SMALL:
                 return -total / (n + 1)
         else:
             small_run = 0
@@ -242,7 +253,7 @@ def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> BigReal:
             x = u_mp + m
             direct += _log_power(x, n) / x
         tail = _hasse_tail(n, u_mp + shift, ctx)
-        return make_bigreal(+(direct + tail), ctx)
+        return BigReal(+(direct + tail), ctx.digits)
 
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
@@ -250,15 +261,14 @@ def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
     _, cap = FAMILIES["gamma"]
     if not isinstance(max_n, int) or not 0 <= max_n <= cap:
         raise ValueError(f"need 0 <= max_n <= {cap}")
-    entries = []
+    values = []
     for n in range(max_n + 1):
         try:
-            value = stieltjes_gamma(n, u, ctx)
+            values.append(stieltjes_gamma(n, u, ctx).value)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"gamma table failed at index {n}: {exc}",
                 partial=exc.partial,
                 index=n,
             ) from exc
-        entries.append(TableEntry(n=n, value=value, method=GAMMA_TAG))
-    return ConstantTable(kind="gamma", entries=tuple(entries), digits=ctx.digits)
+    return ConstantTable.of("gamma", values, GAMMA_TAG, ctx)

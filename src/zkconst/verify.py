@@ -68,28 +68,64 @@ def _central_diff_exp_cubic(x, m, digits):
         return acc / h**m
 
 
+def _first_mismatch(identity, pairs, ctx, method_tags):
+    """Exact report that every (lhs, rhs) in `pairs` is equal.
+
+    `pairs` is lazy, so seeded trials stop drawing at the first mismatch,
+    which becomes the witness; when all agree the last pair is the witness.
+    """
+    lhs = rhs = Fraction(0)
+    for lhs, rhs in pairs:
+        if lhs != rhs:
+            break
+    return exact_report(identity, lhs == rhs, lhs, rhs, ctx, method_tags=method_tags)
+
+
+def _route_pairs(rng, n):
+    """Partition sum against recurrence, then against determinant, per trial."""
+    poly = bell.bell_symbolic(n)
+    for _ in range(100):
+        v = _random_fractions(rng, n)
+        a = poly.substitute(v)
+        b = bell.bell_recurrence_value(v)
+        c = bell.bell_determinant(v)
+        yield a, b
+        yield a, c
+
+
+def _convolution_pairs(rng, n):
+    for _ in range(20):
+        xs = _random_fractions(rng, n)
+        ys = _random_fractions(rng, n)
+        lhs = bell.bell_recurrence_value([a + b for a, b in zip(xs, ys)])
+        rhs = sum(
+            math.comb(n, k)
+            * bell.bell_recurrence_value(xs[: n - k])
+            * bell.bell_recurrence_value(ys[:k])
+            for k in range(n + 1)
+        )
+        yield lhs, rhs
+
+
+def _scaled_determinant_pairs(rng, n):
+    for _ in range(20):
+        bs = _random_fractions(rng, n)
+        scaled = [math.factorial(j) * bs[j] for j in range(n)]
+        yield (
+            bell.bell_recurrence_value(scaled),
+            bell.bracket_determinant([(-1) ** k * bs[k] for k in range(n)]),
+        )
+
+
 def suite_bell(ctx: PrecisionContext, tol_exp: int | None = None):
     rng = random.Random(_RNG_SEED)
     reports = []
 
     for n in range(1, 9):
-        poly = bell.bell_symbolic(n)
-        ok = True
-        witness = (Fraction(0), Fraction(0))
-        for _ in range(100):
-            v = _random_fractions(rng, n)
-            a = poly.substitute(v)
-            b = bell.bell_recurrence_value(v)
-            c = bell.bell_determinant(v)
-            if not (a == b == c):
-                ok = False
-                witness = (a, c)
-                break
-            witness = (a, c)
         reports.append(
-            exact_report(
-                f"bell-routes-exact-n{n}", ok, witness[0], witness[1], ctx,
-                method_tags=("partition-A.1", "recurrence-3.30", "determinant-A.17"),
+            _first_mismatch(
+                f"bell-routes-exact-n{n}", _route_pairs(rng, n), ctx,
+                ("partition-A.1", "recurrence-3.30", "determinant-A.17"),
             )
         )
 
@@ -117,47 +153,18 @@ def suite_bell(ctx: PrecisionContext, tol_exp: int | None = None):
         )
 
     for n in range(1, 7):
-        ok = True
-        witness = (Fraction(0), Fraction(0))
-        for _ in range(20):
-            xs = _random_fractions(rng, n)
-            ys = _random_fractions(rng, n)
-            lhs = bell.bell_recurrence_value([a + b for a, b in zip(xs, ys)])
-            rhs = sum(
-                math.comb(n, k)
-                * bell.bell_recurrence_value(xs[: n - k])
-                * bell.bell_recurrence_value(ys[:k])
-                for k in range(n + 1)
-            )
-            witness = (lhs, rhs)
-            if lhs != rhs:
-                ok = False
-                break
         reports.append(
-            exact_report(
-                f"bell-convolution-n{n}", ok, witness[0], witness[1], ctx,
-                method_tags=("recurrence-3.30", "convolution-5.4"),
+            _first_mismatch(
+                f"bell-convolution-n{n}", _convolution_pairs(rng, n), ctx,
+                ("recurrence-3.30", "convolution-5.4"),
             )
         )
 
     for n in range(1, 7):
-        ok = True
-        witness = (Fraction(0), Fraction(0))
-        for _ in range(20):
-            bs = _random_fractions(rng, n)
-            scaled = [math.factorial(j) * bs[j] for j in range(n)]
-            lhs = bell.bell_recurrence_value(scaled)
-            rhs = bell.bracket_determinant(
-                [(-1) ** k * bs[k] for k in range(n)]
-            )
-            witness = (lhs, rhs)
-            if lhs != rhs:
-                ok = False
-                break
         reports.append(
-            exact_report(
-                f"bell-scaled-determinant-n{n}", ok, witness[0], witness[1], ctx,
-                method_tags=("recurrence-3.30", "determinant-A.16"),
+            _first_mismatch(
+                f"bell-scaled-determinant-n{n}", _scaled_determinant_pairs(rng, n),
+                ctx, ("recurrence-3.30", "determinant-A.16"),
             )
         )
 
@@ -230,11 +237,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
 
     # guard stability: guard_digits -> guard_digits + 10 moves the value
     # by less than 10^-(digits-2)
-    wide = PrecisionContext(
-        digits=ctx.digits,
-        guard_digits=ctx.guard_digits + 10,
-        consecutive_small=ctx.consecutive_small,
-    )
+    wide = PrecisionContext(ctx.digits, ctx.guard_digits + 10)
     guard_tol = default_tol(ctx, ctx.digits - 2)
     for n in (1, 3):
         a = stieltjes_gamma(n, 1, ctx)

@@ -26,8 +26,8 @@ import math
 from mpmath import mp
 
 from .bell import bell_recurrence_value
-from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import ConstantTable, TableEntry, require
+from .precision import BigReal, PrecisionContext
+from .stieltjes import ConstantTable, require
 
 XI_BELL_TAG = "bell-3.25"
 XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
@@ -52,18 +52,15 @@ def xi_deriv_at_one(n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Big
     with mp.workdps(ctx.working_dps + 5):
         y = bell_recurrence_value(_bell_args(sigmas, n))
         value = +(y / 2)
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def xi_table(max_n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """xi^(1)(1) .. xi^(max_n)(1) through the Bell route."""
     if not isinstance(max_n, int) or max_n < 1:
         raise ValueError("xi table needs max_n >= 1")
-    entries = tuple(
-        TableEntry(n=n, value=xi_deriv_at_one(n, sigmas, ctx), method=XI_BELL_TAG)
-        for n in range(1, max_n + 1)
-    )
-    return ConstantTable(kind="xi1", entries=entries, digits=ctx.digits)
+    values = [xi_deriv_at_one(n, sigmas, ctx).value for n in range(1, max_n + 1)]
+    return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
 
 
 def xi_deriv_recurrence(
@@ -87,15 +84,7 @@ def xi_deriv_recurrence(
                     * xs[k]
                 )
             xs.append(+acc)
-    entries = tuple(
-        TableEntry(
-            n=n,
-            value=BigReal(xs[n], ctx.digits),
-            method=XI_RECURRENCE_TAG,
-        )
-        for n in range(1, n_max + 1)
-    )
-    return ConstantTable(kind="xi1", entries=entries, digits=ctx.digits)
+    return ConstantTable.of("xi1", xs[1:], XI_RECURRENCE_TAG, ctx)
 
 
 def xi_deriv_at_zero(n: int, xi_at_one: ConstantTable) -> BigReal:

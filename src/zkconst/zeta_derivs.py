@@ -41,8 +41,8 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import BigReal, PrecisionContext, make_bigreal
-from .stieltjes import FAMILIES, ConstantTable, TableEntry, require
+from .precision import BigReal, PrecisionContext
+from .stieltjes import FAMILIES, ConstantTable, require
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
@@ -74,7 +74,7 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
 
 def gamma_derivs_at_one(m: int, ctx: PrecisionContext) -> BigReal:
     """Gamma^(m)(1): the m-th derivative of the gamma function at 1."""
-    return make_bigreal(gamma_derivs_at_one_mpf(m, ctx), ctx)
+    return BigReal(gamma_derivs_at_one_mpf(m, ctx), ctx.digits)
 
 
 def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:
@@ -93,7 +93,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> BigR
                 + zcoeff * fact * zeta_int_mpf(n + 1, ctx, extra_dps=5)
                 - fact
             )
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)
 
 
 def _cos_weight(m: int, pi_val):
@@ -172,11 +172,7 @@ def zeta_derivs_at_zero(
                 h_n = half * bell_recurrence_value(lder[:n])
                 values.append(+(n * values[n - 1] - h_n))
             tag = LOG_CHAIN_TAG
-    entries = tuple(
-        TableEntry(n=n, value=BigReal(v, ctx.digits), method=tag)
-        for n, v in enumerate(values)
-    )
-    return ConstantTable(kind="zeta0", entries=entries, digits=ctx.digits)
+    return ConstantTable.of("zeta0", values, tag, ctx)
 
 
 def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> BigReal:
@@ -187,4 +183,4 @@ def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) 
     with mp.workdps(ctx.working_dps + 2 * n + 10):
         vals = [zeta0.mpf(l) for l in range(n + 1)]
         value = +(_apostol_rhs(n, vals, ctx) / n)
-    return make_bigreal(value, ctx)
+    return BigReal(value, ctx.digits)

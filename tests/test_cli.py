@@ -198,6 +198,20 @@ class TestExitCodeWiring:
         assert rc == 3
         assert "index 4" in capsys.readouterr().err
 
+    def test_internal_error_maps_to_4(self, monkeypatch, capsys):
+        # exit 1 means "a verification failed"; a crash must not look like one
+        from zkconst import chain, cli
+
+        def crash(seq, max_n, ctx, u=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(chain, "table", crash)
+        rc = cli.main(["table", "--seq", "gamma", "--max-n", "3"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError: boom\n"
+
     def test_failing_suite_maps_to_1(self, monkeypatch, capsys):
         from zkconst import cli
         from zkconst.precision import PrecisionContext
@@ -223,6 +237,8 @@ class TestExitCodeWiring:
 GOLDEN_STDOUT = {
     "verify --suite all --digits 10":
         "76784d938a2dfe372f686324e0f6724263afabafb5ef019728ae0acf099126f9",
+    "verify --suite all --digits 30":
+        "3bde71f040fcd27060cd2ac9a4c1e29f622789a61e12e550fb7cebbfeee23ac8",
     "table --seq gamma --max-n 20 --digits 10":
         "39a847bc2f0379176161bb35f6311dfe89bd9eaa394b7e8da873b7d92166ee54",
     "table --seq eta --max-n 20 --digits 10":
@@ -239,6 +255,8 @@ GOLDEN_STDOUT = {
         "3674c647be139dab25236756cae7449427c8fb56aad2f4ff89aad3d02ac548bb",
     "li-check --max-n 20 --digits 10":
         "9ca5c4169fe6567a826db9eb57c8f36464f50a55dec098e17483ae5141b522d2",
+    "li-check --max-n 20 --digits 30":
+        "a472267e90566a043a208c1ca4e6ff9a16aa752768ef3b549e4a5f6cc3f192df",
 }
 
 

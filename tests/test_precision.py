@@ -10,7 +10,6 @@ class TestPrecisionContext:
         ctx = PrecisionContext()
         assert ctx.digits == 30
         assert ctx.guard_digits == 10
-        assert ctx.consecutive_small == 4
         assert ctx.working_dps == 40
 
     @pytest.mark.parametrize(
@@ -18,7 +17,6 @@ class TestPrecisionContext:
         [
             {"digits": 9},
             {"digits": 30, "guard_digits": 4},
-            {"digits": 30, "consecutive_small": 2},
             {"digits": 30.0},
         ],
     )
@@ -99,6 +97,27 @@ class TestConstantTable:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ConstantTable(kind="mystery", entries=(), digits=30)
+
+    def test_of_starts_at_family_index(self, ctx30):
+        starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
+        for kind, start in starts.items():
+            table = ConstantTable.of(kind, [mpf(1), mpf(2)], "t", ctx30)
+            assert [e.n for e in table] == [start, start + 1]
+            assert table.digits == 30
+            assert all(e.value.digits == 30 for e in table)
+
+    def test_of_one_tag_for_every_entry(self, ctx30):
+        table = ConstantTable.of("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)
+        assert [e.method for e in table] == ["recurrence-4.4"] * 3
+
+    def test_of_keeps_per_entry_tags(self, ctx30):
+        tags = ["closed-2.13", "eta-zeta-s4", "eta-zeta-s4"]
+        table = ConstantTable.of("sigma", [mpf(1)] * 3, tags, ctx30)
+        assert [e.method for e in table] == tags
+
+    def test_of_rejects_tag_count_mismatch(self, ctx30):
+        with pytest.raises(ValueError):
+            ConstantTable.of("sigma", [mpf(1)] * 3, ["closed-2.13", "eta-zeta-s4"], ctx30)
 
     def test_value_range(self):
         table = ConstantTable(
