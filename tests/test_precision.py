@@ -17,6 +17,7 @@ class TestPrecisionContext:
         [
             {"digits": 9},
             {"digits": 30, "guard_digits": 4},
+            {"digits": 30, "guard_digits": 10.0},
             {"digits": 30.0},
         ],
     )
