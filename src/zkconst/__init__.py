@@ -7,7 +7,7 @@ through multiple independent formula routes -- and verifies every identity,
 recurrence and sign claim tying them together.
 """
 
-from .bell import MultiPoly, bell_determinant, bell_eval, bell_symbolic
+from .bell import MultiPoly, bell_determinant, bell_symbolic
 from .chain import table
 from .eta_sigma import (
     eta_from_gamma,
@@ -16,7 +16,6 @@ from .eta_sigma import (
     sigma_from_eta,
     sigma_table,
 )
-from .kernel import polygamma_three_halves, zeta_int
 from .li_keiper import (
     g_derivs_at_one,
     g_derivs_at_one_via_eta,
@@ -35,7 +34,6 @@ from .verify import run_suite
 from .xi import xi_deriv_at_one, xi_deriv_at_zero, xi_deriv_recurrence, xi_table
 from .zeta_derivs import (
     L_derivs_at_zero,
-    gamma_derivs_at_one,
     gamma_from_zeta_derivs,
     zeta_derivs_at_zero,
 )
@@ -51,13 +49,11 @@ __all__ = [
     "VerificationReport",
     "L_derivs_at_zero",
     "bell_determinant",
-    "bell_eval",
     "bell_symbolic",
     "eta_from_gamma",
     "eta_from_gamma_coffey",
     "g_derivs_at_one",
     "g_derivs_at_one_via_eta",
-    "gamma_derivs_at_one",
     "gamma_from_eta",
     "gamma_from_zeta_derivs",
     "lambda_closed",
@@ -65,7 +61,6 @@ __all__ = [
     "lambda_via_coffey",
     "lambda_via_eta_psi",
     "lambda_via_sigma",
-    "polygamma_three_halves",
     "positivity_report",
     "recurrence_residual_3_13",
     "run_suite",
@@ -79,5 +74,4 @@ __all__ = [
     "xi_deriv_recurrence",
     "xi_table",
     "zeta_derivs_at_zero",
-    "zeta_int",
 ]

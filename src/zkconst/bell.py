@@ -21,10 +21,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from mpmath import mp
-
-from .precision import BigReal, PrecisionContext
-
 MAX_SYMBOLIC_N = 20  # partition enumeration cap; p(20) = 627 partitions
 
 
@@ -126,16 +122,6 @@ def bell_recurrence_value(args):
             acc = acc + math.comb(m, k) * ys[k] * args[m - k]
         ys.append(acc)
     return ys[n]
-
-
-def bell_eval(args, ctx: PrecisionContext) -> BigReal:
-    """Y_n evaluated numerically at working precision via the recurrence."""
-    with mp.workdps(ctx.working_dps):
-        vals = [mp.mpf(a) if not isinstance(a, mp.mpf) else a for a in args]
-        result = +bell_recurrence_value(vals)
-        if not mp.isfinite(result):
-            raise ValueError("Bell recurrence overflowed at working precision")
-    return BigReal(result, ctx.digits)
 
 
 def bracket_determinant(cs) -> Fraction:

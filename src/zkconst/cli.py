@@ -55,8 +55,8 @@ def _parse_u(raw: str, ctx: PrecisionContext):
 
 def _emit_table(table: ConstantTable, seq: str, fmt: str, out) -> None:
     rows = [
-        {"n": e.n, "value": e.value.decimal(table.digits), "method": e.method}
-        for e in table
+        {"n": n, "value": value.decimal(table.digits), "method": method}
+        for n, value, method in table
     ]
     if fmt == "json":
         payload = {"seq": seq, "digits": table.digits, "rows": rows}
@@ -72,24 +72,25 @@ def _emit_table(table: ConstantTable, seq: str, fmt: str, out) -> None:
             out.write(f"{row['n']:>4}  {row['value']:<{width}}  {row['method']}\n")
 
 
-def _emit_reports(reports, head_key: str, head_val: str, digits: int, fmt: str, out):
+def _emit_reports(reports, suite: str, digits: int, fmt: str, out) -> int:
     if fmt == "json":
         payload = {
-            head_key: head_val,
+            "suite": suite,
             "digits": digits,
             "reports": [r.as_dict() for r in reports],
         }
         out.write(json.dumps(payload, indent=2))
         out.write("\n")
-        return
-    npass = sum(1 for r in reports if r.passed)
-    for r in reports:
-        verdict = "pass" if r.passed else "FAIL"
-        out.write(
-            f"{verdict}  {r.identity}  lhs={r.lhs}  rhs={r.rhs}  "
-            f"abs_err={r.abs_err}  tol={r.tol}  [{' | '.join(r.method_tags)}]\n"
-        )
-    out.write(f"{head_key}={head_val} digits={digits} passed={npass}/{len(reports)}\n")
+    else:
+        npass = sum(1 for r in reports if r.passed)
+        for r in reports:
+            verdict = "pass" if r.passed else "FAIL"
+            out.write(
+                f"{verdict}  {r.identity}  lhs={r.lhs}  rhs={r.rhs}  "
+                f"abs_err={r.abs_err}  tol={r.tol}  [{' | '.join(r.method_tags)}]\n"
+            )
+        out.write(f"suite={suite} digits={digits} passed={npass}/{len(reports)}\n")
+    return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
 
 
 def _cmd_table(args, out) -> int:
@@ -102,18 +103,14 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     ctx = _context(args.digits)
-    if args.tol_exp is not None and not 1 <= args.tol_exp <= ctx.digits:
-        raise ValueError(f"--tol-exp must lie in [1, {ctx.digits}]")
     reports = run_suite(args.suite, ctx, args.tol_exp)
-    _emit_reports(reports, "suite", args.suite, ctx.digits, args.format, out)
-    return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
+    return _emit_reports(reports, args.suite, ctx.digits, args.format, out)
 
 
 def _cmd_li_check(args, out) -> int:
     ctx = _context(args.digits)
     reports = li_keiper.positivity_report(args.max_n, ctx)
-    _emit_reports(reports, "suite", "li-check", ctx.digits, args.format, out)
-    return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
+    return _emit_reports(reports, "li-check", ctx.digits, args.format, out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

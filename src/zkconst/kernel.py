@@ -20,7 +20,8 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .precision import BigReal, PrecisionContext
+from .precision import PrecisionContext
+from .stieltjes import stieltjes_gamma
 
 
 def log2_mpf(ctx: PrecisionContext):
@@ -66,11 +67,6 @@ def zeta_int_mpf(n: int, ctx: PrecisionContext, extra_dps: int = 0):
     return _zeta_int_raw(n, ctx.working_dps + extra_dps)
 
 
-def zeta_int(n: int, ctx: PrecisionContext) -> BigReal:
-    """zeta(n) for integer n >= 2, accurate to ctx.digits decimal digits."""
-    return BigReal(zeta_int_mpf(n, ctx), ctx.digits)
-
-
 def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
     """Raw psi^(n)(3/2) at working precision.
 
@@ -85,8 +81,6 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
     if not isinstance(n, int) or n < 0:
         raise ValueError("polygamma order must be an integer >= 0")
     if n == 0:
-        from .stieltjes import stieltjes_gamma
-
         gamma = stieltjes_gamma(0, 1, ctx).value
         with mp.workdps(ctx.working_dps):
             return +(2 - gamma - 2 * mp.log(2))
@@ -97,8 +91,3 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
         bracket = mpf(2) ** (n + 1) * (z - 1) - z
         sign = 1 if n % 2 == 1 else -1
         return +(sign * mp.factorial(n) * bracket)
-
-
-def polygamma_three_halves(n: int, ctx: PrecisionContext) -> BigReal:
-    """psi^(n)(3/2): the n-th polygamma value at 3/2."""
-    return BigReal(polygamma_three_halves_mpf(n, ctx), ctx.digits)

@@ -23,6 +23,7 @@ import math
 
 from mpmath import mp, mpf
 
+from .eta_sigma import SIGMA_CLOSED_TAG
 from .kernel import (
     log2_mpf,
     log_pi_mpf,
@@ -30,10 +31,11 @@ from .kernel import (
     zeta_int_mpf,
 )
 from .precision import BigReal, PrecisionContext
-from .stieltjes import FAMILIES, ConstantTable, require
+from .reports import inequality_report
+from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 LAMBDA_TAG = "sigma-3.29"
-LAMBDA_CLOSED_TAGS = {1: "closed-2.13", 2: "closed-3.6"}
+LAMBDA_CLOSED_TAGS = {1: SIGMA_CLOSED_TAG, 2: "closed-3.6"}
 LAMBDA_ETA_PSI_TAG = "eta-psi-3.33"
 LAMBDA_COFFEY_TAG = "coffey-3.34"
 G_DERIV_TAG = "binomial-3.26"
@@ -69,8 +71,6 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> BigReal:
     """Closed forms: only lambda_1 and lambda_2 have one."""
     if n not in (1, 2):
         raise ValueError("closed forms exist only for n in (1, 2)")
-    from .stieltjes import stieltjes_gamma
-
     with mp.workdps(ctx.working_dps + 5):
         gamma = stieltjes_gamma(0, 1, ctx).value
         log2 = log2_mpf(ctx)
@@ -283,8 +283,7 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     raised.  The range error names the li-check flag, since the CLI passes
     --max-n straight through.
     """
-    from .chain import table
-    from .reports import inequality_report
+    from .chain import table  # not at the top: chain imports li_keiper
 
     start, cap = FAMILIES["lambda"]
     if not isinstance(max_n, int) or not start <= max_n <= cap:

@@ -11,6 +11,7 @@ was computed at.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from mpmath import mp, mpf
 
@@ -102,3 +103,10 @@ def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:
     """
     with mp.workdps(ctx.working_dps + 10):
         return mp.nstr(value, ctx.working_dps + 5, strip_zeros=False)
+
+
+def to_mpf(x):
+    """x as an mpf at the current precision; mpmath's mpf() rejects Fraction."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)

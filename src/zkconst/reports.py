@@ -4,8 +4,10 @@ A VerificationReport captures one identity check: both sides as decimal
 strings that round-trip at the run's precision, the absolute error, the
 tolerance it was judged against, and the route tags of the formulas that
 produced each side.  The invariant `passed == (abs_err <= tol)` holds for
-every constructor here; inequality checks encode their violation magnitude
-as abs_err against a zero tolerance so the same invariant applies.
+every report because one constructor, `_report`, decides every verdict; the
+public constructors only compute an error and a tolerance.  Inequality
+checks encode their violation magnitude as abs_err against a zero
+tolerance, and exact checks an error of 0 or 1 against a zero tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .precision import PrecisionContext, roundtrip_decimal
+from .precision import PrecisionContext, roundtrip_decimal, to_mpf
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,20 @@ def default_tol(ctx: PrecisionContext, tol_exp: int | None = None):
         return mpf(10) ** (-exp)
 
 
+def _report(identity, lhs, rhs, abs_err, tol, ctx, method_tags) -> VerificationReport:
+    """The one verdict: both sides recorded at run precision, and
+    passed = abs_err <= tol (all four are mpf values)."""
+    return VerificationReport(
+        identity=identity,
+        lhs=roundtrip_decimal(lhs, ctx),
+        rhs=roundtrip_decimal(rhs, ctx),
+        abs_err=mp.nstr(abs_err, 8),
+        tol=mp.nstr(tol, 8),
+        passed=bool(abs_err <= tol),
+        method_tags=tuple(method_tags),
+    )
+
+
 def equality_report(
     identity: str,
     lhs,
@@ -54,24 +70,11 @@ def equality_report(
     ctx: PrecisionContext,
     method_tags=(),
 ) -> VerificationReport:
-    """|lhs - rhs| <= tol, with both sides recorded at run precision."""
+    """|lhs - rhs| <= tol."""
     with mp.workdps(ctx.working_dps + 10):
-        lhs_v, rhs_v, tol_v = mpf(lhs), mpf(rhs), mpf(tol)
-        err = abs(lhs_v - rhs_v)
-        passed = bool(err <= tol_v)
-        lhs_s = roundtrip_decimal(lhs_v, ctx)
-        rhs_s = roundtrip_decimal(rhs_v, ctx)
-        err_s = mp.nstr(err, 8)
-        tol_s = mp.nstr(tol_v, 8)
-    return VerificationReport(
-        identity=identity,
-        lhs=lhs_s,
-        rhs=rhs_s,
-        abs_err=err_s,
-        tol=tol_s,
-        passed=passed,
-        method_tags=tuple(method_tags),
-    )
+        lhs_v, rhs_v = mpf(lhs), mpf(rhs)
+        return _report(identity, lhs_v, rhs_v, abs(lhs_v - rhs_v), mpf(tol),
+                       ctx, method_tags)
 
 
 def exact_report(
@@ -84,21 +87,8 @@ def exact_report(
 ) -> VerificationReport:
     """An exact (rational-arithmetic) check; witnesses are representative values."""
     with mp.workdps(ctx.working_dps + 10):
-        lhs = mp.mpf(witness_lhs.numerator) / witness_lhs.denominator \
-            if hasattr(witness_lhs, "numerator") and hasattr(witness_lhs, "denominator") \
-            else mpf(witness_lhs)
-        rhs = mp.mpf(witness_rhs.numerator) / witness_rhs.denominator \
-            if hasattr(witness_rhs, "numerator") and hasattr(witness_rhs, "denominator") \
-            else mpf(witness_rhs)
-    return VerificationReport(
-        identity=identity,
-        lhs=roundtrip_decimal(lhs, ctx),
-        rhs=roundtrip_decimal(rhs, ctx),
-        abs_err="0.0" if equal else "1.0",
-        tol="0.0",
-        passed=bool(equal),
-        method_tags=tuple(method_tags),
-    )
+        return _report(identity, to_mpf(witness_lhs), to_mpf(witness_rhs),
+                       mpf(0 if equal else 1), mpf(0), ctx, method_tags)
 
 
 def inequality_report(
@@ -111,22 +101,8 @@ def inequality_report(
     """lhs >= rhs; abs_err is the violation magnitude max(0, rhs - lhs)."""
     with mp.workdps(ctx.working_dps + 10):
         lhs_v, rhs_v = mpf(lhs), mpf(rhs)
-        violation = rhs_v - lhs_v
-        if violation < 0:
-            violation = mp.mpf(0)
-        passed = bool(violation <= 0)
-        lhs_s = roundtrip_decimal(lhs_v, ctx)
-        rhs_s = roundtrip_decimal(rhs_v, ctx)
-        err_s = mp.nstr(violation, 8)
-    return VerificationReport(
-        identity=identity,
-        lhs=lhs_s,
-        rhs=rhs_s,
-        abs_err=err_s,
-        tol="0.0",
-        passed=passed,
-        method_tags=tuple(method_tags),
-    )
+        return _report(identity, lhs_v, rhs_v, max(mpf(0), rhs_v - lhs_v), mpf(0),
+                       ctx, method_tags)
 
 
 def all_passed(reports) -> bool:

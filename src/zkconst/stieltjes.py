@@ -26,13 +26,14 @@ consecutive-small-terms stopping rule with a hard cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp
 
-from .precision import MAX_DIGITS, BigReal, ConvergenceError, PrecisionContext
+from .precision import MAX_DIGITS, BigReal, ConvergenceError, PrecisionContext, to_mpf
 
 GAMMA_TAG = "hasse-2.8"
 
@@ -54,33 +55,25 @@ def family(kind: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class TableEntry:
-    n: int
-    value: BigReal
-    method: str
-
-
-@dataclass(frozen=True)
 class ConstantTable:
     """An indexed constant family with a method tag per entry.
 
-    Indices are contiguous from the family's first index in FAMILIES, and
-    every entry names the formula route that produced it.
+    values[i] (a BigReal) and methods[i] belong to index start + i, where
+    start is the family's first index in FAMILIES; every entry names the
+    formula route that produced it.  Iterating yields (n, value, method).
     """
 
     kind: str
-    entries: tuple
+    values: tuple
+    methods: tuple
     digits: int
 
     def __post_init__(self):
-        start, _ = family(self.kind)
-        for offset, entry in enumerate(self.entries):
-            if entry.n != start + offset:
-                raise ValueError(
-                    f"{self.kind} table indices must be contiguous from {start}"
-                )
-            if not entry.method:
-                raise ValueError("every table entry needs a method tag")
+        family(self.kind)
+        if len(self.values) != len(self.methods):
+            raise ValueError("a table needs one method tag per value")
+        if not all(self.methods):
+            raise ValueError("every table entry needs a method tag")
 
     @classmethod
     def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
@@ -88,12 +81,8 @@ class ConstantTable:
         index on; `method` is one tag for every entry or a list of per-entry
         tags."""
         tags = [method] * len(values) if isinstance(method, str) else method
-        start, _ = family(kind)
-        entries = tuple(
-            TableEntry(n=start + i, value=BigReal(v, ctx.digits), method=tag)
-            for i, (v, tag) in enumerate(zip(values, tags, strict=True))
-        )
-        return cls(kind=kind, entries=entries, digits=ctx.digits)
+        return cls(kind, tuple(BigReal(v, ctx.digits) for v in values),
+                   tuple(tags), ctx.digits)
 
     @property
     def start(self) -> int:
@@ -101,7 +90,7 @@ class ConstantTable:
 
     @property
     def max_n(self) -> int:
-        return self.start + len(self.entries) - 1
+        return self.start + len(self.values) - 1
 
     def covers(self, n: int) -> bool:
         return self.start <= n <= self.max_n
@@ -111,13 +100,13 @@ class ConstantTable:
             raise ValueError(
                 f"{self.kind} table covers {self.start}..{self.max_n}, not {n}"
             )
-        return self.entries[n - self.start].value
+        return self.values[n - self.start]
 
     def mpf(self, n: int):
         return self.value(n).value
 
     def __iter__(self):
-        return iter(self.entries)
+        return zip(itertools.count(self.start), self.values, self.methods)
 
 
 def require(table, kind: str, max_n: int, who: str):
@@ -144,14 +133,6 @@ def alternating_binomial_sum(values):
         c = math.comb(len(values) - 1, j)
         total = total + (c * v if j % 2 == 0 else -(c * v))
     return total
-
-
-def _to_mpf(u):
-    from fractions import Fraction
-
-    if isinstance(u, Fraction):
-        return mp.mpf(u.numerator) / u.denominator
-    return mp.mpf(u)
 
 
 def _log_power(x, n: int):
@@ -234,7 +215,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> BigReal:
     if ctx.digits > MAX_DIGITS:
         raise ValueError(f"supported range is digits <= {MAX_DIGITS}")
     with mp.workdps(_work_dps(n, ctx)):
-        u_mp = _to_mpf(u)
+        u_mp = to_mpf(u)
     if not (mp.isfinite(u_mp) and u_mp > 0):
         raise ValueError("u must be a finite real > 0")
     return _gamma_memo(n, u_mp, ctx)

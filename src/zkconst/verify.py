@@ -25,7 +25,7 @@ from .reports import (
     exact_report,
     inequality_report,
 )
-from .stieltjes import alternating_binomial_sum, stieltjes_gamma
+from .stieltjes import GAMMA_TAG, alternating_binomial_sum, stieltjes_gamma
 
 _RNG_SEED = 1729
 
@@ -202,7 +202,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
     reports.append(
         exact_report(
             "hasse-normalization-delta", ok, 1 if ok else 0, 1, ctx,
-            method_tags=("hasse-2.8", "limit-2.5"),
+            method_tags=(GAMMA_TAG, "limit-2.5"),
         )
     )
 
@@ -216,7 +216,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
                 gamma.value - 1,
                 tol,
                 ctx,
-                method_tags=("hasse-2.8", "digamma-shift"),
+                method_tags=(GAMMA_TAG, "digamma-shift"),
             )
         )
 
@@ -231,7 +231,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
             reports.append(
                 equality_report(
                     f"gamma-escalation-n{n}", a.value, b.value, esc_tol, ctx,
-                    method_tags=("hasse-2.8", f"hasse-2.8@{esc.digits}d"),
+                    method_tags=(GAMMA_TAG, f"{GAMMA_TAG}@{esc.digits}d"),
                 )
             )
 
@@ -245,7 +245,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 f"gamma-guard-stability-n{n}", a.value, b.value, guard_tol, ctx,
-                method_tags=("hasse-2.8", "hasse-2.8+guard"),
+                method_tags=(GAMMA_TAG, f"{GAMMA_TAG}+guard"),
             )
         )
     return reports
@@ -268,13 +268,13 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 "eta0-is-neg-gamma", etas.mpf(0), -g0, tol, ctx,
-                method_tags=(eta_sigma.ETA_TAG, "hasse-2.8"),
+                method_tags=(eta_sigma.ETA_TAG, GAMMA_TAG),
             )
         )
         reports.append(
             equality_report(
                 "eta1-closed-form", etas.mpf(1), g0**2 + 2 * g1, tol, ctx,
-                method_tags=(eta_sigma.ETA_TAG, "hasse-2.8"),
+                method_tags=(eta_sigma.ETA_TAG, GAMMA_TAG),
             )
         )
         reports.append(
@@ -284,13 +284,13 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
                 -2 * g0**3 - 6 * g0 * g1 - 2 * etas.mpf(2),
                 tol,
                 ctx,
-                method_tags=(eta_sigma.ETA_TAG, "hasse-2.8"),
+                method_tags=(eta_sigma.ETA_TAG, GAMMA_TAG),
             )
         )
         reports.append(
             inequality_report(
                 "eta1-nonneg-consequence", 2 * g1 + g0**2, 0, ctx,
-                method_tags=("hasse-2.8",),
+                method_tags=(GAMMA_TAG,),
             )
         )
 
@@ -329,7 +329,7 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
                 gammas.mpf(n),
                 tol,
                 ctx,
-                method_tags=(eta_sigma.GAMMA_FROM_ETA_TAG, "hasse-2.8"),
+                method_tags=(eta_sigma.GAMMA_FROM_ETA_TAG, GAMMA_TAG),
             )
         )
     return reports
@@ -415,7 +415,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 name, res.value, 0, res_tol, ctx,
-                method_tags=(li_keiper.RESIDUAL_TAG, "hasse-2.8", li_keiper.LAMBDA_TAG),
+                method_tags=(li_keiper.RESIDUAL_TAG, GAMMA_TAG, li_keiper.LAMBDA_TAG),
             )
         )
 
@@ -641,7 +641,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 f"eq-5.5-forward-n{n}", fwd.value, gammas.mpf(n - 1), route_tol, ctx,
-                method_tags=("forward-5.5", zeta_derivs.LOG_CHAIN_TAG, "hasse-2.8"),
+                method_tags=("forward-5.5", zeta_derivs.LOG_CHAIN_TAG, GAMMA_TAG),
             )
         )
         fwd_ap = zeta_derivs.gamma_from_zeta_derivs(n, z_ap, ctx)
@@ -666,10 +666,10 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
             3: -(2 * z3 + 3 * g0 * z2 + g0**3),
         }
     for m, expected in known.items():
-        got = zeta_derivs.gamma_derivs_at_one(m, ctx)
+        got = zeta_derivs.gamma_derivs_at_one_mpf(m, ctx)
         reports.append(
             equality_report(
-                f"gamma-deriv-at-one-m{m}", got.value, expected, tol, ctx,
+                f"gamma-deriv-at-one-m{m}", got, expected, tol, ctx,
                 method_tags=(zeta_derivs.GAMMA_DERIV_TAG, "closed-A.7"),
             )
         )
@@ -720,8 +720,14 @@ SUITES = ("all", *_SUITE_RUNNERS)
 
 
 def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):
-    """Run one named suite (or all of them) and return its reports."""
+    """Run one named suite (or all of them) and return its reports.
+
+    tol_exp must lie in [1, ctx.digits]: a looser bound would pass vacuously,
+    and no check can meet a tighter one at the run's precision.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if tol_exp is not None and not 1 <= tol_exp <= ctx.digits:
+        raise ValueError(f"--tol-exp must lie in [1, {ctx.digits}]")
     names = _SUITE_RUNNERS if suite == "all" else (suite,)
     return [r for name in names for r in _SUITE_RUNNERS[name](ctx, tol_exp)]

@@ -42,7 +42,7 @@ from mpmath import mp, mpf
 from .bell import bell_recurrence_value
 from .kernel import log_2pi_mpf, zeta_int_mpf
 from .precision import BigReal, PrecisionContext
-from .stieltjes import FAMILIES, ConstantTable, require
+from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
@@ -56,8 +56,6 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
     """Raw Gamma^(m)(1) at working precision."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("derivative order must be an integer >= 0")
-    from .stieltjes import stieltjes_gamma
-
     if m == 0:
         return mp.mpf(1)
     with mp.workdps(ctx.working_dps + m + 5):
@@ -70,11 +68,6 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
                 * zeta_int_mpf(p + 1, ctx, extra_dps=m + 5)
             )
         return +bell_recurrence_value(args)
-
-
-def gamma_derivs_at_one(m: int, ctx: PrecisionContext) -> BigReal:
-    """Gamma^(m)(1): the m-th derivative of the gamma function at 1."""
-    return BigReal(gamma_derivs_at_one_mpf(m, ctx), ctx.digits)
 
 
 def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:

@@ -8,12 +8,10 @@ from mpmath import mp, mpf
 from oracles import central_derivative
 from zkconst.bell import (
     bell_determinant,
-    bell_eval,
     bell_recurrence_value,
     bell_symbolic,
     bracket_determinant,
 )
-from zkconst.precision import PrecisionContext
 
 PRINTED = {
     1: {(1,): 1},
@@ -59,18 +57,17 @@ class TestSymbolic:
 
 
 class TestRecurrence:
-    def test_single_argument_is_identity(self, ctx30):
+    def test_single_argument_is_identity(self):
         assert bell_recurrence_value([5]) == 5
-        assert float(bell_eval([mpf(5)], ctx30)) == 5.0
+        assert bell_recurrence_value([mpf(5)]) == 5
 
-    def test_printed_degree_two_value(self, ctx30):
+    def test_printed_degree_two_value(self):
         # substitute into x1^2 + x2 by hand
         assert bell_recurrence_value([2, 3]) == 7
-        assert float(bell_eval([2, 3], ctx30)) == 7.0
+        assert bell_recurrence_value([mpf(2), mpf(3)]) == 7
 
-    def test_empty_args_give_one(self, ctx30):
+    def test_empty_args_give_one(self):
         assert bell_recurrence_value([]) == 1
-        assert float(bell_eval([], ctx30)) == 1.0
 
     @pytest.mark.parametrize("n", list(range(1, 9)))
     def test_matches_symbolic_substitution_on_rationals(self, n):
@@ -143,9 +140,3 @@ class TestIdentities:
             rhs = central_derivative(lambda t: mp.exp(t**3), x_str, m, ctx30.digits)
             with mp.workdps(ctx30.working_dps + 10):
                 assert abs(lhs - rhs) < mpf(10) ** (-tol_exp)
-
-    def test_non_finite_surfaces_as_error(self):
-        # a non-finite intermediate must raise, never return silently
-        ctx = PrecisionContext(digits=15, guard_digits=5)
-        with pytest.raises(ValueError):
-            bell_eval([mp.inf, mpf(1)], ctx)

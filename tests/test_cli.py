@@ -232,8 +232,9 @@ class TestExitCodeWiring:
         assert first.stdout == second.stdout
 
 
-# sha256 of stdout for a fixed command set, pinned from the pre-memo code:
-# a refactor is correct exactly when these stay byte-identical
+# sha256 of stdout for a fixed command set, each pinned from the code before
+# the refactor that added it: a refactor is correct exactly when these stay
+# byte-identical
 GOLDEN_STDOUT = {
     "verify --suite all --digits 10":
         "76784d938a2dfe372f686324e0f6724263afabafb5ef019728ae0acf099126f9",
@@ -257,6 +258,14 @@ GOLDEN_STDOUT = {
         "9ca5c4169fe6567a826db9eb57c8f36464f50a55dec098e17483ae5141b522d2",
     "li-check --max-n 20 --digits 30":
         "a472267e90566a043a208c1ca4e6ff9a16aa752768ef3b549e4a5f6cc3f192df",
+    "verify --suite all --digits 10 --format json":
+        "78cb7c8d445a0f96d7a964e18a939d1c47517b32ed97dfa7ff214fb9b4035692",
+    "li-check --max-n 20 --digits 10 --format json":
+        "834cf41794a12c532442d13cc651a1e72c4993d4cb0efaeade07a91718095db6",
+    "table --seq sigma --max-n 20 --digits 10 --format json":
+        "e11fd6ced4a6a47aed97ae273438ee4c10d017c0ee77efbfb66de4b209d32dcd",
+    "table --seq gamma --max-n 5 --digits 10 --format csv":
+        "a38d9328d269a1d9d0824ece92817a933e7a64bbe04991ffb27a4319b9d0ee7e",
 }
 
 

@@ -8,7 +8,7 @@ from zkconst.eta_sigma import (
     sigma_from_eta,
     sigma_table,
 )
-from zkconst.kernel import zeta_int
+from zkconst.kernel import zeta_int_mpf
 from zkconst.li_keiper import lambda_closed
 
 
@@ -98,7 +98,7 @@ class TestSigma:
         s1 = sigma_from_eta(1, etas, ctx30).value
         s2 = sigma_from_eta(2, etas, ctx30).value
         with mp.workdps(60):
-            direct = etas.mpf(1) - mpf(3) / 4 * zeta_int(2, ctx30).value + 1
+            direct = etas.mpf(1) - mpf(3) / 4 * zeta_int_mpf(2, ctx30) + 1
             assert abs(s2 - direct) < mpf(10) ** (-(ctx30.digits - 5))
             lam2 = 2 * s1 - s2
             assert abs(lam2 - lambda_closed(2, ctx30).value) < mpf(10) ** (
@@ -111,9 +111,10 @@ class TestSigma:
 
     def test_table_tags_and_indices(self, ctx30, chain30):
         s = chain30["sigmas"]
-        assert [e.n for e in s] == list(range(1, 14))
-        assert s.entries[0].method == "closed-2.13"
-        assert all(e.method == "eta-zeta-s4" for e in s.entries[1:])
+        rows = list(s)
+        assert [n for n, _, _ in rows] == list(range(1, 14))
+        assert rows[0][2] == "closed-2.13"
+        assert all(method == "eta-zeta-s4" for _, _, method in rows[1:])
 
     def test_nonpositive_index_rejected(self, ctx30, chain30):
         for bad in (0, -2):

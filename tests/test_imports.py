@@ -38,3 +38,59 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _package_modules(nodes) -> set:
+    """Package modules named by the relative imports among `nodes`."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    return names
+
+
+def late_imports_breaking_no_cycle(sources: dict) -> list:
+    """Functions, as "module.function", that import inside their body although
+    the import breaks no cycle.  A late import is allowed only of a package
+    module that imports the caller at module level, directly or through
+    other package modules."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    top = {name: _package_modules(tree.body) for name, tree in trees.items()}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name == goal:
+                return True
+            if name not in seen:
+                seen.add(name)
+                todo.extend(top.get(name, ()))
+        return False
+
+    bad = set()
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                targets = _package_modules([node])
+                if not targets or not all(reaches(t, name) for t in targets):
+                    bad.add(f"{name}.{fn.name}")
+    return sorted(bad)
+
+
+def test_checker_flags_a_late_import_that_breaks_no_cycle():
+    sources = {
+        "a": "from .b import g\ndef f():\n    from .c import h\n    from fractions import Fraction\n",
+        "b": "def g():\n    from .a import f\n",
+        "c": "def h():\n    import math\n",
+    }
+    assert late_imports_breaking_no_cycle(sources) == ["a.f", "c.h"]
+
+
+def test_late_imports_only_break_cycles():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert late_imports_breaking_no_cycle(sources) == []

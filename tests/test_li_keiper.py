@@ -20,8 +20,8 @@ from zkconst.li_keiper import (
     recurrence_residual_3_13,
     rising_factorial,
 )
-from zkconst.precision import BigReal, PrecisionContext
-from zkconst.stieltjes import ConstantTable, TableEntry
+from zkconst.precision import PrecisionContext
+from zkconst.stieltjes import ConstantTable
 
 
 class TestClosedForms:
@@ -155,14 +155,9 @@ class TestMasterRecurrence:
         # the n = 0 identity is linear in lambda_2 with unit coefficient
         lam = chain30["lambdas"]
         with mp.workdps(60):
-            bumped_entries = list(lam.entries)
-            bumped_val = lam.mpf(2) + mpf("1e-3")
-            bumped_entries[1] = TableEntry(
-                n=2, value=BigReal(bumped_val, lam.digits), method="perturbed"
-            )
-            bumped = ConstantTable(
-                kind="lambda", entries=tuple(bumped_entries), digits=lam.digits
-            )
+            values = [value.value for _, value, _ in lam]
+            values[1] = lam.mpf(2) + mpf("1e-3")
+            bumped = ConstantTable.of("lambda", values, "perturbed", ctx30)
         res = recurrence_residual_3_13(0, chain30["gammas"], bumped, ctx30)
         with mp.workdps(60):
             assert abs(res.value - mpf("1e-3")) < mpf("1e-9")

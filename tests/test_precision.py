@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 from zkconst.precision import BigReal, PrecisionContext, roundtrip_decimal
-from zkconst.stieltjes import ConstantTable, TableEntry
+from zkconst.stieltjes import ConstantTable
 
 
 class TestPrecisionContext:
@@ -64,66 +64,48 @@ class TestBigReal:
 
 
 class TestConstantTable:
-    def _entry(self, n, method="hasse-2.8"):
-        with mp.workdps(40):
-            return TableEntry(n=n, value=BigReal(mpf(n) + 1, 30), method=method)
-
-    def test_contiguity_enforced(self):
-        with pytest.raises(ValueError):
-            ConstantTable(
-                kind="gamma", entries=(self._entry(1),), digits=30
-            )
-        with pytest.raises(ValueError):
-            ConstantTable(
-                kind="sigma", entries=(self._entry(1), self._entry(3)), digits=30
-            )
-
-    def test_natural_starts(self):
+    def test_natural_starts(self, ctx30):
         starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
         for kind, start in starts.items():
-            table = ConstantTable(
-                kind=kind,
-                entries=(self._entry(start), self._entry(start + 1)),
-                digits=30,
-            )
+            table = ConstantTable.of(kind, [mpf(1), mpf(2)], "hasse-2.8", ctx30)
             assert table.start == start
             assert table.max_n == start + 1
 
-    def test_method_tag_required(self):
+    def test_method_tag_required(self, ctx30):
         with pytest.raises(ValueError):
-            ConstantTable(
-                kind="gamma", entries=(self._entry(0, method=""),), digits=30
-            )
+            ConstantTable.of("gamma", [mpf(1)], "", ctx30)
 
-    def test_unknown_kind(self):
+    def test_unknown_kind(self, ctx30):
         with pytest.raises(ValueError):
-            ConstantTable(kind="mystery", entries=(), digits=30)
+            ConstantTable.of("mystery", [], "hasse-2.8", ctx30)
+
+    def test_values_must_be_finite(self, ctx30):
+        with pytest.raises(ValueError):
+            ConstantTable.of("gamma", [mpf(1), mp.inf], "hasse-2.8", ctx30)
 
     def test_of_starts_at_family_index(self, ctx30):
         starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
         for kind, start in starts.items():
             table = ConstantTable.of(kind, [mpf(1), mpf(2)], "t", ctx30)
-            assert [e.n for e in table] == [start, start + 1]
+            assert [n for n, _, _ in table] == [start, start + 1]
             assert table.digits == 30
-            assert all(e.value.digits == 30 for e in table)
+            assert all(value.digits == 30 for _, value, _ in table)
 
     def test_of_one_tag_for_every_entry(self, ctx30):
         table = ConstantTable.of("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)
-        assert [e.method for e in table] == ["recurrence-4.4"] * 3
+        assert [method for _, _, method in table] == ["recurrence-4.4"] * 3
 
     def test_of_keeps_per_entry_tags(self, ctx30):
         tags = ["closed-2.13", "eta-zeta-s4", "eta-zeta-s4"]
         table = ConstantTable.of("sigma", [mpf(1)] * 3, tags, ctx30)
-        assert [e.method for e in table] == tags
+        assert [method for _, _, method in table] == tags
 
     def test_of_rejects_tag_count_mismatch(self, ctx30):
         with pytest.raises(ValueError):
             ConstantTable.of("sigma", [mpf(1)] * 3, ["closed-2.13", "eta-zeta-s4"], ctx30)
 
-    def test_value_range(self):
-        table = ConstantTable(
-            kind="gamma", entries=(self._entry(0), self._entry(1)), digits=30
-        )
+    def test_value_range(self, ctx30):
+        table = ConstantTable.of("gamma", [mpf(1), mpf(2)], "hasse-2.8", ctx30)
         assert float(table.value(1)) == 2.0
         with pytest.raises(ValueError):
             table.value(2)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from mpmath import mp, mpf
 
 from zkconst.reports import (
@@ -9,6 +10,7 @@ from zkconst.reports import (
     exact_report,
     inequality_report,
 )
+from zkconst.verify import run_suite
 
 
 class TestEqualityReport:
@@ -76,3 +78,10 @@ def test_default_tol_exponent(ctx30):
     with mp.workdps(ctx30.working_dps + 10):
         assert default_tol(ctx30) == mpf(10) ** (-(ctx30.digits - 5))
         assert default_tol(ctx30, 12) == mpf(10) ** (-12)
+
+
+@pytest.mark.parametrize("tol_exp", [-5, 0, 31])
+def test_run_suite_bounds_tol_exp(ctx30, tol_exp):
+    # 1e5 would pass every check vacuously, and no check can meet 10^-31
+    with pytest.raises(ValueError, match=r"--tol-exp must lie in \[1, 30\]"):
+        run_suite("lambda", ctx30, tol_exp)

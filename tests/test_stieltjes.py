@@ -58,17 +58,17 @@ class TestGammaValues:
 class TestTableShape:
     def test_single_entry_table_is_gamma(self, ctx30, em_gammas):
         table = stieltjes_table(0, ctx30)
-        assert [e.n for e in table] == [0]
+        assert [n for n, _, _ in table] == [0]
         with mp.workdps(60):
             assert abs(table.mpf(0) - em_gammas[0]) < mpf("1e-38")
 
     def test_contiguous_indices(self, ctx30):
         table = stieltjes_table(2, ctx30)
-        assert [e.n for e in table] == [0, 1, 2]
+        assert [n for n, _, _ in table] == [0, 1, 2]
 
     def test_method_tags(self, ctx30):
         table = stieltjes_table(2, ctx30)
-        assert all(e.method == GAMMA_TAG for e in table)
+        assert all(method == GAMMA_TAG for _, _, method in table)
 
 
 class TestInnerSumNormalization:
