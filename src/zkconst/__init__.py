@@ -27,7 +27,7 @@ from .li_keiper import (
     positivity_report,
     recurrence_residual_3_13,
 )
-from .precision import BigReal, ConvergenceError, PrecisionContext
+from .precision import ConvergenceError, PrecisionContext
 from .reports import VerificationReport
 from .stieltjes import ConstantTable, stieltjes_gamma, stieltjes_table
 from .verify import run_suite
@@ -36,12 +36,12 @@ from .zeta_derivs import (
     L_derivs_at_zero,
     gamma_from_zeta_derivs,
     zeta_derivs_at_zero,
+    zeta_derivs_log_chain,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigReal",
     "ConstantTable",
     "ConvergenceError",
     "MultiPoly",
@@ -74,4 +74,5 @@ __all__ = [
     "xi_deriv_recurrence",
     "xi_table",
     "zeta_derivs_at_zero",
+    "zeta_derivs_log_chain",
 ]

@@ -28,7 +28,7 @@ def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> ConstantTable
         return eta_sigma.sigma_table(max_n, table("eta", max_n - 1, ctx), ctx)
     if kind == "zeta0":
         gammas = table("gamma", max(0, max_n - 1), ctx)
-        return zeta_derivs.zeta_derivs_at_zero(max_n, "apostol", ctx, gammas=gammas)
+        return zeta_derivs.zeta_derivs_at_zero(max_n, gammas, ctx)
     sigmas = table("sigma", max_n, ctx)
     if kind == "lambda":
         return li_keiper.lambda_table(max_n, sigmas, ctx)

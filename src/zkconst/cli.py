@@ -55,7 +55,8 @@ def _parse_u(raw: str, ctx: PrecisionContext):
 
 def _emit_table(table: ConstantTable, seq: str, fmt: str, out) -> None:
     rows = [
-        {"n": n, "value": value.decimal(table.digits), "method": method}
+        {"n": n, "value": mp.nstr(value, table.digits, strip_zeros=False),
+         "method": method}
         for n, value, method in table
     ]
     if fmt == "json":

@@ -36,7 +36,7 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value
 from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
-from .precision import BigReal, PrecisionContext
+from .precision import PrecisionContext
 from .stieltjes import ConstantTable, require
 
 ETA_TAG = "recurrence-4.4"
@@ -98,7 +98,7 @@ def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> Co
     return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
-def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """sigma_k for k >= 1 (k = 1 from the closed form, k >= 2 from eta)."""
     if not isinstance(k, int) or k <= 0:
         raise ValueError("sigma index must be an integer >= 1")
@@ -106,20 +106,16 @@ def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> BigRea
         require(etas, "eta", 0, "sigma_from_eta")
         with mp.workdps(ctx.working_dps):
             gamma = -etas.mpf(0)
-            value = +(
-                -log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx)
-            )
-        return BigReal(value, ctx.digits)
+            return +(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))
     n = k - 1
     require(etas, "eta", n, "sigma_from_eta")
     with mp.workdps(ctx.working_dps + 5):
         z = zeta_int_mpf(n + 1, ctx, extra_dps=5)
-        value = +(
+        return +(
             (-1) ** (n + 1) * etas.mpf(n)
             - (1 - mpf(2) ** (-(n + 1))) * z
             + 1
         )
-    return BigReal(value, ctx.digits)
 
 
 def sigma_table(max_k: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
@@ -129,7 +125,7 @@ def sigma_table(max_k: int, etas: ConstantTable, ctx: PrecisionContext) -> Const
     ks = range(1, max_k + 1)
     return ConstantTable.of(
         "sigma",
-        [sigma_from_eta(k, etas, ctx).value for k in ks],
+        [sigma_from_eta(k, etas, ctx) for k in ks],
         [SIGMA_CLOSED_TAG if k == 1 else SIGMA_TAG for k in ks],
         ctx,
     )

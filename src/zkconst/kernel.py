@@ -81,7 +81,7 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
     if not isinstance(n, int) or n < 0:
         raise ValueError("polygamma order must be an integer >= 0")
     if n == 0:
-        gamma = stieltjes_gamma(0, 1, ctx).value
+        gamma = stieltjes_gamma(0, 1, ctx)
         with mp.workdps(ctx.working_dps):
             return +(2 - gamma - 2 * mp.log(2))
     boost = n + 5

@@ -30,7 +30,7 @@ from .kernel import (
     polygamma_three_halves_mpf,
     zeta_int_mpf,
 )
-from .precision import BigReal, PrecisionContext
+from .precision import PrecisionContext
 from .reports import inequality_report
 from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
@@ -67,32 +67,30 @@ def binomial_alternating_transform(seq):
     ]
 
 
-def lambda_closed(n: int, ctx: PrecisionContext) -> BigReal:
+def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:
     """Closed forms: only lambda_1 and lambda_2 have one."""
     if n not in (1, 2):
         raise ValueError("closed forms exist only for n in (1, 2)")
     with mp.workdps(ctx.working_dps + 5):
-        gamma = stieltjes_gamma(0, 1, ctx).value
+        gamma = stieltjes_gamma(0, 1, ctx)
         log2 = log2_mpf(ctx)
         logpi = log_pi_mpf(ctx)
         if n == 1:
-            value = +(-logpi / 2 + gamma / 2 + 1 - log2)
-        else:
-            gamma1 = stieltjes_gamma(1, 1, ctx).value
-            z2 = zeta_int_mpf(2, ctx)
-            value = +(
-                mpf(3) / 4 * z2
-                + 1
-                + gamma
-                - gamma**2
-                - 2 * log2
-                - logpi
-                - 2 * gamma1
-            )
-    return BigReal(value, ctx.digits)
+            return +(-logpi / 2 + gamma / 2 + 1 - log2)
+        gamma1 = stieltjes_gamma(1, 1, ctx)
+        z2 = zeta_int_mpf(2, ctx)
+        return +(
+            mpf(3) / 4 * z2
+            + 1
+            + gamma
+            - gamma**2
+            - 2 * log2
+            - logpi
+            - 2 * gamma1
+        )
 
 
-def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j.
 
     The binomial transform of the sigma coefficients; the left-hand index is
@@ -105,15 +103,14 @@ def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Bi
         acc = mp.mpf(0)
         for j in range(1, r + 1):
             acc += (-1) ** j * math.comb(r, j) * sigmas.mpf(j)
-        value = +(-acc)
-    return BigReal(value, ctx.digits)
+        return +(-acc)
 
 
 def lambda_table(max_r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """lambda_1 .. lambda_max_r through the canonical sigma route."""
     if not isinstance(max_r, int) or max_r < 1:
         raise ValueError("lambda table needs max_r >= 1")
-    values = [lambda_via_sigma(r, sigmas, ctx).value for r in range(1, max_r + 1)]
+    values = [lambda_via_sigma(r, sigmas, ctx) for r in range(1, max_r + 1)]
     return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
 
 
@@ -122,7 +119,7 @@ def _linear_term(r: int, gamma, ctx: PrecisionContext):
     return r * (gamma - 2 * log2_mpf(ctx) + 2 - log_pi_mpf(ctx)) / 2
 
 
-def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """lambda_r from polygamma values at 3/2 and eta constants.
 
     lambda_r = sum_{j=2}^r C(r,j)/(j-1)! [psi^(j-1)(3/2)/2^j - (j-1)! eta_{j-1}]
@@ -140,8 +137,7 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bi
             psi = polygamma_three_halves_mpf(j - 1, ctx)
             bracket = psi / mpf(2) ** j - mp.factorial(j - 1) * etas.mpf(j - 1)
             acc += math.comb(r, j) * bracket / mp.factorial(j - 1)
-        value = +acc
-    return BigReal(value, ctx.digits)
+        return +acc
 
 
 def _coffey_sum(r: int, etas: ConstantTable, ctx: PrecisionContext):
@@ -170,20 +166,19 @@ def coffey_constant(etas: ConstantTable, ctx: PrecisionContext):
     """
     require(etas, "eta", 1, "coffey_constant")
     with mp.workdps(ctx.working_dps + 5):
-        return +(lambda_closed(2, ctx).value - _coffey_sum(2, etas, ctx))
+        return +(lambda_closed(2, ctx) - _coffey_sum(2, etas, ctx))
 
 
-def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
     if not isinstance(r, int) or r < 2:
         raise ValueError("this route is defined for r >= 2")
     require(etas, "eta", r - 1, "lambda_via_coffey")
     with mp.workdps(ctx.working_dps + 5):
-        value = +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
-    return BigReal(value, ctx.digits)
+        return +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
 
 
-def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """Derivatives at 1 of the log-derivative of xi:
 
     g^(r)(1) = (-1)^(r+1) r! sum_{j=1}^{r+1} C(r+1,j) (-1)^j lambda_j
@@ -197,13 +192,12 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> Bi
         acc = mp.mpf(0)
         for j in range(1, r + 2):
             acc += math.comb(r + 1, j) * (-1) ** j * lambdas.mpf(j)
-        value = +((-1) ** (r + 1) * mp.factorial(r) * acc)
-    return BigReal(value, ctx.digits)
+        return +((-1) ** (r + 1) * mp.factorial(r) * acc)
 
 
 def g_derivs_at_one_via_eta(
     r: int, etas: ConstantTable, ctx: PrecisionContext
-) -> BigReal:
+) -> mpf:
     """Independent route: g^(r)(1) = psi^(r)(3/2)/2^(r+1) - r! eta_r
     - [r = 0] log(pi)/2."""
     if not isinstance(r, int) or r < 0:
@@ -214,8 +208,7 @@ def g_derivs_at_one_via_eta(
         value -= mp.factorial(r) * etas.mpf(r)
         if r == 0:
             value -= log_pi_mpf(ctx) / 2
-        value = +value
-    return BigReal(value, ctx.digits)
+        return +value
 
 
 def recurrence_residual_3_13(
@@ -223,7 +216,7 @@ def recurrence_residual_3_13(
     gammas: ConstantTable,
     lambdas: ConstantTable,
     ctx: PrecisionContext,
-) -> BigReal:
+) -> mpf:
     """|LHS - RHS| of the master gamma/lambda recurrence at index n.
 
     LHS = psi^(n+1)(3/2)/2^(n+2)
@@ -270,8 +263,7 @@ def recurrence_residual_3_13(
             double += math.comb(n, m) * mp.factorial(m) * gammas.mpf(n - m) * inner
         rhs += (-1) ** (n + 1) * (n + 1) * double
 
-        value = +abs(lhs - rhs)
-    return BigReal(value, ctx.digits)
+        return +abs(lhs - rhs)
 
 
 def positivity_report(max_n: int, ctx: PrecisionContext):

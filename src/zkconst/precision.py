@@ -1,11 +1,12 @@
-"""Precision plumbing: contexts, arbitrary-precision value records, errors.
+"""Precision plumbing: contexts, errors and decimal output.
 
 Every numeric operation in the package is a pure function of its arguments
 plus a PrecisionContext.  The context fixes the number of decimal digits the
 caller wants to trust and the extra guard digits carried internally, which
-together set the truncation threshold for infinite series.  Results are
-returned as BigReal records so a value never travels without the precision it
-was computed at.
+together set the truncation threshold for infinite series.  Results are plain
+mpmath mpf values; the context they were computed under is their precision.
+A value leaves the package only in a ConstantTable or a VerificationReport,
+and both raise ValueError on a value that is not finite.
 """
 
 from __future__ import annotations
@@ -64,34 +65,6 @@ class PrecisionContext:
     def escalated(self, extra_digits: int) -> "PrecisionContext":
         """Same policy with `extra_digits` more digits of target accuracy."""
         return PrecisionContext(self.digits + extra_digits, self.guard_digits)
-
-
-@dataclass(frozen=True)
-class BigReal:
-    """An arbitrary-precision real together with its precision provenance.
-
-    `value` is an mpmath mpf computed at (at least) `digits` decimal digits.
-    Public operations never return non-finite values; an overflow or NaN in
-    an intermediate surfaces as an error instead.
-    """
-
-    value: mpf
-    digits: int
-
-    def __post_init__(self):
-        if not mp.isfinite(self.value):
-            raise ValueError("BigReal requires a finite value")
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def decimal(self, digits: int | None = None) -> str:
-        """Decimal-string form rounded to `digits` significant digits."""
-        n = self.digits if digits is None else digits
-        return mp.nstr(self.value, n, strip_zeros=False)
-
-    def __repr__(self) -> str:
-        return f"BigReal({self.decimal()}, digits={self.digits})"
 
 
 def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:

@@ -8,6 +8,7 @@ every report because one constructor, `_report`, decides every verdict; the
 public constructors only compute an error and a tolerance.  Inequality
 checks encode their violation magnitude as abs_err against a zero
 tolerance, and exact checks an error of 0 or 1 against a zero tolerance.
+A report with a side that is not finite is an error, never a verdict.
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ def default_tol(ctx: PrecisionContext, tol_exp: int | None = None):
 
 def _report(identity, lhs, rhs, abs_err, tol, ctx, method_tags) -> VerificationReport:
     """The one verdict: both sides recorded at run precision, and
-    passed = abs_err <= tol (all four are mpf values)."""
+    passed = abs_err <= tol (all four are mpf values).  A side that is not
+    finite raises ValueError: max(0, nan) is 0, so a NaN would otherwise
+    pass an inequality."""
+    if not (mp.isfinite(lhs) and mp.isfinite(rhs)):
+        raise ValueError(f"{identity}: both report sides must be finite")
     return VerificationReport(
         identity=identity,
         lhs=roundtrip_decimal(lhs, ctx),

@@ -31,9 +31,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mp
+from mpmath import mp, mpf
 
-from .precision import MAX_DIGITS, BigReal, ConvergenceError, PrecisionContext, to_mpf
+from .precision import MAX_DIGITS, ConvergenceError, PrecisionContext, to_mpf
 
 GAMMA_TAG = "hasse-2.8"
 
@@ -58,9 +58,10 @@ def family(kind: str) -> tuple:
 class ConstantTable:
     """An indexed constant family with a method tag per entry.
 
-    values[i] (a BigReal) and methods[i] belong to index start + i, where
+    values[i] (an mpf) and methods[i] belong to index start + i, where
     start is the family's first index in FAMILIES; every entry names the
     formula route that produced it.  Iterating yields (n, value, method).
+    A value that is not finite raises ValueError, so none is ever printed.
     """
 
     kind: str
@@ -74,6 +75,8 @@ class ConstantTable:
             raise ValueError("a table needs one method tag per value")
         if not all(self.methods):
             raise ValueError("every table entry needs a method tag")
+        if not all(mp.isfinite(v) for v in self.values):
+            raise ValueError(f"every {self.kind} table value must be finite")
 
     @classmethod
     def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
@@ -81,8 +84,7 @@ class ConstantTable:
         index on; `method` is one tag for every entry or a list of per-entry
         tags."""
         tags = [method] * len(values) if isinstance(method, str) else method
-        return cls(kind, tuple(BigReal(v, ctx.digits) for v in values),
-                   tuple(tags), ctx.digits)
+        return cls(kind, tuple(values), tuple(tags), ctx.digits)
 
     @property
     def start(self) -> int:
@@ -92,18 +94,13 @@ class ConstantTable:
     def max_n(self) -> int:
         return self.start + len(self.values) - 1
 
-    def covers(self, n: int) -> bool:
-        return self.start <= n <= self.max_n
-
-    def value(self, n: int) -> BigReal:
-        if not self.covers(n):
+    def mpf(self, n: int):
+        """The value at index n."""
+        if not self.start <= n <= self.max_n:
             raise ValueError(
                 f"{self.kind} table covers {self.start}..{self.max_n}, not {n}"
             )
         return self.values[n - self.start]
-
-    def mpf(self, n: int):
-        return self.value(n).value
 
     def __iter__(self):
         return zip(itertools.count(self.start), self.values, self.methods)
@@ -201,7 +198,7 @@ def _work_dps(n: int, ctx: PrecisionContext) -> int:
     return ctx.working_dps + n + 15
 
 
-def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> BigReal:
+def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
     u accepts int, Fraction, mpf, or a decimal string; a Python float is
@@ -222,7 +219,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> BigReal:
 
 
 @lru_cache(maxsize=4096)
-def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> BigReal:
+def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> mpf:
     """gamma_n(u_mp), memoised: u_mp is u converted at the working precision,
     so 1, "1", Fraction(1), mpf(1) and 1.0 share an entry, while contexts
     that differ in any field stay separate computations."""
@@ -234,7 +231,7 @@ def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> BigReal:
             x = u_mp + m
             direct += _log_power(x, n) / x
         tail = _hasse_tail(n, u_mp + shift, ctx)
-        return BigReal(+(direct + tail), ctx.digits)
+        return +(direct + tail)
 
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
@@ -245,7 +242,7 @@ def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
     values = []
     for n in range(max_n + 1):
         try:
-            values.append(stieltjes_gamma(n, u, ctx).value)
+            values.append(stieltjes_gamma(n, u, ctx))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"gamma table failed at index {n}: {exc}",

@@ -212,8 +212,8 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 "gamma0-at-2-is-gamma-minus-1",
-                gamma_at_2.value,
-                gamma.value - 1,
+                gamma_at_2,
+                gamma - 1,
                 tol,
                 ctx,
                 method_tags=(GAMMA_TAG, "digamma-shift"),
@@ -230,7 +230,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
             b = stieltjes_gamma(n, 1, esc)
             reports.append(
                 equality_report(
-                    f"gamma-escalation-n{n}", a.value, b.value, esc_tol, ctx,
+                    f"gamma-escalation-n{n}", a, b, esc_tol, ctx,
                     method_tags=(GAMMA_TAG, f"{GAMMA_TAG}@{esc.digits}d"),
                 )
             )
@@ -244,7 +244,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
         b = stieltjes_gamma(n, 1, wide)
         reports.append(
             equality_report(
-                f"gamma-guard-stability-n{n}", a.value, b.value, guard_tol, ctx,
+                f"gamma-guard-stability-n{n}", a, b, guard_tol, ctx,
                 method_tags=(GAMMA_TAG, f"{GAMMA_TAG}+guard"),
             )
         )
@@ -347,13 +347,13 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     etas = table("eta", max_r + 1, ctx)
     lambdas = table("lambda", max_r + 2, ctx)
 
-    closed = {r: li_keiper.lambda_closed(r, ctx).value for r in (1, 2)}
+    closed = {r: li_keiper.lambda_closed(r, ctx) for r in (1, 2)}
     eta_psi = {
-        r: li_keiper.lambda_via_eta_psi(r, etas, ctx).value
+        r: li_keiper.lambda_via_eta_psi(r, etas, ctx)
         for r in range(1, max_r + 1)
     }
     coffey = {
-        r: li_keiper.lambda_via_coffey(r, etas, ctx).value
+        r: li_keiper.lambda_via_coffey(r, etas, ctx)
         for r in range(2, max_r + 1)
     }
 
@@ -414,7 +414,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
         name = "eq-3.14-n0" if n == 0 else f"eq-3.13-n{n}"
         reports.append(
             equality_report(
-                name, res.value, 0, res_tol, ctx,
+                name, res, 0, res_tol, ctx,
                 method_tags=(li_keiper.RESIDUAL_TAG, GAMMA_TAG, li_keiper.LAMBDA_TAG),
             )
         )
@@ -424,7 +424,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
         b = li_keiper.g_derivs_at_one_via_eta(r, etas, ctx)
         reports.append(
             equality_report(
-                f"g-deriv-two-routes-r{r}", a.value, b.value, tol, ctx,
+                f"g-deriv-two-routes-r{r}", a, b, tol, ctx,
                 method_tags=(li_keiper.G_DERIV_TAG, li_keiper.G_DERIV_ETA_TAG),
             )
         )
@@ -566,8 +566,8 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             exact_report(
                 f"xi-reflection-n{n}",
-                at_zero.value == expected,
-                at_zero.value,
+                at_zero == expected,
+                at_zero,
                 expected,
                 ctx,
                 method_tags=(xi.XI_BELL_TAG, "reflection"),
@@ -587,7 +587,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     gammas = table("gamma", max_n, ctx)
     etas = table("eta", max_n, ctx)
     z_ap = table("zeta0", max_n, ctx)
-    z_lc = zeta_derivs.zeta_derivs_at_zero(max_n, "log_chain", ctx, etas=etas)
+    z_lc = zeta_derivs.zeta_derivs_log_chain(max_n, etas, ctx)
 
     with mp.workdps(ctx.working_dps + 10):
         log2pi = log_2pi_mpf(ctx)
@@ -616,7 +616,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
             )
         )
         # L''(0) from the eta route against -2 zeta''(0) - log^2(2 pi) - 1
-        l2_eta = zeta_derivs.L_derivs_at_zero(1, etas, ctx).value
+        l2_eta = zeta_derivs.L_derivs_at_zero(1, etas, ctx)
         reports.append(
             equality_report(
                 "eq-4.6-L2-cross-route",
@@ -640,7 +640,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
         fwd = zeta_derivs.gamma_from_zeta_derivs(n, z_lc, ctx)
         reports.append(
             equality_report(
-                f"eq-5.5-forward-n{n}", fwd.value, gammas.mpf(n - 1), route_tol, ctx,
+                f"eq-5.5-forward-n{n}", fwd, gammas.mpf(n - 1), route_tol, ctx,
                 method_tags=("forward-5.5", zeta_derivs.LOG_CHAIN_TAG, GAMMA_TAG),
             )
         )
@@ -648,7 +648,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 f"forward-inverse-identity-n{n}",
-                fwd_ap.value,
+                fwd_ap,
                 gammas.mpf(n - 1),
                 route_tol,
                 ctx,

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import math
 
-from mpmath import mp
+from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value
-from .precision import BigReal, PrecisionContext
+from .precision import PrecisionContext
 from .stieltjes import ConstantTable, require
 
 XI_BELL_TAG = "bell-3.25"
@@ -44,22 +44,21 @@ def _bell_args(sigmas: ConstantTable, count: int):
     ]
 
 
-def xi_deriv_at_one(n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def xi_deriv_at_one(n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """xi^(n)(1) through the Bell-polynomial route."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("derivative order must be an integer >= 1")
     require(sigmas, "sigma", n, "xi_deriv_at_one")
     with mp.workdps(ctx.working_dps + 5):
         y = bell_recurrence_value(_bell_args(sigmas, n))
-        value = +(y / 2)
-    return BigReal(value, ctx.digits)
+        return +(y / 2)
 
 
 def xi_table(max_n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """xi^(1)(1) .. xi^(max_n)(1) through the Bell route."""
     if not isinstance(max_n, int) or max_n < 1:
         raise ValueError("xi table needs max_n >= 1")
-    values = [xi_deriv_at_one(n, sigmas, ctx).value for n in range(1, max_n + 1)]
+    values = [xi_deriv_at_one(n, sigmas, ctx) for n in range(1, max_n + 1)]
     return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
 
 
@@ -87,11 +86,9 @@ def xi_deriv_recurrence(
     return ConstantTable.of("xi1", xs[1:], XI_RECURRENCE_TAG, ctx)
 
 
-def xi_deriv_at_zero(n: int, xi_at_one: ConstantTable) -> BigReal:
+def xi_deriv_at_zero(n: int, xi_at_one: ConstantTable) -> mpf:
     """xi^(n)(0) = (-1)^n xi^(n)(1), by the reflection xi(s) = xi(1-s)."""
     if xi_at_one.kind != "xi1":
         raise ValueError("xi_deriv_at_zero needs a xi1 table")
-    base = xi_at_one.value(n)
-    if n % 2 == 0:
-        return base
-    return BigReal(-base.value, base.digits)
+    base = xi_at_one.mpf(n)
+    return base if n % 2 == 0 else -base

@@ -41,15 +41,13 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import BigReal, PrecisionContext
+from .precision import PrecisionContext
 from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
 GAMMA_DERIV_TAG = "bell-A.7"
 L_DERIV_TAG = "eta-zeta-s4"
-
-ROUTES = ("apostol", "log_chain")
 
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
@@ -59,7 +57,7 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
     if m == 0:
         return mp.mpf(1)
     with mp.workdps(ctx.working_dps + m + 5):
-        gamma = stieltjes_gamma(0, 1, ctx).value
+        gamma = stieltjes_gamma(0, 1, ctx)
         args = [-gamma]
         for p in range(1, m):
             args.append(
@@ -70,23 +68,21 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
         return +bell_recurrence_value(args)
 
 
-def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("index must be an integer >= 0")
     with mp.workdps(ctx.working_dps + 5):
         if n == 0:
-            value = +(log_2pi_mpf(ctx) - 1)
-        else:
-            require(etas, "eta", n, "L_derivs_at_zero")
-            fact = mp.factorial(n)
-            zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
-            value = +(
-                (-1) ** n * fact * etas.mpf(n)
-                + zcoeff * fact * zeta_int_mpf(n + 1, ctx, extra_dps=5)
-                - fact
-            )
-    return BigReal(value, ctx.digits)
+            return +(log_2pi_mpf(ctx) - 1)
+        require(etas, "eta", n, "L_derivs_at_zero")
+        fact = mp.factorial(n)
+        zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
+        return +(
+            (-1) ** n * fact * etas.mpf(n)
+            + zcoeff * fact * zeta_int_mpf(n + 1, ctx, extra_dps=5)
+            - fact
+        )
 
 
 def _cos_weight(m: int, pi_val):
@@ -126,54 +122,55 @@ def _apostol_rhs(n: int, zeta_vals, ctx: PrecisionContext):
     return 2 * total
 
 
-def zeta_derivs_at_zero(
-    max_n: int,
-    route: str,
-    ctx: PrecisionContext,
-    gammas: ConstantTable | None = None,
-    etas: ConstantTable | None = None,
-) -> ConstantTable:
-    """zeta^(n)(0) for n = 0..max_n by the requested route.
-
-    route "apostol" needs a gamma table covering 0..max_n-1; route
-    "log_chain" needs an eta table covering 0..max_n-1 (for max_n >= 2).
-    Entry 0 is zeta(0) = -1/2 either way.
-    """
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}")
+def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:
+    """Working digits for a zeta0 table up to max_n, once max_n is in range."""
     _, cap = FAMILIES["zeta0"]
     if not isinstance(max_n, int) or not 0 <= max_n <= cap:
         raise ValueError(f"need 0 <= max_n <= {cap}")
-    boost = 2 * max_n + 10
-    with mp.workdps(ctx.working_dps + boost):
+    return ctx.working_dps + 2 * max_n + 10
+
+
+def zeta_derivs_at_zero(
+    max_n: int, gammas: ConstantTable, ctx: PrecisionContext
+) -> ConstantTable:
+    """zeta^(n)(0) for n = 0..max_n by route apostol-5.5, from a gamma table
+    covering 0..max_n-1.  Entry 0 is zeta(0) = -1/2."""
+    dps = _solve_dps(max_n, ctx)
+    if max_n >= 1:
+        require(gammas, "gamma", max_n - 1, "zeta_derivs_at_zero")
+    with mp.workdps(dps):
         values = [mpf(-1) / 2]
-        if route == "apostol":
-            if max_n >= 1:
-                require(gammas, "gamma", max_n - 1, "zeta_derivs_at_zero")
-            for n in range(1, max_n + 1):
-                # pivot: the coefficient of zeta^(n)(0) in the rhs is exactly 2
-                rhs0 = _apostol_rhs(n, values + [mp.mpf(0)], ctx)
-                pivot = 2
-                values.append(+((n * gammas.mpf(n - 1) - rhs0) / pivot))
-            tag = APOSTOL_TAG
-        else:
-            if max_n >= 2:
-                require(etas, "eta", max_n - 1, "zeta_derivs_at_zero")
-            lder = [L_derivs_at_zero(m - 1, etas, ctx).value for m in range(1, max_n + 1)]
-            half = mpf(1) / 2
-            for n in range(1, max_n + 1):
-                h_n = half * bell_recurrence_value(lder[:n])
-                values.append(+(n * values[n - 1] - h_n))
-            tag = LOG_CHAIN_TAG
-    return ConstantTable.of("zeta0", values, tag, ctx)
+        for n in range(1, max_n + 1):
+            # pivot: the coefficient of zeta^(n)(0) in the rhs is exactly 2
+            rhs0 = _apostol_rhs(n, values + [mp.mpf(0)], ctx)
+            values.append(+((n * gammas.mpf(n - 1) - rhs0) / 2))
+    return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
 
 
-def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> BigReal:
+def zeta_derivs_log_chain(
+    max_n: int, etas: ConstantTable, ctx: PrecisionContext
+) -> ConstantTable:
+    """zeta^(n)(0) for n = 0..max_n by route log-chain-s4, from an eta table
+    covering 0..max_n-1 (none is read for max_n <= 1).  Entry 0 is
+    zeta(0) = -1/2."""
+    dps = _solve_dps(max_n, ctx)
+    if max_n >= 2:
+        require(etas, "eta", max_n - 1, "zeta_derivs_log_chain")
+    with mp.workdps(dps):
+        values = [mpf(-1) / 2]
+        lder = [L_derivs_at_zero(m - 1, etas, ctx) for m in range(1, max_n + 1)]
+        half = mpf(1) / 2
+        for n in range(1, max_n + 1):
+            h_n = half * bell_recurrence_value(lder[:n])
+            values.append(+(n * values[n - 1] - h_n))
+    return ConstantTable.of("zeta0", values, LOG_CHAIN_TAG, ctx)
+
+
+def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> mpf:
     """gamma_{n-1} by forward evaluation of the triangular relation."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("index must be an integer >= 1")
     require(zeta0, "zeta0", n, "gamma_from_zeta_derivs")
     with mp.workdps(ctx.working_dps + 2 * n + 10):
         vals = [zeta0.mpf(l) for l in range(n + 1)]
-        value = +(_apostol_rhs(n, vals, ctx) / n)
-    return BigReal(value, ctx.digits)
+        return +(_apostol_rhs(n, vals, ctx) / n)

@@ -266,6 +266,10 @@ GOLDEN_STDOUT = {
         "e11fd6ced4a6a47aed97ae273438ee4c10d017c0ee77efbfb66de4b209d32dcd",
     "table --seq gamma --max-n 5 --digits 10 --format csv":
         "a38d9328d269a1d9d0824ece92817a933e7a64bbe04991ffb27a4319b9d0ee7e",
+    "table --seq zeta0 --max-n 10 --digits 60 --format json":
+        "bde1101909b8b7e5c9605a30bd14cd7c80bbdf40d25e6dca16b1d3a6854214ec",
+    "table --seq xi1 --max-n 12 --digits 60 --format csv":
+        "38d186c58955d0f744f2b8e22ec052be40f17ec67f334259e4530f77ae45b3b0",
 }
 
 

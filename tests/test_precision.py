@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from zkconst.precision import BigReal, PrecisionContext, roundtrip_decimal
+from zkconst.precision import PrecisionContext, roundtrip_decimal
 from zkconst.stieltjes import ConstantTable
 
 
@@ -40,27 +40,13 @@ class TestPrecisionContext:
         assert ctx.guard_digits == 10
 
 
-class TestBigReal:
-    def test_finite_required(self):
-        with mp.workdps(30):
-            with pytest.raises(ValueError):
-                BigReal(value=mp.inf, digits=30)
-            with pytest.raises(ValueError):
-                BigReal(value=mp.nan, digits=30)
-
-    def test_decimal_and_float(self):
-        with mp.workdps(40):
-            b = BigReal(value=mpf(1) / 3, digits=30)
-        assert b.decimal(5).startswith("0.3333")
-        assert abs(float(b) - 1 / 3) < 1e-15
-
-    def test_roundtrip_decimal_reparses_to_run_precision(self):
-        ctx = PrecisionContext(digits=30)
-        with mp.workdps(ctx.working_dps + 25):
-            value = mp.sqrt(2) / mp.pi
-        s = roundtrip_decimal(value, ctx)
-        with mp.workdps(ctx.working_dps):
-            assert mpf(s) == +value
+def test_roundtrip_decimal_reparses_to_run_precision():
+    ctx = PrecisionContext(digits=30)
+    with mp.workdps(ctx.working_dps + 25):
+        value = mp.sqrt(2) / mp.pi
+    s = roundtrip_decimal(value, ctx)
+    with mp.workdps(ctx.working_dps):
+        assert mpf(s) == +value
 
 
 class TestConstantTable:
@@ -80,8 +66,10 @@ class TestConstantTable:
             ConstantTable.of("mystery", [], "hasse-2.8", ctx30)
 
     def test_values_must_be_finite(self, ctx30):
-        with pytest.raises(ValueError):
-            ConstantTable.of("gamma", [mpf(1), mp.inf], "hasse-2.8", ctx30)
+        # the only check between a computed value and the printed table
+        for bad in (mp.inf, -mp.inf, mp.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ConstantTable.of("gamma", [mpf(1), bad], "hasse-2.8", ctx30)
 
     def test_of_starts_at_family_index(self, ctx30):
         starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
@@ -89,7 +77,6 @@ class TestConstantTable:
             table = ConstantTable.of(kind, [mpf(1), mpf(2)], "t", ctx30)
             assert [n for n, _, _ in table] == [start, start + 1]
             assert table.digits == 30
-            assert all(value.digits == 30 for _, value, _ in table)
 
     def test_of_one_tag_for_every_entry(self, ctx30):
         table = ConstantTable.of("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)
@@ -106,6 +93,6 @@ class TestConstantTable:
 
     def test_value_range(self, ctx30):
         table = ConstantTable.of("gamma", [mpf(1), mpf(2)], "hasse-2.8", ctx30)
-        assert float(table.value(1)) == 2.0
+        assert float(table.mpf(1)) == 2.0
         with pytest.raises(ValueError):
-            table.value(2)
+            table.mpf(2)

@@ -66,6 +66,24 @@ class TestExactReport:
         assert r.abs_err == "1.0"
 
 
+NON_FINITE_SIDES = pytest.mark.parametrize(
+    "lhs, rhs", [(mp.nan, 0), (0, mp.inf)], ids=["nan-lhs", "inf-rhs"]
+)
+
+
+class TestNonFiniteSides:
+    # max(0, nan) is 0, so a NaN side would otherwise pass an inequality
+    @NON_FINITE_SIDES
+    def test_inequality_raises(self, ctx30, lhs, rhs):
+        with pytest.raises(ValueError, match="finite"):
+            inequality_report("x", lhs, rhs, ctx30)
+
+    @NON_FINITE_SIDES
+    def test_equality_raises(self, ctx30, lhs, rhs):
+        with pytest.raises(ValueError, match="finite"):
+            equality_report("x", lhs, rhs, default_tol(ctx30), ctx30)
+
+
 def test_all_passed(ctx30):
     tol = default_tol(ctx30)
     rs = [equality_report("a", 1, 1, tol, ctx30)]

@@ -92,7 +92,7 @@ class TestReflection:
         for n in range(1, 11):
             at_zero = xi_deriv_at_zero(n, xi_bell)
             expected = xi_bell.mpf(n) if n % 2 == 0 else -xi_bell.mpf(n)
-            assert at_zero.value == expected  # exact, not approximate
+            assert at_zero == expected  # exact, not approximate
 
     def test_requires_xi_table(self, chain30):
         with pytest.raises(ValueError):
