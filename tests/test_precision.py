@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 from zkconst.precision import PrecisionContext, roundtrip_decimal
+from zkconst.reports import default_tol, equality_report
 from zkconst.stieltjes import ConstantTable
 
 
@@ -38,6 +39,16 @@ class TestPrecisionContext:
         ctx = PrecisionContext(digits=30).escalated(20)
         assert ctx.digits == 50
         assert ctx.guard_digits == 10
+
+
+class TestBigReal:
+    # values are plain mpf; the package refuses inf and nan where one leaves it
+    def test_finite_required(self, ctx30):
+        for bad in (mp.inf, mp.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ConstantTable.of("gamma", [bad], "hasse-2.8", ctx30)
+            with pytest.raises(ValueError, match="finite"):
+                equality_report("x", bad, mpf(0), default_tol(ctx30), ctx30)
 
 
 def test_roundtrip_decimal_reparses_to_run_precision():
