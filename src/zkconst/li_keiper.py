@@ -31,7 +31,7 @@ from .kernel import (
     zeta_int_mpf,
 )
 from .precision import PrecisionContext
-from .reports import inequality_report
+from .reports import inequality_report, inequality_reports
 from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 LAMBDA_TAG = "sigma-3.29"
@@ -281,17 +281,10 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     if not isinstance(max_n, int) or not start <= max_n <= cap:
         raise ValueError(f"--max-n for li-check must lie in [{start}, {cap}]")
     lambdas = table("lambda", max(max_n, 3), ctx)
-    reports = []
-    for r in range(1, max_n + 1):
-        reports.append(
-            inequality_report(
-                f"li-positivity-n{r}",
-                lambdas.mpf(r),
-                0,
-                ctx,
-                method_tags=(LAMBDA_TAG,),
-            )
-        )
+    reports = inequality_reports(
+        range(1, max_n + 1), ctx,
+        ("li-positivity-n", lambdas.mpf, lambda r: 0, (LAMBDA_TAG,)),
+    )
     with mp.workdps(ctx.working_dps + 5):
         l1 = lambdas.mpf(1)
         bound_317 = +(l1 * (2 - l1))

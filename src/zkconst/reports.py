@@ -9,6 +9,8 @@ public constructors only compute an error and a tolerance.  Inequality
 checks encode their violation magnitude as abs_err against a zero
 tolerance, and exact checks an error of 0 or 1 against a zero tolerance.
 A report with a side that is not finite is an error, never a verdict.
+`equality_reports` and `inequality_reports` build a whole indexed family of
+reports from route pairs.
 """
 
 from __future__ import annotations
@@ -108,6 +110,27 @@ def inequality_report(
         lhs_v, rhs_v = mpf(lhs), mpf(rhs)
         return _report(identity, lhs_v, rhs_v, max(mpf(0), rhs_v - lhs_v), mpf(0),
                        ctx, method_tags)
+
+
+def equality_reports(ns, tol, ctx: PrecisionContext, *rows) -> list:
+    """A family of equality reports: for each index n in ns, and within it
+    for each row (prefix, lhs, rhs, method_tags) in the order given, the
+    report named prefix + str(n) on lhs(n) == rhs(n).  The sides are
+    evaluated at the caller's precision."""
+    return [
+        equality_report(f"{prefix}{n}", lhs(n), rhs(n), tol, ctx, method_tags=tags)
+        for n in ns
+        for prefix, lhs, rhs, tags in rows
+    ]
+
+
+def inequality_reports(ns, ctx: PrecisionContext, *rows) -> list:
+    """As equality_reports, for lhs(n) >= rhs(n)."""
+    return [
+        inequality_report(f"{prefix}{n}", lhs(n), rhs(n), ctx, method_tags=tags)
+        for n in ns
+        for prefix, lhs, rhs, tags in rows
+    ]
 
 
 def all_passed(reports) -> bool:

@@ -27,7 +27,6 @@ consecutive-small-terms stopping rule with a hard cap.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,17 +117,18 @@ def require(table, kind: str, max_n: int, who: str):
         )
 
 
-def alternating_binomial_sum(values):
-    """sum_j C(i,j) (-1)^j values[j] with i = len(values) - 1.
+def alternating_binomial_sum(row, values):
+    """sum_j row[j] (-1)^j values[j] over the entries of row.
 
-    Exact when the values are exact; this is the inner kernel of the double
-    series, exposed so its normalization (the constant-1 case collapses to a
-    Kronecker delta in i) can be checked directly.
+    With row the Pascal row C(i, .) this is the inner sum of the double
+    series at outer index i.  Exact when the values are exact, so its
+    normalization (the constant-1 case collapses to a Kronecker delta in i)
+    can be checked directly; values may run past the row.
     """
     total = 0
-    for j, v in enumerate(values):
-        c = math.comb(len(values) - 1, j)
-        total = total + (c * v if j % 2 == 0 else -(c * v))
+    for j, (c, v) in enumerate(zip(row, values)):
+        term = c * v
+        total = total + term if j % 2 == 0 else total - term
     return total
 
 
@@ -169,11 +169,7 @@ def _hasse_tail(n: int, big_u, ctx: PrecisionContext):
             data_prec = base_prec + alloc + 64
             powers = log_powers(alloc, data_prec)
         with mp.workprec(data_prec):
-            inner = mp.mpf(0)
-            for j, c in enumerate(row):
-                term = c * powers[j]
-                inner = inner + term if j % 2 == 0 else inner - term
-            outer_term = inner / (i + 1)
+            outer_term = alternating_binomial_sum(row, powers) / (i + 1)
         total += outer_term
         if abs(outer_term) < tol:
             small_run += 1

@@ -270,6 +270,12 @@ GOLDEN_STDOUT = {
         "bde1101909b8b7e5c9605a30bd14cd7c80bbdf40d25e6dca16b1d3a6854214ec",
     "table --seq xi1 --max-n 12 --digits 60 --format csv":
         "38d186c58955d0f744f2b8e22ec052be40f17ec67f334259e4530f77ae45b3b0",
+    # 217 reports: at 60 digits the escalation checks drop out
+    "verify --suite all --digits 60":
+        "d24e16b43939471d5a39719e1501613e467630563545710c034ff6e0c662688b",
+    # the one path where the run's tolerance and the fixed tolerances differ
+    "verify --suite lambda --digits 30 --tol-exp 30":
+        "8dc1a8bc8e8db39388264d1a42f6077227abb1122a44b6776b65c0e40de2647e",
 }
 
 

@@ -3,13 +3,15 @@
 perfbench/run.py reads its per-layer metrics from spans named
 <module>.<function>, and perfbench/trace_cli.py refuses to run when a traced
 function also sits in a module-level container or a default argument.  Both
-break silently when the package changes, so tier-1 checks them.  Nothing
+break silently when the package changes, so tier-1 checks them, and pins
+the call counts of one traced verify run.  Nothing
 under perfbench/ is written: bytecode caching is off while it is imported.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -50,14 +52,96 @@ def test_spans_name_public_functions():
     assert not missing, f"perfbench spans name no public function: {missing}"
 
 
-def test_trace_cli_runs():
+def run_trace_cli(*args):
+    """(exit code, the perfbench-trace record or None, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "trace_cli.py"),
-         "table", "--seq", "zeta0", "--max-n", "3", "--digits", "10"],
+        [sys.executable, str(BENCH / "trace_cli.py"), *args],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert any(
-        line.startswith("perfbench-trace ") for line in proc.stderr.splitlines()
-    ), proc.stderr
+    records = [
+        json.loads(line[len("perfbench-trace "):])
+        for line in proc.stderr.splitlines()
+        if line.startswith("perfbench-trace ")
+    ]
+    return proc.returncode, (records[-1] if records else None), proc.stderr
+
+
+def test_trace_cli_runs():
+    code, record, stderr = run_trace_cli(
+        "table", "--seq", "zeta0", "--max-n", "3", "--digits", "10"
+    )
+    assert code == 0, stderr
+    assert record is not None, stderr
+
+
+# (calls, total length of returned lists) of every traced function in
+# `verify --suite all --digits 10`.  A route that escapes the tracer (held
+# in a nested container, say) or runs a different number of times changes
+# this table.  alternating_binomial_sum runs once per outer term of the
+# gamma series, 13 times in hasse-normalization-delta and 1261 in the kernel.
+VERIFY_ALL_10_COUNTS = {
+    "bell.bell_determinant": (800, 0),
+    "bell.bell_recurrence_value": (2268, 0),
+    "bell.bell_symbolic": (23, 0),
+    "bell.bracket_determinant": (920, 0),
+    "cli.main": (1, 0),
+    "eta_sigma.eta_from_gamma": (7, 0),
+    "eta_sigma.eta_from_gamma_coffey": (1, 0),
+    "eta_sigma.gamma_from_eta": (1, 0),
+    "eta_sigma.sigma_from_eta": (42, 0),
+    "eta_sigma.sigma_table": (4, 0),
+    "kernel.log2_mpf": (45, 0),
+    "kernel.log_2pi_mpf": (2, 0),
+    "kernel.log_pi_mpf": (53, 0),
+    "kernel.polygamma_three_halves_mpf": (89, 0),
+    "kernel.zeta_int_mpf": (451, 0),
+    "li_keiper.binomial_alternating_transform": (50, 252),
+    "li_keiper.coffey_constant": (10, 0),
+    "li_keiper.falling_factorial": (160, 0),
+    "li_keiper.g_derivs_at_one": (9, 0),
+    "li_keiper.g_derivs_at_one_via_eta": (9, 0),
+    "li_keiper.lambda_closed": (12, 0),
+    "li_keiper.lambda_table": (2, 0),
+    "li_keiper.lambda_via_coffey": (9, 0),
+    "li_keiper.lambda_via_eta_psi": (10, 0),
+    "li_keiper.lambda_via_sigma": (22, 0),
+    "li_keiper.recurrence_residual_3_13": (7, 0),
+    "li_keiper.rising_factorial": (720, 0),
+    "reports.all_passed": (1, 0),
+    "reports.default_tol": (12, 0),
+    "reports.equality_report": (137, 0),
+    "reports.equality_reports": (15, 111),
+    "reports.exact_report": (56, 0),
+    "reports.inequality_report": (27, 0),
+    "reports.inequality_reports": (2, 22),
+    "stieltjes.alternating_binomial_sum": (1274, 0),
+    "stieltjes.family": (56, 0),
+    "stieltjes.require": (171, 0),
+    "stieltjes.stieltjes_gamma": (272, 0),
+    "stieltjes.stieltjes_table": (11, 0),
+    "verify.run_suite": (1, 220),
+    "verify.suite_bell": (1, 45),
+    "verify.suite_eta": (1, 39),
+    "verify.suite_lambda": (1, 59),
+    "verify.suite_stieltjes": (1, 7),
+    "verify.suite_xi": (1, 36),
+    "verify.suite_zeta_derivs": (1, 34),
+    "xi.xi_deriv_at_one": (10, 0),
+    "xi.xi_deriv_at_zero": (10, 0),
+    "xi.xi_deriv_recurrence": (1, 0),
+    "xi.xi_table": (1, 0),
+    "zeta_derivs.L_derivs_at_zero": (9, 0),
+    "zeta_derivs.gamma_derivs_at_one_mpf": (135, 0),
+    "zeta_derivs.gamma_from_zeta_derivs": (16, 0),
+    "zeta_derivs.zeta_derivs_at_zero": (1, 0),
+    "zeta_derivs.zeta_derivs_log_chain": (1, 0),
+}
+
+
+def test_trace_counts_of_verify_all():
+    code, record, stderr = run_trace_cli("verify", "--suite", "all", "--digits", "10")
+    assert code == 0, stderr
+    assert record is not None, stderr
+    counts = {label: (stat["calls"], stat["items"]) for label, stat in record.items()}
+    assert counts == VERIFY_ALL_10_COUNTS

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ from zkconst.reports import (
     all_passed,
     default_tol,
     equality_report,
+    equality_reports,
     exact_report,
     inequality_report,
+    inequality_reports,
 )
 from zkconst.verify import run_suite
 
@@ -98,8 +101,67 @@ def test_default_tol_exponent(ctx30):
         assert default_tol(ctx30, 12) == mpf(10) ** (-12)
 
 
-@pytest.mark.parametrize("tol_exp", [-5, 0, 31])
+class TestReportFamilies:
+    def test_names_and_index_major_order(self, ctx30):
+        tol = default_tol(ctx30)
+        reports = equality_reports(
+            (2, 3), tol, ctx30,
+            ("a-n", lambda n: n, lambda n: n, ("ta",)),
+            ("b-n", lambda n: n * n, lambda n: 3 * n - 2, ("tb",)),
+        )
+        assert [r.identity for r in reports] == ["a-n2", "b-n2", "a-n3", "b-n3"]
+        assert [r.passed for r in reports] == [True, True, True, False]
+        assert [r.method_tags for r in reports] == [("ta",), ("tb",)] * 2
+
+    def test_inequality_family(self, ctx30):
+        reports = inequality_reports(
+            range(3), ctx30, ("pos-n", lambda n: n - 1, lambda n: 0, ("t",))
+        )
+        assert [(r.identity, r.passed) for r in reports] == [
+            ("pos-n0", False), ("pos-n1", True), ("pos-n2", True)
+        ]
+
+
+@pytest.mark.parametrize("tol_exp", [-5, 0, 31, 2.5, True])
 def test_run_suite_bounds_tol_exp(ctx30, tol_exp):
-    # 1e5 would pass every check vacuously, and no check can meet 10^-31
+    # 1e5 would pass every check vacuously, and no check can meet 10^-31;
+    # 2.5 would judge at 10^-2.5, and True is not the integer 1
     with pytest.raises(ValueError, match=r"--tol-exp must lie in \[1, 30\]"):
         run_suite("lambda", ctx30, tol_exp)
+
+
+EXACT_OR_INEQUALITY = re.compile(
+    r"(bell-(routes-exact|printed-poly|monomial-weights|convolution"
+    r"|scaled-determinant)-n\d+|hasse-normalization-delta|eq-3\.27-involution"
+    r"|eq-3\.9-p\d+|xi-reflection-n\d+|cos-weight-odd-orders-vanish"
+    r"|eta1-nonneg-consequence|eta0-negative|eta-sign-alternation-n\d+"
+    r"|eq-3\.1[78]|eq-3\.20|xi-deriv-positive-n\d+)"
+)
+
+
+def fixed_tol_exps(digits, guard):
+    """(identity pattern, tolerance exponent) of the checks whose tolerance
+    does not follow tol_exp, as the verify module docstring lists them."""
+    return [
+        (r"eq-3\.1[34]-n\d+", digits - 8),
+        (r"(zeta0-routes|eq-5\.5-forward|forward-inverse-identity)-n\d+", digits - 6),
+        (r"eq-5\.2|bell-exp-derivative-m\d+-x[\d.]+", digits - 3),
+        (r"gamma-(escalation|guard-stability)-n\d+", digits - 2),
+        (r"cos-weight-even-orders", digits + guard - 8),
+    ]
+
+
+def test_tol_exp_governs_all_but_fixed_tolerances(ctx30):
+    fixed = fixed_tol_exps(ctx30.digits, ctx30.guard_digits)
+    reports = run_suite("all", ctx30, 20)
+    assert len(reports) == 220
+    wrong = []
+    for r in reports:
+        exps = [e for pattern, e in fixed if re.fullmatch(pattern, r.identity)]
+        if EXACT_OR_INEQUALITY.fullmatch(r.identity):
+            want = "0.0"
+        else:
+            want = f"1.0e-{exps[0] if exps else 20}"
+        if r.tol != want:
+            wrong.append((r.identity, r.tol, want))
+    assert not wrong

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,9 +75,10 @@ class TestTableShape:
 class TestInnerSumNormalization:
     def test_constant_one_collapses_to_kronecker_delta(self):
         # i = 0 inner sum of the all-ones sequence is 1; every i >= 1 is 0
-        assert alternating_binomial_sum([1]) == 1
+        assert alternating_binomial_sum([1], [1]) == 1
         for i in range(1, 16):
-            assert alternating_binomial_sum([1] * (i + 1)) == 0
+            row = [math.comb(i, j) for j in range(i + 1)]
+            assert alternating_binomial_sum(row, [1] * (i + 1)) == 0
 
 
 class TestStability:
