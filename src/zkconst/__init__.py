@@ -7,7 +7,7 @@ through multiple independent formula routes -- and verifies every identity,
 recurrence and sign claim tying them together.
 """
 
-from .bell import MultiPoly, bell_determinant, bell_symbolic
+from .bell import bell_determinant, bell_symbolic
 from .chain import table
 from .eta_sigma import (
     eta_from_gamma,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstantTable",
     "ConvergenceError",
-    "MultiPoly",
     "PrecisionContext",
     "VerificationReport",
     "L_derivs_at_zero",

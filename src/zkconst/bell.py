@@ -11,59 +11,17 @@ exactly in rational arithmetic:
                        determinant with subdiagonal n-1, n-2, ..., 1
 
 The recurrence is the fast numeric route; the partition sum is the symbolic
-definition; the determinant is evaluated by fraction-free elimination so the
-three-route comparison is exact.
+definition, returned as a plain {exponent tuple: coefficient} dict and
+evaluated by substitute(); the determinant is evaluated by Gaussian
+elimination in exact rationals, so the three-route comparison is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 MAX_SYMBOLIC_N = 20  # partition enumeration cap; p(20) = 627 partitions
-
-
-@dataclass(frozen=True)
-class MultiPoly:
-    """Exact integer-coefficient polynomial in x_1..x_nvars.
-
-    terms maps an exponent tuple (e_1, ..., e_nvars) to its integer
-    coefficient.  Instances are treated as immutable after construction.
-    """
-
-    nvars: int
-    terms: dict = field(default_factory=dict)
-
-    def substitute(self, values):
-        """Evaluate at the given values (exact for int/Fraction inputs)."""
-        if len(values) < self.nvars:
-            raise ValueError(
-                f"need {self.nvars} values, got {len(values)}"
-            )
-        total = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(expo, values):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
-
-    def sorted_terms(self):
-        """Deterministic (exponent, coefficient) listing."""
-        return sorted(self.terms.items())
-
-    def __str__(self) -> str:
-        parts = []
-        for expo, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"x{i+1}^{e}" if e > 1 else f"x{i+1}"
-                for i, e in enumerate(expo)
-                if e
-            )
-            parts.append(f"{coeff}*{mono}" if mono else str(coeff))
-        return " + ".join(parts) if parts else "0"
 
 
 def _partition_multiplicities(n: int):
@@ -84,8 +42,11 @@ def _partition_multiplicities(n: int):
     yield from descend(0, n)
 
 
-def bell_symbolic(n: int) -> MultiPoly:
-    """Y_n as an exact polynomial from the partition-sum definition."""
+def bell_symbolic(n: int) -> dict:
+    """Y_n from the partition-sum definition, as {exponent tuple: int coefficient}.
+
+    The exponent tuple (e_1, ..., e_n) stands for x_1^e_1 ... x_n^e_n.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError("bell_symbolic needs an integer n >= 0")
     if n > MAX_SYMBOLIC_N:
@@ -93,7 +54,7 @@ def bell_symbolic(n: int) -> MultiPoly:
             f"partition count grows too fast: n <= {MAX_SYMBOLIC_N} supported"
         )
     if n == 0:
-        return MultiPoly(nvars=0, terms={(): 1})
+        return {(): 1}
     terms: dict = {}
     nfact = math.factorial(n)
     for ks in _partition_multiplicities(n):
@@ -104,7 +65,22 @@ def bell_symbolic(n: int) -> MultiPoly:
         coeff = Fraction(nfact, denom)
         assert coeff.denominator == 1
         terms[ks] = terms.get(ks, 0) + int(coeff)
-    return MultiPoly(nvars=n, terms=terms)
+    return terms
+
+
+def substitute(terms: dict, values):
+    """Evaluate a bell_symbolic dict at values (exact for int/Fraction inputs)."""
+    nvars = len(next(iter(terms), ()))
+    if len(values) < nvars:
+        raise ValueError(f"need {nvars} values, got {len(values)}")
+    total = 0
+    for expo, coeff in terms.items():
+        term = coeff
+        for e, v in zip(expo, values):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
 
 
 def bell_recurrence_value(args):
@@ -129,37 +105,28 @@ def bracket_determinant(cs) -> Fraction:
 
     Row 1 holds c_1..c_n; row i (i >= 2) holds the subdiagonal entry n-i+1
     followed by c_1..c_{n-i+1}; everything below the subdiagonal is zero.
-    Evaluated by fraction-free (Bareiss) elimination with row pivoting, so
-    rational inputs give an exact rational value.
+    Evaluated by Gaussian elimination in exact rationals: below pivot k only
+    row k+1 is nonzero, so each step updates that one row.  A zero pivot
+    swaps with row k+1, still untouched, whose subdiagonal entry n-k-1 is
+    nonzero; the row moved down is then already zero in column k.  The
+    determinant is the signed product of the pivots.
     """
     n = len(cs)
     if n < 1:
         raise ValueError("bracket determinant needs n >= 1 entries")
     cs = [Fraction(c) for c in cs]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        m[0][j] = cs[j]
-    for i in range(1, n):
-        m[i][i - 1] = Fraction(n - i)
-        for j in range(i, n):
-            m[i][j] = cs[j - i]
-    sign = 1
-    prev = Fraction(1)
+    m = [cs] + [[0] * (i - 1) + [Fraction(n - i)] + cs[: n - i] for i in range(1, n)]
+    det = Fraction(1)
     for k in range(n - 1):
         if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
+            m[k], m[k + 1] = m[k + 1], m[k]
+            det = -det
+        else:
+            factor = m[k + 1][k] / m[k][k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                m[k + 1][j] -= factor * m[k][j]
+        det *= m[k][k]
+    return det * m[n - 1][n - 1]
 
 
 def bell_determinant(args) -> Fraction:

@@ -91,4 +91,4 @@ def xi_deriv_at_zero(n: int, xi_at_one: ConstantTable) -> mpf:
     if xi_at_one.kind != "xi1":
         raise ValueError("xi_deriv_at_zero needs a xi1 table")
     base = xi_at_one.mpf(n)
-    return base if n % 2 == 0 else -base
+    return base if n % 2 == 0 else mp.fneg(base, exact=True)

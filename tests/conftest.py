@@ -1,7 +1,9 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import configuration
 
 from zkconst.chain import table
 from zkconst.precision import PrecisionContext
@@ -9,6 +11,20 @@ from zkconst.precision import PrecisionContext
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import em_gamma_table  # noqa: E402
+
+HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from local source files under
+    # its home directory, ./.hypothesis by default, even with no example
+    # database; a temporary one keeps the test run from writing to the tree
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    configuration.set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[HYPOTHESIS_HOME].cleanup()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,9 @@ These deliberately share no code with the package:
   * zeta(n) from plain partial sums with an integral tail bound and a
     midpoint half-term, at doubled precision;
   * high-order derivatives by central-difference stencils at elevated
-    precision.
+    precision;
+  * the bracket determinant [c_1, ..., c_n] of the Bell-polynomial
+    determinant route, written out entry by entry and expanded by cofactors.
 
 Route independence is the point: a bug in the package's series machinery
 cannot also live here.
@@ -17,6 +19,7 @@ cannot also live here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from mpmath import bernfrac, mp, mpf
 
@@ -95,6 +98,41 @@ def central_derivative(f, x, m: int, digits: int):
             node = mpf(x) + (mpf(m) / 2 - i) * h
             acc += (-1) ** i * math.comb(m, i) * f(node)
         return +(acc / h**m)
+
+
+def bracket_matrix(cs):
+    """The n x n matrix of [c_1, ..., c_n], entry (i, j) for i, j = 1..n.
+
+    Row 1 is c_1..c_n.  Row i >= 2 holds n-i+1 at column i-1 and c_{j-i+1}
+    at each column j >= i; every other entry is zero.
+    """
+    n = len(cs)
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            if i == 1:
+                row.append(Fraction(cs[j - 1]))
+            elif j == i - 1:
+                row.append(Fraction(n - i + 1))
+            elif j >= i:
+                row.append(Fraction(cs[j - i]))
+            else:
+                row.append(Fraction(0))
+        rows.append(row)
+    return rows
+
+
+def cofactor_determinant(rows):
+    """Determinant by Laplace expansion along the first column (exact)."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for i, row in enumerate(rows):
+        if row[0]:
+            minor = [r[1:] for k, r in enumerate(rows) if k != i]
+            total += (-1) ** i * row[0] * cofactor_determinant(minor)
+    return total
 
 
 # Frozen oracle outputs.  Each string was produced by the generator named

@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from oracles import central_derivative
+from oracles import bracket_matrix, central_derivative, cofactor_determinant
 from zkconst.bell import (
     bell_determinant,
     bell_recurrence_value,
     bell_symbolic,
     bracket_determinant,
+    substitute,
 )
 
 PRINTED = {
@@ -31,17 +34,17 @@ def random_fractions(rng, n):
 
 class TestSymbolic:
     def test_degree_zero_is_one(self):
-        poly = bell_symbolic(0)
-        assert poly.terms == {(): 1}
-        assert poly.substitute([]) == 1
+        terms = bell_symbolic(0)
+        assert terms == {(): 1}
+        assert substitute(terms, []) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_printed_polynomials_term_for_term(self, n):
-        assert bell_symbolic(n).terms == PRINTED[n]
+        assert bell_symbolic(n) == PRINTED[n]
 
     @pytest.mark.parametrize("n", list(range(1, 13)))
     def test_monomial_weights_and_positive_coefficients(self, n):
-        for expo, coeff in bell_symbolic(n).sorted_terms():
+        for expo, coeff in bell_symbolic(n).items():
             assert sum((j + 1) * e for j, e in enumerate(expo)) == n
             assert isinstance(coeff, int) and coeff > 0
 
@@ -53,7 +56,7 @@ class TestSymbolic:
 
     def test_substitute_needs_enough_values(self):
         with pytest.raises(ValueError):
-            bell_symbolic(3).substitute([1, 2])
+            substitute(bell_symbolic(3), [1, 2])
 
 
 class TestRecurrence:
@@ -72,10 +75,10 @@ class TestRecurrence:
     @pytest.mark.parametrize("n", list(range(1, 9)))
     def test_matches_symbolic_substitution_on_rationals(self, n):
         rng = random.Random(9000 + n)
-        poly = bell_symbolic(n)
+        terms = bell_symbolic(n)
         for _ in range(100):
             v = random_fractions(rng, n)
-            assert bell_recurrence_value(v) == poly.substitute(v)
+            assert bell_recurrence_value(v) == substitute(terms, v)
 
 
 class TestDeterminant:
@@ -96,6 +99,23 @@ class TestDeterminant:
     def test_zero_leading_argument_pivots(self):
         v = [Fraction(0), Fraction(1), Fraction(2), Fraction(3)]
         assert bell_determinant(v) == bell_recurrence_value(v)
+
+    def test_singular_brackets(self):
+        # [1, 1, 1] and [1/2, 1/4] have nonzero pivots but a zero last one;
+        # all zeros leaves only the subdiagonal after n-1 swaps; [3, 3, 3, 3]
+        # is singular after two swaps that elimination made necessary
+        for cs in ([1, 1, 1], [Fraction(1, 2), Fraction(1, 4)], [0, 0, 0, 0], [3, 3, 3, 3]):
+            assert cofactor_determinant(bracket_matrix(cs)) == 0
+            assert bracket_determinant(cs) == 0
+
+    @pytest.mark.parametrize(
+        "cs",
+        [[0, 0, 0, 5], [0, 0, 0, 0, 2], [0, 0, 3, 0, 0, Fraction(-7, 2)], [3, 3, 3, 1]],
+    )
+    def test_zero_pivots_in_a_row(self, cs):
+        # leading zeros swap at steps 0, 1, 2, ... in turn; in [3, 3, 3, 1]
+        # elimination itself leaves zero pivots at steps 1 and 2
+        assert bracket_determinant(cs) == cofactor_determinant(bracket_matrix(cs))
 
     def test_needs_at_least_one_entry(self):
         with pytest.raises(ValueError):
@@ -140,3 +160,23 @@ class TestIdentities:
             rhs = central_derivative(lambda t: mp.exp(t**3), x_str, m, ctx30.digits)
             with mp.workdps(ctx30.working_dps + 10):
                 assert abs(lhs - rhs) < mpf(10) ** (-tol_exp)
+
+
+# zero-heavy rationals, so zero pivots (row swaps) and singular brackets occur
+ZERO_HEAVY = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+class TestProperties:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(ZERO_HEAVY, min_size=1, max_size=6))
+    def test_bracket_equals_cofactor_oracle(self, cs):
+        assert bracket_determinant(cs) == cofactor_determinant(bracket_matrix(cs))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(ZERO_HEAVY, min_size=1, max_size=6))
+    def test_three_routes_agree(self, v):
+        partition = substitute(bell_symbolic(len(v)), v)
+        assert partition == bell_recurrence_value(v) == bell_determinant(v)

@@ -79,12 +79,14 @@ def test_trace_cli_runs():
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
 # this table.  alternating_binomial_sum runs once per outer term of the
-# gamma series, 13 times in hasse-normalization-delta and 1261 in the kernel.
+# gamma series, 13 times in hasse-normalization-delta and 1261 in the kernel;
+# substitute once per seeded trial of bell-routes-exact-n1..n8 (8 x 100).
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (2268, 0),
     "bell.bell_symbolic": (23, 0),
     "bell.bracket_determinant": (920, 0),
+    "bell.substitute": (800, 0),
     "cli.main": (1, 0),
     "eta_sigma.eta_from_gamma": (7, 0),
     "eta_sigma.eta_from_gamma_coffey": (1, 0),

@@ -13,6 +13,8 @@ from zkconst.reports import (
     inequality_report,
     inequality_reports,
 )
+from zkconst.chain import table
+from zkconst.precision import roundtrip_decimal
 from zkconst.verify import run_suite
 
 
@@ -165,3 +167,20 @@ def test_tol_exp_governs_all_but_fixed_tolerances(ctx30):
         if r.tol != want:
             wrong.append((r.identity, r.tol, want))
     assert not wrong
+
+
+def test_negated_report_sides_print_the_table_digits(ctx30):
+    # eta-sign-alternation (even n) and xi-reflection (odd n) print a table
+    # value with its sign flipped; a negation rounded to mpmath's 53-bit
+    # default would print other digits from about the 17th on
+    def negated(value):
+        text = roundtrip_decimal(value, ctx30)
+        return text[1:] if text.startswith("-") else "-" + text
+
+    reports = {r.identity: r for r in run_suite("eta", ctx30) + run_suite("xi", ctx30)}
+    etas, xis = table("eta", 12, ctx30), table("xi1", 10, ctx30)
+    for n in range(2, 13, 2):
+        assert reports[f"eta-sign-alternation-n{n}"].lhs == negated(etas.mpf(n))
+    for n in range(1, 10, 2):
+        reflection = reports[f"xi-reflection-n{n}"]
+        assert reflection.lhs == reflection.rhs == negated(xis.mpf(n))
