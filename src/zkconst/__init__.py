@@ -13,7 +13,6 @@ from .eta_sigma import (
     eta_from_gamma,
     eta_from_gamma_coffey,
     gamma_from_eta,
-    sigma_from_eta,
     sigma_table,
 )
 from .li_keiper import (
@@ -23,7 +22,6 @@ from .li_keiper import (
     lambda_table,
     lambda_via_coffey,
     lambda_via_eta_psi,
-    lambda_via_sigma,
     positivity_report,
     recurrence_residual_3_13,
 )
@@ -31,7 +29,7 @@ from .precision import ConvergenceError, PrecisionContext
 from .reports import VerificationReport
 from .stieltjes import ConstantTable, stieltjes_gamma, stieltjes_table
 from .verify import run_suite
-from .xi import xi_deriv_at_one, xi_deriv_at_zero, xi_deriv_recurrence, xi_table
+from .xi import xi_deriv_at_zero, xi_deriv_recurrence, xi_table
 from .zeta_derivs import (
     L_derivs_at_zero,
     gamma_from_zeta_derivs,
@@ -59,16 +57,13 @@ __all__ = [
     "lambda_table",
     "lambda_via_coffey",
     "lambda_via_eta_psi",
-    "lambda_via_sigma",
     "positivity_report",
     "recurrence_residual_3_13",
     "run_suite",
-    "sigma_from_eta",
     "sigma_table",
     "stieltjes_gamma",
     "stieltjes_table",
     "table",
-    "xi_deriv_at_one",
     "xi_deriv_at_zero",
     "xi_deriv_recurrence",
     "xi_table",

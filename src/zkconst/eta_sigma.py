@@ -27,7 +27,7 @@ constants and integer zeta values:
 
 sigma_1 equals the first Li/Keiper constant and is taken from its closed
 form -1/2 log pi + 1/2 gamma + 1 - log 2, since the display above would need
-zeta(1) at n = 0.
+zeta(1) at n = 0.  One sigma_k is sigma_table(k, etas, ctx).mpf(k).
 """
 
 from __future__ import annotations
@@ -98,34 +98,20 @@ def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> Co
     return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
-def sigma_from_eta(k: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
-    """sigma_k for k >= 1 (k = 1 from the closed form, k >= 2 from eta)."""
-    if not isinstance(k, int) or k <= 0:
-        raise ValueError("sigma index must be an integer >= 1")
-    if k == 1:
-        require(etas, "eta", 0, "sigma_from_eta")
-        with mp.workdps(ctx.working_dps):
-            gamma = -etas.mpf(0)
-            return +(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))
-    n = k - 1
-    require(etas, "eta", n, "sigma_from_eta")
-    with mp.workdps(ctx.working_dps + 5):
-        z = zeta_int_mpf(n + 1, ctx, extra_dps=5)
-        return +(
-            (-1) ** (n + 1) * etas.mpf(n)
-            - (1 - mpf(2) ** (-(n + 1))) * z
-            + 1
-        )
-
-
 def sigma_table(max_k: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """sigma_1 .. sigma_max_k with per-entry route tags."""
+    """sigma_1 .. sigma_max_k: sigma_1 from its closed form, the rest from eta,
+    with per-entry route tags."""
     if not isinstance(max_k, int) or max_k < 1:
         raise ValueError("sigma table needs max_k >= 1")
-    ks = range(1, max_k + 1)
-    return ConstantTable.of(
-        "sigma",
-        [sigma_from_eta(k, etas, ctx) for k in ks],
-        [SIGMA_CLOSED_TAG if k == 1 else SIGMA_TAG for k in ks],
-        ctx,
-    )
+    require(etas, "eta", max_k - 1, "sigma_table")
+    with mp.workdps(ctx.working_dps):
+        gamma = -etas.mpf(0)
+        values = [+(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))]
+    with mp.workdps(ctx.working_dps + 5):
+        for n in range(1, max_k):
+            z = zeta_int_mpf(n + 1, ctx, extra_dps=5)
+            values.append(
+                +((-1) ** (n + 1) * etas.mpf(n) - (1 - mpf(2) ** (-(n + 1))) * z + 1)
+            )
+    tags = [SIGMA_CLOSED_TAG] + [SIGMA_TAG] * (max_k - 1)
+    return ConstantTable.of("sigma", values, tags, ctx)

@@ -4,8 +4,9 @@ lambda_n is the n-th coefficient in Li's positivity criterion: nonnegativity
 of the whole sequence is equivalent to the Riemann Hypothesis.  The package
 computes each lambda_r by up to four routes and insists they agree:
 
-  closed-2.13 / closed-3.6   closed forms for r = 1, 2
-  sigma-3.29                 lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j
+  closed-2.13 / closed-3.6   closed forms for r = 1, 2 (lambda_closed)
+  sigma-3.29                 lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j,
+                             all r <= max_r in one pass (lambda_table)
   eta-psi-3.33               binomial sum over polygamma values at 3/2 and
                              eta constants, plus a linear term
   coffey-3.34                binomial sum over integer zeta values and eta
@@ -14,7 +15,10 @@ computes each lambda_r by up to four routes and insists they agree:
                              never hardcoded
 
 The sigma route is canonical (simplest error surface); the others are
-verification-only.  lambda_0 = 0 by convention throughout.
+verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
+alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
+recurrence-3.13 residual) is an entry of binomial_alternating_transform, the
+gamma kernel's inner sum; the other routes keep their own sums.
 """
 
 from __future__ import annotations
@@ -32,7 +36,9 @@ from .kernel import (
 )
 from .precision import PrecisionContext
 from .reports import inequality_report, inequality_reports
-from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
+from .stieltjes import (
+    FAMILIES, ConstantTable, alternating_binomial_sum, require, stieltjes_gamma,
+)
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAGS = {1: SIGMA_CLOSED_TAG, 2: "closed-3.6"}
@@ -60,9 +66,10 @@ def rising_factorial(x, p: int):
 
 
 def binomial_alternating_transform(seq):
-    """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k; an exact involution."""
+    """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k for every n < len(seq); an exact
+    involution, and the gamma kernel's inner sum over each Pascal row."""
     return [
-        sum(math.comb(n, k) * (-1) ** k * seq[k] for k in range(n + 1))
+        alternating_binomial_sum([math.comb(n, k) for k in range(n + 1)], seq)
         for n in range(len(seq))
     ]
 
@@ -90,27 +97,15 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:
         )
 
 
-def lambda_via_sigma(r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> mpf:
-    """lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j.
-
-    The binomial transform of the sigma coefficients; the left-hand index is
-    r (the transform order), not the summation index.
-    """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("lambda index must be an integer >= 1")
-    require(sigmas, "sigma", r, "lambda_via_sigma")
-    with mp.workdps(ctx.working_dps + 5):
-        acc = mp.mpf(0)
-        for j in range(1, r + 1):
-            acc += (-1) ** j * math.comb(r, j) * sigmas.mpf(j)
-        return +(-acc)
-
-
 def lambda_table(max_r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """lambda_1 .. lambda_max_r through the canonical sigma route."""
+    """lambda_1 .. lambda_max_r through the canonical sigma route: the negated
+    binomial transform of sigma_0 = 0, sigma_1, ..., sigma_max_r."""
     if not isinstance(max_r, int) or max_r < 1:
         raise ValueError("lambda table needs max_r >= 1")
-    values = [lambda_via_sigma(r, sigmas, ctx) for r in range(1, max_r + 1)]
+    require(sigmas, "sigma", max_r, "lambda_table")
+    with mp.workdps(ctx.working_dps + 5):
+        transform = binomial_alternating_transform([0, *sigmas.values[:max_r]])
+        values = [-t for t in transform[1:]]
     return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
 
 
@@ -189,9 +184,7 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mp
         raise ValueError("derivative order must be an integer >= 0")
     require(lambdas, "lambda", r + 1, "g_derivs_at_one")
     with mp.workdps(ctx.working_dps + 5):
-        acc = mp.mpf(0)
-        for j in range(1, r + 2):
-            acc += math.comb(r + 1, j) * (-1) ** j * lambdas.mpf(j)
+        acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
         return +((-1) ** (r + 1) * mp.factorial(r) * acc)
 
 
@@ -251,16 +244,12 @@ def recurrence_residual_3_13(
         lhs += (-1) ** (n + 1) * (n + 1) * gammas.mpf(n) * log_pi_mpf(ctx) / 2
         lhs += (-1) ** (n + 1) * (n + 2) * gammas.mpf(n + 1)
 
-        rhs = mp.mpf(0)
-        for j in range(1, n + 3):
-            rhs += math.comb(n + 2, j) * (-1) ** j * lambdas.mpf(j)
-        rhs *= (-1) ** n * mp.factorial(n + 1)
+        # sums[k] = sum_{j=1}^k C(k,j) (-1)^j lambda_j, with lambda_0 = 0
+        sums = binomial_alternating_transform([0, *lambdas.values[: n + 2]])
+        rhs = sums[n + 2] * ((-1) ** n * mp.factorial(n + 1))
         double = mp.mpf(0)
         for m in range(n + 1):
-            inner = mp.mpf(0)
-            for j in range(1, m + 2):
-                inner += math.comb(m + 1, j) * (-1) ** j * lambdas.mpf(j)
-            double += math.comb(n, m) * mp.factorial(m) * gammas.mpf(n - m) * inner
+            double += math.comb(n, m) * mp.factorial(m) * gammas.mpf(n - m) * sums[m + 1]
         rhs += (-1) ** (n + 1) * (n + 1) * double
 
         return +abs(lhs - rhs)

@@ -210,7 +210,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
     reports = []
 
     # the series' inner alternating sums of the constant 1 over the Pascal
-    # rows C(i, .) collapse to a Kronecker delta in i
+    # rows C(i, .) collapse to a Kronecker delta in i; lambda sums use it too
     rows = [[math.comb(i, j) for j in range(i + 1)] for i in range(13)]
     ok = [alternating_binomial_sum(row, [1] * len(row)) for row in rows] == [1] + [0] * 12
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
@@ -399,7 +399,8 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
          (li_keiper.G_DERIV_TAG, li_keiper.G_DERIV_ETA_TAG)),
     )
 
-    # seeded trials stop drawing at the first failure
+    # every lambda and g^(r)(1) above goes through this transform; seeded
+    # trials stop drawing at the first failure
     rng = random.Random(_RNG_SEED + 1)
     seqs = ([rng.randint(-50, 50) for _ in range(rng.randint(1, 12))] for _ in range(25))
     transform = li_keiper.binomial_alternating_transform

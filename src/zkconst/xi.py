@@ -6,8 +6,9 @@ complete Bell polynomial in the sigma coefficients:
 
     xi^(n)(1) = 1/2 Y_n(sigma_1, -1! sigma_2, ..., (-1)^(n-1) (n-1)! sigma_n)
 
-since xi(1) = xi(0) = 1/2.  That Bell form is the canonical route here.  The
-same recurrence that powers Y_{n+1} gives the cross-check
+since xi(1) = xi(0) = 1/2.  That Bell form is the canonical route here (one
+xi^(n)(1) is xi_table(n, sigmas, ctx).mpf(n)).  The same recurrence that
+powers Y_{n+1} gives the cross-check
 
     xi^(n+1)(1) = 1/2 (-1)^n n! sigma_{n+1}
                   + sum_{k=1}^n C(n,k) (-1)^(n-k) (n-k)! sigma_{n-k+1} xi^(k)(1)
@@ -36,29 +37,18 @@ XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
 XI_RECURRENCE_CONVENTION = "sigma[n-k+1] * (n-k)! * (-1)^(n-k)"
 
 
-def _bell_args(sigmas: ConstantTable, count: int):
-    """x_j = (-1)^(j-1) (j-1)! sigma_j for j = 1..count."""
-    return [
-        (-1) ** (j - 1) * mp.factorial(j - 1) * sigmas.mpf(j)
-        for j in range(1, count + 1)
-    ]
-
-
-def xi_deriv_at_one(n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> mpf:
-    """xi^(n)(1) through the Bell-polynomial route."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("derivative order must be an integer >= 1")
-    require(sigmas, "sigma", n, "xi_deriv_at_one")
-    with mp.workdps(ctx.working_dps + 5):
-        y = bell_recurrence_value(_bell_args(sigmas, n))
-        return +(y / 2)
-
-
 def xi_table(max_n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """xi^(1)(1) .. xi^(max_n)(1) through the Bell route."""
+    """xi^(1)(1) .. xi^(max_n)(1) through the Bell route: xi^(n)(1) is half of
+    Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
     if not isinstance(max_n, int) or max_n < 1:
         raise ValueError("xi table needs max_n >= 1")
-    values = [xi_deriv_at_one(n, sigmas, ctx) for n in range(1, max_n + 1)]
+    require(sigmas, "sigma", max_n, "xi_table")
+    with mp.workdps(ctx.working_dps + 5):
+        args = [
+            (-1) ** (j - 1) * mp.factorial(j - 1) * sigmas.mpf(j)
+            for j in range(1, max_n + 1)
+        ]
+        values = [+(bell_recurrence_value(args[:n]) / 2) for n in range(1, max_n + 1)]
     return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
 
 

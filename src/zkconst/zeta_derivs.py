@@ -93,15 +93,15 @@ def _cos_weight(m: int, pi_val):
     return sign * (pi_val / 2) ** m
 
 
-def _apostol_rhs(n: int, zeta_vals, ctx: PrecisionContext):
+def _apostol_rhs(n: int, zeta_vals, gd):
     """f^(n)(0) = n gamma_{n-1} assembled from zeta^(l)(0) values.
 
     zeta_vals[l] = zeta^(l)(0) for l = 0..n (the l = n slot may be a dummy
-    when the caller is solving for it; see zeta_derivs_at_zero).
+    when the caller is solving for it; see zeta_derivs_at_zero), and
+    gd[m] = Gamma^(m)(1) for m = 0..n at least.
     """
     pi_val = +mp.pi
     log2pi = mp.log(2 * pi_val)
-    gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(n + 1)]
     total = mp.mpf(0)
     for k in range(n + 1):
         inner_k = mp.mpf(0)
@@ -140,9 +140,10 @@ def zeta_derivs_at_zero(
         require(gammas, "gamma", max_n - 1, "zeta_derivs_at_zero")
     with mp.workdps(dps):
         values = [mpf(-1) / 2]
+        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
         for n in range(1, max_n + 1):
             # pivot: the coefficient of zeta^(n)(0) in the rhs is exactly 2
-            rhs0 = _apostol_rhs(n, values + [mp.mpf(0)], ctx)
+            rhs0 = _apostol_rhs(n, values + [mp.mpf(0)], gd)
             values.append(+((n * gammas.mpf(n - 1) - rhs0) / 2))
     return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
 
@@ -173,4 +174,5 @@ def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) 
     require(zeta0, "zeta0", n, "gamma_from_zeta_derivs")
     with mp.workdps(ctx.working_dps + 2 * n + 10):
         vals = [zeta0.mpf(l) for l in range(n + 1)]
-        return +(_apostol_rhs(n, vals, ctx) / n)
+        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(n + 1)]
+        return +(_apostol_rhs(n, vals, gd) / n)

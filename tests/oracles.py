@@ -10,7 +10,9 @@ These deliberately share no code with the package:
   * high-order derivatives by central-difference stencils at elevated
     precision;
   * the bracket determinant [c_1, ..., c_n] of the Bell-polynomial
-    determinant route, written out entry by entry and expanded by cofactors.
+    determinant route, written out entry by entry and expanded by cofactors;
+  * lambda_r from sigma_1..sigma_r in exact rationals through the forward
+    difference table, with no binomial coefficient in sight.
 
 Route independence is the point: a bug in the package's series machinery
 cannot also live here.
@@ -133,6 +135,22 @@ def cofactor_determinant(rows):
             minor = [r[1:] for k, r in enumerate(rows) if k != i]
             total += (-1) ** i * row[0] * cofactor_determinant(minor)
     return total
+
+
+def lambda_from_sigma_differences(sigmas):
+    """lambda_1..lambda_n from sigma_1..sigma_n (exact Fractions).
+
+    With x = (0, sigma_1, ..., sigma_n), the r-th forward difference at 0 is
+    Delta^r x_0 = sum_j C(r,j) (-1)^(r-j) x_j, so the sigma-3.29 sum
+    lambda_r = -sum_j (-1)^j C(r,j) sigma_j equals (-1)^(r+1) Delta^r x_0.
+    Each difference row is one subtraction per entry of the row above.
+    """
+    row = [Fraction(0)] + [Fraction(s) for s in sigmas]
+    out = []
+    for r in range(1, len(row)):
+        row = [b - a for a, b in zip(row, row[1:])]
+        out.append(row[0] if r % 2 == 1 else -row[0])
+    return out
 
 
 # Frozen oracle outputs.  Each string was produced by the generator named

@@ -20,9 +20,9 @@ from zkconst.chain import table
 from zkconst.eta_sigma import eta_from_gamma_coffey, gamma_from_eta
 from zkconst.li_keiper import (
     lambda_closed,
+    lambda_table,
     lambda_via_coffey,
     lambda_via_eta_psi,
-    lambda_via_sigma,
     recurrence_residual_3_13,
 )
 from zkconst.precision import PrecisionContext
@@ -77,7 +77,7 @@ def test_criterion_2_four_route_lambda_agreement():
     with mp.workdps(60):
         values = {}
         for r in range(1, 11):
-            values[r] = [lambda_via_sigma(r, sigmas, ctx),
+            values[r] = [lambda_table(r, sigmas, ctx).mpf(r),
                          lambda_via_eta_psi(r, etas, ctx)]
             if r <= 2:
                 values[r].append(lambda_closed(r, ctx))

@@ -279,6 +279,11 @@ GOLDEN_STDOUT = {
     # the one path where the run's tolerance and the fixed tolerances differ
     "verify --suite lambda --digits 30 --tol-exp 30":
         "8dc1a8bc8e8db39388264d1a42f6077227abb1122a44b6776b65c0e40de2647e",
+    # lambda and sigma at their caps to 60 digits, beyond the 10-digit pins
+    "table --seq lambda --max-n 20 --digits 60":
+        "46e8e19d5ee7aeb742aff7435bc2282abbfe4b565371de7f69c30a70428b40aa",
+    "table --seq sigma --max-n 20 --digits 60 --format csv":
+        "6374da19776561f7be91da3f4b8debd9758b1984eb81def9f3b717c4c0533077",
 }
 
 

@@ -5,7 +5,6 @@ from zkconst.eta_sigma import (
     eta_from_gamma,
     eta_from_gamma_coffey,
     gamma_from_eta,
-    sigma_from_eta,
     sigma_table,
 )
 from zkconst.kernel import zeta_int_mpf
@@ -86,7 +85,7 @@ class TestGammaFromEta:
 
 class TestSigma:
     def test_sigma1_is_lambda1(self, ctx30, chain30):
-        s1 = sigma_from_eta(1, chain30["etas"], ctx30)
+        s1 = sigma_table(1, chain30["etas"], ctx30).mpf(1)
         with mp.workdps(60):
             diff = abs(s1 - lambda_closed(1, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -95,8 +94,7 @@ class TestSigma:
         # sigma_2 = eta_1 - (3/4) zeta(2) + 1, cross-checked through
         # lambda_2 = 2 sigma_1 - sigma_2 against the lambda_2 closed form
         etas = chain30["etas"]
-        s1 = sigma_from_eta(1, etas, ctx30)
-        s2 = sigma_from_eta(2, etas, ctx30)
+        s1, s2 = sigma_table(2, etas, ctx30).values
         with mp.workdps(60):
             direct = etas.mpf(1) - mpf(3) / 4 * zeta_int_mpf(2, ctx30) + 1
             assert abs(s2 - direct) < mpf(10) ** (-(ctx30.digits - 5))
@@ -119,10 +117,10 @@ class TestSigma:
     def test_nonpositive_index_rejected(self, ctx30, chain30):
         for bad in (0, -2):
             with pytest.raises(ValueError):
-                sigma_from_eta(bad, chain30["etas"], ctx30)
+                sigma_table(bad, chain30["etas"], ctx30)
 
     def test_insufficient_etas_rejected(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            sigma_from_eta(15, chain30["etas"], ctx30)
-        with pytest.raises(ValueError):
             sigma_table(15, chain30["etas"], ctx30)
+        with pytest.raises(ValueError):
+            sigma_table(2, chain30["gammas"], ctx30)

@@ -2,13 +2,17 @@
 
 No linter ships with the package, so this stdlib check keeps refactors from
 leaving dead imports behind.  Names listed in a module's __all__ count as
-used, which covers the re-exports in __init__.
+used, which covers the re-exports in __init__; so every such name must also
+resolve on its module, or a removed function could linger in __all__.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import zkconst
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zkconst"
 
@@ -38,6 +42,23 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unresolved_exports(module) -> list:
+    """Names in module.__all__ that are not attributes of the module."""
+    return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
+
+
+def test_checker_flags_a_stale_export():
+    module = types.ModuleType("stub")
+    module.f = len
+    module.__all__ = ["f", "gone"]
+    assert unresolved_exports(module) == ["gone"]
+
+
+def test_every_export_resolves():
+    # __init__ is the one module of the package with an __all__
+    assert unresolved_exports(zkconst) == []
 
 
 def _package_modules(nodes) -> set:

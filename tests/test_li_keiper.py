@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from oracles import FROZEN
+from oracles import FROZEN, lambda_from_sigma_differences
+from zkconst import li_keiper
 from zkconst.li_keiper import (
     binomial_alternating_transform,
     coffey_constant,
@@ -13,15 +16,16 @@ from zkconst.li_keiper import (
     g_derivs_at_one,
     g_derivs_at_one_via_eta,
     lambda_closed,
+    lambda_table,
     lambda_via_coffey,
     lambda_via_eta_psi,
-    lambda_via_sigma,
     positivity_report,
     recurrence_residual_3_13,
     rising_factorial,
 )
 from zkconst.precision import PrecisionContext
 from zkconst.stieltjes import ConstantTable
+from zkconst.verify import run_suite
 
 
 class TestClosedForms:
@@ -50,27 +54,27 @@ class TestClosedForms:
 
 class TestSigmaRoute:
     def test_r1_is_sigma1(self, ctx30, chain30):
-        lam = lambda_via_sigma(1, chain30["sigmas"], ctx30)
+        lam = lambda_table(1, chain30["sigmas"], ctx30).mpf(1)
         with mp.workdps(60):
             assert abs(lam - chain30["sigmas"].mpf(1)) < mpf("1e-35")
 
     def test_r2_expands_to_2sigma1_minus_sigma2(self, ctx30, chain30):
         s = chain30["sigmas"]
-        lam = lambda_via_sigma(2, s, ctx30)
+        lam = lambda_table(2, s, ctx30).mpf(2)
         with mp.workdps(60):
             assert abs(lam - (2 * s.mpf(1) - s.mpf(2))) < mpf("1e-35")
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = lambda_via_sigma(2, chain30["sigmas"], ctx30)
+        lam = lambda_table(2, chain30["sigmas"], ctx30).mpf(2)
         with mp.workdps(60):
             diff = abs(lam - lambda_closed(2, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_bad_index_and_insufficient_table(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            lambda_via_sigma(0, chain30["sigmas"], ctx30)
+            lambda_table(0, chain30["sigmas"], ctx30)
         with pytest.raises(ValueError):
-            lambda_via_sigma(14, chain30["sigmas"], ctx30)
+            lambda_table(14, chain30["sigmas"], ctx30)
 
 
 class TestEtaPsiRoute:
@@ -193,6 +197,26 @@ class TestCombinatorialHelpers:
             )
             assert lhs == rhs
 
+    def test_a_faulty_transform_fails_the_check_and_moves_lambda(
+        self, monkeypatch, ctx30, chain30
+    ):
+        # the involution check must vouch for the sum the lambda table uses:
+        # with the sign dropped, the check fails and every lambda_r moves
+        def unsigned(seq):
+            return [
+                sum(math.comb(n, k) * seq[k] for k in range(n + 1))
+                for n in range(len(seq))
+            ]
+
+        before = lambda_table(13, chain30["sigmas"], ctx30).values
+        monkeypatch.setattr(li_keiper, "binomial_alternating_transform", unsigned)
+        after = lambda_table(13, chain30["sigmas"], ctx30).values
+        assert all(a != b for a, b in zip(after, before))
+        (check,) = [
+            r for r in run_suite("lambda", ctx30) if r.identity == "eq-3.27-involution"
+        ]
+        assert not check.passed
+
     def test_factorial_helpers_edge_cases(self):
         assert falling_factorial(5, 0) == 1
         assert rising_factorial(5, 0) == 1
@@ -220,3 +244,35 @@ class TestPositivityReport:
         for r in positivity_report(5, ctx30):
             with mp.workdps(50):
                 assert r.passed == (mpf(r.abs_err) <= mpf(r.tol))
+
+
+def _exact(x) -> Fraction:
+    man, exp = x.man_exp  # of |x|: mpmath leaves the sign out
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+# (mantissa, exponent) of an mpf carrying up to 200 bits, well past the
+# working precision of a 10-digit context
+WIDE_MPF = st.tuples(st.integers(-(2**200), 2**200), st.integers(-230, -170))
+
+
+class TestTransformProperties:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(-100, 100, max_denominator=50), max_size=12))
+    def test_transform_is_an_involution(self, seq):
+        assert binomial_alternating_transform(binomial_alternating_transform(seq)) == seq
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(WIDE_MPF, min_size=1, max_size=20), st.integers(10, 60))
+    def test_lambda_table_matches_the_difference_oracle(self, pairs, digits):
+        ctx = PrecisionContext(digits=digits)
+        with mp.workprec(256):
+            sigmas = [mp.ldexp(mp.mpf(man), exp) for man, exp in pairs]
+        drawn = ConstantTable.of("sigma", sigmas, "drawn", ctx)
+        got = lambda_table(len(sigmas), drawn, ctx).values
+        exact = [_exact(s) for s in sigmas]
+        want = lambda_from_sigma_differences(exact)
+        unit = Fraction(1, 10**ctx.working_dps)
+        for r in range(1, len(sigmas) + 1):
+            scale = sum(math.comb(r, j) * abs(exact[j - 1]) for j in range(1, r + 1))
+            assert abs(_exact(got[r - 1]) - want[r - 1]) <= unit * scale, f"r={r}"

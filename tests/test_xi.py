@@ -1,12 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from zkconst.xi import (
-    xi_deriv_at_one,
-    xi_deriv_at_zero,
-    xi_deriv_recurrence,
-    xi_table,
-)
+from zkconst.xi import xi_deriv_at_zero, xi_deriv_recurrence, xi_table
 
 
 @pytest.fixture(scope="module")
@@ -54,11 +49,11 @@ class TestBellRoute:
 
     def test_bad_inputs(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            xi_deriv_at_one(0, chain30["sigmas"], ctx30)
+            xi_table(0, chain30["sigmas"], ctx30)
         with pytest.raises(ValueError):
-            xi_deriv_at_one(14, chain30["sigmas"], ctx30)
+            xi_table(14, chain30["sigmas"], ctx30)
         with pytest.raises(ValueError):
-            xi_deriv_at_one(2, chain30["etas"], ctx30)
+            xi_table(2, chain30["etas"], ctx30)
 
 
 class TestRecurrenceRoute:
