@@ -83,21 +83,27 @@ def substitute(terms: dict, values):
     return total
 
 
-def bell_recurrence_value(args):
-    """Y_n(args) by the binomial recurrence, generic over the scalar type.
+def bell_recurrence_values(args) -> list:
+    """[Y_0, Y_1(args[:1]), ..., Y_n(args)] by the binomial recurrence, generic
+    over the scalar type.
 
     Works with Fraction/int (exact) or mpf arguments alike; never builds the
-    symbolic polynomial.  Empty args give Y_0 = 1.
+    symbolic polynomial.  Y_k reads only args[:k], so one pass serves a whole
+    table.  Y_0 = 1.
     """
-    n = len(args)
     ys = [1]
-    for m in range(n):
+    for m in range(len(args)):
         # Y_{m+1} = sum_{k=0}^{m} C(m,k) Y_k x_{m-k+1}
         acc = 0
         for k in range(m + 1):
             acc = acc + math.comb(m, k) * ys[k] * args[m - k]
         ys.append(acc)
-    return ys[n]
+    return ys
+
+
+def bell_recurrence_value(args):
+    """Y_n(args) by the binomial recurrence; empty args give Y_0 = 1."""
+    return bell_recurrence_values(args)[-1]
 
 
 def bracket_determinant(cs) -> Fraction:

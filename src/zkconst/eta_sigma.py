@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from .bell import bell_recurrence_value
+from .bell import bell_recurrence_values
 from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
 from .precision import PrecisionContext
 from .stieltjes import ConstantTable, require
@@ -91,10 +91,8 @@ def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> Co
     require(etas, "eta", max_n, "gamma_from_eta")
     with mp.workdps(ctx.working_dps + 10):
         args = [-mp.factorial(r - 1) * etas.mpf(r - 1) for r in range(1, max_n + 2)]
-        values = []
-        for n in range(max_n + 1):
-            y = bell_recurrence_value(args[: n + 1])
-            values.append(+((-1) ** n * y / (n + 1)))
+        ys = bell_recurrence_values(args)
+        values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(max_n + 1)]
     return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 

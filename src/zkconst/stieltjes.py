@@ -18,10 +18,17 @@ argument with the exact identity
 
 (the Laurent-coefficient image of zeta(s,u) - zeta(s,u+1) = u^(-s), and for
 n = 0 just the digamma recurrence) until the argument is comparable to the
-number of working digits, then run the double series there.  The series
-machinery itself is untouched: exact integer binomials, inner sums carried
-with ~i extra bits at outer index i to absorb the 2^i cancellation, and a
-consecutive-small-terms stopping rule with a hard cap.
+number of working digits, then run the double series there.
+
+The shift target working_dps + 2 does not depend on n, so every gamma_n(u)
+at one (u, context) runs its series at the same shifted argument U, formed
+once at the working precision of the largest n.  One memoised row per
+(U, context) holds log(U + j) as integers scaled by 2^P, with P the bits of
+that precision plus alloc + 64, so the inner sums at outer index i < alloc
+keep their ~i extra bits through the 2^i cancellation.  log^(n+1) comes
+from log^n by an integer multiply and shift; the inner sums are exact
+integer sums over exact binomials; each n keeps its own consecutive-small-
+terms stopping rule and hard cap, and its tail is converted to mpf once.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .precision import MAX_DIGITS, ConvergenceError, PrecisionContext, to_mpf
 
@@ -139,53 +147,87 @@ def _log_power(x, n: int):
     return mp.log(x) ** n
 
 
+class _LogRow:
+    """The double series at one shifted argument big_u and one context.
+
+    Holds log(big_u + j) for j < alloc and the latest power list as integers
+    scaled by 2^prec, and the scaled total of every gamma_n summed so far.
+    When a series needs more terms, alloc doubles and the logs are
+    recomputed at the larger prec.
+    """
+
+    def __init__(self, big_u, ctx: PrecisionContext):
+        self.big_u = big_u
+        self.ctx = ctx
+        self.base_prec = dps_to_prec(_work_dps(FAMILIES["gamma"][1], ctx))
+        self.totals = {}  # n -> (scaled sum of the outer terms, its prec)
+        self._allocate(192)
+
+    def _allocate(self, alloc: int) -> None:
+        self.alloc = alloc
+        self.prec = self.base_prec + alloc + 64
+        with mp.workprec(self.prec + 16):
+            self.logs = [
+                int(mp.ldexp(mp.log(self.big_u + j), self.prec)) for j in range(alloc)
+            ]
+        self.power, self.powers = 1, self.logs
+
+    def _powers(self, k: int) -> list:
+        """log^k(big_u + j) for j < alloc, scaled by 2^prec."""
+        if k < self.power:
+            self.power, self.powers = 1, self.logs
+        while self.power < k:
+            self.powers = [(p * q) >> self.prec for p, q in zip(self.powers, self.logs)]
+            self.power += 1
+        return self.powers
+
+    def total(self, n: int) -> tuple:
+        """(t, prec) with t / 2^prec the sum of the outer terms of gamma_n."""
+        if n in self.totals:
+            return self.totals[n]
+        limit = 10 ** (self.ctx.digits + self.ctx.guard_digits)  # 1 / series_tol
+        cap = 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
+        powers = self._powers(n + 1)
+        total = 0
+        small_run = 0
+        row = [1]  # exact binomial row C(i, .)
+        i = 0
+        while True:
+            if i >= self.alloc:
+                old_prec = self.prec
+                self._allocate(min(cap + 1, self.alloc * 2))
+                total <<= self.prec - old_prec
+                powers = self._powers(n + 1)
+            inner = alternating_binomial_sum(row, powers)
+            total += inner // (i + 1)
+            # the outer term inner / (2^prec (i+1)) is below series_tol
+            if abs(inner) * limit < (i + 1) << self.prec:
+                small_run += 1
+                if small_run >= CONSECUTIVE_SMALL:
+                    self.totals[n] = (total, self.prec)
+                    return self.totals[n]
+            else:
+                small_run = 0
+            i += 1
+            if i > cap:
+                raise ConvergenceError(
+                    f"gamma_{n}({mp.nstr(self.big_u, 8)}) did not converge within "
+                    f"{cap} outer terms",
+                    partial=-mp.ldexp(total, -self.prec) / (n + 1),
+                    index=i,
+                )
+            row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
+
+
+_log_row = lru_cache(maxsize=32)(_LogRow)  # one row per (big_u, ctx)
+
+
 def _hasse_tail(n: int, big_u, ctx: PrecisionContext):
     """gamma_n(big_u) by the double series, assuming big_u is large enough
-    that the outer terms fall below ctx.series_tol within the cap.
-
-    Runs under the caller's precision; log powers and inner sums are carried
-    with extra bits that grow with the outer index, since the inner sum at
-    index i cancels from C(i, i/2) ~ 2^i down to about i^(-u).
-    """
-    tol = ctx.series_tol
-    cap = 10 * (ctx.digits + ctx.guard_digits) * (n + 2)
-    base_prec = mp.prec
-
-    def log_powers(count, prec):
-        with mp.workprec(prec):
-            return [_log_power(big_u + j, n + 1) for j in range(count)]
-
-    alloc = min(cap + 1, 192)
-    data_prec = base_prec + alloc + 64
-    powers = log_powers(alloc, data_prec)
-
-    total = mp.mpf(0)
-    small_run = 0
-    row = [1]  # exact binomial row C(i, .)
-    i = 0
-    while True:
-        if i >= alloc:
-            alloc = min(cap + 1, alloc * 2)
-            data_prec = base_prec + alloc + 64
-            powers = log_powers(alloc, data_prec)
-        with mp.workprec(data_prec):
-            outer_term = alternating_binomial_sum(row, powers) / (i + 1)
-        total += outer_term
-        if abs(outer_term) < tol:
-            small_run += 1
-            if small_run >= CONSECUTIVE_SMALL:
-                return -total / (n + 1)
-        else:
-            small_run = 0
-        i += 1
-        if i > cap:
-            raise ConvergenceError(
-                f"gamma_{n}({mp.nstr(big_u, 8)}) did not converge within "
-                f"{cap} outer terms",
-                partial=-total / (n + 1),
-                index=i,
-            )
-        row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
+    that the outer terms fall below ctx.series_tol within the cap; converted
+    from the row's integer total at the caller's precision."""
+    total, prec = _log_row(big_u, ctx).total(n)
+    return -mp.ldexp(total, -prec) / (n + 1)
 
 
 def _work_dps(n: int, ctx: PrecisionContext) -> int:
@@ -207,7 +249,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
         raise ValueError(f"supported range is n <= {cap}")
     if ctx.digits > MAX_DIGITS:
         raise ValueError(f"supported range is digits <= {MAX_DIGITS}")
-    with mp.workdps(_work_dps(n, ctx)):
+    with mp.workdps(_work_dps(cap, ctx)):
         u_mp = to_mpf(u)
     if not (mp.isfinite(u_mp) and u_mp > 0):
         raise ValueError("u must be a finite real > 0")
@@ -216,17 +258,20 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
 
 @lru_cache(maxsize=4096)
 def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> mpf:
-    """gamma_n(u_mp), memoised: u_mp is u converted at the working precision,
-    so 1, "1", Fraction(1), mpf(1) and 1.0 share an entry, while contexts
-    that differ in any field stay separate computations."""
+    """gamma_n(u_mp), memoised: u_mp is u converted at the working precision
+    of the largest n, so 1, "1", Fraction(1), mpf(1) and 1.0 share an entry,
+    while contexts that differ in any field stay separate computations.  The
+    shifted argument is formed at that precision too, so every n at one
+    (u, ctx) shares one row of logs."""
+    with mp.workdps(_work_dps(FAMILIES["gamma"][1], ctx)):
+        shift = max(0, int(mp.ceil(ctx.working_dps + 2 - u_mp)))
+        big_u = u_mp + shift
     with mp.workdps(_work_dps(n, ctx)):
-        target = ctx.working_dps + 2
-        shift = max(0, int(mp.ceil(target - u_mp)))
         direct = mp.mpf(0)
         for m in range(shift):
             x = u_mp + m
             direct += _log_power(x, n) / x
-        tail = _hasse_tail(n, u_mp + shift, ctx)
+        tail = _hasse_tail(n, big_u, ctx)
         return +(direct + tail)
 
 

@@ -26,7 +26,7 @@ import math
 
 from mpmath import mp, mpf
 
-from .bell import bell_recurrence_value
+from .bell import bell_recurrence_values
 from .precision import PrecisionContext
 from .stieltjes import ConstantTable, require
 
@@ -48,7 +48,7 @@ def xi_table(max_n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Consta
             (-1) ** (j - 1) * mp.factorial(j - 1) * sigmas.mpf(j)
             for j in range(1, max_n + 1)
         ]
-        values = [+(bell_recurrence_value(args[:n]) / 2) for n in range(1, max_n + 1)]
+        values = [+(y / 2) for y in bell_recurrence_values(args)[1:]]
     return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
 
 

@@ -36,10 +36,11 @@ x_p = (-1)^(p+1) p! zeta(p+1).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .bell import bell_recurrence_value
+from .bell import bell_recurrence_value, bell_recurrence_values
 from .kernel import log_2pi_mpf, zeta_int_mpf
 from .precision import PrecisionContext
 from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
@@ -51,9 +52,17 @@ L_DERIV_TAG = "eta-zeta-s4"
 
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
-    """Raw Gamma^(m)(1) at working precision."""
+    """Raw Gamma^(m)(1) at working precision, memoised on (m, ctx)."""
     if not isinstance(m, int) or m < 0:
         raise ValueError("derivative order must be an integer >= 0")
+    return _gamma_derivs_memo(m, ctx)
+
+
+@lru_cache(maxsize=256)
+def _gamma_derivs_memo(m: int, ctx: PrecisionContext):
+    """Gamma^(m)(1) for a checked m.  It runs at its own fixed precision, so
+    every caller gets the same value; the public name stays a plain function
+    so that call counts see every call."""
     if m == 0:
         return mp.mpf(1)
     with mp.workdps(ctx.working_dps + m + 5):
@@ -161,8 +170,9 @@ def zeta_derivs_log_chain(
         values = [mpf(-1) / 2]
         lder = [L_derivs_at_zero(m - 1, etas, ctx) for m in range(1, max_n + 1)]
         half = mpf(1) / 2
+        ys = bell_recurrence_values(lder)
         for n in range(1, max_n + 1):
-            h_n = half * bell_recurrence_value(lder[:n])
+            h_n = half * ys[n]
             values.append(+(n * values[n - 1] - h_n))
     return ConstantTable.of("zeta0", values, LOG_CHAIN_TAG, ctx)
 

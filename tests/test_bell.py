@@ -11,6 +11,7 @@ from oracles import bracket_matrix, central_derivative, cofactor_determinant
 from zkconst.bell import (
     bell_determinant,
     bell_recurrence_value,
+    bell_recurrence_values,
     bell_symbolic,
     bracket_determinant,
     substitute,
@@ -71,6 +72,13 @@ class TestRecurrence:
 
     def test_empty_args_give_one(self):
         assert bell_recurrence_value([]) == 1
+
+    def test_values_are_the_values_of_every_prefix(self):
+        rng = random.Random(8999)
+        for n in range(9):
+            v = random_fractions(rng, n)
+            ys = bell_recurrence_values(v)
+            assert ys == [bell_recurrence_value(v[:k]) for k in range(n + 1)]
 
     @pytest.mark.parametrize("n", list(range(1, 9)))
     def test_matches_symbolic_substitution_on_rationals(self, n):

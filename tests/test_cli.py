@@ -237,12 +237,16 @@ class TestExitCodeWiring:
 # byte-identical
 # (the four `verify --suite all` digests at 10, 30, 60 and json were re-pinned
 # when the even-n eta-sign-alternation and odd-n xi-reflection sides began to
-# be negated exactly, no longer rounded to 53 bits; no verdict changed)
+# be negated exactly, no longer rounded to 53 bits; no verdict changed;
+# they and `verify --suite lambda --digits 30 --tol-exp 30` were re-pinned
+# again when the gamma series began summing in fixed-point integers: only
+# the rounding-level eq-3.13-n3..n6 residuals and, at 30 digits, the 7th
+# digit of eq-5.5-forward-n8's abs_err moved)
 GOLDEN_STDOUT = {
     "verify --suite all --digits 10":
-        "6a671b695f5f44d42c7fe11cf994219e3a0160eea41e9b2248e9da2932f39c63",
+        "ed0c89db2961745b5c1c81c23204225fa0712f7ec539c25e5a6e75ae7a1d8c38",
     "verify --suite all --digits 30":
-        "9b0d653246b445d8830ac351f4926565835493b06731330cbcc923bb3bb4d415",
+        "8d875de2e3ddfbc64ebf6e8a941dd9899e4bdd95c1c2bf4563a59e7b4de9a713",
     "table --seq gamma --max-n 20 --digits 10":
         "39a847bc2f0379176161bb35f6311dfe89bd9eaa394b7e8da873b7d92166ee54",
     "table --seq eta --max-n 20 --digits 10":
@@ -262,7 +266,7 @@ GOLDEN_STDOUT = {
     "li-check --max-n 20 --digits 30":
         "a472267e90566a043a208c1ca4e6ff9a16aa752768ef3b549e4a5f6cc3f192df",
     "verify --suite all --digits 10 --format json":
-        "af0431240cbc7fea3398d1a03681cdcbafbc57181ee19430620930d0212e4d2a",
+        "79c422e5f21aea7a87911de7defe780214437735b8dc836fe39a236213429aa2",
     "li-check --max-n 20 --digits 10 --format json":
         "834cf41794a12c532442d13cc651a1e72c4993d4cb0efaeade07a91718095db6",
     "table --seq sigma --max-n 20 --digits 10 --format json":
@@ -275,15 +279,24 @@ GOLDEN_STDOUT = {
         "38d186c58955d0f744f2b8e22ec052be40f17ec67f334259e4530f77ae45b3b0",
     # 217 reports: at 60 digits the escalation checks drop out
     "verify --suite all --digits 60":
-        "a7da92793ef623e96ffacccd57df2062ac76ba86383fb6024e37f3625dea5795",
+        "6eabdcc64144c4c21e29c9f9ea77bbc0fe6ebb3fe8ad75d68734db2fa0de97da",
     # the one path where the run's tolerance and the fixed tolerances differ
     "verify --suite lambda --digits 30 --tol-exp 30":
-        "8dc1a8bc8e8db39388264d1a42f6077227abb1122a44b6776b65c0e40de2647e",
+        "1c45cceee590e7c245c5ee12e2c91f224b9c491dbcddc47f237b5e7d8468692a",
     # lambda and sigma at their caps to 60 digits, beyond the 10-digit pins
     "table --seq lambda --max-n 20 --digits 60":
         "46e8e19d5ee7aeb742aff7435bc2282abbfe4b565371de7f69c30a70428b40aa",
     "table --seq sigma --max-n 20 --digits 60 --format csv":
         "6374da19776561f7be91da3f4b8debd9758b1984eb81def9f3b717c4c0533077",
+    # gamma at 60/45/30 digits, at u = 1 and in three other shift regimes
+    "table --seq gamma --max-n 20 --digits 60":
+        "e22ed8380743dc64a8f4f4c8dce81b7e99b18f3245c1c0fe65a6564241c7cc7e",
+    "table --seq gamma --max-n 20 --u 1e-20 --digits 60":
+        "561e74fff8dbf55c223bda7ddde787b25112a273cacff59eb9b79723f98ca42f",
+    "table --seq gamma --max-n 20 --u 2.5 --digits 45":
+        "ede57af90a1b249317d7e380efcc3c0d94005db6c10710e5d64eab4c91012081",
+    "table --seq gamma --max-n 20 --u 1e30 --digits 30":
+        "d49f5858e625411355f7cf39186bf6a66035ed6e0d59be4d2225992dbbf328b7",
 }
 
 

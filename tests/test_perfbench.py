@@ -78,15 +78,19 @@ def test_trace_cli_runs():
 # (calls, total length of returned lists) of every traced function in
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
-# this table.  alternating_binomial_sum runs once per outer term of the
-# gamma series, 13 times in hasse-normalization-delta, 1261 in the kernel and
-# once per entry of the 372 that binomial_alternating_transform returns (252
-# in eq-3.27-involution, the rest in the lambda tables, g_derivs_at_one and
-# the 3.13 residuals); substitute once per seeded trial of
-# bell-routes-exact-n1..n8 (8 x 100).
+# this table.  alternating_binomial_sum runs once per outer term of each
+# gamma series a log row sums, 13 times in hasse-normalization-delta, 1214 in
+# the kernel (gamma_0(2) reuses gamma_0(1)'s row) and once per entry of the
+# 372 that binomial_alternating_transform returns (252 in
+# eq-3.27-involution, the rest in the lambda tables, g_derivs_at_one and the
+# 3.13 residuals); substitute once per seeded trial of
+# bell-routes-exact-n1..n8 (8 x 100); bell_recurrence_values once inside each
+# bell_recurrence_value call and once per xi, gamma-from-eta and log-chain
+# table.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
-    "bell.bell_recurrence_value": (2240, 0),
+    "bell.bell_recurrence_value": (2138, 0),
+    "bell.bell_recurrence_values": (2141, 8914),
     "bell.bell_symbolic": (23, 0),
     "bell.bracket_determinant": (920, 0),
     "bell.substitute": (800, 0),
@@ -99,7 +103,7 @@ VERIFY_ALL_10_COUNTS = {
     "kernel.log_2pi_mpf": (2, 0),
     "kernel.log_pi_mpf": (53, 0),
     "kernel.polygamma_three_halves_mpf": (89, 0),
-    "kernel.zeta_int_mpf": (395, 0),
+    "kernel.zeta_int_mpf": (224, 0),
     "li_keiper.binomial_alternating_transform": (68, 372),
     "li_keiper.coffey_constant": (10, 0),
     "li_keiper.falling_factorial": (160, 0),
@@ -118,10 +122,10 @@ VERIFY_ALL_10_COUNTS = {
     "reports.exact_report": (56, 0),
     "reports.inequality_report": (27, 0),
     "reports.inequality_reports": (2, 22),
-    "stieltjes.alternating_binomial_sum": (1646, 0),
+    "stieltjes.alternating_binomial_sum": (1599, 0),
     "stieltjes.family": (56, 0),
     "stieltjes.require": (104, 0),
-    "stieltjes.stieltjes_gamma": (244, 0),
+    "stieltjes.stieltjes_gamma": (169, 0),
     "stieltjes.stieltjes_table": (11, 0),
     "verify.run_suite": (1, 220),
     "verify.suite_bell": (1, 45),

@@ -195,3 +195,57 @@ class TestMemo:
             with pytest.raises(ConvergenceError):
                 stieltjes_gamma(0, 1, ctx30)
         assert len(tail_calls) == 2
+
+
+class TestLogRow:
+    """Every gamma_n at one (u, context) sums its series from one row of
+    fixed-point logs at one shifted argument."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_caches(self):
+        stieltjes_module._gamma_memo.cache_clear()
+        stieltjes_module._log_row.cache_clear()
+        yield
+        stieltjes_module._gamma_memo.cache_clear()
+        stieltjes_module._log_row.cache_clear()
+
+    @staticmethod
+    def misses():
+        return stieltjes_module._log_row.cache_info().misses
+
+    @pytest.mark.parametrize("u", ["1e-20", "0.001"])
+    def test_one_row_per_table(self, u):
+        # u is rounded once, so the shifted argument is one number for all n
+        before = self.misses()
+        stieltjes_table(20, PrecisionContext(digits=60), u=u)
+        assert self.misses() == before + 1
+
+    def test_arguments_with_one_shift_target_share_a_row(self, ctx30):
+        # u = 1 and u = 2 are both shifted to working_dps + 2
+        stieltjes_gamma(0, 1, ctx30)
+        before = self.misses()
+        stieltjes_gamma(0, 2, ctx30)
+        assert self.misses() == before
+
+    def test_planted_cap_raises_with_partial_and_index(self, monkeypatch):
+        # no run of small terms is long enough, so the series hits its cap
+        # 10 * (10 + 10) * (0 + 2) = 400 at gamma_0(22), 22 = working_dps + 2
+        monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
+        with pytest.raises(ConvergenceError) as info:
+            stieltjes_gamma(0, 1, PrecisionContext(digits=10))
+        assert info.value.index == 401
+        with mp.workdps(40):
+            want = mpf("-3.068143039861196669924876")
+            assert abs(info.value.partial - want) < mpf("1e-24")
+
+
+@pytest.mark.parametrize("u", ["1", "2.5", "0.001", "1e30"])
+def test_against_mpmath_quadrature(u):
+    # mpmath's stieltjes integrates numerically and shares no code with the
+    # double series; every entry must agree to digits - 1 relative digits
+    ctx = PrecisionContext(digits=60)
+    for n in (0, 1, 5, 10, 20):
+        got = stieltjes_gamma(n, u, ctx)
+        with mp.workdps(ctx.digits + 10):
+            ref = mp.stieltjes(n, mpf(u))
+            assert abs(got - ref) <= mpf(10) ** (1 - ctx.digits) * abs(ref), (n, u)

@@ -42,6 +42,9 @@ class TestGammaDerivatives:
         with pytest.raises(ValueError):
             gamma_derivs_at_one_mpf(-1, ctx30)
 
+    def test_repeat_call_returns_the_memoised_value(self, ctx30):
+        assert gamma_derivs_at_one_mpf(4, ctx30) is gamma_derivs_at_one_mpf(4, ctx30)
+
 
 class TestLDerivatives:
     def test_first_derivative_at_zero(self, ctx30, chain30):
