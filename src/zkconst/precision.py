@@ -56,12 +56,6 @@ class PrecisionContext:
         """Decimal digits carried by default in intermediate arithmetic."""
         return self.digits + self.guard_digits
 
-    @property
-    def series_tol(self) -> mpf:
-        """Truncation threshold 10^-(digits + guard_digits)."""
-        with mp.workdps(self.working_dps + 10):
-            return mpf(10) ** (-(self.digits + self.guard_digits))
-
     def escalated(self, extra_digits: int) -> "PrecisionContext":
         """Same policy with `extra_digits` more digits of target accuracy."""
         return PrecisionContext(self.digits + extra_digits, self.guard_digits)

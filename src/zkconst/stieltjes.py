@@ -23,12 +23,14 @@ number of working digits, then run the double series there.
 The shift target working_dps + 2 does not depend on n, so every gamma_n(u)
 at one (u, context) runs its series at the same shifted argument U, formed
 once at the working precision of the largest n.  One memoised row per
-(U, context) holds log(U + j) as integers scaled by 2^P, with P the bits of
+(u, context) holds log(U + j) as integers scaled by 2^P, with P the bits of
 that precision plus alloc + 64, so the inner sums at outer index i < alloc
 keep their ~i extra bits through the 2^i cancellation.  log^(n+1) comes
 from log^n by an integer multiply and shift; the inner sums are exact
 integer sums over exact binomials; each n keeps its own consecutive-small-
 terms stopping rule and hard cap, and its tail is converted to mpf once.
+The row also keeps every finished gamma_n(u), so it is the one place a
+gamma value is remembered; a series that fails to converge stores nothing.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ class ConstantTable:
     values[i] (an mpf) and methods[i] belong to index start + i, where
     start is the family's first index in FAMILIES; every entry names the
     formula route that produced it.  Iterating yields (n, value, method).
-    A value that is not finite raises ValueError, so none is ever printed.
+    An empty table, or a value that is not finite, raises ValueError, so
+    neither is ever printed.
     """
 
     kind: str
@@ -78,6 +81,8 @@ class ConstantTable:
 
     def __post_init__(self):
         family(self.kind)
+        if not self.values:
+            raise ValueError(f"a {self.kind} table needs at least one value")
         if len(self.values) != len(self.methods):
             raise ValueError("a table needs one method tag per value")
         if not all(self.methods):
@@ -140,27 +145,25 @@ def alternating_binomial_sum(row, values):
     return total
 
 
-def _log_power(x, n: int):
-    """log^n x with the convention log^0 = 1 (in particular log^0 1 = 1)."""
-    if n == 0:
-        return mp.mpf(1)
-    return mp.log(x) ** n
+class _GammaRow:
+    """Every gamma_n(u) at one u and one context.
 
-
-class _LogRow:
-    """The double series at one shifted argument big_u and one context.
-
-    Holds log(big_u + j) for j < alloc and the latest power list as integers
-    scaled by 2^prec, and the scaled total of every gamma_n summed so far.
-    When a series needs more terms, alloc doubles and the logs are
+    u is shifted once to big_u, at the working precision of the largest n.
+    The row holds log(big_u + j) for j < alloc and the latest power list as
+    integers scaled by 2^prec, and the finished gamma_n(u) of every n summed
+    so far.  When a series needs more terms, alloc doubles and the logs are
     recomputed at the larger prec.
     """
 
-    def __init__(self, big_u, ctx: PrecisionContext):
-        self.big_u = big_u
+    def __init__(self, u_mp, ctx: PrecisionContext):
+        self.u_mp = u_mp
         self.ctx = ctx
-        self.base_prec = dps_to_prec(_work_dps(FAMILIES["gamma"][1], ctx))
-        self.totals = {}  # n -> (scaled sum of the outer terms, its prec)
+        work_dps = _work_dps(FAMILIES["gamma"][1], ctx)
+        with mp.workdps(work_dps):
+            self.shift = max(0, int(mp.ceil(ctx.working_dps + 2 - u_mp)))
+            self.big_u = u_mp + self.shift
+        self.base_prec = dps_to_prec(work_dps)
+        self.values = {}  # n -> gamma_n(u)
         self._allocate(192)
 
     def _allocate(self, alloc: int) -> None:
@@ -181,11 +184,22 @@ class _LogRow:
             self.power += 1
         return self.powers
 
-    def total(self, n: int) -> tuple:
-        """(t, prec) with t / 2^prec the sum of the outer terms of gamma_n."""
-        if n in self.totals:
-            return self.totals[n]
-        limit = 10 ** (self.ctx.digits + self.ctx.guard_digits)  # 1 / series_tol
+    def gamma(self, n: int) -> mpf:
+        """gamma_n(u): the shifted terms plus the double series at big_u."""
+        if n not in self.values:
+            with mp.workdps(_work_dps(n, self.ctx)):
+                direct = mp.mpf(0)
+                for m in range(self.shift):
+                    x = self.u_mp + m
+                    direct += mp.log(x) ** n / x
+                tail = self._tail(n)
+                self.values[n] = +(direct + tail)
+        return self.values[n]
+
+    def _tail(self, n: int) -> mpf:
+        """gamma_n(big_u) by the double series, summed in integers scaled by
+        2^prec and converted at the caller's precision."""
+        limit = 10 ** (self.ctx.digits + self.ctx.guard_digits)  # 1 / threshold
         cap = 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
         powers = self._powers(n + 1)
         total = 0
@@ -200,12 +214,11 @@ class _LogRow:
                 powers = self._powers(n + 1)
             inner = alternating_binomial_sum(row, powers)
             total += inner // (i + 1)
-            # the outer term inner / (2^prec (i+1)) is below series_tol
+            # the outer term inner / (2^prec (i+1)) is below 10^-(digits + guard)
             if abs(inner) * limit < (i + 1) << self.prec:
                 small_run += 1
                 if small_run >= CONSECUTIVE_SMALL:
-                    self.totals[n] = (total, self.prec)
-                    return self.totals[n]
+                    return -mp.ldexp(total, -self.prec) / (n + 1)
             else:
                 small_run = 0
             i += 1
@@ -219,15 +232,10 @@ class _LogRow:
             row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
 
 
-_log_row = lru_cache(maxsize=32)(_LogRow)  # one row per (big_u, ctx)
-
-
-def _hasse_tail(n: int, big_u, ctx: PrecisionContext):
-    """gamma_n(big_u) by the double series, assuming big_u is large enough
-    that the outer terms fall below ctx.series_tol within the cap; converted
-    from the row's integer total at the caller's precision."""
-    total, prec = _log_row(big_u, ctx).total(n)
-    return -mp.ldexp(total, -prec) / (n + 1)
+# one row per (u at the working precision of the largest n, ctx), so 1, "1",
+# Fraction(1), mpf(1) and 1.0 share a row, while contexts that differ in any
+# field stay separate computations
+_gamma_row = lru_cache(maxsize=32)(_GammaRow)
 
 
 def _work_dps(n: int, ctx: PrecisionContext) -> int:
@@ -253,26 +261,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
         u_mp = to_mpf(u)
     if not (mp.isfinite(u_mp) and u_mp > 0):
         raise ValueError("u must be a finite real > 0")
-    return _gamma_memo(n, u_mp, ctx)
-
-
-@lru_cache(maxsize=4096)
-def _gamma_memo(n: int, u_mp, ctx: PrecisionContext) -> mpf:
-    """gamma_n(u_mp), memoised: u_mp is u converted at the working precision
-    of the largest n, so 1, "1", Fraction(1), mpf(1) and 1.0 share an entry,
-    while contexts that differ in any field stay separate computations.  The
-    shifted argument is formed at that precision too, so every n at one
-    (u, ctx) shares one row of logs."""
-    with mp.workdps(_work_dps(FAMILIES["gamma"][1], ctx)):
-        shift = max(0, int(mp.ceil(ctx.working_dps + 2 - u_mp)))
-        big_u = u_mp + shift
-    with mp.workdps(_work_dps(n, ctx)):
-        direct = mp.mpf(0)
-        for m in range(shift):
-            x = u_mp + m
-            direct += _log_power(x, n) / x
-        tail = _hasse_tail(n, big_u, ctx)
-        return +(direct + tail)
+    return _gamma_row(u_mp, ctx).gamma(n)
 
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:

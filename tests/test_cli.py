@@ -297,6 +297,12 @@ GOLDEN_STDOUT = {
         "ede57af90a1b249317d7e380efcc3c0d94005db6c10710e5d64eab4c91012081",
     "table --seq gamma --max-n 20 --u 1e30 --digits 30":
         "d49f5858e625411355f7cf39186bf6a66035ed6e0d59be4d2225992dbbf328b7",
+    # u = 2 has a row of its own, and the stieltjes suite at 45 digits runs
+    # its escalated and guard-widened contexts in rows of their own
+    "table --seq gamma --max-n 20 --u 2 --digits 30":
+        "f36dd72de2f8936c3adc8e2ac7ff8a8cb8e5a6e34c538f6ac319e9ce6200d854",
+    "verify --suite stieltjes --digits 45":
+        "06ad142e136b1eba4f540805ee6f232590cdcfa82353ea84bbb2a0b774a7bf6d",
 }
 
 

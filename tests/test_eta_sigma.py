@@ -124,3 +124,13 @@ class TestSigma:
             sigma_table(15, chain30["etas"], ctx30)
         with pytest.raises(ValueError):
             sigma_table(2, chain30["gammas"], ctx30)
+
+
+@pytest.mark.parametrize(
+    "step", [eta_from_gamma, eta_from_gamma_coffey, gamma_from_eta], ids=lambda f: f.__name__
+)
+def test_index_below_the_first_is_rejected(step, ctx30, chain30):
+    # max_n = -1 would build an empty table, which no step map may return
+    source = chain30["etas"] if step is gamma_from_eta else chain30["gammas"]
+    with pytest.raises(ValueError, match="at least one value"):
+        step(-1, source, ctx30)

@@ -4,10 +4,13 @@ No linter ships with the package, so this stdlib check keeps refactors from
 leaving dead imports behind.  Names listed in a module's __all__ count as
 used, which covers the re-exports in __init__; so every such name must also
 resolve on its module, or a removed function could linger in __all__.
+Likewise every module-level private function, class or assignment must be
+referenced somewhere in the package outside its own definition.
 """
 
 import ast
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -115,3 +118,59 @@ def test_checker_flags_a_late_import_that_breaks_no_cycle():
 def test_late_imports_only_break_cycles():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert late_imports_breaking_no_cycle(sources) == []
+
+
+def _bound_names(node) -> list:
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    names = []
+    for target in targets:
+        elts = target.elts if isinstance(target, ast.Tuple) else [target]
+        names += [e.id for e in elts if isinstance(e, ast.Name)]
+    return names
+
+
+def _references(tree) -> list:
+    """Every name read in `tree`: loaded names, attribute names (as in
+    module._helper) and names imported from another module."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs += [a.name for a in node.names]
+    return refs
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """Module-level private names, as "module.name", that no module of
+    `sources` references outside the statement that defines them."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            for name in _bound_names(node):
+                private = name.startswith("_") and not name.startswith("__")
+                if private and everywhere[name] == _references(node).count(name):
+                    dead.append(f"{module}.{name}")
+    return sorted(dead)
+
+
+def test_checker_flags_an_unreferenced_private():
+    sources = {
+        "a": "_SEED = 1\n_A, _B = 2, 3\nclass _Row:\n    pass\n"
+             "def _loop(n):\n    return _loop(n - 1)\ndef _used():\n    return _A\n"
+             "__all__ = []\n",
+        "b": "from . import a\nfrom .a import _Row\nprint(a._used(), _SEED)\n",
+    }
+    assert unreferenced_privates(sources) == ["a._B", "a._loop"]
+
+
+def test_every_private_is_referenced():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -79,9 +79,9 @@ def test_trace_cli_runs():
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
 # this table.  alternating_binomial_sum runs once per outer term of each
-# gamma series a log row sums, 13 times in hasse-normalization-delta, 1214 in
-# the kernel (gamma_0(2) reuses gamma_0(1)'s row) and once per entry of the
-# 372 that binomial_alternating_transform returns (252 in
+# gamma series a row sums, 13 times in hasse-normalization-delta, 1261 in
+# the kernel (gamma_0(2) sums its own series in its own row) and once per
+# entry of the 372 that binomial_alternating_transform returns (252 in
 # eq-3.27-involution, the rest in the lambda tables, g_derivs_at_one and the
 # 3.13 residuals); substitute once per seeded trial of
 # bell-routes-exact-n1..n8 (8 x 100); bell_recurrence_values once inside each
@@ -122,7 +122,7 @@ VERIFY_ALL_10_COUNTS = {
     "reports.exact_report": (56, 0),
     "reports.inequality_report": (27, 0),
     "reports.inequality_reports": (2, 22),
-    "stieltjes.alternating_binomial_sum": (1599, 0),
+    "stieltjes.alternating_binomial_sum": (1646, 0),
     "stieltjes.family": (56, 0),
     "stieltjes.require": (104, 0),
     "stieltjes.stieltjes_gamma": (169, 0),

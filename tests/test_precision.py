@@ -26,15 +26,6 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(**kwargs)
 
-    def test_series_tol_bounds(self):
-        for digits in (10, 30, 60):
-            ctx = PrecisionContext(digits=digits)
-            tol = ctx.series_tol
-            assert tol > 0
-            with mp.workdps(ctx.working_dps + 10):
-                assert tol < mpf(10) ** (-digits)
-                assert tol == mpf(10) ** (-(digits + ctx.guard_digits))
-
     def test_escalated(self):
         ctx = PrecisionContext(digits=30).escalated(20)
         assert ctx.digits == 50

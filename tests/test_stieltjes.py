@@ -124,52 +124,43 @@ class TestErrors:
         with pytest.raises(ValueError):
             stieltjes_gamma(0, 1, ctx)
 
-    def test_convergence_error_carries_partial(self, ctx30):
-        # a series that cannot meet its tolerance within the cap is simulated
-        # by replacing the double-series tail with one that always gives up
-        from zkconst import stieltjes as module
-
-        module._gamma_memo.cache_clear()
-        original = module._hasse_tail
-
-        def strangled(n, big_u, ctx):
-            raise ConvergenceError("forced", partial=mpf(0), index=7)
-
-        module._hasse_tail = strangled
-        try:
-            with pytest.raises(ConvergenceError) as info:
-                stieltjes_gamma(0, 1, ctx30)
-            assert info.value.index == 7
-            with pytest.raises(ConvergenceError) as info2:
-                stieltjes_table(1, ctx30)
-            assert info2.value.index == 0  # failing table index
-        finally:
-            module._hasse_tail = original
+    @pytest.mark.usefixtures("fresh_rows")
+    def test_convergence_error_carries_partial(self, monkeypatch):
+        # no run of small terms is ever long enough, so every series hits its
+        # cap; the table names its failing index and keeps the kernel's partial
+        monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
+        with pytest.raises(ConvergenceError) as info:
+            stieltjes_table(1, PrecisionContext(digits=10))
+        assert info.value.index == 0  # failing table index
+        assert info.value.__cause__.index == 401
+        assert info.value.partial is info.value.__cause__.partial
 
 
+@pytest.fixture
+def fresh_rows():
+    # a planted failure grows a row's alloc, so no row outlives its test
+    stieltjes_module._gamma_row.cache_clear()
+    yield
+    stieltjes_module._gamma_row.cache_clear()
+
+
+def row_cache():
+    """(misses, hits) of the row cache."""
+    info = stieltjes_module._gamma_row.cache_info()
+    return info.misses, info.hits
+
+
+@pytest.mark.usefixtures("fresh_rows")
 class TestMemo:
-    """gamma_n(u) is memoised on (n, u at working precision, context)."""
+    """gamma_n(u) is remembered in one row per (u at working precision,
+    context)."""
 
-    @pytest.fixture
-    def tail_calls(self, monkeypatch):
-        stieltjes_module._gamma_memo.cache_clear()
-        calls = []
-        original = stieltjes_module._hasse_tail
-
-        def counted(n, big_u, ctx):
-            calls.append((n, ctx))
-            return original(n, big_u, ctx)
-
-        monkeypatch.setattr(stieltjes_module, "_hasse_tail", counted)
-        yield calls
-        stieltjes_module._gamma_memo.cache_clear()
-
-    def test_spellings_of_one_u_share_an_entry(self, ctx30, tail_calls):
+    def test_spellings_of_one_u_share_an_entry(self, ctx30):
         values = [
             stieltjes_gamma(0, u, ctx30)
             for u in (1, "1", Fraction(1), mpf(1), 1.0)
         ]
-        assert len(tail_calls) == 1
+        assert row_cache() == (1, 4)
         assert all(v is values[0] for v in values)
 
     @pytest.mark.parametrize(
@@ -180,52 +171,34 @@ class TestMemo:
         ],
         ids=["digits", "guard_digits"],
     )
-    def test_each_context_field_is_part_of_the_key(self, ctx30, other, tail_calls):
+    def test_each_context_field_is_part_of_the_key(self, ctx30, other):
         stieltjes_gamma(0, 1, ctx30)
         stieltjes_gamma(0, 1, other)
-        assert tail_calls == [(0, ctx30), (0, other)]
+        assert row_cache() == (2, 0)
 
-    def test_convergence_error_is_not_cached(self, ctx30, monkeypatch, tail_calls):
-        def strangled(n, big_u, ctx):
-            tail_calls.append((n, ctx))
-            raise ConvergenceError("forced", partial=mpf(0), index=7)
-
-        monkeypatch.setattr(stieltjes_module, "_hasse_tail", strangled)
+    def test_convergence_error_is_not_cached(self, monkeypatch):
+        ctx = PrecisionContext(digits=10)
+        monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
-                stieltjes_gamma(0, 1, ctx30)
-        assert len(tail_calls) == 2
+                stieltjes_gamma(0, 1, ctx)
+        assert row_cache() == (1, 1)  # the second call ran the series again
+        monkeypatch.undo()
+        gamma = stieltjes_gamma(0, 1, ctx)
+        with mp.workdps(60):
+            assert abs(gamma - mpf(FROZEN["gamma"])) < mpf("1e-18")
 
 
+@pytest.mark.usefixtures("fresh_rows")
 class TestLogRow:
     """Every gamma_n at one (u, context) sums its series from one row of
     fixed-point logs at one shifted argument."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        stieltjes_module._gamma_memo.cache_clear()
-        stieltjes_module._log_row.cache_clear()
-        yield
-        stieltjes_module._gamma_memo.cache_clear()
-        stieltjes_module._log_row.cache_clear()
-
-    @staticmethod
-    def misses():
-        return stieltjes_module._log_row.cache_info().misses
-
     @pytest.mark.parametrize("u", ["1e-20", "0.001"])
     def test_one_row_per_table(self, u):
         # u is rounded once, so the shifted argument is one number for all n
-        before = self.misses()
         stieltjes_table(20, PrecisionContext(digits=60), u=u)
-        assert self.misses() == before + 1
-
-    def test_arguments_with_one_shift_target_share_a_row(self, ctx30):
-        # u = 1 and u = 2 are both shifted to working_dps + 2
-        stieltjes_gamma(0, 1, ctx30)
-        before = self.misses()
-        stieltjes_gamma(0, 2, ctx30)
-        assert self.misses() == before
+        assert row_cache() == (1, 20)
 
     def test_planted_cap_raises_with_partial_and_index(self, monkeypatch):
         # no run of small terms is long enough, so the series hits its cap
