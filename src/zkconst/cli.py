@@ -26,7 +26,7 @@ import sys
 from mpmath import mp
 
 from . import chain, li_keiper
-from .precision import MAX_DIGITS, MIN_DIGITS, ConvergenceError, PrecisionContext
+from .precision import MAX_DIGITS, MIN_DIGITS, ConvergenceError, PrecisionContext, extra_digits
 from .reports import all_passed
 from .stieltjes import FAMILIES, ConstantTable
 from .verify import SUITES, run_suite
@@ -45,7 +45,7 @@ def _context(digits: int) -> PrecisionContext:
 
 
 def _parse_u(raw: str, ctx: PrecisionContext):
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("parse_u")):
         try:
             u = mp.mpf(raw)
         except (ValueError, TypeError) as exc:

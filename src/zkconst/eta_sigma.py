@@ -36,7 +36,7 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_values
 from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
-from .precision import PrecisionContext
+from .precision import PrecisionContext, extra_digits
 from .stieltjes import ConstantTable, require
 
 ETA_TAG = "recurrence-4.4"
@@ -49,7 +49,7 @@ SIGMA_TAG = "eta-zeta-s4"
 def eta_from_gamma(max_n: int, gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """eta_0 .. eta_max_n by solving the gamma/eta recurrence in rising n."""
     require(gammas, "gamma", max_n, "eta_from_gamma")
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
         for n in range(max_n + 1):
             acc = (-1) ** (n + 1) * (n + 1) * gammas.mpf(n) / mp.factorial(n)
@@ -69,7 +69,7 @@ def eta_from_gamma_coffey(
 ) -> ConstantTable:
     """Same map through the rearranged recurrence, as an independent code path."""
     require(gammas, "gamma", max_n, "eta_from_gamma_coffey")
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
         for n in range(max_n + 1):
             acc = (-1) ** (n + 1) * (n + 1) * gammas.mpf(n)
@@ -89,7 +89,7 @@ def eta_from_gamma_coffey(
 def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)."""
     require(etas, "eta", max_n, "gamma_from_eta")
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("eta")):
         args = [-mp.factorial(r - 1) * etas.mpf(r - 1) for r in range(1, max_n + 2)]
         ys = bell_recurrence_values(args)
         values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(max_n + 1)]
@@ -105,9 +105,9 @@ def sigma_table(max_k: int, etas: ConstantTable, ctx: PrecisionContext) -> Const
     with mp.workdps(ctx.working_dps):
         gamma = -etas.mpf(0)
         values = [+(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))]
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         for n in range(1, max_k):
-            z = zeta_int_mpf(n + 1, ctx, extra_dps=5)
+            z = zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("step"))
             values.append(
                 +((-1) ** (n + 1) * etas.mpf(n) - (1 - mpf(2) ** (-(n + 1))) * z + 1)
             )

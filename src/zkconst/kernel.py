@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .precision import PrecisionContext
+from .precision import PrecisionContext, extra_digits
 from .stieltjes import stieltjes_gamma
 
 
@@ -45,8 +45,9 @@ def log_2pi_mpf(ctx: PrecisionContext):
 @lru_cache(maxsize=4096)
 def _zeta_int_raw(n: int, dps: int):
     """zeta(n) as an mpf accurate to ~dps digits, n >= 2."""
-    with mp.workdps(dps + 10):
-        nterms = int(1.32 * (dps + 10)) + 4
+    work_dps = dps + extra_digits("zeta_int")
+    with mp.workdps(work_dps):
+        nterms = int(1.32 * work_dps) + 4
         d = (3 + mp.sqrt(8)) ** nterms
         d = (d + 1 / d) / 2
         b = mp.mpf(-1)
@@ -74,9 +75,8 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
              Stieltjes machinery (single source of truth for gamma).
     n >= 1:  psi^(n)(3/2) = (-1)^(n+1) n! ([2^(n+1) - 1] zeta(n+1) - 2^(n+1)).
 
-    The n >= 1 bracket cancels to roughly (2/3)^(n+1), i.e. ~n/2 digits are
-    lost to cancellation; it is evaluated with n extra digits and the stable
-    grouping 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) + ... rearranged below.
+    The n >= 1 bracket cancels to roughly (2/3)^(n+1), so it is evaluated
+    at the budget's psi_three_halves row in the stable grouping below.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("polygamma order must be an integer >= 0")
@@ -84,9 +84,8 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
         gamma = stieltjes_gamma(0, 1, ctx)
         with mp.workdps(ctx.working_dps):
             return +(2 - gamma - 2 * mp.log(2))
-    boost = n + 5
-    with mp.workdps(ctx.working_dps + boost):
-        z = zeta_int_mpf(n + 1, ctx, extra_dps=boost)
+    with mp.workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
+        z = zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("psi_three_halves", n))
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z
         bracket = mpf(2) ** (n + 1) * (z - 1) - z
         sign = 1 if n % 2 == 1 else -1

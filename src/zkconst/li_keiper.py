@@ -34,7 +34,7 @@ from .kernel import (
     polygamma_three_halves_mpf,
     zeta_int_mpf,
 )
-from .precision import PrecisionContext
+from .precision import PrecisionContext, extra_digits
 from .reports import inequality_report, inequality_reports
 from .stieltjes import (
     FAMILIES, ConstantTable, alternating_binomial_sum, require, stieltjes_gamma,
@@ -78,7 +78,7 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:
     """Closed forms: only lambda_1 and lambda_2 have one."""
     if n not in (1, 2):
         raise ValueError("closed forms exist only for n in (1, 2)")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         gamma = stieltjes_gamma(0, 1, ctx)
         log2 = log2_mpf(ctx)
         logpi = log_pi_mpf(ctx)
@@ -103,7 +103,7 @@ def lambda_table(max_r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Co
     if not isinstance(max_r, int) or max_r < 1:
         raise ValueError("lambda table needs max_r >= 1")
     require(sigmas, "sigma", max_r, "lambda_table")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         transform = binomial_alternating_transform([0, *sigmas.values[:max_r]])
         values = [-t for t in transform[1:]]
     return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
@@ -125,7 +125,7 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mp
     if not isinstance(r, int) or r < 1:
         raise ValueError("lambda index must be an integer >= 1")
     require(etas, "eta", r - 1, "lambda_via_eta_psi")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         gamma = -etas.mpf(0)
         acc = _linear_term(r, gamma, ctx)
         for j in range(2, r + 1):
@@ -144,7 +144,7 @@ def _coffey_sum(r: int, etas: ConstantTable, ctx: PrecisionContext):
             (-1) ** j
             * math.comb(r, j)
             * (1 - mpf(2) ** (-j))
-            * zeta_int_mpf(j, ctx, extra_dps=5)
+            * zeta_int_mpf(j, ctx, extra_dps=extra_digits("step"))
         )
     for j in range(1, r + 1):
         acc -= math.comb(r, j) * etas.mpf(j - 1)
@@ -160,7 +160,7 @@ def coffey_constant(etas: ConstantTable, ctx: PrecisionContext):
     and reported alongside any value computed through the route.
     """
     require(etas, "eta", 1, "coffey_constant")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         return +(lambda_closed(2, ctx) - _coffey_sum(2, etas, ctx))
 
 
@@ -169,7 +169,7 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf
     if not isinstance(r, int) or r < 2:
         raise ValueError("this route is defined for r >= 2")
     require(etas, "eta", r - 1, "lambda_via_coffey")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         return +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
 
 
@@ -183,7 +183,7 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mp
     if not isinstance(r, int) or r < 0:
         raise ValueError("derivative order must be an integer >= 0")
     require(lambdas, "lambda", r + 1, "g_derivs_at_one")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
         return +((-1) ** (r + 1) * mp.factorial(r) * acc)
 
@@ -196,7 +196,7 @@ def g_derivs_at_one_via_eta(
     if not isinstance(r, int) or r < 0:
         raise ValueError("derivative order must be an integer >= 0")
     require(etas, "eta", r, "g_derivs_at_one_via_eta")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         value = polygamma_three_halves_mpf(r, ctx) / mpf(2) ** (r + 1)
         value -= mp.factorial(r) * etas.mpf(r)
         if r == 0:
@@ -228,7 +228,7 @@ def recurrence_residual_3_13(
         raise ValueError("recurrence index must be an integer >= 0")
     require(gammas, "gamma", n + 1, "recurrence_residual_3_13")
     require(lambdas, "lambda", n + 2, "recurrence_residual_3_13")
-    with mp.workdps(ctx.working_dps + n + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("residual_3_13", n)):
         psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
         lhs = psis[n + 1] / mpf(2) ** (n + 2)
         s = mp.mpf(0)
@@ -274,7 +274,7 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
         range(1, max_n + 1), ctx,
         ("li-positivity-n", lambdas.mpf, lambda r: 0, (LAMBDA_TAG,)),
     )
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("side")):
         l1 = lambdas.mpf(1)
         bound_317 = +(l1 * (2 - l1))
     reports.append(

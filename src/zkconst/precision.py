@@ -3,8 +3,10 @@
 Every numeric operation in the package is a pure function of its arguments
 plus a PrecisionContext.  The context fixes the number of decimal digits the
 caller wants to trust and the extra guard digits carried internally, which
-together set the truncation threshold for infinite series.  Results are plain
-mpmath mpf values; the context they were computed under is their precision.
+together set the truncation threshold for infinite series.  How many digits
+each kind of step carries beyond that is read from one table, through
+extra_digits.  Results are plain mpmath mpf values; the context they were
+computed under is their precision.
 A value leaves the package only in a ConstantTable or a VerificationReport,
 and both raise ValueError on a value that is not finite.
 """
@@ -19,6 +21,26 @@ from mpmath import mp, mpf
 MIN_DIGITS = 10
 MAX_DIGITS = 60
 MIN_GUARD = 5
+
+# step -> (per index, fixed): a step at index n carries per_index * n + fixed
+# decimal digits beyond ctx.working_dps, for the reason given.  Rows with the
+# same numbers stay apart, since their reasons differ.
+_BUDGET = {
+    "gamma": (1, 15),  # shifted sum and tail, each ~log^(n+1)(U)/(n+1), cancel to O(1)
+    "gamma_shift": (0, 2),  # the gamma series runs at U >= working_dps + 2
+    "zeta_int": (0, 10),  # the CRVZ weights outgrow the partial sums of eta(n)
+    "psi_three_halves": (1, 5),  # 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) ~ (2/3)^(n+1), times n!
+    "gamma_deriv": (1, 5),  # Gamma^(m)(1) = Y_m(-gamma, 1! zeta(2), ...), weights to (m-1)!
+    "zeta0": (2, 10),  # apostol-5.5: binomial triple sums over Gamma^(m)(1) and log^k(2 pi)
+    "residual_3_13": (1, 10),  # (n+1)! times lambda sums that cancel against gamma, psi sums
+    "eta": (0, 10),  # gamma <-> eta recurrences: each eta_n sums n products / (j-1)!
+    "step": (0, 5),  # step maps and routes: finite sums of table entries and atoms
+    "side": (0, 5),  # report sides verify and li-check write out from table entries
+    "elementary_side": (0, 10),  # suite sides from exp, log(2 pi), pi, cos and zeta(k) afresh
+    "report": (0, 10),  # a report compares its sides and tolerance without rounding them
+    "roundtrip": (0, 5),  # digits a printed side carries so that it reparses at working_dps
+    "parse_u": (0, 10),  # the --u argument, read before the gamma row converts it
+}
 
 
 class ConvergenceError(ArithmeticError):
@@ -56,20 +78,19 @@ class PrecisionContext:
         """Decimal digits carried by default in intermediate arithmetic."""
         return self.digits + self.guard_digits
 
-    def escalated(self, extra_digits: int) -> "PrecisionContext":
-        """Same policy with `extra_digits` more digits of target accuracy."""
-        return PrecisionContext(self.digits + extra_digits, self.guard_digits)
+
+def extra_digits(step: str, n: int = 0) -> int:
+    """Decimal digits a `step` at index n carries beyond ctx.working_dps."""
+    per_index, fixed = _BUDGET[step]
+    return per_index * n + fixed
 
 
 def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:
-    """Decimal string with enough digits to round-trip at the run's precision.
-
-    A binary float of p bits needs ceil(p log10 2) + 1 significant decimal
-    digits to reparse exactly; working_dps + 5 covers the working precision
-    of every operation in this package.
-    """
-    with mp.workdps(ctx.working_dps + 10):
-        return mp.nstr(value, ctx.working_dps + 5, strip_zeros=False)
+    """Decimal string that, parsed at working_dps, gives back the value
+    rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
+    significant digits, so it carries working_dps + the roundtrip row."""
+    with mp.workdps(ctx.working_dps + extra_digits("report")):
+        return mp.nstr(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
 
 
 def to_mpf(x):

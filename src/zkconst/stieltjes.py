@@ -20,7 +20,7 @@ argument with the exact identity
 n = 0 just the digamma recurrence) until the argument is comparable to the
 number of working digits, then run the double series there.
 
-The shift target working_dps + 2 does not depend on n, so every gamma_n(u)
+The shift target (row gamma_shift) does not depend on n, so every gamma_n(u)
 at one (u, context) runs its series at the same shifted argument U, formed
 once at the working precision of the largest n.  One memoised row per
 (u, context) holds log(U + j) as integers scaled by 2^P, with P the bits of
@@ -42,7 +42,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .precision import MAX_DIGITS, ConvergenceError, PrecisionContext, to_mpf
+from .precision import MAX_DIGITS, ConvergenceError, PrecisionContext, extra_digits, to_mpf
 
 GAMMA_TAG = "hasse-2.8"
 
@@ -158,9 +158,10 @@ class _GammaRow:
     def __init__(self, u_mp, ctx: PrecisionContext):
         self.u_mp = u_mp
         self.ctx = ctx
-        work_dps = _work_dps(FAMILIES["gamma"][1], ctx)
+        work_dps = ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
         with mp.workdps(work_dps):
-            self.shift = max(0, int(mp.ceil(ctx.working_dps + 2 - u_mp)))
+            target = ctx.working_dps + extra_digits("gamma_shift")
+            self.shift = max(0, int(mp.ceil(target - u_mp)))
             self.big_u = u_mp + self.shift
         self.base_prec = dps_to_prec(work_dps)
         self.values = {}  # n -> gamma_n(u)
@@ -187,7 +188,7 @@ class _GammaRow:
     def gamma(self, n: int) -> mpf:
         """gamma_n(u): the shifted terms plus the double series at big_u."""
         if n not in self.values:
-            with mp.workdps(_work_dps(n, self.ctx)):
+            with mp.workdps(self.ctx.working_dps + extra_digits("gamma", n)):
                 direct = mp.mpf(0)
                 for m in range(self.shift):
                     x = self.u_mp + m
@@ -238,12 +239,6 @@ class _GammaRow:
 _gamma_row = lru_cache(maxsize=32)(_GammaRow)
 
 
-def _work_dps(n: int, ctx: PrecisionContext) -> int:
-    # headroom: the shifted partial sum and the series value at the shifted
-    # argument are both ~log^(n+1)(shift)/(n+1) and cancel to an O(1) result
-    return ctx.working_dps + n + 15
-
-
 def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
@@ -257,7 +252,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
         raise ValueError(f"supported range is n <= {cap}")
     if ctx.digits > MAX_DIGITS:
         raise ValueError(f"supported range is digits <= {MAX_DIGITS}")
-    with mp.workdps(_work_dps(cap, ctx)):
+    with mp.workdps(ctx.working_dps + extra_digits("gamma", cap)):
         u_mp = to_mpf(u)
     if not (mp.isfinite(u_mp) and u_mp > 0):
         raise ValueError("u must be a finite real > 0")

@@ -33,7 +33,7 @@ from mpmath import mp, mpf
 from . import bell, eta_sigma, li_keiper, xi, zeta_derivs
 from .chain import table
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import MAX_DIGITS, PrecisionContext
+from .precision import MAX_DIGITS, PrecisionContext, extra_digits
 from .reports import (
     default_tol,
     equality_report,
@@ -186,7 +186,7 @@ def suite_bell(ctx: PrecisionContext, tol_exp: int | None = None):
     # probed with f(x) = x^3, so f' = 3x^2, f'' = 6x, f''' = 6, higher = 0
     diff_tol = default_tol(ctx, ctx.digits - 3)
     for m in range(1, 6):
-        with mp.workdps(ctx.working_dps + 10):
+        with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
             for xs in ("0.3", "0.7"):
                 x = mpf(xs)
                 args = [3 * x**2, 6 * x, mpf(6), mpf(0), mpf(0)][:m]
@@ -217,7 +217,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
 
     gamma = stieltjes_gamma(0, 1, ctx)
     gamma_at_2 = stieltjes_gamma(0, 2, ctx)
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("side")):
         reports.append(
             equality_report(
                 "gamma0-at-2-is-gamma-minus-1",
@@ -232,7 +232,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
     # precision escalation: D and D+20 agree to 10^-(D-2)
     step = min(20, MAX_DIGITS - ctx.digits)
     if step > 0:
-        esc = ctx.escalated(step)
+        esc = PrecisionContext(ctx.digits + step, ctx.guard_digits)
         reports += equality_reports(
             (0, 1, 5), default_tol(ctx, ctx.digits - 2), ctx,
             ("gamma-escalation-n", lambda n: stieltjes_gamma(n, 1, ctx),
@@ -263,7 +263,7 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
     etas = table("eta", max_n, ctx)
     etas_alt = eta_sigma.eta_from_gamma_coffey(max_n, gammas, ctx)
 
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("side")):
         g0, g1, g2 = gammas.mpf(0), gammas.mpf(1), gammas.mpf(2)
         reports.append(
             equality_report(
@@ -373,7 +373,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     )
 
     cal = li_keiper.coffey_constant(etas, ctx)
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("side")):
         nearest = mp.nint(cal)
     reports.append(
         equality_report(
@@ -435,7 +435,7 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
     xi_bell = table("xi1", max_n, ctx)
     xi_rec = xi.xi_deriv_recurrence(max_n, sigmas, ctx)
 
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("side")):
         l1, l2, l3 = lambdas.mpf(1), lambdas.mpf(2), lambdas.mpf(3)
         reports.append(
             equality_report(
@@ -531,7 +531,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     z_ap = table("zeta0", max_n, ctx)
     z_lc = zeta_derivs.zeta_derivs_log_chain(max_n, etas, ctx)
 
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
         log2pi = log_2pi_mpf(ctx)
         tol_52 = default_tol(ctx, ctx.digits - 3)
         reports.append(
@@ -588,7 +588,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
          ("forward-5.5", zeta_derivs.APOSTOL_TAG)),
     )
 
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
         g0 = gammas.mpf(0)
         z2 = zeta_int_mpf(2, ctx)
         z3 = zeta_int_mpf(3, ctx)
@@ -604,7 +604,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     )
 
     # the cosine-derivative weights must be exactly sparse in odd order
-    with mp.workdps(ctx.working_dps + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
         pi_val = +mp.pi
         ok = True
         worst = mp.mpf(0)

@@ -27,7 +27,7 @@ import math
 from mpmath import mp, mpf
 
 from .bell import bell_recurrence_values
-from .precision import PrecisionContext
+from .precision import PrecisionContext, extra_digits
 from .stieltjes import ConstantTable, require
 
 XI_BELL_TAG = "bell-3.25"
@@ -43,7 +43,7 @@ def xi_table(max_n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> Consta
     if not isinstance(max_n, int) or max_n < 1:
         raise ValueError("xi table needs max_n >= 1")
     require(sigmas, "sigma", max_n, "xi_table")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         args = [
             (-1) ** (j - 1) * mp.factorial(j - 1) * sigmas.mpf(j)
             for j in range(1, max_n + 1)
@@ -59,7 +59,7 @@ def xi_deriv_recurrence(
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("xi recurrence needs n_max >= 1")
     require(sigmas, "sigma", n_max, "xi_deriv_recurrence")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         xs = [mp.mpf(0)]  # placeholder for unused index 0
         xs.append(+(sigmas.mpf(1) / 2))  # xi'(1) = sigma_1 / 2
         for n in range(1, n_max):

@@ -42,7 +42,7 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value, bell_recurrence_values
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import PrecisionContext
+from .precision import PrecisionContext, extra_digits
 from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 APOSTOL_TAG = "apostol-5.5"
@@ -65,14 +65,14 @@ def _gamma_derivs_memo(m: int, ctx: PrecisionContext):
     so that call counts see every call."""
     if m == 0:
         return mp.mpf(1)
-    with mp.workdps(ctx.working_dps + m + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("gamma_deriv", m)):
         gamma = stieltjes_gamma(0, 1, ctx)
         args = [-gamma]
         for p in range(1, m):
             args.append(
                 (-1) ** (p + 1)
                 * mp.factorial(p)
-                * zeta_int_mpf(p + 1, ctx, extra_dps=m + 5)
+                * zeta_int_mpf(p + 1, ctx, extra_dps=extra_digits("gamma_deriv", m))
             )
         return +bell_recurrence_value(args)
 
@@ -81,7 +81,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("index must be an integer >= 0")
-    with mp.workdps(ctx.working_dps + 5):
+    with mp.workdps(ctx.working_dps + extra_digits("step")):
         if n == 0:
             return +(log_2pi_mpf(ctx) - 1)
         require(etas, "eta", n, "L_derivs_at_zero")
@@ -89,7 +89,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
         zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
         return +(
             (-1) ** n * fact * etas.mpf(n)
-            + zcoeff * fact * zeta_int_mpf(n + 1, ctx, extra_dps=5)
+            + zcoeff * fact * zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("step"))
             - fact
         )
 
@@ -136,7 +136,7 @@ def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:
     _, cap = FAMILIES["zeta0"]
     if not isinstance(max_n, int) or not 0 <= max_n <= cap:
         raise ValueError(f"need 0 <= max_n <= {cap}")
-    return ctx.working_dps + 2 * max_n + 10
+    return ctx.working_dps + extra_digits("zeta0", max_n)
 
 
 def zeta_derivs_at_zero(
@@ -182,7 +182,7 @@ def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) 
     if not isinstance(n, int) or n < 1:
         raise ValueError("index must be an integer >= 1")
     require(zeta0, "zeta0", n, "gamma_from_zeta_derivs")
-    with mp.workdps(ctx.working_dps + 2 * n + 10):
+    with mp.workdps(ctx.working_dps + extra_digits("zeta0", n)):
         vals = [zeta0.mpf(l) for l in range(n + 1)]
         gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(n + 1)]
         return +(_apostol_rhs(n, vals, gd) / n)

@@ -5,7 +5,8 @@ leaving dead imports behind.  Names listed in a module's __all__ count as
 used, which covers the re-exports in __init__; so every such name must also
 resolve on its module, or a removed function could linger in __all__.
 Likewise every module-level private function, class or assignment must be
-referenced somewhere in the package outside its own definition.
+referenced somewhere in the package outside its own definition, and every
+working precision outside precision.py must come from its budget.
 """
 
 import ast
@@ -174,3 +175,110 @@ def test_checker_flags_an_unreferenced_private():
 def test_every_private_is_referenced():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+# the functions that may set a working precision outside the budget, and why
+BUDGET_EXEMPT = {
+    "stieltjes._GammaRow._allocate":
+        "bit margins of the fixed-point log row: alloc bits for the 2^i "
+        "cancellation of the inner sums, 64 + 16 bits of rounding; sized in "
+        "bits per allocation, not in digits per step",
+    "verify._central_diff_exp_cubic":
+        "the stencil's own precision follows its step h = 10^-(digits+2)/2 "
+        "and the h^-m amplification, not working_dps",
+}
+
+
+def _owned_nodes(node, qualname, out):
+    """Map each function (or the module) to the nodes in its own body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _owned_nodes(child, f"{qualname}.{child.name}", out)
+        else:
+            out.setdefault(qualname, []).append(child)
+            _owned_nodes(child, qualname, out)
+    return out
+
+
+def _called_name(call):
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def _sum_terms(node) -> list:
+    """The terms of a chain of + and -."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _sum_terms(node.left) + _sum_terms(node.right)
+    return [node]
+
+
+def _reads_budget(node, helpers) -> bool:
+    """node is ctx.working_dps itself or calls extra_digits or a helper that
+    returns a budget expression."""
+    if isinstance(node, ast.Attribute) and node.attr == "working_dps":
+        return True
+    return any(isinstance(sub, ast.Call) and _called_name(sub) in helpers
+               for sub in ast.walk(node))
+
+
+def budget_violations(sources: dict) -> list:
+    """Functions, as "module.qualname", that add an integer literal to a
+    budget expression (ctx.working_dps or an extra_digits call), or set a
+    working precision (mp.workdps, mp.workprec, extra_dps=) to anything but
+    a budget expression: directly, through a local name, or through a
+    helper that returns one."""
+    owned = {}
+    for module, src in sources.items():
+        if module != "precision":
+            _owned_nodes(ast.parse(src), module, owned)
+    helpers = {"extra_digits"}
+    for qualname, nodes in owned.items():
+        if any(isinstance(n, ast.Return) and n.value is not None
+               and _reads_budget(n.value, helpers) for n in nodes):
+            helpers.add(qualname.rsplit(".", 1)[-1])
+    bad = set()
+    for qualname, nodes in owned.items():
+        local = {n.targets[0].id: n.value for n in nodes if isinstance(n, ast.Assign)
+                 and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name)}
+
+        def from_budget(value):
+            value = local.get(value.id, value) if isinstance(value, ast.Name) else value
+            return _reads_budget(value, helpers)
+
+        for node in nodes:
+            if isinstance(node, ast.BinOp):
+                terms = _sum_terms(node)
+                literal = any(isinstance(t, ast.Constant) and type(t.value) is int for t in terms)
+                if literal and any(_reads_budget(t, helpers) for t in terms):
+                    bad.add(qualname)
+            if isinstance(node, ast.Call):
+                values = [kw.value for kw in node.keywords if kw.arg == "extra_dps"]
+                if _called_name(node) in ("workdps", "workprec"):
+                    values += node.args[:1]
+                if not all(from_budget(v) for v in values):
+                    bad.add(qualname)
+    return sorted(bad)
+
+
+def test_checker_flags_a_precision_outside_the_budget():
+    source = (
+        "def planted(ctx):\n    with mp.workdps(ctx.working_dps + 7):\n        pass\n"
+        "def literal_step(ctx):\n    return zeta_int_mpf(2, ctx, extra_dps=5)\n"
+        "def fixed():\n    with mp.workdps(50):\n        pass\n"
+        "def padded(ctx):\n"
+        "    with mp.workdps(ctx.working_dps + extra_digits('step') + 1):\n        pass\n"
+        "def budgeted(ctx):\n    with mp.workdps(ctx.working_dps + extra_digits('step')):\n"
+        "        return zeta_int_mpf(2, ctx, extra_dps=extra_digits('step'))\n"
+        "def plain(ctx):\n    with mp.workdps(ctx.working_dps):\n        pass\n"
+        "def _dps(ctx):\n    return ctx.working_dps + extra_digits('zeta0', 3)\n"
+        "def via_helper(ctx):\n    dps = _dps(ctx)\n    with mp.workdps(dps):\n        pass\n"
+        "class Row:\n    def grow(self):\n        with mp.workprec(self.prec + 16):\n"
+        "            pass\n"
+    )
+    assert budget_violations({"m": source}) == [
+        "m.Row.grow", "m.fixed", "m.literal_step", "m.padded", "m.planted",
+    ]
+
+
+def test_every_precision_reads_the_budget():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert budget_violations(sources) == sorted(BUDGET_EXEMPT)
