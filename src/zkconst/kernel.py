@@ -42,22 +42,39 @@ def log_2pi_mpf(ctx: PrecisionContext):
         return mp.log(2 * mp.pi)
 
 
+class _CrvzWeights:
+    """The CRVZ weights d and c_0 .. c_(N-1) at one dps, shared by every
+    zeta(n) evaluated there, and the working precision they carry."""
+
+    def __init__(self, dps: int):
+        self.working_dps = dps + extra_digits("zeta_int")
+        with mp.workdps(self.working_dps):
+            nterms = int(1.32 * self.working_dps) + 4
+            d = (3 + mp.sqrt(8)) ** nterms
+            self.d = (d + 1 / d) / 2
+            b = mp.mpf(-1)
+            c = -self.d
+            weights = []
+            for k in range(nterms):
+                c = b - c
+                weights.append(c)
+                b = (k + nterms) * (k - nterms) * b / ((k + mpf(1) / 2) * (k + 1))
+        self.weights = tuple(weights)
+
+
+# one row per dps; `verify --suite all` reads zeta(k) at 11 of them
+_crvz_weights = lru_cache(maxsize=16)(_CrvzWeights)
+
+
 @lru_cache(maxsize=4096)
 def _zeta_int_raw(n: int, dps: int):
     """zeta(n) as an mpf accurate to ~dps digits, n >= 2."""
-    work_dps = dps + extra_digits("zeta_int")
-    with mp.workdps(work_dps):
-        nterms = int(1.32 * work_dps) + 4
-        d = (3 + mp.sqrt(8)) ** nterms
-        d = (d + 1 / d) / 2
-        b = mp.mpf(-1)
-        c = -d
+    row = _crvz_weights(dps)
+    with mp.workdps(row.working_dps):
         acc = mp.mpf(0)
-        for k in range(nterms):
-            c = b - c
+        for k, c in enumerate(row.weights):
             acc += c * mpf(k + 1) ** (-n)
-            b = (k + nterms) * (k - nterms) * b / ((k + mpf(1) / 2) * (k + 1))
-        eta = acc / d
+        eta = acc / row.d
         return +(eta / (1 - mpf(2) ** (1 - n)))
 
 

@@ -18,7 +18,7 @@ The sigma route is canonical (simplest error surface); the others are
 verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
 alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
 recurrence-3.13 residual) is an entry of binomial_alternating_transform, the
-gamma kernel's inner sum; the other routes keep their own sums.
+gamma kernel's inner sums; the other routes keep their own sums.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .kernel import (
 from .precision import PrecisionContext, extra_digits
 from .reports import inequality_report, inequality_reports
 from .stieltjes import (
-    FAMILIES, ConstantTable, alternating_binomial_sum, require, stieltjes_gamma,
+    FAMILIES, ConstantTable, alternating_binomial_sums, require, stieltjes_gamma,
 )
 
 LAMBDA_TAG = "sigma-3.29"
@@ -66,12 +66,10 @@ def rising_factorial(x, p: int):
 
 
 def binomial_alternating_transform(seq):
-    """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k for every n < len(seq); an exact
-    involution, and the gamma kernel's inner sum over each Pascal row."""
-    return [
-        alternating_binomial_sum([math.comb(n, k) for k in range(n + 1)], seq)
-        for n in range(len(seq))
-    ]
+    """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k for every n < len(seq), read off
+    the difference diagonal of the gamma kernel's inner sums; an exact
+    involution on exact values, and subtractions alone on mpf values."""
+    return list(alternating_binomial_sums(seq))
 
 
 def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:

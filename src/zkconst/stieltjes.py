@@ -27,8 +27,9 @@ once at the working precision of the largest n.  One memoised row per
 that precision plus alloc + 64, so the inner sums at outer index i < alloc
 keep their ~i extra bits through the 2^i cancellation.  log^(n+1) comes
 from log^n by an integer multiply and shift; the inner sums are exact
-integer sums over exact binomials; each n keeps its own consecutive-small-
-terms stopping rule and hard cap, and its tail is converted to mpf once.
+integer differences along one growing difference diagonal; each n keeps
+its own consecutive-small-terms stopping rule and hard cap, and its tail
+is converted to mpf once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
 """
@@ -36,6 +37,7 @@ gamma value is remembered; a series that fails to converge stores nothing.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -130,19 +132,18 @@ def require(table, kind: str, max_n: int, who: str):
         )
 
 
-def alternating_binomial_sum(row, values):
-    """sum_j row[j] (-1)^j values[j] over the entries of row.
+def alternating_binomial_sums(values):
+    """Yield sum_{j<=i} C(i,j) (-1)^j values[j] for i = 0, 1, ... in turn.
 
-    With row the Pascal row C(i, .) this is the inner sum of the double
-    series at outer index i.  Exact when the values are exact, so its
-    normalization (the constant-1 case collapses to a Kronecker delta in i)
-    can be checked directly; values may run past the row.
+    The i-th sum is (-1)^i d^i v_0, the last entry of the difference
+    diagonal [v_i, d v_(i-1), ..., d^i v_0], which grows by one value per
+    step through subtractions alone; so the sums are exact when the values
+    are, and those of the constant 1 are a Kronecker delta in i.
     """
-    total = 0
-    for j, (c, v) in enumerate(zip(row, values)):
-        term = c * v
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    diagonal = []
+    for i, v in enumerate(values):
+        diagonal = list(itertools.accumulate(diagonal, operator.sub, initial=v))
+        yield -diagonal[-1] if i % 2 else diagonal[-1]
 
 
 class _GammaRow:
@@ -202,18 +203,18 @@ class _GammaRow:
         2^prec and converted at the caller's precision."""
         limit = 10 ** (self.ctx.digits + self.ctx.guard_digits)  # 1 / threshold
         cap = 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
-        powers = self._powers(n + 1)
+        sums = alternating_binomial_sums(self._powers(n + 1))
         total = 0
         small_run = 0
-        row = [1]  # exact binomial row C(i, .)
         i = 0
         while True:
             if i >= self.alloc:
                 old_prec = self.prec
                 self._allocate(min(cap + 1, self.alloc * 2))
                 total <<= self.prec - old_prec
-                powers = self._powers(n + 1)
-            inner = alternating_binomial_sum(row, powers)
+                # every inner sum runs over one power list: redo the first i
+                sums = itertools.islice(alternating_binomial_sums(self._powers(n + 1)), i, None)
+            inner = next(sums)
             total += inner // (i + 1)
             # the outer term inner / (2^prec (i+1)) is below 10^-(digits + guard)
             if abs(inner) * limit < (i + 1) << self.prec:
@@ -230,7 +231,6 @@ class _GammaRow:
                     partial=-mp.ldexp(total, -self.prec) / (n + 1),
                     index=i,
                 )
-            row = [1] + [row[k] + row[k + 1] for k in range(len(row) - 1)] + [1]
 
 
 # one row per (u at the working precision of the largest n, ctx), so 1, "1",

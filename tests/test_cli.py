@@ -241,12 +241,16 @@ class TestExitCodeWiring:
 # they and `verify --suite lambda --digits 30 --tol-exp 30` were re-pinned
 # again when the gamma series began summing in fixed-point integers: only
 # the rounding-level eq-3.13-n3..n6 residuals and, at 30 digits, the 7th
-# digit of eq-5.5-forward-n8's abs_err moved)
+# digit of eq-5.5-forward-n8's abs_err moved; those five and `li-check
+# --max-n 20 --digits 30` were re-pinned once more when the mpf binomial
+# transform began reading a difference diagonal: only the last digits of
+# lambda-sigma-vs-*, eq-3.13-n5/n6, g-deriv-two-routes-r4..r8 and
+# li-positivity-n16/n20 sides and abs_errs moved, and no verdict changed)
 GOLDEN_STDOUT = {
     "verify --suite all --digits 10":
-        "ed0c89db2961745b5c1c81c23204225fa0712f7ec539c25e5a6e75ae7a1d8c38",
+        "6d29f428a36a2a23983e58d493a052b627c2c62c67ba5f81c0e9e0cf242e154c",
     "verify --suite all --digits 30":
-        "8d875de2e3ddfbc64ebf6e8a941dd9899e4bdd95c1c2bf4563a59e7b4de9a713",
+        "a71356a6432f1ad0e1662e821af16712b1b347f9822f336da49e8f8725413a35",
     "table --seq gamma --max-n 20 --digits 10":
         "39a847bc2f0379176161bb35f6311dfe89bd9eaa394b7e8da873b7d92166ee54",
     "table --seq eta --max-n 20 --digits 10":
@@ -264,9 +268,9 @@ GOLDEN_STDOUT = {
     "li-check --max-n 20 --digits 10":
         "9ca5c4169fe6567a826db9eb57c8f36464f50a55dec098e17483ae5141b522d2",
     "li-check --max-n 20 --digits 30":
-        "a472267e90566a043a208c1ca4e6ff9a16aa752768ef3b549e4a5f6cc3f192df",
+        "dd4536d3af12057e69a4d97f4729faac77e501313f0f906b73d6cc2efdae1163",
     "verify --suite all --digits 10 --format json":
-        "79c422e5f21aea7a87911de7defe780214437735b8dc836fe39a236213429aa2",
+        "4ffc1739d3fdea0c1d3d2d220f99694aa61947ea6be5acb602a799c5032e7eb0",
     "li-check --max-n 20 --digits 10 --format json":
         "834cf41794a12c532442d13cc651a1e72c4993d4cb0efaeade07a91718095db6",
     "table --seq sigma --max-n 20 --digits 10 --format json":
@@ -279,10 +283,10 @@ GOLDEN_STDOUT = {
         "38d186c58955d0f744f2b8e22ec052be40f17ec67f334259e4530f77ae45b3b0",
     # 217 reports: at 60 digits the escalation checks drop out
     "verify --suite all --digits 60":
-        "6eabdcc64144c4c21e29c9f9ea77bbc0fe6ebb3fe8ad75d68734db2fa0de97da",
+        "c37b268263d3126fad0c988f455790b0c5b32e6fc0bd3d4bcf0cde1aedf05cee",
     # the one path where the run's tolerance and the fixed tolerances differ
     "verify --suite lambda --digits 30 --tol-exp 30":
-        "1c45cceee590e7c245c5ee12e2c91f224b9c491dbcddc47f237b5e7d8468692a",
+        "99362fbbdbeb0f70dc5154aa0492de7fcae3829ea81fda5262e898b0549e4940",
     # lambda and sigma at their caps to 60 digits, beyond the 10-digit pins
     "table --seq lambda --max-n 20 --digits 60":
         "46e8e19d5ee7aeb742aff7435bc2282abbfe4b565371de7f69c30a70428b40aa",

@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import FROZEN, brute_zeta
+from zkconst import kernel
 from zkconst.kernel import polygamma_three_halves_mpf, zeta_int_mpf
 from zkconst.precision import PrecisionContext
 
@@ -46,6 +47,14 @@ class TestZetaInt:
         with mp.workdps(70):
             diff = abs(zeta_int_mpf(7, lo) - zeta_int_mpf(7, hi))
             assert diff < mpf(10) ** (-(30 - 2))
+
+    def test_one_weight_row_serves_every_zeta_at_a_context(self):
+        kernel._zeta_int_raw.cache_clear()
+        kernel._crvz_weights.cache_clear()
+        ctx = PrecisionContext(digits=37)
+        for n in range(2, 21):
+            zeta_int_mpf(n, ctx)
+        assert kernel._crvz_weights.cache_info().misses == 1
 
 
 class TestPolygammaThreeHalves:

@@ -23,7 +23,8 @@ from zkconst.li_keiper import (
     recurrence_residual_3_13,
     rising_factorial,
 )
-from zkconst.precision import PrecisionContext
+from zkconst.chain import table
+from zkconst.precision import PrecisionContext, extra_digits
 from zkconst.stieltjes import ConstantTable
 from zkconst.verify import run_suite
 
@@ -258,7 +259,10 @@ WIDE_MPF = st.tuples(st.integers(-(2**200), 2**200), st.integers(-230, -170))
 
 class TestTransformProperties:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(st.lists(st.fractions(-100, 100, max_denominator=50), max_size=12))
+    @given(st.one_of(
+        st.lists(st.integers(-(10**30), 10**30), max_size=40),
+        st.lists(st.fractions(-100, 100, max_denominator=50), max_size=40),
+    ))
     def test_transform_is_an_involution(self, seq):
         assert binomial_alternating_transform(binomial_alternating_transform(seq)) == seq
 
@@ -276,3 +280,21 @@ class TestTransformProperties:
         for r in range(1, len(sigmas) + 1):
             scale = sum(math.comb(r, j) * abs(exact[j - 1]) for j in range(1, r + 1))
             assert abs(_exact(got[r - 1]) - want[r - 1]) <= unit * scale, f"r={r}"
+
+
+class TestTransformAccuracy:
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    @pytest.mark.parametrize("kind", ["sigma", "lambda"])
+    def test_mpf_transform_is_within_a_unit_of_the_exact_one(self, kind, digits):
+        # sigma -> lambda and lambda -> sigma at the cap, at the step row the
+        # lambda table runs at, against the exact transform of the same mpfs
+        ctx = PrecisionContext(digits=digits)
+        values = [0, *table(kind, 20, ctx).values]
+        with mp.workdps(ctx.working_dps + extra_digits("step")):
+            got = binomial_alternating_transform(values)
+        exact = [Fraction(0), *(_exact(v) for v in values[1:])]
+        unit = Fraction(1, 10**ctx.working_dps)
+        assert got[0] == 0
+        for i, value in enumerate(got[1:], 1):
+            want = sum(math.comb(i, j) * (-1) ** j * exact[j] for j in range(i + 1))
+            assert abs(_exact(value) - want) <= unit * max(1, abs(want)), f"i={i}"

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from oracles import FROZEN, em_gamma_table
@@ -9,7 +11,7 @@ from zkconst import stieltjes as stieltjes_module
 from zkconst.precision import ConvergenceError, PrecisionContext
 from zkconst.stieltjes import (
     GAMMA_TAG,
-    alternating_binomial_sum,
+    alternating_binomial_sums,
     stieltjes_gamma,
     stieltjes_table,
 )
@@ -75,10 +77,21 @@ class TestTableShape:
 class TestInnerSumNormalization:
     def test_constant_one_collapses_to_kronecker_delta(self):
         # i = 0 inner sum of the all-ones sequence is 1; every i >= 1 is 0
-        assert alternating_binomial_sum([1], [1]) == 1
-        for i in range(1, 16):
-            row = [math.comb(i, j) for j in range(i + 1)]
-            assert alternating_binomial_sum(row, [1] * (i + 1)) == 0
+        assert list(alternating_binomial_sums([1] * 16)) == [1] + [0] * 15
+
+    # int and Fraction lists of up to 40 values, about twice the 21 that the
+    # lambda table reads at its cap
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.lists(st.integers(-(10**30), 10**30), max_size=40),
+        st.lists(st.fractions(-1000, 1000, max_denominator=1000), max_size=40),
+    ))
+    def test_sums_match_the_binomial_definition(self, values):
+        want = [
+            sum(math.comb(i, j) * (-1) ** j * values[j] for j in range(i + 1))
+            for i in range(len(values))
+        ]
+        assert list(alternating_binomial_sums(values)) == want
 
 
 class TestStability:
