@@ -63,10 +63,12 @@ def _printed(kind, ctx):
 
 @pytest.fixture
 def clear_memos():
-    """Clears the memos, which are keyed by context or dps, not by the
+    """Clears the memos (the gamma rows, the CRVZ weight rows, zeta(n) and
+    the gamma derivatives), which are keyed by context or dps, not by the
     budget, before and after the test; the test may call it in between."""
     def clear():
         stieltjes._gamma_row.cache_clear()
+        kernel._crvz_weights.cache_clear()
         kernel._zeta_int_raw.cache_clear()
         zeta_derivs._gamma_derivs_memo.cache_clear()
 
