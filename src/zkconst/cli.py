@@ -26,7 +26,7 @@ import sys
 from mpmath import mp
 
 from . import chain, li_keiper
-from .precision import MAX_DIGITS, MIN_DIGITS, ConvergenceError, PrecisionContext, extra_digits
+from .precision import ConvergenceError, PrecisionContext, extra_digits
 from .reports import all_passed
 from .stieltjes import FAMILIES, ConstantTable
 from .verify import SUITES, run_suite
@@ -36,12 +36,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CONVERGENCE = 3
 EXIT_INTERNAL = 4
-
-
-def _context(digits: int) -> PrecisionContext:
-    if not MIN_DIGITS <= digits <= MAX_DIGITS:
-        raise ValueError(f"digits must lie in [{MIN_DIGITS}, {MAX_DIGITS}]")
-    return PrecisionContext(digits=digits)
 
 
 def _parse_u(raw: str, ctx: PrecisionContext):
@@ -97,7 +91,7 @@ def _emit_reports(reports, suite: str, digits: int, fmt: str, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    ctx = _context(args.digits)
+    ctx = PrecisionContext(digits=args.digits)
     u = _parse_u(args.u, ctx) if args.u is not None else None
     table = chain.table(args.seq, args.max_n, ctx, u=u)
     _emit_table(table, args.seq, args.format, out)
@@ -105,13 +99,13 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    ctx = _context(args.digits)
+    ctx = PrecisionContext(digits=args.digits)
     reports = run_suite(args.suite, ctx, args.tol_exp)
     return _emit_reports(reports, args.suite, ctx.digits, args.format, out)
 
 
 def _cmd_li_check(args, out) -> int:
-    ctx = _context(args.digits)
+    ctx = PrecisionContext(digits=args.digits)
     reports = li_keiper.positivity_report(args.max_n, ctx)
     return _emit_reports(reports, "li-check", ctx.digits, args.format, out)
 

@@ -27,7 +27,10 @@ constants and integer zeta values:
 
 sigma_1 equals the first Li/Keiper constant and is taken from its closed
 form -1/2 log pi + 1/2 gamma + 1 - log 2, since the display above would need
-zeta(1) at n = 0.  One sigma_k is sigma_table(k, etas, ctx).mpf(k).
+zeta(1) at n = 0.
+
+Each map takes a whole table and maps every entry of it: gamma_0..gamma_m
+gives eta_0..eta_m and back, and eta_0..eta_m gives sigma_1..sigma_(m+1).
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ SIGMA_CLOSED_TAG = "closed-2.13"
 SIGMA_TAG = "eta-zeta-s4"
 
 
-def eta_from_gamma(max_n: int, gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """eta_0 .. eta_max_n by solving the gamma/eta recurrence in rising n."""
-    require(gammas, "gamma", max_n, "eta_from_gamma")
+def eta_from_gamma(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """eta_n for every gamma_n in the table, by solving the gamma/eta
+    recurrence in rising n."""
+    require(gammas, "gamma", "eta_from_gamma")
     with mp.workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
-        for n in range(max_n + 1):
+        for n in range(gammas.max_n + 1):
             acc = (-1) ** (n + 1) * (n + 1) * gammas.mpf(n) / mp.factorial(n)
             for j in range(1, n + 1):
                 acc += (
@@ -64,14 +68,12 @@ def eta_from_gamma(max_n: int, gammas: ConstantTable, ctx: PrecisionContext) -> 
     return ConstantTable.of("eta", etas, ETA_TAG, ctx)
 
 
-def eta_from_gamma_coffey(
-    max_n: int, gammas: ConstantTable, ctx: PrecisionContext
-) -> ConstantTable:
+def eta_from_gamma_coffey(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """Same map through the rearranged recurrence, as an independent code path."""
-    require(gammas, "gamma", max_n, "eta_from_gamma_coffey")
+    require(gammas, "gamma", "eta_from_gamma_coffey")
     with mp.workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
-        for n in range(max_n + 1):
+        for n in range(gammas.max_n + 1):
             acc = (-1) ** (n + 1) * (n + 1) * gammas.mpf(n)
             inner = mp.mpf(0)
             for k in range(n):
@@ -86,30 +88,29 @@ def eta_from_gamma_coffey(
     return ConstantTable.of("eta", etas, ETA_COFFEY_TAG, ctx)
 
 
-def gamma_from_eta(max_n: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)."""
-    require(etas, "eta", max_n, "gamma_from_eta")
+def gamma_from_eta(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)
+    for every eta_n in the table."""
+    require(etas, "eta", "gamma_from_eta")
     with mp.workdps(ctx.working_dps + extra_digits("eta")):
-        args = [-mp.factorial(r - 1) * etas.mpf(r - 1) for r in range(1, max_n + 2)]
+        args = [-mp.factorial(r) * eta for r, eta in enumerate(etas.values)]
         ys = bell_recurrence_values(args)
-        values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(max_n + 1)]
+        values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(len(args))]
     return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
-def sigma_table(max_k: int, etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """sigma_1 .. sigma_max_k: sigma_1 from its closed form, the rest from eta,
-    with per-entry route tags."""
-    if not isinstance(max_k, int) or max_k < 1:
-        raise ValueError("sigma table needs max_k >= 1")
-    require(etas, "eta", max_k - 1, "sigma_table")
+def sigma_table(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """sigma_1 .. sigma_(m+1) from eta_0 .. eta_m: sigma_1 from its closed
+    form, the rest from eta, with per-entry route tags."""
+    require(etas, "eta", "sigma_table")
     with mp.workdps(ctx.working_dps):
         gamma = -etas.mpf(0)
         values = [+(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))]
     with mp.workdps(ctx.working_dps + extra_digits("step")):
-        for n in range(1, max_k):
+        for n in range(1, etas.max_n + 1):
             z = zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("step"))
             values.append(
                 +((-1) ** (n + 1) * etas.mpf(n) - (1 - mpf(2) ** (-(n + 1))) * z + 1)
             )
-    tags = [SIGMA_CLOSED_TAG] + [SIGMA_TAG] * (max_k - 1)
+    tags = [SIGMA_CLOSED_TAG] + [SIGMA_TAG] * etas.max_n
     return ConstantTable.of("sigma", values, tags, ctx)

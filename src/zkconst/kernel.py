@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .precision import PrecisionContext, extra_digits
+from .precision import PrecisionContext, check_index, extra_digits
 from .stieltjes import stieltjes_gamma
 
 
@@ -80,8 +80,7 @@ def _zeta_int_raw(n: int, dps: int):
 
 def zeta_int_mpf(n: int, ctx: PrecisionContext, extra_dps: int = 0):
     """Raw zeta(n) at working precision (+ extra_dps)."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("zeta pole or divergent argument: need integer n >= 2")
+    check_index(n, "the zeta argument n", 2)
     return _zeta_int_raw(n, ctx.working_dps + extra_dps)
 
 
@@ -95,8 +94,7 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
     The n >= 1 bracket cancels to roughly (2/3)^(n+1), so it is evaluated
     at the budget's psi_three_halves row in the stable grouping below.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("polygamma order must be an integer >= 0")
+    check_index(n, "the polygamma order n", 0)
     if n == 0:
         gamma = stieltjes_gamma(0, 1, ctx)
         with mp.workdps(ctx.working_dps):

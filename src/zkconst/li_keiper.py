@@ -6,7 +6,7 @@ computes each lambda_r by up to four routes and insists they agree:
 
   closed-2.13 / closed-3.6   closed forms for r = 1, 2 (lambda_closed)
   sigma-3.29                 lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j,
-                             all r <= max_r in one pass (lambda_table)
+                             one r per sigma_r, in one pass (lambda_table)
   eta-psi-3.33               binomial sum over polygamma values at 3/2 and
                              eta constants, plus a linear term
   coffey-3.34                binomial sum over integer zeta values and eta
@@ -34,7 +34,7 @@ from .kernel import (
     polygamma_three_halves_mpf,
     zeta_int_mpf,
 )
-from .precision import PrecisionContext, extra_digits
+from .precision import PrecisionContext, check_index, extra_digits
 from .reports import inequality_report, inequality_reports
 from .stieltjes import (
     FAMILIES, ConstantTable, alternating_binomial_sums, require, stieltjes_gamma,
@@ -74,8 +74,7 @@ def binomial_alternating_transform(seq):
 
 def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:
     """Closed forms: only lambda_1 and lambda_2 have one."""
-    if n not in (1, 2):
-        raise ValueError("closed forms exist only for n in (1, 2)")
+    check_index(n, "a closed form's index n", 1, 2)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         gamma = stieltjes_gamma(0, 1, ctx)
         log2 = log2_mpf(ctx)
@@ -95,14 +94,12 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:
         )
 
 
-def lambda_table(max_r: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """lambda_1 .. lambda_max_r through the canonical sigma route: the negated
-    binomial transform of sigma_0 = 0, sigma_1, ..., sigma_max_r."""
-    if not isinstance(max_r, int) or max_r < 1:
-        raise ValueError("lambda table needs max_r >= 1")
-    require(sigmas, "sigma", max_r, "lambda_table")
+def lambda_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """lambda_r for every sigma_r in the table, through the canonical sigma
+    route: the negated binomial transform of sigma_0 = 0, sigma_1, ..."""
+    require(sigmas, "sigma", "lambda_table")
     with mp.workdps(ctx.working_dps + extra_digits("step")):
-        transform = binomial_alternating_transform([0, *sigmas.values[:max_r]])
+        transform = binomial_alternating_transform([0, *sigmas.values])
         values = [-t for t in transform[1:]]
     return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
 
@@ -120,9 +117,8 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mp
 
     r = 1 is the bare linear term, which is lambda_1 itself.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("lambda index must be an integer >= 1")
-    require(etas, "eta", r - 1, "lambda_via_eta_psi")
+    check_index(r, "the lambda index r", 1)
+    require(etas, "eta", "lambda_via_eta_psi", r - 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         gamma = -etas.mpf(0)
         acc = _linear_term(r, gamma, ctx)
@@ -157,16 +153,15 @@ def coffey_constant(etas: ConstantTable, ctx: PrecisionContext):
     0, 1 or 2, so it is fixed numerically against the lambda_2 closed form
     and reported alongside any value computed through the route.
     """
-    require(etas, "eta", 1, "coffey_constant")
+    require(etas, "eta", "coffey_constant", 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         return +(lambda_closed(2, ctx) - _coffey_sum(2, etas, ctx))
 
 
 def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
-    if not isinstance(r, int) or r < 2:
-        raise ValueError("this route is defined for r >= 2")
-    require(etas, "eta", r - 1, "lambda_via_coffey")
+    check_index(r, "the coffey-3.34 index r", 2)
+    require(etas, "eta", "lambda_via_coffey", r - 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         return +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
 
@@ -178,9 +173,8 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mp
 
     with lambda_0 = 0, so g(1) = lambda_1, g'(1) = lambda_2 - 2 lambda_1, ...
     """
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("derivative order must be an integer >= 0")
-    require(lambdas, "lambda", r + 1, "g_derivs_at_one")
+    check_index(r, "the derivative order r", 0)
+    require(lambdas, "lambda", "g_derivs_at_one", r + 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
         return +((-1) ** (r + 1) * mp.factorial(r) * acc)
@@ -191,9 +185,8 @@ def g_derivs_at_one_via_eta(
 ) -> mpf:
     """Independent route: g^(r)(1) = psi^(r)(3/2)/2^(r+1) - r! eta_r
     - [r = 0] log(pi)/2."""
-    if not isinstance(r, int) or r < 0:
-        raise ValueError("derivative order must be an integer >= 0")
-    require(etas, "eta", r, "g_derivs_at_one_via_eta")
+    check_index(r, "the derivative order r", 0)
+    require(etas, "eta", "g_derivs_at_one_via_eta", r)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         value = polygamma_three_halves_mpf(r, ctx) / mpf(2) ** (r + 1)
         value -= mp.factorial(r) * etas.mpf(r)
@@ -222,10 +215,9 @@ def recurrence_residual_3_13(
     that weight is forced by the n = 0 specialization (tag eq-3.14), where
     the sum must contribute exactly gamma * lambda_1.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("recurrence index must be an integer >= 0")
-    require(gammas, "gamma", n + 1, "recurrence_residual_3_13")
-    require(lambdas, "lambda", n + 2, "recurrence_residual_3_13")
+    check_index(n, "the recurrence index n", 0)
+    require(gammas, "gamma", "recurrence_residual_3_13", n + 1)
+    require(lambdas, "lambda", "recurrence_residual_3_13", n + 2)
     with mp.workdps(ctx.working_dps + extra_digits("residual_3_13", n)):
         psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
         lhs = psis[n + 1] / mpf(2) ** (n + 2)
@@ -264,9 +256,7 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     """
     from .chain import table  # not at the top: chain imports li_keiper
 
-    start, cap = FAMILIES["lambda"]
-    if not isinstance(max_n, int) or not start <= max_n <= cap:
-        raise ValueError(f"--max-n for li-check must lie in [{start}, {cap}]")
+    check_index(max_n, "--max-n for li-check", *FAMILIES["lambda"])
     lambdas = table("lambda", max(max_n, 3), ctx)
     reports = inequality_reports(
         range(1, max_n + 1), ctx,

@@ -1,4 +1,4 @@
-"""Precision plumbing: contexts, errors and decimal output.
+"""Precision plumbing: contexts, errors, index checks and decimal output.
 
 Every numeric operation in the package is a pure function of its arguments
 plus a PrecisionContext.  The context fixes the number of decimal digits the
@@ -7,6 +7,8 @@ together set the truncation threshold for infinite series.  How many digits
 each kind of step carries beyond that is read from one table, through
 extra_digits.  Results are plain mpmath mpf values; the context they were
 computed under is their precision.
+Every integer argument with a range (an index, a table's max_n, digits,
+tol_exp) is checked by check_index.
 A value leaves the package only in a ConstantTable or a VerificationReport,
 and both raise ValueError on a value that is not finite.
 """
@@ -56,11 +58,21 @@ class ConvergenceError(ArithmeticError):
         self.index = index
 
 
+def check_index(value, name: str, lo: int, hi: int | None = None) -> None:
+    """Raise ValueError unless value is an int in [lo, hi] (or >= lo when hi
+    is None): the one integer-range rule of the package.  A bool is refused,
+    since True would pass for 1."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        if hi is None:
+            raise ValueError(f"{name} must be an integer >= {lo}")
+        raise ValueError(f"{name} must lie in [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Target accuracy plus working headroom for series evaluation.
 
-    digits        decimal digits of target accuracy (>= 10)
+    digits        decimal digits of target accuracy, in [10, 60]
     guard_digits  extra working digits (>= 5)
     """
 
@@ -68,10 +80,8 @@ class PrecisionContext:
     guard_digits: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.digits, int) or self.digits < MIN_DIGITS:
-            raise ValueError(f"digits must be an integer >= {MIN_DIGITS}")
-        if not isinstance(self.guard_digits, int) or self.guard_digits < MIN_GUARD:
-            raise ValueError(f"guard_digits must be an integer >= {MIN_GUARD}")
+        check_index(self.digits, "digits", MIN_DIGITS, MAX_DIGITS)
+        check_index(self.guard_digits, "guard_digits", MIN_GUARD)
 
     @property
     def working_dps(self) -> int:

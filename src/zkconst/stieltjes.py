@@ -44,7 +44,7 @@ from functools import lru_cache
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .precision import MAX_DIGITS, ConvergenceError, PrecisionContext, extra_digits, to_mpf
+from .precision import ConvergenceError, PrecisionContext, check_index, extra_digits, to_mpf
 
 GAMMA_TAG = "hasse-2.8"
 
@@ -110,23 +110,21 @@ class ConstantTable:
 
     def mpf(self, n: int):
         """The value at index n."""
-        if not self.start <= n <= self.max_n:
-            raise ValueError(
-                f"{self.kind} table covers {self.start}..{self.max_n}, not {n}"
-            )
+        check_index(n, f"a {self.kind} table index", self.start, self.max_n)
         return self.values[n - self.start]
 
     def __iter__(self):
         return zip(itertools.count(self.start), self.values, self.methods)
 
 
-def require(table, kind: str, max_n: int, who: str):
-    """Raise ValueError unless `table` is a `kind` table reaching index max_n."""
+def require(table, kind: str, who: str, max_n: int | None = None):
+    """Raise ValueError unless `table` is a `kind` table, reaching index
+    max_n when one is given."""
     if table is None:
         raise ValueError(f"{who} needs a {kind} table")
     if table.kind != kind:
         raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
-    if table.max_n < max_n:
+    if max_n is not None and table.max_n < max_n:
         raise ValueError(
             f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"
         )
@@ -245,13 +243,8 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
     u accepts int, Fraction, mpf, or a decimal string; a Python float is
     taken at its exact binary value (pass a string for decimal semantics).
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("stieltjes index must be an integer >= 0")
-    _, cap = FAMILIES["gamma"]
-    if n > cap:
-        raise ValueError(f"supported range is n <= {cap}")
-    if ctx.digits > MAX_DIGITS:
-        raise ValueError(f"supported range is digits <= {MAX_DIGITS}")
+    start, cap = FAMILIES["gamma"]
+    check_index(n, "the stieltjes index n", start, cap)
     with mp.workdps(ctx.working_dps + extra_digits("gamma", cap)):
         u_mp = to_mpf(u)
     if not (mp.isfinite(u_mp) and u_mp > 0):
@@ -261,9 +254,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
     """gamma_0(u) .. gamma_max_n(u) as a table (u defaults to 1)."""
-    _, cap = FAMILIES["gamma"]
-    if not isinstance(max_n, int) or not 0 <= max_n <= cap:
-        raise ValueError(f"need 0 <= max_n <= {cap}")
+    check_index(max_n, "max_n", *FAMILIES["gamma"])
     values = []
     for n in range(max_n + 1):
         try:

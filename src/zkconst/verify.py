@@ -33,7 +33,7 @@ from mpmath import mp, mpf
 from . import bell, eta_sigma, li_keiper, xi, zeta_derivs
 from .chain import table
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import MAX_DIGITS, PrecisionContext, extra_digits
+from .precision import MAX_DIGITS, PrecisionContext, check_index, extra_digits
 from .reports import (
     default_tol,
     equality_report,
@@ -260,7 +260,7 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
     max_n = 12
     gammas = table("gamma", max_n, ctx)
     etas = table("eta", max_n, ctx)
-    etas_alt = eta_sigma.eta_from_gamma_coffey(max_n, gammas, ctx)
+    etas_alt = eta_sigma.eta_from_gamma_coffey(gammas, ctx)
 
     with mp.workdps(ctx.working_dps + extra_digits("side")):
         g0, g1, g2 = gammas.mpf(0), gammas.mpf(1), gammas.mpf(2)
@@ -311,7 +311,7 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
          lambda n: 0, (eta_sigma.ETA_TAG,)),
     )
 
-    round_trip = eta_sigma.gamma_from_eta(8, etas, ctx)
+    round_trip = eta_sigma.gamma_from_eta(etas, ctx)
     reports += equality_reports(
         range(9), tol, ctx,
         ("gamma-eta-roundtrip-n", round_trip.mpf, gammas.mpf,
@@ -432,7 +432,7 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
     sigmas = table("sigma", max_n, ctx)
     lambdas = table("lambda", max_n, ctx)
     xi_bell = table("xi1", max_n, ctx)
-    xi_rec = xi.xi_deriv_recurrence(max_n, sigmas, ctx)
+    xi_rec = xi.xi_deriv_recurrence(sigmas, ctx)
 
     with mp.workdps(ctx.working_dps + extra_digits("side")):
         l1, l2, l3 = lambdas.mpf(1), lambdas.mpf(2), lambdas.mpf(3)
@@ -652,8 +652,7 @@ def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    # type(...) is int rejects floats and bools (True would count as 1)
-    if tol_exp is not None and not (type(tol_exp) is int and 1 <= tol_exp <= ctx.digits):
-        raise ValueError(f"--tol-exp must lie in [1, {ctx.digits}]")
+    if tol_exp is not None:
+        check_index(tol_exp, "--tol-exp", 1, ctx.digits)
     names = _SUITE_RUNNERS if suite == "all" else (suite,)
     return [r for name in names for r in _SUITE_RUNNERS[name](ctx, tol_exp)]

@@ -6,9 +6,9 @@ complete Bell polynomial in the sigma coefficients:
 
     xi^(n)(1) = 1/2 Y_n(sigma_1, -1! sigma_2, ..., (-1)^(n-1) (n-1)! sigma_n)
 
-since xi(1) = xi(0) = 1/2.  That Bell form is the canonical route here (one
-xi^(n)(1) is xi_table(n, sigmas, ctx).mpf(n)).  The same recurrence that
-powers Y_{n+1} gives the cross-check
+since xi(1) = xi(0) = 1/2.  That Bell form is the canonical route here, and
+both routes map sigma_1..sigma_m to xi^(1)(1)..xi^(m)(1).  The same
+recurrence that powers Y_{n+1} gives the cross-check
 
     xi^(n+1)(1) = 1/2 (-1)^n n! sigma_{n+1}
                   + sum_{k=1}^n C(n,k) (-1)^(n-k) (n-k)! sigma_{n-k+1} xi^(k)(1)
@@ -37,32 +37,27 @@ XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
 XI_RECURRENCE_CONVENTION = "sigma[n-k+1] * (n-k)! * (-1)^(n-k)"
 
 
-def xi_table(max_n: int, sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
-    """xi^(1)(1) .. xi^(max_n)(1) through the Bell route: xi^(n)(1) is half of
-    Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
-    if not isinstance(max_n, int) or max_n < 1:
-        raise ValueError("xi table needs max_n >= 1")
-    require(sigmas, "sigma", max_n, "xi_table")
+def xi_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """xi^(n)(1) for every sigma_n in the table, through the Bell route:
+    xi^(n)(1) is half of Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
+    require(sigmas, "sigma", "xi_table")
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         args = [
             (-1) ** (j - 1) * mp.factorial(j - 1) * sigmas.mpf(j)
-            for j in range(1, max_n + 1)
+            for j in range(1, sigmas.max_n + 1)
         ]
         values = [+(y / 2) for y in bell_recurrence_values(args)[1:]]
     return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
 
 
-def xi_deriv_recurrence(
-    n_max: int, sigmas: ConstantTable, ctx: PrecisionContext
-) -> ConstantTable:
-    """xi^(n)(1) for n = 1..n_max by the recurrence, as a verification route."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("xi recurrence needs n_max >= 1")
-    require(sigmas, "sigma", n_max, "xi_deriv_recurrence")
+def xi_deriv_recurrence(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """xi^(n)(1) for every sigma_n in the table by the recurrence, as a
+    verification route."""
+    require(sigmas, "sigma", "xi_deriv_recurrence")
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         xs = [mp.mpf(0)]  # placeholder for unused index 0
         xs.append(+(sigmas.mpf(1) / 2))  # xi'(1) = sigma_1 / 2
-        for n in range(1, n_max):
+        for n in range(1, sigmas.max_n):
             acc = (-1) ** n * mp.factorial(n) * sigmas.mpf(n + 1) / 2
             for k in range(1, n + 1):
                 acc += (
@@ -78,7 +73,6 @@ def xi_deriv_recurrence(
 
 def xi_deriv_at_zero(n: int, xi_at_one: ConstantTable) -> mpf:
     """xi^(n)(0) = (-1)^n xi^(n)(1), by the reflection xi(s) = xi(1-s)."""
-    if xi_at_one.kind != "xi1":
-        raise ValueError("xi_deriv_at_zero needs a xi1 table")
+    require(xi_at_one, "xi1", "xi_deriv_at_zero")
     base = xi_at_one.mpf(n)
     return base if n % 2 == 0 else mp.fneg(base, exact=True)

@@ -42,7 +42,7 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value, bell_recurrence_values
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import PrecisionContext, extra_digits
+from .precision import PrecisionContext, check_index, extra_digits
 from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 APOSTOL_TAG = "apostol-5.5"
@@ -53,8 +53,7 @@ L_DERIV_TAG = "eta-zeta-s4"
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
     """Raw Gamma^(m)(1) at working precision, memoised on (m, ctx)."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("derivative order must be an integer >= 0")
+    check_index(m, "the derivative order m", 0)
     return _gamma_derivs_memo(m, ctx)
 
 
@@ -79,12 +78,11 @@ def _gamma_derivs_memo(m: int, ctx: PrecisionContext):
 
 def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("index must be an integer >= 0")
+    check_index(n, "the L derivative index n", 0)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         if n == 0:
             return +(log_2pi_mpf(ctx) - 1)
-        require(etas, "eta", n, "L_derivs_at_zero")
+        require(etas, "eta", "L_derivs_at_zero", n)
         fact = mp.factorial(n)
         zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
         return +(
@@ -133,9 +131,7 @@ def _apostol_rhs(n: int, zeta_vals, gd):
 
 def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:
     """Working digits for a zeta0 table up to max_n, once max_n is in range."""
-    _, cap = FAMILIES["zeta0"]
-    if not isinstance(max_n, int) or not 0 <= max_n <= cap:
-        raise ValueError(f"need 0 <= max_n <= {cap}")
+    check_index(max_n, "max_n", *FAMILIES["zeta0"])
     return ctx.working_dps + extra_digits("zeta0", max_n)
 
 
@@ -146,7 +142,7 @@ def zeta_derivs_at_zero(
     covering 0..max_n-1.  Entry 0 is zeta(0) = -1/2."""
     dps = _solve_dps(max_n, ctx)
     if max_n >= 1:
-        require(gammas, "gamma", max_n - 1, "zeta_derivs_at_zero")
+        require(gammas, "gamma", "zeta_derivs_at_zero", max_n - 1)
     with mp.workdps(dps):
         values = [mpf(-1) / 2]
         gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
@@ -165,7 +161,7 @@ def zeta_derivs_log_chain(
     zeta(0) = -1/2."""
     dps = _solve_dps(max_n, ctx)
     if max_n >= 2:
-        require(etas, "eta", max_n - 1, "zeta_derivs_log_chain")
+        require(etas, "eta", "zeta_derivs_log_chain", max_n - 1)
     with mp.workdps(dps):
         values = [mpf(-1) / 2]
         lder = [L_derivs_at_zero(m - 1, etas, ctx) for m in range(1, max_n + 1)]
@@ -179,9 +175,8 @@ def zeta_derivs_log_chain(
 
 def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> mpf:
     """gamma_{n-1} by forward evaluation of the triangular relation."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("index must be an integer >= 1")
-    require(zeta0, "zeta0", n, "gamma_from_zeta_derivs")
+    check_index(n, "the forward index n", 1)
+    require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
     with mp.workdps(ctx.working_dps + extra_digits("zeta0", n)):
         vals = [zeta0.mpf(l) for l in range(n + 1)]
         gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(n + 1)]

@@ -74,10 +74,11 @@ def test_criterion_2_four_route_lambda_agreement():
     ctx = PrecisionContext(digits=30)
     tol = mpf("1e-25")
     gammas, etas, sigmas, lambdas = build_chain(10, ctx)
+    sigma_route = lambda_table(sigmas, ctx)
     with mp.workdps(60):
         values = {}
         for r in range(1, 11):
-            values[r] = [lambda_table(r, sigmas, ctx).mpf(r),
+            values[r] = [sigma_route.mpf(r),
                          lambda_via_eta_psi(r, etas, ctx)]
             if r <= 2:
                 values[r].append(lambda_closed(r, ctx))
@@ -133,7 +134,7 @@ def test_criterion_5_eta_identities():
     ctx = PrecisionContext(digits=30)
     gammas = table("gamma", 12, ctx)
     etas = table("eta", 12, ctx)
-    etas_alt = eta_from_gamma_coffey(12, gammas, ctx)
+    etas_alt = eta_from_gamma_coffey(gammas, ctx)
     with mp.workdps(60):
         g0, g1, g2 = gammas.mpf(0), gammas.mpf(1), gammas.mpf(2)
         assert abs(etas.mpf(0) + g0) < mpf("1e-22")
@@ -145,7 +146,7 @@ def test_criterion_5_eta_identities():
             assert abs(etas.mpf(n) - etas_alt.mpf(n)) < mpf("1e-25"), f"n={n}"
         for n in range(1, 13):
             assert (-1) ** (n + 1) * etas.mpf(n) > 0, f"sign at n={n}"
-        back = gamma_from_eta(8, etas, ctx)
+        back = gamma_from_eta(etas, ctx)
         for n in range(9):
             assert abs(back.mpf(n) - gammas.mpf(n)) < mpf("1e-23"), f"roundtrip n={n}"
     elapsed = time.perf_counter() - start
@@ -187,8 +188,8 @@ def test_criterion_7_xi_derivatives_and_signs():
     start = time.perf_counter()
     ctx = PrecisionContext(digits=30)
     gammas, etas, sigmas, lambdas = build_chain(10, ctx)
-    xi_bell = xi_table(10, sigmas, ctx)
-    xi_rec = xi_deriv_recurrence(8, sigmas, ctx)
+    xi_bell = xi_table(sigmas, ctx)
+    xi_rec = xi_deriv_recurrence(sigmas, ctx)
     with mp.workdps(60):
         l1, l2, l3 = lambdas.mpf(1), lambdas.mpf(2), lambdas.mpf(3)
         assert abs(xi_bell.mpf(1) - l1 / 2) < mpf("1e-23")

@@ -9,6 +9,7 @@ from zkconst.eta_sigma import (
 )
 from zkconst.kernel import zeta_int_mpf
 from zkconst.li_keiper import lambda_closed
+from zkconst.stieltjes import ConstantTable
 
 
 class TestEtaRecurrence:
@@ -32,7 +33,7 @@ class TestEtaRecurrence:
             assert abs(lhs - rhs) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_both_recurrences_agree(self, ctx30, chain30):
-        alt = eta_from_gamma_coffey(13, chain30["gammas"], ctx30)
+        alt = eta_from_gamma_coffey(chain30["gammas"], ctx30)
         with mp.workdps(60):
             for n in range(14):
                 diff = abs(chain30["etas"].mpf(n) - alt.mpf(n))
@@ -49,15 +50,16 @@ class TestEtaRecurrence:
         assert 2 * g.mpf(1) + g.mpf(0) ** 2 >= 0
 
     def test_insufficient_gammas_rejected(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            eta_from_gamma(14, chain30["gammas"], ctx30)
-        with pytest.raises(ValueError):
-            eta_from_gamma(2, chain30["etas"], ctx30)  # wrong kind
+        # the map reads every entry of its table, so only a table of another
+        # kind, which holds no gamma_n at all, falls short
+        for step in (eta_from_gamma, eta_from_gamma_coffey):
+            with pytest.raises(ValueError, match="gamma table, got eta"):
+                step(chain30["etas"], ctx30)
 
 
 class TestGammaFromEta:
     def test_n0_recovers_gamma(self, ctx30, chain30):
-        back = gamma_from_eta(0, chain30["etas"], ctx30)
+        back = gamma_from_eta(chain30["etas"], ctx30)
         with mp.workdps(60):
             diff = abs(back.mpf(0) - chain30["gammas"].mpf(0))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -72,20 +74,22 @@ class TestGammaFromEta:
             assert abs(lhs - rhs) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_round_trip_identity(self, ctx30, chain30):
-        back = gamma_from_eta(8, chain30["etas"], ctx30)
+        back = gamma_from_eta(chain30["etas"], ctx30)
         tol = mpf(10) ** (-(ctx30.digits - 5))
+        assert back.max_n == chain30["etas"].max_n
         with mp.workdps(60):
             for n in range(9):
                 assert abs(back.mpf(n) - chain30["gammas"].mpf(n)) < tol
 
     def test_insufficient_etas_rejected(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            gamma_from_eta(14, chain30["etas"], ctx30)
+        # as for eta_from_gamma: only a table of another kind falls short
+        with pytest.raises(ValueError, match="eta table, got gamma"):
+            gamma_from_eta(chain30["gammas"], ctx30)
 
 
 class TestSigma:
     def test_sigma1_is_lambda1(self, ctx30, chain30):
-        s1 = sigma_table(1, chain30["etas"], ctx30).mpf(1)
+        s1 = sigma_table(chain30["etas"], ctx30).mpf(1)
         with mp.workdps(60):
             diff = abs(s1 - lambda_closed(1, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -94,7 +98,7 @@ class TestSigma:
         # sigma_2 = eta_1 - (3/4) zeta(2) + 1, cross-checked through
         # lambda_2 = 2 sigma_1 - sigma_2 against the lambda_2 closed form
         etas = chain30["etas"]
-        s1, s2 = sigma_table(2, etas, ctx30).values
+        s1, s2 = sigma_table(etas, ctx30).values[:2]
         with mp.workdps(60):
             direct = etas.mpf(1) - mpf(3) / 4 * zeta_int_mpf(2, ctx30) + 1
             assert abs(s2 - direct) < mpf(10) ** (-(ctx30.digits - 5))
@@ -114,23 +118,14 @@ class TestSigma:
         assert rows[0][2] == "closed-2.13"
         assert all(method == "eta-zeta-s4" for _, _, method in rows[1:])
 
-    def test_nonpositive_index_rejected(self, ctx30, chain30):
-        for bad in (0, -2):
-            with pytest.raises(ValueError):
-                sigma_table(bad, chain30["etas"], ctx30)
+    def test_eta_0_to_m_gives_sigma_1_to_m_plus_1(self, ctx30, chain30):
+        etas = chain30["etas"]
+        assert sigma_table(etas, ctx30).max_n == etas.max_n + 1
+        only_eta0 = ConstantTable.of("eta", etas.values[:1], "t", ctx30)
+        (row,) = sigma_table(only_eta0, ctx30)
+        assert row == (1, chain30["sigmas"].mpf(1), "closed-2.13")
 
     def test_insufficient_etas_rejected(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            sigma_table(15, chain30["etas"], ctx30)
-        with pytest.raises(ValueError):
-            sigma_table(2, chain30["gammas"], ctx30)
-
-
-@pytest.mark.parametrize(
-    "step", [eta_from_gamma, eta_from_gamma_coffey, gamma_from_eta], ids=lambda f: f.__name__
-)
-def test_index_below_the_first_is_rejected(step, ctx30, chain30):
-    # max_n = -1 would build an empty table, which no step map may return
-    source = chain30["etas"] if step is gamma_from_eta else chain30["gammas"]
-    with pytest.raises(ValueError, match="at least one value"):
-        step(-1, source, ctx30)
+        # only a table of another kind falls short
+        with pytest.raises(ValueError, match="eta table, got gamma"):
+            sigma_table(chain30["gammas"], ctx30)

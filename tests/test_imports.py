@@ -5,8 +5,9 @@ leaving dead imports behind.  Names listed in a module's __all__ count as
 used, which covers the re-exports in __init__; so every such name must also
 resolve on its module, or a removed function could linger in __all__.
 Likewise every module-level private function, class or assignment must be
-referenced somewhere in the package outside its own definition, and every
-working precision outside precision.py must come from its budget.
+referenced somewhere in the package outside its own definition, every
+working precision outside precision.py must come from its budget, and no
+module but precision.py and bell.py tests for an int itself.
 """
 
 import ast
@@ -282,3 +283,52 @@ def test_checker_flags_a_precision_outside_the_budget():
 def test_every_precision_reads_the_budget():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert budget_violations(sources) == sorted(BUDGET_EXEMPT)
+
+
+# the modules that may test for an int themselves: precision.py holds the one
+# integer-range rule, check_index, and bell.py's exact routines keep their own
+INT_CHECK_EXEMPT = {"precision", "bell"}
+
+
+def _is_int(node) -> bool:
+    """node is the name int, or a tuple of types naming it."""
+    if isinstance(node, ast.Tuple):
+        return any(_is_int(e) for e in node.elts)
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def int_checks(sources: dict) -> list:
+    """"module:line" of every isinstance(x, int) and type(x) is [not] int
+    outside INT_CHECK_EXEMPT: an integer argument is checked by check_index."""
+    found = []
+    for module, src in sources.items():
+        if module in INT_CHECK_EXEMPT:
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call) and _called_name(node) == "isinstance":
+                hit = len(node.args) == 2 and _is_int(node.args[1])
+            elif isinstance(node, ast.Compare):
+                hit = (isinstance(node.left, ast.Call) and _called_name(node.left) == "type"
+                       and any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq))
+                               and _is_int(c) for op, c in zip(node.ops, node.comparators)))
+            else:
+                continue
+            if hit:
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_checker_flags_an_int_check_outside_precision():
+    planted = (
+        "def f(n, m, k):\n"
+        "    if not isinstance(n, int):\n        raise ValueError\n"
+        "    if type(m) is not int or isinstance(k, (float, int)):\n        raise ValueError\n"
+        "    return isinstance(n, str) or type(k) is float\n"
+    )
+    sources = {"m": planted, "precision": planted, "bell": planted}
+    assert int_checks(sources) == ["m:2", "m:4", "m:4"]
+
+
+def test_integer_checks_live_in_precision():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert int_checks(sources) == []

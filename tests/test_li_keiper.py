@@ -55,27 +55,28 @@ class TestClosedForms:
 
 class TestSigmaRoute:
     def test_r1_is_sigma1(self, ctx30, chain30):
-        lam = lambda_table(1, chain30["sigmas"], ctx30).mpf(1)
+        lam = lambda_table(chain30["sigmas"], ctx30).mpf(1)
         with mp.workdps(60):
             assert abs(lam - chain30["sigmas"].mpf(1)) < mpf("1e-35")
 
     def test_r2_expands_to_2sigma1_minus_sigma2(self, ctx30, chain30):
         s = chain30["sigmas"]
-        lam = lambda_table(2, s, ctx30).mpf(2)
+        lam = lambda_table(s, ctx30).mpf(2)
         with mp.workdps(60):
             assert abs(lam - (2 * s.mpf(1) - s.mpf(2))) < mpf("1e-35")
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = lambda_table(2, chain30["sigmas"], ctx30).mpf(2)
+        lam = lambda_table(chain30["sigmas"], ctx30).mpf(2)
         with mp.workdps(60):
             diff = abs(lam - lambda_closed(2, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_bad_index_and_insufficient_table(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            lambda_table(0, chain30["sigmas"], ctx30)
-        with pytest.raises(ValueError):
-            lambda_table(14, chain30["sigmas"], ctx30)
+        # the table has no index argument and maps every sigma_r it is
+        # given, so only a table of another kind falls short
+        assert lambda_table(chain30["sigmas"], ctx30).max_n == chain30["sigmas"].max_n
+        with pytest.raises(ValueError, match="sigma table, got eta"):
+            lambda_table(chain30["etas"], ctx30)
 
 
 class TestEtaPsiRoute:
@@ -209,9 +210,9 @@ class TestCombinatorialHelpers:
                 for n in range(len(seq))
             ]
 
-        before = lambda_table(13, chain30["sigmas"], ctx30).values
+        before = lambda_table(chain30["sigmas"], ctx30).values
         monkeypatch.setattr(li_keiper, "binomial_alternating_transform", unsigned)
-        after = lambda_table(13, chain30["sigmas"], ctx30).values
+        after = lambda_table(chain30["sigmas"], ctx30).values
         assert all(a != b for a, b in zip(after, before))
         (check,) = [
             r for r in run_suite("lambda", ctx30) if r.identity == "eq-3.27-involution"
@@ -273,7 +274,7 @@ class TestTransformProperties:
         with mp.workprec(256):
             sigmas = [mp.ldexp(mp.mpf(man), exp) for man, exp in pairs]
         drawn = ConstantTable.of("sigma", sigmas, "drawn", ctx)
-        got = lambda_table(len(sigmas), drawn, ctx).values
+        got = lambda_table(drawn, ctx).values
         exact = [_exact(s) for s in sigmas]
         want = lambda_from_sigma_differences(exact)
         unit = Fraction(1, 10**ctx.working_dps)

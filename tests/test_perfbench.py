@@ -87,11 +87,12 @@ def test_trace_cli_runs():
 # 3.13 residuals); substitute once per seeded trial of
 # bell-routes-exact-n1..n8 (8 x 100); bell_recurrence_values once inside each
 # bell_recurrence_value call and once per xi, gamma-from-eta and log-chain
-# table.
+# table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell values); require
+# once per step map and per-index route call, xi_deriv_at_zero included.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (2138, 0),
-    "bell.bell_recurrence_values": (2141, 8914),
+    "bell.bell_recurrence_values": (2141, 8918),
     "bell.bell_symbolic": (23, 0),
     "bell.bracket_determinant": (920, 0),
     "bell.substitute": (800, 0),
@@ -125,7 +126,7 @@ VERIFY_ALL_10_COUNTS = {
     "reports.inequality_reports": (2, 22),
     "stieltjes.alternating_binomial_sums": (88, 0),
     "stieltjes.family": (56, 0),
-    "stieltjes.require": (104, 0),
+    "stieltjes.require": (114, 0),
     "stieltjes.stieltjes_gamma": (169, 0),
     "stieltjes.stieltjes_table": (11, 0),
     "verify.run_suite": (1, 220),

@@ -3,9 +3,10 @@ from mpmath import mp, mpf
 
 from zkconst import kernel, precision, stieltjes, zeta_derivs
 from zkconst.chain import table
-from zkconst.precision import PrecisionContext, roundtrip_decimal
+from zkconst.li_keiper import lambda_via_eta_psi, positivity_report
+from zkconst.precision import PrecisionContext, check_index, roundtrip_decimal
 from zkconst.reports import default_tol, equality_report
-from zkconst.stieltjes import ConstantTable, family
+from zkconst.stieltjes import FAMILIES, ConstantTable, family, stieltjes_gamma
 
 
 class TestPrecisionContext:
@@ -37,6 +38,55 @@ class TestBigReal:
                 ConstantTable.of("gamma", [bad], "hasse-2.8", ctx30)
             with pytest.raises(ValueError, match="finite"):
                 equality_report("x", bad, mpf(0), default_tol(ctx30), ctx30)
+
+
+class TestCheckIndex:
+    def test_wording(self):
+        check_index(60, "digits", 10, 60)
+        check_index(7, "n", 0)
+        with pytest.raises(ValueError, match=r"^digits must lie in \[10, 60\]$"):
+            check_index(61, "digits", 10, 60)
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0$"):
+            check_index(-1, "n", 0)
+        for bad in (1.0, "1", None):
+            with pytest.raises(ValueError):
+                check_index(bad, "n", 0)
+
+    # True would pass for 1 wherever an index is only compared (run_suite's
+    # tol_exp is covered in test_reports)
+    @pytest.mark.parametrize("call", [
+        lambda ctx, chain: table("gamma", True, ctx),
+        lambda ctx, chain: stieltjes_gamma(True, 1, ctx),
+        lambda ctx, chain: positivity_report(True, ctx),
+        lambda ctx, chain: lambda_via_eta_psi(True, chain["etas"], ctx),
+        lambda ctx, chain: chain["gammas"].mpf(True),
+    ], ids=["table", "stieltjes_gamma", "positivity_report", "lambda_via_eta_psi",
+            "ConstantTable.mpf"])
+    def test_bool_is_refused(self, call, ctx30, chain30):
+        with pytest.raises(ValueError):
+            call(ctx30, chain30)
+
+
+@pytest.mark.parametrize("digits", [10, 60])
+@pytest.mark.parametrize("kind", [kind for kind in FAMILIES if kind != "zeta0"])
+def test_tables_are_prefix_stable(kind, digits):
+    # a step map maps the whole table it is given, so the table up to m must
+    # be the first entries of the table at the cap, exactly
+    ctx = PrecisionContext(digits)
+    start, cap = family(kind)
+    full = table(kind, cap, ctx).values
+    for m in range(start, cap + 1):
+        assert table(kind, m, ctx).values == full[:m - start + 1], f"m={m}"
+
+
+@pytest.mark.parametrize("digits", [10, 60])
+def test_zeta0_is_not_prefix_stable(digits):
+    # the zeta0 budget row grows with max_n, so every entry's last bits
+    # depend on the table's length; hence both zeta0 routes keep max_n
+    assert precision._BUDGET["zeta0"][0] > 0
+    ctx = PrecisionContext(digits)
+    _, cap = family("zeta0")
+    assert table("zeta0", cap - 1, ctx).values != table("zeta0", cap, ctx).values[:cap]
 
 
 def test_roundtrip_decimal_reparses_to_run_precision():
@@ -106,6 +156,11 @@ class TestConstantTable:
     def test_method_tag_required(self, ctx30):
         with pytest.raises(ValueError):
             ConstantTable.of("gamma", [mpf(1)], "", ctx30)
+
+    def test_empty_table_rejected(self, ctx30):
+        # no step map can return one: each maps a table of at least one entry
+        with pytest.raises(ValueError, match="at least one value"):
+            ConstantTable.of("eta", [], "recurrence-4.4", ctx30)
 
     def test_unknown_kind(self, ctx30):
         with pytest.raises(ValueError):

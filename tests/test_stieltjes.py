@@ -133,9 +133,9 @@ class TestErrors:
             stieltjes_table(21, ctx30)
 
     def test_digits_cap(self):
-        ctx = PrecisionContext(digits=70)
-        with pytest.raises(ValueError):
-            stieltjes_gamma(0, 1, ctx)
+        # the cap is the context's, so no gamma row is asked for more digits
+        with pytest.raises(ValueError, match=r"digits must lie in \[10, 60\]"):
+            PrecisionContext(digits=61)
 
     @pytest.mark.usefixtures("fresh_rows")
     def test_convergence_error_carries_partial(self, monkeypatch):

@@ -6,7 +6,7 @@ from zkconst.xi import xi_deriv_at_zero, xi_deriv_recurrence, xi_table
 
 @pytest.fixture(scope="module")
 def xi_bell(ctx30, chain30):
-    return xi_table(10, chain30["sigmas"], ctx30)
+    return xi_table(chain30["sigmas"], ctx30)
 
 
 class TestBellRoute:
@@ -48,24 +48,20 @@ class TestBellRoute:
             assert l2 > l1
 
     def test_bad_inputs(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            xi_table(0, chain30["sigmas"], ctx30)
-        with pytest.raises(ValueError):
-            xi_table(14, chain30["sigmas"], ctx30)
-        with pytest.raises(ValueError):
-            xi_table(2, chain30["etas"], ctx30)
+        with pytest.raises(ValueError, match="sigma table, got eta"):
+            xi_table(chain30["etas"], ctx30)
 
 
 class TestRecurrenceRoute:
     def test_matches_bell_route(self, ctx30, chain30, xi_bell):
-        rec = xi_deriv_recurrence(8, chain30["sigmas"], ctx30)
+        rec = xi_deriv_recurrence(chain30["sigmas"], ctx30)
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for n in range(1, 9):
                 assert abs(rec.mpf(n) - xi_bell.mpf(n)) < tol, f"n={n}"
 
     def test_n2_entry_matches_lambda_form(self, ctx30, chain30):
-        rec = xi_deriv_recurrence(2, chain30["sigmas"], ctx30)
+        rec = xi_deriv_recurrence(chain30["sigmas"], ctx30)
         lam = chain30["lambdas"]
         with mp.workdps(60):
             l1, l2 = lam.mpf(1), lam.mpf(2)
@@ -73,13 +69,16 @@ class TestRecurrenceRoute:
             assert abs(rec.mpf(2) - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_all_entries_positive(self, ctx30, chain30):
-        rec = xi_deriv_recurrence(10, chain30["sigmas"], ctx30)
+        rec = xi_deriv_recurrence(chain30["sigmas"], ctx30)
+        assert rec.max_n == chain30["sigmas"].max_n
         for n in range(1, 11):
             assert rec.mpf(n) > 0
 
     def test_insufficient_sigmas(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            xi_deriv_recurrence(14, chain30["sigmas"], ctx30)
+        # the map reads every entry of its table, so only a table of another
+        # kind, which holds no sigma_n at all, falls short
+        with pytest.raises(ValueError, match="sigma table, got lambda"):
+            xi_deriv_recurrence(chain30["lambdas"], ctx30)
 
 
 class TestReflection:
@@ -91,5 +90,5 @@ class TestReflection:
             assert at_zero == expected  # exact, not approximate
 
     def test_requires_xi_table(self, chain30):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="xi1 table, got sigma"):
             xi_deriv_at_zero(1, chain30["sigmas"])
