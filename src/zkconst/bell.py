@@ -47,7 +47,8 @@ def bell_symbolic(n: int) -> dict:
 
     The exponent tuple (e_1, ..., e_n) stands for x_1^e_1 ... x_n^e_n.
     """
-    if not isinstance(n, int) or n < 0:
+    # a bool is refused, since True would pass for 1
+    if type(n) is not int or n < 0:
         raise ValueError("bell_symbolic needs an integer n >= 0")
     if n > MAX_SYMBOLIC_N:
         raise ValueError(

@@ -29,13 +29,13 @@ MIN_GUARD = 5
 # same numbers stay apart, since their reasons differ.
 _BUDGET = {
     "gamma": (1, 15),  # shifted sum and tail, each ~log^(n+1)(U)/(n+1), cancel to O(1)
-    "gamma_shift": (0, 2),  # the gamma series runs at U >= working_dps + 2
     "zeta_int": (0, 10),  # the CRVZ weights outgrow the partial sums of eta(n)
     "psi_three_halves": (1, 5),  # 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) ~ (2/3)^(n+1), times n!
     "gamma_deriv": (1, 5),  # Gamma^(m)(1) = Y_m(-gamma, 1! zeta(2), ...), weights to (m-1)!
     "zeta0": (2, 10),  # apostol-5.5: binomial triple sums over Gamma^(m)(1) and log^k(2 pi)
     "residual_3_13": (1, 10),  # (n+1)! times lambda sums that cancel against gamma, psi sums
     "eta": (0, 10),  # gamma <-> eta recurrences: each eta_n sums n products / (j-1)!
+    "sigma": (0, 25),  # sigma_(n+1) = +-eta_n - (1 - 2^-(n+1)) zeta(n+1) + 1 cancels to |sigma_20| ~ 1e-23
     "step": (0, 5),  # step maps and routes: finite sums of table entries and atoms
     "side": (0, 5),  # report sides verify and li-check write out from table entries
     "elementary_side": (0, 10),  # suite sides from exp, log(2 pi), pi, cos and zeta(k) afresh

@@ -17,19 +17,45 @@ argument with the exact identity
     gamma_n(u) = log^n(u)/u + gamma_n(u+1)
 
 (the Laurent-coefficient image of zeta(s,u) - zeta(s,u+1) = u^(-s), and for
-n = 0 just the digamma recurrence) until the argument is comparable to the
-number of working digits, then run the double series there.
+n = 0 just the digamma recurrence) up to an argument U, then run the double
+series there.
 
-The shift target (row gamma_shift) does not depend on n, so every gamma_n(u)
-at one (u, context) runs its series at the same shifted argument U, formed
-once at the working precision of the largest n.  One memoised row per
-(u, context) holds log(U + j) as integers scaled by 2^P, with P the bits of
-that precision plus alloc + 64, so the inner sums at outer index i < alloc
-keep their ~i extra bits through the 2^i cancellation.  log^(n+1) comes
-from log^n by an integer multiply and shift; the inner sums are exact
-integer differences along one growing difference diagonal; each n keeps
-its own consecutive-small-terms stopping rule and hard cap, and its tail
-is converted to mpf once.
+The target U follows from the convergence bound.  At U the inner sum of
+outer index i is, for n = 0,
+
+    -integral_0^1 v^(U-1) (1-v)^i dv / (-log v),
+
+within a log factor of B(U, i+1) = Gamma(U) i! / Gamma(U+i+1), which is
+about Gamma(U) i^(-U); log^(n+1) adds only powers of log.  With D the
+working digits it falls below 10^-D once U log i > log Gamma(U) + D ln 10,
+that is, by Stirling, once log i > log U - 1 + D ln 10 / U.  The right side
+is least, at i ~ U, for U = D ln 10, so the target is ceil(D ln 10): 162 at
+60 digits with 10 guard digits, where the series stops after about 108
+outer terms.  A smaller U needs more outer terms (U = D + 2 needs about
+250 at 60 digits), a larger one more outer and shifted terms.
+
+The target does not depend on n, so every gamma_n(u) at one (u, context)
+runs its series at the same U.  One memoised row per (u, context) holds, as
+integers scaled by 2^P, log(u + k) for every k < shift + alloc (the shifted
+terms' logs, then the tail's log(U + j)), the reciprocals 1/(u + m) of the
+shifted terms and one power list.  P is the bits of the working precision of
+the largest n plus alloc + 64, so the inner sums at outer index i < alloc
+keep their ~i extra bits through the 2^i cancellation.  The logs come from
+one mp.log and the integer recurrence
+
+    log(x + 1) = log x + 2 atanh(1/(2x + 1)),  atanh y = y + y^3/3 + ...,
+
+carried with 32 guard bits on x as a fixed-point a / 2^bits.  The recurrence
+starts at x = u, or at u + 1 with a second mp.log when u < 1, where the
+atanh series converges too slowly; past x = 2^(2 bits) no step moves a log
+by 2^-bits, so x is clamped there.  Every integer of the row thus keeps the
+size of its precision, whatever the exponent of u, except 1/u of a u < 1:
+that one term, log^n(u)/u, is divided in mpf.  log^(k+1) comes from log^k
+by an integer multiply and shift; the shifted sum of each n is one sum of
+products of a power list with the reciprocals; the inner sums are exact
+integer differences along one growing difference diagonal; each n keeps its
+own consecutive-small-terms stopping rule and hard cap, and its shifted sum
+and tail meet in integers and are rounded to mpf once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
 """
@@ -37,6 +63,7 @@ gamma value is remembered; a series that fails to converge stores nothing.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -144,64 +171,97 @@ def alternating_binomial_sums(values):
         yield -diagonal[-1] if i % 2 else diagonal[-1]
 
 
+def _log_chain(log_x: int, a: int, count: int, bits: int) -> list:
+    """log(x + k) for k < count, scaled by 2^bits, from log_x, the scaled
+    log x of x = a / 2^bits >= 1, by log(x + 1) = log x + 2 atanh(1 / (2x + 1))
+    with atanh y = y + y^3/3 + y^5/5 + ... in integers; each step is off
+    by at most its number of terms in the last place."""
+    logs = [log_x]
+    for k in range(count - 1):
+        d = 2 * a + ((2 * k + 1) << bits)  # (2 (x + k) + 1) 2^bits
+        term = (1 << 2 * bits) // d
+        square = (1 << 3 * bits) // (d * d)
+        acc, j = term, 1
+        while term:
+            term = (term * square) >> bits
+            j += 2
+            acc += term // j
+        logs.append(logs[-1] + 2 * acc)
+    return logs
+
+
 class _GammaRow:
     """Every gamma_n(u) at one u and one context.
 
-    u is shifted once to big_u, at the working precision of the largest n.
-    The row holds log(big_u + j) for j < alloc and the latest power list as
-    integers scaled by 2^prec, and the finished gamma_n(u) of every n summed
-    so far.  When a series needs more terms, alloc doubles and the logs are
-    recomputed at the larger prec.
+    u is shifted once to U = u + shift.  The row holds, as integers scaled
+    by 2^prec, log(u + k) for k < shift + alloc, the reciprocals 1/(u + m)
+    of the shifted terms from m = first on and the latest power list, and
+    the finished gamma_n(u) of every n summed so far.  first is 1 when
+    u < 1: 1/u then has any size, so the term log^n(u)/u is divided in mpf.
+    When a series needs more terms, alloc doubles and the row is rebuilt at
+    the larger prec.
     """
 
     def __init__(self, u_mp, ctx: PrecisionContext):
         self.u_mp = u_mp
         self.ctx = ctx
-        work_dps = ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
-        with mp.workdps(work_dps):
-            target = ctx.working_dps + extra_digits("gamma_shift")
-            self.shift = max(0, int(mp.ceil(target - u_mp)))
-            self.big_u = u_mp + self.shift
-        self.base_prec = dps_to_prec(work_dps)
+        target = math.ceil(ctx.working_dps * math.log(10))
+        # U = target + frac(u); a u past the target is not shifted
+        self.shift = target - int(u_mp) if u_mp < target else 0
+        # the log chain starts at u, or at u + 1 when u < 1
+        self.first = 0 if u_mp >= 1 else 1
+        self.base_prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1]))
         self.values = {}  # n -> gamma_n(u)
         self._allocate(192)
 
     def _allocate(self, alloc: int) -> None:
         self.alloc = alloc
         self.prec = self.base_prec + alloc + 64
-        with mp.workprec(self.prec + 16):
-            self.logs = [
-                int(mp.ldexp(mp.log(self.big_u + j), self.prec)) for j in range(alloc)
-            ]
-        self.power, self.powers = 1, self.logs
+        bits = self.prec + 32  # the chain's rounding stays in these 32 bits
+        first = self.first
+        with mp.workprec(bits + 16):
+            heads = [int(mp.ldexp(mp.log(self.u_mp + m), bits)) for m in range(first + 1)]
+            # x = u + first as a / 2^bits; past 2^(2 bits) no step of the
+            # chain moves a log by 2^-bits, so x is clamped there
+            a = int(mp.ldexp(min(self.u_mp + first, mp.ldexp(1, 2 * bits)), bits))
+        chain = _log_chain(heads[first], a, self.shift + alloc - first, bits)
+        self.logs = [v >> 32 for v in heads[:first] + chain]
+        self.recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
+        self.power, self.powers = 0, [1 << self.prec] * len(self.logs)
 
     def _powers(self, k: int) -> list:
-        """log^k(big_u + j) for j < alloc, scaled by 2^prec."""
+        """log^k(u + j) for j < shift + alloc, scaled by 2^prec."""
         if k < self.power:
-            self.power, self.powers = 1, self.logs
+            self.power, self.powers = 0, [1 << self.prec] * len(self.logs)
         while self.power < k:
             self.powers = [(p * q) >> self.prec for p, q in zip(self.powers, self.logs)]
             self.power += 1
         return self.powers
 
     def gamma(self, n: int) -> mpf:
-        """gamma_n(u): the shifted terms plus the double series at big_u."""
+        """gamma_n(u): the shifted terms plus the double series at U, added
+        in integers and rounded once, plus log^n(u)/u when u < 1."""
         if n not in self.values:
             with mp.workdps(self.ctx.working_dps + extra_digits("gamma", n)):
-                direct = mp.mpf(0)
-                for m in range(self.shift):
-                    x = self.u_mp + m
-                    direct += mp.log(x) ** n / x
-                tail = self._tail(n)
-                self.values[n] = +(direct + tail)
+                prec = self.prec
+                head = mp.ldexp(self._powers(n)[0], -prec) / self.u_mp if self.first else 0
+                direct = self._shifted(n)
+                total = self._tail(n)
+                direct <<= self.prec - prec  # the tail may have doubled alloc
+                self.values[n] = head + mp.ldexp((n + 1) * direct - total, -self.prec) / (n + 1)
         return self.values[n]
 
-    def _tail(self, n: int) -> mpf:
-        """gamma_n(big_u) by the double series, summed in integers scaled by
-        2^prec and converted at the caller's precision."""
+    def _shifted(self, n: int) -> int:
+        """sum_{first <= m < shift} log^n(u + m) / (u + m), scaled by 2^prec."""
+        powers = self._powers(n)[self.first:self.shift]
+        return sum(map(operator.mul, powers, self.recips)) >> self.prec
+
+    def _tail(self, n: int) -> int:
+        """-(n + 1) gamma_n(U), the double series summed as an integer scaled
+        by 2^prec."""
         limit = 10 ** (self.ctx.digits + self.ctx.guard_digits)  # 1 / threshold
         cap = 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
-        sums = alternating_binomial_sums(self._powers(n + 1))
+        sums = alternating_binomial_sums(self._powers(n + 1)[self.shift:])
         total = 0
         small_run = 0
         i = 0
@@ -211,20 +271,22 @@ class _GammaRow:
                 self._allocate(min(cap + 1, self.alloc * 2))
                 total <<= self.prec - old_prec
                 # every inner sum runs over one power list: redo the first i
-                sums = itertools.islice(alternating_binomial_sums(self._powers(n + 1)), i, None)
+                sums = itertools.islice(
+                    alternating_binomial_sums(self._powers(n + 1)[self.shift:]), i, None
+                )
             inner = next(sums)
             total += inner // (i + 1)
             # the outer term inner / (2^prec (i+1)) is below 10^-(digits + guard)
             if abs(inner) * limit < (i + 1) << self.prec:
                 small_run += 1
                 if small_run >= CONSECUTIVE_SMALL:
-                    return -mp.ldexp(total, -self.prec) / (n + 1)
+                    return total
             else:
                 small_run = 0
             i += 1
             if i > cap:
                 raise ConvergenceError(
-                    f"gamma_{n}({mp.nstr(self.big_u, 8)}) did not converge within "
+                    f"gamma_{n}({mp.nstr(self.u_mp + self.shift, 8)}) did not converge within "
                     f"{cap} outer terms",
                     partial=-mp.ldexp(total, -self.prec) / (n + 1),
                     index=i,

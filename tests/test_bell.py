@@ -55,6 +55,12 @@ class TestSymbolic:
         with pytest.raises(ValueError):
             bell_symbolic(-1)
 
+    @pytest.mark.parametrize("bad", [True, False, 2.0])
+    def test_non_int_rejected(self, bad):
+        # True == 1 and hash(True) == hash(1), so only the type tells them apart
+        with pytest.raises(ValueError, match="integer n >= 0"):
+            bell_symbolic(bad)
+
     def test_substitute_needs_enough_values(self):
         with pytest.raises(ValueError):
             substitute(bell_symbolic(3), [1, 2])

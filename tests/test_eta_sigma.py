@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from zkconst.chain import table
 from zkconst.eta_sigma import (
     eta_from_gamma,
     eta_from_gamma_coffey,
@@ -9,6 +10,7 @@ from zkconst.eta_sigma import (
 )
 from zkconst.kernel import zeta_int_mpf
 from zkconst.li_keiper import lambda_closed
+from zkconst.precision import PrecisionContext
 from zkconst.stieltjes import ConstantTable
 
 
@@ -129,3 +131,15 @@ class TestSigma:
         # only a table of another kind falls short
         with pytest.raises(ValueError, match="eta table, got gamma"):
             sigma_table(chain30["gammas"], ctx30)
+
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    def test_cancellation_keeps_its_digits(self, digits):
+        # sigma_(n+1) cancels O(1) terms down to |sigma_14| ~ 1.4e-16; the
+        # sigma budget row keeps the rounding of that cancellation below the
+        # printed digits, so up to sigma_14 they are those of a wide-guard
+        # reference (sigma_15..20 wait on the gamma truncation)
+        def printed(ctx):
+            return [mp.nstr(v, digits, strip_zeros=False) for v in table("sigma", 14, ctx).values]
+
+        wide = PrecisionContext(digits, guard_digits=30)
+        assert printed(PrecisionContext(digits)) == printed(wide)

@@ -182,8 +182,9 @@ def test_every_private_is_referenced():
 BUDGET_EXEMPT = {
     "stieltjes._GammaRow._allocate":
         "bit margins of the fixed-point log row: alloc bits for the 2^i "
-        "cancellation of the inner sums, 64 + 16 bits of rounding; sized in "
-        "bits per allocation, not in digits per step",
+        "cancellation of the inner sums, 64 bits of rounding, 32 guard bits "
+        "of the log recurrence and 16 for its first mp.log and fixed-point "
+        "start; sized in bits per allocation, not in digits per step",
     "verify._central_diff_exp_cubic":
         "the stencil's own precision follows its step h = 10^-(digits+2)/2 "
         "and the h^-m amplification, not working_dps",

@@ -98,11 +98,11 @@ def test_roundtrip_decimal_reparses_to_run_precision():
         assert mpf(s) == +value
 
 
-# sigma_13..sigma_20 lose digits to the gamma series' truncation at
+# sigma_15..sigma_20 lose digits to the gamma series' truncation at
 # 10^-(digits + guard), which no budget row reaches; see the FOUND line on
 # sigma in CHANGES.md
 FAMILY_CASES = ["gamma", "eta", "lambda", "xi1", "zeta0", pytest.param(
-    "sigma", marks=pytest.mark.xfail(strict=True, reason="sigma_13..20 (FOUND)"))]
+    "sigma", marks=pytest.mark.xfail(strict=True, reason="sigma_15..20 (FOUND)"))]
 
 
 def _printed(kind, ctx):
@@ -127,9 +127,10 @@ def clear_memos():
     clear()
 
 
-@pytest.mark.parametrize("kind", FAMILY_CASES)
+@pytest.mark.parametrize("kind", ["gamma", "eta", "sigma", "lambda", "xi1", "zeta0"])
 def test_budget_has_headroom(kind, clear_memos, monkeypatch):
-    # ten more digits on every budget row changes no printed digit
+    # ten more digits on every budget row changes no printed digit; sigma's
+    # wrong digits come from the gamma truncation, which no row sets
     before = {d: _printed(kind, PrecisionContext(d)) for d in (10, 30)}
     raised = {step: (per_index, fixed + 10)
               for step, (per_index, fixed) in precision._BUDGET.items()}

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,9 @@ from mpmath import mp, mpf
 
 from oracles import FROZEN, em_gamma_table
 from zkconst import stieltjes as stieltjes_module
-from zkconst.precision import ConvergenceError, PrecisionContext
+from zkconst.precision import ConvergenceError, PrecisionContext, extra_digits
 from zkconst.stieltjes import (
+    FAMILIES,
     GAMMA_TAG,
     alternating_binomial_sums,
     stieltjes_gamma,
@@ -215,14 +217,93 @@ class TestLogRow:
 
     def test_planted_cap_raises_with_partial_and_index(self, monkeypatch):
         # no run of small terms is long enough, so the series hits its cap
-        # 10 * (10 + 10) * (0 + 2) = 400 at gamma_0(22), 22 = working_dps + 2
+        # 10 * (10 + 10) * (0 + 2) = 400 at gamma_0(47), 47 = ceil(20 ln 10)
         monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
         with pytest.raises(ConvergenceError) as info:
             stieltjes_gamma(0, 1, PrecisionContext(digits=10))
         assert info.value.index == 401
-        with mp.workdps(40):
-            want = mpf("-3.068143039861196669924876")
+        # the partial is the series alone, outer terms i = 0..400 at 47, summed
+        # here from its definition; the inner sums cancel from up to 2^400
+        with mp.workdps(200):
+            logs = [mp.log(47 + j) for j in range(401)]
+            want = -mp.fsum(
+                mp.fsum(math.comb(i, j) * (-1) ** j * logs[j] for j in range(i + 1)) / (i + 1)
+                for i in range(401)
+            )
             assert abs(info.value.partial - want) < mpf("1e-24")
+
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    @pytest.mark.parametrize("u", ["1e-30", "0.001", "1", "2.5", "57.3", "1e30"])
+    def test_logs_and_shifted_sums_match_mpmath(self, u, digits):
+        # the row's integers against mpmath at 40 more bits, before and after
+        # a doubling of alloc, which rebuilds the row at a larger prec
+        row = make_row(u, PrecisionContext(digits=digits))
+        for _ in range(2):
+            with mp.workprec(row.prec + 40):
+                xs = [mp.fadd(row.u_mp, k, exact=True) for k in range(row.shift + row.alloc)]
+                logs = [mp.log(x) for x in xs]
+                assert len(row.logs) == len(xs)
+                # the 32 guard bits keep the recurrence's rounding out of the
+                # last place, so each log is within one unit of it
+                for k, (got, want) in enumerate(zip(row.logs, logs)):
+                    assert abs(got - mp.ldexp(want, row.prec)) < 1 + mpf(2) ** -10, k
+                # the term m = 0 of a u < 1 is left to mpf
+                for n in (0, 1, 5, 20):
+                    want = mp.fsum(logs[m] ** n / xs[m] for m in range(row.first, row.shift))
+                    err = abs(row._shifted(n) - mp.ldexp(want, row.prec))
+                    # 2^12 units of 2^-prec is at most 2^-(base_prec + 244)
+                    assert err <= 2**12 * max(1, abs(want)), n
+            row._allocate(2 * row.alloc)
+
+    @pytest.mark.parametrize("guard", [10, 20])
+    @pytest.mark.parametrize(
+        "u", ["1e-20", "2.5", "57.3", "1e30"], ids=["tiny", "unit", "moderate", "huge"]
+    )
+    def test_a_60_digit_row_never_reallocates(self, u, guard):
+        # at U = ceil(working_dps ln 10) every series stops within the first
+        # allocation, for u from each of the four sweep regimes
+        row = make_row(u, PrecisionContext(digits=60, guard_digits=guard))
+        for n in range(21):
+            row.gamma(n)
+        assert row.alloc == 192
+
+    @pytest.mark.parametrize("u", ["0.001", "1", "57.3"])
+    def test_doublings_mid_series_keep_the_value(self, u):
+        # a row started at 8 terms doubles inside the series of gamma_5,
+        # after its shifted sum was taken at the smaller prec
+        ctx = PrecisionContext(digits=10)
+        row = make_row(u, ctx)
+        row._allocate(8)
+        got = row.gamma(5)
+        assert row.alloc > 8
+        want = make_row(u, ctx).gamma(5)
+        with mp.workdps(40):
+            assert abs(got - want) <= mpf(10) ** -ctx.working_dps * max(1, abs(want))
+
+    @pytest.mark.parametrize("u", ["1e-100000000", "1e-100000", "1e100000", "1e100000000"])
+    def test_extreme_exponents_stay_cheap(self, u):
+        # the row's integers keep the size of its precision whatever the
+        # exponent of u: log^n(u)/u of a tiny u is divided in mpf, and the
+        # log chain of a huge u stops growing at 2^(2 bits)
+        ctx = PrecisionContext(digits=60)
+        start = time.process_time()
+        values = stieltjes_table(20, ctx, u=u)
+        assert time.process_time() - start < 5
+        with mp.workdps(ctx.digits + 20):
+            x = mpf(u)
+            for n in (0, 1, 5, 20):
+                # the terms left out are below 10^-99990 of these, relative
+                if x < 1:
+                    want = mp.log(x) ** n / x
+                else:
+                    want = -mp.log(x) ** (n + 1) / (n + 1)
+                assert abs(values.mpf(n) - want) <= mpf(10) ** -ctx.digits * abs(want), n
+
+
+def make_row(u, ctx):
+    """A fresh gamma row at u, converted as stieltjes_gamma converts it."""
+    with mp.workdps(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])):
+        return stieltjes_module._GammaRow(mpf(u), ctx)
 
 
 @pytest.mark.parametrize("u", ["1", "2.5", "0.001", "1e30"])

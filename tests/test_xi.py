@@ -1,18 +1,25 @@
 import pytest
 from mpmath import mp, mpf
 
+from zkconst.chain import table
 from zkconst.xi import xi_deriv_at_zero, xi_deriv_recurrence, xi_table
 
 
 @pytest.fixture(scope="module")
-def xi_bell(ctx30, chain30):
-    return xi_table(chain30["sigmas"], ctx30)
+def sigmas(ctx30):
+    """sigma_1..sigma_12, the most the xi1 family's cap of 12 allows."""
+    return table("sigma", 12, ctx30)
+
+
+@pytest.fixture(scope="module")
+def xi_bell(ctx30, sigmas):
+    return xi_table(sigmas, ctx30)
 
 
 class TestBellRoute:
-    def test_first_derivative_is_half_sigma1(self, ctx30, chain30, xi_bell):
+    def test_first_derivative_is_half_sigma1(self, ctx30, chain30, sigmas, xi_bell):
         with mp.workdps(60):
-            assert abs(xi_bell.mpf(1) - chain30["sigmas"].mpf(1) / 2) < mpf("1e-35")
+            assert abs(xi_bell.mpf(1) - sigmas.mpf(1) / 2) < mpf("1e-35")
             assert abs(xi_bell.mpf(1) - chain30["lambdas"].mpf(1) / 2) < mpf(10) ** (
                 -(ctx30.digits - 5)
             )
@@ -51,26 +58,32 @@ class TestBellRoute:
         with pytest.raises(ValueError, match="sigma table, got eta"):
             xi_table(chain30["etas"], ctx30)
 
+    @pytest.mark.parametrize("route", [xi_table, xi_deriv_recurrence])
+    def test_sigma_table_past_the_cap_rejected(self, route, ctx30):
+        # no route vouches for xi^(n)(1) past the xi1 cap of 12
+        with pytest.raises(ValueError, match=r"must lie in \[1, 12\]"):
+            route(table("sigma", 20, ctx30), ctx30)
+
 
 class TestRecurrenceRoute:
-    def test_matches_bell_route(self, ctx30, chain30, xi_bell):
-        rec = xi_deriv_recurrence(chain30["sigmas"], ctx30)
+    def test_matches_bell_route(self, ctx30, sigmas, xi_bell):
+        rec = xi_deriv_recurrence(sigmas, ctx30)
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for n in range(1, 9):
                 assert abs(rec.mpf(n) - xi_bell.mpf(n)) < tol, f"n={n}"
 
-    def test_n2_entry_matches_lambda_form(self, ctx30, chain30):
-        rec = xi_deriv_recurrence(chain30["sigmas"], ctx30)
+    def test_n2_entry_matches_lambda_form(self, ctx30, chain30, sigmas):
+        rec = xi_deriv_recurrence(sigmas, ctx30)
         lam = chain30["lambdas"]
         with mp.workdps(60):
             l1, l2 = lam.mpf(1), lam.mpf(2)
             expected = l2 / 2 - l1 + l1**2 / 2
             assert abs(rec.mpf(2) - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
-    def test_all_entries_positive(self, ctx30, chain30):
-        rec = xi_deriv_recurrence(chain30["sigmas"], ctx30)
-        assert rec.max_n == chain30["sigmas"].max_n
+    def test_all_entries_positive(self, ctx30, sigmas):
+        rec = xi_deriv_recurrence(sigmas, ctx30)
+        assert rec.max_n == sigmas.max_n
         for n in range(1, 11):
             assert rec.mpf(n) > 0
 

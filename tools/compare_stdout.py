@@ -1,0 +1,173 @@
+"""Compare the CLI output of two source trees over a fixed command set.
+
+    python3 tools/compare_stdout.py OLD_SRC NEW_SRC
+
+runs `python3 -m zkconst` once per command with PYTHONPATH set to each
+`src/` directory in turn.  The command set is the golden commands of
+tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
+45 and 60 digits, every family at its cap at 10 and 60 digits, gamma to 20
+at five values of u at 30, 45 and 60 digits, and `li-check --max-n 20` at
+10, 30 and 60 digits, each command once.  For every command it prints
+whether stdout is byte-identical and, when it is not:
+  - the reports whose name or verdict changed, or a change in their count;
+  - the worst change of a report side (lhs or rhs) as a multiple of
+    10^-(digits+5) * max(1, |old side|);
+  - the table rows whose printed value changed, as n: old -> new.
+Exit status 0 when every command keeps its exit code, stderr, report names
+and verdicts and every side moves by at most that bound; 1 otherwise.  A
+changed table row is reported but does not set the exit status.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mpmath import mp, mpf
+
+REPO = Path(__file__).resolve().parents[1]
+SUITES = ("all", "bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs")
+GAMMA_US = ("2", "0.001", "1e-20", "2.5", "1e30")
+SIDE_MARGIN = 5  # a side may move by 10^-(digits + SIDE_MARGIN), relative above 1
+
+
+def assigned(path: Path, name: str) -> ast.expr:
+    """The value assigned to `name` at the top level of a Python file."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise SystemExit(f"{path.relative_to(REPO)} defines no {name}")
+
+
+def golden_commands() -> list:
+    """The keys of GOLDEN_STDOUT in tests/test_cli.py, in file order."""
+    golden = assigned(REPO / "tests" / "test_cli.py", "GOLDEN_STDOUT")
+    return [ast.literal_eval(k) for k in golden.keys]
+
+
+def family_caps() -> dict:
+    """kind -> largest index, from FAMILIES in src/zkconst/stieltjes.py."""
+    families = ast.literal_eval(assigned(REPO / "src" / "zkconst" / "stieltjes.py", "FAMILIES"))
+    return {kind: cap for kind, (_, cap) in families.items()}
+
+
+def command_set() -> list:
+    commands = golden_commands()
+    commands += [f"verify --suite {s} --digits {d}" for s in SUITES for d in (10, 30, 45, 60)]
+    commands += [
+        f"table --seq {kind} --max-n {cap} --digits {d}"
+        for kind, cap in family_caps().items() for d in (10, 60)
+    ]
+    commands += [
+        f"table --seq gamma --max-n 20 --u {u} --digits {d}" for u in GAMMA_US for d in (30, 45, 60)
+    ]
+    commands += [f"li-check --max-n 20 --digits {d}" for d in (10, 30, 60)]
+    return list(dict.fromkeys(commands))
+
+
+def run(src: str, command: str) -> tuple:
+    """(exit code, stdout, stderr) of one fresh CLI process."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zkconst", *command.split()],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def parse(stdout: str) -> tuple:
+    """(reports, rows) of one output: reports as [(identity, passed, lhs,
+    rhs)] in order, table rows as {n: printed value}."""
+    if stdout.startswith("{"):
+        data = json.loads(stdout)
+        reports = [(r["identity"], r["pass"], r["lhs"], r["rhs"]) for r in data.get("reports", [])]
+        return reports, {r["n"]: r["value"] for r in data.get("rows", [])}
+    reports, rows = [], {}
+    for line in stdout.splitlines():
+        if line.startswith(("pass  ", "FAIL  ")):
+            verdict, identity, lhs, rhs = line.split("  ")[:4]
+            reports.append((identity, verdict == "pass", lhs[len("lhs="):], rhs[len("rhs="):]))
+            continue
+        fields = line.replace(",", " ").split()
+        if len(fields) == 3 and fields[0].isdigit():
+            rows[int(fields[0])] = fields[1]
+    return reports, rows
+
+
+def digits_of(command: str) -> int:
+    words = command.split()
+    return int(words[words.index("--digits") + 1]) if "--digits" in words else 30
+
+
+def compare(command: str, old: tuple, new: tuple) -> tuple:
+    """(ok, lines) describing how new differs from old."""
+    if old == new:
+        return True, []
+    ok, lines = True, []
+    if old[0] != new[0] or old[2] != new[2]:
+        ok = False
+        lines.append(f"exit {old[0]} -> {new[0]}; stderr {old[2]!r} -> {new[2]!r}")
+    old_reports, old_rows = parse(old[1])
+    new_reports, new_rows = parse(new[1])
+    if len(old_reports) != len(new_reports):
+        ok = False
+        lines.append(f"report count {len(old_reports)} -> {len(new_reports)}")
+    changed = [
+        f"{a[0]} {'pass' if a[1] else 'FAIL'} -> {b[0]} {'pass' if b[1] else 'FAIL'}"
+        for a, b in zip(old_reports, new_reports) if a[:2] != b[:2]
+    ]
+    if changed:
+        ok = False
+        lines.append("verdicts changed: " + "; ".join(changed))
+    digits = digits_of(command)
+    worst, where = mpf(0), None
+    for a, b in zip(old_reports, new_reports):
+        for side, x, y in (("lhs", a[2], b[2]), ("rhs", a[3], b[3])):
+            if x != y:
+                x, y = mpf(x), mpf(y)
+                ratio = abs(y - x) / (mpf(10) ** -(digits + SIDE_MARGIN) * max(1, abs(x)))
+                if ratio > worst or where is None:
+                    worst, where = ratio, f"{a[0]} {side}"
+    if where is not None:
+        ok = ok and worst <= 1
+        lines.append(f"worst side change {mp.nstr(worst, 3)} x 10^-(digits+{SIDE_MARGIN}) at {where}")
+    rows = [
+        f"{n}: {old_rows.get(n)} -> {new_rows.get(n)}"
+        for n in sorted(set(old_rows) | set(new_rows)) if old_rows.get(n) != new_rows.get(n)
+    ]
+    if rows:
+        lines.append("table rows changed: " + "; ".join(rows))
+    return ok, lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old_src, new_src = (str(Path(a).resolve()) for a in args)
+    mp.dps = 120
+    commands = command_set()
+    identical = failed = 0
+    for command in commands:
+        old, new = run(old_src, command), run(new_src, command)
+        ok, lines = compare(command, old, new)
+        identical += old == new
+        failed += not ok
+        status = "identical" if old == new else ("differs" if ok else "DIFFERS, out of bounds")
+        print(f"{status}: {command}")
+        for line in lines:
+            print(f"    {line}")
+    print(f"{len(commands)} commands: {identical} byte-identical, "
+          f"{len(commands) - identical} differ, {failed} out of bounds")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
