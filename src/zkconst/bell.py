@@ -1,7 +1,7 @@
 """Complete (exponential) Bell polynomials by three independent routes.
 
 Y_n(x_1, ..., x_n) is built three ways, which downstream tests demand agree
-exactly in rational arithmetic:
+exactly:
 
   * partition sum      Y_n = sum over k_1 + 2 k_2 + ... + n k_n = n of
                        n!/(k_1! ... k_n!) prod_j (x_j/j!)^(k_j)
@@ -12,8 +12,11 @@ exactly in rational arithmetic:
 
 The recurrence is the fast numeric route; the partition sum is the symbolic
 definition, returned as a plain {exponent tuple: coefficient} dict and
-evaluated by substitute(); the determinant is evaluated by Gaussian
-elimination in exact rationals, so the three-route comparison is exact.
+evaluated by substitute(); the determinant clears its denominators once and
+is evaluated by fraction-free elimination in integers, so the three-route
+comparison is exact.  Every route is weighted-homogeneous,
+Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an exact caller can scale
+rational arguments to integers and divide the value by c^n once.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ def bell_symbolic(n: int) -> dict:
         for j, k in enumerate(ks, start=1):
             if k:
                 denom *= math.factorial(k) * math.factorial(j) ** k
-        coeff = Fraction(nfact, denom)
-        assert coeff.denominator == 1
-        terms[ks] = terms.get(ks, 0) + int(coeff)
+        coeff, rem = divmod(nfact, denom)
+        if rem:
+            raise ArithmeticError(f"n!/{denom} is not an integer coefficient")
+        terms[ks] = coeff
     return terms
 
 
@@ -112,28 +116,27 @@ def bracket_determinant(cs) -> Fraction:
 
     Row 1 holds c_1..c_n; row i (i >= 2) holds the subdiagonal entry n-i+1
     followed by c_1..c_{n-i+1}; everything below the subdiagonal is zero.
-    Evaluated by Gaussian elimination in exact rationals: below pivot k only
-    row k+1 is nonzero, so each step updates that one row.  A zero pivot
-    swaps with row k+1, still untouched, whose subdiagonal entry n-k-1 is
-    nonzero; the row moved down is then already zero in column k.  The
-    determinant is the signed product of the pivots.
+    Every row is multiplied once by D, the lcm of the denominators of the
+    c_k, which scales the determinant by D^n and leaves integers.  These are
+    eliminated fraction-free (Bareiss): below pivot k only row k+1 is
+    nonzero, so each step replaces that one row by
+    pivot * row - subdiagonal * pivot row, after which its entry in column j
+    is the minor on rows 1..k+1 and columns 1..k, j.  Bareiss divides each
+    update by the previous pivot; here that pivot is also the factor an
+    untouched row carries in Bareiss's scheme, so the two cancel and nothing
+    is divided.  A zero pivot thus needs no row swap, and the last pivot is
+    D^n times the determinant.
     """
     n = len(cs)
     if n < 1:
         raise ValueError("bracket determinant needs n >= 1 entries")
     cs = [Fraction(c) for c in cs]
-    m = [cs] + [[0] * (i - 1) + [Fraction(n - i)] + cs[: n - i] for i in range(1, n)]
-    det = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            m[k], m[k + 1] = m[k + 1], m[k]
-            det = -det
-        else:
-            factor = m[k + 1][k] / m[k][k]
-            for j in range(k + 1, n):
-                m[k + 1][j] -= factor * m[k][j]
-        det *= m[k][k]
-    return det * m[n - 1][n - 1]
+    den = math.lcm(*(c.denominator for c in cs))
+    row = cs = [c.numerator * (den // c.denominator) for c in cs]
+    for k in range(1, n):
+        pivot, sub = row[0], (n - k) * den
+        row = [pivot * c - sub * r for c, r in zip(cs, row[1:])]
+    return Fraction(row[0], den**n)
 
 
 def bell_determinant(args) -> Fraction:
@@ -141,8 +144,6 @@ def bell_determinant(args) -> Fraction:
     n = len(args)
     if n < 1:
         raise ValueError("bell_determinant needs n >= 1 arguments")
-    cs = [
-        Fraction((-1) ** k) * Fraction(args[k]) / math.factorial(k)
-        for k in range(n)
-    ]
-    return bracket_determinant(cs)
+    return bracket_determinant(
+        [Fraction((-1) ** k * args[k], math.factorial(k)) for k in range(n)]
+    )

@@ -40,9 +40,10 @@ EXIT_INTERNAL = 4
 
 def _parse_u(raw: str, ctx: PrecisionContext):
     with mp.workdps(ctx.working_dps + extra_digits("parse_u")):
+        # mpmath reads "p/q" as a ratio, so "1/0" raises ZeroDivisionError
         try:
             u = mp.mpf(raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse --u value {raw!r}") from exc
         if not (mp.isfinite(u) and u > 0):
             raise ValueError("--u must be a finite real > 0")

@@ -7,8 +7,10 @@ checks is a list of route-pair rows handed to `equality_reports` or
 (`eta-recurrence-agreement-n3`), and within one index the rows come in the
 order given, so `lambda-sigma-vs-coffey-r2` precedes
 `lambda-eta-psi-vs-coffey-r2`, which precedes `lambda-sigma-vs-coffey-r3`.
-Exact combinatorial identities run in rational arithmetic on seeded random
-vectors (the seed is fixed, so repeated runs are byte-identical).
+Exact combinatorial identities run on seeded random rational vectors (the
+seed is fixed, so repeated runs are byte-identical); the Bell routes take
+each vector scaled to integers and divide by the scale once (see
+`_scale_to_integers`), so they run in integer arithmetic.
 
 Numeric identities are judged against 10^-tol_exp, defaulting to
 tol_exp = digits - 5, except for these, whose tolerance is fixed:
@@ -64,6 +66,18 @@ def _random_fractions(rng, n, lo=-20, hi=20, max_den=12):
     return [Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)]
 
 
+def _scale_to_integers(*vectors):
+    """L, the lcm of every denominator in `vectors`, then each vector x as
+    the integers L^j x_j (j = 1..n).  Every Bell route is weighted-homogeneous,
+    Y_n(L x_1, L^2 x_2, ..., L^n x_n) = L^n Y_n(x), so it maps these to
+    L^n Y_n(x): exactly, and in integers."""
+    scale = math.lcm(*(v.denominator for vs in vectors for v in vs))
+    return scale, *(
+        [v.numerator * (scale // v.denominator) * scale**j for j, v in enumerate(vs)]
+        for vs in vectors
+    )
+
+
 # ---------------------------------------------------------------------------
 # bell suite
 
@@ -90,35 +104,41 @@ def _holds(identity, ok, ctx, method_tags):
     return exact_report(identity, ok, 1 if ok else 0, 1, ctx, method_tags=method_tags)
 
 
-def _first_mismatch(identity, pairs, ctx, method_tags):
-    """Exact report that every (lhs, rhs) in `pairs` is equal.
+def _first_mismatch(identity, trials, ctx, method_tags):
+    """Exact report that lhs == rhs for every (lhs, rhs, scale) in `trials`,
+    whose sides are the trial's values times scale.
 
-    `pairs` is lazy, so seeded trials stop drawing at the first mismatch,
-    which becomes the witness; when all agree the last pair is the witness.
+    `trials` is lazy, so seeded trials stop drawing at the first mismatch,
+    which becomes the witness; when all agree the last trial is the witness.
+    The witness sides are divided by their scale once, here.  No trial at
+    all is a fault of the suite, not of the input, and raises RuntimeError:
+    nothing would have been checked.
     """
-    lhs = rhs = Fraction(0)
-    for lhs, rhs in pairs:
+    scale = None
+    for lhs, rhs, scale in trials:
         if lhs != rhs:
             break
-    return exact_report(identity, lhs == rhs, lhs, rhs, ctx, method_tags=method_tags)
+    if scale is None:
+        raise RuntimeError(f"{identity}: no trial was drawn")
+    return exact_report(identity, lhs == rhs, Fraction(lhs, scale), Fraction(rhs, scale),
+                        ctx, method_tags=method_tags)
 
 
 def _route_pairs(rng, n):
     """Partition sum against recurrence, then against determinant, per trial."""
     terms = bell.bell_symbolic(n)
     for _ in range(100):
-        v = _random_fractions(rng, n)
+        scale, v = _scale_to_integers(_random_fractions(rng, n))
         a = bell.substitute(terms, v)
         b = bell.bell_recurrence_value(v)
         c = bell.bell_determinant(v)
-        yield a, b
-        yield a, c
+        yield a, b, scale**n
+        yield a, c, scale**n
 
 
 def _convolution_pairs(rng, n):
     for _ in range(20):
-        xs = _random_fractions(rng, n)
-        ys = _random_fractions(rng, n)
+        scale, xs, ys = _scale_to_integers(_random_fractions(rng, n), _random_fractions(rng, n))
         lhs = bell.bell_recurrence_value([a + b for a, b in zip(xs, ys)])
         rhs = sum(
             math.comb(n, k)
@@ -126,16 +146,17 @@ def _convolution_pairs(rng, n):
             * bell.bell_recurrence_value(ys[:k])
             for k in range(n + 1)
         )
-        yield lhs, rhs
+        yield lhs, rhs, scale**n
 
 
 def _scaled_determinant_pairs(rng, n):
     for _ in range(20):
-        bs = _random_fractions(rng, n)
+        scale, bs = _scale_to_integers(_random_fractions(rng, n))
         scaled = [math.factorial(j) * bs[j] for j in range(n)]
         yield (
             bell.bell_recurrence_value(scaled),
             bell.bracket_determinant([(-1) ** k * bs[k] for k in range(n)]),
+            scale**n,
         )
 
 

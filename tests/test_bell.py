@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from oracles import bracket_matrix, central_derivative, cofactor_determinant
+from zkconst import bell
 from zkconst.bell import (
     bell_determinant,
     bell_recurrence_value,
@@ -16,6 +17,7 @@ from zkconst.bell import (
     bracket_determinant,
     substitute,
 )
+from zkconst.verify import _first_mismatch, _scale_to_integers, suite_bell
 
 PRINTED = {
     1: {(1,): 1},
@@ -116,8 +118,8 @@ class TestDeterminant:
 
     def test_singular_brackets(self):
         # [1, 1, 1] and [1/2, 1/4] have nonzero pivots but a zero last one;
-        # all zeros leaves only the subdiagonal after n-1 swaps; [3, 3, 3, 3]
-        # is singular after two swaps that elimination made necessary
+        # all zeros gives a zero pivot at every step; [3, 3, 3, 3] is singular
+        # after two zero pivots that elimination itself made
         for cs in ([1, 1, 1], [Fraction(1, 2), Fraction(1, 4)], [0, 0, 0, 0], [3, 3, 3, 3]):
             assert cofactor_determinant(bracket_matrix(cs)) == 0
             assert bracket_determinant(cs) == 0
@@ -127,7 +129,7 @@ class TestDeterminant:
         [[0, 0, 0, 5], [0, 0, 0, 0, 2], [0, 0, 3, 0, 0, Fraction(-7, 2)], [3, 3, 3, 1]],
     )
     def test_zero_pivots_in_a_row(self, cs):
-        # leading zeros swap at steps 0, 1, 2, ... in turn; in [3, 3, 3, 1]
+        # leading zeros give zero pivots at steps 0, 1, 2, ... in turn; in [3, 3, 3, 1]
         # elimination itself leaves zero pivots at steps 1 and 2
         assert bracket_determinant(cs) == cofactor_determinant(bracket_matrix(cs))
 
@@ -176,7 +178,7 @@ class TestIdentities:
                 assert abs(lhs - rhs) < mpf(10) ** (-tol_exp)
 
 
-# zero-heavy rationals, so zero pivots (row swaps) and singular brackets occur
+# zero-heavy rationals, so zero pivots and singular brackets occur
 ZERO_HEAVY = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
@@ -194,3 +196,97 @@ class TestProperties:
     def test_three_routes_agree(self, v):
         partition = substitute(bell_symbolic(len(v)), v)
         assert partition == bell_recurrence_value(v) == bell_determinant(v)
+
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+class TestScaledTrials:
+    """The bell suite runs each route at the integers L^j x_j and divides by
+    L^n; weighted homogeneity makes that exact for every route."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(RATIONALS, min_size=1, max_size=8))
+    def test_each_route_at_scaled_integers(self, v):
+        scale, w = _scale_to_integers(v)
+        assert all(type(x) is int for x in w)
+        n = len(v)
+        terms = bell_symbolic(n)
+        for route in (lambda x: substitute(terms, x), bell_recurrence_value,
+                      bell_determinant):
+            assert Fraction(route(w), scale**n) == route(v)
+
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.lists(RATIONALS, min_size=n, max_size=n)] * 2)))
+    def test_one_scale_covers_two_vectors(self, pair):
+        xs, ys = pair
+        scale, xs_int, ys_int = _scale_to_integers(xs, ys)
+        summed = bell_recurrence_value([a + b for a, b in zip(xs_int, ys_int)])
+        want = bell_recurrence_value([a + b for a, b in zip(xs, ys)])
+        assert Fraction(summed, scale ** len(xs)) == want
+
+    def test_no_trial_drawn_raises(self, ctx30):
+        with pytest.raises(RuntimeError, match="no trial"):
+            _first_mismatch("empty", iter(()), ctx30, ())
+
+    def test_witness_is_divided_by_the_scale(self, ctx30):
+        report = _first_mismatch("w", iter([(6, 6, 4), (3, 5, 9)]), ctx30, ())
+        assert not report.passed
+        with mp.workdps(50):
+            assert abs(mpf(report.lhs) - mpf(1) / 3) < mpf("1e-30")
+            assert abs(mpf(report.rhs) - mpf(5) / 9) < mpf("1e-30")
+
+
+class _OneWrongBinomial:
+    """The math module, but with C(3, 1) off by one."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def comb(m, k):
+        return math.comb(m, k) + ((m, k) == (3, 1))
+
+
+def _plant_partition_coefficient(monkeypatch):
+    real = bell.bell_symbolic
+
+    def planted(n):
+        terms = real(n)
+        if n == 5:
+            terms[(0, 1, 1, 0, 0)] += 1
+        return terms
+
+    monkeypatch.setattr(bell, "bell_symbolic", planted)
+
+
+def _plant_determinant_sign(monkeypatch):
+    real = bell.bracket_determinant
+
+    def planted(cs):
+        cs = list(cs)
+        if len(cs) > 1:
+            cs[1] = -cs[1]
+        return real(cs)
+
+    monkeypatch.setattr(bell, "bracket_determinant", planted)
+
+
+def _plant_recurrence_binomial(monkeypatch):
+    monkeypatch.setattr(bell, "math", _OneWrongBinomial())
+
+
+EXACT_FAMILIES = ("bell-routes-exact-n", "bell-convolution-n", "bell-scaled-determinant-n")
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [_plant_partition_coefficient, _plant_determinant_sign, _plant_recurrence_binomial],
+    ids=["partition-coefficient", "determinant-sign", "recurrence-binomial"],
+)
+def test_planted_fault_fails_an_exact_family(plant, monkeypatch, ctx30):
+    assert all(r.passed for r in suite_bell(ctx30))
+    plant(monkeypatch)
+    failed = [r.identity for r in suite_bell(ctx30) if not r.passed]
+    assert any(name.startswith(EXACT_FAMILIES) for name in failed), failed

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from oracles import FROZEN
@@ -107,6 +112,61 @@ class TestTableCommand:
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+
+def table_exit_code(u_raw):
+    """Exit code of `table --seq gamma --max-n 0 --u=<u_raw>`, in process;
+    the = form keeps argparse from reading a leading '-' as an option."""
+    from zkconst import cli
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["table", "--seq", "gamma", "--max-n", "0", f"--u={u_raw}"])
+
+
+# positive finite decimals in the forms a user types: 12, 0.5, .5, 5., 1e-7,
+# 3.25E+12, with a leading + or not
+POSITIVE_DECIMALS = st.builds(
+    lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+    st.sampled_from(["", "+"]),
+    st.integers(0, 10**12).map(str) | st.just(""),
+    st.integers(0, 10**12).map(lambda f: f".{f}") | st.sampled_from(["", "."]),
+    st.integers(-400, 400).map(lambda e: f"e{e}") | st.sampled_from(["", "E+12"]),
+).filter(lambda raw: any(c in "123456789" for c in raw.split("e")[0].split("E")[0]))
+ZEROS = st.builds(lambda sign, zeros, exp: f"{sign}{zeros}{exp}",
+                  st.sampled_from(["", "+", "-"]),
+                  st.sampled_from(["0", "00", "0.0", ".0", "0.", "0.000"]),
+                  st.sampled_from(["", "e5", "E-300"]))
+NEGATIVES = POSITIVE_DECIMALS.map(lambda raw: "-" + raw.lstrip("+"))
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "+inf", "-inf", "INF", "Inf"])
+# a character no float literal holds, among digits, or a malformed literal;
+# "1/0" is a ratio that mpmath reads as a division by zero
+UNPARSEABLE = st.builds(
+    lambda head, junk, tail: head + junk + tail,
+    st.text("0123456789.", max_size=4),
+    st.sampled_from(list("x#,;@%")),
+    st.text("0123456789", max_size=4),
+) | st.sampled_from(["", " ", "1e", "e5", "--1", "1.2.3", "0x10", "1e5/3", "1/0", "0/0"])
+
+
+class TestParseU:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(raw=POSITIVE_DECIMALS)
+    def test_positive_finite_decimals_parse(self, raw, ctx30):
+        from zkconst import cli
+
+        u = cli._parse_u(raw, ctx30)
+        exact = Fraction(raw.lstrip("+"))
+        assert mp.isfinite(u) and u > 0
+        with mp.workdps(ctx30.working_dps + 20):
+            want = mpf(exact.numerator) / exact.denominator
+            assert abs(u - want) <= want * mpf(10) ** -ctx30.working_dps
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(ZEROS | NEGATIVES | NON_FINITE | UNPARSEABLE)
+    def test_every_other_value_exits_2(self, raw):
+        from zkconst.cli import EXIT_USAGE
+
+        assert table_exit_code(raw) == EXIT_USAGE
 
 
 class TestVerifyCommand:

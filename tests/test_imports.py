@@ -6,8 +6,9 @@ used, which covers the re-exports in __init__; so every such name must also
 resolve on its module, or a removed function could linger in __all__.
 Likewise every module-level private function, class or assignment must be
 referenced somewhere in the package outside its own definition, every
-working precision outside precision.py must come from its budget, and no
-module but precision.py and bell.py tests for an int itself.
+working precision outside precision.py must come from its budget, no
+module but precision.py and bell.py tests for an int itself, and no file
+under src/ holds an assert statement.
 """
 
 import ast
@@ -19,7 +20,8 @@ import pytest
 
 import zkconst
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "zkconst"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "zkconst"
 
 
 def unused_imports(source: str) -> list:
@@ -333,3 +335,21 @@ def test_checker_flags_an_int_check_outside_precision():
 def test_integer_checks_live_in_precision():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert int_checks(sources) == []
+
+
+def assert_statements(sources: dict) -> list:
+    """"module:line" of every assert statement: `python -O` strips them, so a
+    check the package relies on must raise instead."""
+    return [f"{module}:{node.lineno}" for module, src in sources.items()
+            for node in ast.walk(ast.parse(src)) if isinstance(node, ast.Assert)]
+
+
+def test_checker_flags_an_assert():
+    source = "def f(x):\n    assert x > 0\n    if x:\n        assert x, 'msg'\n    return x\n"
+    assert assert_statements({"m": source, "n": "x = 1\n"}) == ["m:2", "m:4"]
+
+
+def test_no_asserts_under_src():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert assert_statements(sources) == []
