@@ -11,7 +11,13 @@ zeta(n) is evaluated through the alternating series
     eta(n) = sum_{k>=1} (-1)^(k-1) k^(-n),    zeta(n) = eta(n) / (1 - 2^(1-n))
 
 accelerated with the Chebyshev-weight scheme of Cohen, Rodriguez Villegas and
-Zagier, which gains ~0.76 decimal digits per term uniformly in n.
+Zagier ("Convergence acceleration of alternating series", Experimental Math.
+9, 2000), which gains ~0.76 decimal digits per term uniformly in n.  Its
+weights are exact integers: d = ((3+sqrt 8)^N + (3-sqrt 8)^N)/2 is the x_N of
+(x, y) <- (3x + 8y, x + 3y) from (1, 0), and
+b_k = (-1)^(k+1) N/(N+k) C(N+k, 2k) 4^k, so each c_k = b_k - c_(k-1) is an
+integer.  The sum over them runs in fixed-point integers, and only its final
+quotient is taken in mpf.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from .precision import PrecisionContext, check_index, extra_digits
 from .stieltjes import stieltjes_gamma
@@ -43,22 +50,34 @@ def log_2pi_mpf(ctx: PrecisionContext):
 
 
 class _CrvzWeights:
-    """The CRVZ weights d and c_0 .. c_(N-1) at one dps, shared by every
-    zeta(n) evaluated there, and the working precision they carry."""
+    """The CRVZ weights at one dps, shared by every zeta(n) evaluated there:
+    the integers d and c_0 .. c_(N-1), the working precision the sum is
+    rounded to, and its fixed-point width in bits.
+
+    All of them are exact.  d = ((3+sqrt 8)^N + (3-sqrt 8)^N)/2 is an integer,
+    and so is every b_k = (-1)^(k+1) N/(N+k) C(N+k, 2k) 4^k, whence the
+    division in b_(k+1) = 2(k+N)(k-N) b_k / ((2k+1)(k+1)) is exact and each
+    c_k = b_k - c_(k-1), from c_(-1) = -d, is an integer too.  The sum
+    leaves a relative truncation error of at most 2 (3+sqrt 8)^-N, about 1/d,
+    and N is chosen so that d > 10^working_dps.
+    """
 
     def __init__(self, dps: int):
         self.working_dps = dps + extra_digits("zeta_int")
-        with mp.workdps(self.working_dps):
-            nterms = int(1.32 * self.working_dps) + 4
-            d = (3 + mp.sqrt(8)) ** nterms
-            self.d = (d + 1 / d) / 2
-            b = mp.mpf(-1)
-            c = -self.d
-            weights = []
-            for k in range(nterms):
-                c = b - c
-                weights.append(c)
-                b = (k + nterms) * (k - nterms) * b / ((k + mpf(1) / 2) * (k + 1))
+        # each of the N floors of the sum errs by under 2^-shift, which d
+        # absorbs
+        self.shift = dps_to_prec(self.working_dps)
+        nterms = int(1.32 * self.working_dps) + 4
+        x, y = 1, 0
+        for _ in range(nterms):
+            x, y = 3 * x + 8 * y, x + 3 * y
+        self.d = x
+        b, c = -1, -x
+        weights = []
+        for k in range(nterms):
+            c = b - c
+            weights.append(c)
+            b = 2 * (k + nterms) * (k - nterms) * b // ((2 * k + 1) * (k + 1))
         self.weights = tuple(weights)
 
 
@@ -68,14 +87,16 @@ _crvz_weights = lru_cache(maxsize=16)(_CrvzWeights)
 
 @lru_cache(maxsize=4096)
 def _zeta_int_raw(n: int, dps: int):
-    """zeta(n) as an mpf accurate to ~dps digits, n >= 2."""
+    """zeta(n), n >= 2, as an mpf accurate to dps + the zeta_int row's digits.
+
+    acc = sum_k floor(c_k 2^shift / (k+1)^n) is eta(n) d 2^shift in integers;
+    zeta(n) = acc 2^(n-1) / (d (2^(n-1) - 1) 2^shift) is the one step in mpf.
+    """
     row = _crvz_weights(dps)
+    acc = sum((c << row.shift) // k**n for k, c in enumerate(row.weights, 1))
+    half = 1 << (n - 1)
     with mp.workdps(row.working_dps):
-        acc = mp.mpf(0)
-        for k, c in enumerate(row.weights):
-            acc += c * mpf(k + 1) ** (-n)
-        eta = acc / row.d
-        return +(eta / (1 - mpf(2) ** (1 - n)))
+        return mp.ldexp(acc * half, -row.shift) / (row.d * (half - 1))
 
 
 def zeta_int_mpf(n: int, ctx: PrecisionContext, extra_dps: int = 0):

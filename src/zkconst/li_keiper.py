@@ -10,9 +10,8 @@ computes each lambda_r by up to four routes and insists they agree:
   eta-psi-3.33               binomial sum over polygamma values at 3/2 and
                              eta constants, plus a linear term
   coffey-3.34                binomial sum over integer zeta values and eta
-                             constants; its additive constant is calibrated
-                             at build time against closed-3.6 and reported,
-                             never hardcoded
+                             constants, plus the 1 that the factor s of
+                             xi(s) adds to every lambda_r
 
 The sigma route is canonical (simplest error surface); the others are
 verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
@@ -147,12 +146,9 @@ def _coffey_sum(r: int, etas: ConstantTable, ctx: PrecisionContext):
 
 
 def coffey_constant(etas: ConstantTable, ctx: PrecisionContext):
-    """The additive constant of the coffey-3.34 route, calibrated at r = 2.
-
-    Printed statements of this formula disagree on whether the constant is
-    0, 1 or 2, so it is fixed numerically against the lambda_2 closed form
-    and reported alongside any value computed through the route.
-    """
+    """lambda_2's closed form minus the coffey-3.34 sum at r = 2: the route's
+    additive constant measured, for verify to compare with the 1 the route
+    adds."""
     require(etas, "eta", "coffey_constant", 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
         return +(lambda_closed(2, ctx) - _coffey_sum(2, etas, ctx))
@@ -163,7 +159,10 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf
     check_index(r, "the coffey-3.34 index r", 2)
     require(etas, "eta", "lambda_via_coffey", r - 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
-        return +(_coffey_sum(r, etas, ctx) + coffey_constant(etas, ctx))
+        # lambda_r = r [z^r] log xi(1/(1-z)), and the factor s of
+        # xi(s) = s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) / 2 gives
+        # log s = -log(1-z) = sum_r z^r / r there: 1 in every lambda_r
+        return +(_coffey_sum(r, etas, ctx) + 1)
 
 
 def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mpf:

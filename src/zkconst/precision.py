@@ -29,7 +29,7 @@ MIN_GUARD = 5
 # same numbers stay apart, since their reasons differ.
 _BUDGET = {
     "gamma": (1, 15),  # shifted sum and tail, each ~log^(n+1)(U)/(n+1), cancel to O(1)
-    "zeta_int": (0, 10),  # the CRVZ weights outgrow the partial sums of eta(n)
+    "zeta_int": (0, 10),  # CRVZ terms N and fixed-point bits: d > 10^(dps+10) bounds truncation and floors
     "psi_three_halves": (1, 5),  # 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) ~ (2/3)^(n+1), times n!
     "gamma_deriv": (1, 5),  # Gamma^(m)(1) = Y_m(-gamma, 1! zeta(2), ...), weights to (m-1)!
     "zeta0": (2, 10),  # apostol-5.5: binomial triple sums over Gamma^(m)(1) and log^k(2 pi)

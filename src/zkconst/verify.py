@@ -392,13 +392,12 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
          (li_keiper.LAMBDA_ETA_PSI_TAG, li_keiper.LAMBDA_COFFEY_TAG)),
     )
 
-    cal = li_keiper.coffey_constant(etas, ctx)
-    with mp.workdps(ctx.working_dps + extra_digits("side")):
-        nearest = mp.nint(cal)
+    # the constant 1 of coffey-3.34, measured against lambda_2's closed form
     reports.append(
         equality_report(
-            "coffey-3.34-calibrated-constant", cal, nearest, tol, ctx,
-            method_tags=(li_keiper.LAMBDA_COFFEY_TAG, "calibrated-vs-closed-3.6"),
+            "coffey-3.34-calibrated-constant", li_keiper.coffey_constant(etas, ctx), 1,
+            tol, ctx,
+            method_tags=(li_keiper.LAMBDA_COFFEY_TAG, li_keiper.LAMBDA_CLOSED_TAGS[2]),
         )
     )
 

@@ -1,10 +1,20 @@
+import math
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpf
 
 from oracles import FROZEN, brute_zeta
 from zkconst import kernel
 from zkconst.kernel import polygamma_three_halves_mpf, zeta_int_mpf
-from zkconst.precision import PrecisionContext
+from zkconst.precision import (
+    MAX_DIGITS, MIN_DIGITS, MIN_GUARD, PrecisionContext, extra_digits,
+)
+
+# every dps a weight row is built at for digits 10..60 and guard_digits up to
+# 60: working_dps plus the widest extra_dps a caller passes (sigma's 25, as
+# wide as psi_three_halves at n = 20)
+ROW_DPS = range(MIN_DIGITS + MIN_GUARD, MAX_DIGITS + 60 + extra_digits("sigma") + 1)
 
 
 class TestZetaInt:
@@ -55,6 +65,43 @@ class TestZetaInt:
         for n in range(2, 21):
             zeta_int_mpf(n, ctx)
         assert kernel._crvz_weights.cache_info().misses == 1
+
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    def test_within_the_zeta_int_row_of_mp_zeta(self, digits):
+        ctx = PrecisionContext(digits=digits)
+        bound = mpf(10) ** -(ctx.working_dps + extra_digits("zeta_int"))
+        for k in range(2, 41):
+            z = zeta_int_mpf(k, ctx)
+            with mp.workdps(ctx.working_dps + 40):
+                exact = mp.zeta(k)
+                assert abs(z - exact) / exact < bound, f"k={k}"
+
+
+class TestCrvzWeights:
+    """The weights are exact integers: checked at every N a row reaches."""
+
+    def test_d_is_the_closed_form(self):
+        for dps in ROW_DPS:
+            row = kernel._CrvzWeights(dps)
+            nterms = len(row.weights)
+            with mp.workdps(2 * nterms):
+                root = mp.sqrt(8)
+                d = ((3 + root) ** nterms + (3 - root) ** nterms) / 2
+                assert type(row.d) is int and abs(d - row.d) < 1, f"N={nterms}"
+            # d bounds both the truncation and the N floors of the sum
+            assert row.d > 10**row.working_dps
+
+    def test_weights_are_the_recurrence_and_the_closed_form(self):
+        for dps in ROW_DPS:
+            row = kernel._CrvzWeights(dps)
+            nterms = len(row.weights)
+            b, c, c_closed = Fraction(-1), Fraction(-row.d), Fraction(-row.d)
+            for k, weight in enumerate(row.weights):
+                closed_b = Fraction((-1) ** (k + 1) * nterms * math.comb(nterms + k, 2 * k)
+                                    * 4**k, nterms + k)
+                c, c_closed = b - c, closed_b - c_closed
+                assert type(weight) is int and weight == c == c_closed, f"N={nterms} k={k}"
+                b = (k + nterms) * (k - nterms) * b / ((k + Fraction(1, 2)) * (k + 1))
 
 
 class TestPolygammaThreeHalves:

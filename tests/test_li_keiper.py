@@ -120,6 +120,22 @@ class TestCoffeyRoute:
         with pytest.raises(ValueError):
             lambda_via_coffey(1, chain30["etas"], ctx30)
 
+    @pytest.mark.parametrize("digits", [10, 30])
+    def test_an_offset_in_the_sum_fails_verify(self, digits, monkeypatch):
+        # the sum started at 1 instead of 0, which a constant fitted to
+        # lambda_2's closed form would absorb
+        coffey_sum = li_keiper._coffey_sum
+        monkeypatch.setattr(
+            li_keiper, "_coffey_sum", lambda r, etas, ctx: coffey_sum(r, etas, ctx) + 1
+        )
+        failed = {r.identity for r in run_suite("lambda", PrecisionContext(digits))
+                  if not r.passed}
+        assert failed == {
+            "lambda-closed-vs-coffey-r2", "coffey-3.34-calibrated-constant",
+            *(f"lambda-{route}-vs-coffey-r{r}" for route in ("sigma", "eta-psi")
+              for r in range(2, 11)),
+        }
+
 
 class TestGDerivatives:
     def test_particular_values(self, ctx30, chain30):
