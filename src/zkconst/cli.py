@@ -26,7 +26,7 @@ import sys
 from mpmath import mp
 
 from . import chain, li_keiper
-from .precision import ConvergenceError, PrecisionContext, extra_digits
+from .precision import DEFAULT_DIGITS, ConvergenceError, PrecisionContext, extra_digits
 from .reports import all_passed
 from .stieltjes import FAMILIES, ConstantTable
 from .verify import SUITES, run_suite
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="emit one constant family")
     p_table.add_argument("--seq", required=True, choices=list(FAMILIES))
     p_table.add_argument("--max-n", required=True, type=int, dest="max_n")
-    p_table.add_argument("--digits", type=int, default=PrecisionContext.digits)
+    p_table.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_table.add_argument("--u", default=None)
     p_table.add_argument(
         "--format", choices=["text", "csv", "json"], default="text"
@@ -133,14 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("--suite", required=True, choices=list(SUITES))
-    p_verify.add_argument("--digits", type=int, default=PrecisionContext.digits)
+    p_verify.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_verify.add_argument("--tol-exp", type=int, default=None, dest="tol_exp")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_li = sub.add_parser("li-check", help="desk-scale Li positivity check")
     p_li.add_argument("--max-n", required=True, type=int, dest="max_n")
-    p_li.add_argument("--digits", type=int, default=PrecisionContext.digits)
+    p_li.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_li.add_argument("--format", choices=["text", "json"], default="text")
     p_li.set_defaults(func=_cmd_li_check)
     return parser

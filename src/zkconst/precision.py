@@ -10,12 +10,12 @@ computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
 tol_exp) is checked by check_index.
 A value leaves the package only in a ConstantTable or a VerificationReport,
-and both raise ValueError on a value that is not finite.
+and both raise ValueError on a value that is not finite.  The context and
+the table are Frozen records: their fields are set once, by __init__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -23,6 +23,7 @@ from mpmath import mp, mpf
 MIN_DIGITS = 10
 MAX_DIGITS = 60
 MIN_GUARD = 5
+DEFAULT_DIGITS = 30
 
 # step -> (per index, fixed): a step at index n carries per_index * n + fixed
 # decimal digits beyond ctx.working_dps, for the reason given.  Rows with the
@@ -68,20 +69,51 @@ def check_index(value, name: str, lo: int, hi: int | None = None) -> None:
         raise ValueError(f"{name} must lie in [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class Frozen:
+    """A record whose fields, the names in __slots__, are set once by
+    __init__ through _set; it compares, hashes and prints as those fields."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class PrecisionContext(Frozen):
     """Target accuracy plus working headroom for series evaluation.
 
     digits        decimal digits of target accuracy, in [10, 60]
     guard_digits  extra working digits (>= 5)
     """
 
-    digits: int = 30
-    guard_digits: int = 10
+    __slots__ = ("digits", "guard_digits")
 
-    def __post_init__(self):
-        check_index(self.digits, "digits", MIN_DIGITS, MAX_DIGITS)
-        check_index(self.guard_digits, "guard_digits", MIN_GUARD)
+    def __init__(self, digits: int = DEFAULT_DIGITS, guard_digits: int = 10):
+        check_index(digits, "digits", MIN_DIGITS, MAX_DIGITS)
+        check_index(guard_digits, "guard_digits", MIN_GUARD)
+        self._set(digits=digits, guard_digits=guard_digits)
 
     @property
     def working_dps(self) -> int:

@@ -15,15 +15,14 @@ reports from route pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .precision import PrecisionContext, extra_digits, roundtrip_decimal, to_mpf
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     identity: str
     lhs: str
     rhs: str

@@ -25,34 +25,44 @@ outer index i is, for n = 0,
 
     -integral_0^1 v^(U-1) (1-v)^i dv / (-log v),
 
-within a log factor of B(U, i+1) = Gamma(U) i! / Gamma(U+i+1), which is
-about Gamma(U) i^(-U); log^(n+1) adds only powers of log.  With D the
-working digits it falls below 10^-D once U log i > log Gamma(U) + D ln 10,
-that is, by Stirling, once log i > log U - 1 + D ln 10 / U.  The right side
-is least, at i ~ U, for U = D ln 10, so the target is ceil(D ln 10): 162 at
-60 digits with 10 guard digits, where the series stops after about 108
-outer terms.  A smaller U needs more outer terms (U = D + 2 needs about
-250 at 60 digits), a larger one more outer and shifted terms.
+and since -log v >= 1 - v it is at most B(U, i) = Gamma(U) Gamma(i) /
+Gamma(U+i) for i >= 1, which is about Gamma(U) i^(-U); log^(n+1) adds only
+powers of log.  With D the working digits it falls below 10^-D once
+U log i > log Gamma(U) + D ln 10, that is, by Stirling, once
+log i > log U - 1 + D ln 10 / U.  The right side is least, at i ~ U, for
+U = D ln 10, so the target is ceil(D ln 10): 162 at 60 digits with 10 guard
+digits, where the series stops after about 108 outer terms.  A smaller U
+needs more outer terms (U = D + 2 needs about 250 at 60 digits), a larger
+one more outer and shifted terms.
 
 The target does not depend on n, so every gamma_n(u) at one (u, context)
 runs its series at the same U.  One memoised row per (u, context) holds, as
 integers scaled by 2^P, log(u + k) for every k < shift + alloc (the shifted
 terms' logs, then the tail's log(U + j)), the reciprocals 1/(u + m) of the
-shifted terms and one power list.  P is the bits of the working precision of
-the largest n plus alloc + 64, so the inner sums at outer index i < alloc
-keep their ~i extra bits through the 2^i cancellation.  The logs come from
-one mp.log and the integer recurrence
+shifted terms and one power list.  The row is as long as its series: alloc
+is first the first i at which the bound B(U, i) log^21(U + i) of the largest
+n falls below the stopping threshold, plus the CONSECUTIVE_SMALL terms the
+stopping rule reads past it: 93 at 30 digits and 129 at 60, but 8 at
+u = 1e30 and 60 digits, where U = u and each term is about U times the
+next.  The bound is summed in logs, since U may be 1e100000000.  A series
+that runs past alloc doubles it.  P is the bits of the working precision of the largest n plus
+alloc + 64, so the inner sums at outer index i < alloc keep their ~i extra
+bits through the 2^i cancellation.  Each log is a fixed-point a / 2^bits
+with 32 guard bits, from the integer recurrence
 
-    log(x + 1) = log x + 2 atanh(1/(2x + 1)),  atanh y = y + y^3/3 + ...,
+    log(x + 1) = log x + 2 atanh(1/(2x + 1)),  atanh y = y + y^3/3 + ...
 
-carried with 32 guard bits on x as a fixed-point a / 2^bits.  The recurrence
-starts at x = u, or at u + 1 with a second mp.log when u < 1, where the
-atanh series converges too slowly; past x = 2^(2 bits) no step moves a log
-by 2^-bits, so x is clamped there.  Every integer of the row thus keeps the
-size of its precision, whatever the exponent of u, except 1/u of a u < 1:
-that one term, log^n(u)/u, is divided in mpf.  log^(k+1) comes from log^k
-by an integer multiply and shift; the shifted sum of each n is one sum of
-products of a power list with the reciprocals; the inner sums are exact
+At an integer u no larger than the row, log m comes for every integer m up
+to u + shift + alloc from a smallest-prime-factor sieve: each prime p takes
+one step, log p = log(p - 1) + 2 atanh(1/(2p - 1)), and each composite is
+the sum log p + log(m/p).  Every other u takes one mp.log and the
+recurrence from x = u, or from u + 1 with a second mp.log when u < 1, where
+the atanh series converges too slowly; past x = 2^(2 bits) no step moves a
+log by 2^-bits, so x is clamped there.  Every integer of the row thus keeps
+the size of its precision, whatever the exponent of u, except 1/u of a
+u < 1: that one term, log^n(u)/u, is divided in mpf.  log^(k+1) comes from
+log^k by an integer multiply and shift; the shifted sum of each n is one sum
+of products of a power list with the reciprocals; the inner sums are exact
 integer differences along one growing difference diagonal; each n keeps its
 own consecutive-small-terms stopping rule and hard cap, and its shifted sum
 and tail meet in integers and are rounded to mpf once.
@@ -65,13 +75,19 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
-from .precision import ConvergenceError, PrecisionContext, check_index, extra_digits, to_mpf
+from .precision import (
+    ConvergenceError,
+    Frozen,
+    PrecisionContext,
+    check_index,
+    extra_digits,
+    to_mpf,
+)
 
 GAMMA_TAG = "hasse-2.8"
 
@@ -92,8 +108,7 @@ def family(kind: str) -> tuple:
     return FAMILIES[kind]
 
 
-@dataclass(frozen=True)
-class ConstantTable:
+class ConstantTable(Frozen):
     """An indexed constant family with a method tag per entry.
 
     values[i] (an mpf) and methods[i] belong to index start + i, where
@@ -103,21 +118,19 @@ class ConstantTable:
     neither is ever printed.
     """
 
-    kind: str
-    values: tuple
-    methods: tuple
-    digits: int
+    __slots__ = ("kind", "values", "methods", "digits")
 
-    def __post_init__(self):
-        family(self.kind)
-        if not self.values:
-            raise ValueError(f"a {self.kind} table needs at least one value")
-        if len(self.values) != len(self.methods):
+    def __init__(self, kind: str, values: tuple, methods: tuple, digits: int):
+        family(kind)
+        if not values:
+            raise ValueError(f"a {kind} table needs at least one value")
+        if len(values) != len(methods):
             raise ValueError("a table needs one method tag per value")
-        if not all(self.methods):
+        if not all(methods):
             raise ValueError("every table entry needs a method tag")
-        if not all(mp.isfinite(v) for v in self.values):
-            raise ValueError(f"every {self.kind} table value must be finite")
+        if not all(mp.isfinite(v) for v in values):
+            raise ValueError(f"every {kind} table value must be finite")
+        self._set(kind=kind, values=values, methods=methods, digits=digits)
 
     @classmethod
     def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
@@ -171,23 +184,62 @@ def alternating_binomial_sums(values):
         yield -diagonal[-1] if i % 2 else diagonal[-1]
 
 
+def _atanh_step(d: int, bits: int) -> int:
+    """2 atanh(2^bits / d), scaled by 2^bits, the step from log x to
+    log(x + 1) when d = (2x + 1) 2^bits, by atanh y = y + y^3/3 + y^5/5 + ...
+    in integers; off by at most twice its number of terms in the last place."""
+    term = (1 << 2 * bits) // d
+    square = (1 << 3 * bits) // (d * d)
+    acc, j = term, 1
+    while term:
+        term = (term * square) >> bits
+        j += 2
+        acc += term // j
+    return 2 * acc
+
+
 def _log_chain(log_x: int, a: int, count: int, bits: int) -> list:
     """log(x + k) for k < count, scaled by 2^bits, from log_x, the scaled
-    log x of x = a / 2^bits >= 1, by log(x + 1) = log x + 2 atanh(1 / (2x + 1))
-    with atanh y = y + y^3/3 + y^5/5 + ... in integers; each step is off
-    by at most its number of terms in the last place."""
+    log x of x = a / 2^bits >= 1, by log(x + 1) = log x + 2 atanh(1 / (2x + 1))."""
     logs = [log_x]
     for k in range(count - 1):
-        d = 2 * a + ((2 * k + 1) << bits)  # (2 (x + k) + 1) 2^bits
-        term = (1 << 2 * bits) // d
-        square = (1 << 3 * bits) // (d * d)
-        acc, j = term, 1
-        while term:
-            term = (term * square) >> bits
-            j += 2
-            acc += term // j
-        logs.append(logs[-1] + 2 * acc)
+        logs.append(logs[-1] + _atanh_step(2 * a + ((2 * k + 1) << bits), bits))
     return logs
+
+
+def _integer_logs(u: int, count: int, bits: int) -> list:
+    """log(u + k) for k < count, scaled by 2^bits, for an integer u >= 1,
+    from a smallest-prime-factor sieve: each prime p takes one atanh step,
+    log p = log(p - 1) + 2 atanh(1 / (2p - 1)), and each composite m is the
+    sum log p + log(m / p) of its smallest prime factor p and its cofactor."""
+    top = u + count
+    spf = list(range(top))
+    for p in range(2, math.isqrt(top - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, top, p):
+                spf[m] = min(spf[m], p)
+    logs = [0, 0]  # log 1 at index 1; index 0 is never read
+    for m in range(2, top):
+        p = spf[m]
+        logs.append(logs[m - 1] + _atanh_step((2 * m - 1) << bits, bits) if p == m
+                    else logs[p] + logs[m // p])
+    return logs[u:]
+
+
+def _series_length(log_u: float, stop_digits: int, max_n: int) -> int:
+    """Outer terms the double series at U = e^log_u takes for every
+    n <= max_n: the first i >= 1 at which B(U, i) log^(max_n+1)(U + i) falls
+    below 10^-stop_digits, plus CONSECUTIVE_SMALL.  B(U, 1) = 1/U and
+    B(U, i+1) = B(U, i) i/(U + i) are carried as logs in floats, since U
+    may lie far past float range."""
+    def log_x(i):  # log(U + i)
+        return log_u + math.log1p(i * math.exp(-log_u))
+
+    i, log_b, log_stop = 1, -log_u, -stop_digits * math.log(10)
+    while log_b + (max_n + 1) * math.log(log_x(i)) >= log_stop:
+        log_b += math.log(i) - log_x(i)
+        i += 1
+    return i + CONSECUTIVE_SMALL
 
 
 class _GammaRow:
@@ -198,8 +250,9 @@ class _GammaRow:
     of the shifted terms from m = first on and the latest power list, and
     the finished gamma_n(u) of every n summed so far.  first is 1 when
     u < 1: 1/u then has any size, so the term log^n(u)/u is divided in mpf.
-    When a series needs more terms, alloc doubles and the row is rebuilt at
-    the larger prec.
+    The first alloc is the length the convergence bound gives the series of
+    the largest n; when a series needs more terms, alloc doubles and the row
+    is rebuilt at the larger prec.
     """
 
     def __init__(self, u_mp, ctx: PrecisionContext):
@@ -211,21 +264,31 @@ class _GammaRow:
         # the log chain starts at u, or at u + 1 when u < 1
         self.first = 0 if u_mp >= 1 else 1
         self.base_prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1]))
+        # the outer terms of every series stop below 10^-stop_digits
+        self.stop_digits = ctx.digits + ctx.guard_digits
         self.values = {}  # n -> gamma_n(u)
-        self._allocate(192)
+        with mp.workdps(ctx.working_dps):
+            log_u = float(mp.log(u_mp + self.shift))
+        # never past the cap of gamma_0; a series that needs more doubles it
+        alloc = _series_length(log_u, self.stop_digits, FAMILIES["gamma"][1])
+        self._allocate(min(alloc, self._cap(0) + 1))
 
     def _allocate(self, alloc: int) -> None:
         self.alloc = alloc
         self.prec = self.base_prec + alloc + 64
-        bits = self.prec + 32  # the chain's rounding stays in these 32 bits
+        bits = self.prec + 32  # the logs' rounding stays in these 32 bits
+        count = self.shift + alloc
         first = self.first
         with mp.workprec(bits + 16):
-            heads = [int(mp.ldexp(mp.log(self.u_mp + m), bits)) for m in range(first + 1)]
             # x = u + first as a / 2^bits; past 2^(2 bits) no step of the
             # chain moves a log by 2^-bits, so x is clamped there
             a = int(mp.ldexp(min(self.u_mp + first, mp.ldexp(1, 2 * bits)), bits))
-        chain = _log_chain(heads[first], a, self.shift + alloc - first, bits)
-        self.logs = [v >> 32 for v in heads[:first] + chain]
+            if mp.isint(self.u_mp) and self.u_mp <= count:
+                logs = _integer_logs(int(self.u_mp), count, bits)
+            else:
+                heads = [int(mp.ldexp(mp.log(self.u_mp + m), bits)) for m in range(first + 1)]
+                logs = heads[:first] + _log_chain(heads[first], a, count - first, bits)
+        self.logs = [v >> 32 for v in logs]
         self.recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
         self.power, self.powers = 0, [1 << self.prec] * len(self.logs)
 
@@ -256,11 +319,15 @@ class _GammaRow:
         powers = self._powers(n)[self.first:self.shift]
         return sum(map(operator.mul, powers, self.recips)) >> self.prec
 
+    def _cap(self, n: int) -> int:
+        """The most outer terms the series of gamma_n may take."""
+        return 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
+
     def _tail(self, n: int) -> int:
         """-(n + 1) gamma_n(U), the double series summed as an integer scaled
         by 2^prec."""
-        limit = 10 ** (self.ctx.digits + self.ctx.guard_digits)  # 1 / threshold
-        cap = 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
+        limit = 10 ** self.stop_digits  # 1 / threshold
+        cap = self._cap(n)
         sums = alternating_binomial_sums(self._powers(n + 1)[self.shift:])
         total = 0
         small_run = 0

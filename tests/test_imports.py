@@ -7,11 +7,15 @@ resolve on its module, or a removed function could linger in __all__.
 Likewise every module-level private function, class or assignment must be
 referenced somewhere in the package outside its own definition, every
 working precision outside precision.py must come from its budget, no
-module but precision.py and bell.py tests for an int itself, and no file
-under src/ holds an assert statement.
+module but precision.py and bell.py tests for an int itself, no file
+under src/ holds an assert statement, and importing the CLI leaves
+dataclasses and inspect unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -185,8 +189,9 @@ BUDGET_EXEMPT = {
     "stieltjes._GammaRow._allocate":
         "bit margins of the fixed-point log row: alloc bits for the 2^i "
         "cancellation of the inner sums, 64 bits of rounding, 32 guard bits "
-        "of the log recurrence and 16 for its first mp.log and fixed-point "
-        "start; sized in bits per allocation, not in digits per step",
+        "of the logs, from the prime sieve or the chain, and 16 for the "
+        "chain's first mp.log and fixed-point start; sized in bits per "
+        "allocation, not in digits per step",
     "verify._central_diff_exp_cubic":
         "the stencil's own precision follows its step h = 10^-(digits+2)/2 "
         "and the h^-m amplification, not working_dps",
@@ -353,3 +358,12 @@ def test_no_asserts_under_src():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert sources
     assert assert_statements(sources) == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every command is a fresh process, and these two (with the ast, dis and
+    # tokenize that inspect pulls in) cost it milliseconds before any work
+    code = "import sys, zkconst.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

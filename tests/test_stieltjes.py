@@ -233,10 +233,13 @@ class TestLogRow:
             assert abs(info.value.partial - want) < mpf("1e-24")
 
     @pytest.mark.parametrize("digits", [10, 30, 60])
-    @pytest.mark.parametrize("u", ["1e-30", "0.001", "1", "2.5", "57.3", "1e30"])
+    @pytest.mark.parametrize("u", ["1e-30", "0.001", "1", "2", "2.5", "57.3", "150", "1e30"])
     def test_logs_and_shifted_sums_match_mpmath(self, u, digits):
         # the row's integers against mpmath at 40 more bits, before and after
-        # a doubling of alloc, which rebuilds the row at a larger prec
+        # a doubling of alloc, which rebuilds the row at a larger prec; the
+        # logs of an integer u no larger than the row come from the primes
+        # (1 and 2 at every digits, 150 after the doubling at 60), those of
+        # any other u, 1e30 among them, from the chain
         row = make_row(u, PrecisionContext(digits=digits))
         for _ in range(2):
             with mp.workprec(row.prec + 40):
@@ -255,17 +258,23 @@ class TestLogRow:
                     assert err <= 2**12 * max(1, abs(want)), n
             row._allocate(2 * row.alloc)
 
-    @pytest.mark.parametrize("guard", [10, 20])
-    @pytest.mark.parametrize(
-        "u", ["1e-20", "2.5", "57.3", "1e30"], ids=["tiny", "unit", "moderate", "huge"]
-    )
-    def test_a_60_digit_row_never_reallocates(self, u, guard):
-        # at U = ceil(working_dps ln 10) every series stops within the first
-        # allocation, for u from each of the four sweep regimes
-        row = make_row(u, PrecisionContext(digits=60, guard_digits=guard))
+    @pytest.mark.parametrize("u, guard, digits", [
+        # ids without a digits suffix are the 60-digit rows
+        pytest.param(u, guard, digits, id=f"{name}-{guard}" + ("" if digits == 60 else f"-d{digits}"))
+        for digits in (60, 10, 30, 45)
+        for name, u in [("tiny", "1e-20"), ("unit", "2.5"), ("moderate", "57.3"),
+                        ("huge", "1e30"), ("one", "1"), ("two", "2")]
+        for guard in (10, 20)
+    ])
+    def test_a_60_digit_row_never_reallocates(self, u, guard, digits):
+        # the first allocation, read off the convergence bound, holds every
+        # series up to gamma_20, for u from each of the four sweep regimes
+        # and the integers 1 and 2, at 60 digits and below
+        row = make_row(u, PrecisionContext(digits=digits, guard_digits=guard))
+        first = row.alloc
         for n in range(21):
             row.gamma(n)
-        assert row.alloc == 192
+        assert row.alloc == first
 
     @pytest.mark.parametrize("u", ["0.001", "1", "57.3"])
     def test_doublings_mid_series_keep_the_value(self, u):

@@ -6,7 +6,7 @@ runs `python3 -m zkconst` once per command with PYTHONPATH set to each
 `src/` directory in turn.  The command set is the golden commands of
 tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
 45 and 60 digits, every family at its cap at 10 and 60 digits, gamma to 20
-at five values of u at 30, 45 and 60 digits, and `li-check --max-n 20` at
+at seven values of u at 30, 45 and 60 digits, and `li-check --max-n 20` at
 10, 30 and 60 digits, each command once.  For every command it prints
 whether stdout is byte-identical and, when it is not:
   - the reports whose name or verdict changed, or a change in their count;
@@ -31,7 +31,7 @@ from mpmath import mp, mpf
 
 REPO = Path(__file__).resolve().parents[1]
 SUITES = ("all", "bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs")
-GAMMA_US = ("2", "0.001", "1e-20", "2.5", "1e30")
+GAMMA_US = ("2", "0.001", "1e-20", "2.5", "1e30", "150", "1000")
 SIDE_MARGIN = 5  # a side may move by 10^-(digits + SIDE_MARGIN), relative above 1
 
 
