@@ -40,14 +40,15 @@ runs its series at the same U.  One memoised row per (u, context) holds, as
 integers scaled by 2^P, log(u + k) for every k < shift + alloc (the shifted
 terms' logs, then the tail's log(U + j)), the reciprocals 1/(u + m) of the
 shifted terms and one power list.  The row is as long as its series: alloc
-is first the first i at which the bound B(U, i) log^21(U + i) of the largest
-n falls below the stopping threshold, plus the CONSECUTIVE_SMALL terms the
+is the first i at which the bound B(U, i) log^21(U + i) of the largest n
+falls below the stopping threshold, plus the CONSECUTIVE_SMALL terms the
 stopping rule reads past it: 93 at 30 digits and 129 at 60, but 8 at
 u = 1e30 and 60 digits, where U = u and each term is about U times the
-next.  The bound is summed in logs, since U may be 1e100000000.  A series
-that runs past alloc doubles it.  P is the bits of the working precision of the largest n plus
-alloc + 64, so the inner sums at outer index i < alloc keep their ~i extra
-bits through the 2^i cancellation.  Each log is a fixed-point a / 2^bits
+next.  The bound is summed in logs, since U may be 1e100000000.  alloc is
+never more than 20 (digits + guard) + 1, and it is set once: a series that
+runs past it raises ConvergenceError.  P is the bits of the working
+precision of the largest n plus alloc + 64, so the inner sums at outer
+index i < alloc keep their ~i extra bits through the 2^i cancellation.  Each log is a fixed-point a / 2^bits
 with 32 guard bits, from the integer recurrence
 
     log(x + 1) = log x + 2 atanh(1/(2x + 1)),  atanh y = y + y^3/3 + ...
@@ -64,8 +65,8 @@ u < 1: that one term, log^n(u)/u, is divided in mpf.  log^(k+1) comes from
 log^k by an integer multiply and shift; the shifted sum of each n is one sum
 of products of a power list with the reciprocals; the inner sums are exact
 integer differences along one growing difference diagonal; each n keeps its
-own consecutive-small-terms stopping rule and hard cap, and its shifted sum
-and tail meet in integers and are rounded to mpf once.
+own consecutive-small-terms stopping rule within the row's alloc terms, and
+its shifted sum and tail meet in integers and are rounded to mpf once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
 """
@@ -250,9 +251,10 @@ class _GammaRow:
     of the shifted terms from m = first on and the latest power list, and
     the finished gamma_n(u) of every n summed so far.  first is 1 when
     u < 1: 1/u then has any size, so the term log^n(u)/u is divided in mpf.
-    The first alloc is the length the convergence bound gives the series of
-    the largest n; when a series needs more terms, alloc doubles and the row
-    is rebuilt at the larger prec.
+    alloc is the length the convergence bound gives the series of the
+    largest n, never more than 20 (digits + guard) + 1 outer terms; it is
+    fixed with the row, and a series that runs past it raises
+    ConvergenceError.
     """
 
     def __init__(self, u_mp, ctx: PrecisionContext):
@@ -262,31 +264,25 @@ class _GammaRow:
         # U = target + frac(u); a u past the target is not shifted
         self.shift = target - int(u_mp) if u_mp < target else 0
         # the log chain starts at u, or at u + 1 when u < 1
-        self.first = 0 if u_mp >= 1 else 1
-        self.base_prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1]))
+        self.first = first = 0 if u_mp >= 1 else 1
         # the outer terms of every series stop below 10^-stop_digits
         self.stop_digits = ctx.digits + ctx.guard_digits
         self.values = {}  # n -> gamma_n(u)
         with mp.workdps(ctx.working_dps):
             log_u = float(mp.log(u_mp + self.shift))
-        # never past the cap of gamma_0; a series that needs more doubles it
-        alloc = _series_length(log_u, self.stop_digits, FAMILIES["gamma"][1])
-        self._allocate(min(alloc, self._cap(0) + 1))
-
-    def _allocate(self, alloc: int) -> None:
-        self.alloc = alloc
-        self.prec = self.base_prec + alloc + 64
+        max_n = FAMILIES["gamma"][1]
+        self.alloc = min(_series_length(log_u, self.stop_digits, max_n), 20 * self.stop_digits + 1)
+        self.prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", max_n)) + self.alloc + 64
         bits = self.prec + 32  # the logs' rounding stays in these 32 bits
-        count = self.shift + alloc
-        first = self.first
+        count = self.shift + self.alloc
         with mp.workprec(bits + 16):
             # x = u + first as a / 2^bits; past 2^(2 bits) no step of the
             # chain moves a log by 2^-bits, so x is clamped there
-            a = int(mp.ldexp(min(self.u_mp + first, mp.ldexp(1, 2 * bits)), bits))
-            if mp.isint(self.u_mp) and self.u_mp <= count:
-                logs = _integer_logs(int(self.u_mp), count, bits)
+            a = int(mp.ldexp(min(u_mp + first, mp.ldexp(1, 2 * bits)), bits))
+            if mp.isint(u_mp) and u_mp <= count:
+                logs = _integer_logs(int(u_mp), count, bits)
             else:
-                heads = [int(mp.ldexp(mp.log(self.u_mp + m), bits)) for m in range(first + 1)]
+                heads = [int(mp.ldexp(mp.log(u_mp + m), bits)) for m in range(first + 1)]
                 logs = heads[:first] + _log_chain(heads[first], a, count - first, bits)
         self.logs = [v >> 32 for v in logs]
         self.recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
@@ -306,12 +302,9 @@ class _GammaRow:
         in integers and rounded once, plus log^n(u)/u when u < 1."""
         if n not in self.values:
             with mp.workdps(self.ctx.working_dps + extra_digits("gamma", n)):
-                prec = self.prec
-                head = mp.ldexp(self._powers(n)[0], -prec) / self.u_mp if self.first else 0
-                direct = self._shifted(n)
-                total = self._tail(n)
-                direct <<= self.prec - prec  # the tail may have doubled alloc
-                self.values[n] = head + mp.ldexp((n + 1) * direct - total, -self.prec) / (n + 1)
+                head = mp.ldexp(self._powers(n)[0], -self.prec) / self.u_mp if self.first else 0
+                total = (n + 1) * self._shifted(n) - self._tail(n)
+                self.values[n] = head + mp.ldexp(total, -self.prec) / (n + 1)
         return self.values[n]
 
     def _shifted(self, n: int) -> int:
@@ -319,29 +312,12 @@ class _GammaRow:
         powers = self._powers(n)[self.first:self.shift]
         return sum(map(operator.mul, powers, self.recips)) >> self.prec
 
-    def _cap(self, n: int) -> int:
-        """The most outer terms the series of gamma_n may take."""
-        return 10 * (self.ctx.digits + self.ctx.guard_digits) * (n + 2)
-
     def _tail(self, n: int) -> int:
-        """-(n + 1) gamma_n(U), the double series summed as an integer scaled
-        by 2^prec."""
+        """-(n + 1) gamma_n(U), the double series over the row's alloc outer
+        terms summed as an integer scaled by 2^prec."""
         limit = 10 ** self.stop_digits  # 1 / threshold
-        cap = self._cap(n)
-        sums = alternating_binomial_sums(self._powers(n + 1)[self.shift:])
-        total = 0
-        small_run = 0
-        i = 0
-        while True:
-            if i >= self.alloc:
-                old_prec = self.prec
-                self._allocate(min(cap + 1, self.alloc * 2))
-                total <<= self.prec - old_prec
-                # every inner sum runs over one power list: redo the first i
-                sums = itertools.islice(
-                    alternating_binomial_sums(self._powers(n + 1)[self.shift:]), i, None
-                )
-            inner = next(sums)
+        total = small_run = 0
+        for i, inner in enumerate(alternating_binomial_sums(self._powers(n + 1)[self.shift:])):
             total += inner // (i + 1)
             # the outer term inner / (2^prec (i+1)) is below 10^-(digits + guard)
             if abs(inner) * limit < (i + 1) << self.prec:
@@ -350,14 +326,12 @@ class _GammaRow:
                     return total
             else:
                 small_run = 0
-            i += 1
-            if i > cap:
-                raise ConvergenceError(
-                    f"gamma_{n}({mp.nstr(self.u_mp + self.shift, 8)}) did not converge within "
-                    f"{cap} outer terms",
-                    partial=-mp.ldexp(total, -self.prec) / (n + 1),
-                    index=i,
-                )
+        raise ConvergenceError(
+            f"gamma_{n}({mp.nstr(self.u_mp + self.shift, 8)}) did not converge within "
+            f"{self.alloc} outer terms",
+            partial=-mp.ldexp(total, -self.prec) / (n + 1),
+            index=self.alloc,
+        )
 
 
 # one row per (u at the working precision of the largest n, ctx), so 1, "1",

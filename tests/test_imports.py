@@ -186,12 +186,12 @@ def test_every_private_is_referenced():
 
 # the functions that may set a working precision outside the budget, and why
 BUDGET_EXEMPT = {
-    "stieltjes._GammaRow._allocate":
+    "stieltjes._GammaRow.__init__":
         "bit margins of the fixed-point log row: alloc bits for the 2^i "
         "cancellation of the inner sums, 64 bits of rounding, 32 guard bits "
         "of the logs, from the prime sieve or the chain, and 16 for the "
-        "chain's first mp.log and fixed-point start; sized in bits per "
-        "allocation, not in digits per step",
+        "chain's first mp.log and fixed-point start; sized in bits, not in "
+        "digits per step",
     "verify._central_diff_exp_cubic":
         "the stencil's own precision follows its step h = 10^-(digits+2)/2 "
         "and the h^-m amplification, not working_dps",

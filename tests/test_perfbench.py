@@ -80,8 +80,8 @@ def test_trace_cli_runs():
 # in a nested container, say) or runs a different number of times changes
 # this table.  alternating_binomial_sums is called once per generator it
 # starts: once in hasse-normalization-delta, once per gamma series a row sums
-# (19, none of which outgrows its first allocation at 10 digits; gamma_0(2)
-# sums its own series in its own row) and once per
+# (19, each over the one allocation of its row; gamma_0(2) sums its own
+# series in its own row) and once per
 # binomial_alternating_transform call (68, returning 372 entries: 252 in
 # eq-3.27-involution, the rest in the lambda tables, g_derivs_at_one and the
 # 3.13 residuals); substitute once per seeded trial of

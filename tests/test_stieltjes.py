@@ -153,7 +153,7 @@ class TestErrors:
 
 @pytest.fixture
 def fresh_rows():
-    # a planted failure grows a row's alloc, so no row outlives its test
+    # a planted failure leaves its row in the cache, so no row outlives its test
     stieltjes_module._gamma_row.cache_clear()
     yield
     stieltjes_module._gamma_row.cache_clear()
@@ -216,8 +216,8 @@ class TestLogRow:
         assert row_cache() == (1, 20)
 
     def test_planted_cap_raises_with_partial_and_index(self, monkeypatch):
-        # no run of small terms is long enough, so the series hits its cap
-        # 10 * (10 + 10) * (0 + 2) = 400 at gamma_0(47), 47 = ceil(20 ln 10)
+        # no run of small terms is long enough, so the series runs out of its
+        # row, 20 * (10 + 10) + 1 = 401 outer terms at gamma_0(47), 47 = ceil(20 ln 10)
         monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
         with pytest.raises(ConvergenceError) as info:
             stieltjes_gamma(0, 1, PrecisionContext(digits=10))
@@ -233,30 +233,28 @@ class TestLogRow:
             assert abs(info.value.partial - want) < mpf("1e-24")
 
     @pytest.mark.parametrize("digits", [10, 30, 60])
-    @pytest.mark.parametrize("u", ["1e-30", "0.001", "1", "2", "2.5", "57.3", "150", "1e30"])
+    @pytest.mark.parametrize("u", ["1e-30", "0.001", "1", "2", "2.5", "57.3", "100", "150", "1e30"])
     def test_logs_and_shifted_sums_match_mpmath(self, u, digits):
-        # the row's integers against mpmath at 40 more bits, before and after
-        # a doubling of alloc, which rebuilds the row at a larger prec; the
-        # logs of an integer u no larger than the row come from the primes
-        # (1 and 2 at every digits, 150 after the doubling at 60), those of
-        # any other u, 1e30 among them, from the chain
+        # the row's integers against mpmath at 40 more bits; the logs of an
+        # integer u no larger than the row come from the primes (1 and 2 at
+        # every digits, and 100 at 60 digits, past the shift target: shift 62,
+        # row 191), those of any other u, 150 and 1e30 among them, from the chain
         row = make_row(u, PrecisionContext(digits=digits))
-        for _ in range(2):
-            with mp.workprec(row.prec + 40):
-                xs = [mp.fadd(row.u_mp, k, exact=True) for k in range(row.shift + row.alloc)]
-                logs = [mp.log(x) for x in xs]
-                assert len(row.logs) == len(xs)
-                # the 32 guard bits keep the recurrence's rounding out of the
-                # last place, so each log is within one unit of it
-                for k, (got, want) in enumerate(zip(row.logs, logs)):
-                    assert abs(got - mp.ldexp(want, row.prec)) < 1 + mpf(2) ** -10, k
-                # the term m = 0 of a u < 1 is left to mpf
-                for n in (0, 1, 5, 20):
-                    want = mp.fsum(logs[m] ** n / xs[m] for m in range(row.first, row.shift))
-                    err = abs(row._shifted(n) - mp.ldexp(want, row.prec))
-                    # 2^12 units of 2^-prec is at most 2^-(base_prec + 244)
-                    assert err <= 2**12 * max(1, abs(want)), n
-            row._allocate(2 * row.alloc)
+        with mp.workprec(row.prec + 40):
+            xs = [mp.fadd(row.u_mp, k, exact=True) for k in range(row.shift + row.alloc)]
+            logs = [mp.log(x) for x in xs]
+            assert len(row.logs) == len(xs)
+            # the 32 guard bits keep the recurrence's rounding out of the
+            # last place, so each log is within one unit of it
+            for k, (got, want) in enumerate(zip(row.logs, logs)):
+                assert abs(got - mp.ldexp(want, row.prec)) < 1 + mpf(2) ** -10, k
+            # the term m = 0 of a u < 1 is left to mpf
+            for n in (0, 1, 5, 20):
+                want = mp.fsum(logs[m] ** n / xs[m] for m in range(row.first, row.shift))
+                err = abs(row._shifted(n) - mp.ldexp(want, row.prec))
+                # 2^12 units of 2^-prec are 2^-(alloc + 52) units of the
+                # working precision of gamma_20
+                assert err <= 2**12 * max(1, abs(want)), n
 
     @pytest.mark.parametrize("u, guard, digits", [
         # ids without a digits suffix are the 60-digit rows
@@ -265,29 +263,30 @@ class TestLogRow:
         for name, u in [("tiny", "1e-20"), ("unit", "2.5"), ("moderate", "57.3"),
                         ("huge", "1e30"), ("one", "1"), ("two", "2")]
         for guard in (10, 20)
+    ] + [
+        # the band where the fixed-point noise of log^21(U) comes closest to
+        # the stopping threshold
+        pytest.param(u, guard, digits, id=f"band-{u}-{guard}-d{digits}")
+        for u in ("1.3e148", "6.5e151") for guard in (45, 60) for digits in (35, 60)
     ])
     def test_a_60_digit_row_never_reallocates(self, u, guard, digits):
-        # the first allocation, read off the convergence bound, holds every
-        # series up to gamma_20, for u from each of the four sweep regimes
-        # and the integers 1 and 2, at 60 digits and below
+        # the row's one allocation, read off the convergence bound, holds
+        # every series up to gamma_20: each stops inside the row, which
+        # would raise ConvergenceError otherwise, for u from each of the
+        # four sweep regimes and the integers 1 and 2, at 60 digits and below
         row = make_row(u, PrecisionContext(digits=digits, guard_digits=guard))
-        first = row.alloc
         for n in range(21):
             row.gamma(n)
-        assert row.alloc == first
 
-    @pytest.mark.parametrize("u", ["0.001", "1", "57.3"])
-    def test_doublings_mid_series_keep_the_value(self, u):
-        # a row started at 8 terms doubles inside the series of gamma_5,
-        # after its shifted sum was taken at the smaller prec
+    def test_a_planted_short_row_raises_and_caches_nothing(self, monkeypatch):
+        # a row whose bound were short fails loudly instead of growing
+        monkeypatch.setattr(stieltjes_module, "_series_length", lambda *args: 3)
         ctx = PrecisionContext(digits=10)
-        row = make_row(u, ctx)
-        row._allocate(8)
-        got = row.gamma(5)
-        assert row.alloc > 8
-        want = make_row(u, ctx).gamma(5)
-        with mp.workdps(40):
-            assert abs(got - want) <= mpf(10) ** -ctx.working_dps * max(1, abs(want))
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as info:
+                stieltjes_gamma(0, 1, ctx)
+            assert info.value.index == 3
+        assert row_cache() == (1, 1)  # the second call ran the series again
 
     @pytest.mark.parametrize("u", ["1e-100000000", "1e-100000", "1e100000", "1e100000000"])
     def test_extreme_exponents_stay_cheap(self, u):
@@ -307,6 +306,33 @@ class TestLogRow:
                 else:
                     want = -mp.log(x) ** (n + 1) / (n + 1)
                 assert abs(values.mpf(n) - want) <= mpf(10) ** -ctx.digits * abs(want), n
+
+
+class TestSeriesLength:
+    """The row length _series_length reads off the convergence bound."""
+
+    @pytest.mark.parametrize("u, digits, want", [
+        (1, 30, 93), (1, 60, 129), (10**30, 60, 8),
+    ])
+    def test_module_docstring_figures(self, u, digits, want):
+        ctx = PrecisionContext(digits=digits)
+        # U = u shifted to ceil(working_dps ln 10), or u itself past it
+        big_u = max(u, math.ceil(ctx.working_dps * math.log(10)))
+        got = stieltjes_module._series_length(math.log(big_u), ctx.digits + ctx.guard_digits, 20)
+        assert got == want
+        assert make_row(str(u), ctx).alloc == want
+
+    # U at or past the shift target ceil(120 ln 10) = 277 of the largest
+    # stop_digits, as every row has it
+    @pytest.mark.parametrize("log_u", [math.log(277), math.log(1000), 30 * math.log(10),
+                                       1e8 * math.log(10)])
+    def test_never_decreases_in_stop_digits_or_max_n(self, log_u):
+        lengths = [[stieltjes_module._series_length(log_u, stop, max_n) for max_n in range(21)]
+                   for stop in range(10, 121, 5)]
+        for row in lengths:
+            assert row == sorted(row)
+        for column in zip(*lengths):
+            assert list(column) == sorted(column)
 
 
 def make_row(u, ctx):
