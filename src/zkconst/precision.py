@@ -39,7 +39,7 @@ _BUDGET = {
     "sigma": (0, 25),  # sigma_(n+1) = +-eta_n - (1 - 2^-(n+1)) zeta(n+1) + 1 cancels to |sigma_20| ~ 1e-23
     "step": (0, 5),  # step maps and routes: finite sums of table entries and atoms
     "side": (0, 5),  # report sides verify and li-check write out from table entries
-    "elementary_side": (0, 10),  # suite sides from exp, log(2 pi), pi, cos and zeta(k) afresh
+    "elementary_side": (0, 10),  # suite sides from log(2 pi), pi, cos and zeta(k) afresh
     "report": (0, 10),  # a report compares its sides and tolerance without rounding them
     "roundtrip": (0, 5),  # digits a printed side carries so that it reparses at working_dps
     "parse_u": (0, 10),  # the --u argument, read before the gamma row converts it

@@ -358,14 +358,5 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
     """gamma_0(u) .. gamma_max_n(u) as a table (u defaults to 1)."""
     check_index(max_n, "max_n", *FAMILIES["gamma"])
-    values = []
-    for n in range(max_n + 1):
-        try:
-            values.append(stieltjes_gamma(n, u, ctx))
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"gamma table failed at index {n}: {exc}",
-                partial=exc.partial,
-                index=n,
-            ) from exc
+    values = [stieltjes_gamma(n, u, ctx) for n in range(max_n + 1)]
     return ConstantTable.of("gamma", values, GAMMA_TAG, ctx)

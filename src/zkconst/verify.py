@@ -18,7 +18,7 @@ tol_exp = digits - 5, except for these, whose tolerance is fixed:
   recurrence residuals eq-3.14-n0, eq-3.13-n*      10^-(digits - 8)
   zeta0-routes-n*, eq-5.5-forward-n*,
     forward-inverse-identity-n*                    10^-(digits - 6)
-  eq-5.2, bell-exp-derivative-*                    10^-(digits - 3)
+  eq-5.2                                           10^-(digits - 3)
   gamma-escalation-n*, gamma-guard-stability-n*    10^-(digits - 2)
   cos-weight-even-orders                           10^-(digits + guard - 8)
   exact and inequality checks                      0
@@ -30,7 +30,7 @@ import math
 import random
 from fractions import Fraction
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from . import bell, eta_sigma, li_keiper, xi, zeta_derivs
 from .chain import table
@@ -80,23 +80,6 @@ def _scale_to_integers(*vectors):
 
 # ---------------------------------------------------------------------------
 # bell suite
-
-
-def _central_diff_exp_cubic(x, m, digits):
-    """m-th derivative of exp(t^3) at x by a central difference stencil.
-
-    Step h = 10^-(digits+2)/2 gives truncation ~h^2; evaluations carry
-    enough extra digits that the h^-m noise amplification stays below the
-    truncation error.
-    """
-    eval_dps = (m * (digits + 2)) // 2 + digits + 25
-    with mp.workdps(eval_dps):
-        h = mpf(10) ** (-(digits + 2) / 2.0)
-        acc = mp.mpf(0)
-        for i in range(m + 1):
-            node = x + (mpf(m) / 2 - i) * h
-            acc += (-1) ** i * math.comb(m, i) * mp.exp(node**3)
-        return acc / h**m
 
 
 def _holds(identity, ok, ctx, method_tags):
@@ -204,21 +187,24 @@ def suite_bell(ctx: PrecisionContext, tol_exp: int | None = None):
         )
 
     # derivative rule for exp(f): d^m/dx^m e^(f(x)) = e^f Y_m(f', ..., f^(m))
-    # probed with f(x) = x^3, so f' = 3x^2, f'' = 6x, f''' = 6, higher = 0
-    diff_tol = default_tol(ctx, ctx.digits - 3)
+    # probed with f(x) = x^3, so f' = 3x^2, f'' = 6x, f''' = 6, higher = 0,
+    # against the product rule d^m/dx^m e^(x^3) = e^(x^3) P_m(x) with the
+    # integer polynomials P_0 = 1, P_(m+1) = P_m' + 3x^2 P_m: e^(x^3)
+    # cancels, so Y_m = P_m(x) exactly at rational x
+    poly = [1]  # P_m's coefficients, constant term first
     for m in range(1, 6):
-        with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
-            for xs in ("0.3", "0.7"):
-                x = mpf(xs)
-                args = [3 * x**2, 6 * x, mpf(6), mpf(0), mpf(0)][:m]
-                lhs = mp.exp(x**3) * bell.bell_recurrence_value(args)
-                rhs = _central_diff_exp_cubic(x, m, ctx.digits)
-                reports.append(
-                    equality_report(
-                        f"bell-exp-derivative-m{m}-x{xs}", lhs, rhs, diff_tol, ctx,
-                        method_tags=("bell-A.5", "central-difference"),
-                    )
-                )
+        step = [0, 0, *(3 * c for c in poly)]
+        for k in range(1, len(poly)):
+            step[k - 1] += k * poly[k]
+        poly = step
+        for xs in ("0.3", "0.7"):
+            x = Fraction(xs)
+            lhs = bell.bell_recurrence_value([3 * x**2, 6 * x, 6, 0, 0][:m])
+            rhs = sum(c * x**k for k, c in enumerate(poly))
+            reports.append(
+                exact_report(f"bell-exp-derivative-m{m}-x{xs}", lhs == rhs, lhs, rhs, ctx,
+                             method_tags=("bell-A.5", "product-rule"))
+            )
     return reports
 
 
@@ -666,9 +652,10 @@ def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):
     """Run one named suite (or all of them) and return its reports.
 
     tol_exp must be an int in [1, ctx.digits]: a looser bound would pass
-    vacuously, and no check can meet a tighter one at the run's precision.
-    It sets the tolerance of every numeric identity except those listed in
-    the module docstring, whose tolerance is fixed.
+    vacuously.  The upper cap is a policy, not a limit of the run's
+    precision (every report also meets digits + 6); ROADMAP item 3
+    revisits it.  tol_exp sets the tolerance of every numeric identity
+    except those listed in the module docstring, whose tolerance is fixed.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")

@@ -17,6 +17,7 @@ from zkconst.bell import (
     bracket_determinant,
     substitute,
 )
+from zkconst.precision import PrecisionContext
 from zkconst.verify import _first_mismatch, _scale_to_integers, suite_bell
 
 PRINTED = {
@@ -290,3 +291,22 @@ def test_planted_fault_fails_an_exact_family(plant, monkeypatch, ctx30):
     plant(monkeypatch)
     failed = [r.identity for r in suite_bell(ctx30) if not r.passed]
     assert any(name.startswith(EXACT_FAMILIES) for name in failed), failed
+
+
+@pytest.mark.parametrize("digits", [10, 30, 60])
+def test_derivative_rule_check_is_exact(digits, monkeypatch):
+    # a relative error of 1e-12 in every non-integer Bell value: the exact
+    # families run in integers and pass, while each derivative report, whose
+    # Bell value is rational, must fail at any precision, 10 digits included
+    real = bell.bell_recurrence_value
+
+    def planted(args):
+        v = real(args)
+        return v if isinstance(v, int) else v + v / 10**12
+
+    monkeypatch.setattr(bell, "bell_recurrence_value", planted)
+    verdicts = {r.identity: r.passed for r in suite_bell(PrecisionContext(digits=digits))}
+    derivative = [name for name in verdicts if name.startswith("bell-exp-derivative-")]
+    assert len(derivative) == 10
+    assert not any(verdicts[name] for name in derivative)
+    assert all(ok for name, ok in verdicts.items() if name not in derivative)

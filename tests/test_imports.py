@@ -192,9 +192,6 @@ BUDGET_EXEMPT = {
         "of the logs, from the prime sieve or the chain, and 16 for the "
         "chain's first mp.log and fixed-point start; sized in bits, not in "
         "digits per step",
-    "verify._central_diff_exp_cubic":
-        "the stencil's own precision follows its step h = 10^-(digits+2)/2 "
-        "and the h^-m amplification, not working_dps",
 }
 
 

@@ -120,10 +120,10 @@ VERIFY_ALL_10_COUNTS = {
     "li_keiper.recurrence_residual_3_13": (7, 0),
     "li_keiper.rising_factorial": (720, 0),
     "reports.all_passed": (1, 0),
-    "reports.default_tol": (12, 0),
-    "reports.equality_report": (137, 0),
+    "reports.default_tol": (11, 0),
+    "reports.equality_report": (127, 0),
     "reports.equality_reports": (15, 111),
-    "reports.exact_report": (56, 0),
+    "reports.exact_report": (66, 0),
     "reports.inequality_report": (27, 0),
     "reports.inequality_reports": (2, 22),
     "stieltjes.alternating_binomial_sums": (88, 0),

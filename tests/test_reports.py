@@ -126,15 +126,16 @@ class TestReportFamilies:
 
 @pytest.mark.parametrize("tol_exp", [-5, 0, 31, 2.5, True])
 def test_run_suite_bounds_tol_exp(ctx30, tol_exp):
-    # 1e5 would pass every check vacuously, and no check can meet 10^-31;
-    # 2.5 would judge at 10^-2.5, and True is not the integer 1
+    # 1e5 would pass every check vacuously, and 10^-31 lies past the cap at
+    # digits; 2.5 would judge at 10^-2.5, and True is not the integer 1
     with pytest.raises(ValueError, match=r"--tol-exp must lie in \[1, 30\]"):
         run_suite("lambda", ctx30, tol_exp)
 
 
 EXACT_OR_INEQUALITY = re.compile(
     r"(bell-(routes-exact|printed-poly|monomial-weights|convolution"
-    r"|scaled-determinant)-n\d+|hasse-normalization-delta|eq-3\.27-involution"
+    r"|scaled-determinant)-n\d+|bell-exp-derivative-m\d+-x[\d.]+"
+    r"|hasse-normalization-delta|eq-3\.27-involution"
     r"|eq-3\.9-p\d+|xi-reflection-n\d+|cos-weight-odd-orders-vanish"
     r"|eta1-nonneg-consequence|eta0-negative|eta-sign-alternation-n\d+"
     r"|eq-3\.1[78]|eq-3\.20|xi-deriv-positive-n\d+)"
@@ -147,7 +148,7 @@ def fixed_tol_exps(digits, guard):
     return [
         (r"eq-3\.1[34]-n\d+", digits - 8),
         (r"(zeta0-routes|eq-5\.5-forward|forward-inverse-identity)-n\d+", digits - 6),
-        (r"eq-5\.2|bell-exp-derivative-m\d+-x[\d.]+", digits - 3),
+        (r"eq-5\.2", digits - 3),
         (r"gamma-(escalation|guard-stability)-n\d+", digits - 2),
         (r"cos-weight-even-orders", digits + guard - 8),
     ]

@@ -142,13 +142,16 @@ class TestErrors:
     @pytest.mark.usefixtures("fresh_rows")
     def test_convergence_error_carries_partial(self, monkeypatch):
         # no run of small terms is ever long enough, so every series hits its
-        # cap; the table names its failing index and keeps the kernel's partial
+        # cap; the table passes the kernel's error on unchanged: the message
+        # names gamma_0, and the index is where its summation stopped
         monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
-        with pytest.raises(ConvergenceError) as info:
+        with pytest.raises(ConvergenceError, match=r"gamma_0\(") as info:
             stieltjes_table(1, PrecisionContext(digits=10))
-        assert info.value.index == 0  # failing table index
-        assert info.value.__cause__.index == 401
-        assert info.value.partial is info.value.__cause__.partial
+        assert info.value.index == 401
+        assert info.value.__cause__ is None
+        with pytest.raises(ConvergenceError) as kernel:
+            stieltjes_gamma(0, 1, PrecisionContext(digits=10))
+        assert info.value.partial == kernel.value.partial
 
 
 @pytest.fixture
