@@ -48,22 +48,6 @@ G_DERIV_ETA_TAG = "eta-psi-3.32"
 RESIDUAL_TAG = "recurrence-3.13"
 
 
-def falling_factorial(x, j: int):
-    """x (x-1) ... (x-j+1); exact for int/Fraction inputs, 1 for j = 0."""
-    out = 1
-    for i in range(j):
-        out = out * (x - i)
-    return out
-
-
-def rising_factorial(x, p: int):
-    """x (x+1) ... (x+p-1); exact for int/Fraction inputs, 1 for p = 0."""
-    out = 1
-    for i in range(p):
-        out = out * (x + i)
-    return out
-
-
 def binomial_alternating_transform(seq):
     """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k for every n < len(seq), read off
     the difference diagonal of the gamma kernel's inner sums; an exact

@@ -33,7 +33,7 @@ _BUDGET = {
     "zeta_int": (0, 10),  # CRVZ terms N and fixed-point bits: d > 10^(dps+10) bounds truncation and floors
     "psi_three_halves": (1, 5),  # 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) ~ (2/3)^(n+1), times n!
     "gamma_deriv": (1, 5),  # Gamma^(m)(1) = Y_m(-gamma, 1! zeta(2), ...), weights to (m-1)!
-    "zeta0": (2, 10),  # apostol-5.5: binomial triple sums over Gamma^(m)(1) and log^k(2 pi)
+    "zeta0": (2, 10),  # apostol-5.5: Leibniz sums over Gamma^(m)(1), log^k(2 pi) and zeta^(l)(0)
     "residual_3_13": (1, 10),  # (n+1)! times lambda sums that cancel against gamma, psi sums
     "eta": (0, 10),  # gamma <-> eta recurrences: each eta_n sums n products / (j-1)!
     "sigma": (0, 25),  # sigma_(n+1) = +-eta_n - (1 - 2^-(n+1)) zeta(n+1) + 1 cancels to |sigma_20| ~ 1e-23

@@ -414,11 +414,11 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
 
     for p in range(1, 9):
         ok = all(
-            li_keiper.falling_factorial(k, p) == (-1) ** p * sum(
+            math.perm(k, p) == (-1) ** p * sum(
                 Fraction(math.factorial(p), math.factorial(j))
                 * math.comb(p - 1, j - 1)
                 * (-1) ** j
-                * li_keiper.rising_factorial(k, j)
+                * math.perm(k + j - 1, j)
                 for j in range(1, p + 1)
             )
             for k in range(1, 21)

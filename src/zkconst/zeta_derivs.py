@@ -14,10 +14,14 @@ cos(pi s/2) zeta(s) assembled by the four-factor Leibniz rule, and
 f^(n)(0) = n gamma_{n-1}.  The exact normalization is pinned empirically:
 n = 1 collapses to log(2 pi) + gamma + 2 zeta'(0) = gamma and fixes the
 outer 2; n = 2 must return gamma_1 (not 2 gamma_1) and fixes the n on the
-left.  With zeta^(0)(0) = -1/2 seeded, zeta^(n)(0) has pivot coefficient
-exactly 2 (k = j = l = n), so the system solves by forward substitution.
-Evaluated the other way around, the same relation returns gamma_{n-1} from
-a zeta-derivative table.
+left.  Only zeta is unknown, so the other three factors are one fixed
+series A(s) = 2 (2 pi)^-s Gamma(s+1) cos(pi s/2), and the relation reads
+
+    n gamma_{n-1} = sum_{l=0}^n C(n,l) a_{n-l} zeta^(l)(0),   a_m = A^(m)(0)
+
+with the pivot a_0 = 2 exactly.  With zeta^(0)(0) = -1/2 seeded, the system
+solves by forward substitution.  Evaluated the other way around, the same
+relation returns gamma_{n-1} from a zeta-derivative table.
 
 Route log-chain-s4 composes h(s) = (s-1) zeta(s) as exp(L(s)) with
 L = log h:
@@ -96,37 +100,27 @@ def _cos_weight(m: int, pi_val):
     """(pi/2)^m cos(m pi/2): exactly zero for odd m, signed power for even m."""
     if m % 2 == 1:
         return None
-    sign = 1 if (m // 2) % 2 == 0 else -1
-    return sign * (pi_val / 2) ** m
+    return (-1) ** (m // 2) * (pi_val / 2) ** m
 
 
-def _apostol_rhs(n: int, zeta_vals, gd):
-    """f^(n)(0) = n gamma_{n-1} assembled from zeta^(l)(0) values.
-
-    zeta_vals[l] = zeta^(l)(0) for l = 0..n (the l = n slot may be a dummy
-    when the caller is solving for it; see zeta_derivs_at_zero), and
-    gd[m] = Gamma^(m)(1) for m = 0..n at least.
-    """
+def _apostol_weights(max_n: int, ctx: PrecisionContext) -> list:
+    """a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2) and
+    m = 0..max_n, at the caller's precision, by two Leibniz products;
+    a_0 = 2 exactly."""
     pi_val = +mp.pi
-    log2pi = mp.log(2 * pi_val)
-    total = mp.mpf(0)
-    for k in range(n + 1):
-        inner_k = mp.mpf(0)
-        for j in range(k + 1):
-            inner_j = mp.mpf(0)
-            for l in range(j + 1):
-                w = _cos_weight(j - l, pi_val)
-                if w is None:
-                    continue
-                inner_j += math.comb(j, l) * w * zeta_vals[l]
-            inner_k += (
-                math.comb(k, j)
-                * (-1) ** (k - j)
-                * log2pi ** (k - j)
-                * inner_j
-            )
-        total += math.comb(n, k) * gd[n - k] * inner_k
-    return 2 * total
+    minus_log2pi = -mp.log(2 * pi_val)
+    cos_weights = [_cos_weight(j, pi_val) for j in range(max_n + 1)]
+    # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
+    ec = [
+        sum(math.comb(k, j) * minus_log2pi ** (k - j) * w
+            for j, w in enumerate(cos_weights[: k + 1]) if w is not None)
+        for k in range(max_n + 1)
+    ]
+    gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
+    return [
+        2 * sum(math.comb(m, k) * gd[m - k] * ec[k] for k in range(m + 1))
+        for m in range(max_n + 1)
+    ]
 
 
 def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:
@@ -144,12 +138,12 @@ def zeta_derivs_at_zero(
     if max_n >= 1:
         require(gammas, "gamma", "zeta_derivs_at_zero", max_n - 1)
     with mp.workdps(dps):
+        a = _apostol_weights(max_n, ctx)
         values = [mpf(-1) / 2]
-        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
         for n in range(1, max_n + 1):
-            # pivot: the coefficient of zeta^(n)(0) in the rhs is exactly 2
-            rhs0 = _apostol_rhs(n, values + [mp.mpf(0)], gd)
-            values.append(+((n * gammas.mpf(n - 1) - rhs0) / 2))
+            # the pivot C(n, n) a_0 = 2 multiplies the unknown zeta^(n)(0)
+            known = sum(math.comb(n, l) * a[n - l] * values[l] for l in range(n))
+            values.append(+((n * gammas.mpf(n - 1) - known) / 2))
     return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
 
 
@@ -165,11 +159,9 @@ def zeta_derivs_log_chain(
     with mp.workdps(dps):
         values = [mpf(-1) / 2]
         lder = [L_derivs_at_zero(m - 1, etas, ctx) for m in range(1, max_n + 1)]
-        half = mpf(1) / 2
         ys = bell_recurrence_values(lder)
         for n in range(1, max_n + 1):
-            h_n = half * ys[n]
-            values.append(+(n * values[n - 1] - h_n))
+            values.append(+(n * values[n - 1] - ys[n] / 2))
     return ConstantTable.of("zeta0", values, LOG_CHAIN_TAG, ctx)
 
 
@@ -178,6 +170,5 @@ def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) 
     check_index(n, "the forward index n", 1)
     require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
     with mp.workdps(ctx.working_dps + extra_digits("zeta0", n)):
-        vals = [zeta0.mpf(l) for l in range(n + 1)]
-        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(n + 1)]
-        return +(_apostol_rhs(n, vals, gd) / n)
+        a = _apostol_weights(n, ctx)
+        return +(sum(math.comb(n, l) * a[n - l] * zeta0.mpf(l) for l in range(n + 1)) / n)

@@ -12,7 +12,6 @@ from zkconst import li_keiper
 from zkconst.li_keiper import (
     binomial_alternating_transform,
     coffey_constant,
-    falling_factorial,
     g_derivs_at_one,
     g_derivs_at_one_via_eta,
     lambda_closed,
@@ -21,7 +20,6 @@ from zkconst.li_keiper import (
     lambda_via_eta_psi,
     positivity_report,
     recurrence_residual_3_13,
-    rising_factorial,
 )
 from zkconst.chain import table
 from zkconst.precision import PrecisionContext, extra_digits
@@ -205,12 +203,12 @@ class TestCombinatorialHelpers:
     def test_factorial_conversion_identity(self, p):
         # k(k-1)...(k-p+1) = (-1)^p sum_j (p!/j!) C(p-1,j-1) (-1)^j k(k+1)...(k+j-1)
         for k in range(1, 21):
-            lhs = falling_factorial(k, p)
+            lhs = math.perm(k, p)
             rhs = (-1) ** p * sum(
                 Fraction(math.factorial(p), math.factorial(j))
                 * math.comb(p - 1, j - 1)
                 * (-1) ** j
-                * rising_factorial(k, j)
+                * math.perm(k + j - 1, j)
                 for j in range(1, p + 1)
             )
             assert lhs == rhs
@@ -234,11 +232,6 @@ class TestCombinatorialHelpers:
             r for r in run_suite("lambda", ctx30) if r.identity == "eq-3.27-involution"
         ]
         assert not check.passed
-
-    def test_factorial_helpers_edge_cases(self):
-        assert falling_factorial(5, 0) == 1
-        assert rising_factorial(5, 0) == 1
-        assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
 
 
 class TestPositivityReport:

@@ -110,7 +110,6 @@ VERIFY_ALL_10_COUNTS = {
     "kernel.zeta_int_mpf": (206, 0),
     "li_keiper.binomial_alternating_transform": (68, 372),
     "li_keiper.coffey_constant": (1, 0),
-    "li_keiper.falling_factorial": (160, 0),
     "li_keiper.g_derivs_at_one": (9, 0),
     "li_keiper.g_derivs_at_one_via_eta": (9, 0),
     "li_keiper.lambda_closed": (3, 0),
@@ -118,7 +117,6 @@ VERIFY_ALL_10_COUNTS = {
     "li_keiper.lambda_via_coffey": (9, 0),
     "li_keiper.lambda_via_eta_psi": (10, 0),
     "li_keiper.recurrence_residual_3_13": (7, 0),
-    "li_keiper.rising_factorial": (720, 0),
     "reports.all_passed": (1, 0),
     "reports.default_tol": (11, 0),
     "reports.equality_report": (127, 0),

@@ -1,7 +1,11 @@
-"""README's python examples run as written, in order, in one namespace."""
+"""README's python examples run as written, in order, in one namespace, and
+its Method tags table names every tag the reports emit."""
 
 import re
 from pathlib import Path
+
+from zkconst import PrecisionContext, run_suite
+from zkconst.li_keiper import positivity_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,16 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert capsys.readouterr().out.splitlines()[-1] == "True"
+
+
+def test_method_tags_table_names_every_emitted_tag():
+    ctx = PrecisionContext(10)
+    reports = run_suite("all", ctx) + positivity_report(20, ctx)
+    # a trailing " (...)" states a convention; "@<digits>d" names a precision
+    emitted = {
+        re.sub(r"@\d+d$", "@<D>d", re.sub(r" \(.*\)$", "", tag))
+        for report in reports for tag in report.method_tags
+    }
+    section = README.read_text().split("### Method tags", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([^`]+)`", section))
+    assert sorted(emitted - documented) == []

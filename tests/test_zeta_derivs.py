@@ -3,9 +3,12 @@ from mpmath import mp, mpf
 
 from oracles import FROZEN
 from zkconst.kernel import zeta_int_mpf
+from zkconst.precision import PrecisionContext
 from zkconst.zeta_derivs import (
     L_derivs_at_zero,
+    _apostol_weights,
     _cos_weight,
+    _solve_dps,
     gamma_derivs_at_one_mpf,
     gamma_from_zeta_derivs,
     zeta_derivs_at_zero,
@@ -182,3 +185,21 @@ class TestCosineWeights:
                 w = _cos_weight(m, pi_val)
                 numeric = (pi_val / 2) ** m * mp.cos(m * pi_val / 2)
                 assert abs(w - numeric) < mpf("1e-40")
+
+
+class TestApostolWeights:
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    def test_weights_match_mpmath_derivatives(self, digits):
+        # a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2), against
+        # mpmath's numerical derivatives of A taken at 120 digits
+        ctx = PrecisionContext(digits)
+        with mp.workdps(_solve_dps(10, ctx)):
+            weights = _apostol_weights(10, ctx)
+        assert weights[0] == 2
+        with mp.workdps(120):
+            def big_a(s):
+                return 2 * (2 * mp.pi) ** -s * mp.gamma(1 + s) * mp.cos(mp.pi * s / 2)
+
+            for m, want in enumerate(mp.diffs(big_a, 0, 10)):
+                got = weights[m]
+                assert abs(got - want) <= mpf(10) ** -(digits + 10) * abs(want), f"m={m}"

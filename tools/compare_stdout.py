@@ -5,10 +5,12 @@
 runs `python3 -m zkconst` once per command with PYTHONPATH set to each
 `src/` directory in turn.  The command set is the golden commands of
 tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
-45 and 60 digits, every family at its cap at 10 and 60 digits, gamma to 20
-at seven values of u at 30, 45 and 60 digits, and `li-check --max-n 20` at
-10, 30 and 60 digits, each command once.  For every command it prints
-whether stdout is byte-identical and, when it is not:
+45 and 60 digits, every family at its cap at 10 and 60 digits, zeta0 at
+every max_n below its cap at 10, 30 and 60 digits (its solve precision grows
+with max_n), gamma to 20 at seven values of u at 30, 45 and 60 digits, and
+`li-check --max-n 20` at 10, 30 and 60 digits, each command once.  For
+every command it prints whether stdout is byte-identical and, when it is
+not:
   - the reports whose name or verdict changed, or a change in their count;
   - the worst change of a report side (lhs or rhs) as a multiple of
     10^-(digits+5) * max(1, |old side|);
@@ -58,11 +60,16 @@ def family_caps() -> dict:
 
 
 def command_set() -> list:
+    caps = family_caps()
     commands = golden_commands()
     commands += [f"verify --suite {s} --digits {d}" for s in SUITES for d in (10, 30, 45, 60)]
     commands += [
         f"table --seq {kind} --max-n {cap} --digits {d}"
-        for kind, cap in family_caps().items() for d in (10, 60)
+        for kind, cap in caps.items() for d in (10, 60)
+    ]
+    commands += [
+        f"table --seq zeta0 --max-n {n} --digits {d}"
+        for n in range(1, caps["zeta0"]) for d in (10, 30, 60)
     ]
     commands += [
         f"table --seq gamma --max-n 20 --u {u} --digits {d}" for u in GAMMA_US for d in (30, 45, 60)
