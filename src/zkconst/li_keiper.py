@@ -16,13 +16,15 @@ computes each lambda_r by up to four routes and insists they agree:
 The sigma route is canonical (simplest error surface); the others are
 verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
 alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
-recurrence-3.13 residual) is an entry of binomial_alternating_transform, the
-gamma kernel's inner sums; the other routes keep their own sums.
+recurrence-3.13 residual) is an entry of binomial_alternating_transform;
+the other routes keep their own sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 from mpmath import mp, mpf
 
@@ -35,9 +37,7 @@ from .kernel import (
 )
 from .precision import PrecisionContext, check_index, extra_digits
 from .reports import inequality_report, inequality_reports
-from .stieltjes import (
-    FAMILIES, ConstantTable, alternating_binomial_sums, require, stieltjes_gamma,
-)
+from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAGS = {1: SIGMA_CLOSED_TAG, 2: "closed-3.6"}
@@ -49,10 +49,14 @@ RESIDUAL_TAG = "recurrence-3.13"
 
 
 def binomial_alternating_transform(seq):
-    """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k for every n < len(seq), read off
-    the difference diagonal of the gamma kernel's inner sums; an exact
-    involution on exact values, and subtractions alone on mpf values."""
-    return list(alternating_binomial_sums(seq))
+    """a_n = sum_{k=0}^n C(n,k) (-1)^k b_k = (-1)^n d^n b_0 for every n < len(seq),
+    the last entry of the difference diagonal [b_n, d b_(n-1), ..., d^n b_0],
+    grown by subtractions alone: an exact involution on exact values."""
+    sums, diagonal = [], []
+    for n, b in enumerate(seq):
+        diagonal = list(itertools.accumulate(diagonal, operator.sub, initial=b))
+        sums.append(-diagonal[-1] if n % 2 else diagonal[-1])
+    return sums
 
 
 def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:

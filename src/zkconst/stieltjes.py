@@ -31,7 +31,7 @@ powers of log.  With D the working digits it falls below 10^-D once
 U log i > log Gamma(U) + D ln 10, that is, by Stirling, once
 log i > log U - 1 + D ln 10 / U.  The right side is least, at i ~ U, for
 U = D ln 10, so the target is ceil(D ln 10): 162 at 60 digits with 10 guard
-digits, where the series stops after about 108 outer terms.  A smaller U
+digits, where the series takes 126 outer terms.  A smaller U
 needs more outer terms (U = D + 2 needs about 250 at 60 digits), a larger
 one more outer and shifted terms.
 
@@ -39,17 +39,17 @@ The target does not depend on n, so every gamma_n(u) at one (u, context)
 runs its series at the same U.  One memoised row per (u, context) holds, as
 integers scaled by 2^P, log(u + k) for every k < shift + alloc (the shifted
 terms' logs, then the tail's log(U + j)), the reciprocals 1/(u + m) of the
-shifted terms and one power list.  The row is as long as its series: alloc
-is the first i at which the bound B(U, i) log^21(U + i) of the largest n
-falls below the stopping threshold, plus the CONSECUTIVE_SMALL terms the
-stopping rule reads past it: 93 at 30 digits and 129 at 60, but 8 at
-u = 1e30 and 60 digits, where U = u and each term is about U times the
-next.  The bound is summed in logs, since U may be 1e100000000.  alloc is
-never more than 20 (digits + guard) + 1, and it is set once: a series that
-runs past it raises ConvergenceError.  P is the bits of the working
-precision of the largest n plus alloc + 64, so the inner sums at outer
-index i < alloc keep their ~i extra bits through the 2^i cancellation.  Each log is a fixed-point a / 2^bits
-with 32 guard bits, from the integer recurrence
+shifted terms and one power list.  The bound is the series' only stopping
+rule: the last outer index I = alloc - 1 is the first i at which the bound
+B(U, i) log^21(U + i) of the largest n falls below 10^-(digits + guard):
+alloc is 90 at 30 digits and 126 at 60, but 5 at u = 1e30 and 60 digits,
+where U = u and each term is about U times the next.  The bound is summed
+in logs, since U may be 1e100000000.  alloc is never more than
+20 (digits + guard) + 1; a series whose last outer term is not below the
+threshold raises ConvergenceError.  P is the bits of the working precision
+of the largest n plus alloc + 64, so the sum keeps its ~I extra bits
+through the 2^I cancellation of its weights.  Each log is a fixed-point
+a / 2^bits with 32 guard bits, from the integer recurrence
 
     log(x + 1) = log x + 2 atanh(1/(2x + 1)),  atanh y = y + y^3/3 + ...
 
@@ -63,10 +63,11 @@ log by 2^-bits, so x is clamped there.  Every integer of the row thus keeps
 the size of its precision, whatever the exponent of u, except 1/u of a
 u < 1: that one term, log^n(u)/u, is divided in mpf.  log^(k+1) comes from
 log^k by an integer multiply and shift; the shifted sum of each n is one sum
-of products of a power list with the reciprocals; the inner sums are exact
-integer differences along one growing difference diagonal; each n keeps its
-own consecutive-small-terms stopping rule within the row's alloc terms, and
-its shifted sum and tail meet in integers and are rounded to mpf once.
+of products of a power list with the reciprocals.  The tail of each n swaps
+the double series' two sums into one dot product of the power list with the
+exact weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1) and
+D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the tail
+meet in integers and are rounded to mpf once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
 """
@@ -91,10 +92,6 @@ from .precision import (
 )
 
 GAMMA_TAG = "hasse-2.8"
-
-# below-threshold outer terms in a row before the double series may stop;
-# one small term alone could be a sign change of a non-monotone tail
-CONSECUTIVE_SMALL = 4
 
 # family -> (first index, largest supported index at digits <= MAX_DIGITS);
 # zeta0 is held lower by the error growth of Gamma^(m)(1) and eta_m
@@ -171,20 +168,6 @@ def require(table, kind: str, who: str, max_n: int | None = None):
         )
 
 
-def alternating_binomial_sums(values):
-    """Yield sum_{j<=i} C(i,j) (-1)^j values[j] for i = 0, 1, ... in turn.
-
-    The i-th sum is (-1)^i d^i v_0, the last entry of the difference
-    diagonal [v_i, d v_(i-1), ..., d^i v_0], which grows by one value per
-    step through subtractions alone; so the sums are exact when the values
-    are, and those of the constant 1 are a Kronecker delta in i.
-    """
-    diagonal = []
-    for i, v in enumerate(values):
-        diagonal = list(itertools.accumulate(diagonal, operator.sub, initial=v))
-        yield -diagonal[-1] if i % 2 else diagonal[-1]
-
-
 def _atanh_step(d: int, bits: int) -> int:
     """2 atanh(2^bits / d), scaled by 2^bits, the step from log x to
     log(x + 1) when d = (2x + 1) 2^bits, by atanh y = y + y^3/3 + y^5/5 + ...
@@ -229,8 +212,9 @@ def _integer_logs(u: int, count: int, bits: int) -> list:
 
 def _series_length(log_u: float, stop_digits: int, max_n: int) -> int:
     """Outer terms the double series at U = e^log_u takes for every
-    n <= max_n: the first i >= 1 at which B(U, i) log^(max_n+1)(U + i) falls
-    below 10^-stop_digits, plus CONSECUTIVE_SMALL.  B(U, 1) = 1/U and
+    n <= max_n: one more than the first i >= 1 at which
+    B(U, i) log^(max_n+1)(U + i) falls below 10^-stop_digits, so that i is
+    the last outer index.  B(U, 1) = 1/U and
     B(U, i+1) = B(U, i) i/(U + i) are carried as logs in floats, since U
     may lie far past float range."""
     def log_x(i):  # log(U + i)
@@ -240,7 +224,23 @@ def _series_length(log_u: float, stop_digits: int, max_n: int) -> int:
     while log_b + (max_n + 1) * math.log(log_x(i)) >= log_stop:
         log_b += math.log(i) - log_x(i)
         i += 1
-    return i + CONSECUTIVE_SMALL
+    return i + 1
+
+
+@lru_cache(maxsize=32)
+def _tail_weights(length: int) -> tuple:
+    """(D, [(-1)^j D w_j], [(-1)^j C(I, j)]) for j <= I = length - 1, where
+    w_j = sum_{i=j}^{I} C(i,j)/(i+1) and D = lcm(1, ..., I + 1), so that
+    sum_{i<=I} sum_{j<=i} C(i,j) (-1)^j v_j / (i+1) = sum_j (-1)^j D w_j v_j / D,
+    from one Pascal pass.  (C(i,j)/(i+1) is not C(i+1,j+1)/(j+1): the hockey
+    stick does not sum these.)"""
+    scale = math.lcm(*range(1, length + 1))
+    weights, row = [0] * length, []
+    for i in range(length):
+        # (-1)^j C(i, j) = (-1)^j C(i-1, j) - (-1)^(j-1) C(i-1, j-1)
+        row = list(map(operator.sub, row + [0], [0] + row)) if row else [1]
+        weights[:i + 1] = [w + c * (scale // (i + 1)) for w, c in zip(weights, row)]
+    return scale, weights, row
 
 
 class _GammaRow:
@@ -251,10 +251,9 @@ class _GammaRow:
     of the shifted terms from m = first on and the latest power list, and
     the finished gamma_n(u) of every n summed so far.  first is 1 when
     u < 1: 1/u then has any size, so the term log^n(u)/u is divided in mpf.
-    alloc is the length the convergence bound gives the series of the
-    largest n, never more than 20 (digits + guard) + 1 outer terms; it is
-    fixed with the row, and a series that runs past it raises
-    ConvergenceError.
+    Every n sums all alloc outer terms, the length the convergence bound
+    gives the largest n, at most 20 (digits + guard) + 1; a series whose last
+    outer term is not below the threshold raises ConvergenceError.
     """
 
     def __init__(self, u_mp, ctx: PrecisionContext):
@@ -314,18 +313,14 @@ class _GammaRow:
 
     def _tail(self, n: int) -> int:
         """-(n + 1) gamma_n(U), the double series over the row's alloc outer
-        terms summed as an integer scaled by 2^prec."""
-        limit = 10 ** self.stop_digits  # 1 / threshold
-        total = small_run = 0
-        for i, inner in enumerate(alternating_binomial_sums(self._powers(n + 1)[self.shift:])):
-            total += inner // (i + 1)
-            # the outer term inner / (2^prec (i+1)) is below 10^-(digits + guard)
-            if abs(inner) * limit < (i + 1) << self.prec:
-                small_run += 1
-                if small_run >= CONSECUTIVE_SMALL:
-                    return total
-            else:
-                small_run = 0
+        terms as one dot product with _tail_weights, scaled by 2^prec."""
+        scale, weights, last = _tail_weights(self.alloc)
+        powers = self._powers(n + 1)[self.shift:]
+        total = sum(map(operator.mul, weights, powers)) // scale
+        # the last outer term, inner / (2^prec (I + 1)), is below 10^-(digits + guard)
+        inner = sum(map(operator.mul, last, powers))
+        if abs(inner) * 10 ** self.stop_digits < self.alloc << self.prec:
+            return total
         raise ConvergenceError(
             f"gamma_{n}({mp.nstr(self.u_mp + self.shift, 8)}) did not converge within "
             f"{self.alloc} outer terms",

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from . import bell, eta_sigma, li_keiper, xi, zeta_derivs
+from . import bell, eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
 from .chain import table
 from .kernel import log_2pi_mpf, zeta_int_mpf
 from .precision import MAX_DIGITS, PrecisionContext, check_index, extra_digits
@@ -44,7 +44,7 @@ from .reports import (
     inequality_report,
     inequality_reports,
 )
-from .stieltjes import GAMMA_TAG, alternating_binomial_sums, stieltjes_gamma
+from .stieltjes import GAMMA_TAG, stieltjes_gamma
 
 _RNG_SEED = 1729
 
@@ -216,12 +216,13 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
 
-    # the series' inner alternating sums of the constant 1 collapse to a
-    # Kronecker delta in i; lambda sums use them too
-    ok = list(alternating_binomial_sums([1] * 13)) == [1] + [0] * 12
+    # the inner sums of the constant 1 are a Kronecker delta in i, so the weights
+    # of this suite's gamma_0(1) row sum it to 1, and its last outer term is 0
+    gamma = stieltjes_gamma(0, 1, ctx)
+    scale, weights, last = stieltjes._tail_weights(stieltjes._gamma_row(mp.mpf(1), ctx).alloc)
+    ok = sum(weights) == scale and sum(last) == 0
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
 
-    gamma = stieltjes_gamma(0, 1, ctx)
     gamma_at_2 = stieltjes_gamma(0, 2, ctx)
     with mp.workdps(ctx.working_dps + extra_digits("side")):
         reports.append(

@@ -78,13 +78,9 @@ def test_trace_cli_runs():
 # (calls, total length of returned lists) of every traced function in
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
-# this table.  alternating_binomial_sums is called once per generator it
-# starts: once in hasse-normalization-delta, once per gamma series a row sums
-# (19, each over the one allocation of its row; gamma_0(2) sums its own
-# series in its own row) and once per
-# binomial_alternating_transform call (68, returning 372 entries: 252 in
-# eq-3.27-involution, the rest in the lambda tables, g_derivs_at_one and the
-# 3.13 residuals); substitute once per seeded trial of
+# this table.  binomial_alternating_transform is called 68 times, returning
+# 372 entries: 252 in eq-3.27-involution, the rest in the lambda tables,
+# g_derivs_at_one and the 3.13 residuals; substitute once per seeded trial of
 # bell-routes-exact-n1..n8 (8 x 100); bell_recurrence_values once inside each
 # bell_recurrence_value call and once per xi, gamma-from-eta and log-chain
 # table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell values); require
@@ -124,7 +120,6 @@ VERIFY_ALL_10_COUNTS = {
     "reports.exact_report": (66, 0),
     "reports.inequality_report": (27, 0),
     "reports.inequality_reports": (2, 22),
-    "stieltjes.alternating_binomial_sums": (88, 0),
     "stieltjes.family": (56, 0),
     "stieltjes.require": (105, 0),
     "stieltjes.stieltjes_gamma": (151, 0),

@@ -98,13 +98,6 @@ def test_roundtrip_decimal_reparses_to_run_precision():
         assert mpf(s) == +value
 
 
-# sigma_15..sigma_20 lose digits to the gamma series' truncation at
-# 10^-(digits + guard), which no budget row reaches; see the FOUND line on
-# sigma in CHANGES.md
-FAMILY_CASES = ["gamma", "eta", "lambda", "xi1", "zeta0", pytest.param(
-    "sigma", marks=pytest.mark.xfail(strict=True, reason="sigma_15..20 (FOUND)"))]
-
-
 def _printed(kind, ctx):
     """The `kind` table at its cap, as `zkconst table` prints it."""
     return [mp.nstr(v, ctx.digits, strip_zeros=False)
@@ -129,8 +122,7 @@ def clear_memos():
 
 @pytest.mark.parametrize("kind", ["gamma", "eta", "sigma", "lambda", "xi1", "zeta0"])
 def test_budget_has_headroom(kind, clear_memos, monkeypatch):
-    # ten more digits on every budget row changes no printed digit; sigma's
-    # wrong digits come from the gamma truncation, which no row sets
+    # ten more digits on every budget row changes no printed digit
     before = {d: _printed(kind, PrecisionContext(d)) for d in (10, 30)}
     raised = {step: (per_index, fixed + 10)
               for step, (per_index, fixed) in precision._BUDGET.items()}
@@ -139,7 +131,7 @@ def test_budget_has_headroom(kind, clear_memos, monkeypatch):
     assert {d: _printed(kind, PrecisionContext(d)) for d in (10, 30)} == before
 
 
-@pytest.mark.parametrize("kind", FAMILY_CASES)
+@pytest.mark.parametrize("kind", ["gamma", "eta", "sigma", "lambda", "xi1", "zeta0"])
 def test_tables_match_a_wide_guard_reference(kind):
     for d in (10, 30):
         assert _printed(kind, PrecisionContext(d)) == _printed(

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ from mpmath import mp, mpf
 
 from oracles import FROZEN, em_gamma_table
 from zkconst import stieltjes as stieltjes_module
+from zkconst import verify
+from zkconst.li_keiper import binomial_alternating_transform
 from zkconst.precision import ConvergenceError, PrecisionContext, extra_digits
 from zkconst.stieltjes import (
     FAMILIES,
     GAMMA_TAG,
-    alternating_binomial_sums,
     stieltjes_gamma,
     stieltjes_table,
 )
@@ -77,9 +79,12 @@ class TestTableShape:
 
 
 class TestInnerSumNormalization:
+    """li_keiper.binomial_alternating_transform, the alternating binomial sum
+    of every sigma and lambda route, against its definition."""
+
     def test_constant_one_collapses_to_kronecker_delta(self):
-        # i = 0 inner sum of the all-ones sequence is 1; every i >= 1 is 0
-        assert list(alternating_binomial_sums([1] * 16)) == [1] + [0] * 15
+        # the 0th sum of the all-ones sequence is 1; every later one is 0
+        assert binomial_alternating_transform([1] * 16) == [1] + [0] * 15
 
     # int and Fraction lists of up to 40 values, about twice the 21 that the
     # lambda table reads at its cap
@@ -93,7 +98,7 @@ class TestInnerSumNormalization:
             sum(math.comb(i, j) * (-1) ** j * values[j] for j in range(i + 1))
             for i in range(len(values))
         ]
-        assert list(alternating_binomial_sums(values)) == want
+        assert binomial_alternating_transform(values) == want
 
 
 class TestStability:
@@ -141,17 +146,22 @@ class TestErrors:
 
     @pytest.mark.usefixtures("fresh_rows")
     def test_convergence_error_carries_partial(self, monkeypatch):
-        # no run of small terms is ever long enough, so every series hits its
-        # cap; the table passes the kernel's error on unchanged: the message
-        # names gamma_0, and the index is where its summation stopped
-        monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
+        # a row too short for its series fails at gamma_0; the table passes
+        # the kernel's error on unchanged: the message names gamma_0, and the
+        # index is where its summation stopped
+        monkeypatch.setattr(stieltjes_module, "_series_length", lambda *args: SHORT_ROW)
         with pytest.raises(ConvergenceError, match=r"gamma_0\(") as info:
             stieltjes_table(1, PrecisionContext(digits=10))
-        assert info.value.index == 401
+        assert info.value.index == SHORT_ROW
         assert info.value.__cause__ is None
         with pytest.raises(ConvergenceError) as kernel:
             stieltjes_gamma(0, 1, PrecisionContext(digits=10))
         assert info.value.partial == kernel.value.partial
+
+
+# a row length whose last outer term at gamma_0(47), 47 = ceil(20 ln 10),
+# is -3.7e-14, far larger in size than the 10-digit threshold 10^-20
+SHORT_ROW = 12
 
 
 @pytest.fixture
@@ -196,12 +206,15 @@ class TestMemo:
 
     def test_convergence_error_is_not_cached(self, monkeypatch):
         ctx = PrecisionContext(digits=10)
-        monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
+        monkeypatch.setattr(stieltjes_module, "_series_length", lambda *args: SHORT_ROW)
         for _ in range(2):
             with pytest.raises(ConvergenceError):
                 stieltjes_gamma(0, 1, ctx)
         assert row_cache() == (1, 1)  # the second call ran the series again
+        assert stieltjes_module._gamma_row(mpf(1), ctx).values == {}
+        # a row of the bound's own length sums the same series to the end
         monkeypatch.undo()
+        stieltjes_module._gamma_row.cache_clear()
         gamma = stieltjes_gamma(0, 1, ctx)
         with mp.workdps(60):
             assert abs(gamma - mpf(FROZEN["gamma"])) < mpf("1e-18")
@@ -219,21 +232,31 @@ class TestLogRow:
         assert row_cache() == (1, 20)
 
     def test_planted_cap_raises_with_partial_and_index(self, monkeypatch):
-        # no run of small terms is long enough, so the series runs out of its
-        # row, 20 * (10 + 10) + 1 = 401 outer terms at gamma_0(47), 47 = ceil(20 ln 10)
-        monkeypatch.setattr(stieltjes_module, "CONSECUTIVE_SMALL", 10**9)
+        # a row too short for its series: the last of its outer terms at
+        # gamma_0(47) lies above the threshold
+        monkeypatch.setattr(stieltjes_module, "_series_length", lambda *args: SHORT_ROW)
         with pytest.raises(ConvergenceError) as info:
             stieltjes_gamma(0, 1, PrecisionContext(digits=10))
-        assert info.value.index == 401
-        # the partial is the series alone, outer terms i = 0..400 at 47, summed
-        # here from its definition; the inner sums cancel from up to 2^400
+        assert info.value.index == SHORT_ROW
+        # the partial is the series alone, the row's outer terms at 47, summed
+        # here from its definition
         with mp.workdps(200):
-            logs = [mp.log(47 + j) for j in range(401)]
-            want = -mp.fsum(
-                mp.fsum(math.comb(i, j) * (-1) ** j * logs[j] for j in range(i + 1)) / (i + 1)
-                for i in range(401)
-            )
+            want = -double_series(0, 47, SHORT_ROW)
             assert abs(info.value.partial - want) < mpf("1e-24")
+
+    @pytest.mark.parametrize("n", [0, 1, 20])
+    def test_the_whole_row_tail_is_the_double_series(self, n):
+        # gamma_n(1) at 10 digits runs its series at 47 = ceil(20 ln 10); the
+        # dot product with the weights is the double series over every outer
+        # term of the row, summed here from its definition, to the working
+        # precision of gamma_20: the row's bits less its alloc + 64 extra ones
+        row = make_row("1", PrecisionContext(digits=10))
+        assert row.shift == 46
+        got = row._tail(n)
+        with mp.workdps(200):
+            want = double_series(n, 47, row.alloc)
+            err = abs(mp.ldexp(got, -row.prec) - want)
+            assert err < mpf(2) ** (row.alloc + 64 - row.prec) * max(1, abs(want))
 
     @pytest.mark.parametrize("digits", [10, 30, 60])
     @pytest.mark.parametrize("u", ["1e-30", "0.001", "1", "2", "2.5", "57.3", "100", "150", "1e30"])
@@ -315,7 +338,7 @@ class TestSeriesLength:
     """The row length _series_length reads off the convergence bound."""
 
     @pytest.mark.parametrize("u, digits, want", [
-        (1, 30, 93), (1, 60, 129), (10**30, 60, 8),
+        (1, 30, 90), (1, 60, 126), (10**30, 60, 5),
     ])
     def test_module_docstring_figures(self, u, digits, want):
         ctx = PrecisionContext(digits=digits)
@@ -336,6 +359,66 @@ class TestSeriesLength:
             assert row == sorted(row)
         for column in zip(*lengths):
             assert list(column) == sorted(column)
+
+
+class TestTailWeights:
+    """The exact weights every gamma series sums its row with."""
+
+    @pytest.mark.parametrize("length", [*range(1, 13), 90, 126])
+    def test_weights_are_the_swapped_double_sum(self, length):
+        scale, weights, last = stieltjes_module._tail_weights(length)
+        assert scale == math.lcm(*range(1, length + 1))
+        for j in range(length):
+            w = sum(Fraction(math.comb(i, j), i + 1) for i in range(j, length))
+            assert weights[j] == (-1) ** j * scale * w, j
+        assert last == [(-1) ** j * math.comb(length - 1, j) for j in range(length)]
+
+    @pytest.mark.usefixtures("fresh_rows")
+    def test_planted_hockey_stick_weights_fail_the_normalization(self, monkeypatch):
+        # C(I+1, j+1)/(j+1) in place of sum_{i>=j} C(i,j)/(i+1) sums the
+        # constant 1 to H_(I+1), not 1, so the report must catch it
+        exact = stieltjes_module._tail_weights
+
+        def hockey_stick(length):
+            scale, _, last = exact(length)
+            return scale, [(-1) ** j * scale * math.comb(length, j + 1) // (j + 1)
+                           for j in range(length)], last
+
+        monkeypatch.setattr(stieltjes_module, "_tail_weights", hockey_stick)
+        (check,) = [r for r in verify.suite_stieltjes(PrecisionContext(digits=10))
+                    if r.identity == "hasse-normalization-delta"]
+        assert not check.passed
+
+
+# (low, high) of u, drawn log-uniformly: the four gamma-sweep regimes (tiny,
+# unit, moderate, huge) and the band where the fixed-point noise of
+# log^21(U) comes closest to the stopping threshold
+SEEDED_REGIMES = ((1e-30, 1e-3), (0.5, 5.0), (5.0, 100.0), (1e6, 1e300), (1e140, 1e180))
+
+
+@pytest.mark.usefixtures("fresh_rows")
+def test_seeded_rows_sum_to_their_end():
+    # every series of 60 seeded rows, gamma_0 .. gamma_20, ends its row with
+    # a last outer term below the threshold; ConvergenceError would fail the
+    # test, which takes about 0.7 s of CPU
+    rng = random.Random(2121)
+    for _ in range(12):
+        for low, high in SEEDED_REGIMES:
+            u = f"{10 ** rng.uniform(math.log10(low), math.log10(high)):.6g}"
+            ctx = PrecisionContext(digits=rng.randint(10, 60), guard_digits=rng.randint(5, 60))
+            row = make_row(u, ctx)
+            for n in range(21):
+                row.gamma(n)
+
+
+def double_series(n, x, length):
+    """sum_{i<length} sum_{j<=i} C(i,j) (-1)^j log^(n+1)(x + j) / (i + 1) in
+    the current precision."""
+    logs = [mp.log(x + j) ** (n + 1) for j in range(length)]
+    return mp.fsum(
+        mp.fsum(math.comb(i, j) * (-1) ** j * logs[j] for j in range(i + 1)) / (i + 1)
+        for i in range(length)
+    )
 
 
 def make_row(u, ctx):
