@@ -111,39 +111,78 @@ def bell_recurrence_value(args):
     return bell_recurrence_values(args)[-1]
 
 
-def bracket_determinant(cs) -> Fraction:
-    """The n x n almost-triangular determinant [c_1, c_2, ..., c_n].
+def _check_entries(entries, who):
+    # a bool is refused, since True would pass for 1
+    for c in entries:
+        if type(c) is bool or not isinstance(c, (int, Fraction)):
+            raise ValueError(
+                f"{who} takes int or Fraction entries (bool refused), got {c!r}"
+            )
 
-    Row 1 holds c_1..c_n; row i (i >= 2) holds the subdiagonal entry n-i+1
-    followed by c_1..c_{n-i+1}; everything below the subdiagonal is zero.
-    Every row is multiplied once by D, the lcm of the denominators of the
-    c_k, which scales the determinant by D^n and leaves integers.  These are
-    eliminated fraction-free (Bareiss): below pivot k only row k+1 is
-    nonzero, so each step replaces that one row by
+
+def _scaled_bracket(nums, den) -> int:
+    """den^n [nums[0]/den, ..., nums[n-1]/den], in integers.
+
+    The n x n bracket times den in every row has integer entries.  These are
+    eliminated fraction-free (Bareiss, Math. Comp. 22, 1968): below pivot k
+    only row k+1 is nonzero, so each step replaces that one row by
     pivot * row - subdiagonal * pivot row, after which its entry in column j
     is the minor on rows 1..k+1 and columns 1..k, j.  Bareiss divides each
     update by the previous pivot; here that pivot is also the factor an
     untouched row carries in Bareiss's scheme, so the two cancel and nothing
     is divided.  A zero pivot thus needs no row swap, and the last pivot is
-    D^n times the determinant.
+    den^n times the determinant.
+    """
+    n = len(nums)
+    row = nums
+    for k in range(1, n):
+        pivot, sub = row[0], (n - k) * den
+        row = [pivot * c - sub * r for c, r in zip(nums, row[1:])]
+    return row[0]
+
+
+def _quotient(num, den):
+    """num/den exactly: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def bracket_determinant(cs) -> int | Fraction:
+    """The n x n almost-triangular determinant [c_1, c_2, ..., c_n].
+
+    Row 1 holds c_1..c_n; row i (i >= 2) holds the subdiagonal entry n-i+1
+    followed by c_1..c_{n-i+1}; everything below the subdiagonal is zero.
+    The entries are int or Fraction (bool refused; anything else raises
+    ValueError).  They are written as integer numerators over D, the lcm of
+    their denominators, and the determinant is D^-n times the integer
+    elimination of _scaled_bracket: an int when that is an integer, else a
+    Fraction.
     """
     n = len(cs)
     if n < 1:
         raise ValueError("bracket determinant needs n >= 1 entries")
-    cs = [Fraction(c) for c in cs]
+    _check_entries(cs, "bracket_determinant")
     den = math.lcm(*(c.denominator for c in cs))
-    row = cs = [c.numerator * (den // c.denominator) for c in cs]
-    for k in range(1, n):
-        pivot, sub = row[0], (n - k) * den
-        row = [pivot * c - sub * r for c, r in zip(cs, row[1:])]
-    return Fraction(row[0], den**n)
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    return _quotient(_scaled_bracket(nums, den), den**n)
 
 
-def bell_determinant(args) -> Fraction:
-    """Y_n(args) as the determinant [x_1/0!, -x_2/1!, ..., (-1)^(n+1) x_n/(n-1)!]."""
+def bell_determinant(args) -> int | Fraction:
+    """Y_n(args) as the determinant [x_1/0!, -x_2/1!, ..., (-1)^(n+1) x_n/(n-1)!].
+
+    The arguments are int or Fraction (bool refused; anything else raises
+    ValueError).  Entry k, (-1)^k x_k / k!, has denominator dividing
+    k! q_k for x_k = p_k / q_k, so D, the lcm of the k! q_k, clears every
+    entry at once and the value is D^-n times _scaled_bracket's: an int
+    when that is an integer, else a Fraction.
+    """
     n = len(args)
     if n < 1:
         raise ValueError("bell_determinant needs n >= 1 arguments")
-    return bracket_determinant(
-        [Fraction((-1) ** k * args[k], math.factorial(k)) for k in range(n)]
-    )
+    _check_entries(args, "bell_determinant")
+    dens = [math.factorial(k) * x.denominator for k, x in enumerate(args)]
+    den = math.lcm(*dens)
+    nums = [
+        (-1) ** k * x.numerator * (den // d) for k, (x, d) in enumerate(zip(args, dens))
+    ]
+    return _quotient(_scaled_bracket(nums, den), den**n)

@@ -7,10 +7,11 @@ checks is a list of route-pair rows handed to `equality_reports` or
 (`eta-recurrence-agreement-n3`), and within one index the rows come in the
 order given, so `lambda-sigma-vs-coffey-r2` precedes
 `lambda-eta-psi-vs-coffey-r2`, which precedes `lambda-sigma-vs-coffey-r3`.
-Exact combinatorial identities run on seeded random rational vectors (the
-seed is fixed, so repeated runs are byte-identical); the Bell routes take
-each vector scaled to integers and divide by the scale once (see
-`_scale_to_integers`), so they run in integer arithmetic.
+Exact combinatorial identities run on seeded trials (the seed is fixed, so
+repeated runs are byte-identical).  A Bell trial draws rationals as integer
+pairs (p, q); the routes take them scaled to integers and only the witness
+is divided by the scale, once (see `_scale_to_integers`), so every trial
+runs in integer arithmetic.
 
 Numeric identities are judged against 10^-tol_exp, defaulting to
 tol_exp = digits - 5, except for these, whose tolerance is fixed:
@@ -62,19 +63,21 @@ _REFERENCE_POLYS = {
 }
 
 
-def _random_fractions(rng, n, lo=-20, hi=20, max_den=12):
-    return [Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)]
+def _random_pairs(rng, n, lo=-20, hi=20, max_den=12):
+    """n seeded rationals p/q as unreduced (p, q) integer pairs, each drawn
+    numerator first."""
+    return [(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)]
 
 
 def _scale_to_integers(*vectors):
-    """L, the lcm of every denominator in `vectors`, then each vector x as
-    the integers L^j x_j (j = 1..n).  Every Bell route is weighted-homogeneous,
-    Y_n(L x_1, L^2 x_2, ..., L^n x_n) = L^n Y_n(x), so it maps these to
-    L^n Y_n(x): exactly, and in integers."""
-    scale = math.lcm(*(v.denominator for vs in vectors for v in vs))
+    """L, the lcm of every q in `vectors` of (p, q) pairs, then each vector x
+    as the integers L^j x_j (j = 1..n).  Every Bell route is
+    weighted-homogeneous, Y_n(L x_1, L^2 x_2, ..., L^n x_n) = L^n Y_n(x), so it
+    maps these to L^n Y_n(x): exactly, and in integers.  The q need not be
+    reduced: any common multiple L gives the same Y_n(x)."""
+    scale = math.lcm(*(q for vs in vectors for _, q in vs))
     return scale, *(
-        [v.numerator * (scale // v.denominator) * scale**j for j, v in enumerate(vs)]
-        for vs in vectors
+        [p * (scale // q) * scale**j for j, (p, q) in enumerate(vs)] for vs in vectors
     )
 
 
@@ -111,7 +114,7 @@ def _route_pairs(rng, n):
     """Partition sum against recurrence, then against determinant, per trial."""
     terms = bell.bell_symbolic(n)
     for _ in range(100):
-        scale, v = _scale_to_integers(_random_fractions(rng, n))
+        scale, v = _scale_to_integers(_random_pairs(rng, n))
         a = bell.substitute(terms, v)
         b = bell.bell_recurrence_value(v)
         c = bell.bell_determinant(v)
@@ -120,21 +123,19 @@ def _route_pairs(rng, n):
 
 
 def _convolution_pairs(rng, n):
+    """Y_n(x + y) against sum_k C(n, k) Y_(n-k)(x) Y_k(y), per trial; one
+    recurrence pass each gives Y_0..Y_n of x and of y."""
     for _ in range(20):
-        scale, xs, ys = _scale_to_integers(_random_fractions(rng, n), _random_fractions(rng, n))
+        scale, xs, ys = _scale_to_integers(_random_pairs(rng, n), _random_pairs(rng, n))
         lhs = bell.bell_recurrence_value([a + b for a, b in zip(xs, ys)])
-        rhs = sum(
-            math.comb(n, k)
-            * bell.bell_recurrence_value(xs[: n - k])
-            * bell.bell_recurrence_value(ys[:k])
-            for k in range(n + 1)
-        )
+        yx, yy = bell.bell_recurrence_values(xs), bell.bell_recurrence_values(ys)
+        rhs = sum(math.comb(n, k) * yx[n - k] * yy[k] for k in range(n + 1))
         yield lhs, rhs, scale**n
 
 
 def _scaled_determinant_pairs(rng, n):
     for _ in range(20):
-        scale, bs = _scale_to_integers(_random_fractions(rng, n))
+        scale, bs = _scale_to_integers(_random_pairs(rng, n))
         scaled = [math.factorial(j) * bs[j] for j in range(n)]
         yield (
             bell.bell_recurrence_value(scaled),
@@ -416,7 +417,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     for p in range(1, 9):
         ok = all(
             math.perm(k, p) == (-1) ** p * sum(
-                Fraction(math.factorial(p), math.factorial(j))
+                math.factorial(p) // math.factorial(j)
                 * math.comb(p - 1, j - 1)
                 * (-1) ** j
                 * math.perm(k + j - 1, j)

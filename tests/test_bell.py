@@ -18,7 +18,7 @@ from zkconst.bell import (
     substitute,
 )
 from zkconst.precision import PrecisionContext
-from zkconst.verify import _first_mismatch, _scale_to_integers, suite_bell
+from zkconst.verify import _first_mismatch, _random_pairs, _scale_to_integers, suite_bell
 
 PRINTED = {
     1: {(1,): 1},
@@ -138,6 +138,19 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             bell_determinant([])
 
+    @pytest.mark.parametrize("route", [bell_determinant, bracket_determinant])
+    @pytest.mark.parametrize("bad", [0.5, "1/2", True, mpf(2)])
+    def test_entries_are_int_or_fraction(self, route, bad):
+        # True == 1 would pass silently, and a float or str has no exact
+        # numerator to eliminate with
+        with pytest.raises(ValueError, match="int or Fraction entries"):
+            route([Fraction(1, 3), bad, 2])
+
+    def test_integer_value_is_an_int(self):
+        assert type(bell_determinant([Fraction(1, 2), Fraction(3, 4)])) is int
+        assert bell_determinant([Fraction(1, 2), Fraction(3, 4)]) == 1
+        assert bracket_determinant([Fraction(1, 2), 1]) == Fraction(-3, 4)
+
     @pytest.mark.parametrize("n", list(range(1, 7)))
     def test_scaled_bracket_form(self, n):
         # Y_n(b1, 1! b2, ..., (n-1)! bn) = [b1, -b2, ..., (-1)^(n+1) bn]
@@ -199,18 +212,31 @@ class TestProperties:
         assert partition == bell_recurrence_value(v) == bell_determinant(v)
 
 
-RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+# unreduced (p, q) pairs: gcd(p, q) > 1 is drawn too, as the suite draws it
+PAIRS = st.tuples(st.integers(-20, 20), st.integers(1, 30))
+
+
+def reduced(pairs):
+    return [Fraction(p, q) for p, q in pairs]
 
 
 class TestScaledTrials:
-    """The bell suite runs each route at the integers L^j x_j and divides by
-    L^n; weighted homogeneity makes that exact for every route."""
+    """The bell suite draws (p, q) pairs, runs each route at the integers
+    L^j p_j/q_j with L the lcm of the unreduced q, and divides by L^n;
+    weighted homogeneity makes that exact for every route."""
+
+    def test_pairs_follow_the_seeded_stream(self):
+        # numerator, then denominator, entry by entry
+        rng, twin = random.Random(1729), random.Random(1729)
+        expected = [(twin.randint(-20, 20), twin.randint(1, 12)) for _ in range(5)]
+        assert _random_pairs(rng, 5) == expected
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(st.lists(RATIONALS, min_size=1, max_size=8))
-    def test_each_route_at_scaled_integers(self, v):
-        scale, w = _scale_to_integers(v)
+    @given(st.lists(PAIRS, min_size=1, max_size=8))
+    def test_each_route_at_scaled_integers(self, pairs):
+        scale, w = _scale_to_integers(pairs)
         assert all(type(x) is int for x in w)
+        v = reduced(pairs)
         n = len(v)
         terms = bell_symbolic(n)
         for route in (lambda x: substitute(terms, x), bell_recurrence_value,
@@ -219,12 +245,12 @@ class TestScaledTrials:
 
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
     @given(st.integers(1, 6).flatmap(
-        lambda n: st.tuples(*[st.lists(RATIONALS, min_size=n, max_size=n)] * 2)))
+        lambda n: st.tuples(*[st.lists(PAIRS, min_size=n, max_size=n)] * 2)))
     def test_one_scale_covers_two_vectors(self, pair):
         xs, ys = pair
         scale, xs_int, ys_int = _scale_to_integers(xs, ys)
         summed = bell_recurrence_value([a + b for a, b in zip(xs_int, ys_int)])
-        want = bell_recurrence_value([a + b for a, b in zip(xs, ys)])
+        want = bell_recurrence_value([a + b for a, b in zip(reduced(xs), reduced(ys))])
         assert Fraction(summed, scale ** len(xs)) == want
 
     def test_no_trial_drawn_raises(self, ctx30):
@@ -263,15 +289,15 @@ def _plant_partition_coefficient(monkeypatch):
 
 
 def _plant_determinant_sign(monkeypatch):
-    real = bell.bracket_determinant
+    real = bell._scaled_bracket
 
-    def planted(cs):
-        cs = list(cs)
-        if len(cs) > 1:
-            cs[1] = -cs[1]
-        return real(cs)
+    def planted(nums, den):
+        nums = list(nums)
+        if len(nums) > 1:
+            nums[1] = -nums[1]
+        return real(nums, den)
 
-    monkeypatch.setattr(bell, "bracket_determinant", planted)
+    monkeypatch.setattr(bell, "_scaled_bracket", planted)
 
 
 def _plant_recurrence_binomial(monkeypatch):
@@ -281,16 +307,24 @@ def _plant_recurrence_binomial(monkeypatch):
 EXACT_FAMILIES = ("bell-routes-exact-n", "bell-convolution-n", "bell-scaled-determinant-n")
 
 
+# each plant must fail every family listed (a tuple entry: any one of its
+# prefixes); the two determinant routes share one elimination, so a sign
+# flip there reaches the three-route family and the scaled bracket alike
 @pytest.mark.parametrize(
-    "plant",
-    [_plant_partition_coefficient, _plant_determinant_sign, _plant_recurrence_binomial],
+    "plant, families",
+    [
+        (_plant_partition_coefficient, (EXACT_FAMILIES,)),
+        (_plant_determinant_sign, ("bell-routes-exact-n", "bell-scaled-determinant-n")),
+        (_plant_recurrence_binomial, (EXACT_FAMILIES,)),
+    ],
     ids=["partition-coefficient", "determinant-sign", "recurrence-binomial"],
 )
-def test_planted_fault_fails_an_exact_family(plant, monkeypatch, ctx30):
+def test_planted_fault_fails_an_exact_family(plant, families, monkeypatch, ctx30):
     assert all(r.passed for r in suite_bell(ctx30))
     plant(monkeypatch)
     failed = [r.identity for r in suite_bell(ctx30) if not r.passed]
-    assert any(name.startswith(EXACT_FAMILIES) for name in failed), failed
+    for family in families:
+        assert any(name.startswith(family) for name in failed), (family, failed)
 
 
 @pytest.mark.parametrize("digits", [10, 30, 60])

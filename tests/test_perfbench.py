@@ -80,19 +80,25 @@ def test_trace_cli_runs():
 # in a nested container, say) or runs a different number of times changes
 # this table.  binomial_alternating_transform is called 68 times, returning
 # 372 entries: 252 in eq-3.27-involution, the rest in the lambda tables,
-# g_derivs_at_one and the 3.13 residuals; substitute once per seeded trial of
-# bell-routes-exact-n1..n8 (8 x 100); bell_recurrence_values once inside each
-# bell_recurrence_value call and once per xi, gamma-from-eta and log-chain
-# table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell values); require
-# once per step map and per-index route call, xi_deriv_at_zero included;
-# coffey_constant once, for coffey-3.34-calibrated-constant, since
+# g_derivs_at_one and the 3.13 residuals; substitute and bell_determinant once
+# per seeded trial of bell-routes-exact-n1..n8 (8 x 100); bracket_determinant
+# once per trial of bell-scaled-determinant-n1..n6 (6 x 20), since
+# bell_determinant runs the shared integer elimination itself;
+# bell_recurrence_value once per route trial, once per scaled-determinant
+# trial, once per convolution trial (its x + y side), once per
+# bell-exp-derivative report (10) and once per distinct Gamma^(m)(1) (8);
+# bell_recurrence_values once inside each bell_recurrence_value call, twice
+# per convolution trial (x and y, 6 x 20) and once per xi, gamma-from-eta
+# and log-chain table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell
+# values); require once per step map and per-index route call,
+# xi_deriv_at_zero included; coffey_constant once, for coffey-3.34-calibrated-constant, since
 # lambda_via_coffey adds its constant 1 without measuring it.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
-    "bell.bell_recurrence_value": (2138, 0),
-    "bell.bell_recurrence_values": (2141, 8918),
+    "bell.bell_recurrence_value": (1058, 0),
+    "bell.bell_recurrence_values": (1301, 6678),
     "bell.bell_symbolic": (23, 0),
-    "bell.bracket_determinant": (920, 0),
+    "bell.bracket_determinant": (120, 0),
     "bell.substitute": (800, 0),
     "cli.main": (1, 0),
     "eta_sigma.eta_from_gamma": (7, 0),
