@@ -4,13 +4,21 @@ gamma -> eta -> sigma -> lambda | xi1 (and gamma -> zeta0) is written down.
 Above gamma, only `table` takes a max_n and checks it against the family's
 cap: each step map takes the table below it and maps the whole of it, so a
 family up to max_n is the map of the table below it up to max_n
-(eta_0..eta_(max_n - 1) for sigma).  zeta0 keeps its max_n, since its solve
-precision grows with it.  stieltjes_gamma memoises each series value, so rebuilding a chain
-costs only the cheap algebra above gamma.  Range errors name the CLI flags,
-since the CLI passes its arguments straight through.
+(eta_0..eta_(max_n - 1) for sigma).  Range errors name the CLI flags, since
+the CLI passes its arguments straight through.
+
+Every table is built once per process.  Each step map is prefix-stable: the
+table up to m is, value for value, the first entries of the table up to any
+longer max_n.  So one memo per (family, context, u) keeps the longest table
+built so far and serves a shorter request as its prefix; only a longer one
+builds again, from the memoised table below it.  zeta0 keeps its max_n, since
+its solve precision grows with it: it is memoised per (max_n, context) and
+never served from a longer table.  A build that raises stores nothing.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from . import eta_sigma, li_keiper, xi, zeta_derivs
 from .precision import PrecisionContext, check_index
@@ -23,16 +31,49 @@ def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> ConstantTable
     if u is not None and kind != "gamma":
         raise ValueError("--u is only meaningful with --seq gamma")
     check_index(max_n, f"--max-n for {kind}", start, cap)
+    if kind == "zeta0":
+        return _zeta0(max_n, ctx)
+    return _longest(kind, ctx, u).prefix(max_n)
+
+
+class _Longest:
+    """The longest `kind` table built so far at one (ctx, u)."""
+
+    def __init__(self, kind: str, ctx: PrecisionContext, u):
+        self.kind, self.ctx, self.u = kind, ctx, u
+        self.table = None
+
+    def prefix(self, max_n: int) -> ConstantTable:
+        """The table up to max_n, built only when the longest one falls short."""
+        if self.table is None or self.table.max_n < max_n:
+            self.table = _build(self.kind, max_n, self.ctx, self.u)
+        if self.table.max_n == max_n:
+            return self.table
+        end = max_n - self.table.start + 1
+        return ConstantTable.of(self.kind, self.table.values[:end],
+                                self.table.methods[:end], self.ctx)
+
+
+# five families above zeta0 at a handful of contexts, plus one entry per u
+_longest = lru_cache(maxsize=64)(_Longest)
+
+
+def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> ConstantTable:
+    """The `kind` table up to a checked max_n, from the memoised table below it."""
     if kind == "gamma":
         return stieltjes_table(max_n, ctx, u=1 if u is None else u)
     if kind == "eta":
         return eta_sigma.eta_from_gamma(table("gamma", max_n, ctx), ctx)
     if kind == "sigma":
         return eta_sigma.sigma_table(table("eta", max_n - 1, ctx), ctx)
-    if kind == "zeta0":
-        gammas = table("gamma", max(0, max_n - 1), ctx)
-        return zeta_derivs.zeta_derivs_at_zero(max_n, gammas, ctx)
     sigmas = table("sigma", max_n, ctx)
     if kind == "lambda":
         return li_keiper.lambda_table(sigmas, ctx)
     return xi.xi_table(sigmas, ctx)
+
+
+@lru_cache(maxsize=32)
+def _zeta0(max_n: int, ctx: PrecisionContext) -> ConstantTable:
+    """zeta^(0..max_n)(0) by apostol-5.5, keyed exactly on max_n."""
+    gammas = table("gamma", max(0, max_n - 1), ctx)
+    return zeta_derivs.zeta_derivs_at_zero(max_n, gammas, ctx)

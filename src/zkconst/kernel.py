@@ -33,20 +33,25 @@ from .stieltjes import stieltjes_gamma
 
 def log2_mpf(ctx: PrecisionContext):
     """log 2 at working precision."""
-    with mp.workdps(ctx.working_dps):
-        return mp.log(2)
+    return _logs(ctx)[0]
 
 
 def log_pi_mpf(ctx: PrecisionContext):
     """log pi at working precision."""
-    with mp.workdps(ctx.working_dps):
-        return mp.log(mp.pi)
+    return _logs(ctx)[1]
 
 
 def log_2pi_mpf(ctx: PrecisionContext):
     """log(2 pi) at working precision."""
+    return _logs(ctx)[2]
+
+
+@lru_cache(maxsize=16)
+def _logs(ctx: PrecisionContext) -> tuple:
+    """(log 2, log pi, log(2 pi)) at working precision, once per context; the
+    public names stay plain functions so that call counts see every call."""
     with mp.workdps(ctx.working_dps):
-        return mp.log(2 * mp.pi)
+        return mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi)
 
 
 class _CrvzWeights:
@@ -116,6 +121,12 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
     at the budget's psi_three_halves row in the stable grouping below.
     """
     check_index(n, "the polygamma order n", 0)
+    return _polygamma_memo(n, ctx)
+
+
+@lru_cache(maxsize=256)
+def _polygamma_memo(n: int, ctx: PrecisionContext):
+    """psi^(n)(3/2) for a checked n, at its own fixed precision."""
     if n == 0:
         gamma = stieltjes_gamma(0, 1, ctx)
         with mp.workdps(ctx.working_dps):

@@ -231,16 +231,27 @@ def _series_length(log_u: float, stop_digits: int, max_n: int) -> int:
 def _tail_weights(length: int) -> tuple:
     """(D, [(-1)^j D w_j], [(-1)^j C(I, j)]) for j <= I = length - 1, where
     w_j = sum_{i=j}^{I} C(i,j)/(i+1) and D = lcm(1, ..., I + 1), so that
-    sum_{i<=I} sum_{j<=i} C(i,j) (-1)^j v_j / (i+1) = sum_j (-1)^j D w_j v_j / D,
-    from one Pascal pass.  (C(i,j)/(i+1) is not C(i+1,j+1)/(j+1): the hockey
-    stick does not sum these.)"""
+    sum_{i<=I} sum_{j<=i} C(i,j) (-1)^j v_j / (i+1) = sum_j (-1)^j D w_j v_j / D.
+
+    The w_j come in one pass, from their generating function
+    sum_j w_j x^j = sum_{i<=I} (1+x)^i/(i+1).  Its constant term is
+    w_0 = H_(I+1).  Times (1 + x), its coefficient of x^k, k >= 1, is
+    w_k + w_(k-1) = sum_i C(i+1,k)/(i+1) = sum_i C(i,k-1)/k = C(I+1,k)/k by
+    the hockey stick, so D w_k = (D/k) C(I+1,k) - D w_(k-1) in integers, with
+    C(I+1,k) and C(I,k) from their running ratios.  (C(i,j)/(i+1) is not
+    C(i+1,j+1)/(j+1): the hockey stick does not sum w_j itself.)"""
     scale = math.lcm(*range(1, length + 1))
-    weights, row = [0] * length, []
-    for i in range(length):
-        # (-1)^j C(i, j) = (-1)^j C(i-1, j) - (-1)^(j-1) C(i-1, j-1)
-        row = list(map(operator.sub, row + [0], [0] + row)) if row else [1]
-        weights[:i + 1] = [w + c * (scale // (i + 1)) for w, c in zip(weights, row)]
-    return scale, weights, row
+    weight = sum(scale // i for i in range(1, length + 1))  # D H_(I+1)
+    weights, last = [weight], [1]
+    above, at = 1, 1  # C(I+1, k), C(I, k)
+    for k in range(1, length):
+        above = above * (length + 1 - k) // k
+        at = at * (length - k) // k
+        weight = scale // k * above - weight
+        sign = -1 if k % 2 else 1
+        weights.append(sign * weight)
+        last.append(sign * at)
+    return scale, weights, last
 
 
 class _GammaRow:

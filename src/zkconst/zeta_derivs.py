@@ -103,10 +103,16 @@ def _cos_weight(m: int, pi_val):
     return (-1) ** (m // 2) * (pi_val / 2) ** m
 
 
-def _apostol_weights(max_n: int, ctx: PrecisionContext) -> list:
+def _apostol_weights(max_n: int, ctx: PrecisionContext) -> tuple:
     """a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2) and
     m = 0..max_n, at the caller's precision, by two Leibniz products;
-    a_0 = 2 exactly."""
+    a_0 = 2 exactly.  Memoised on (max_n, ctx, the caller's precision)."""
+    return _apostol_memo(max_n, ctx, mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _apostol_memo(max_n: int, ctx: PrecisionContext, prec: int) -> tuple:
+    """_apostol_weights; prec, the current precision, is only part of the key."""
     pi_val = +mp.pi
     minus_log2pi = -mp.log(2 * pi_val)
     cos_weights = [_cos_weight(j, pi_val) for j in range(max_n + 1)]
@@ -117,10 +123,10 @@ def _apostol_weights(max_n: int, ctx: PrecisionContext) -> list:
         for k in range(max_n + 1)
     ]
     gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
-    return [
+    return tuple(
         2 * sum(math.comb(m, k) * gd[m - k] * ec[k] for k in range(m + 1))
         for m in range(max_n + 1)
-    ]
+    )
 
 
 def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:

@@ -10,6 +10,7 @@ from zkconst.precision import PrecisionContext
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from memos import clear_package_memos  # noqa: E402
 from oracles import em_gamma_table  # noqa: E402
 
 HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
@@ -25,6 +26,15 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     config.stash[HYPOTHESIS_HOME].cleanup()
+
+
+@pytest.fixture(autouse=True)
+def no_planted_value_outlives_its_test(request):
+    """A test that plants a fault with monkeypatch may have memoised a value
+    computed under it, so every package memo is cleared after it."""
+    yield
+    if "monkeypatch" in request.fixturenames:
+        clear_package_memos()
 
 
 @pytest.fixture(scope="session")

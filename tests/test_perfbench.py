@@ -78,8 +78,8 @@ def test_trace_cli_runs():
 # (calls, total length of returned lists) of every traced function in
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
-# this table.  binomial_alternating_transform is called 68 times, returning
-# 372 entries: 252 in eq-3.27-involution, the rest in the lambda tables,
+# this table.  binomial_alternating_transform is called 67 times, returning
+# 361 entries: 252 in eq-3.27-involution, the rest in the lambda table,
 # g_derivs_at_one and the 3.13 residuals; substitute and bell_determinant once
 # per seeded trial of bell-routes-exact-n1..n8 (8 x 100); bracket_determinant
 # once per trial of bell-scaled-determinant-n1..n6 (6 x 20), since
@@ -93,6 +93,12 @@ def test_trace_cli_runs():
 # values); require once per step map and per-index route call,
 # xi_deriv_at_zero included; coffey_constant once, for coffey-3.34-calibrated-constant, since
 # lambda_via_coffey adds its constant 1 without measuring it.
+# Every table is built once per process (chain.table keeps the longest one per
+# family and context and serves shorter requests as its prefix), and
+# psi^(n)(3/2), log 2, log pi, log(2 pi) and the Apostol weights are memoised,
+# so the rows marked "memo" count only first builds: the eta suite's gamma
+# and eta tables to 12 and the lambda suite's sigma and lambda tables to 12
+# serve every other request for them.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (1058, 0),
@@ -101,21 +107,21 @@ VERIFY_ALL_10_COUNTS = {
     "bell.bracket_determinant": (120, 0),
     "bell.substitute": (800, 0),
     "cli.main": (1, 0),
-    "eta_sigma.eta_from_gamma": (7, 0),
+    "eta_sigma.eta_from_gamma": (1, 0),  # memo: was 7, one per eta request
     "eta_sigma.eta_from_gamma_coffey": (1, 0),
     "eta_sigma.gamma_from_eta": (1, 0),
-    "eta_sigma.sigma_table": (4, 0),
-    "kernel.log2_mpf": (27, 0),
+    "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
+    "kernel.log2_mpf": (24, 0),  # memo: was 27, one read per sigma_table build fewer
     "kernel.log_2pi_mpf": (2, 0),
-    "kernel.log_pi_mpf": (35, 0),
+    "kernel.log_pi_mpf": (32, 0),  # memo: was 35, one read per sigma_table build fewer
     "kernel.polygamma_three_halves_mpf": (89, 0),
-    "kernel.zeta_int_mpf": (206, 0),
-    "li_keiper.binomial_alternating_transform": (68, 372),
+    "kernel.zeta_int_mpf": (107, 0),  # memo: was 206; 27 sigma reads, 72 psi memo hits
+    "li_keiper.binomial_alternating_transform": (67, 361),  # memo: was (68, 372)
     "li_keiper.coffey_constant": (1, 0),
     "li_keiper.g_derivs_at_one": (9, 0),
     "li_keiper.g_derivs_at_one_via_eta": (9, 0),
     "li_keiper.lambda_closed": (3, 0),
-    "li_keiper.lambda_table": (2, 0),
+    "li_keiper.lambda_table": (1, 0),  # memo: was 2, the xi suite's is a prefix
     "li_keiper.lambda_via_coffey": (9, 0),
     "li_keiper.lambda_via_eta_psi": (10, 0),
     "li_keiper.recurrence_residual_3_13": (7, 0),
@@ -126,10 +132,10 @@ VERIFY_ALL_10_COUNTS = {
     "reports.exact_report": (66, 0),
     "reports.inequality_report": (27, 0),
     "reports.inequality_reports": (2, 22),
-    "stieltjes.family": (56, 0),
-    "stieltjes.require": (105, 0),
-    "stieltjes.stieltjes_gamma": (151, 0),
-    "stieltjes.stieltjes_table": (11, 0),
+    "stieltjes.family": (35, 0),  # memo: was 56, one per table call; 21 were rebuilds' own
+    "stieltjes.require": (95, 0),  # memo: was 105, one per step map; 10 maps fewer
+    "stieltjes.stieltjes_gamma": (39, 0),  # memo: was 151; 105 table reads, 7 psi(3/2) hits
+    "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
     "verify.run_suite": (1, 220),
     "verify.suite_bell": (1, 45),
     "verify.suite_eta": (1, 39),
@@ -141,7 +147,7 @@ VERIFY_ALL_10_COUNTS = {
     "xi.xi_deriv_recurrence": (1, 0),
     "xi.xi_table": (1, 0),
     "zeta_derivs.L_derivs_at_zero": (9, 0),
-    "zeta_derivs.gamma_derivs_at_one_mpf": (100, 0),
+    "zeta_derivs.gamma_derivs_at_one_mpf": (47, 0),  # memo: was 100, Apostol weight hits
     "zeta_derivs.gamma_from_zeta_derivs": (16, 0),
     "zeta_derivs.zeta_derivs_at_zero": (1, 0),
     "zeta_derivs.zeta_derivs_log_chain": (1, 0),

@@ -1,10 +1,11 @@
 import pytest
+from memos import clear_package_memos, package_memos
 from mpmath import mp, mpf
 
-from zkconst import kernel, precision, stieltjes, zeta_derivs
+from zkconst import chain, precision, stieltjes
 from zkconst.chain import table
 from zkconst.li_keiper import lambda_via_eta_psi, positivity_report
-from zkconst.precision import PrecisionContext, check_index, roundtrip_decimal
+from zkconst.precision import ConvergenceError, PrecisionContext, check_index, roundtrip_decimal
 from zkconst.reports import default_tol, equality_report
 from zkconst.stieltjes import FAMILIES, ConstantTable, family, stieltjes_gamma
 
@@ -67,15 +68,18 @@ class TestCheckIndex:
             call(ctx30, chain30)
 
 
-@pytest.mark.parametrize("digits", [10, 60])
+@pytest.mark.parametrize("digits", [10, 30, 60])
 @pytest.mark.parametrize("kind", [kind for kind in FAMILIES if kind != "zeta0"])
-def test_tables_are_prefix_stable(kind, digits):
+def test_tables_are_prefix_stable(kind, digits, clear_memos):
     # a step map maps the whole table it is given, so the table up to m must
-    # be the first entries of the table at the cap, exactly
+    # be the first entries of the table at the cap, exactly: the invariant
+    # that lets the table memo serve a shorter request as a prefix.  Every
+    # build here is fresh, not a prefix of the memoised one.
     ctx = PrecisionContext(digits)
     start, cap = family(kind)
     full = table(kind, cap, ctx).values
-    for m in range(start, cap + 1):
+    for m in range(start, cap):
+        clear_memos()
         assert table(kind, m, ctx).values == full[:m - start + 1], f"m={m}"
 
 
@@ -87,6 +91,31 @@ def test_zeta0_is_not_prefix_stable(digits):
     ctx = PrecisionContext(digits)
     _, cap = family("zeta0")
     assert table("zeta0", cap - 1, ctx).values != table("zeta0", cap, ctx).values[:cap]
+
+
+@pytest.mark.parametrize("digits", [10, 30, 60])
+def test_zeta0_is_never_served_from_a_longer_table(digits, clear_memos):
+    # with the table at the cap memoised, each shorter one is still its own
+    # solve, as a fresh build makes it
+    ctx = PrecisionContext(digits)
+    _, cap = family("zeta0")
+    fresh = {}
+    for m in range(cap):
+        clear_memos()
+        fresh[m] = table("zeta0", m, ctx)
+    table("zeta0", cap, ctx)
+    assert {m: table("zeta0", m, ctx) for m in range(cap)} == fresh
+
+
+class TestTableMemo:
+    def test_a_failed_build_stores_nothing(self, clear_memos, monkeypatch):
+        ctx = PrecisionContext(10)
+        monkeypatch.setattr(stieltjes, "_series_length", lambda *args: 3)
+        with pytest.raises(ConvergenceError):
+            table("lambda", 5, ctx)
+        assert chain._longest.cache_info().currsize == 4  # one holder per family built
+        assert all(chain._longest(kind, ctx, None).table is None
+                   for kind in ("gamma", "eta", "sigma", "lambda"))
 
 
 def test_roundtrip_decimal_reparses_to_run_precision():
@@ -106,18 +135,31 @@ def _printed(kind, ctx):
 
 @pytest.fixture
 def clear_memos():
-    """Clears the memos (the gamma rows, the CRVZ weight rows, zeta(n) and
-    the gamma derivatives), which are keyed by context or dps, not by the
-    budget, before and after the test; the test may call it in between."""
-    def clear():
-        stieltjes._gamma_row.cache_clear()
-        kernel._crvz_weights.cache_clear()
-        kernel._zeta_int_raw.cache_clear()
-        zeta_derivs._gamma_derivs_memo.cache_clear()
+    """Clears every memo of the package (the gamma rows, the chain's tables,
+    zeta(n), the atoms and the rest, which are keyed by context or dps, not
+    by the budget) before and after the test; the test may call it in
+    between."""
+    clear_package_memos()
+    yield clear_package_memos
+    clear_package_memos()
 
-    clear()
-    yield clear
-    clear()
+
+def test_every_memo_is_found_and_bounded():
+    names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
+    assert {"stieltjes._gamma_row", "chain._longest", "chain._zeta0", "kernel._logs",
+            "kernel._polygamma_memo", "zeta_derivs._apostol_memo"} <= set(names)
+    assert all(maxsize is not None for maxsize in names.values()), names
+
+
+def test_clear_memos_reaches_every_table(clear_memos, monkeypatch):
+    # with no budget digits the 10-digit sigma table moves; a memo that
+    # clear_memos missed would serve the old table, and the budget test
+    # below would pass whatever the budget
+    ctx = PrecisionContext(10)
+    before = table("sigma", family("sigma")[1], ctx).values
+    monkeypatch.setattr(precision, "_BUDGET", {step: (0, 0) for step in precision._BUDGET})
+    clear_memos()
+    assert table("sigma", family("sigma")[1], ctx).values != before
 
 
 @pytest.mark.parametrize("kind", ["gamma", "eta", "sigma", "lambda", "xi1", "zeta0"])

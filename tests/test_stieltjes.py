@@ -373,6 +373,13 @@ class TestTailWeights:
             assert weights[j] == (-1) ** j * scale * w, j
         assert last == [(-1) ** j * math.comb(length - 1, j) for j in range(length)]
 
+    def test_one_pass_matches_the_pascal_pass(self):
+        # a row at u = 1 is 126 terms long at 60 digits, 189 with 60 guard
+        # digits; 250 reaches past both
+        one_pass = stieltjes_module._tail_weights.__wrapped__
+        for length in range(1, 251):
+            assert one_pass(length) == pascal_weights(length), length
+
     @pytest.mark.usefixtures("fresh_rows")
     def test_planted_hockey_stick_weights_fail_the_normalization(self, monkeypatch):
         # C(I+1, j+1)/(j+1) in place of sum_{i>=j} C(i,j)/(i+1) sums the
@@ -388,6 +395,18 @@ class TestTailWeights:
         (check,) = [r for r in verify.suite_stieltjes(PrecisionContext(digits=10))
                     if r.identity == "hasse-normalization-delta"]
         assert not check.passed
+
+
+def pascal_weights(length):
+    """_tail_weights(length) from one Pascal pass: row i of signed binomials
+    (-1)^j C(i, j) adds D/(i+1) times itself to the weights, O(I^2) steps."""
+    scale = math.lcm(*range(1, length + 1))
+    weights, row = [0] * length, []
+    for i in range(length):
+        # (-1)^j C(i, j) = (-1)^j C(i-1, j) - (-1)^(j-1) C(i-1, j-1)
+        row = [a - b for a, b in zip(row + [0], [0] + row)] if row else [1]
+        weights[:i + 1] = [w + c * (scale // (i + 1)) for w, c in zip(weights, row)]
+    return scale, weights, row
 
 
 # (low, high) of u, drawn log-uniformly: the four gamma-sweep regimes (tiny,
