@@ -25,11 +25,11 @@ import sys
 
 from mpmath import mp
 
-from . import chain, li_keiper
-from .precision import DEFAULT_DIGITS, ConvergenceError, PrecisionContext, extra_digits
-from .reports import all_passed
+from . import chain, li_keiper, reports, verify
+from .precision import (
+    DEFAULT_DIGITS, SUITES, ConvergenceError, PrecisionContext, extra_digits,
+)
 from .stieltjes import FAMILIES, ConstantTable
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -70,25 +70,25 @@ def _emit_table(table: ConstantTable, seq: str, fmt: str, out) -> None:
             out.write(f"{row['n']:>4}  {row['value']:<{width}}  {row['method']}\n")
 
 
-def _emit_reports(reports, suite: str, digits: int, fmt: str, out) -> int:
+def _emit_reports(checks, suite: str, digits: int, fmt: str, out) -> int:
     if fmt == "json":
         payload = {
             "suite": suite,
             "digits": digits,
-            "reports": [r.as_dict() for r in reports],
+            "reports": [r.as_dict() for r in checks],
         }
         out.write(json.dumps(payload, indent=2))
         out.write("\n")
     else:
-        npass = sum(1 for r in reports if r.passed)
-        for r in reports:
+        npass = sum(1 for r in checks if r.passed)
+        for r in checks:
             verdict = "pass" if r.passed else "FAIL"
             out.write(
                 f"{verdict}  {r.identity}  lhs={r.lhs}  rhs={r.rhs}  "
                 f"abs_err={r.abs_err}  tol={r.tol}  [{' | '.join(r.method_tags)}]\n"
             )
-        out.write(f"suite={suite} digits={digits} passed={npass}/{len(reports)}\n")
-    return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
+        out.write(f"suite={suite} digits={digits} passed={npass}/{len(checks)}\n")
+    return EXIT_OK if reports.all_passed(checks) else EXIT_VERIFY_FAILED
 
 
 def _cmd_table(args, out) -> int:
@@ -101,14 +101,14 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     ctx = PrecisionContext(digits=args.digits)
-    reports = run_suite(args.suite, ctx, args.tol_exp)
-    return _emit_reports(reports, args.suite, ctx.digits, args.format, out)
+    checks = verify.run_suite(args.suite, ctx, args.tol_exp)
+    return _emit_reports(checks, args.suite, ctx.digits, args.format, out)
 
 
 def _cmd_li_check(args, out) -> int:
     ctx = PrecisionContext(digits=args.digits)
-    reports = li_keiper.positivity_report(args.max_n, ctx)
-    return _emit_reports(reports, "li-check", ctx.digits, args.format, out)
+    checks = li_keiper.positivity_report(args.max_n, ctx)
+    return _emit_reports(checks, "li-check", ctx.digits, args.format, out)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,10 @@ MIN_DIGITS = 10
 MAX_DIGITS = 60
 MIN_GUARD = 5
 DEFAULT_DIGITS = 30
+# what `verify --suite` takes: "all", then verify's suites in run order; kept
+# beside the CLI's other limits so that the argument parser need not execute
+# verify
+SUITES = ("all", "bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs")
 
 # step -> (per index, fixed): a step at index n carries per_index * n + fixed
 # decimal digits beyond ctx.working_dps, for the reason given.  Rows with the

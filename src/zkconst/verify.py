@@ -36,7 +36,7 @@ from mpmath import mp
 from . import bell, eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
 from .chain import table
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import MAX_DIGITS, PrecisionContext, check_index, extra_digits
+from .precision import MAX_DIGITS, SUITES, PrecisionContext, check_index, extra_digits
 from .reports import (
     default_tol,
     equality_report,
@@ -645,9 +645,6 @@ _SUITE_RUNNERS = {
     "xi": suite_xi,
     "zeta-derivs": suite_zeta_derivs,
 }
-
-
-SUITES = ("all", *_SUITE_RUNNERS)
 
 
 def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):

@@ -183,6 +183,12 @@ class TestVerifyCommand:
         out = run_cli("verify", "--suite", "nonsense")
         assert out.returncode == 2
 
+    def test_suite_names_are_the_runners(self):
+        # --help reads the names from precision, so that it need not execute verify
+        from zkconst import precision, verify
+
+        assert precision.SUITES == ("all", *verify._SUITE_RUNNERS)
+
     def test_json_reports_contract(self):
         out = run_cli(
             "verify", "--suite", "stieltjes", "--format", "json", "--digits", "20"
@@ -273,13 +279,13 @@ class TestExitCodeWiring:
         assert captured.err == "internal error: RuntimeError: boom\n"
 
     def test_failing_suite_maps_to_1(self, monkeypatch, capsys):
-        from zkconst import cli
+        from zkconst import cli, verify
         from zkconst.precision import PrecisionContext
         from zkconst.reports import equality_report
 
         ctx = PrecisionContext(digits=30)
         failing = [equality_report("forced-failure", 0, 1, mpf("1e-30"), ctx)]
-        monkeypatch.setattr(cli, "run_suite", lambda s, c, t: failing)
+        monkeypatch.setattr(verify, "run_suite", lambda s, c, t: failing)
         rc = cli.main(["verify", "--suite", "bell"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out

@@ -2,16 +2,21 @@
 
 No linter ships with the package, so this stdlib check keeps refactors from
 leaving dead imports behind.  Names listed in a module's __all__ count as
-used, which covers the re-exports in __init__; so every such name must also
-resolve on its module, or a removed function could linger in __all__.
-Likewise every module-level private function, class or assignment must be
-referenced somewhere in the package outside its own definition, every
-working precision outside precision.py must come from its budget, no
-module but precision.py and bell.py tests for an int itself, no file
-under src/ holds an assert statement, and importing the CLI leaves
-dataclasses and inspect unloaded.
-"""
+used, which covers the names __init__ resolves through its __getattr__; so
+every such name must also resolve on its module, or a removed function could
+linger in __all__.  Likewise every module-level private function, class or
+assignment must be referenced somewhere in the package outside its own
+definition, every working precision outside precision.py must come from its
+budget, no module but precision.py and bell.py tests for an int itself, and
+no file under src/ holds an assert statement.
 
+The package registers its modules lazily: importing it executes none of
+them, and a command's startup cost is the modules its route executes.  So
+the startup checks run commands in fresh processes: `table --seq gamma` executes exactly cli,
+chain, precision and stieltjes, no table or li-check command executes
+verify, --help executes no step module, and no command loads dataclasses or
+inspect.
+"""
 import ast
 import os
 import subprocess
@@ -23,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import zkconst
+from zkconst.stieltjes import FAMILIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "zkconst"
@@ -357,10 +363,63 @@ def test_no_asserts_under_src():
     assert assert_statements(sources) == []
 
 
+# prints, on the last line of stderr, the package modules a CLI command
+# executed and which of dataclasses and inspect it loaded; a lazily registered
+# module that has not executed is still a _LazyModule, and type() reads no
+# attribute of it, so asking triggers no load
+_AFTER_COMMAND = """
+import sys, types
+from zkconst import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+executed = sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
+                  if name.startswith("zkconst.") and type(module) is types.ModuleType)
+print((executed, sorted({"dataclasses", "inspect"} & set(sys.modules))), file=sys.stderr)
+"""
+
+
+def after_command(command: str) -> tuple:
+    """(package modules executed, heavy stdlib modules loaded) by one CLI
+    command in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", _AFTER_COMMAND, *command.split()],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=600)
+    executed, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    return set(executed), loaded
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # every command is a fresh process, and these two (with the ast, dis and
     # tokenize that inspect pulls in) cost it milliseconds before any work
-    code = "import sys, zkconst.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    for command in ("--help", "table --seq gamma --max-n 3", "li-check --max-n 3",
+                    "verify --suite all --digits 10"):
+        assert after_command(command)[1] == [], command
+
+
+# the modules that compute or check constants, as opposed to parsing
+# arguments (cli), holding limits (precision) and naming the families
+# (stieltjes, whose FAMILIES the parser reads)
+STEP_MODULES = {"bell", "chain", "eta_sigma", "kernel", "li_keiper", "reports", "verify", "xi",
+                "zeta_derivs"}
+
+
+def test_help_executes_no_step_module():
+    assert after_command("--help")[0] == {"cli", "precision", "stieltjes"}
+    assert not after_command("table --help")[0] & STEP_MODULES
+
+
+def test_gamma_table_executes_only_its_route():
+    assert after_command("table --seq gamma --max-n 3")[0] == {
+        "cli", "chain", "precision", "stieltjes"}
+
+
+@pytest.mark.parametrize("command", [
+    *(f"table --seq {kind} --max-n {start}" for kind, (start, _) in FAMILIES.items()),
+    "li-check --max-n 3",
+])
+def test_no_table_or_li_check_executes_verify(command):
+    executed = after_command(command)[0]
+    assert "verify" not in executed
+    assert {"cli", "chain"} <= executed

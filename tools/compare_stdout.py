@@ -8,9 +8,12 @@ tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
 45 and 60 digits, every family at its cap at 10 and 60 digits, zeta0 at
 every max_n below its cap at 10, 30 and 60 digits (its solve precision grows
 with max_n), gamma to 20 at seven values of u at 30, 45 and 60 digits, and
-`li-check --max-n 20` at 10, 30 and 60 digits, each command once.  For
-every command it prints whether stdout is byte-identical and, when it is
-not:
+`li-check --max-n 20` at 10, 30 and 60 digits, and the help and usage
+errors (`--help`, each subcommand's `--help`, an unknown suite and family,
+`--digits 61`, an unparsable `--u` and `li-check` past its cap), each
+command once.  The suites and families are read from the package source.
+For every command it prints whether its exit code, stdout and stderr are
+byte-identical and, when they are not:
   - the reports whose name or verdict changed, or a change in their count;
   - the worst change of a report side (lhs or rhs) as a multiple of
     10^-(digits+5) * max(1, |old side|);
@@ -32,7 +35,6 @@ from pathlib import Path
 from mpmath import mp, mpf
 
 REPO = Path(__file__).resolve().parents[1]
-SUITES = ("all", "bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs")
 GAMMA_US = ("2", "0.001", "1e-20", "2.5", "1e30", "150", "1000")
 SIDE_MARGIN = 5  # a side may move by 10^-(digits + SIDE_MARGIN), relative above 1
 
@@ -53,16 +55,21 @@ def golden_commands() -> list:
     return [ast.literal_eval(k) for k in golden.keys]
 
 
+def package_literal(module: str, name: str):
+    """The literal value of `name` in src/zkconst/<module>.py."""
+    return ast.literal_eval(assigned(REPO / "src" / "zkconst" / f"{module}.py", name))
+
+
 def family_caps() -> dict:
     """kind -> largest index, from FAMILIES in src/zkconst/stieltjes.py."""
-    families = ast.literal_eval(assigned(REPO / "src" / "zkconst" / "stieltjes.py", "FAMILIES"))
-    return {kind: cap for kind, (_, cap) in families.items()}
+    return {kind: cap for kind, (_, cap) in package_literal("stieltjes", "FAMILIES").items()}
 
 
 def command_set() -> list:
     caps = family_caps()
     commands = golden_commands()
-    commands += [f"verify --suite {s} --digits {d}" for s in SUITES for d in (10, 30, 45, 60)]
+    suites = package_literal("precision", "SUITES")
+    commands += [f"verify --suite {s} --digits {d}" for s in suites for d in (10, 30, 45, 60)]
     commands += [
         f"table --seq {kind} --max-n {cap} --digits {d}"
         for kind, cap in caps.items() for d in (10, 60)
@@ -75,6 +82,10 @@ def command_set() -> list:
         f"table --seq gamma --max-n 20 --u {u} --digits {d}" for u in GAMMA_US for d in (30, 45, 60)
     ]
     commands += [f"li-check --max-n 20 --digits {d}" for d in (10, 30, 60)]
+    commands += ["--help", "table --help", "verify --help", "li-check --help",
+                 "verify --suite nope", "table --seq nope --max-n 1",
+                 "table --seq gamma --max-n 1 --digits 61", "table --seq gamma --max-n 1 --u abc",
+                 "li-check --max-n 21"]
     return list(dict.fromkeys(commands))
 
 
