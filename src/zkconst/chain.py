@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import eta_sigma, li_keiper, xi, zeta_derivs
-from .precision import PrecisionContext, check_index
-from .stieltjes import ConstantTable, family, stieltjes_table
+from . import eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
+from .precision import PrecisionContext, check_index, family
 
 
-def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> ConstantTable:
+def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> stieltjes.ConstantTable:
     """The `kind` family from its first index up to max_n; u is for gamma only."""
     start, cap = family(kind)
     if u is not None and kind != "gamma":
@@ -43,25 +42,25 @@ class _Longest:
         self.kind, self.ctx, self.u = kind, ctx, u
         self.table = None
 
-    def prefix(self, max_n: int) -> ConstantTable:
+    def prefix(self, max_n: int) -> stieltjes.ConstantTable:
         """The table up to max_n, built only when the longest one falls short."""
         if self.table is None or self.table.max_n < max_n:
             self.table = _build(self.kind, max_n, self.ctx, self.u)
         if self.table.max_n == max_n:
             return self.table
         end = max_n - self.table.start + 1
-        return ConstantTable.of(self.kind, self.table.values[:end],
-                                self.table.methods[:end], self.ctx)
+        return stieltjes.ConstantTable.of(self.kind, self.table.values[:end],
+                                          self.table.methods[:end], self.ctx)
 
 
 # five families above zeta0 at a handful of contexts, plus one entry per u
 _longest = lru_cache(maxsize=64)(_Longest)
 
 
-def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> ConstantTable:
+def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> stieltjes.ConstantTable:
     """The `kind` table up to a checked max_n, from the memoised table below it."""
     if kind == "gamma":
-        return stieltjes_table(max_n, ctx, u=1 if u is None else u)
+        return stieltjes.stieltjes_table(max_n, ctx, u=1 if u is None else u)
     if kind == "eta":
         return eta_sigma.eta_from_gamma(table("gamma", max_n, ctx), ctx)
     if kind == "sigma":
@@ -73,7 +72,7 @@ def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> ConstantTable:
 
 
 @lru_cache(maxsize=32)
-def _zeta0(max_n: int, ctx: PrecisionContext) -> ConstantTable:
+def _zeta0(max_n: int, ctx: PrecisionContext) -> stieltjes.ConstantTable:
     """zeta^(0..max_n)(0) by apostol-5.5, keyed exactly on max_n."""
     gammas = table("gamma", max(0, max_n - 1), ctx)
     return zeta_derivs.zeta_derivs_at_zero(max_n, gammas, ctx)

@@ -13,23 +13,26 @@ module docstring lists them).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or cap error,
 3 convergence failure, 4 internal error (any other exception, reported as one
-line on stderr).  Numeric values are emitted as decimal strings, never binary
-floats, and identical invocations produce byte-identical output.
+line on stderr).  A stdout closed by its reader is none of these: the command
+exits as it would have, 0 for a table and the verdict for verify and
+li-check, with nothing on stderr.  Numeric values are emitted as decimal
+strings, never binary floats, and identical invocations produce
+byte-identical output.
+
+Like precision, this module runs on the standard library alone, and it reads
+the step modules only as lazily registered module objects: --help and the
+usage errors execute cli and precision and import no mpmath.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from mpmath import mp
-
-from . import chain, li_keiper, reports, verify
-from .precision import (
-    DEFAULT_DIGITS, SUITES, ConvergenceError, PrecisionContext, extra_digits,
-)
-from .stieltjes import FAMILIES, ConstantTable
+from . import chain, li_keiper, reports, stieltjes, verify
+from .precision import DEFAULT_DIGITS, FAMILIES, SUITES, ConvergenceError, PrecisionContext
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,77 +41,55 @@ EXIT_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_u(raw: str, ctx: PrecisionContext):
-    with mp.workdps(ctx.working_dps + extra_digits("parse_u")):
-        # mpmath reads "p/q" as a ratio, so "1/0" raises ZeroDivisionError
-        try:
-            u = mp.mpf(raw)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse --u value {raw!r}") from exc
-        if not (mp.isfinite(u) and u > 0):
-            raise ValueError("--u must be a finite real > 0")
-        return u
-
-
-def _emit_table(table: ConstantTable, seq: str, fmt: str, out) -> None:
-    rows = [
-        {"n": n, "value": mp.nstr(value, table.digits, strip_zeros=False),
-         "method": method}
-        for n, value, method in table
-    ]
+def _emit_table(table: stieltjes.ConstantTable, seq: str, fmt: str) -> str:
+    rows = [{"n": n, "value": value, "method": method} for n, value, method in table.rows()]
     if fmt == "json":
         payload = {"seq": seq, "digits": table.digits, "rows": rows}
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
-    elif fmt == "csv":
-        out.write("n,value,method\n")
-        for row in rows:
-            out.write(f"{row['n']},{row['value']},{row['method']}\n")
-    else:
-        width = max(len(r["value"]) for r in rows)
-        for row in rows:
-            out.write(f"{row['n']:>4}  {row['value']:<{width}}  {row['method']}\n")
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        return "n,value,method\n" + "".join(
+            f"{row['n']},{row['value']},{row['method']}\n" for row in rows)
+    width = max(len(r["value"]) for r in rows)
+    return "".join(f"{row['n']:>4}  {row['value']:<{width}}  {row['method']}\n" for row in rows)
 
 
-def _emit_reports(checks, suite: str, digits: int, fmt: str, out) -> int:
+def _emit_reports(checks, suite: str, digits: int, fmt: str) -> tuple:
+    status = EXIT_OK if reports.all_passed(checks) else EXIT_VERIFY_FAILED
     if fmt == "json":
         payload = {
             "suite": suite,
             "digits": digits,
             "reports": [r.as_dict() for r in checks],
         }
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
-    else:
-        npass = sum(1 for r in checks if r.passed)
-        for r in checks:
-            verdict = "pass" if r.passed else "FAIL"
-            out.write(
-                f"{verdict}  {r.identity}  lhs={r.lhs}  rhs={r.rhs}  "
-                f"abs_err={r.abs_err}  tol={r.tol}  [{' | '.join(r.method_tags)}]\n"
-            )
-        out.write(f"suite={suite} digits={digits} passed={npass}/{len(checks)}\n")
-    return EXIT_OK if reports.all_passed(checks) else EXIT_VERIFY_FAILED
+        return status, json.dumps(payload, indent=2) + "\n"
+    npass = sum(1 for r in checks if r.passed)
+    lines = [
+        f"{'pass' if r.passed else 'FAIL'}  {r.identity}  lhs={r.lhs}  rhs={r.rhs}  "
+        f"abs_err={r.abs_err}  tol={r.tol}  [{' | '.join(r.method_tags)}]\n"
+        for r in checks
+    ]
+    return status, "".join(lines) + f"suite={suite} digits={digits} passed={npass}/{len(checks)}\n"
 
 
-def _cmd_table(args, out) -> int:
+# each command returns (exit status, stdout text): main knows the status
+# before it writes, so a closed stdout cannot change it
+def _cmd_table(args) -> tuple:
     ctx = PrecisionContext(digits=args.digits)
-    u = _parse_u(args.u, ctx) if args.u is not None else None
+    u = stieltjes.parse_u(args.u, ctx) if args.u is not None else None
     table = chain.table(args.seq, args.max_n, ctx, u=u)
-    _emit_table(table, args.seq, args.format, out)
-    return EXIT_OK
+    return EXIT_OK, _emit_table(table, args.seq, args.format)
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args) -> tuple:
     ctx = PrecisionContext(digits=args.digits)
     checks = verify.run_suite(args.suite, ctx, args.tol_exp)
-    return _emit_reports(checks, args.suite, ctx.digits, args.format, out)
+    return _emit_reports(checks, args.suite, ctx.digits, args.format)
 
 
-def _cmd_li_check(args, out) -> int:
+def _cmd_li_check(args) -> tuple:
     ctx = PrecisionContext(digits=args.digits)
     checks = li_keiper.positivity_report(args.max_n, ctx)
-    return _emit_reports(checks, "li-check", ctx.digits, args.format, out)
+    return _emit_reports(checks, "li-check", ctx.digits, args.format)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -150,7 +131,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        status, text = args.func(args)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout, so the rest of the text has nowhere
+            # to go; pointing stdout at devnull keeps the flush at exit from
+            # raising again, and the command exits as it would have
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return status
     except ConvergenceError as exc:
         print(f"convergence failure at index {exc.index}: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -35,9 +35,9 @@ from .kernel import (
     polygamma_three_halves_mpf,
     zeta_int_mpf,
 )
-from .precision import PrecisionContext, check_index, extra_digits
+from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
 from .reports import inequality_report, inequality_reports
-from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
+from .stieltjes import ConstantTable, require, stieltjes_gamma
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAGS = {1: SIGMA_CLOSED_TAG, 2: "closed-3.6"}

@@ -1,4 +1,4 @@
-"""Precision plumbing: contexts, errors, index checks and decimal output.
+"""Precision plumbing: contexts, errors, limits and index checks.
 
 Every numeric operation in the package is a pure function of its arguments
 plus a PrecisionContext.  The context fixes the number of decimal digits the
@@ -8,17 +8,19 @@ each kind of step carries beyond that is read from one table, through
 extra_digits.  Results are plain mpmath mpf values; the context they were
 computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
-tol_exp) is checked by check_index.
-A value leaves the package only in a ConstantTable or a VerificationReport,
-and both raise ValueError on a value that is not finite.  The context and
-the table are Frozen records: their fields are set once, by __init__.
+tol_exp) is checked by check_index, against the limits kept here: the
+digits range, the suites and each family's first index and cap (FAMILIES).
+The context and the table are Frozen records: their fields are set once,
+by __init__.
+
+This module runs on the standard library alone, and so does cli: the
+argument parser and every usage error it, PrecisionContext or chain.table
+raises read only these limits, so --help and a usage error import no mpmath.
+Decimal output lives with the values: ConstantTable prints its rows, and
+reports.roundtrip_decimal the report sides.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-from mpmath import mp, mpf
 
 MIN_DIGITS = 10
 MAX_DIGITS = 60
@@ -28,6 +30,10 @@ DEFAULT_DIGITS = 30
 # beside the CLI's other limits so that the argument parser need not execute
 # verify
 SUITES = ("all", "bell", "stieltjes", "eta", "lambda", "xi", "zeta-derivs")
+# family -> (first index, largest supported index at digits <= MAX_DIGITS);
+# zeta0 is held lower by the error growth of Gamma^(m)(1) and eta_m
+FAMILIES = {"gamma": (0, 20), "eta": (0, 20), "sigma": (1, 20),
+            "lambda": (1, 20), "xi1": (1, 12), "zeta0": (0, 10)}
 
 # step -> (per index, fixed): a step at index n carries per_index * n + fixed
 # decimal digits beyond ctx.working_dps, for the reason given.  Rows with the
@@ -125,22 +131,14 @@ class PrecisionContext(Frozen):
         return self.digits + self.guard_digits
 
 
+def family(kind: str) -> tuple:
+    """(first index, largest supported index) of a constant family."""
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown table kind {kind!r}")
+    return FAMILIES[kind]
+
+
 def extra_digits(step: str, n: int = 0) -> int:
     """Decimal digits a `step` at index n carries beyond ctx.working_dps."""
     per_index, fixed = _BUDGET[step]
     return per_index * n + fixed
-
-
-def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:
-    """Decimal string that, parsed at working_dps, gives back the value
-    rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
-    significant digits, so it carries working_dps + the roundtrip row."""
-    with mp.workdps(ctx.working_dps + extra_digits("report")):
-        return mp.nstr(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
-
-
-def to_mpf(x):
-    """x as an mpf at the current precision; mpmath's mpf() rejects Fraction."""
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf
 
-from .precision import PrecisionContext, extra_digits, roundtrip_decimal, to_mpf
+from .precision import PrecisionContext, extra_digits
+from .stieltjes import to_mpf
 
 
 class VerificationReport(NamedTuple):
@@ -41,6 +42,14 @@ class VerificationReport(NamedTuple):
             "pass": self.passed,
             "method_tags": list(self.method_tags),
         }
+
+
+def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:
+    """Decimal string that, parsed at working_dps, gives back the value
+    rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
+    significant digits, so it carries working_dps + the roundtrip row."""
+    with mp.workdps(ctx.working_dps + extra_digits("report")):
+        return mp.nstr(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
 
 
 def default_tol(ctx: PrecisionContext, tol_exp: int | None = None):

@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from functools import lru_cache
 
@@ -83,27 +84,16 @@ from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec
 
 from .precision import (
+    FAMILIES,
     ConvergenceError,
     Frozen,
     PrecisionContext,
     check_index,
     extra_digits,
-    to_mpf,
+    family,
 )
 
 GAMMA_TAG = "hasse-2.8"
-
-# family -> (first index, largest supported index at digits <= MAX_DIGITS);
-# zeta0 is held lower by the error growth of Gamma^(m)(1) and eta_m
-FAMILIES = {"gamma": (0, 20), "eta": (0, 20), "sigma": (1, 20),
-            "lambda": (1, 20), "xi1": (1, 12), "zeta0": (0, 10)}
-
-
-def family(kind: str) -> tuple:
-    """(first index, largest supported index) of a constant family."""
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown table kind {kind!r}")
-    return FAMILIES[kind]
 
 
 class ConstantTable(Frozen):
@@ -153,6 +143,12 @@ class ConstantTable(Frozen):
 
     def __iter__(self):
         return zip(itertools.count(self.start), self.values, self.methods)
+
+    def rows(self):
+        """(n, value as a decimal string of `digits` significant digits,
+        method) for each entry: the table as the CLI prints it."""
+        for n, value, method in self:
+            yield n, mp.nstr(value, self.digits, strip_zeros=False), method
 
 
 def require(table, kind: str, who: str, max_n: int | None = None):
@@ -346,6 +342,33 @@ class _GammaRow:
 _gamma_row = lru_cache(maxsize=32)(_GammaRow)
 
 
+def to_mpf(x):
+    """x as an mpf at the current precision.  mpmath's mpf() rejects
+    Fraction, so an int or Fraction is taken as numerator / denominator; the
+    test reads numbers, which mpmath loads anyway, and not fractions."""
+    if isinstance(x, numbers.Rational):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
+def _positive(u, name: str):
+    """u, unless it is not a finite real > 0; name is how the caller knows it."""
+    if not (mp.isfinite(u) and u > 0):
+        raise ValueError(f"{name} must be a finite real > 0")
+    return u
+
+
+def parse_u(raw: str, ctx: PrecisionContext) -> mpf:
+    """The --u argument as an mpf, read before the gamma row converts it."""
+    with mp.workdps(ctx.working_dps + extra_digits("parse_u")):
+        # mpmath reads "p/q" as a ratio, so "1/0" raises ZeroDivisionError
+        try:
+            u = mp.mpf(raw)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse --u value {raw!r}") from exc
+        return _positive(u, "--u")
+
+
 def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
@@ -355,9 +378,7 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
     start, cap = FAMILIES["gamma"]
     check_index(n, "the stieltjes index n", start, cap)
     with mp.workdps(ctx.working_dps + extra_digits("gamma", cap)):
-        u_mp = to_mpf(u)
-    if not (mp.isfinite(u_mp) and u_mp > 0):
-        raise ValueError("u must be a finite real > 0")
+        u_mp = _positive(to_mpf(u), "u")
     return _gamma_row(u_mp, ctx).gamma(n)
 
 

@@ -28,8 +28,8 @@ import math
 from mpmath import mp, mpf
 
 from .bell import bell_recurrence_values
-from .precision import PrecisionContext, check_index, extra_digits
-from .stieltjes import FAMILIES, ConstantTable, require
+from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
+from .stieltjes import ConstantTable, require
 
 XI_BELL_TAG = "bell-3.25"
 XI_RECURRENCE_TAG = "recurrence-6.2-shifted"

@@ -46,8 +46,8 @@ from mpmath import mp, mpf
 
 from .bell import bell_recurrence_value, bell_recurrence_values
 from .kernel import log_2pi_mpf, zeta_int_mpf
-from .precision import PrecisionContext, check_index, extra_digits
-from .stieltjes import FAMILIES, ConstantTable, require, stieltjes_gamma
+from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
+from .stieltjes import ConstantTable, require, stieltjes_gamma
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"

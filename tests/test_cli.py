@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -152,9 +153,9 @@ class TestParseU:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(raw=POSITIVE_DECIMALS)
     def test_positive_finite_decimals_parse(self, raw, ctx30):
-        from zkconst import cli
+        from zkconst import stieltjes
 
-        u = cli._parse_u(raw, ctx30)
+        u = stieltjes.parse_u(raw, ctx30)
         exact = Fraction(raw.lstrip("+"))
         assert mp.isfinite(u) and u > 0
         with mp.workdps(ctx30.working_dps + 20):
@@ -167,6 +168,18 @@ class TestParseU:
         from zkconst.cli import EXIT_USAGE
 
         assert table_exit_code(raw) == EXIT_USAGE
+
+    @pytest.mark.parametrize("raw", ["-1", "0", "inf", "nan"])
+    def test_one_check_names_its_caller(self, raw, ctx30):
+        # the flag for the CLI, the parameter for a library call
+        from zkconst import stieltjes
+
+        with pytest.raises(ValueError) as parsed:
+            stieltjes.parse_u(raw, ctx30)
+        assert str(parsed.value) == "--u must be a finite real > 0"
+        with pytest.raises(ValueError) as called:
+            stieltjes.stieltjes_gamma(0, raw, ctx30)
+        assert str(called.value) == "u must be a finite real > 0"
 
 
 class TestVerifyCommand:
@@ -289,6 +302,56 @@ class TestExitCodeWiring:
         rc = cli.main(["verify", "--suite", "bell"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        "table --seq gamma --max-n 2 --u 1e-100000000 --format json",
+        "verify --suite xi --digits 10",
+        "li-check --max-n 3 --digits 10",
+    ])
+    def test_closed_stdout_keeps_the_exit_status(self, command):
+        # the read end is closed before the child starts, so its first write
+        # meets a pipe without a reader
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run([sys.executable, "-m", "zkconst", *command.split()],
+                                 stdout=write, stderr=subprocess.PIPE, text=True, timeout=600)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (0, "")
+
+    def test_closed_stdout_keeps_a_failing_verdict(self, monkeypatch, tmp_path):
+        from zkconst import cli, verify
+        from zkconst.precision import PrecisionContext
+        from zkconst.reports import equality_report
+
+        class ClosedPipe:
+            """A stdout whose reader has gone, on a file descriptor of its own."""
+
+            def __init__(self, path):
+                self.fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        ctx = PrecisionContext(digits=30)
+        failing = [equality_report("forced-failure", 0, 1, mpf("1e-30"), ctx)]
+        monkeypatch.setattr(verify, "run_suite", lambda s, c, t: failing)
+        stdout = ClosedPipe(tmp_path / "stdout")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert cli.main(["verify", "--suite", "bell"]) == cli.EXIT_VERIFY_FAILED
+            # the descriptor now writes to devnull
+            os.write(stdout.fd, b"lost")
+        finally:
+            os.close(stdout.fd)
+        assert (tmp_path / "stdout").read_bytes() == b""
 
     def test_verify_suite_determinism(self):
         args = ("verify", "--suite", "stieltjes", "--digits", "20",

@@ -13,9 +13,10 @@ no file under src/ holds an assert statement.
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
 the startup checks run commands in fresh processes: `table --seq gamma` executes exactly cli,
-chain, precision and stieltjes, no table or li-check command executes
-verify, --help executes no step module, and no command loads dataclasses or
-inspect.
+chain, precision and stieltjes and loads no fractions, no table or li-check
+command executes verify, --help executes only cli and precision, no command
+loads dataclasses or inspect, and help and the usage errors load no mpmath
+or fractions either.
 """
 import ast
 import os
@@ -28,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import zkconst
-from zkconst.stieltjes import FAMILIES
+from zkconst.precision import FAMILIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "zkconst"
@@ -364,7 +365,7 @@ def test_no_asserts_under_src():
 
 
 # prints, on the last line of stderr, the package modules a CLI command
-# executed and which of dataclasses and inspect it loaded; a lazily registered
+# executed and which of the HEAVY modules it loaded; a lazily registered
 # module that has not executed is still a _LazyModule, and type() reads no
 # attribute of it, so asking triggers no load
 _AFTER_COMMAND = """
@@ -376,37 +377,54 @@ except SystemExit:
     pass
 executed = sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
                   if name.startswith("zkconst.") and type(module) is types.ModuleType)
-print((executed, sorted({"dataclasses", "inspect"} & set(sys.modules))), file=sys.stderr)
+print((executed, sorted({"dataclasses", "fractions", "inspect", "mpmath"} & set(sys.modules))),
+      file=sys.stderr)
 """
 
 
 def after_command(command: str) -> tuple:
-    """(package modules executed, heavy stdlib modules loaded) by one CLI
-    command in a fresh process."""
+    """(package modules executed, heavy modules loaded) by one CLI command
+    in a fresh process."""
     proc = subprocess.run([sys.executable, "-c", _AFTER_COMMAND, *command.split()],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=600)
     executed, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
-    return set(executed), loaded
+    return set(executed), set(loaded)
+
+
+# help and the usage errors that argparse, PrecisionContext and chain.table's
+# cap check raise: none of them reads a module that computes
+HELP_AND_USAGE_ERRORS = (
+    "--help", "table --help", "verify --help", "li-check --help", "verify --suite nope",
+    "table --seq nope --max-n 1", "table --seq gamma --max-n 1 --digits 61",
+    "table --seq gamma --max-n 21",
+)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every command is a fresh process, and these two (with the ast, dis and
-    # tokenize that inspect pulls in) cost it milliseconds before any work
-    for command in ("--help", "table --seq gamma --max-n 3", "li-check --max-n 3",
+    # every command is a fresh process, and these (with the ast, dis and
+    # tokenize that inspect pulls in, and the decimal that fractions does)
+    # cost it milliseconds before any work; mpmath, about 20, is needed only
+    # by a command that computes
+    for command in HELP_AND_USAGE_ERRORS:
+        assert after_command(command)[1] == set(), command
+    for command in ("table --seq gamma --max-n 3", "li-check --max-n 3",
                     "verify --suite all --digits 10"):
-        assert after_command(command)[1] == [], command
+        assert after_command(command)[1] <= {"fractions", "mpmath"}, command
+
+
+def test_gamma_table_loads_no_fractions():
+    assert after_command("table --seq gamma --max-n 3 --u 2.5")[1] == {"mpmath"}
 
 
 # the modules that compute or check constants, as opposed to parsing
-# arguments (cli), holding limits (precision) and naming the families
-# (stieltjes, whose FAMILIES the parser reads)
-STEP_MODULES = {"bell", "chain", "eta_sigma", "kernel", "li_keiper", "reports", "verify", "xi",
-                "zeta_derivs"}
+# arguments (cli) and holding limits (precision)
+STEP_MODULES = {"bell", "chain", "eta_sigma", "kernel", "li_keiper", "reports", "stieltjes",
+                "verify", "xi", "zeta_derivs"}
 
 
 def test_help_executes_no_step_module():
-    assert after_command("--help")[0] == {"cli", "precision", "stieltjes"}
+    assert after_command("--help")[0] == {"cli", "precision"}
     assert not after_command("table --help")[0] & STEP_MODULES
 
 

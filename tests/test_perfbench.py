@@ -132,10 +132,11 @@ VERIFY_ALL_10_COUNTS = {
     "reports.exact_report": (66, 0),
     "reports.inequality_report": (27, 0),
     "reports.inequality_reports": (2, 22),
-    "stieltjes.family": (35, 0),  # memo: was 56, one per table call; 21 were rebuilds' own
+    "reports.roundtrip_decimal": (440, 0),  # both sides of each of the 220 reports
     "stieltjes.require": (95, 0),  # memo: was 105, one per step map; 10 maps fewer
     "stieltjes.stieltjes_gamma": (39, 0),  # memo: was 151; 105 table reads, 7 psi(3/2) hits
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
+    "stieltjes.to_mpf": (699, 0),  # 3 per report (sides, tolerance), 1 per stieltjes_gamma
     "verify.run_suite": (1, 220),
     "verify.suite_bell": (1, 45),
     "verify.suite_eta": (1, 39),

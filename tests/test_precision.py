@@ -5,9 +5,9 @@ from mpmath import mp, mpf
 from zkconst import chain, precision, stieltjes
 from zkconst.chain import table
 from zkconst.li_keiper import lambda_via_eta_psi, positivity_report
-from zkconst.precision import ConvergenceError, PrecisionContext, check_index, roundtrip_decimal
-from zkconst.reports import default_tol, equality_report
-from zkconst.stieltjes import FAMILIES, ConstantTable, family, stieltjes_gamma
+from zkconst.precision import FAMILIES, ConvergenceError, PrecisionContext, check_index, family
+from zkconst.reports import default_tol, equality_report, roundtrip_decimal
+from zkconst.stieltjes import ConstantTable, stieltjes_gamma
 
 
 class TestPrecisionContext:

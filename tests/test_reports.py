@@ -12,9 +12,9 @@ from zkconst.reports import (
     exact_report,
     inequality_report,
     inequality_reports,
+    roundtrip_decimal,
 )
 from zkconst.chain import table
-from zkconst.precision import roundtrip_decimal
 from zkconst.verify import run_suite
 
 

@@ -10,8 +10,9 @@ every max_n below its cap at 10, 30 and 60 digits (its solve precision grows
 with max_n), gamma to 20 at seven values of u at 30, 45 and 60 digits, and
 `li-check --max-n 20` at 10, 30 and 60 digits, and the help and usage
 errors (`--help`, each subcommand's `--help`, an unknown suite and family,
-`--digits 61`, an unparsable `--u` and `li-check` past its cap), each
-command once.  The suites and families are read from the package source.
+`--digits 61`, an unparsable, infinite, negative and `1/0` `--u`, `--u` on
+eta, and gamma and `li-check` past their caps), each command once.  The
+suites and families are read from the package source.
 For every command it prints whether its exit code, stdout and stderr are
 byte-identical and, when they are not:
   - the reports whose name or verdict changed, or a change in their count;
@@ -61,8 +62,8 @@ def package_literal(module: str, name: str):
 
 
 def family_caps() -> dict:
-    """kind -> largest index, from FAMILIES in src/zkconst/stieltjes.py."""
-    return {kind: cap for kind, (_, cap) in package_literal("stieltjes", "FAMILIES").items()}
+    """kind -> largest index, from FAMILIES in src/zkconst/precision.py."""
+    return {kind: cap for kind, (_, cap) in package_literal("precision", "FAMILIES").items()}
 
 
 def command_set() -> list:
@@ -85,7 +86,9 @@ def command_set() -> list:
     commands += ["--help", "table --help", "verify --help", "li-check --help",
                  "verify --suite nope", "table --seq nope --max-n 1",
                  "table --seq gamma --max-n 1 --digits 61", "table --seq gamma --max-n 1 --u abc",
-                 "li-check --max-n 21"]
+                 "table --seq gamma --max-n 1 --u inf", "table --seq gamma --max-n 1 --u -1",
+                 "table --seq gamma --max-n 1 --u 1/0", "table --seq gamma --max-n 21",
+                 "table --seq eta --max-n 1 --u 2", "li-check --max-n 21"]
     return list(dict.fromkeys(commands))
 
 
