@@ -10,8 +10,9 @@ computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
 tol_exp) is checked by check_index, against the limits kept here: the
 digits range, the suites and each family's first index and cap (FAMILIES).
-The context and the table are Frozen records: their fields are set once,
-by __init__.
+A value leaves the package only in a ConstantTable or a VerificationReport,
+and both raise ValueError on a value that is not finite.  The context and
+the table are Frozen records: their fields are set once, by __init__.
 
 This module runs on the standard library alone, and so does cli: the
 argument parser and every usage error it, PrecisionContext or chain.table
