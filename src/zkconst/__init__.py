@@ -44,7 +44,6 @@ __all__ = [
     "stieltjes_gamma",
     "stieltjes_table",
     "table",
-    "xi_deriv_at_zero",
     "xi_deriv_recurrence",
     "xi_table",
     "zeta_derivs_at_zero",
@@ -65,7 +64,7 @@ _HOMES = {
     "reports": ("VerificationReport",),
     "stieltjes": ("ConstantTable", "stieltjes_gamma", "stieltjes_table"),
     "verify": ("run_suite",),
-    "xi": ("xi_deriv_at_zero", "xi_deriv_recurrence", "xi_table"),
+    "xi": ("xi_deriv_recurrence", "xi_table"),
     "zeta_derivs": (
         "L_derivs_at_zero", "gamma_from_zeta_derivs", "zeta_derivs_at_zero",
         "zeta_derivs_log_chain",

@@ -75,7 +75,11 @@ def _emit_reports(checks, suite: str, digits: int, fmt: str) -> tuple:
 # before it writes, so a closed stdout cannot change it
 def _cmd_table(args) -> tuple:
     ctx = PrecisionContext(digits=args.digits)
-    u = stieltjes.parse_u(args.u, ctx) if args.u is not None else None
+    u = args.u
+    # only gamma reads --u; chain.table refuses it for any other family
+    # unparsed, so that usage error needs no mpmath
+    if u is not None and args.seq == "gamma":
+        u = stieltjes.parse_u(u, ctx)
     table = chain.table(args.seq, args.max_n, ctx, u=u)
     return EXIT_OK, _emit_table(table, args.seq, args.format)
 

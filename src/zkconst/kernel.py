@@ -130,7 +130,7 @@ def _polygamma_memo(n: int, ctx: PrecisionContext):
     if n == 0:
         gamma = stieltjes_gamma(0, 1, ctx)
         with mp.workdps(ctx.working_dps):
-            return +(2 - gamma - 2 * mp.log(2))
+            return +(2 - gamma - 2 * log2_mpf(ctx))
     with mp.workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
         z = zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("psi_three_halves", n))
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z

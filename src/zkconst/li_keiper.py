@@ -2,17 +2,19 @@
 
 lambda_n is the n-th coefficient in Li's positivity criterion: nonnegativity
 of the whole sequence is equivalent to the Riemann Hypothesis.  The package
-computes each lambda_r by up to four routes and insists they agree:
+computes each lambda_r, r >= 2, by up to four routes and insists they agree:
 
-  closed-2.13 / closed-3.6   closed forms for r = 1, 2 (lambda_closed)
-  sigma-3.29                 lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j,
-                             one r per sigma_r, in one pass (lambda_table)
-  eta-psi-3.33               binomial sum over polygamma values at 3/2 and
-                             eta constants, plus a linear term
-  coffey-3.34                binomial sum over integer zeta values and eta
-                             constants, plus the 1 that the factor s of
-                             xi(s) adds to every lambda_r
+  closed-3.6     lambda_2's closed form (lambda_closed)
+  sigma-3.29     lambda_r = -sum_{j=1}^r (-1)^j C(r,j) sigma_j, one r per
+                 sigma_r, in one pass (lambda_table)
+  eta-psi-3.33   binomial sum over polygamma values at 3/2 and eta
+                 constants, plus a linear term
+  coffey-3.34    binomial sum over integer zeta values and eta constants,
+                 plus the 1 that the factor s of xi(s) adds to every lambda_r
 
+lambda_1 has one expression only, -log(pi)/2 + gamma/2 + 1 - log 2: its
+closed form (lambda_closed(1), closed-2.13), sigma_1, the eta-psi-3.33
+linear term and g(1) all reduce to it, so no two routes check it.
 The sigma route is canonical (simplest error surface); the others are
 verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
 alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
@@ -28,7 +30,6 @@ import operator
 
 from mpmath import mp, mpf
 
-from .eta_sigma import SIGMA_CLOSED_TAG
 from .kernel import (
     log2_mpf,
     log_pi_mpf,
@@ -40,7 +41,7 @@ from .reports import inequality_report, inequality_reports
 from .stieltjes import ConstantTable, require, stieltjes_gamma
 
 LAMBDA_TAG = "sigma-3.29"
-LAMBDA_CLOSED_TAGS = {1: SIGMA_CLOSED_TAG, 2: "closed-3.6"}
+LAMBDA_CLOSED_TAG = "closed-3.6"
 LAMBDA_ETA_PSI_TAG = "eta-psi-3.33"
 LAMBDA_COFFEY_TAG = "coffey-3.34"
 G_DERIV_TAG = "binomial-3.26"
@@ -116,41 +117,27 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mp
         return +acc
 
 
-def _coffey_sum(r: int, etas: ConstantTable, ctx: PrecisionContext):
-    """Everything in the coffey-3.34 route except its additive constant."""
-    gamma = -etas.mpf(0)
-    acc = mp.mpf(0)
-    for j in range(2, r + 1):
-        acc += (
-            (-1) ** j
-            * math.comb(r, j)
-            * (1 - mpf(2) ** (-j))
-            * zeta_int_mpf(j, ctx, extra_dps=extra_digits("step"))
-        )
-    for j in range(1, r + 1):
-        acc -= math.comb(r, j) * etas.mpf(j - 1)
-    acc -= r * (gamma + 2 * log2_mpf(ctx) + log_pi_mpf(ctx)) / 2
-    return acc
-
-
-def coffey_constant(etas: ConstantTable, ctx: PrecisionContext):
-    """lambda_2's closed form minus the coffey-3.34 sum at r = 2: the route's
-    additive constant measured, for verify to compare with the 1 the route
-    adds."""
-    require(etas, "eta", "coffey_constant", 1)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
-        return +(lambda_closed(2, ctx) - _coffey_sum(2, etas, ctx))
-
-
 def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
     check_index(r, "the coffey-3.34 index r", 2)
     require(etas, "eta", "lambda_via_coffey", r - 1)
     with mp.workdps(ctx.working_dps + extra_digits("step")):
+        gamma = -etas.mpf(0)
+        acc = mp.mpf(0)
+        for j in range(2, r + 1):
+            acc += (
+                (-1) ** j
+                * math.comb(r, j)
+                * (1 - mpf(2) ** (-j))
+                * zeta_int_mpf(j, ctx, extra_dps=extra_digits("step"))
+            )
+        for j in range(1, r + 1):
+            acc -= math.comb(r, j) * etas.mpf(j - 1)
+        acc -= r * (gamma + 2 * log2_mpf(ctx) + log_pi_mpf(ctx)) / 2
         # lambda_r = r [z^r] log xi(1/(1-z)), and the factor s of
         # xi(s) = s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) / 2 gives
         # log s = -log(1-z) = sum_r z^r / r there: 1 in every lambda_r
-        return +(_coffey_sum(r, etas, ctx) + 1)
+        return +(acc + 1)
 
 
 def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mpf:

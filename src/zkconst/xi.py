@@ -17,15 +17,14 @@ cross-check
 (the sigma index inside the sum is n-k+1 with weight (n-k)! and sign
 (-1)^(n-k); this is the unique assignment consistent with the Bell route --
 the k = n term must contribute C(n,n) sigma_1 xi^(n)(1) -- and it needs no
-sigma_0 at all).  Reflection, xi^(n)(0) = (-1)^n xi^(n)(1), is honored
-structurally: the value at 0 is exposed as exactly the signed stored value.
+sigma_0 at all).
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .bell import bell_recurrence_values
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
@@ -73,9 +72,3 @@ def xi_deriv_recurrence(sigmas: ConstantTable, ctx: PrecisionContext) -> Constan
             xs.append(+acc)
     return ConstantTable.of("xi1", xs[1:], XI_RECURRENCE_TAG, ctx)
 
-
-def xi_deriv_at_zero(n: int, xi_at_one: ConstantTable) -> mpf:
-    """xi^(n)(0) = (-1)^n xi^(n)(1), by the reflection xi(s) = xi(1-s)."""
-    require(xi_at_one, "xi1", "xi_deriv_at_zero")
-    base = xi_at_one.mpf(n)
-    return base if n % 2 == 0 else mp.fneg(base, exact=True)

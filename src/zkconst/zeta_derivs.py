@@ -103,36 +103,32 @@ def _cos_weight(m: int, pi_val):
     return (-1) ** (m // 2) * (pi_val / 2) ** m
 
 
-def _apostol_weights(max_n: int, ctx: PrecisionContext) -> tuple:
-    """a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2) and
-    m = 0..max_n, at the caller's precision, by two Leibniz products;
-    a_0 = 2 exactly.  Memoised on (max_n, ctx, the caller's precision)."""
-    return _apostol_memo(max_n, ctx, mp.prec)
-
-
-@lru_cache(maxsize=64)
-def _apostol_memo(max_n: int, ctx: PrecisionContext, prec: int) -> tuple:
-    """_apostol_weights; prec, the current precision, is only part of the key."""
-    pi_val = +mp.pi
-    minus_log2pi = -mp.log(2 * pi_val)
-    cos_weights = [_cos_weight(j, pi_val) for j in range(max_n + 1)]
-    # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
-    ec = [
-        sum(math.comb(k, j) * minus_log2pi ** (k - j) * w
-            for j, w in enumerate(cos_weights[: k + 1]) if w is not None)
-        for k in range(max_n + 1)
-    ]
-    gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
-    return tuple(
-        2 * sum(math.comb(m, k) * gd[m - k] * ec[k] for k in range(m + 1))
-        for m in range(max_n + 1)
-    )
-
-
 def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:
     """Working digits for a zeta0 table up to max_n, once max_n is in range."""
     check_index(max_n, "max_n", *FAMILIES["zeta0"])
     return ctx.working_dps + extra_digits("zeta0", max_n)
+
+
+@lru_cache(maxsize=64)
+def _apostol_weights(max_n: int, ctx: PrecisionContext) -> tuple:
+    """a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2) and
+    m = 0..max_n, at the solve precision of a zeta0 table up to max_n, by
+    two Leibniz products; a_0 = 2 exactly."""
+    with mp.workdps(_solve_dps(max_n, ctx)):
+        pi_val = +mp.pi
+        minus_log2pi = -mp.log(2 * pi_val)
+        cos_weights = [_cos_weight(j, pi_val) for j in range(max_n + 1)]
+        # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
+        ec = [
+            sum(math.comb(k, j) * minus_log2pi ** (k - j) * w
+                for j, w in enumerate(cos_weights[: k + 1]) if w is not None)
+            for k in range(max_n + 1)
+        ]
+        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
+        return tuple(
+            2 * sum(math.comb(m, k) * gd[m - k] * ec[k] for k in range(m + 1))
+            for m in range(max_n + 1)
+        )
 
 
 def zeta_derivs_at_zero(

@@ -393,11 +393,12 @@ def after_command(command: str) -> tuple:
 
 
 # help and the usage errors that argparse, PrecisionContext and chain.table's
-# cap check raise: none of them reads a module that computes
+# cap and --u checks raise: none of them reads a module that computes
 HELP_AND_USAGE_ERRORS = (
     "--help", "table --help", "verify --help", "li-check --help", "verify --suite nope",
     "table --seq nope --max-n 1", "table --seq gamma --max-n 1 --digits 61",
-    "table --seq gamma --max-n 21",
+    "table --seq gamma --max-n 21", "table --seq eta --max-n 2 --u 2",
+    "table --seq eta --max-n 2 --u abc",
 )
 
 

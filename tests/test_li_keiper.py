@@ -11,7 +11,6 @@ from oracles import FROZEN, lambda_from_sigma_differences
 from zkconst import li_keiper
 from zkconst.li_keiper import (
     binomial_alternating_transform,
-    coffey_constant,
     g_derivs_at_one,
     g_derivs_at_one_via_eta,
     lambda_closed,
@@ -100,11 +99,6 @@ class TestEtaPsiRoute:
 
 
 class TestCoffeyRoute:
-    def test_calibrated_constant_is_one(self, ctx30, chain30):
-        c = coffey_constant(chain30["etas"], ctx30)
-        with mp.workdps(60):
-            assert abs(c - 1) < mpf(10) ** (-(ctx30.digits - 5))
-
     def test_r3_and_r10_cross_routes(self, ctx30, chain30):
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
@@ -120,18 +114,18 @@ class TestCoffeyRoute:
 
     @pytest.mark.parametrize("digits", [10, 30])
     def test_an_offset_in_the_sum_fails_verify(self, digits, monkeypatch):
-        # the sum started at 1 instead of 0, which a constant fitted to
-        # lambda_2's closed form would absorb
-        coffey_sum = li_keiper._coffey_sum
+        # the route off by a constant, as a wrong additive term leaves it: a
+        # constant fitted to lambda_2's closed form would absorb it
+        via_coffey = li_keiper.lambda_via_coffey
         monkeypatch.setattr(
-            li_keiper, "_coffey_sum", lambda r, etas, ctx: coffey_sum(r, etas, ctx) + 1
+            li_keiper, "lambda_via_coffey", lambda r, etas, ctx: via_coffey(r, etas, ctx) + 1
         )
         failed = {r.identity for r in run_suite("lambda", PrecisionContext(digits))
                   if not r.passed}
         assert failed == {
-            "lambda-closed-vs-coffey-r2", "coffey-3.34-calibrated-constant",
+            "lambda-closed-vs-coffey-r2",
             *(f"lambda-{route}-vs-coffey-r{r}" for route in ("sigma", "eta-psi")
-              for r in range(2, 11)),
+              for r in range(2, 13)),
         }
 
 

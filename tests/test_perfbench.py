@@ -78,8 +78,8 @@ def test_trace_cli_runs():
 # (calls, total length of returned lists) of every traced function in
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
-# this table.  binomial_alternating_transform is called 67 times, returning
-# 361 entries: 252 in eq-3.27-involution, the rest in the lambda table,
+# this table.  binomial_alternating_transform is called 73 times, returning
+# 441 entries: 252 in eq-3.27-involution, the rest in the lambda table,
 # g_derivs_at_one and the 3.13 residuals; substitute and bell_determinant once
 # per seeded trial of bell-routes-exact-n1..n8 (8 x 100); bracket_determinant
 # once per trial of bell-scaled-determinant-n1..n6 (6 x 20), since
@@ -90,9 +90,7 @@ def test_trace_cli_runs():
 # bell_recurrence_values once inside each bell_recurrence_value call, twice
 # per convolution trial (x and y, 6 x 20) and once per xi, gamma-from-eta
 # and log-chain table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell
-# values); require once per step map and per-index route call,
-# xi_deriv_at_zero included; coffey_constant once, for coffey-3.34-calibrated-constant, since
-# lambda_via_coffey adds its constant 1 without measuring it.
+# values); require once per step map and per-index route call.
 # Every table is built once per process (chain.table keeps the longest one per
 # family and context and serves shorter requests as its prefix), and
 # psi^(n)(3/2), log 2, log pi, log(2 pi) and the Apostol weights are memoised,
@@ -102,7 +100,7 @@ def test_trace_cli_runs():
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (1058, 0),
-    "bell.bell_recurrence_values": (1301, 6678),
+    "bell.bell_recurrence_values": (1301, 6680),
     "bell.bell_symbolic": (23, 0),
     "bell.bracket_determinant": (120, 0),
     "bell.substitute": (800, 0),
@@ -111,40 +109,38 @@ VERIFY_ALL_10_COUNTS = {
     "eta_sigma.eta_from_gamma_coffey": (1, 0),
     "eta_sigma.gamma_from_eta": (1, 0),
     "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
-    "kernel.log2_mpf": (24, 0),  # memo: was 27, one read per sigma_table build fewer
+    "kernel.log2_mpf": (25, 0),  # memo
     "kernel.log_2pi_mpf": (2, 0),
-    "kernel.log_pi_mpf": (32, 0),  # memo: was 35, one read per sigma_table build fewer
-    "kernel.polygamma_three_halves_mpf": (89, 0),
-    "kernel.zeta_int_mpf": (107, 0),  # memo: was 206; 27 sigma reads, 72 psi memo hits
-    "li_keiper.binomial_alternating_transform": (67, 361),  # memo: was (68, 372)
-    "li_keiper.coffey_constant": (1, 0),
-    "li_keiper.g_derivs_at_one": (9, 0),
-    "li_keiper.g_derivs_at_one_via_eta": (9, 0),
-    "li_keiper.lambda_closed": (3, 0),
+    "kernel.log_pi_mpf": (35, 0),  # memo
+    "kernel.polygamma_three_halves_mpf": (154, 0),
+    "kernel.zeta_int_mpf": (128, 0),  # memo
+    "li_keiper.binomial_alternating_transform": (73, 441),  # memo
+    "li_keiper.g_derivs_at_one": (11, 0),
+    "li_keiper.g_derivs_at_one_via_eta": (11, 0),
+    "li_keiper.lambda_closed": (1, 0),
     "li_keiper.lambda_table": (1, 0),  # memo: was 2, the xi suite's is a prefix
-    "li_keiper.lambda_via_coffey": (9, 0),
-    "li_keiper.lambda_via_eta_psi": (10, 0),
-    "li_keiper.recurrence_residual_3_13": (7, 0),
+    "li_keiper.lambda_via_coffey": (11, 0),
+    "li_keiper.lambda_via_eta_psi": (11, 0),
+    "li_keiper.recurrence_residual_3_13": (11, 0),
     "reports.all_passed": (1, 0),
     "reports.default_tol": (11, 0),
-    "reports.equality_report": (127, 0),
-    "reports.equality_reports": (15, 111),
-    "reports.exact_report": (66, 0),
-    "reports.inequality_report": (27, 0),
-    "reports.inequality_reports": (2, 22),
-    "reports.roundtrip_decimal": (440, 0),  # both sides of each of the 220 reports
-    "stieltjes.require": (95, 0),  # memo: was 105, one per step map; 10 maps fewer
-    "stieltjes.stieltjes_gamma": (39, 0),  # memo: was 151; 105 table reads, 7 psi(3/2) hits
+    "reports.equality_report": (138, 0),
+    "reports.equality_reports": (14, 125),
+    "reports.exact_report": (56, 0),
+    "reports.inequality_report": (29, 0),
+    "reports.inequality_reports": (2, 24),
+    "reports.roundtrip_decimal": (446, 0),  # both sides of each of the 223 reports
+    "stieltjes.require": (99, 0),  # memo: one per step map
+    "stieltjes.stieltjes_gamma": (36, 0),  # memo
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
-    "stieltjes.to_mpf": (699, 0),  # 3 per report (sides, tolerance), 1 per stieltjes_gamma
-    "verify.run_suite": (1, 220),
+    "stieltjes.to_mpf": (705, 0),  # 3 per report (sides, tolerance), 1 per stieltjes_gamma
+    "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),
     "verify.suite_eta": (1, 39),
-    "verify.suite_lambda": (1, 59),
+    "verify.suite_lambda": (1, 67),
     "verify.suite_stieltjes": (1, 7),
-    "verify.suite_xi": (1, 36),
+    "verify.suite_xi": (1, 31),
     "verify.suite_zeta_derivs": (1, 34),
-    "xi.xi_deriv_at_zero": (10, 0),
     "xi.xi_deriv_recurrence": (1, 0),
     "xi.xi_table": (1, 0),
     "zeta_derivs.L_derivs_at_zero": (9, 0),

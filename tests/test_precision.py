@@ -147,7 +147,7 @@ def clear_memos():
 def test_every_memo_is_found_and_bounded():
     names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
     assert {"stieltjes._gamma_row", "chain._longest", "chain._zeta0", "kernel._logs",
-            "kernel._polygamma_memo", "zeta_derivs._apostol_memo"} <= set(names)
+            "kernel._polygamma_memo", "zeta_derivs._apostol_weights"} <= set(names)
     assert all(maxsize is not None for maxsize in names.values()), names
 
 

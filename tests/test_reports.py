@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from memos import clear_package_memos
+from zkconst import li_keiper, xi
 from zkconst.reports import (
     all_passed,
     default_tol,
@@ -15,6 +17,8 @@ from zkconst.reports import (
     roundtrip_decimal,
 )
 from zkconst.chain import table
+from zkconst.precision import PrecisionContext
+from zkconst.stieltjes import ConstantTable
 from zkconst.verify import run_suite
 
 
@@ -136,7 +140,7 @@ EXACT_OR_INEQUALITY = re.compile(
     r"(bell-(routes-exact|printed-poly|monomial-weights|convolution"
     r"|scaled-determinant)-n\d+|bell-exp-derivative-m\d+-x[\d.]+"
     r"|hasse-normalization-delta|eq-3\.27-involution"
-    r"|eq-3\.9-p\d+|xi-reflection-n\d+|cos-weight-odd-orders-vanish"
+    r"|eq-3\.9-p\d+|cos-weight-odd-orders-vanish"
     r"|eta1-nonneg-consequence|eta0-negative|eta-sign-alternation-n\d+"
     r"|eq-3\.1[78]|eq-3\.20|xi-deriv-positive-n\d+)"
 )
@@ -157,7 +161,7 @@ def fixed_tol_exps(digits, guard):
 def test_tol_exp_governs_all_but_fixed_tolerances(ctx30):
     fixed = fixed_tol_exps(ctx30.digits, ctx30.guard_digits)
     reports = run_suite("all", ctx30, 20)
-    assert len(reports) == 220
+    assert len(reports) == 223
     wrong = []
     for r in reports:
         exps = [e for pattern, e in fixed if re.fullmatch(pattern, r.identity)]
@@ -171,17 +175,34 @@ def test_tol_exp_governs_all_but_fixed_tolerances(ctx30):
 
 
 def test_negated_report_sides_print_the_table_digits(ctx30):
-    # eta-sign-alternation (even n) and xi-reflection (odd n) print a table
-    # value with its sign flipped; a negation rounded to mpmath's 53-bit
-    # default would print other digits from about the 17th on
+    # eta-sign-alternation (even n) prints a table value with its sign
+    # flipped; a negation rounded to mpmath's 53-bit default would print
+    # other digits from about the 17th on
     def negated(value):
         text = roundtrip_decimal(value, ctx30)
         return text[1:] if text.startswith("-") else "-" + text
 
-    reports = {r.identity: r for r in run_suite("eta", ctx30) + run_suite("xi", ctx30)}
-    etas, xis = table("eta", 12, ctx30), table("xi1", 10, ctx30)
+    reports = {r.identity: r for r in run_suite("eta", ctx30)}
+    etas = table("eta", 12, ctx30)
     for n in range(2, 13, 2):
         assert reports[f"eta-sign-alternation-n{n}"].lhs == negated(etas.mpf(n))
-    for n in range(1, 10, 2):
-        reflection = reports[f"xi-reflection-n{n}"]
-        assert reflection.lhs == reflection.rhs == negated(xis.mpf(n))
+
+
+@pytest.mark.parametrize("kind, n", [("lambda", 11), ("lambda", 12),
+                                     *(("xi1", n) for n in range(9, 13))])
+def test_a_fault_in_the_last_table_entries_fails_verify(kind, n, monkeypatch):
+    # an error of 100 tolerances planted in one of the last entries the
+    # lambda and xi suites build; each entry is a side of some report
+    module, build, suite = ((li_keiper, "lambda_table", "lambda") if kind == "lambda"
+                            else (xi, "xi_table", "xi"))
+    good = getattr(module, build)
+
+    def planted(sigmas, ctx):
+        built = good(sigmas, ctx)
+        values = list(built.values)
+        values[n - 1] += 100 * default_tol(ctx)
+        return ConstantTable.of(kind, values, built.methods, ctx)
+
+    clear_package_memos()  # a memoised table would hide the plant
+    monkeypatch.setattr(module, build, planted)
+    assert not all_passed(run_suite(suite, PrecisionContext(10)))

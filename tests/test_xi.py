@@ -2,7 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 from zkconst.chain import table
-from zkconst.xi import xi_deriv_at_zero, xi_deriv_recurrence, xi_table
+from zkconst.xi import xi_deriv_recurrence, xi_table
 
 
 @pytest.fixture(scope="module")
@@ -93,15 +93,3 @@ class TestRecurrenceRoute:
         with pytest.raises(ValueError, match="sigma table, got lambda"):
             xi_deriv_recurrence(chain30["lambdas"], ctx30)
 
-
-class TestReflection:
-    def test_sign_bookkeeping_is_exact(self, xi_bell):
-        for n in range(1, 11):
-            at_zero = xi_deriv_at_zero(n, xi_bell)
-            # a plain -x would round to mpmath's 53-bit default precision
-            expected = xi_bell.mpf(n) if n % 2 == 0 else mp.fneg(xi_bell.mpf(n), exact=True)
-            assert at_zero == expected  # exact, not approximate
-
-    def test_requires_xi_table(self, chain30):
-        with pytest.raises(ValueError, match="xi1 table, got sigma"):
-            xi_deriv_at_zero(1, chain30["sigmas"])

@@ -15,7 +15,9 @@ eta, and gamma and `li-check` past their caps), each command once.  The
 suites and families are read from the package source.
 For every command it prints whether its exit code, stdout and stderr are
 byte-identical and, when they are not:
-  - the reports whose name or verdict changed, or a change in their count;
+  - a change in the report count, the reports removed and added (matched
+    by name), a change in the order of the rest, and the reports whose
+    verdict changed;
   - the worst change of a report side (lhs or rhs) as a multiple of
     10^-(digits+5) * max(1, |old side|);
   - the table rows whose printed value changed, as n: old -> new.
@@ -139,16 +141,27 @@ def compare(command: str, old: tuple, new: tuple) -> tuple:
     if len(old_reports) != len(new_reports):
         ok = False
         lines.append(f"report count {len(old_reports)} -> {len(new_reports)}")
-    changed = [
-        f"{a[0]} {'pass' if a[1] else 'FAIL'} -> {b[0]} {'pass' if b[1] else 'FAIL'}"
-        for a, b in zip(old_reports, new_reports) if a[:2] != b[:2]
-    ]
+    # reports are matched by name, so one removed or added report does not
+    # shift every report after it
+    old_by_name = {r[0]: r for r in old_reports}
+    new_by_name = {r[0]: r for r in new_reports}
+    for label, names in (("removed", [r[0] for r in old_reports if r[0] not in new_by_name]),
+                         ("added", [r[0] for r in new_reports if r[0] not in old_by_name])):
+        if names:
+            ok = False
+            lines.append(f"reports {label}: " + " ".join(names))
+    pairs = [(old_by_name[r[0]], r) for r in new_reports if r[0] in old_by_name]
+    if [a[0] for a, _ in pairs] != [r[0] for r in old_reports if r[0] in new_by_name]:
+        ok = False
+        lines.append("report order changed")
+    changed = [f"{a[0]} {'pass' if a[1] else 'FAIL'} -> {'pass' if b[1] else 'FAIL'}"
+               for a, b in pairs if a[1] != b[1]]
     if changed:
         ok = False
         lines.append("verdicts changed: " + "; ".join(changed))
     digits = digits_of(command)
     worst, where = mpf(0), None
-    for a, b in zip(old_reports, new_reports):
+    for a, b in pairs:
         for side, x, y in (("lhs", a[2], b[2]), ("rhs", a[3], b[3])):
             if x != y:
                 x, y = mpf(x), mpf(y)
