@@ -4,16 +4,17 @@ gamma -> eta -> sigma -> lambda | xi1 (and gamma -> zeta0) is written down.
 Above gamma, only `table` takes a max_n and checks it against the family's
 cap: each step map takes the table below it and maps the whole of it, so a
 family up to max_n is the map of the table below it up to max_n
-(eta_0..eta_(max_n - 1) for sigma).  Range errors name the CLI flags, since
-the CLI passes its arguments straight through.
+(eta_0..eta_(max_n - 1) for sigma, gamma_0..gamma_(max_n - 1) for zeta0,
+whose table up to 0 is a prefix of the one up to 1).
+Range errors name the CLI flags, since the CLI passes its arguments
+straight through.
 
 Every table is built once per process.  Each step map is prefix-stable: the
 table up to m is, value for value, the first entries of the table up to any
 longer max_n.  So one memo per (family, context, u) keeps the longest table
 built so far and serves a shorter request as its prefix; only a longer one
-builds again, from the memoised table below it.  zeta0 keeps its max_n, since
-its solve precision grows with it: it is memoised per (max_n, context) and
-never served from a longer table.  A build that raises stores nothing.
+builds again, from the memoised table below it.  A build that raises stores
+nothing.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> stieltjes.Con
     if u is not None and kind != "gamma":
         raise ValueError("--u is only meaningful with --seq gamma")
     check_index(max_n, f"--max-n for {kind}", start, cap)
-    if kind == "zeta0":
-        return _zeta0(max_n, ctx)
     return _longest(kind, ctx, u).prefix(max_n)
 
 
@@ -53,7 +52,7 @@ class _Longest:
                                           self.table.methods[:end], self.ctx)
 
 
-# five families above zeta0 at a handful of contexts, plus one entry per u
+# six families at a handful of contexts, plus one entry per u
 _longest = lru_cache(maxsize=64)(_Longest)
 
 
@@ -61,6 +60,8 @@ def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> stieltjes.Constan
     """The `kind` table up to a checked max_n, from the memoised table below it."""
     if kind == "gamma":
         return stieltjes.stieltjes_table(max_n, ctx, u=1 if u is None else u)
+    if kind == "zeta0":
+        return zeta_derivs.zeta_derivs_at_zero(table("gamma", max(0, max_n - 1), ctx), ctx)
     if kind == "eta":
         return eta_sigma.eta_from_gamma(table("gamma", max_n, ctx), ctx)
     if kind == "sigma":
@@ -70,9 +71,3 @@ def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> stieltjes.Constan
         return li_keiper.lambda_table(sigmas, ctx)
     return xi.xi_table(sigmas, ctx)
 
-
-@lru_cache(maxsize=32)
-def _zeta0(max_n: int, ctx: PrecisionContext) -> stieltjes.ConstantTable:
-    """zeta^(0..max_n)(0) by apostol-5.5, keyed exactly on max_n."""
-    gammas = table("gamma", max(0, max_n - 1), ctx)
-    return zeta_derivs.zeta_derivs_at_zero(max_n, gammas, ctx)

@@ -271,13 +271,12 @@ class _GammaRow:
         self.shift = target - int(u_mp) if u_mp < target else 0
         # the log chain starts at u, or at u + 1 when u < 1
         self.first = first = 0 if u_mp >= 1 else 1
-        # the outer terms of every series stop below 10^-stop_digits
-        self.stop_digits = ctx.digits + ctx.guard_digits
         self.values = {}  # n -> gamma_n(u)
         with mp.workdps(ctx.working_dps):
             log_u = float(mp.log(u_mp + self.shift))
         max_n = FAMILIES["gamma"][1]
-        self.alloc = min(_series_length(log_u, self.stop_digits, max_n), 20 * self.stop_digits + 1)
+        # the outer terms of every series stop below 10^-working_dps
+        self.alloc = min(_series_length(log_u, ctx.working_dps, max_n), 20 * ctx.working_dps + 1)
         self.prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", max_n)) + self.alloc + 64
         bits = self.prec + 32  # the logs' rounding stays in these 32 bits
         count = self.shift + self.alloc
@@ -326,7 +325,7 @@ class _GammaRow:
         total = sum(map(operator.mul, weights, powers)) // scale
         # the last outer term, inner / (2^prec (I + 1)), is below 10^-(digits + guard)
         inner = sum(map(operator.mul, last, powers))
-        if abs(inner) * 10 ** self.stop_digits < self.alloc << self.prec:
+        if abs(inner) * 10 ** self.ctx.working_dps < self.alloc << self.prec:
             return total
         raise ConvergenceError(
             f"gamma_{n}({mp.nstr(self.u_mp + self.shift, 8)}) did not converge within "

@@ -63,10 +63,10 @@ _REFERENCE_POLYS = {
 }
 
 
-def _random_pairs(rng, n, lo=-20, hi=20, max_den=12):
-    """n seeded rationals p/q as unreduced (p, q) integer pairs, each drawn
-    numerator first."""
-    return [(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(n)]
+def _random_pairs(rng, n):
+    """n seeded rationals p/q as unreduced (p, q) integer pairs, p in
+    [-20, 20] and q in [1, 12], each drawn numerator first."""
+    return [(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
 
 
 def _scale_to_integers(*vectors):
@@ -502,7 +502,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     gammas = table("gamma", max_n, ctx)
     etas = table("eta", max_n, ctx)
     z_ap = table("zeta0", max_n, ctx)
-    z_lc = zeta_derivs.zeta_derivs_log_chain(max_n, etas, ctx)
+    z_lc = zeta_derivs.zeta_derivs_log_chain(table("eta", max_n - 1, ctx), ctx)
 
     with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
         log2pi = log_2pi_mpf(ctx)

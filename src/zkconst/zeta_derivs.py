@@ -35,6 +35,11 @@ L = log h:
 Gamma-function derivatives at 1 come from the Bell form
 Gamma^(m)(1) = Y_m(-gamma, x_1, ..., x_{m-1}) with
 x_p = (-1)^(p+1) p! zeta(p+1).
+
+Both routes and the forward map run at one precision per context, the zeta0
+budget read at the family's cap, so zeta^(n)(0) depends only on n and the
+context.  Each route is a step map: a gamma or eta table up to m gives
+zeta^(0..m+1)(0), and an m + 1 past the cap is refused.
 """
 
 from __future__ import annotations
@@ -103,44 +108,43 @@ def _cos_weight(m: int, pi_val):
     return (-1) ** (m // 2) * (pi_val / 2) ** m
 
 
-def _solve_dps(max_n: int, ctx: PrecisionContext) -> int:
-    """Working digits for a zeta0 table up to max_n, once max_n is in range."""
-    check_index(max_n, "max_n", *FAMILIES["zeta0"])
-    return ctx.working_dps + extra_digits("zeta0", max_n)
+def _solve_dps(ctx: PrecisionContext) -> int:
+    """Working digits of every zeta0 solve and forward evaluation: the zeta0
+    budget read at the family's cap."""
+    return ctx.working_dps + extra_digits("zeta0", FAMILIES["zeta0"][1])
 
 
-@lru_cache(maxsize=64)
-def _apostol_weights(max_n: int, ctx: PrecisionContext) -> tuple:
+@lru_cache(maxsize=16)
+def _apostol_weights(ctx: PrecisionContext) -> tuple:
     """a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2) and
-    m = 0..max_n, at the solve precision of a zeta0 table up to max_n, by
-    two Leibniz products; a_0 = 2 exactly."""
-    with mp.workdps(_solve_dps(max_n, ctx)):
+    m = 0 up to the zeta0 cap, at the solve precision, by two Leibniz
+    products; a_0 = 2 exactly."""
+    orders = range(FAMILIES["zeta0"][1] + 1)
+    with mp.workdps(_solve_dps(ctx)):
         pi_val = +mp.pi
         minus_log2pi = -mp.log(2 * pi_val)
-        cos_weights = [_cos_weight(j, pi_val) for j in range(max_n + 1)]
+        cos_weights = [_cos_weight(j, pi_val) for j in orders]
         # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
         ec = [
             sum(math.comb(k, j) * minus_log2pi ** (k - j) * w
                 for j, w in enumerate(cos_weights[: k + 1]) if w is not None)
-            for k in range(max_n + 1)
+            for k in orders
         ]
-        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in range(max_n + 1)]
+        gd = [gamma_derivs_at_one_mpf(m, ctx) for m in orders]
         return tuple(
             2 * sum(math.comb(m, k) * gd[m - k] * ec[k] for k in range(m + 1))
-            for m in range(max_n + 1)
+            for m in orders
         )
 
 
-def zeta_derivs_at_zero(
-    max_n: int, gammas: ConstantTable, ctx: PrecisionContext
-) -> ConstantTable:
-    """zeta^(n)(0) for n = 0..max_n by route apostol-5.5, from a gamma table
-    covering 0..max_n-1.  Entry 0 is zeta(0) = -1/2."""
-    dps = _solve_dps(max_n, ctx)
-    if max_n >= 1:
-        require(gammas, "gamma", "zeta_derivs_at_zero", max_n - 1)
-    with mp.workdps(dps):
-        a = _apostol_weights(max_n, ctx)
+def zeta_derivs_at_zero(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """zeta^(n)(0) for n = 0..m+1 by route apostol-5.5, from the table
+    gamma_0..gamma_m.  Entry 0 is zeta(0) = -1/2."""
+    require(gammas, "gamma", "zeta_derivs_at_zero")
+    max_n = gammas.max_n + 1
+    check_index(max_n, "the largest zeta0 index of zeta_derivs_at_zero", *FAMILIES["zeta0"])
+    a = _apostol_weights(ctx)
+    with mp.workdps(_solve_dps(ctx)):
         values = [mpf(-1) / 2]
         for n in range(1, max_n + 1):
             # the pivot C(n, n) a_0 = 2 multiplies the unknown zeta^(n)(0)
@@ -149,18 +153,16 @@ def zeta_derivs_at_zero(
     return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
 
 
-def zeta_derivs_log_chain(
-    max_n: int, etas: ConstantTable, ctx: PrecisionContext
-) -> ConstantTable:
-    """zeta^(n)(0) for n = 0..max_n by route log-chain-s4, from an eta table
-    covering 0..max_n-1 (none is read for max_n <= 1).  Entry 0 is
-    zeta(0) = -1/2."""
-    dps = _solve_dps(max_n, ctx)
-    if max_n >= 2:
-        require(etas, "eta", "zeta_derivs_log_chain", max_n - 1)
-    with mp.workdps(dps):
+def zeta_derivs_log_chain(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+    """zeta^(n)(0) for n = 0..m+1 by route log-chain-s4, from the table
+    eta_0..eta_m; eta_0 is not read, since L^(1)(0) = log(2 pi) - 1.
+    Entry 0 is zeta(0) = -1/2."""
+    require(etas, "eta", "zeta_derivs_log_chain")
+    max_n = etas.max_n + 1
+    check_index(max_n, "the largest zeta0 index of zeta_derivs_log_chain", *FAMILIES["zeta0"])
+    with mp.workdps(_solve_dps(ctx)):
         values = [mpf(-1) / 2]
-        lder = [L_derivs_at_zero(m - 1, etas, ctx) for m in range(1, max_n + 1)]
+        lder = [L_derivs_at_zero(m, etas, ctx) for m in range(max_n)]
         ys = bell_recurrence_values(lder)
         for n in range(1, max_n + 1):
             values.append(+(n * values[n - 1] - ys[n] / 2))
@@ -168,9 +170,10 @@ def zeta_derivs_log_chain(
 
 
 def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> mpf:
-    """gamma_{n-1} by forward evaluation of the triangular relation."""
-    check_index(n, "the forward index n", 1)
+    """gamma_{n-1} by forward evaluation of the triangular relation, for n
+    from 1 up to the zeta0 cap."""
+    check_index(n, "the forward index n", 1, FAMILIES["zeta0"][1])
     require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
-    with mp.workdps(ctx.working_dps + extra_digits("zeta0", n)):
-        a = _apostol_weights(n, ctx)
+    a = _apostol_weights(ctx)
+    with mp.workdps(_solve_dps(ctx)):
         return +(sum(math.comb(n, l) * a[n - l] * zeta0.mpf(l) for l in range(n + 1)) / n)

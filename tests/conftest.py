@@ -31,9 +31,13 @@ def pytest_unconfigure(config):
 @pytest.fixture(autouse=True)
 def no_planted_value_outlives_its_test(request):
     """A test that plants a fault with monkeypatch may have memoised a value
-    computed under it, so every package memo is cleared after it."""
+    computed under it, and a value memoised before it would hide its plant,
+    so every package memo is cleared before and after it."""
+    planting = "monkeypatch" in request.fixturenames
+    if planting:
+        clear_package_memos()
     yield
-    if "monkeypatch" in request.fixturenames:
+    if planting:
         clear_package_memos()
 
 

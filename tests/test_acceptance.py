@@ -159,8 +159,8 @@ def test_criterion_6_zeta_derivatives():
     ctx = PrecisionContext(digits=30)
     gammas = table("gamma", 8, ctx)
     etas = table("eta", 8, ctx)
-    apostol = zeta_derivs_at_zero(8, gammas, ctx)
-    log_chain = zeta_derivs_log_chain(8, etas, ctx)
+    apostol = zeta_derivs_at_zero(table("gamma", 7, ctx), ctx)
+    log_chain = zeta_derivs_log_chain(table("eta", 7, ctx), ctx)
     with mp.workdps(60):
         assert abs(apostol.mpf(1) + mp.log(2 * mp.pi) / 2) < mpf("1e-25")
         via_53 = (

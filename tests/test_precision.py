@@ -69,7 +69,7 @@ class TestCheckIndex:
 
 
 @pytest.mark.parametrize("digits", [10, 30, 60])
-@pytest.mark.parametrize("kind", [kind for kind in FAMILIES if kind != "zeta0"])
+@pytest.mark.parametrize("kind", FAMILIES)
 def test_tables_are_prefix_stable(kind, digits, clear_memos):
     # a step map maps the whole table it is given, so the table up to m must
     # be the first entries of the table at the cap, exactly: the invariant
@@ -81,30 +81,6 @@ def test_tables_are_prefix_stable(kind, digits, clear_memos):
     for m in range(start, cap):
         clear_memos()
         assert table(kind, m, ctx).values == full[:m - start + 1], f"m={m}"
-
-
-@pytest.mark.parametrize("digits", [10, 60])
-def test_zeta0_is_not_prefix_stable(digits):
-    # the zeta0 budget row grows with max_n, so every entry's last bits
-    # depend on the table's length; hence both zeta0 routes keep max_n
-    assert precision._BUDGET["zeta0"][0] > 0
-    ctx = PrecisionContext(digits)
-    _, cap = family("zeta0")
-    assert table("zeta0", cap - 1, ctx).values != table("zeta0", cap, ctx).values[:cap]
-
-
-@pytest.mark.parametrize("digits", [10, 30, 60])
-def test_zeta0_is_never_served_from_a_longer_table(digits, clear_memos):
-    # with the table at the cap memoised, each shorter one is still its own
-    # solve, as a fresh build makes it
-    ctx = PrecisionContext(digits)
-    _, cap = family("zeta0")
-    fresh = {}
-    for m in range(cap):
-        clear_memos()
-        fresh[m] = table("zeta0", m, ctx)
-    table("zeta0", cap, ctx)
-    assert {m: table("zeta0", m, ctx) for m in range(cap)} == fresh
 
 
 class TestTableMemo:
@@ -146,7 +122,7 @@ def clear_memos():
 
 def test_every_memo_is_found_and_bounded():
     names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
-    assert {"stieltjes._gamma_row", "chain._longest", "chain._zeta0", "kernel._logs",
+    assert {"stieltjes._gamma_row", "chain._longest", "kernel._logs",
             "kernel._polygamma_memo", "zeta_derivs._apostol_weights"} <= set(names)
     assert all(maxsize is not None for maxsize in names.values()), names
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
-from memos import clear_package_memos
 from zkconst import li_keiper, xi
 from zkconst.reports import (
     all_passed,
@@ -203,6 +202,5 @@ def test_a_fault_in_the_last_table_entries_fails_verify(kind, n, monkeypatch):
         values[n - 1] += 100 * default_tol(ctx)
         return ConstantTable.of(kind, values, built.methods, ctx)
 
-    clear_package_memos()  # a memoised table would hide the plant
     monkeypatch.setattr(module, build, planted)
     assert not all_passed(run_suite(suite, PrecisionContext(10)))

@@ -2,8 +2,10 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import FROZEN
+from zkconst.chain import table
 from zkconst.kernel import zeta_int_mpf
-from zkconst.precision import PrecisionContext
+from zkconst.precision import FAMILIES, PrecisionContext
+from zkconst.stieltjes import ConstantTable
 from zkconst.zeta_derivs import (
     L_derivs_at_zero,
     _apostol_weights,
@@ -17,8 +19,8 @@ from zkconst.zeta_derivs import (
 
 @pytest.fixture(scope="module")
 def zeta_tables(ctx30, chain30):
-    apostol = zeta_derivs_at_zero(8, chain30["gammas"], ctx30)
-    log_chain = zeta_derivs_log_chain(8, chain30["etas"], ctx30)
+    apostol = zeta_derivs_at_zero(table("gamma", 7, ctx30), ctx30)
+    log_chain = zeta_derivs_log_chain(table("eta", 7, ctx30), ctx30)
     return apostol, log_chain
 
 
@@ -132,9 +134,18 @@ class TestZetaDerivativesAtZero:
 
     def test_route_and_cap_validation(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            zeta_derivs_at_zero(11, chain30["gammas"], ctx30)
+            zeta_derivs_at_zero(chain30["gammas"], ctx30)  # reaches zeta^(14)(0)
         with pytest.raises(ValueError):
-            zeta_derivs_at_zero(8, None, ctx30)  # missing table
+            zeta_derivs_at_zero(None, ctx30)  # missing table
+
+    @pytest.mark.parametrize("route, kind", [(zeta_derivs_at_zero, "gamma"),
+                                             (zeta_derivs_log_chain, "eta")])
+    def test_a_table_one_past_the_cap_is_refused(self, route, kind, ctx30):
+        # a table to the cap would give zeta^(cap+1)(0), one past the weights
+        cap = FAMILIES["zeta0"][1]
+        route(table(kind, cap - 1, ctx30), ctx30)
+        with pytest.raises(ValueError):
+            route(table(kind, cap, ctx30), ctx30)
 
 
 class TestForwardMap:
@@ -169,6 +180,13 @@ class TestForwardMap:
         with pytest.raises(ValueError):
             gamma_from_zeta_derivs(0, apostol, ctx30)
 
+    def test_an_index_past_the_cap_is_refused(self, ctx30):
+        # a hand-built table reaches zeta^(11)(0); the weights stop at the cap
+        cap = FAMILIES["zeta0"][1]
+        long_table = ConstantTable.of("zeta0", [mpf(-1) / 2] * (cap + 2), "hand-built", ctx30)
+        with pytest.raises(ValueError):
+            gamma_from_zeta_derivs(cap + 1, long_table, ctx30)
+
 
 class TestCosineWeights:
     def test_odd_orders_vanish_identically(self):
@@ -192,7 +210,8 @@ class TestApostolWeights:
         # a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2), against
         # mpmath's numerical derivatives of A taken at 120 digits
         ctx = PrecisionContext(digits)
-        weights = _apostol_weights(10, ctx)
+        weights = _apostol_weights(ctx)
+        assert len(weights) == FAMILIES["zeta0"][1] + 1
         assert weights[0] == 2
         with mp.workdps(120):
             def big_a(s):

@@ -6,8 +6,9 @@ runs `python3 -m zkconst` once per command with PYTHONPATH set to each
 `src/` directory in turn.  The command set is the golden commands of
 tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
 45 and 60 digits, every family at its cap at 10 and 60 digits, zeta0 at
-every max_n below its cap at 10, 30 and 60 digits (its solve precision grows
-with max_n), gamma to 20 at seven values of u at 30, 45 and 60 digits, and
+every max_n below its cap at 10, 30 and 60 digits (each a fresh build of a
+shorter table, whose rows are the first rows of the table at the cap),
+gamma to 20 at seven values of u at 30, 45 and 60 digits, and
 `li-check --max-n 20` at 10, 30 and 60 digits, and the help and usage
 errors (`--help`, each subcommand's `--help`, an unknown suite and family,
 `--digits 61`, an unparsable, infinite, negative and `1/0` `--u`, `--u` on
