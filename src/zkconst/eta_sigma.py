@@ -108,7 +108,7 @@ def sigma_table(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
         values = [+(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))]
     with mp.workdps(ctx.working_dps + extra_digits("sigma")):
         for n in range(1, etas.max_n + 1):
-            z = zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("sigma"))
+            z = zeta_int_mpf(n + 1, ctx)
             values.append(
                 +((-1) ** (n + 1) * etas.mpf(n) - (1 - mpf(2) ** (-(n + 1))) * z + 1)
             )

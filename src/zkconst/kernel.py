@@ -86,7 +86,7 @@ class _CrvzWeights:
         self.weights = tuple(weights)
 
 
-# one row per dps; `verify --suite all` reads zeta(k) at 11 of them
+# one row per dps; zeta_int_mpf reads one dps per context
 _crvz_weights = lru_cache(maxsize=16)(_CrvzWeights)
 
 
@@ -104,10 +104,12 @@ def _zeta_int_raw(n: int, dps: int):
         return mp.ldexp(acc * half, -row.shift) / (row.d * (half - 1))
 
 
-def zeta_int_mpf(n: int, ctx: PrecisionContext, extra_dps: int = 0):
-    """Raw zeta(n) at working precision (+ extra_dps)."""
+def zeta_int_mpf(n: int, ctx: PrecisionContext):
+    """zeta(n), n >= 2, at one precision per context, wide enough for every
+    reader: working_dps plus the zeta_atom row, accurate to the zeta_int row
+    beyond that."""
     check_index(n, "the zeta argument n", 2)
-    return _zeta_int_raw(n, ctx.working_dps + extra_dps)
+    return _zeta_int_raw(n, ctx.working_dps + extra_digits("zeta_atom"))
 
 
 def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
@@ -132,7 +134,7 @@ def _polygamma_memo(n: int, ctx: PrecisionContext):
         with mp.workdps(ctx.working_dps):
             return +(2 - gamma - 2 * log2_mpf(ctx))
     with mp.workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
-        z = zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("psi_three_halves", n))
+        z = zeta_int_mpf(n + 1, ctx)
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z
         bracket = mpf(2) ** (n + 1) * (z - 1) - z
         sign = 1 if n % 2 == 1 else -1

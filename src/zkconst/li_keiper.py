@@ -129,7 +129,7 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf
                 (-1) ** j
                 * math.comb(r, j)
                 * (1 - mpf(2) ** (-j))
-                * zeta_int_mpf(j, ctx, extra_dps=extra_digits("step"))
+                * zeta_int_mpf(j, ctx)
             )
         for j in range(1, r + 1):
             acc -= math.comb(r, j) * etas.mpf(j - 1)

@@ -42,6 +42,7 @@ FAMILIES = {"gamma": (0, 20), "eta": (0, 20), "sigma": (1, 20),
 _BUDGET = {
     "gamma": (1, 15),  # shifted sum and tail, each ~log^(n+1)(U)/(n+1), cancel to O(1)
     "zeta_int": (0, 10),  # CRVZ terms N and fixed-point bits: d > 10^(dps+10) bounds truncation and floors
+    "zeta_atom": (0, 25),  # one zeta(k) per context for its widest readers: sigma's cancellation, psi^(20)(3/2) at n + 5
     "psi_three_halves": (1, 5),  # 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) ~ (2/3)^(n+1), times n!
     "gamma_deriv": (1, 5),  # Gamma^(m)(1) = Y_m(-gamma, 1! zeta(2), ...), weights to (m-1)!
     "zeta0": (2, 10),  # apostol-5.5: Leibniz sums over Gamma^(m)(1), log^k(2 pi) and zeta^(l)(0)

@@ -61,27 +61,16 @@ L_DERIV_TAG = "eta-zeta-s4"
 
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
-    """Raw Gamma^(m)(1) at working precision, memoised on (m, ctx)."""
+    """Raw Gamma^(m)(1), at its own fixed precision, so every caller gets the
+    same value."""
     check_index(m, "the derivative order m", 0)
-    return _gamma_derivs_memo(m, ctx)
-
-
-@lru_cache(maxsize=256)
-def _gamma_derivs_memo(m: int, ctx: PrecisionContext):
-    """Gamma^(m)(1) for a checked m.  It runs at its own fixed precision, so
-    every caller gets the same value; the public name stays a plain function
-    so that call counts see every call."""
     if m == 0:
         return mp.mpf(1)
     with mp.workdps(ctx.working_dps + extra_digits("gamma_deriv", m)):
         gamma = stieltjes_gamma(0, 1, ctx)
         args = [-gamma]
         for p in range(1, m):
-            args.append(
-                (-1) ** (p + 1)
-                * mp.factorial(p)
-                * zeta_int_mpf(p + 1, ctx, extra_dps=extra_digits("gamma_deriv", m))
-            )
+            args.append((-1) ** (p + 1) * mp.factorial(p) * zeta_int_mpf(p + 1, ctx))
         return +bell_recurrence_value(args)
 
 
@@ -96,7 +85,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
         zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
         return +(
             (-1) ** n * fact * etas.mpf(n)
-            + zcoeff * fact * zeta_int_mpf(n + 1, ctx, extra_dps=extra_digits("step"))
+            + zcoeff * fact * zeta_int_mpf(n + 1, ctx)
             - fact
         )
 

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from memos import clear_package_memos
 from oracles import FROZEN, brute_zeta
 from zkconst import kernel
 from zkconst.kernel import polygamma_three_halves_mpf, zeta_int_mpf
 from zkconst.precision import (
-    MAX_DIGITS, MIN_DIGITS, MIN_GUARD, PrecisionContext, extra_digits,
+    FAMILIES, MAX_DIGITS, MIN_DIGITS, MIN_GUARD, PrecisionContext, extra_digits,
 )
+from zkconst.verify import run_suite
 
 # every dps a weight row is built at for digits 10..60 and guard_digits up to
-# 60: working_dps plus the widest extra_dps a caller passes (sigma's 25, as
-# wide as psi_three_halves at n = 20)
-ROW_DPS = range(MIN_DIGITS + MIN_GUARD, MAX_DIGITS + 60 + extra_digits("sigma") + 1)
+# 60: working_dps plus the zeta_atom row (25, as wide as sigma and
+# psi_three_halves at n = 20)
+ROW_DPS = range(MIN_DIGITS + MIN_GUARD, MAX_DIGITS + 60 + extra_digits("zeta_atom") + 1)
 
 
 class TestZetaInt:
@@ -65,14 +67,34 @@ class TestZetaInt:
         for n in range(2, 21):
             zeta_int_mpf(n, ctx)
         assert kernel._crvz_weights.cache_info().misses == 1
+        # sigma, lambda, psi^(n)(3/2), Gamma^(m)(1), L^(n)(0) and the suite
+        # sides all read zeta(k) at the one precision of their context
+        for digits in (10, 30, 60):
+            clear_package_memos()
+            run_suite("all", PrecisionContext(digits=digits))
+            assert kernel._crvz_weights.cache_info().currsize == 1, f"digits={digits}"
+
+    def test_the_zeta_atom_row_covers_every_reader_at_its_cap(self):
+        # a reader whose own row outgrew zeta_atom would compute with a
+        # zeta(k) less precise than the rest of its step
+        readers = {
+            "sigma": extra_digits("sigma"),
+            "psi_three_halves": extra_digits("psi_three_halves", FAMILIES["eta"][1]),
+            "gamma_deriv": extra_digits("gamma_deriv", FAMILIES["zeta0"][1]),
+            "step": extra_digits("step"),
+            "elementary_side": extra_digits("elementary_side"),
+        }
+        atom = extra_digits("zeta_atom")
+        assert {name: row for name, row in readers.items() if row > atom} == {}
 
     @pytest.mark.parametrize("digits", [10, 30, 60])
     def test_within_the_zeta_int_row_of_mp_zeta(self, digits):
         ctx = PrecisionContext(digits=digits)
-        bound = mpf(10) ** -(ctx.working_dps + extra_digits("zeta_int"))
+        promised = ctx.working_dps + extra_digits("zeta_atom") + extra_digits("zeta_int")
+        bound = mpf(10) ** -promised
         for k in range(2, 41):
             z = zeta_int_mpf(k, ctx)
-            with mp.workdps(ctx.working_dps + 40):
+            with mp.workdps(promised + 10):
                 exact = mp.zeta(k)
                 assert abs(z - exact) / exact < bound, f"k={k}"
 

@@ -46,8 +46,8 @@ class TestGammaDerivatives:
         with pytest.raises(ValueError):
             gamma_derivs_at_one_mpf(-1, ctx30)
 
-    def test_repeat_call_returns_the_memoised_value(self, ctx30):
-        assert gamma_derivs_at_one_mpf(4, ctx30) is gamma_derivs_at_one_mpf(4, ctx30)
+    def test_repeat_call_returns_the_same_value(self, ctx30):
+        assert gamma_derivs_at_one_mpf(4, ctx30) == gamma_derivs_at_one_mpf(4, ctx30)
 
 
 class TestLDerivatives:
