@@ -1,7 +1,8 @@
 """Arbitrary-precision numeric substrate.
 
 Fundamental logarithms (log 2, log pi, log 2 pi), integer-argument zeta
-values, and polygamma values at 3/2.  Everything downstream (eta constants,
+values, and polygamma values at 3/2, and the one conversion of the gamma
+row's exact binaries into mpf.  Everything downstream (eta constants,
 sigma coefficients, Li/Keiper constants, xi and zeta derivatives) pulls its
 transcendental atoms from here, so that a wrong digit in one place shows up
 as a route disagreement rather than being silently re-derived.
@@ -25,10 +26,15 @@ from __future__ import annotations
 from functools import lru_cache
 
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
 
-from .precision import PrecisionContext, check_index, extra_digits
+from .precision import PrecisionContext, check_index, dps_to_prec, extra_digits
 from .stieltjes import stieltjes_gamma
+
+
+def as_mpf(x):
+    """x, an mpf or an exact stieltjes.Binary, as an mpf with no rounding:
+    how every reader of a gamma table or row gets its values."""
+    return x if isinstance(x, mpf) else mp.make_mpf(x._mpf_)
 
 
 def log2_mpf(ctx: PrecisionContext):

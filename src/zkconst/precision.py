@@ -5,7 +5,8 @@ plus a PrecisionContext.  The context fixes the number of decimal digits the
 caller wants to trust and the extra guard digits carried internally, which
 together set the truncation threshold for infinite series.  How many digits
 each kind of step carries beyond that is read from one table, through
-extra_digits.  Results are plain mpmath mpf values; the context they were
+extra_digits, and dps_to_prec turns digits into bits.  Results are mpmath
+mpf values, or exact binaries from the gamma row; the context they were
 computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
 tol_exp) is checked by check_index, against the limits kept here: the
@@ -17,8 +18,8 @@ the table are Frozen records: their fields are set once, by __init__.
 This module runs on the standard library alone, and so does cli: the
 argument parser and every usage error it, PrecisionContext or chain.table
 raises read only these limits, so --help and a usage error import no mpmath.
-Decimal output lives with the values: ConstantTable prints its rows, and
-reports.roundtrip_decimal the report sides.
+Every decimal the package writes, a table row, a report side or an error
+message, comes from one writer on the standard library, stieltjes.decimal_str.
 """
 
 from __future__ import annotations
@@ -138,6 +139,12 @@ def family(kind: str) -> tuple:
     if kind not in FAMILIES:
         raise ValueError(f"unknown table kind {kind!r}")
     return FAMILIES[kind]
+
+
+def dps_to_prec(dps: int) -> int:
+    """Bits that hold dps decimal digits, as mpmath counts them: its own
+    working precision at mp.dps = dps."""
+    return max(1, round((dps + 1) * 3.3219280948873626))
 
 
 def extra_digits(step: str, n: int = 0) -> int:

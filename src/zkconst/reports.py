@@ -1,9 +1,10 @@
 """Verification report records.
 
 A VerificationReport captures one identity check: both sides as decimal
-strings that round-trip at the run's precision, the absolute error, the
-tolerance it was judged against, and the route tags of the formulas that
-produced each side.  The invariant `passed == (abs_err <= tol)` holds for
+strings that round-trip at the run's precision, the absolute error and the
+tolerance it was judged against to 8 digits, all written by
+stieltjes.decimal_str, and the route tags of the formulas that produced
+each side.  The invariant `passed == (abs_err <= tol)` holds for
 every report because one constructor, `_report`, decides every verdict; the
 public constructors only pass it an error rule and a tolerance.  Inequality
 checks encode their violation magnitude as abs_err against a zero
@@ -15,12 +16,13 @@ reports from route pairs.
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 from mpmath import mp, mpf
 
 from .precision import PrecisionContext, extra_digits
-from .stieltjes import to_mpf
+from .stieltjes import decimal_str
 
 
 class VerificationReport(NamedTuple):
@@ -44,12 +46,20 @@ class VerificationReport(NamedTuple):
         }
 
 
+def to_mpf(x):
+    """x as an mpf at the current precision.  mpmath's mpf() rejects
+    Fraction, so an int or Fraction is taken as numerator / denominator; the
+    test reads numbers, which mpmath loads anyway, and not fractions."""
+    if isinstance(x, numbers.Rational):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
+
+
 def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:
     """Decimal string that, parsed at working_dps, gives back the value
     rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
     significant digits, so it carries working_dps + the roundtrip row."""
-    with mp.workdps(ctx.working_dps + extra_digits("report")):
-        return mp.nstr(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
+    return decimal_str(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
 
 
 def default_tol(ctx: PrecisionContext, tol_exp: int | None = None):
@@ -74,8 +84,8 @@ def _report(identity, lhs, rhs, error, tol, ctx, method_tags) -> VerificationRep
             identity=identity,
             lhs=roundtrip_decimal(lhs, ctx),
             rhs=roundtrip_decimal(rhs, ctx),
-            abs_err=mp.nstr(abs_err, 8),
-            tol=mp.nstr(tol, 8),
+            abs_err=decimal_str(abs_err, 8),
+            tol=decimal_str(tol, 8),
             passed=bool(abs_err <= tol),
             method_tags=tuple(method_tags),
         )

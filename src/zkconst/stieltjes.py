@@ -56,20 +56,27 @@ a / 2^bits with 32 guard bits, from the integer recurrence
 At an integer u no larger than the row, log m comes for every integer m up
 to u + shift + alloc from a smallest-prime-factor sieve: each prime p takes
 one step, log p = log(p - 1) + 2 atanh(1/(2p - 1)), and each composite is
-the sum log p + log(m/p).  Every other u takes one mp.log and the
-recurrence from x = u, or from u + 1 with a second mp.log when u < 1, where
-the atanh series converges too slowly; past x = 2^(2 bits) no step moves a
-log by 2^-bits, so x is clamped there.  Every integer of the row thus keeps
-the size of its precision, whatever the exponent of u, except 1/u of a
-u < 1: that one term, log^n(u)/u, is divided in mpf.  log^(k+1) comes from
-log^k by an integer multiply and shift; the shifted sum of each n is one sum
-of products of a power list with the reciprocals.  The tail of each n swaps
-the double series' two sums into one dot product of the power list with the
-exact weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1) and
-D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the tail
-meet in integers and are rounded to mpf once.
+the sum log p + log(m/p).  Every other u takes one head log and the
+recurrence from x = u, or from u + 1 with a second head log when u < 1,
+where the atanh series converges too slowly; a head log of x = f 2^t,
+1 <= f < 2, is 2 atanh((f - 1)/(f + 1)) + 2 t atanh(1/3).  Past
+x = 2^(2 bits) no step moves a log by 2^-bits, so x is clamped there.  Every
+integer of the row thus keeps the size of its precision, whatever the
+exponent of u, except 1/u of a u < 1: that one term, log^n(u)/u, is divided
+by u on its own.  log^(k+1) comes from log^k by an integer multiply and shift;
+the shifted sum of each n is one sum of products of a power list with the
+reciprocals.  The tail of each n swaps the double series' two sums into one
+dot product of the power list with the exact weights (-1)^j D w_j,
+w_j = sum_{i=j}^{I} C(i,j)/(i+1) and D = lcm(1, ..., I + 1), divided by D
+once; the shifted sum and the tail meet in integers and are rounded once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
+
+A gamma table runs on the standard library alone: u and each gamma_n(u) are
+a Binary, rounded (_round, _add) as mpf arithmetic would round them, so bit
+for bit the mpf values, which kernel.as_mpf builds for readers in mpmath.
+--u is read in mpmath's syntax, and every decimal the package writes comes
+from decimal_str, correctly rounded in mpmath's nstr layout.
 """
 
 from __future__ import annotations
@@ -80,15 +87,14 @@ import numbers
 import operator
 from functools import lru_cache
 
-from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec
-
+from . import kernel
 from .precision import (
     FAMILIES,
     ConvergenceError,
     Frozen,
     PrecisionContext,
     check_index,
+    dps_to_prec,
     extra_digits,
     family,
 )
@@ -96,12 +102,131 @@ from .precision import (
 GAMMA_TAG = "hasse-2.8"
 
 
+class Binary(Frozen):
+    """The exact number man * 2^exp, man odd or (0, 0).  mpmath reads it as
+    an mpf, through _mpf_, and Fraction as the Rational it is."""
+
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int = 0):
+        zeros = (man & -man).bit_length() - 1 if man else 0
+        self._set(man=man >> zeros, exp=exp + zeros if man else 0)
+
+    @property
+    def _mpf_(self) -> tuple:
+        return int(self.man < 0), abs(self.man), self.exp, abs(self.man).bit_length()
+
+    @property
+    def numerator(self) -> int:
+        return self.man << max(self.exp, 0)
+
+    @property
+    def denominator(self) -> int:
+        return 1 << max(-self.exp, 0)
+
+
+numbers.Rational.register(Binary)
+
+
+def _finite(x) -> bool:
+    """x, a Binary or an mpf, is not inf or nan (mpmath's (0, 0, exp != 0))."""
+    return bool(x._mpf_[1]) or not x._mpf_[2]
+
+
+def _round(p: int, q: int, exp: int, prec: int) -> Binary:
+    """p / q * 2^exp rounded to prec bits, ties to even, as mpmath rounds an
+    integer, an exact quotient or an exact sum to its working precision."""
+    p, q = (-p, -q) if q < 0 else (p, q)
+    shift = prec + 2 + q.bit_length() - abs(p).bit_length()
+    quot, rem = divmod(abs(p) << max(shift, 0), q << max(-shift, 0))
+    if not quot:  # p is 0
+        return Binary(0)
+    drop = quot.bit_length() - prec  # 2 or 3
+    low, quot, half = quot & ((1 << drop) - 1), quot >> drop, 1 << (drop - 1)
+    if low > half or low == half and (rem or quot & 1):
+        quot += 1
+    return Binary(-quot if p < 0 else quot, exp - shift + drop)
+
+
+def _add(a: Binary, b: Binary, prec: int) -> Binary:
+    """a + b rounded as _round rounds; a term wholly below the other's last
+    bit and rounding bit counts only by its sign."""
+    if not (a.man and b.man):  # 0 is (0, 0)
+        return _round(a.man + b.man, 1, a.exp + b.exp, prec)
+    if a.exp + a.man.bit_length() < b.exp + b.man.bit_length():
+        a, b = b, a
+    below = min(a.exp, a.exp + a.man.bit_length() - prec - 3)
+    if b.exp + b.man.bit_length() < below:
+        b = Binary(-1 if b.man < 0 else 1, below - 1)
+    low = min(a.exp, b.exp)
+    return _round((a.man << a.exp - low) + (b.man << b.exp - low), 1, low, prec)
+
+
+def _times_ten(man: int, exp: int, k: int, bits: int) -> tuple:
+    """(num, den, e) with num / den * 2^e = man 2^exp 10^k: exact for
+    |k| <= 400 (mpmath's cutoff; 5^400 < 2^929), else within a relative
+    2^-bits, with 5^|k| cut after each square and multiply."""
+    width = 1000 if abs(k) <= 400 else bits + abs(k).bit_length() + 1
+    five, e5 = 1, 0
+    for digit in bin(abs(k))[2:]:
+        five, e5 = five * five * (5 if digit == "1" else 1), 2 * e5
+        cut = max(five.bit_length() - width, 0)
+        five, e5 = five >> cut, e5 + cut
+    return (man * five, 1, exp + k + e5) if k >= 0 else (man, five, exp + k - e5)
+
+
+def _from_decimal(raw: str, prec: int):
+    """raw as mpf(raw) reads it at prec bits: inf or nan (None), a ratio p/q
+    of integers or a Python float literal, as an exact decimal, any trailing
+    l dropped.  What mpmath refuses raises ValueError or ZeroDivisionError."""
+    x = raw.lower().strip()
+    if x in ("inf", "+inf", "-inf", "nan"):
+        return None
+    if "/" in x:
+        p, q = x.split("/")
+        return _round(int(p.rstrip("l")), int(q.rstrip("l")), 0, prec)
+    x = x.rstrip("l")
+    float(x)  # mpmath's syntax check
+    mantissa, _, exp = x.partition("e")
+    whole, _, frac = mantissa.partition(".")
+    frac = frac.rstrip("0")
+    return _round(*_times_ten(int(whole + frac), 0, int(exp or 0) - len(frac), prec + 64), prec)
+
+
+def decimal_str(x, digits: int, strip_zeros: bool = True) -> str:
+    """x, a Binary or an mpf, to `digits` significant digits, correctly
+    rounded (half up; past 10^+-400 to 64 bits below the digits) in nstr's
+    layout: fixed point when min(-(digits // 3), -5) < e < digits for the
+    leading digit's exponent e, else d.ddde+-N."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return "0.0" if _finite(x) else str(x)  # an mpf inf or nan prints itself
+    scale = digits - math.floor((exp + man.bit_length() - 1) * math.log10(2))
+    num, den, shift = _times_ten(man, exp, scale, 4 * digits + 64)
+    den <<= max(-shift, 0)
+    quot, rem = divmod(num << max(shift, 0), den)
+    drop = len(str(quot)) - digits  # 1 or 2, or 0 when the float estimate was high
+    quot, low = divmod(quot, 10**drop)
+    text = str(quot + (2 * (low * den + rem) >= den * 10**drop))
+    lead = len(text) - 1 + drop - scale  # the exponent of the leading digit
+    text, split = text[:digits], 1  # a carry to 10^digits only adds a 0
+    if min(-(digits // 3), -5) < lead < digits:
+        split, text, lead = max(lead, 0) + 1, "0" * -min(lead, 0) + text, 0
+    text = text[:split] + "." + text[split:]
+    if strip_zeros:
+        text = text.rstrip("0")
+        text += "0" if text.endswith(".") else ""
+    return "-" * sign + text + (f"e{lead:+d}" if lead else "")
+
+
 class ConstantTable(Frozen):
     """An indexed constant family with a method tag per entry.
 
-    values[i] (an mpf) and methods[i] belong to index start + i, where
-    start is the family's first index in FAMILIES; every entry names the
-    formula route that produced it.  Iterating yields (n, value, method).
+    values[i] and methods[i] belong to index start + i, where start is the
+    family's first index in FAMILIES; every entry names the formula route
+    that produced it.  values hold what the builder handed in, Binary from
+    the gamma row and mpf from every other step map; mpf(n) and iteration,
+    which yields (n, value, method), give an mpf, and rows() needs none.
     An empty table, or a value that is not finite, raises ValueError, so
     neither is ever printed.
     """
@@ -116,15 +241,14 @@ class ConstantTable(Frozen):
             raise ValueError("a table needs one method tag per value")
         if not all(methods):
             raise ValueError("every table entry needs a method tag")
-        if not all(mp.isfinite(v) for v in values):
+        if not all(_finite(v) for v in values):
             raise ValueError(f"every {kind} table value must be finite")
         self._set(kind=kind, values=values, methods=methods, digits=digits)
 
     @classmethod
     def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
-        """A `kind` table of a list of raw mpf values from the family's first
-        index on; `method` is one tag for every entry or a list of per-entry
-        tags."""
+        """A `kind` table of a list of values from the family's first index
+        on; `method` is one tag for every entry or a list of per-entry tags."""
         tags = [method] * len(values) if isinstance(method, str) else method
         return cls(kind, tuple(values), tuple(tags), ctx.digits)
 
@@ -137,18 +261,18 @@ class ConstantTable(Frozen):
         return self.start + len(self.values) - 1
 
     def mpf(self, n: int):
-        """The value at index n."""
+        """The value at index n, as an mpf."""
         check_index(n, f"a {self.kind} table index", self.start, self.max_n)
-        return self.values[n - self.start]
+        return kernel.as_mpf(self.values[n - self.start])
 
     def __iter__(self):
-        return zip(itertools.count(self.start), self.values, self.methods)
+        return zip(itertools.count(self.start), map(kernel.as_mpf, self.values), self.methods)
 
     def rows(self):
         """(n, value as a decimal string of `digits` significant digits,
         method) for each entry: the table as the CLI prints it."""
-        for n, value, method in self:
-            yield n, mp.nstr(value, self.digits, strip_zeros=False), method
+        for n, value, method in zip(itertools.count(self.start), self.values, self.methods):
+            yield n, decimal_str(value, self.digits, strip_zeros=False), method
 
 
 def require(table, kind: str, who: str, max_n: int | None = None):
@@ -164,12 +288,12 @@ def require(table, kind: str, who: str, max_n: int | None = None):
         )
 
 
-def _atanh_step(d: int, bits: int) -> int:
-    """2 atanh(2^bits / d), scaled by 2^bits, the step from log x to
-    log(x + 1) when d = (2x + 1) 2^bits, by atanh y = y + y^3/3 + y^5/5 + ...
-    in integers; off by at most twice its number of terms in the last place."""
-    term = (1 << 2 * bits) // d
-    square = (1 << 3 * bits) // (d * d)
+def _two_atanh(p: int, q: int, bits: int) -> int:
+    """2 atanh(p/q), scaled by 2^bits, for 0 <= p/q < 1, by
+    atanh y = y + y^3/3 + y^5/5 + ... in integers; off by at most twice its
+    number of terms in the last place."""
+    term = (p << bits) // q
+    square = (p * p << bits) // (q * q)
     acc, j = term, 1
     while term:
         term = (term * square) >> bits
@@ -183,8 +307,18 @@ def _log_chain(log_x: int, a: int, count: int, bits: int) -> list:
     log x of x = a / 2^bits >= 1, by log(x + 1) = log x + 2 atanh(1 / (2x + 1))."""
     logs = [log_x]
     for k in range(count - 1):
-        logs.append(logs[-1] + _atanh_step(2 * a + ((2 * k + 1) << bits), bits))
+        logs.append(logs[-1] + _two_atanh(1 << bits, 2 * a + ((2 * k + 1) << bits), bits))
     return logs
+
+
+def _log(x: Binary, bits: int) -> int:
+    """log x of a Binary x > 0, scaled by 2^bits and truncated toward 0:
+    with x = f 2^t, 1 <= f < 2, log x = 2 atanh((f - 1)/(f + 1)) +
+    t 2 atanh(1/3), summed with 32 guard bits more than t has."""
+    t = x.exp + x.man.bit_length() - 1
+    one, guard = 1 << x.man.bit_length() - 1, 32 + t.bit_length()
+    total = _two_atanh(x.man - one, x.man + one, bits + guard) + t * _two_atanh(1, 3, bits + guard)
+    return total >> guard if total >= 0 else -(-total >> guard)
 
 
 def _integer_logs(u: int, count: int, bits: int) -> list:
@@ -201,7 +335,7 @@ def _integer_logs(u: int, count: int, bits: int) -> list:
     logs = [0, 0]  # log 1 at index 1; index 0 is never read
     for m in range(2, top):
         p = spf[m]
-        logs.append(logs[m - 1] + _atanh_step((2 * m - 1) << bits, bits) if p == m
+        logs.append(logs[m - 1] + _two_atanh(1, 2 * m - 1, bits) if p == m
                     else logs[p] + logs[m // p])
     return logs[u:]
 
@@ -251,44 +385,49 @@ def _tail_weights(length: int) -> tuple:
 
 
 class _GammaRow:
-    """Every gamma_n(u) at one u and one context.
+    """Every gamma_n(u) at one u, a Binary, and one context.
 
     u is shifted once to U = u + shift.  The row holds, as integers scaled
     by 2^prec, log(u + k) for k < shift + alloc, the reciprocals 1/(u + m)
     of the shifted terms from m = first on and the latest power list, and
     the finished gamma_n(u) of every n summed so far.  first is 1 when
-    u < 1: 1/u then has any size, so the term log^n(u)/u is divided in mpf.
-    Every n sums all alloc outer terms, the length the convergence bound
-    gives the largest n, at most 20 (digits + guard) + 1; a series whose last
-    outer term is not below the threshold raises ConvergenceError.
+    u < 1: 1/u then has any size, so the term log^n(u)/u is divided by u
+    as a Binary.  Every n sums all alloc outer terms, the length the
+    convergence bound gives the largest n, at most 20 (digits + guard) + 1;
+    a series whose last outer term is not below the threshold raises
+    ConvergenceError.
     """
 
-    def __init__(self, u_mp, ctx: PrecisionContext):
-        self.u_mp = u_mp
+    def __init__(self, u: Binary, ctx: PrecisionContext):
+        self.u = u
         self.ctx = ctx
         target = math.ceil(ctx.working_dps * math.log(10))
+        # floor(u), or 2^64 past it, where only its size matters
+        floor = u.man >> -u.exp if u.exp < 0 else u.man << min(u.exp, 64)
         # U = target + frac(u); a u past the target is not shifted
-        self.shift = target - int(u_mp) if u_mp < target else 0
+        self.shift = max(target - floor, 0)
         # the log chain starts at u, or at u + 1 when u < 1
-        self.first = first = 0 if u_mp >= 1 else 1
+        self.first = first = 0 if floor else 1
         self.values = {}  # n -> gamma_n(u)
-        with mp.workdps(ctx.working_dps):
-            log_u = float(mp.log(u_mp + self.shift))
+        self.big_u = _add(u, Binary(self.shift), dps_to_prec(ctx.working_dps)) if self.shift else u
+        log_u = math.log(self.big_u.man) + self.big_u.exp * math.log(2)
         max_n = FAMILIES["gamma"][1]
         # the outer terms of every series stop below 10^-working_dps
         self.alloc = min(_series_length(log_u, ctx.working_dps, max_n), 20 * ctx.working_dps + 1)
         self.prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", max_n)) + self.alloc + 64
         bits = self.prec + 32  # the logs' rounding stays in these 32 bits
         count = self.shift + self.alloc
-        with mp.workprec(bits + 16):
-            # x = u + first as a / 2^bits; past 2^(2 bits) no step of the
-            # chain moves a log by 2^-bits, so x is clamped there
-            a = int(mp.ldexp(min(u_mp + first, mp.ldexp(1, 2 * bits)), bits))
-            if mp.isint(u_mp) and u_mp <= count:
-                logs = _integer_logs(int(u_mp), count, bits)
-            else:
-                heads = [int(mp.ldexp(mp.log(u_mp + m), bits)) for m in range(first + 1)]
-                logs = heads[:first] + _log_chain(heads[first], a, count - first, bits)
+        # x = u + first, rounded to bits + 16 bits, as a / 2^bits; past
+        # 2^(2 bits) no step of the chain moves a log by 2^-bits, so x is
+        # clamped there
+        x = _add(u, Binary(1), bits + 16) if first else u
+        clamped = x.exp + x.man.bit_length() > 2 * bits
+        a = 1 << 3 * bits if clamped else (x.numerator << bits) // x.denominator
+        if u.exp >= 0 and floor <= count:
+            logs = _integer_logs(floor, count, bits)
+        else:
+            heads = [_log(v, bits) for v in (u, x)[:first + 1]]
+            logs = heads[:first] + _log_chain(heads[first], a, count - first, bits)
         self.logs = [v >> 32 for v in logs]
         self.recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
         self.power, self.powers = 0, [1 << self.prec] * len(self.logs)
@@ -302,14 +441,17 @@ class _GammaRow:
             self.power += 1
         return self.powers
 
-    def gamma(self, n: int) -> mpf:
+    def gamma(self, n: int) -> Binary:
         """gamma_n(u): the shifted terms plus the double series at U, added
-        in integers and rounded once, plus log^n(u)/u when u < 1."""
+        in integers, plus log^n(u)/u when u < 1, each quotient and the sum
+        rounded to the working precision of n as mpf arithmetic rounds them."""
         if n not in self.values:
-            with mp.workdps(self.ctx.working_dps + extra_digits("gamma", n)):
-                head = mp.ldexp(self._powers(n)[0], -self.prec) / self.u_mp if self.first else 0
-                total = (n + 1) * self._shifted(n) - self._tail(n)
-                self.values[n] = head + mp.ldexp(total, -self.prec) / (n + 1)
+            prec = dps_to_prec(self.ctx.working_dps + extra_digits("gamma", n))
+            if self.first:
+                head = _round(self._powers(n)[0], self.u.man, -self.prec - self.u.exp, prec)
+            total = (n + 1) * self._shifted(n) - self._tail(n)
+            value = _round(total, n + 1, -self.prec, prec)
+            self.values[n] = _add(head, value, prec) if self.first else value
         return self.values[n]
 
     def _shifted(self, n: int) -> int:
@@ -328,9 +470,10 @@ class _GammaRow:
         if abs(inner) * 10 ** self.ctx.working_dps < self.alloc << self.prec:
             return total
         raise ConvergenceError(
-            f"gamma_{n}({mp.nstr(self.u_mp + self.shift, 8)}) did not converge within "
+            f"gamma_{n}({decimal_str(self.big_u, 8)}) did not converge within "
             f"{self.alloc} outer terms",
-            partial=-mp.ldexp(total, -self.prec) / (n + 1),
+            partial=_round(-total, n + 1, -self.prec,
+                           dps_to_prec(self.ctx.working_dps + extra_digits("gamma", n))),
             index=self.alloc,
         )
 
@@ -341,48 +484,60 @@ class _GammaRow:
 _gamma_row = lru_cache(maxsize=32)(_GammaRow)
 
 
-def to_mpf(x):
-    """x as an mpf at the current precision.  mpmath's mpf() rejects
-    Fraction, so an int or Fraction is taken as numerator / denominator; the
-    test reads numbers, which mpmath loads anyway, and not fractions."""
-    if isinstance(x, numbers.Rational):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
-
-
-def _positive(u, name: str):
-    """u, unless it is not a finite real > 0; name is how the caller knows it."""
-    if not (mp.isfinite(u) and u > 0):
+def _positive(u, name: str) -> Binary:
+    """u, unless it is None or not > 0; name is how the caller knows it."""
+    if u is None or u.man <= 0:
         raise ValueError(f"{name} must be a finite real > 0")
     return u
 
 
-def parse_u(raw: str, ctx: PrecisionContext) -> mpf:
-    """The --u argument as an mpf, read before the gamma row converts it."""
-    with mp.workdps(ctx.working_dps + extra_digits("parse_u")):
-        # mpmath reads "p/q" as a ratio, so "1/0" raises ZeroDivisionError
-        try:
-            u = mp.mpf(raw)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse --u value {raw!r}") from exc
-        return _positive(u, "--u")
+def _row_u(u, ctx: PrecisionContext) -> Binary:
+    """u as the gamma row keys it: rounded as mpf(u) rounds it at the
+    working precision of the largest n, and checked > 0."""
+    prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1]))
+    if isinstance(u, str):
+        value = _from_decimal(u, prec)
+    elif hasattr(u, "_mpf_"):  # a Binary or an mpf
+        sign, man, exp, _ = u._mpf_
+        value = _round(-man if sign else man, 1, exp, prec) if _finite(u) else None
+    elif isinstance(u, float) and not math.isfinite(u):
+        value = None
+    else:  # an int, Fraction or float, as mpf(numerator) / denominator
+        num, den = u.as_integer_ratio()
+        top = _round(num, 1, 0, prec)
+        value = _round(top.man, den, top.exp, prec)
+    return _positive(value, "u")
 
 
-def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> mpf:
+def parse_u(raw: str, ctx: PrecisionContext) -> Binary:
+    """The --u argument as a Binary, read as mpf(raw) reads it at the
+    parse_u precision, before the gamma row converts it."""
+    try:
+        u = _from_decimal(raw, dps_to_prec(ctx.working_dps + extra_digits("parse_u")))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse --u value {raw!r}") from exc
+    return _positive(u, "--u")
+
+
+def stieltjes_gamma(n: int, u, ctx: PrecisionContext):
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
-    u accepts int, Fraction, mpf, or a decimal string; a Python float is
-    taken at its exact binary value (pass a string for decimal semantics).
+    u accepts int, Fraction, mpf, Binary, or a decimal string; a Python
+    float is taken at its exact binary value (pass a string for decimal
+    semantics).  The value is an mpf, or for a Binary u, as the gamma table
+    passes it, the row's exact Binary, which kernel.as_mpf turns into the
+    same mpf.
     """
     start, cap = FAMILIES["gamma"]
     check_index(n, "the stieltjes index n", start, cap)
-    with mp.workdps(ctx.working_dps + extra_digits("gamma", cap)):
-        u_mp = _positive(to_mpf(u), "u")
-    return _gamma_row(u_mp, ctx).gamma(n)
+    value = _gamma_row(_row_u(u, ctx), ctx).gamma(n)
+    return value if isinstance(u, Binary) else kernel.as_mpf(value)
 
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
-    """gamma_0(u) .. gamma_max_n(u) as a table (u defaults to 1)."""
+    """gamma_0(u) .. gamma_max_n(u) as a table of Binary values (u defaults
+    to 1)."""
     check_index(max_n, "max_n", *FAMILIES["gamma"])
+    u = _row_u(u, ctx)
     values = [stieltjes_gamma(n, u, ctx) for n in range(max_n + 1)]
     return ConstantTable.of("gamma", values, GAMMA_TAG, ctx)

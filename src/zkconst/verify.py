@@ -220,7 +220,8 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
     # the inner sums of the constant 1 are a Kronecker delta in i, so the weights
     # of this suite's gamma_0(1) row sum it to 1, and its last outer term is 0
     gamma = stieltjes_gamma(0, 1, ctx)
-    scale, weights, last = stieltjes._tail_weights(stieltjes._gamma_row(mp.mpf(1), ctx).alloc)
+    row = stieltjes._gamma_row(stieltjes.Binary(1), ctx)
+    scale, weights, last = stieltjes._tail_weights(row.alloc)
     ok = sum(weights) == scale and sum(last) == 0
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
 

@@ -1,0 +1,165 @@
+"""The gamma table's number layer, on the standard library, against mpmath.
+
+stieltjes reads --u, rounds every gamma_n(u) and writes every decimal of the
+package without mpmath, so each piece is held to the mpmath operation it
+replaces, on seeded random cases: the writer to libmp.to_str (mp.nstr), the
+parser to libmp.from_str (mpf(raw)), and the rounding helpers to mpf
+division and addition at the gamma precisions.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+from mpmath.libmp import finf, fnan, fninf, from_str, to_str
+
+from zkconst import stieltjes
+from zkconst.precision import PrecisionContext, dps_to_prec, extra_digits
+from zkconst.stieltjes import Binary, _add, _from_decimal, _round, decimal_str
+
+
+def exact(x):
+    """x, a Binary, as an mpf with no rounding."""
+    return mp.make_mpf(x._mpf_)
+
+
+def random_binary(rng):
+    """A signed Binary whose exponent reaches past mpmath's +-3500-bit
+    cutoff, beyond which its own writer divides by a rounded power of ten."""
+    man = rng.getrandbits(rng.choice((1, 3, 8, 53, 100, 200, 400))) | 1
+    exp = rng.choice((rng.randint(-300, 300), rng.randint(-8000, 8000)))
+    return Binary(man if rng.random() < 0.5 else -man, exp)
+
+
+def test_writer_is_mpmaths_to_str():
+    rng = random.Random(2901)
+    cases = [(random_binary(rng), rng.randint(1, 80), rng.random() < 0.5) for _ in range(3000)]
+    assert sum(abs(x.exp + abs(x.man).bit_length()) > 3500 for x, _, _ in cases) > 500
+    assert {strip for _, _, strip in cases} == {False, True}
+    for x, digits, strip in cases:
+        assert decimal_str(x, digits, strip) == to_str(x._mpf_, digits, strip_zeros=strip), (
+            x, digits, strip)
+
+
+def test_writer_reads_an_mpf_and_the_special_values():
+    # the last few values carry into a new leading digit at some digits
+    carries = ("0.99999999999", "999.9996", "-9.9999999", "99999.5", "9999999999.6")
+    with mp.workdps(50):
+        for x in (+mp.pi, -mp.e / 10**30, mpf(0), mpf(1234567890), mpf("0.125"),
+                  *map(mpf, carries)):
+            for digits in (1, 2, 3, 4, 8, 10, 45):
+                assert decimal_str(x, digits) == mp.nstr(x, digits)
+                assert decimal_str(x, digits, False) == mp.nstr(x, digits, strip_zeros=False)
+    for special in (mp.inf, -mp.inf, mp.nan):
+        assert decimal_str(special, 8) == mp.nstr(special, 8)
+
+
+def random_decimal(rng):
+    """A decimal literal with a decimal exponent within +-400, or a ratio."""
+    if rng.random() < 0.2:
+        return f"{rng.randint(-10**30, 10**30)}/{rng.choice((1, -1)) * rng.randint(1, 10**20)}"
+    digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 40)))
+    point = rng.randint(0, len(digits))
+    raw = digits[:point] + "." + digits[point:] if rng.random() < 0.7 else digits
+    if rng.random() < 0.7:
+        raw += rng.choice("eE") + str(rng.randint(-400, 400))
+    return rng.choice(("", "-", "+")) + raw
+
+
+def read_by_mpmath(raw, prec):
+    """from_str's raw mpf, None for inf and nan, or the exception it raises."""
+    try:
+        value = from_str(raw, prec, "n")
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return None if value in (finf, fninf, fnan) else value
+
+
+def read_here(raw, prec):
+    try:
+        value = _from_decimal(raw, prec)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    return None if value is None else value._mpf_
+
+
+# every precision the package parses at: --u, and a str u of stieltjes_gamma
+PARSE_PRECS = sorted({dps_to_prec(PrecisionContext(d).working_dps + extra_digits(step, n))
+                      for d in (10, 30, 45, 60) for step, n in (("parse_u", 0), ("gamma", 20))})
+
+
+def test_parser_is_mpmaths_from_str():
+    rng = random.Random(2902)
+    for _ in range(3000):
+        raw, prec = random_decimal(rng), rng.choice(PARSE_PRECS)
+        assert read_here(raw, prec) == read_by_mpmath(raw, prec), (raw, prec)
+
+
+EDGE_STRINGS = [
+    "1/3", " 2 ", "1_0", "1e401", "1e-401", "5l", "5L", "1/3l", ".5", "5.", "-.5", "1e+5",
+    "1e5_0", "+1/+3", "1 / 3", "1/-3", "1e99999", "inf", "+inf", "-inf", "nan", "INF",
+    "", " ", "abc", "0x10", "1/0", "0/0", "1//3", "1e", "e5", "--1", "1.2.3", "1e5/3",
+    "-nan", "infinity", "1_0.5_0", "1.5_0", "0x1p3",
+]
+
+
+def test_parser_refuses_exactly_what_mpmath_refuses():
+    rng = random.Random(2903)
+    alphabet = "0123456789.eE+-_/ lLinfatyx"
+    strings = EDGE_STRINGS + ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                              for _ in range(3000)]
+    for raw in strings:
+        assert read_here(raw, 100) == read_by_mpmath(raw, 100), raw
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "cannot parse --u value 'abc'"), ("1/0", "cannot parse --u value '1/0'"),
+    ("0x10", "cannot parse --u value '0x10'"), ("nan", "--u must be a finite real > 0"),
+    ("-1", "--u must be a finite real > 0"), ("0/5", "--u must be a finite real > 0"),
+])
+def test_parse_u_keeps_its_two_messages(raw, message):
+    with pytest.raises(ValueError) as info:
+        stieltjes.parse_u(raw, PrecisionContext(digits=30))
+    assert str(info.value) == message
+
+
+# the gamma precisions: gamma_n at every digits and n
+GAMMA_PRECS = sorted({dps_to_prec(PrecisionContext(d).working_dps + extra_digits("gamma", n))
+                      for d in range(10, 61) for n in range(21)})
+
+
+def test_rounding_is_mpf_arithmetic():
+    # a gamma row's three mpf steps: ldexp(total, -P) / (n + 1),
+    # ldexp(head, -P) / u and their sum, at the working precision of gamma_n
+    rng = random.Random(2904)
+    for _ in range(3000):
+        prec, big = rng.choice(GAMMA_PRECS), rng.randint(300, 700)
+        total = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, big + 200))
+        head, n = rng.getrandbits(rng.randint(1, big + 60)), rng.randint(0, 20)
+        u = random_binary(rng)
+        u = Binary(abs(u.man), u.exp)
+        with mp.workprec(prec):
+            quotient = _round(total, n + 1, -big, prec)
+            assert quotient._mpf_ == (mp.ldexp(total, -big) / (n + 1))._mpf_
+            over_u = _round(head, u.man, -big - u.exp, prec)
+            assert over_u._mpf_ == (mp.ldexp(head, -big) / exact(u))._mpf_
+            assert _add(over_u, quotient, prec)._mpf_ == (exact(over_u) + exact(quotient))._mpf_
+
+
+def test_far_apart_terms_add_as_mpf_adds_them():
+    # a term far below the other's last bit moves the sum only by its sign,
+    # as u = 1e-100000000 moves u + 1; the sum never builds 2^100000000
+    for prec in (53, 200, 400):
+        for a, b in [(Binary(1), Binary(1, -10**8)), (Binary(1), Binary(-1, -10**8)),
+                     (Binary(3, 10**6), Binary(-5, -10**6)), (Binary(-7, prec), Binary(1, -3))]:
+            with mp.workprec(prec):
+                want = exact(a) + exact(b)
+            assert _add(a, b, prec)._mpf_ == _add(b, a, prec)._mpf_ == want._mpf_, (a, b)
+
+
+def test_a_binary_reads_exactly_as_an_mpf_and_a_fraction():
+    x = Binary(-12, -3)
+    assert (x.man, x.exp) == (-3, -1)
+    assert Fraction(x) == Fraction(-3, 2)
+    assert exact(x) == mpf(-1.5) and mp.nstr(x, 5) == "-1.5"
+    assert Binary(0, 7) == Binary(0) and hash(Binary(4)) == hash(Binary(1, 2))

@@ -160,7 +160,7 @@ class TestParseU:
 
         u = stieltjes.parse_u(raw, ctx30)
         exact = Fraction(raw.lstrip("+"))
-        assert mp.isfinite(u) and u > 0
+        assert mp.isfinite(u) and u.man > 0
         with mp.workdps(ctx30.working_dps + 20):
             want = mpf(exact.numerator) / exact.denominator
             assert abs(u - want) <= want * mpf(10) ** -ctx30.working_dps
@@ -279,6 +279,22 @@ class TestExitCodeWiring:
         rc = cli.main(["table", "--seq", "gamma", "--max-n", "3"])
         assert rc == 3
         assert "index 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u, shifted", [("0.123456789", "47.123457"),
+                                            ("123456.789", "123456.79")])
+    def test_short_gamma_row_exits_3_with_u_to_8_digits(self, u, shifted, monkeypatch, capsys):
+        # a row too short to converge: the message names the shifted argument
+        # U = u + shift, written to 8 digits (47 = ceil(20 ln 10) at 10
+        # digits; 123456.789 is past it), and the index where the sum stopped
+        from zkconst import cli, stieltjes
+
+        monkeypatch.setattr(stieltjes, "_series_length", lambda *args: 3)
+        rc = cli.main(["table", "--seq", "gamma", "--max-n", "2", "--u", u, "--digits", "10"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"convergence failure at index 3: gamma_0({shifted}) "
+                                "did not converge within 3 outer terms\n")
 
     def test_internal_error_maps_to_4(self, monkeypatch, capsys):
         # exit 1 means "a verification failed"; a crash must not look like one

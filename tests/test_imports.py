@@ -13,7 +13,7 @@ no file under src/ holds an assert statement.
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
 the startup checks run commands in fresh processes: `table --seq gamma` executes exactly cli,
-chain, precision and stieltjes and loads no fractions, no table or li-check
+chain, precision and stieltjes and loads neither mpmath nor fractions, no table or li-check
 command executes verify, --help executes only cli and precision, no command
 loads dataclasses or inspect, and help and the usage errors load no mpmath
 or fractions either.
@@ -197,8 +197,8 @@ BUDGET_EXEMPT = {
         "bit margins of the fixed-point log row: alloc bits for the 2^i "
         "cancellation of the inner sums, 64 bits of rounding, 32 guard bits "
         "of the logs, from the prime sieve or the chain, and 16 for the "
-        "chain's first mp.log and fixed-point start; sized in bits, not in "
-        "digits per step",
+        "chain's start u + 1, rounded before its fixed point; sized in bits, "
+        "not in digits per step",
 }
 
 
@@ -405,8 +405,8 @@ HELP_AND_USAGE_ERRORS = (
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # every command is a fresh process, and these (with the ast, dis and
     # tokenize that inspect pulls in, and the decimal that fractions does)
-    # cost it milliseconds before any work; mpmath, about 20, is needed only
-    # by a command that computes
+    # cost it milliseconds before any work; mpmath, about 35, is needed only
+    # by a command that computes more than a gamma table
     for command in HELP_AND_USAGE_ERRORS:
         assert after_command(command)[1] == set(), command
     for command in ("table --seq gamma --max-n 3", "li-check --max-n 3",
@@ -415,7 +415,13 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 
 def test_gamma_table_loads_no_fractions():
-    assert after_command("table --seq gamma --max-n 3 --u 2.5")[1] == {"mpmath"}
+    # a gamma table parses --u, sums, rounds and prints on the standard
+    # library: at the default u and at one u from each gamma-sweep regime
+    # (tiny, unit, moderate, huge), in every format
+    for u in ("", " --u 1e-20", " --u 2.5", " --u 57.3", " --u 1e30"):
+        for fmt in ("text", "csv", "json"):
+            command = f"table --seq gamma --max-n 3{u} --format {fmt}"
+            assert after_command(command)[1] == set(), command
 
 
 # the modules that compute or check constants, as opposed to parsing

@@ -99,7 +99,7 @@ def test_trace_cli_runs():
 # serve every other request for them.  Gamma^(m)(1) is not memoised: the
 # Apostol weights read m = 0..10 once, and the three gamma-deriv-at-one-m*
 # reports recompute m = 1..3, each with one gamma_0 read, one Bell value and
-# m - 1 zeta reads: 3 stieltjes_gamma, to_mpf, bell_recurrence_value and
+# m - 1 zeta reads: 3 stieltjes_gamma, as_mpf, bell_recurrence_value and
 # bell_recurrence_values calls, 9 returned Bell entries and 3 zeta_int_mpf
 # calls of the counts below.
 VERIFY_ALL_10_COUNTS = {
@@ -114,6 +114,7 @@ VERIFY_ALL_10_COUNTS = {
     "eta_sigma.eta_from_gamma_coffey": (1, 0),
     "eta_sigma.gamma_from_eta": (1, 0),
     "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
+    "kernel.as_mpf": (920, 0),  # one per table value read and per stieltjes_gamma at a non-Binary u
     "kernel.log2_mpf": (25, 0),  # memo
     "kernel.log_2pi_mpf": (2, 0),
     "kernel.log_pi_mpf": (35, 0),  # memo
@@ -135,10 +136,11 @@ VERIFY_ALL_10_COUNTS = {
     "reports.inequality_report": (29, 0),
     "reports.inequality_reports": (2, 24),
     "reports.roundtrip_decimal": (446, 0),  # both sides of each of the 223 reports
+    "reports.to_mpf": (669, 0),  # 3 per report (sides, tolerance)
     "stieltjes.require": (99, 0),  # memo: one per step map
     "stieltjes.stieltjes_gamma": (41, 0),  # memo
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
-    "stieltjes.to_mpf": (710, 0),  # 3 per report (sides, tolerance), 1 per stieltjes_gamma
+    "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),
     "verify.suite_eta": (1, 39),

@@ -1,6 +1,7 @@
 import pytest
 from memos import clear_package_memos, package_memos
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec as mpmath_dps_to_prec
 
 from zkconst import chain, precision, stieltjes
 from zkconst.chain import table
@@ -29,6 +30,13 @@ class TestPrecisionContext:
     def test_invariant_violations_raise(self, kwargs):
         with pytest.raises(ValueError):
             PrecisionContext(**kwargs)
+
+
+def test_dps_to_prec_is_mpmaths():
+    # the package's one digits-to-bits rule, on the standard library, is
+    # mpmath's own
+    assert [precision.dps_to_prec(d) for d in range(1, 401)] == [
+        mpmath_dps_to_prec(d) for d in range(1, 401)]
 
 
 class TestBigReal:

@@ -12,9 +12,8 @@ from oracles import FROZEN, em_gamma_table
 from zkconst import stieltjes as stieltjes_module
 from zkconst import verify
 from zkconst.li_keiper import binomial_alternating_transform
-from zkconst.precision import ConvergenceError, PrecisionContext, extra_digits
+from zkconst.precision import ConvergenceError, PrecisionContext
 from zkconst.stieltjes import (
-    FAMILIES,
     GAMMA_TAG,
     stieltjes_gamma,
     stieltjes_table,
@@ -189,7 +188,7 @@ class TestMemo:
             for u in (1, "1", Fraction(1), mpf(1), 1.0)
         ]
         assert row_cache() == (1, 4)
-        assert all(v is values[0] for v in values)
+        assert all(v._mpf_ == values[0]._mpf_ for v in values)
 
     @pytest.mark.parametrize(
         "other",
@@ -211,7 +210,7 @@ class TestMemo:
             with pytest.raises(ConvergenceError):
                 stieltjes_gamma(0, 1, ctx)
         assert row_cache() == (1, 1)  # the second call ran the series again
-        assert stieltjes_module._gamma_row(mpf(1), ctx).values == {}
+        assert stieltjes_module._gamma_row(stieltjes_module.Binary(1), ctx).values == {}
         # a row of the bound's own length sums the same series to the end
         monkeypatch.undo()
         stieltjes_module._gamma_row.cache_clear()
@@ -267,7 +266,7 @@ class TestLogRow:
         # row 191), those of any other u, 150 and 1e30 among them, from the chain
         row = make_row(u, PrecisionContext(digits=digits))
         with mp.workprec(row.prec + 40):
-            xs = [mp.fadd(row.u_mp, k, exact=True) for k in range(row.shift + row.alloc)]
+            xs = [mp.fadd(row.u, k, exact=True) for k in range(row.shift + row.alloc)]
             logs = [mp.log(x) for x in xs]
             assert len(row.logs) == len(xs)
             # the 32 guard bits keep the recurrence's rounding out of the
@@ -442,8 +441,7 @@ def double_series(n, x, length):
 
 def make_row(u, ctx):
     """A fresh gamma row at u, converted as stieltjes_gamma converts it."""
-    with mp.workdps(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])):
-        return stieltjes_module._GammaRow(mpf(u), ctx)
+    return stieltjes_module._GammaRow(stieltjes_module._row_u(u, ctx), ctx)
 
 
 @pytest.mark.parametrize("u", ["1", "2.5", "0.001", "1e30"])

@@ -12,7 +12,10 @@ gamma to 20 at seven values of u at 30, 45 and 60 digits, and
 `li-check --max-n 20` at 10, 30 and 60 digits, and the help and usage
 errors (`--help`, each subcommand's `--help`, an unknown suite and family,
 `--digits 61`, an unparsable, infinite, negative and `1/0` `--u`, `--u` on
-eta, and gamma and `li-check` past their caps), each command once.  The
+eta, and gamma and `li-check` past their caps), and the `--u` edge cases
+(gamma to 20 at a ratio, at exponents past mpmath's 400-digit cutoff, with
+spaces and with an underscore, in csv and json, and the refused nan, 0 and
+0x10), each command once.  Arguments are split as a shell splits them.  The
 suites and families are read from the package source.
 For every command it prints whether its exit code, stdout and stderr are
 byte-identical and, when they are not:
@@ -32,6 +35,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +44,8 @@ from mpmath import mp, mpf
 
 REPO = Path(__file__).resolve().parents[1]
 GAMMA_US = ("2", "0.001", "1e-20", "2.5", "1e30", "150", "1000")
+# --u values at the edges of mpmath's syntax, read to 20 digits' worth of rows
+EDGE_US = ("1/3", "1e300", "1e401", "1e-401", "2.5e-30", "' 2 '", "1_0")
 SIDE_MARGIN = 5  # a side may move by 10^-(digits + SIDE_MARGIN), relative above 1
 
 
@@ -92,6 +98,9 @@ def command_set() -> list:
                  "table --seq gamma --max-n 1 --u inf", "table --seq gamma --max-n 1 --u -1",
                  "table --seq gamma --max-n 1 --u 1/0", "table --seq gamma --max-n 21",
                  "table --seq eta --max-n 1 --u 2", "li-check --max-n 21"]
+    commands += [f"table --seq gamma --max-n 20 --u {u}" for u in EDGE_US]
+    commands += [f"table --seq gamma --max-n 1 --u {u}" for u in ("nan", "0", "0x10")]
+    commands += [f"table --seq gamma --max-n 20 --u 2.5e-30 --format {fmt}" for fmt in ("csv", "json")]
     return list(dict.fromkeys(commands))
 
 
@@ -99,7 +108,7 @@ def run(src: str, command: str) -> tuple:
     """(exit code, stdout, stderr) of one fresh CLI process."""
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "zkconst", *command.split()],
+        [sys.executable, "-m", "zkconst", *shlex.split(command)],
         env=env, capture_output=True, text=True, check=False,
     )
     return proc.returncode, proc.stdout, proc.stderr
