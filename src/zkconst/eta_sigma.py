@@ -31,16 +31,18 @@ zeta(1) at n = 0.
 
 Each map takes a whole table and maps every entry of it: gamma_0..gamma_m
 gives eta_0..eta_m and back, and eta_0..eta_m gives sigma_1..sigma_(m+1).
+Every map runs in stieltjes.Binary arithmetic, each operation rounded as the
+mpf operation it stands for, so its values are mpmath's bit for bit.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+import math
 
 from .bell import bell_recurrence_values
 from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
 from .precision import PrecisionContext, extra_digits
-from .stieltjes import ConstantTable, require
+from .stieltjes import Binary, ConstantTable, require, workdps
 
 ETA_TAG = "recurrence-4.4"
 ETA_COFFEY_TAG = "coffey-4.5"
@@ -53,16 +55,16 @@ def eta_from_gamma(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTabl
     """eta_n for every gamma_n in the table, by solving the gamma/eta
     recurrence in rising n."""
     require(gammas, "gamma", "eta_from_gamma")
-    with mp.workdps(ctx.working_dps + extra_digits("eta")):
+    with workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
         for n in range(gammas.max_n + 1):
-            acc = (-1) ** (n + 1) * (n + 1) * gammas.mpf(n) / mp.factorial(n)
+            acc = (-1) ** (n + 1) * (n + 1) * gammas[n] / math.factorial(n)
             for j in range(1, n + 1):
                 acc += (
                     (-1) ** j
-                    * gammas.mpf(j - 1)
+                    * gammas[j - 1]
                     * etas[n - j]
-                    / mp.factorial(j - 1)
+                    / math.factorial(j - 1)
                 )
             etas.append(+acc)
     return ConstantTable.of("eta", etas, ETA_TAG, ctx)
@@ -71,20 +73,20 @@ def eta_from_gamma(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTabl
 def eta_from_gamma_coffey(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """Same map through the rearranged recurrence, as an independent code path."""
     require(gammas, "gamma", "eta_from_gamma_coffey")
-    with mp.workdps(ctx.working_dps + extra_digits("eta")):
+    with workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
         for n in range(gammas.max_n + 1):
-            acc = (-1) ** (n + 1) * (n + 1) * gammas.mpf(n)
-            inner = mp.mpf(0)
+            acc = (-1) ** (n + 1) * (n + 1) * gammas[n]
+            inner = Binary(0)
             for k in range(n):
                 inner += (
                     (-1) ** (k + 1)
-                    * gammas.mpf(n - k - 1)
+                    * gammas[n - k - 1]
                     * etas[k]
-                    / mp.factorial(n - k - 1)
+                    / math.factorial(n - k - 1)
                 )
-            acc += (-1) ** (n + 1) * mp.factorial(n) * inner
-            etas.append(+(acc / mp.factorial(n)))
+            acc += (-1) ** (n + 1) * math.factorial(n) * inner
+            etas.append(+(acc / math.factorial(n)))
     return ConstantTable.of("eta", etas, ETA_COFFEY_TAG, ctx)
 
 
@@ -92,8 +94,8 @@ def gamma_from_eta(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)
     for every eta_n in the table."""
     require(etas, "eta", "gamma_from_eta")
-    with mp.workdps(ctx.working_dps + extra_digits("eta")):
-        args = [-mp.factorial(r) * eta for r, eta in enumerate(etas.values)]
+    with workdps(ctx.working_dps + extra_digits("eta")):
+        args = [-math.factorial(r) * eta for r, eta in enumerate(etas.values)]
         ys = bell_recurrence_values(args)
         values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(len(args))]
     return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
@@ -103,14 +105,14 @@ def sigma_table(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """sigma_1 .. sigma_(m+1) from eta_0 .. eta_m: sigma_1 from its closed
     form, the rest from eta, with per-entry route tags."""
     require(etas, "eta", "sigma_table")
-    with mp.workdps(ctx.working_dps):
-        gamma = -etas.mpf(0)
+    with workdps(ctx.working_dps):
+        gamma = -etas[0]
         values = [+(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))]
-    with mp.workdps(ctx.working_dps + extra_digits("sigma")):
+    with workdps(ctx.working_dps + extra_digits("sigma")):
         for n in range(1, etas.max_n + 1):
             z = zeta_int_mpf(n + 1, ctx)
             values.append(
-                +((-1) ** (n + 1) * etas.mpf(n) - (1 - mpf(2) ** (-(n + 1))) * z + 1)
+                +((-1) ** (n + 1) * etas[n] - (1 - Binary(1, -(n + 1))) * z + 1)
             )
     tags = [SIGMA_CLOSED_TAG] + [SIGMA_TAG] * etas.max_n
     return ConstantTable.of("sigma", values, tags, ctx)

@@ -1,11 +1,18 @@
-"""Arbitrary-precision numeric substrate.
+"""Arbitrary-precision numeric substrate, on the standard library.
 
 Fundamental logarithms (log 2, log pi, log 2 pi), integer-argument zeta
-values, and polygamma values at 3/2, and the one conversion of the gamma
-row's exact binaries into mpf.  Everything downstream (eta constants,
-sigma coefficients, Li/Keiper constants, xi and zeta derivatives) pulls its
-transcendental atoms from here, so that a wrong digit in one place shows up
-as a route disagreement rather than being silently re-derived.
+values, and polygamma values at 3/2, each a stieltjes.Binary with the bits
+of the mpf that mpmath gives at the same precision.  Everything downstream
+(eta constants, sigma coefficients, Li/Keiper constants, xi and zeta
+derivatives) pulls its transcendental atoms from here, so that a wrong digit
+in one place shows up as a route disagreement rather than being silently
+re-derived.
+
+pi comes from Machin's 16 atan(1/5) - 4 atan(1/239) and each log from the
+gamma row's integer atanh (stieltjes._log), in fixed point with 64 guard
+bits, rounded once as mp.pi and mp.log round theirs; log pi and log 2 pi
+are, as mpmath takes them, the logs of pi and 2 pi rounded to the working
+precision.
 
 zeta(n) is evaluated through the alternating series
 
@@ -18,46 +25,62 @@ weights are exact integers: d = ((3+sqrt 8)^N + (3-sqrt 8)^N)/2 is the x_N of
 (x, y) <- (3x + 8y, x + 3y) from (1, 0), and
 b_k = (-1)^(k+1) N/(N+k) C(N+k, 2k) 4^k, so each c_k = b_k - c_(k-1) is an
 integer.  The sum over them runs in fixed-point integers, and only its final
-quotient is taken in mpf.
+quotient is rounded, once, as the one mpf division it was.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from mpmath import mp, mpf
-
 from .precision import PrecisionContext, check_index, dps_to_prec, extra_digits
-from .stieltjes import stieltjes_gamma
+from .stieltjes import Binary, _log, _round, stieltjes_gamma, workdps
 
 
-def as_mpf(x):
-    """x, an mpf or an exact stieltjes.Binary, as an mpf with no rounding:
-    how every reader of a gamma table or row gets its values."""
-    return x if isinstance(x, mpf) else mp.make_mpf(x._mpf_)
-
-
-def log2_mpf(ctx: PrecisionContext):
+def log2_mpf(ctx: PrecisionContext) -> Binary:
     """log 2 at working precision."""
     return _logs(ctx)[0]
 
 
-def log_pi_mpf(ctx: PrecisionContext):
+def log_pi_mpf(ctx: PrecisionContext) -> Binary:
     """log pi at working precision."""
     return _logs(ctx)[1]
 
 
-def log_2pi_mpf(ctx: PrecisionContext):
+def log_2pi_mpf(ctx: PrecisionContext) -> Binary:
     """log(2 pi) at working precision."""
     return _logs(ctx)[2]
 
 
+def _atan_inverse(x: int, bits: int) -> int:
+    """atan(1/x) of an integer x > 1, scaled by 2^bits, by
+    atan y = y - y^3/3 + y^5/5 - ... in integers; off by at most twice its
+    number of terms."""
+    power = total = (1 << bits) // x
+    j = 1
+    while power:
+        power //= x * x
+        j += 2
+        total += -(power // j) if j % 4 == 3 else power // j
+    return total
+
+
+def _pi(bits: int) -> int:
+    """pi scaled by 2^bits, off by under 2, from Machin's formula with 32
+    guard bits."""
+    return (16 * _atan_inverse(5, bits + 32) - 4 * _atan_inverse(239, bits + 32)) >> 32
+
+
 @lru_cache(maxsize=16)
 def _logs(ctx: PrecisionContext) -> tuple:
-    """(log 2, log pi, log(2 pi)) at working precision, once per context; the
-    public names stay plain functions so that call counts see every call."""
-    with mp.workdps(ctx.working_dps):
-        return mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi)
+    """(log 2, log pi, log(2 pi)) at working precision, once per context, as
+    mp.log(2), mp.log(mp.pi) and mp.log(2 * mp.pi) take them; the public
+    names stay plain functions so that call counts see every call."""
+    prec = dps_to_prec(ctx.working_dps)
+    bits = prec + 64  # guard bits, as mpmath computes its own
+    pi = _round(_pi(bits), 1, -bits, prec)
+    return tuple(_round(_log(x, bits), 1, -bits, prec)
+                 for x in (Binary(2), pi, Binary(pi.man, pi.exp + 1)))
 
 
 class _CrvzWeights:
@@ -97,20 +120,20 @@ _crvz_weights = lru_cache(maxsize=16)(_CrvzWeights)
 
 
 @lru_cache(maxsize=4096)
-def _zeta_int_raw(n: int, dps: int):
-    """zeta(n), n >= 2, as an mpf accurate to dps + the zeta_int row's digits.
+def _zeta_int_raw(n: int, dps: int) -> Binary:
+    """zeta(n), n >= 2, accurate to dps + the zeta_int row's digits.
 
     acc = sum_k floor(c_k 2^shift / (k+1)^n) is eta(n) d 2^shift in integers;
-    zeta(n) = acc 2^(n-1) / (d (2^(n-1) - 1) 2^shift) is the one step in mpf.
+    zeta(n) = acc 2^(n-1) / (d (2^(n-1) - 1) 2^shift) is rounded once, at
+    the row's working precision.
     """
     row = _crvz_weights(dps)
     acc = sum((c << row.shift) // k**n for k, c in enumerate(row.weights, 1))
     half = 1 << (n - 1)
-    with mp.workdps(row.working_dps):
-        return mp.ldexp(acc * half, -row.shift) / (row.d * (half - 1))
+    return _round(acc * half, row.d * (half - 1), -row.shift, dps_to_prec(row.working_dps))
 
 
-def zeta_int_mpf(n: int, ctx: PrecisionContext):
+def zeta_int_mpf(n: int, ctx: PrecisionContext) -> Binary:
     """zeta(n), n >= 2, at one precision per context, wide enough for every
     reader: working_dps plus the zeta_atom row, accurate to the zeta_int row
     beyond that."""
@@ -118,7 +141,7 @@ def zeta_int_mpf(n: int, ctx: PrecisionContext):
     return _zeta_int_raw(n, ctx.working_dps + extra_digits("zeta_atom"))
 
 
-def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
+def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext) -> Binary:
     """Raw psi^(n)(3/2) at working precision.
 
     n = 0:   psi(3/2) = 2 - gamma - 2 log 2, with gamma taken from the
@@ -133,15 +156,15 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext):
 
 
 @lru_cache(maxsize=256)
-def _polygamma_memo(n: int, ctx: PrecisionContext):
+def _polygamma_memo(n: int, ctx: PrecisionContext) -> Binary:
     """psi^(n)(3/2) for a checked n, at its own fixed precision."""
     if n == 0:
-        gamma = stieltjes_gamma(0, 1, ctx)
-        with mp.workdps(ctx.working_dps):
+        gamma = stieltjes_gamma(0, Binary(1), ctx)
+        with workdps(ctx.working_dps):
             return +(2 - gamma - 2 * log2_mpf(ctx))
-    with mp.workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
+    with workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
         z = zeta_int_mpf(n + 1, ctx)
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z
-        bracket = mpf(2) ** (n + 1) * (z - 1) - z
+        bracket = 2 ** (n + 1) * (z - 1) - z
         sign = 1 if n % 2 == 1 else -1
-        return +(sign * mp.factorial(n) * bracket)
+        return +(sign * math.factorial(n) * bracket)

@@ -19,7 +19,9 @@ The sigma route is canonical (simplest error surface); the others are
 verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
 alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
 recurrence-3.13 residual) is an entry of binomial_alternating_transform;
-the other routes keep their own sums.
+the other routes keep their own sums.  Every route and the li-check
+verdicts run in stieltjes.Binary arithmetic, each operation rounded as the
+mpf operation it stands for, and return Binary values, mpmath's bit for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-
-from mpmath import mp, mpf
 
 from .kernel import (
     log2_mpf,
@@ -38,7 +38,7 @@ from .kernel import (
 )
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
 from .reports import inequality_report, inequality_reports
-from .stieltjes import ConstantTable, require, stieltjes_gamma
+from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAG = "closed-3.6"
@@ -60,19 +60,19 @@ def binomial_alternating_transform(seq):
     return sums
 
 
-def lambda_closed(n: int, ctx: PrecisionContext) -> mpf:
+def lambda_closed(n: int, ctx: PrecisionContext) -> Binary:
     """Closed forms: only lambda_1 and lambda_2 have one."""
     check_index(n, "a closed form's index n", 1, 2)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
-        gamma = stieltjes_gamma(0, 1, ctx)
+    with workdps(ctx.working_dps + extra_digits("step")):
+        gamma = stieltjes_gamma(0, Binary(1), ctx)
         log2 = log2_mpf(ctx)
         logpi = log_pi_mpf(ctx)
         if n == 1:
             return +(-logpi / 2 + gamma / 2 + 1 - log2)
-        gamma1 = stieltjes_gamma(1, 1, ctx)
+        gamma1 = stieltjes_gamma(1, Binary(1), ctx)
         z2 = zeta_int_mpf(2, ctx)
         return +(
-            mpf(3) / 4 * z2
+            Binary(3, -2) * z2
             + 1
             + gamma
             - gamma**2
@@ -86,7 +86,7 @@ def lambda_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     """lambda_r for every sigma_r in the table, through the canonical sigma
     route: the negated binomial transform of sigma_0 = 0, sigma_1, ..."""
     require(sigmas, "sigma", "lambda_table")
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.working_dps + extra_digits("step")):
         transform = binomial_alternating_transform([0, *sigmas.values])
         values = [-t for t in transform[1:]]
     return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
@@ -97,7 +97,7 @@ def _linear_term(r: int, gamma, ctx: PrecisionContext):
     return r * (gamma - 2 * log2_mpf(ctx) + 2 - log_pi_mpf(ctx)) / 2
 
 
-def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
+def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
     """lambda_r from polygamma values at 3/2 and eta constants.
 
     lambda_r = sum_{j=2}^r C(r,j)/(j-1)! [psi^(j-1)(3/2)/2^j - (j-1)! eta_{j-1}]
@@ -107,32 +107,32 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mp
     """
     check_index(r, "the lambda index r", 1)
     require(etas, "eta", "lambda_via_eta_psi", r - 1)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
-        gamma = -etas.mpf(0)
+    with workdps(ctx.working_dps + extra_digits("step")):
+        gamma = -etas[0]
         acc = _linear_term(r, gamma, ctx)
         for j in range(2, r + 1):
             psi = polygamma_three_halves_mpf(j - 1, ctx)
-            bracket = psi / mpf(2) ** j - mp.factorial(j - 1) * etas.mpf(j - 1)
-            acc += math.comb(r, j) * bracket / mp.factorial(j - 1)
+            bracket = psi / 2 ** j - math.factorial(j - 1) * etas[j - 1]
+            acc += math.comb(r, j) * bracket / math.factorial(j - 1)
         return +acc
 
 
-def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
+def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
     check_index(r, "the coffey-3.34 index r", 2)
     require(etas, "eta", "lambda_via_coffey", r - 1)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
-        gamma = -etas.mpf(0)
-        acc = mp.mpf(0)
+    with workdps(ctx.working_dps + extra_digits("step")):
+        gamma = -etas[0]
+        acc = Binary(0)
         for j in range(2, r + 1):
             acc += (
                 (-1) ** j
                 * math.comb(r, j)
-                * (1 - mpf(2) ** (-j))
+                * (1 - Binary(1, -j))
                 * zeta_int_mpf(j, ctx)
             )
         for j in range(1, r + 1):
-            acc -= math.comb(r, j) * etas.mpf(j - 1)
+            acc -= math.comb(r, j) * etas[j - 1]
         acc -= r * (gamma + 2 * log2_mpf(ctx) + log_pi_mpf(ctx)) / 2
         # lambda_r = r [z^r] log xi(1/(1-z)), and the factor s of
         # xi(s) = s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) / 2 gives
@@ -140,7 +140,7 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf
         return +(acc + 1)
 
 
-def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mpf:
+def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> Binary:
     """Derivatives at 1 of the log-derivative of xi:
 
     g^(r)(1) = (-1)^(r+1) r! sum_{j=1}^{r+1} C(r+1,j) (-1)^j lambda_j
@@ -149,21 +149,21 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> mp
     """
     check_index(r, "the derivative order r", 0)
     require(lambdas, "lambda", "g_derivs_at_one", r + 1)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.working_dps + extra_digits("step")):
         acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
-        return +((-1) ** (r + 1) * mp.factorial(r) * acc)
+        return +((-1) ** (r + 1) * math.factorial(r) * acc)
 
 
 def g_derivs_at_one_via_eta(
     r: int, etas: ConstantTable, ctx: PrecisionContext
-) -> mpf:
+) -> Binary:
     """Independent route: g^(r)(1) = psi^(r)(3/2)/2^(r+1) - r! eta_r
     - [r = 0] log(pi)/2."""
     check_index(r, "the derivative order r", 0)
     require(etas, "eta", "g_derivs_at_one_via_eta", r)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
-        value = polygamma_three_halves_mpf(r, ctx) / mpf(2) ** (r + 1)
-        value -= mp.factorial(r) * etas.mpf(r)
+    with workdps(ctx.working_dps + extra_digits("step")):
+        value = polygamma_three_halves_mpf(r, ctx) / 2 ** (r + 1)
+        value -= math.factorial(r) * etas[r]
         if r == 0:
             value -= log_pi_mpf(ctx) / 2
         return +value
@@ -174,7 +174,7 @@ def recurrence_residual_3_13(
     gammas: ConstantTable,
     lambdas: ConstantTable,
     ctx: PrecisionContext,
-) -> mpf:
+) -> Binary:
     """|LHS - RHS| of the master gamma/lambda recurrence at index n.
 
     LHS = psi^(n+1)(3/2)/2^(n+2)
@@ -192,28 +192,28 @@ def recurrence_residual_3_13(
     check_index(n, "the recurrence index n", 0)
     require(gammas, "gamma", "recurrence_residual_3_13", n + 1)
     require(lambdas, "lambda", "recurrence_residual_3_13", n + 2)
-    with mp.workdps(ctx.working_dps + extra_digits("residual_3_13", n)):
+    with workdps(ctx.working_dps + extra_digits("residual_3_13", n)):
         psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
-        lhs = psis[n + 1] / mpf(2) ** (n + 2)
-        s = mp.mpf(0)
+        lhs = psis[n + 1] / 2 ** (n + 2)
+        s = Binary(0)
         for m in range(n + 1):
             s += (
                 math.comb(n, m)
                 * (-1) ** m
-                * gammas.mpf(m)
-                * mpf(2) ** m
+                * gammas[m]
+                * 2 ** m
                 * psis[n - m]
             )
-        lhs += (n + 1) * s / mpf(2) ** (n + 1)
-        lhs += (-1) ** (n + 1) * (n + 1) * gammas.mpf(n) * log_pi_mpf(ctx) / 2
-        lhs += (-1) ** (n + 1) * (n + 2) * gammas.mpf(n + 1)
+        lhs += (n + 1) * s / 2 ** (n + 1)
+        lhs += (-1) ** (n + 1) * (n + 1) * gammas[n] * log_pi_mpf(ctx) / 2
+        lhs += (-1) ** (n + 1) * (n + 2) * gammas[n + 1]
 
         # sums[k] = sum_{j=1}^k C(k,j) (-1)^j lambda_j, with lambda_0 = 0
         sums = binomial_alternating_transform([0, *lambdas.values[: n + 2]])
-        rhs = sums[n + 2] * ((-1) ** n * mp.factorial(n + 1))
-        double = mp.mpf(0)
+        rhs = sums[n + 2] * ((-1) ** n * math.factorial(n + 1))
+        double = Binary(0)
         for m in range(n + 1):
-            double += math.comb(n, m) * mp.factorial(m) * gammas.mpf(n - m) * sums[m + 1]
+            double += math.comb(n, m) * math.factorial(m) * gammas[n - m] * sums[m + 1]
         rhs += (-1) ** (n + 1) * (n + 1) * double
 
         return +abs(lhs - rhs)
@@ -234,15 +234,15 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     lambdas = table("lambda", max(max_n, 3), ctx)
     reports = inequality_reports(
         range(1, max_n + 1), ctx,
-        ("li-positivity-n", lambdas.mpf, lambda r: 0, (LAMBDA_TAG,)),
+        ("li-positivity-n", lambda r: lambdas[r], lambda r: 0, (LAMBDA_TAG,)),
     )
-    with mp.workdps(ctx.working_dps + extra_digits("side")):
-        l1 = lambdas.mpf(1)
+    with workdps(ctx.working_dps + extra_digits("side")):
+        l1 = lambdas[1]
         bound_317 = +(l1 * (2 - l1))
     reports.append(
         inequality_report(
             "eq-3.17",
-            lambdas.mpf(2),
+            lambdas[2],
             bound_317,
             ctx,
             method_tags=(LAMBDA_TAG, "xi2-positivity"),
@@ -251,8 +251,8 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     reports.append(
         inequality_report(
             "eq-3.18",
-            lambdas.mpf(2),
-            lambdas.mpf(1),
+            lambdas[2],
+            lambdas[1],
             ctx,
             method_tags=(LAMBDA_TAG,),
         )
@@ -260,7 +260,7 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     reports.append(
         inequality_report(
             "li-lambda3-positive",
-            lambdas.mpf(3),
+            lambdas[3],
             0,
             ctx,
             method_tags=(LAMBDA_TAG, "xi3-positivity"),

@@ -5,8 +5,9 @@ plus a PrecisionContext.  The context fixes the number of decimal digits the
 caller wants to trust and the extra guard digits carried internally, which
 together set the truncation threshold for infinite series.  How many digits
 each kind of step carries beyond that is read from one table, through
-extra_digits, and dps_to_prec turns digits into bits.  Results are mpmath
-mpf values, or exact binaries from the gamma row; the context they were
+extra_digits, and dps_to_prec turns digits into bits.  Results are exact
+binaries (stieltjes.Binary), rounded as mpf arithmetic rounds at the same
+precision, and mpf values in zeta_derivs and verify; the context they were
 computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
 tol_exp) is checked by check_index, against the limits kept here: the

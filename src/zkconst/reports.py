@@ -11,18 +11,17 @@ checks encode their violation magnitude as abs_err against a zero
 tolerance, and exact checks an error of 0 or 1 against a zero tolerance.
 A report with a side that is not finite is an error, never a verdict.
 `equality_reports` and `inequality_reports` build a whole indexed family of
-reports from route pairs.
+reports from route pairs.  Sides may be a stieltjes.Binary, an mpf, an int
+or a Fraction; the verdict runs in Binary arithmetic, each operation rounded
+as the mpf operation it stands for, so li-check loads no mpmath.
 """
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
-from mpmath import mp, mpf
-
 from .precision import PrecisionContext, extra_digits
-from .stieltjes import decimal_str
+from .stieltjes import Binary, _finite, decimal_str, workdps
 
 
 class VerificationReport(NamedTuple):
@@ -46,38 +45,39 @@ class VerificationReport(NamedTuple):
         }
 
 
-def to_mpf(x):
-    """x as an mpf at the current precision.  mpmath's mpf() rejects
-    Fraction, so an int or Fraction is taken as numerator / denominator; the
-    test reads numbers, which mpmath loads anyway, and not fractions."""
-    if isinstance(x, numbers.Rational):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
+def to_mpf(x) -> Binary | None:
+    """mpf(x) at the working precision, as the Binary with its bits, or
+    None for an mpf inf or nan; an int or Fraction is taken as
+    mpf(numerator) / denominator."""
+    if hasattr(x, "_mpf_"):  # a Binary or an mpf
+        return +Binary.of(x) if _finite(x) else None
+    return +Binary(x.numerator) / x.denominator
 
 
-def roundtrip_decimal(value: mpf, ctx: PrecisionContext) -> str:
+def roundtrip_decimal(value: Binary, ctx: PrecisionContext) -> str:
     """Decimal string that, parsed at working_dps, gives back the value
     rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
     significant digits, so it carries working_dps + the roundtrip row."""
     return decimal_str(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
 
 
-def default_tol(ctx: PrecisionContext, tol_exp: int | None = None):
-    """10^-tol_exp, defaulting to tol_exp = digits - 5."""
+def default_tol(ctx: PrecisionContext, tol_exp: int | None = None) -> Binary:
+    """10^-tol_exp, defaulting to tol_exp = digits - 5, as mpf(10)^-tol_exp
+    rounds it."""
     exp = ctx.digits - 5 if tol_exp is None else tol_exp
-    with mp.workdps(ctx.working_dps + extra_digits("report")):
-        return mpf(10) ** (-exp)
+    with workdps(ctx.working_dps + extra_digits("report")):
+        return Binary(10) ** -exp
 
 
 def _report(identity, lhs, rhs, error, tol, ctx, method_tags) -> VerificationReport:
-    """The one verdict: both sides and the tolerance taken as mpf at report
+    """The one verdict: both sides and the tolerance rounded to report
     precision, abs_err = error(lhs, rhs), and passed = abs_err <= tol; both
     sides are recorded at run precision.  A side that is not finite raises
     ValueError: max(0, nan) is 0, so a NaN would otherwise pass an
     inequality."""
-    with mp.workdps(ctx.working_dps + extra_digits("report")):
+    with workdps(ctx.working_dps + extra_digits("report")):
         lhs, rhs, tol = to_mpf(lhs), to_mpf(rhs), to_mpf(tol)
-        if not (mp.isfinite(lhs) and mp.isfinite(rhs)):
+        if lhs is None or rhs is None:
             raise ValueError(f"{identity}: both report sides must be finite")
         abs_err = error(lhs, rhs)
         return VerificationReport(
@@ -101,13 +101,13 @@ def exact_report(identity: str, equal: bool, witness_lhs, witness_rhs,
                  ctx: PrecisionContext, method_tags=()) -> VerificationReport:
     """An exact (rational-arithmetic) check; witnesses are representative values."""
     return _report(identity, witness_lhs, witness_rhs,
-                   lambda a, b: mpf(0 if equal else 1), 0, ctx, method_tags)
+                   lambda a, b: Binary(0 if equal else 1), 0, ctx, method_tags)
 
 
 def inequality_report(identity: str, lhs, rhs, ctx: PrecisionContext,
                       method_tags=()) -> VerificationReport:
     """lhs >= rhs; abs_err is the violation magnitude max(0, rhs - lhs)."""
-    return _report(identity, lhs, rhs, lambda a, b: max(mpf(0), b - a), 0, ctx,
+    return _report(identity, lhs, rhs, lambda a, b: max(Binary(0), b - a), 0, ctx,
                    method_tags)
 
 

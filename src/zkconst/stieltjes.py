@@ -74,20 +74,24 @@ gamma value is remembered; a series that fails to converge stores nothing.
 
 A gamma table runs on the standard library alone: u and each gamma_n(u) are
 a Binary, rounded (_round, _add) as mpf arithmetic would round them, so bit
-for bit the mpf values, which kernel.as_mpf builds for readers in mpmath.
---u is read in mpmath's syntax, and every decimal the package writes comes
-from decimal_str, correctly rounded in mpmath's nstr layout.
+for bit the mpf values, which zeta_derivs.as_mpf builds for readers in
+mpmath.  Binary arithmetic rounds the same way at the precision workdps
+sets, so the step maps above gamma run on it too.  --u is read in mpmath's
+syntax, and every decimal the package writes comes from decimal_str,
+correctly rounded in mpmath's nstr layout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
 import operator
-from functools import lru_cache
+import sys
+from functools import lru_cache, partial
 
-from . import kernel
+from . import zeta_derivs
 from .precision import (
     FAMILIES,
     ConvergenceError,
@@ -102,19 +106,83 @@ from .precision import (
 GAMMA_TAG = "hasse-2.8"
 
 
+_prec = None  # the bits Binary arithmetic rounds to, while workdps sets them
+
+
+@contextlib.contextmanager
+def workdps(dps: int):
+    """Round Binary arithmetic inside to dps digits, as mp.workdps(dps)
+    rounds mpf arithmetic: to dps_to_prec(dps) bits."""
+    global _prec
+    saved, _prec = _prec, dps_to_prec(dps)
+    try:
+        yield
+    finally:
+        _prec = saved
+
+
+def _compare(test, m: int, e: int, n: int, f: int, prec: int) -> bool:
+    """test(m 2^e - n 2^f, 0), exact: the difference rounded to 2 bits
+    keeps the sign."""
+    return test(_sum(m, e, -n, f, 2).man, 0)
+
+
+def _mpf_prec() -> int:
+    """The bits of mpf arithmetic: mp.prec once mpmath is loaded, else its
+    default 53.  Outside workdps Binary arithmetic rounds to these, as the
+    mpf arithmetic it stands in for in mpmath code would."""
+    mpmath = sys.modules.get("mpmath")
+    return 53 if mpmath is None else mpmath.mp.prec
+
+
+def _operator(rounded):
+    """The Binary operator rounded(man, exp, other's man, other's exp,
+    prec) on a Binary or an int at the working precision.  Any other
+    operand, an mpf among them, is left to its reflected operator; an mpf's
+    reads a Binary exactly."""
+    def method(self, other):
+        if isinstance(other, Binary):
+            return rounded(self.man, self.exp, other.man, other.exp, _prec or _mpf_prec())
+        try:
+            man = operator.index(other)
+        except TypeError:
+            return NotImplemented
+        return rounded(self.man, self.exp, man, 0, _prec or _mpf_prec())
+    return method
+
+
 class Binary(Frozen):
     """The exact number man * 2^exp, man odd or (0, 0).  mpmath reads it as
-    an mpf, through _mpf_, and Fraction as the Rational it is."""
+    an mpf, through _mpf_, and Fraction as the Rational it is.
+
+    Its arithmetic is mpf arithmetic: +, -, * and / with a Binary or an
+    int, unary - and +, abs and ** with an int exponent each round once to
+    the working precision (workdps's, else _mpf_prec's), ties to even, as
+    mpmath rounds them, so each result is the mpf's bit for bit.  An mpf
+    operand is mpmath's: mpf's reflected operator takes over.  Comparisons
+    with a Binary or an int are exact, and a Binary hashes as the int or
+    Fraction it equals.
+    """
 
     __slots__ = ("man", "exp")
 
     def __init__(self, man: int, exp: int = 0):
         zeros = (man & -man).bit_length() - 1 if man else 0
-        self._set(man=man >> zeros, exp=exp + zeros if man else 0)
+        # set directly, not through _set: every rounding makes a Binary
+        object.__setattr__(self, "man", man >> zeros)
+        object.__setattr__(self, "exp", exp + zeros if man else 0)
+
+    @classmethod
+    def of(cls, x) -> "Binary":
+        """x, a Binary or a finite mpf, as the Binary it is."""
+        if isinstance(x, Binary):
+            return x
+        sign, man, exp, _ = x._mpf_
+        return cls(-man if sign else man, exp)
 
     @property
     def _mpf_(self) -> tuple:
-        return int(self.man < 0), abs(self.man), self.exp, abs(self.man).bit_length()
+        return int(self.man < 0), abs(self.man), self.exp, self.man.bit_length()
 
     @property
     def numerator(self) -> int:
@@ -124,18 +192,75 @@ class Binary(Frozen):
     def denominator(self) -> int:
         return 1 << max(-self.exp, 0)
 
+    # (m, e) is self, (n, f) the other operand
+    __add__ = __radd__ = _operator(lambda m, e, n, f, prec: _sum(m, e, n, f, prec))
+    __sub__ = _operator(lambda m, e, n, f, prec: _sum(m, e, -n, f, prec))
+    __rsub__ = _operator(lambda m, e, n, f, prec: _sum(n, f, -m, e, prec))
+    __mul__ = __rmul__ = _operator(lambda m, e, n, f, prec: _round(m * n, 1, e + f, prec))
+    __truediv__ = _operator(lambda m, e, n, f, prec: _round(m, n, e - f, prec))
+    __rtruediv__ = _operator(lambda m, e, n, f, prec: _round(n, m, f - e, prec))
+    __lt__ = _operator(partial(_compare, operator.lt))
+    __le__ = _operator(partial(_compare, operator.le))
+    __gt__ = _operator(partial(_compare, operator.gt))
+    __ge__ = _operator(partial(_compare, operator.ge))
+    __eq__ = _operator(partial(_compare, operator.eq))
+
+    def __hash__(self):
+        """The hash of the rational man 2^exp, as int and Fraction hash it."""
+        modulus = sys.hash_info.modulus
+        value = abs(self.man) * pow(2, self.exp, modulus) % modulus
+        value = -value if self.man < 0 else value
+        return -2 if value == -1 else value
+
+    def __pow__(self, n):
+        """self^n for an int n as mpmath takes it while the exact power has
+        fewer than 1000 bits: rounded once, and for n < -1 rounded 5 bits
+        wider and then divided into 1."""
+        if not isinstance(n, numbers.Integral):
+            return NotImplemented
+        prec = _prec or _mpf_prec()
+        if n >= 0:
+            return _round(self.man**n, 1, self.exp * n, prec)
+        power = self if n == -1 else _round(self.man**-n, 1, self.exp * -n, prec + 5)
+        return _round(1, power.man, -power.exp, prec)
+
+    def __neg__(self) -> "Binary":
+        return _round(-self.man, 1, self.exp, _prec or _mpf_prec())
+
+    def __pos__(self) -> "Binary":
+        return _round(self.man, 1, self.exp, _prec or _mpf_prec())
+
+    def __abs__(self) -> "Binary":
+        return _round(abs(self.man), 1, self.exp, _prec or _mpf_prec())
+
+    def __bool__(self) -> bool:
+        return bool(self.man)
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
+
 
 numbers.Rational.register(Binary)
 
 
 def _finite(x) -> bool:
     """x, a Binary or an mpf, is not inf or nan (mpmath's (0, 0, exp != 0))."""
-    return bool(x._mpf_[1]) or not x._mpf_[2]
+    _, man, exp, _ = x._mpf_
+    return bool(man) or not exp
 
 
 def _round(p: int, q: int, exp: int, prec: int) -> Binary:
     """p / q * 2^exp rounded to prec bits, ties to even, as mpmath rounds an
     integer, an exact quotient or an exact sum to its working precision."""
+    if q == 1:  # no quotient: drop the bits past prec
+        drop = p.bit_length() - prec
+        if drop <= 0:
+            return Binary(p, exp)
+        size = -p if p < 0 else p
+        quot, low, half = size >> drop, size & ((1 << drop) - 1), 1 << (drop - 1)
+        if low > half or low == half and quot & 1:
+            quot += 1
+        return Binary(-quot if p < 0 else quot, exp + drop)
     p, q = (-p, -q) if q < 0 else (p, q)
     shift = prec + 2 + q.bit_length() - abs(p).bit_length()
     quot, rem = divmod(abs(p) << max(shift, 0), q << max(-shift, 0))
@@ -149,17 +274,23 @@ def _round(p: int, q: int, exp: int, prec: int) -> Binary:
 
 
 def _add(a: Binary, b: Binary, prec: int) -> Binary:
-    """a + b rounded as _round rounds; a term wholly below the other's last
-    bit and rounding bit counts only by its sign."""
-    if not (a.man and b.man):  # 0 is (0, 0)
-        return _round(a.man + b.man, 1, a.exp + b.exp, prec)
-    if a.exp + a.man.bit_length() < b.exp + b.man.bit_length():
-        a, b = b, a
-    below = min(a.exp, a.exp + a.man.bit_length() - prec - 3)
-    if b.exp + b.man.bit_length() < below:
-        b = Binary(-1 if b.man < 0 else 1, below - 1)
-    low = min(a.exp, b.exp)
-    return _round((a.man << a.exp - low) + (b.man << b.exp - low), 1, low, prec)
+    """a + b rounded as _round rounds."""
+    return _sum(a.man, a.exp, b.man, b.exp, prec)
+
+
+def _sum(m: int, e: int, n: int, f: int, prec: int) -> Binary:
+    """m 2^e + n 2^f rounded as _round rounds; a term wholly below the
+    other's last bit and rounding bit counts only by its sign."""
+    if not (m and n):  # 0 is (0, 0)
+        return _round(m + n, 1, e + f, prec)
+    top, other = e + m.bit_length(), f + n.bit_length()
+    if top < other:
+        m, e, n, f, top, other = n, f, m, e, other, top
+    below = min(e, top - prec - 3)
+    if other < below:
+        n, f = -1 if n < 0 else 1, below - 1
+    low = e if e < f else f
+    return _round((m << e - low) + (n << f - low), 1, low, prec)
 
 
 def _times_ten(man: int, exp: int, k: int, bits: int) -> tuple:
@@ -224,11 +355,11 @@ class ConstantTable(Frozen):
 
     values[i] and methods[i] belong to index start + i, where start is the
     family's first index in FAMILIES; every entry names the formula route
-    that produced it.  values hold what the builder handed in, Binary from
-    the gamma row and mpf from every other step map; mpf(n) and iteration,
-    which yields (n, value, method), give an mpf, and rows() needs none.
-    An empty table, or a value that is not finite, raises ValueError, so
-    neither is ever printed.
+    that produced it.  values hold the builder's values as the exact Binary
+    each is, whether it handed in a Binary or an mpf; table[n] is one, and
+    mpf(n) and iteration, which yields (n, value, method), give an mpf.
+    An empty table, or a value that is not a finite Binary or mpf, raises
+    ValueError, so neither is ever printed.
     """
 
     __slots__ = ("kind", "values", "methods", "digits")
@@ -241,8 +372,11 @@ class ConstantTable(Frozen):
             raise ValueError("a table needs one method tag per value")
         if not all(methods):
             raise ValueError("every table entry needs a method tag")
+        if not all(hasattr(v, "_mpf_") for v in values):
+            raise ValueError(f"every {kind} table value must be a Binary or an mpf")
         if not all(_finite(v) for v in values):
             raise ValueError(f"every {kind} table value must be finite")
+        values = tuple(map(Binary.of, values))
         self._set(kind=kind, values=values, methods=methods, digits=digits)
 
     @classmethod
@@ -260,13 +394,18 @@ class ConstantTable(Frozen):
     def max_n(self) -> int:
         return self.start + len(self.values) - 1
 
+    def __getitem__(self, n: int) -> Binary:
+        """The value at index n."""
+        check_index(n, f"a {self.kind} table index", self.start, self.max_n)
+        return self.values[n - self.start]
+
     def mpf(self, n: int):
         """The value at index n, as an mpf."""
-        check_index(n, f"a {self.kind} table index", self.start, self.max_n)
-        return kernel.as_mpf(self.values[n - self.start])
+        return zeta_derivs.as_mpf(self[n])
 
     def __iter__(self):
-        return zip(itertools.count(self.start), map(kernel.as_mpf, self.values), self.methods)
+        return zip(itertools.count(self.start), map(zeta_derivs.as_mpf, self.values),
+                   self.methods)
 
     def rows(self):
         """(n, value as a decimal string of `digits` significant digits,
@@ -502,10 +641,12 @@ def _row_u(u, ctx: PrecisionContext) -> Binary:
         value = _round(-man if sign else man, 1, exp, prec) if _finite(u) else None
     elif isinstance(u, float) and not math.isfinite(u):
         value = None
-    else:  # an int, Fraction or float, as mpf(numerator) / denominator
+    elif isinstance(u, (float, numbers.Rational)):  # as mpf(numerator) / denominator
         num, den = u.as_integer_ratio()
         top = _round(num, 1, 0, prec)
         value = _round(top.man, den, top.exp, prec)
+    else:  # None, or no real number
+        value = None
     return _positive(value, "u")
 
 
@@ -524,14 +665,14 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext):
 
     u accepts int, Fraction, mpf, Binary, or a decimal string; a Python
     float is taken at its exact binary value (pass a string for decimal
-    semantics).  The value is an mpf, or for a Binary u, as the gamma table
-    passes it, the row's exact Binary, which kernel.as_mpf turns into the
-    same mpf.
+    semantics); anything else raises ValueError.  The value is an mpf, or
+    for a Binary u, as the gamma table and the step maps pass it, the row's
+    exact Binary, which zeta_derivs.as_mpf turns into the same mpf.
     """
     start, cap = FAMILIES["gamma"]
     check_index(n, "the stieltjes index n", start, cap)
     value = _gamma_row(_row_u(u, ctx), ctx).gamma(n)
-    return value if isinstance(u, Binary) else kernel.as_mpf(value)
+    return value if isinstance(u, Binary) else zeta_derivs.as_mpf(value)
 
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:

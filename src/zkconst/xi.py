@@ -17,18 +17,18 @@ cross-check
 (the sigma index inside the sum is n-k+1 with weight (n-k)! and sign
 (-1)^(n-k); this is the unique assignment consistent with the Bell route --
 the k = n term must contribute C(n,n) sigma_1 xi^(n)(1) -- and it needs no
-sigma_0 at all).
+sigma_0 at all).  Both run in stieltjes.Binary arithmetic, each operation
+rounded as the mpf operation it stands for, so their values are mpmath's bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 
-from mpmath import mp
-
 from .bell import bell_recurrence_values
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
-from .stieltjes import ConstantTable, require
+from .stieltjes import Binary, ConstantTable, require, workdps
 
 XI_BELL_TAG = "bell-3.25"
 XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
@@ -42,9 +42,9 @@ def xi_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     xi^(n)(1) is half of Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
     require(sigmas, "sigma", "xi_table")
     check_index(sigmas.max_n, "the largest sigma index of xi_table", *FAMILIES["xi1"])
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.working_dps + extra_digits("step")):
         args = [
-            (-1) ** (j - 1) * mp.factorial(j - 1) * sigmas.mpf(j)
+            (-1) ** (j - 1) * math.factorial(j - 1) * sigmas[j]
             for j in range(1, sigmas.max_n + 1)
         ]
         values = [+(y / 2) for y in bell_recurrence_values(args)[1:]]
@@ -56,17 +56,17 @@ def xi_deriv_recurrence(sigmas: ConstantTable, ctx: PrecisionContext) -> Constan
     verification route."""
     require(sigmas, "sigma", "xi_deriv_recurrence")
     check_index(sigmas.max_n, "the largest sigma index of xi_deriv_recurrence", *FAMILIES["xi1"])
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
-        xs = [mp.mpf(0)]  # placeholder for unused index 0
-        xs.append(+(sigmas.mpf(1) / 2))  # xi'(1) = sigma_1 / 2
+    with workdps(ctx.working_dps + extra_digits("step")):
+        xs = [Binary(0)]  # placeholder for unused index 0
+        xs.append(+(sigmas[1] / 2))  # xi'(1) = sigma_1 / 2
         for n in range(1, sigmas.max_n):
-            acc = (-1) ** n * mp.factorial(n) * sigmas.mpf(n + 1) / 2
+            acc = (-1) ** n * math.factorial(n) * sigmas[n + 1] / 2
             for k in range(1, n + 1):
                 acc += (
                     math.comb(n, k)
                     * (-1) ** (n - k)
-                    * mp.factorial(n - k)
-                    * sigmas.mpf(n - k + 1)
+                    * math.factorial(n - k)
+                    * sigmas[n - k + 1]
                     * xs[k]
                 )
             xs.append(+acc)

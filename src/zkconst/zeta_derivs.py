@@ -40,6 +40,13 @@ Both routes and the forward map run at one precision per context, the zeta0
 budget read at the family's cap, so zeta^(n)(0) depends only on n and the
 context.  Each route is a step map: a gamma or eta table up to m gives
 zeta^(0..m+1)(0), and an m + 1 past the cap is refused.
+
+This module and verify compute in mpmath: (pi/2)^m here takes mpmath's
+inexact power, and verify checks against mpmath's own functions.  Every
+table value and kernel atom is an exact stieltjes.Binary: mpf arithmetic
+reads it exactly, Binary arithmetic rounds as mpf arithmetic does at
+mpmath's precision, and as_mpf, the package's one conversion to mpf, gives
+it as the mpf it is.
 """
 
 from __future__ import annotations
@@ -58,6 +65,13 @@ APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
 GAMMA_DERIV_TAG = "bell-A.7"
 L_DERIV_TAG = "eta-zeta-s4"
+
+
+def as_mpf(x):
+    """x, an mpf or an exact stieltjes.Binary, as an mpf with no rounding:
+    how every reader in mpmath gets a table value, an atom or a route's
+    value."""
+    return x if isinstance(x, mpf) else mp.make_mpf(x._mpf_)
 
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):

@@ -1,11 +1,14 @@
-"""The gamma table's number layer, on the standard library, against mpmath.
+"""The package's number layer, on the standard library, against mpmath.
 
 stieltjes reads --u, rounds every gamma_n(u) and writes every decimal of the
-package without mpmath, so each piece is held to the mpmath operation it
-replaces, on seeded random cases: the writer to libmp.to_str (mp.nstr), the
-parser to libmp.from_str (mpf(raw)), and the rounding helpers to mpf
-division and addition at the gamma precisions.
+package without mpmath, and the step maps above gamma compute in Binary
+arithmetic, so each piece is held to the mpmath operation it replaces, on
+seeded random cases: the writer to libmp.to_str (mp.nstr), the parser to
+libmp.from_str (mpf(raw)), the rounding helpers to mpf division and
+addition at the gamma precisions, and every Binary operator to the mpf
+operator it stands for.
 """
+import operator
 import random
 from fractions import Fraction
 
@@ -163,3 +166,81 @@ def test_a_binary_reads_exactly_as_an_mpf_and_a_fraction():
     assert Fraction(x) == Fraction(-3, 2)
     assert exact(x) == mpf(-1.5) and mp.nstr(x, 5) == "-1.5"
     assert Binary(0, 7) == Binary(0) and hash(Binary(4)) == hash(Binary(1, 2))
+
+
+# every working precision of a step map, report or atom at digits 10..60
+ARITHMETIC_DPS = (15, 20, 35, 53, 70, 95, 120)
+
+
+def random_operand(rng):
+    """A Binary, now and then 0, or an int."""
+    pick = rng.random()
+    if pick < 0.05:
+        return Binary(0)
+    if pick < 0.2:
+        return rng.randint(-10**30, 10**30)
+    return random_binary(rng)
+
+
+def mpf_of(x):
+    return exact(x) if isinstance(x, Binary) else x
+
+
+def test_arithmetic_is_mpf_arithmetic():
+    # each operator rounds once, as mpf's does, whichever side an int takes
+    # and however far apart the exponents lie
+    rng = random.Random(3001)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for _ in range(4000):
+        a, b, op = random_operand(rng), random_operand(rng), rng.choice(ops)
+        if not isinstance(a, Binary) and not isinstance(b, Binary) or (
+                op is operator.truediv and not b):
+            continue
+        dps = rng.choice(ARITHMETIC_DPS)
+        with mp.workdps(dps):
+            want = op(mpf_of(a), mpf_of(b))
+        with stieltjes.workdps(dps):
+            got = op(a, b)
+        assert isinstance(got, Binary) and got._mpf_ == want._mpf_, (a, b, op, dps)
+
+
+def test_unary_operators_and_powers_are_mpfs():
+    rng = random.Random(3002)
+    for _ in range(2000):
+        man = rng.getrandbits(rng.choice((1, 8, 53, 100))) | 1
+        x = Binary(man if rng.random() < 0.5 else -man, rng.randint(-300, 300))
+        dps, n = rng.choice(ARITHMETIC_DPS), rng.randint(-6, 6)
+        with mp.workdps(dps):
+            want = [-exact(x), +exact(x), abs(exact(x)), exact(x) ** n]
+        with stieltjes.workdps(dps):
+            got = [-x, +x, abs(x), x**n]
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (x, dps, n)
+
+
+def test_comparisons_are_exact():
+    rng = random.Random(3003)
+    for _ in range(2000):
+        a, b = random_operand(rng), random_operand(rng)
+        if rng.random() < 0.1:
+            b = a
+        if not isinstance(a, Binary):
+            a, b = b, a
+        for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq,
+                   operator.ne):
+            assert op(a, b) == op(mpf_of(a), mpf_of(b)), (a, b, op)
+        # equal numbers hash alike, whatever their type
+        assert hash(a) == hash(Fraction(a)), a
+
+
+def test_outside_workdps_it_rounds_as_mpf_does():
+    # in mpmath code a Binary stands in for the mpf it is: its operators
+    # round to mpmath's working precision, and an mpf operand is mpmath's
+    x, y = Binary(2**80 + 1, -70), Binary(-3, -200)
+    for dps in (15, 40):
+        with mp.workdps(dps):
+            assert (x * y)._mpf_ == (exact(x) * exact(y))._mpf_
+            assert (x + 1)._mpf_ == (exact(x) + 1)._mpf_
+            mixed = x / mp.mpf(3)
+            assert type(mixed) is mpf and mixed == exact(x) / 3
+    with stieltjes.workdps(40), mp.workdps(15):
+        assert (x * y)._mpf_ != (exact(x) * exact(y))._mpf_

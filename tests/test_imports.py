@@ -13,7 +13,8 @@ no file under src/ holds an assert statement.
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
 the startup checks run commands in fresh processes: `table --seq gamma` executes exactly cli,
-chain, precision and stieltjes and loads neither mpmath nor fractions, no table or li-check
+chain, precision and stieltjes and loads neither mpmath nor fractions, the
+eta, sigma, lambda and xi1 tables and li-check load no mpmath, no table or li-check
 command executes verify, --help executes only cli and precision, no command
 loads dataclasses or inspect, and help and the usage errors load no mpmath
 or fractions either.
@@ -412,6 +413,17 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     for command in ("table --seq gamma --max-n 3", "li-check --max-n 3",
                     "verify --suite all --digits 10"):
         assert after_command(command)[1] <= {"fractions", "mpmath"}, command
+
+
+# every table above gamma but zeta0, and li-check, compute on the standard
+# library: Binary arithmetic rounds each step as mpf arithmetic would
+@pytest.mark.parametrize("command", [
+    *(f"table --seq {kind} --max-n {FAMILIES[kind][1]} --format {fmt}"
+      for kind in ("eta", "sigma", "lambda", "xi1") for fmt in ("text", "csv", "json")),
+    *(f"li-check --max-n 20 --format {fmt}" for fmt in ("text", "json")),
+])
+def test_tables_above_gamma_and_li_check_load_no_mpmath(command):
+    assert "mpmath" not in after_command(command)[1]
 
 
 def test_gamma_table_loads_no_fractions():

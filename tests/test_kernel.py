@@ -11,6 +11,7 @@ from zkconst.kernel import polygamma_three_halves_mpf, zeta_int_mpf
 from zkconst.precision import (
     FAMILIES, MAX_DIGITS, MIN_DIGITS, MIN_GUARD, PrecisionContext, extra_digits,
 )
+from zkconst.reports import default_tol
 from zkconst.verify import run_suite
 
 # every dps a weight row is built at for digits 10..60 and guard_digits up to
@@ -97,6 +98,42 @@ class TestZetaInt:
             with mp.workdps(promised + 10):
                 exact = mp.zeta(k)
                 assert abs(z - exact) / exact < bound, f"k={k}"
+
+
+# every working dps from the smallest context's up to past the widest row
+ATOM_DPS = range(MIN_DIGITS + MIN_GUARD, 201)
+
+
+class TestAtomsAreMpmaths:
+    """The kernel's atoms are computed on the standard library; each must
+    have, bit for bit, the mpf that mpmath gives at the same precision."""
+
+    def test_logs(self):
+        for dps in ATOM_DPS:
+            ctx = PrecisionContext(MIN_DIGITS, dps - MIN_DIGITS)
+            with mp.workdps(dps):
+                want = mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi)
+            got = kernel.log2_mpf(ctx), kernel.log_pi_mpf(ctx), kernel.log_2pi_mpf(ctx)
+            assert [x._mpf_ for x in got] == [x._mpf_ for x in want], f"dps={dps}"
+
+    def test_default_tolerances(self):
+        for dps in ATOM_DPS:
+            ctx = PrecisionContext(MIN_DIGITS, dps - MIN_DIGITS)
+            with mp.workdps(dps + extra_digits("report")):
+                want = [mpf(10) ** -e for e in range(1, MAX_DIGITS + 1)]
+            got = [default_tol(ctx, e) for e in range(1, MAX_DIGITS + 1)]
+            assert [x._mpf_ for x in got] == [x._mpf_ for x in want], f"dps={dps}"
+
+    def test_zeta_is_the_crvz_quotient_in_mpf(self):
+        # the same integer sum, its quotient taken as one mpf division
+        for dps in ATOM_DPS:
+            row = kernel._crvz_weights(dps)
+            for k in range(2, 41):
+                acc = sum((c << row.shift) // j**k for j, c in enumerate(row.weights, 1))
+                half = 1 << (k - 1)
+                with mp.workdps(row.working_dps):
+                    want = mp.ldexp(acc * half, -row.shift) / (row.d * (half - 1))
+                assert kernel._zeta_int_raw(k, dps)._mpf_ == want._mpf_, f"dps={dps} k={k}"
 
 
 class TestCrvzWeights:

@@ -252,8 +252,8 @@ class TestPositivityReport:
 
 
 def _exact(x) -> Fraction:
-    man, exp = x.man_exp  # of |x|: mpmath leaves the sign out
-    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+    sign, man, exp, _ = x._mpf_  # an mpf's or a Binary's
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
 
 # (mantissa, exponent) of an mpf carrying up to 200 bits, well past the

@@ -114,7 +114,6 @@ VERIFY_ALL_10_COUNTS = {
     "eta_sigma.eta_from_gamma_coffey": (1, 0),
     "eta_sigma.gamma_from_eta": (1, 0),
     "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
-    "kernel.as_mpf": (920, 0),  # one per table value read and per stieltjes_gamma at a non-Binary u
     "kernel.log2_mpf": (25, 0),  # memo
     "kernel.log_2pi_mpf": (2, 0),
     "kernel.log_pi_mpf": (35, 0),  # memo
@@ -140,6 +139,9 @@ VERIFY_ALL_10_COUNTS = {
     "stieltjes.require": (99, 0),  # memo: one per step map
     "stieltjes.stieltjes_gamma": (41, 0),  # memo
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
+    # one per report verdict (223), default_tol (11), step map, route and
+    # first psi^(n)(3/2) (12); sigma_table takes two precisions
+    "stieltjes.workdps": (310, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),
@@ -151,6 +153,10 @@ VERIFY_ALL_10_COUNTS = {
     "xi.xi_deriv_recurrence": (1, 0),
     "xi.xi_table": (1, 0),
     "zeta_derivs.L_derivs_at_zero": (9, 0),
+    # one per table value read as an mpf, by verify and zeta_derivs, and
+    # per stieltjes_gamma at a non-Binary u; the step maps above gamma read
+    # Binary values and call it no more (was 920, as kernel.as_mpf)
+    "zeta_derivs.as_mpf": (303, 0),
     "zeta_derivs.gamma_derivs_at_one_mpf": (14, 0),  # the weights to the cap, 3 closed forms
     "zeta_derivs.gamma_from_zeta_derivs": (16, 0),
     "zeta_derivs.zeta_derivs_at_zero": (1, 0),

@@ -185,6 +185,12 @@ class TestConstantTable:
         with pytest.raises(ValueError):
             ConstantTable.of("mystery", [], "hasse-2.8", ctx30)
 
+    @pytest.mark.parametrize("values", [[1, 2], [0.5], ["0.1"]], ids=["int", "float", "str"])
+    def test_values_must_be_binary_or_mpf(self, ctx30, values):
+        # a value with no _mpf_ is a bad input, not an internal error
+        with pytest.raises(ValueError, match="every sigma table value must be a Binary or an mpf"):
+            ConstantTable.of("sigma", values, "closed-2.13", ctx30)
+
     def test_values_must_be_finite(self, ctx30):
         # the only check between a computed value and the printed table
         for bad in (mp.inf, -mp.inf, mp.nan):

@@ -2,6 +2,9 @@ import pytest
 from mpmath import mp, mpf
 
 from zkconst.chain import table
+from zkconst.li_keiper import binomial_alternating_transform, lambda_table
+from zkconst.precision import extra_digits
+from zkconst.stieltjes import Binary, ConstantTable
 from zkconst.xi import xi_deriv_recurrence, xi_table
 
 
@@ -93,3 +96,19 @@ class TestRecurrenceRoute:
         with pytest.raises(ValueError, match="sigma table, got lambda"):
             xi_deriv_recurrence(chain30["lambdas"], ctx30)
 
+
+
+def test_user_mpf_sigmas_map_as_their_binaries_do(ctx30):
+    # README's way in: a sigma table of mpf values a user typed, and the
+    # same values as exact Binary, give the same lambda and xi tables bit
+    # for bit, and the lambda table is its formula taken in mpf arithmetic
+    with mp.workdps(ctx30.working_dps):
+        typed = [mpf("0.0230957") / k for k in range(1, 13)]
+    mine = ConstantTable.of("sigma", typed, "typed", ctx30)
+    exact = ConstantTable.of("sigma", [Binary.of(v) for v in typed], "typed", ctx30)
+    for step in (lambda_table, xi_table):
+        assert [v._mpf_ for v in step(mine, ctx30).values] == [
+            v._mpf_ for v in step(exact, ctx30).values], step.__name__
+    with mp.workdps(ctx30.working_dps + extra_digits("step")):
+        want = [-t for t in binomial_alternating_transform([0, *typed])[1:]]
+    assert [v._mpf_ for v in lambda_table(mine, ctx30).values] == [v._mpf_ for v in want]

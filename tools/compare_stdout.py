@@ -5,11 +5,13 @@
 runs `python3 -m zkconst` once per command with PYTHONPATH set to each
 `src/` directory in turn.  The command set is the golden commands of
 tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
-45 and 60 digits, every family at its cap at 10 and 60 digits, zeta0 at
-every max_n below its cap at 10, 30 and 60 digits (each a fresh build of a
-shorter table, whose rows are the first rows of the table at the cap),
-gamma to 20 at seven values of u at 30, 45 and 60 digits, and
-`li-check --max-n 20` at 10, 30 and 60 digits, and the help and usage
+45 and 60 digits, every family at its cap and `li-check --max-n 20` at
+every --digits from 10 to 60 (a rounding slip may show at one precision
+only, and li-check prints its sides to working_dps + 5 digits, where a
+last-bit change shows), zeta0 at every max_n below its cap at 10, 30 and
+60 digits (each a fresh build of a shorter table, whose rows are the first
+rows of the table at the cap), gamma to 20 at seven values of u at 30, 45
+and 60 digits, and the help and usage
 errors (`--help`, each subcommand's `--help`, an unknown suite and family,
 `--digits 61`, an unparsable, infinite, negative and `1/0` `--u`, `--u` on
 eta, and gamma and `li-check` past their caps), and the `--u` edge cases
@@ -80,10 +82,13 @@ def command_set() -> list:
     commands = golden_commands()
     suites = package_literal("precision", "SUITES")
     commands += [f"verify --suite {s} --digits {d}" for s in suites for d in (10, 30, 45, 60)]
+    every_digits = range(package_literal("precision", "MIN_DIGITS"),
+                         package_literal("precision", "MAX_DIGITS") + 1)
     commands += [
         f"table --seq {kind} --max-n {cap} --digits {d}"
-        for kind, cap in caps.items() for d in (10, 60)
+        for kind, cap in caps.items() for d in every_digits
     ]
+    commands += [f"li-check --max-n 20 --digits {d}" for d in every_digits]
     commands += [
         f"table --seq zeta0 --max-n {n} --digits {d}"
         for n in range(1, caps["zeta0"]) for d in (10, 30, 60)
@@ -91,7 +96,6 @@ def command_set() -> list:
     commands += [
         f"table --seq gamma --max-n 20 --u {u} --digits {d}" for u in GAMMA_US for d in (30, 45, 60)
     ]
-    commands += [f"li-check --max-n 20 --digits {d}" for d in (10, 30, 60)]
     commands += ["--help", "table --help", "verify --help", "li-check --help",
                  "verify --suite nope", "table --seq nope --max-n 1",
                  "table --seq gamma --max-n 1 --digits 61", "table --seq gamma --max-n 1 --u abc",
