@@ -233,9 +233,6 @@ class Binary(Frozen):
     def __abs__(self) -> "Binary":
         return _round(abs(self.man), 1, self.exp, _prec or _mpf_prec())
 
-    def __bool__(self) -> bool:
-        return bool(self.man)
-
     def __float__(self) -> float:
         return self.numerator / self.denominator
 

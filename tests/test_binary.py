@@ -194,7 +194,7 @@ def test_arithmetic_is_mpf_arithmetic():
     for _ in range(4000):
         a, b, op = random_operand(rng), random_operand(rng), rng.choice(ops)
         if not isinstance(a, Binary) and not isinstance(b, Binary) or (
-                op is operator.truediv and not b):
+                op is operator.truediv and b == 0):
             continue
         dps = rng.choice(ARITHMETIC_DPS)
         with mp.workdps(dps):
