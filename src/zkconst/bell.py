@@ -92,7 +92,7 @@ def bell_recurrence_values(args) -> list:
     """[Y_0, Y_1(args[:1]), ..., Y_n(args)] by the binomial recurrence, generic
     over the scalar type.
 
-    Works with Fraction/int (exact) or mpf arguments alike; never builds the
+    Works with Fraction/int (exact) or Binary arguments alike; never builds the
     symbolic polynomial.  Y_k reads only args[:k], so one pass serves a whole
     table.  Y_0 = 1.
     """

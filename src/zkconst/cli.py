@@ -19,9 +19,9 @@ li-check, with nothing on stderr.  Numeric values are emitted as decimal
 strings, never binary floats, and identical invocations produce
 byte-identical output.
 
-Like precision, this module runs on the standard library alone, and it reads
-the step modules only as lazily registered module objects: --help and the
-usage errors execute cli and precision and import no mpmath.
+Like the whole package, this module runs on the standard library alone,
+and it reads the step modules only as lazily registered module objects:
+--help and the usage errors execute cli and precision only.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _cmd_table(args) -> tuple:
     ctx = PrecisionContext(digits=args.digits)
     u = args.u
     # only gamma reads --u; chain.table refuses it for any other family
-    # unparsed, so that usage error needs no mpmath
+    # unparsed, so that usage error executes no stieltjes
     if u is not None and args.seq == "gamma":
         u = stieltjes.parse_u(u, ctx)
     table = chain.table(args.seq, args.max_n, ctx, u=u)

@@ -31,8 +31,6 @@ zeta(1) at n = 0.
 
 Each map takes a whole table and maps every entry of it: gamma_0..gamma_m
 gives eta_0..eta_m and back, and eta_0..eta_m gives sigma_1..sigma_(m+1).
-Every map runs in stieltjes.Binary arithmetic, each operation rounded as the
-mpf operation it stands for, so its values are mpmath's bit for bit.
 """
 
 from __future__ import annotations

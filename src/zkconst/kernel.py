@@ -1,8 +1,8 @@
 """Arbitrary-precision numeric substrate, on the standard library.
 
-Fundamental logarithms (log 2, log pi, log 2 pi), integer-argument zeta
-values, and polygamma values at 3/2, each a stieltjes.Binary with the bits
-of the mpf that mpmath gives at the same precision.  Everything downstream
+pi and the fundamental logarithms (log 2, log pi, log 2 pi), integer-argument
+zeta values, and polygamma values at 3/2, each a stieltjes.Binary with the
+bits of the mpf that mpmath gives at the same precision.  Everything downstream
 (eta constants, sigma coefficients, Li/Keiper constants, xi and zeta
 derivatives) pulls its transcendental atoms from here, so that a wrong digit
 in one place shows up as a route disagreement rather than being silently
@@ -12,7 +12,7 @@ pi comes from Machin's 16 atan(1/5) - 4 atan(1/239) and each log from the
 gamma row's integer atanh (stieltjes._log), in fixed point with 64 guard
 bits, rounded once as mp.pi and mp.log round theirs; log pi and log 2 pi
 are, as mpmath takes them, the logs of pi and 2 pi rounded to the working
-precision.
+precision.  All four are computed once per precision.
 
 zeta(n) is evaluated through the alternating series
 
@@ -39,17 +39,27 @@ from .stieltjes import Binary, _log, _round, stieltjes_gamma, workdps
 
 def log2_mpf(ctx: PrecisionContext) -> Binary:
     """log 2 at working precision."""
-    return _logs(ctx)[0]
+    return _atoms(ctx.working_dps)[1]
 
 
 def log_pi_mpf(ctx: PrecisionContext) -> Binary:
     """log pi at working precision."""
-    return _logs(ctx)[1]
+    return _atoms(ctx.working_dps)[2]
 
 
 def log_2pi_mpf(ctx: PrecisionContext) -> Binary:
     """log(2 pi) at working precision."""
-    return _logs(ctx)[2]
+    return _atoms(ctx.working_dps)[3]
+
+
+def pi_at(dps: int) -> Binary:
+    """pi rounded to dps digits."""
+    return _atoms(dps)[0]
+
+
+def log_2pi_at(dps: int) -> Binary:
+    """log(2 pi) rounded to dps digits."""
+    return _atoms(dps)[3]
 
 
 def _atan_inverse(x: int, bits: int) -> int:
@@ -72,15 +82,15 @@ def _pi(bits: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _logs(ctx: PrecisionContext) -> tuple:
-    """(log 2, log pi, log(2 pi)) at working precision, once per context, as
-    mp.log(2), mp.log(mp.pi) and mp.log(2 * mp.pi) take them; the public
-    names stay plain functions so that call counts see every call."""
-    prec = dps_to_prec(ctx.working_dps)
+def _atoms(dps: int) -> tuple:
+    """(pi, log 2, log pi, log(2 pi)) rounded to dps digits, once per dps,
+    as mp.pi, mp.log(2), mp.log(mp.pi) and mp.log(2 * mp.pi) take them; the
+    public names stay plain functions so that call counts see every call."""
+    prec = dps_to_prec(dps)
     bits = prec + 64  # guard bits, as mpmath computes its own
     pi = _round(_pi(bits), 1, -bits, prec)
-    return tuple(_round(_log(x, bits), 1, -bits, prec)
-                 for x in (Binary(2), pi, Binary(pi.man, pi.exp + 1)))
+    return (pi, *(_round(_log(x, bits), 1, -bits, prec)
+                  for x in (Binary(2), pi, Binary(pi.man, pi.exp + 1))))
 
 
 class _CrvzWeights:

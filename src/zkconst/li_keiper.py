@@ -19,9 +19,7 @@ The sigma route is canonical (simplest error surface); the others are
 verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
 alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
 recurrence-3.13 residual) is an entry of binomial_alternating_transform;
-the other routes keep their own sums.  Every route and the li-check
-verdicts run in stieltjes.Binary arithmetic, each operation rounded as the
-mpf operation it stands for, and return Binary values, mpmath's bit for bit.
+the other routes keep their own sums.
 """
 
 from __future__ import annotations

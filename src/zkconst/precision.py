@@ -7,8 +7,7 @@ together set the truncation threshold for infinite series.  How many digits
 each kind of step carries beyond that is read from one table, through
 extra_digits, and dps_to_prec turns digits into bits.  Results are exact
 binaries (stieltjes.Binary), rounded as mpf arithmetic rounds at the same
-precision, and mpf values in zeta_derivs and verify; the context they were
-computed under is their precision.
+precision; the context they were computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
 tol_exp) is checked by check_index, against the limits kept here: the
 digits range, the suites and each family's first index and cap (FAMILIES).
@@ -16,9 +15,9 @@ A value leaves the package only in a ConstantTable or a VerificationReport,
 and both raise ValueError on a value that is not finite.  The context and
 the table are Frozen records: their fields are set once, by __init__.
 
-This module runs on the standard library alone, and so does cli: the
-argument parser and every usage error it, PrecisionContext or chain.table
-raises read only these limits, so --help and a usage error import no mpmath.
+The package runs on the standard library alone.  The argument parser and
+every usage error it, PrecisionContext or chain.table raises read only these
+limits, so --help and a usage error execute no module that computes.
 Every decimal the package writes, a table row, a report side or an error
 message, comes from one writer on the standard library, stieltjes.decimal_str.
 """

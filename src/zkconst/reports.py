@@ -13,7 +13,7 @@ A report with a side that is not finite is an error, never a verdict.
 `equality_reports` and `inequality_reports` build a whole indexed family of
 reports from route pairs.  Sides may be a stieltjes.Binary, an mpf, an int
 or a Fraction; the verdict runs in Binary arithmetic, each operation rounded
-as the mpf operation it stands for, so li-check loads no mpmath.
+as the mpf operation it stands for.
 """
 
 from __future__ import annotations

@@ -72,13 +72,13 @@ once; the shifted sum and the tail meet in integers and are rounded once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
 
-A gamma table runs on the standard library alone: u and each gamma_n(u) are
-a Binary, rounded (_round, _add) as mpf arithmetic would round them, so bit
-for bit the mpf values, which zeta_derivs.as_mpf builds for readers in
-mpmath.  Binary arithmetic rounds the same way at the precision workdps
-sets, so the step maps above gamma run on it too.  --u is read in mpmath's
-syntax, and every decimal the package writes comes from decimal_str,
-correctly rounded in mpmath's nstr layout.
+The package runs on the standard library alone, in one number type: u,
+each gamma_n(u) and every value above them is a Binary, rounded (_round,
+_add) as mpf arithmetic would round it, so bit for bit the mpf value.
+Binary arithmetic rounds the same way at the one precision workdps sets,
+and raises outside it.  --u is read in mpmath's syntax, and every decimal
+the package writes comes from decimal_str, correctly rounded in mpmath's
+nstr layout.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ import operator
 import sys
 from functools import lru_cache, partial
 
-from . import zeta_derivs
 from .precision import (
     FAMILIES,
     ConvergenceError,
@@ -121,33 +120,32 @@ def workdps(dps: int):
         _prec = saved
 
 
-def _compare(test, m: int, e: int, n: int, f: int, prec: int) -> bool:
+def _compare(test, m: int, e: int, n: int, f: int) -> bool:
     """test(m 2^e - n 2^f, 0), exact: the difference rounded to 2 bits
     keeps the sign."""
     return test(_sum(m, e, -n, f, 2).man, 0)
 
 
-def _mpf_prec() -> int:
-    """The bits of mpf arithmetic: mp.prec once mpmath is loaded, else its
-    default 53.  Outside workdps Binary arithmetic rounds to these, as the
-    mpf arithmetic it stands in for in mpmath code would."""
-    mpmath = sys.modules.get("mpmath")
-    return 53 if mpmath is None else mpmath.mp.prec
+def _working_prec() -> int:
+    """The bits workdps sets: Binary arithmetic outside it raises, so no
+    value is rounded to a precision nobody chose."""
+    if _prec is None:
+        raise RuntimeError("Binary arithmetic runs only inside workdps")
+    return _prec
 
 
 def _operator(rounded):
-    """The Binary operator rounded(man, exp, other's man, other's exp,
-    prec) on a Binary or an int at the working precision.  Any other
-    operand, an mpf among them, is left to its reflected operator; an mpf's
-    reads a Binary exactly."""
+    """The Binary operator rounded(man, exp, other's man, other's exp) on a
+    Binary or an int.  Any other operand, an mpf among them, is left to its
+    reflected operator; an mpf's reads a Binary exactly."""
     def method(self, other):
         if isinstance(other, Binary):
-            return rounded(self.man, self.exp, other.man, other.exp, _prec or _mpf_prec())
+            return rounded(self.man, self.exp, other.man, other.exp)
         try:
             man = operator.index(other)
         except TypeError:
             return NotImplemented
-        return rounded(self.man, self.exp, man, 0, _prec or _mpf_prec())
+        return rounded(self.man, self.exp, man, 0)
     return method
 
 
@@ -157,11 +155,11 @@ class Binary(Frozen):
 
     Its arithmetic is mpf arithmetic: +, -, * and / with a Binary or an
     int, unary - and +, abs and ** with an int exponent each round once to
-    the working precision (workdps's, else _mpf_prec's), ties to even, as
-    mpmath rounds them, so each result is the mpf's bit for bit.  An mpf
-    operand is mpmath's: mpf's reflected operator takes over.  Comparisons
-    with a Binary or an int are exact, and a Binary hashes as the int or
-    Fraction it equals.
+    the precision workdps sets, ties to even, as mpmath rounds them, so each
+    result is the mpf's bit for bit; outside workdps they raise
+    RuntimeError.  An mpf operand is mpmath's: mpf's reflected operator
+    takes over.  Comparisons with a Binary or an int are exact, and a
+    Binary hashes as the int or Fraction it equals.
     """
 
     __slots__ = ("man", "exp")
@@ -193,12 +191,12 @@ class Binary(Frozen):
         return 1 << max(-self.exp, 0)
 
     # (m, e) is self, (n, f) the other operand
-    __add__ = __radd__ = _operator(lambda m, e, n, f, prec: _sum(m, e, n, f, prec))
-    __sub__ = _operator(lambda m, e, n, f, prec: _sum(m, e, -n, f, prec))
-    __rsub__ = _operator(lambda m, e, n, f, prec: _sum(n, f, -m, e, prec))
-    __mul__ = __rmul__ = _operator(lambda m, e, n, f, prec: _round(m * n, 1, e + f, prec))
-    __truediv__ = _operator(lambda m, e, n, f, prec: _round(m, n, e - f, prec))
-    __rtruediv__ = _operator(lambda m, e, n, f, prec: _round(n, m, f - e, prec))
+    __add__ = __radd__ = _operator(lambda m, e, n, f: _sum(m, e, n, f, _working_prec()))
+    __sub__ = _operator(lambda m, e, n, f: _sum(m, e, -n, f, _working_prec()))
+    __rsub__ = _operator(lambda m, e, n, f: _sum(n, f, -m, e, _working_prec()))
+    __mul__ = __rmul__ = _operator(lambda m, e, n, f: _round(m * n, 1, e + f, _working_prec()))
+    __truediv__ = _operator(lambda m, e, n, f: _round(m, n, e - f, _working_prec()))
+    __rtruediv__ = _operator(lambda m, e, n, f: _round(n, m, f - e, _working_prec()))
     __lt__ = _operator(partial(_compare, operator.lt))
     __le__ = _operator(partial(_compare, operator.le))
     __gt__ = _operator(partial(_compare, operator.gt))
@@ -218,20 +216,20 @@ class Binary(Frozen):
         wider and then divided into 1."""
         if not isinstance(n, numbers.Integral):
             return NotImplemented
-        prec = _prec or _mpf_prec()
+        prec = _working_prec()
         if n >= 0:
             return _round(self.man**n, 1, self.exp * n, prec)
         power = self if n == -1 else _round(self.man**-n, 1, self.exp * -n, prec + 5)
         return _round(1, power.man, -power.exp, prec)
 
     def __neg__(self) -> "Binary":
-        return _round(-self.man, 1, self.exp, _prec or _mpf_prec())
+        return _round(-self.man, 1, self.exp, _working_prec())
 
     def __pos__(self) -> "Binary":
-        return _round(self.man, 1, self.exp, _prec or _mpf_prec())
+        return _round(self.man, 1, self.exp, _working_prec())
 
     def __abs__(self) -> "Binary":
-        return _round(abs(self.man), 1, self.exp, _prec or _mpf_prec())
+        return _round(abs(self.man), 1, self.exp, _working_prec())
 
     def __float__(self) -> float:
         return self.numerator / self.denominator
@@ -353,8 +351,7 @@ class ConstantTable(Frozen):
     values[i] and methods[i] belong to index start + i, where start is the
     family's first index in FAMILIES; every entry names the formula route
     that produced it.  values hold the builder's values as the exact Binary
-    each is, whether it handed in a Binary or an mpf; table[n] is one, and
-    mpf(n) and iteration, which yields (n, value, method), give an mpf.
+    each is, whether it handed in a Binary or an mpf, and table[n] is one.
     An empty table, or a value that is not a finite Binary or mpf, raises
     ValueError, so neither is ever printed.
     """
@@ -395,14 +392,6 @@ class ConstantTable(Frozen):
         """The value at index n."""
         check_index(n, f"a {self.kind} table index", self.start, self.max_n)
         return self.values[n - self.start]
-
-    def mpf(self, n: int):
-        """The value at index n, as an mpf."""
-        return zeta_derivs.as_mpf(self[n])
-
-    def __iter__(self):
-        return zip(itertools.count(self.start), map(zeta_derivs.as_mpf, self.values),
-                   self.methods)
 
     def rows(self):
         """(n, value as a decimal string of `digits` significant digits,
@@ -657,19 +646,17 @@ def parse_u(raw: str, ctx: PrecisionContext) -> Binary:
     return _positive(u, "--u")
 
 
-def stieltjes_gamma(n: int, u, ctx: PrecisionContext):
+def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> Binary:
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
     u accepts int, Fraction, mpf, Binary, or a decimal string; a Python
     float is taken at its exact binary value (pass a string for decimal
-    semantics); anything else raises ValueError.  The value is an mpf, or
-    for a Binary u, as the gamma table and the step maps pass it, the row's
-    exact Binary, which zeta_derivs.as_mpf turns into the same mpf.
+    semantics); anything else raises ValueError.  The value is the row's
+    exact Binary.
     """
     start, cap = FAMILIES["gamma"]
     check_index(n, "the stieltjes index n", start, cap)
-    value = _gamma_row(_row_u(u, ctx), ctx).gamma(n)
-    return value if isinstance(u, Binary) else zeta_derivs.as_mpf(value)
+    return _gamma_row(_row_u(u, ctx), ctx).gamma(n)
 
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:

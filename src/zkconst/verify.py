@@ -31,11 +31,9 @@ import math
 import random
 from fractions import Fraction
 
-from mpmath import mp
-
 from . import bell, eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
 from .chain import table
-from .kernel import log_2pi_mpf, zeta_int_mpf
+from .kernel import log_2pi_mpf, pi_at, zeta_int_mpf
 from .precision import MAX_DIGITS, SUITES, PrecisionContext, check_index, extra_digits
 from .reports import (
     default_tol,
@@ -45,7 +43,7 @@ from .reports import (
     inequality_report,
     inequality_reports,
 )
-from .stieltjes import GAMMA_TAG, stieltjes_gamma
+from .stieltjes import GAMMA_TAG, Binary, stieltjes_gamma, workdps
 
 _RNG_SEED = 1729
 
@@ -226,7 +224,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
 
     gamma_at_2 = stieltjes_gamma(0, 2, ctx)
-    with mp.workdps(ctx.working_dps + extra_digits("side")):
+    with workdps(ctx.working_dps + extra_digits("side")):
         reports.append(
             equality_report(
                 "gamma0-at-2-is-gamma-minus-1",
@@ -272,17 +270,17 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
     etas = table("eta", max_n, ctx)
     etas_alt = eta_sigma.eta_from_gamma_coffey(gammas, ctx)
 
-    with mp.workdps(ctx.working_dps + extra_digits("side")):
-        g0, g1, g2 = gammas.mpf(0), gammas.mpf(1), gammas.mpf(2)
+    with workdps(ctx.working_dps + extra_digits("side")):
+        g0, g1, g2 = gammas[0], gammas[1], gammas[2]
         reports.append(
             equality_report(
-                "eta0-is-neg-gamma", etas.mpf(0), -g0, tol, ctx,
+                "eta0-is-neg-gamma", etas[0], -g0, tol, ctx,
                 method_tags=(eta_sigma.ETA_TAG, GAMMA_TAG),
             )
         )
         reports.append(
             equality_report(
-                "eta1-closed-form", etas.mpf(1), g0**2 + 2 * g1, tol, ctx,
+                "eta1-closed-form", etas[1], g0**2 + 2 * g1, tol, ctx,
                 method_tags=(eta_sigma.ETA_TAG, GAMMA_TAG),
             )
         )
@@ -290,7 +288,7 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
             equality_report(
                 "eta2-closed-form",
                 3 * g2,
-                -2 * g0**3 - 6 * g0 * g1 - 2 * etas.mpf(2),
+                -2 * g0**3 - 6 * g0 * g1 - 2 * etas[2],
                 tol,
                 ctx,
                 method_tags=(eta_sigma.ETA_TAG, GAMMA_TAG),
@@ -305,26 +303,26 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
 
     reports += equality_reports(
         range(max_n + 1), tol, ctx,
-        ("eta-recurrence-agreement-n", etas.mpf, etas_alt.mpf,
+        ("eta-recurrence-agreement-n", etas.__getitem__, etas_alt.__getitem__,
          (eta_sigma.ETA_TAG, eta_sigma.ETA_COFFEY_TAG)),
     )
 
     reports.append(
         inequality_report(
-            "eta0-negative", 0, etas.mpf(0), ctx, method_tags=(eta_sigma.ETA_TAG,)
+            "eta0-negative", 0, etas[0], ctx, method_tags=(eta_sigma.ETA_TAG,)
         )
     )
     reports += inequality_reports(
         range(1, max_n + 1), ctx,
         ("eta-sign-alternation-n",
-         lambda n: etas.mpf(n) if n % 2 == 1 else mp.fneg(etas.mpf(n), exact=True),
+         lambda n: etas[n] if n % 2 == 1 else Binary(-etas[n].man, etas[n].exp),
          lambda n: 0, (eta_sigma.ETA_TAG,)),
     )
 
     round_trip = eta_sigma.gamma_from_eta(etas, ctx)
     reports += equality_reports(
         range(9), tol, ctx,
-        ("gamma-eta-roundtrip-n", round_trip.mpf, gammas.mpf,
+        ("gamma-eta-roundtrip-n", round_trip.__getitem__, gammas.__getitem__,
          (eta_sigma.GAMMA_FROM_ETA_TAG, GAMMA_TAG)),
     )
     return reports
@@ -350,7 +348,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     closed = {2: li_keiper.lambda_closed(2, ctx)}
     reports += equality_reports(
         closed, tol, ctx,
-        ("lambda-closed-vs-sigma-r", closed.get, lambdas.mpf,
+        ("lambda-closed-vs-sigma-r", closed.get, lambdas.__getitem__,
          (li_keiper.LAMBDA_CLOSED_TAG, li_keiper.LAMBDA_TAG)),
         ("lambda-closed-vs-eta-psi-r", closed.get, eta_psi.get,
          (li_keiper.LAMBDA_CLOSED_TAG, li_keiper.LAMBDA_ETA_PSI_TAG)),
@@ -359,12 +357,12 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     )
     reports += equality_reports(
         routes, tol, ctx,
-        ("lambda-sigma-vs-eta-psi-r", lambdas.mpf, eta_psi.get,
+        ("lambda-sigma-vs-eta-psi-r", lambdas.__getitem__, eta_psi.get,
          (li_keiper.LAMBDA_TAG, li_keiper.LAMBDA_ETA_PSI_TAG)),
     )
     reports += equality_reports(
         routes, tol, ctx,
-        ("lambda-sigma-vs-coffey-r", lambdas.mpf, coffey.get,
+        ("lambda-sigma-vs-coffey-r", lambdas.__getitem__, coffey.get,
          (li_keiper.LAMBDA_TAG, li_keiper.LAMBDA_COFFEY_TAG)),
         ("lambda-eta-psi-vs-coffey-r", eta_psi.get, coffey.get,
          (li_keiper.LAMBDA_ETA_PSI_TAG, li_keiper.LAMBDA_COFFEY_TAG)),
@@ -416,6 +414,14 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
 # xi suite
 
 
+def _eq_3_20_lhs(sigmas):
+    """sigma_1^2 rounded to 15 digits (53 bits, mpmath's default
+    precision), at which eq-3.20 prints its lhs, not at the side precision
+    of the suite's other sides; ROADMAP item 15c widens it."""
+    with workdps(15):
+        return sigmas[1] ** 2
+
+
 def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
@@ -425,24 +431,24 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
     xi_bell = table("xi1", max_n, ctx)
     xi_rec = xi.xi_deriv_recurrence(sigmas, ctx)
 
-    with mp.workdps(ctx.working_dps + extra_digits("side")):
-        l1, l2, l3 = lambdas.mpf(1), lambdas.mpf(2), lambdas.mpf(3)
+    with workdps(ctx.working_dps + extra_digits("side")):
+        l1, l2, l3 = lambdas[1], lambdas[2], lambdas[3]
         reports.append(
             equality_report(
-                "eq-3.15", xi_bell.mpf(1), l1 / 2, tol, ctx,
+                "eq-3.15", xi_bell[1], l1 / 2, tol, ctx,
                 method_tags=(xi.XI_BELL_TAG, li_keiper.LAMBDA_TAG),
             )
         )
         reports.append(
             equality_report(
-                "eq-3.16", xi_bell.mpf(2), (l1**2 + l2 - 2 * l1) / 2, tol, ctx,
+                "eq-3.16", xi_bell[2], (l1**2 + l2 - 2 * l1) / 2, tol, ctx,
                 method_tags=(xi.XI_BELL_TAG, li_keiper.LAMBDA_TAG),
             )
         )
         reports.append(
             equality_report(
                 "xi3-lambda-expansion",
-                xi_bell.mpf(3),
+                xi_bell[3],
                 (l1**3 + 3 * l1 * (l2 - 2 * l1) + 6 * l1 - 6 * l2 + 2 * l3) / 2,
                 tol,
                 ctx,
@@ -454,7 +460,7 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
         reports.append(
             equality_report(
                 "xi2-implies-eq-3.17",
-                2 * xi_bell.mpf(2),
+                2 * xi_bell[2],
                 l2 - l1 * (2 - l1),
                 tol,
                 ctx,
@@ -469,25 +475,25 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
         )
     reports.append(
         inequality_report(
-            "eq-3.18", lambdas.mpf(2), lambdas.mpf(1), ctx,
+            "eq-3.18", lambdas[2], lambdas[1], ctx,
             method_tags=(li_keiper.LAMBDA_TAG,),
         )
     )
     reports.append(
         inequality_report(
-            "eq-3.20", sigmas.mpf(1) ** 2, sigmas.mpf(2), ctx,
+            "eq-3.20", _eq_3_20_lhs(sigmas), sigmas[2], ctx,
             method_tags=(eta_sigma.SIGMA_CLOSED_TAG, eta_sigma.SIGMA_TAG),
         )
     )
 
     reports += equality_reports(
         range(1, max_n + 1), tol, ctx,
-        ("eq-6.2-vs-bell-n", xi_rec.mpf, xi_bell.mpf,
+        ("eq-6.2-vs-bell-n", xi_rec.__getitem__, xi_bell.__getitem__,
          (f"{xi.XI_RECURRENCE_TAG} ({xi.XI_RECURRENCE_CONVENTION})", xi.XI_BELL_TAG)),
     )
     reports += inequality_reports(
         range(1, max_n + 1), ctx,
-        ("xi-deriv-positive-n", xi_bell.mpf, lambda n: 0, (xi.XI_BELL_TAG,)),
+        ("xi-deriv-positive-n", xi_bell.__getitem__, lambda n: 0, (xi.XI_BELL_TAG,)),
     )
     return reports
 
@@ -504,20 +510,21 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     etas = table("eta", max_n, ctx)
     z_ap = table("zeta0", max_n, ctx)
     z_lc = zeta_derivs.zeta_derivs_log_chain(table("eta", max_n - 1, ctx), ctx)
+    side_dps = ctx.working_dps + extra_digits("elementary_side")
 
-    with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
+    with workdps(side_dps):
         log2pi = log_2pi_mpf(ctx)
         tol_52 = default_tol(ctx, ctx.digits - 3)
         reports.append(
             equality_report(
-                "eq-5.2", z_ap.mpf(1), -log2pi / 2, tol_52, ctx,
+                "eq-5.2", z_ap[1], -log2pi / 2, tol_52, ctx,
                 method_tags=(zeta_derivs.APOSTOL_TAG, "closed-5.2"),
             )
         )
-        g0, g1 = gammas.mpf(0), gammas.mpf(1)
-        eta1 = etas.mpf(1)
+        g0, g1 = gammas[0], gammas[1]
+        eta1 = etas[1]
         z2 = zeta_int_mpf(2, ctx)
-        via_53 = g1 + g0**2 / 2 - +mp.pi**2 / 24 - log2pi**2 / 2
+        via_53 = g1 + g0**2 / 2 - pi_at(side_dps)**2 / 24 - log2pi**2 / 2
         via_s4 = eta1 / 2 - z2 / 4 - log2pi**2 / 2
         reports.append(
             equality_report(
@@ -527,7 +534,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
         )
         reports.append(
             equality_report(
-                "zeta2deriv-table-vs-5.3", z_lc.mpf(2), via_53, tol, ctx,
+                "zeta2deriv-table-vs-5.3", z_lc[2], via_53, tol, ctx,
                 method_tags=(zeta_derivs.LOG_CHAIN_TAG, "closed-5.3"),
             )
         )
@@ -537,7 +544,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
             equality_report(
                 "eq-4.6-L2-cross-route",
                 l2_eta,
-                -2 * z_ap.mpf(2) - log2pi**2 - 1,
+                -2 * z_ap[2] - log2pi**2 - 1,
                 tol,
                 ctx,
                 method_tags=(zeta_derivs.L_DERIV_TAG, zeta_derivs.APOSTOL_TAG),
@@ -547,23 +554,23 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     route_tol = default_tol(ctx, ctx.digits - 6)
     reports += equality_reports(
         range(max_n + 1), route_tol, ctx,
-        ("zeta0-routes-n", z_ap.mpf, z_lc.mpf,
+        ("zeta0-routes-n", z_ap.__getitem__, z_lc.__getitem__,
          (zeta_derivs.APOSTOL_TAG, zeta_derivs.LOG_CHAIN_TAG)),
     )
     reports += equality_reports(
         range(1, max_n + 1), route_tol, ctx,
         ("eq-5.5-forward-n",
          lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_lc, ctx),
-         lambda n: gammas.mpf(n - 1),
+         lambda n: gammas[n - 1],
          ("forward-5.5", zeta_derivs.LOG_CHAIN_TAG, GAMMA_TAG)),
         ("forward-inverse-identity-n",
          lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_ap, ctx),
-         lambda n: gammas.mpf(n - 1),
+         lambda n: gammas[n - 1],
          ("forward-5.5", zeta_derivs.APOSTOL_TAG)),
     )
 
-    with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
-        g0 = gammas.mpf(0)
+    with workdps(side_dps):
+        g0 = gammas[0]
         z2 = zeta_int_mpf(2, ctx)
         z3 = zeta_int_mpf(3, ctx)
         known = {
@@ -577,13 +584,16 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
          known.get, (zeta_derivs.GAMMA_DERIV_TAG, "closed-A.7")),
     )
 
-    # the cosine-derivative weights must be exactly sparse in odd order
-    with mp.workdps(ctx.working_dps + extra_digits("elementary_side")):
-        pi_val = +mp.pi
+    # the cosine-derivative weights must be exactly sparse in odd order;
+    # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian integers
+    with workdps(side_dps):
+        pi_val = pi_at(side_dps)
         ok = True
-        worst = mp.mpf(0)
+        worst = Binary(0)
+        re, im = 1, 0
         for m in range(11):
-            numeric = (pi_val / 2) ** m * mp.cos(m * pi_val / 2)
+            numeric = (pi_val / 2) ** m * re
+            re, im = -im, re
             w = zeta_derivs._cos_weight(m, pi_val)
             if m % 2 == 1:
                 if w is not None:

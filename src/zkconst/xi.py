@@ -17,9 +17,7 @@ cross-check
 (the sigma index inside the sum is n-k+1 with weight (n-k)! and sign
 (-1)^(n-k); this is the unique assignment consistent with the Bell route --
 the k = n term must contribute C(n,n) sigma_1 xi^(n)(1) -- and it needs no
-sigma_0 at all).  Both run in stieltjes.Binary arithmetic, each operation
-rounded as the mpf operation it stands for, so their values are mpmath's bit
-for bit.
+sigma_0 at all).
 """
 
 from __future__ import annotations

@@ -40,13 +40,6 @@ Both routes and the forward map run at one precision per context, the zeta0
 budget read at the family's cap, so zeta^(n)(0) depends only on n and the
 context.  Each route is a step map: a gamma or eta table up to m gives
 zeta^(0..m+1)(0), and an m + 1 past the cap is refused.
-
-This module and verify compute in mpmath: (pi/2)^m here takes mpmath's
-inexact power, and verify checks against mpmath's own functions.  Every
-table value and kernel atom is an exact stieltjes.Binary: mpf arithmetic
-reads it exactly, Binary arithmetic rounds as mpf arithmetic does at
-mpmath's precision, and as_mpf, the package's one conversion to mpf, gives
-it as the mpf it is.
 """
 
 from __future__ import annotations
@@ -54,12 +47,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from mpmath import mp, mpf
-
 from .bell import bell_recurrence_value, bell_recurrence_values
-from .kernel import log_2pi_mpf, zeta_int_mpf
+from .kernel import log_2pi_at, log_2pi_mpf, pi_at, zeta_int_mpf
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
-from .stieltjes import ConstantTable, require, stieltjes_gamma
+from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
@@ -67,38 +58,31 @@ GAMMA_DERIV_TAG = "bell-A.7"
 L_DERIV_TAG = "eta-zeta-s4"
 
 
-def as_mpf(x):
-    """x, an mpf or an exact stieltjes.Binary, as an mpf with no rounding:
-    how every reader in mpmath gets a table value, an atom or a route's
-    value."""
-    return x if isinstance(x, mpf) else mp.make_mpf(x._mpf_)
-
-
-def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext):
+def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext) -> Binary:
     """Raw Gamma^(m)(1), at its own fixed precision, so every caller gets the
     same value."""
     check_index(m, "the derivative order m", 0)
     if m == 0:
-        return mp.mpf(1)
-    with mp.workdps(ctx.working_dps + extra_digits("gamma_deriv", m)):
+        return Binary(1)
+    with workdps(ctx.working_dps + extra_digits("gamma_deriv", m)):
         gamma = stieltjes_gamma(0, 1, ctx)
         args = [-gamma]
         for p in range(1, m):
-            args.append((-1) ** (p + 1) * mp.factorial(p) * zeta_int_mpf(p + 1, ctx))
+            args.append((-1) ** (p + 1) * math.factorial(p) * zeta_int_mpf(p + 1, ctx))
         return +bell_recurrence_value(args)
 
 
-def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> mpf:
+def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
     """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
     check_index(n, "the L derivative index n", 0)
-    with mp.workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.working_dps + extra_digits("step")):
         if n == 0:
             return +(log_2pi_mpf(ctx) - 1)
         require(etas, "eta", "L_derivs_at_zero", n)
-        fact = mp.factorial(n)
-        zcoeff = 1 - mpf(2) ** (-(n + 1)) * (1 - (-1) ** n)
+        fact = math.factorial(n)
+        zcoeff = 1 - Binary(1, -(n + 1)) * (1 - (-1) ** n)
         return +(
-            (-1) ** n * fact * etas.mpf(n)
+            (-1) ** n * fact * etas[n]
             + zcoeff * fact * zeta_int_mpf(n + 1, ctx)
             - fact
         )
@@ -123,9 +107,10 @@ def _apostol_weights(ctx: PrecisionContext) -> tuple:
     m = 0 up to the zeta0 cap, at the solve precision, by two Leibniz
     products; a_0 = 2 exactly."""
     orders = range(FAMILIES["zeta0"][1] + 1)
-    with mp.workdps(_solve_dps(ctx)):
-        pi_val = +mp.pi
-        minus_log2pi = -mp.log(2 * pi_val)
+    dps = _solve_dps(ctx)
+    with workdps(dps):
+        pi_val = pi_at(dps)
+        minus_log2pi = -log_2pi_at(dps)
         cos_weights = [_cos_weight(j, pi_val) for j in orders]
         # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
         ec = [
@@ -147,12 +132,12 @@ def zeta_derivs_at_zero(gammas: ConstantTable, ctx: PrecisionContext) -> Constan
     max_n = gammas.max_n + 1
     check_index(max_n, "the largest zeta0 index of zeta_derivs_at_zero", *FAMILIES["zeta0"])
     a = _apostol_weights(ctx)
-    with mp.workdps(_solve_dps(ctx)):
-        values = [mpf(-1) / 2]
+    with workdps(_solve_dps(ctx)):
+        values = [Binary(-1, -1)]
         for n in range(1, max_n + 1):
             # the pivot C(n, n) a_0 = 2 multiplies the unknown zeta^(n)(0)
             known = sum(math.comb(n, l) * a[n - l] * values[l] for l in range(n))
-            values.append(+((n * gammas.mpf(n - 1) - known) / 2))
+            values.append(+((n * gammas[n - 1] - known) / 2))
     return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
 
 
@@ -163,8 +148,8 @@ def zeta_derivs_log_chain(etas: ConstantTable, ctx: PrecisionContext) -> Constan
     require(etas, "eta", "zeta_derivs_log_chain")
     max_n = etas.max_n + 1
     check_index(max_n, "the largest zeta0 index of zeta_derivs_log_chain", *FAMILIES["zeta0"])
-    with mp.workdps(_solve_dps(ctx)):
-        values = [mpf(-1) / 2]
+    with workdps(_solve_dps(ctx)):
+        values = [Binary(-1, -1)]
         lder = [L_derivs_at_zero(m, etas, ctx) for m in range(max_n)]
         ys = bell_recurrence_values(lder)
         for n in range(1, max_n + 1):
@@ -172,11 +157,11 @@ def zeta_derivs_log_chain(etas: ConstantTable, ctx: PrecisionContext) -> Constan
     return ConstantTable.of("zeta0", values, LOG_CHAIN_TAG, ctx)
 
 
-def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> mpf:
+def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> Binary:
     """gamma_{n-1} by forward evaluation of the triangular relation, for n
     from 1 up to the zeta0 cap."""
     check_index(n, "the forward index n", 1, FAMILIES["zeta0"][1])
     require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
     a = _apostol_weights(ctx)
-    with mp.workdps(_solve_dps(ctx)):
-        return +(sum(math.comb(n, l) * a[n - l] * zeta0.mpf(l) for l in range(n + 1)) / n)
+    with workdps(_solve_dps(ctx)):
+        return +(sum(math.comb(n, l) * a[n - l] * zeta0[l] for l in range(n + 1)) / n)

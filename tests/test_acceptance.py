@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from exact import exact
 from oracles import FROZEN
 from zkconst.bell import bell_determinant, bell_recurrence_value, bell_symbolic, substitute
 from zkconst.chain import table
@@ -78,12 +79,12 @@ def test_criterion_2_four_route_lambda_agreement():
     with mp.workdps(60):
         values = {}
         for r in range(1, 11):
-            values[r] = [sigma_route.mpf(r),
-                         lambda_via_eta_psi(r, etas, ctx)]
+            values[r] = [exact(sigma_route[r]),
+                         exact(lambda_via_eta_psi(r, etas, ctx))]
             if r <= 2:
-                values[r].append(lambda_closed(r, ctx))
+                values[r].append(exact(lambda_closed(r, ctx)))
             if r >= 2:
-                values[r].append(lambda_via_coffey(r, etas, ctx))
+                values[r].append(exact(lambda_via_coffey(r, etas, ctx)))
         worst = mp.mpf(0)
         for r, vals in values.items():
             for i in range(len(vals)):
@@ -136,19 +137,19 @@ def test_criterion_5_eta_identities():
     etas = table("eta", 12, ctx)
     etas_alt = eta_from_gamma_coffey(gammas, ctx)
     with mp.workdps(60):
-        g0, g1, g2 = gammas.mpf(0), gammas.mpf(1), gammas.mpf(2)
-        assert abs(etas.mpf(0) + g0) < mpf("1e-22")
-        assert abs(etas.mpf(1) - (g0**2 + 2 * g1)) < mpf("1e-22")
-        assert abs(3 * g2 - (-2 * g0**3 - 6 * g0 * g1 - 2 * etas.mpf(2))) < mpf(
+        g0, g1, g2 = exact(gammas[0]), exact(gammas[1]), exact(gammas[2])
+        assert abs(exact(etas[0]) + g0) < mpf("1e-22")
+        assert abs(exact(etas[1]) - (g0**2 + 2 * g1)) < mpf("1e-22")
+        assert abs(3 * g2 - (-2 * g0**3 - 6 * g0 * g1 - 2 * exact(etas[2]))) < mpf(
             "1e-22"
         )
         for n in range(13):
-            assert abs(etas.mpf(n) - etas_alt.mpf(n)) < mpf("1e-25"), f"n={n}"
+            assert abs(exact(etas[n]) - exact(etas_alt[n])) < mpf("1e-25"), f"n={n}"
         for n in range(1, 13):
-            assert (-1) ** (n + 1) * etas.mpf(n) > 0, f"sign at n={n}"
+            assert (-1) ** (n + 1) * exact(etas[n]) > 0, f"sign at n={n}"
         back = gamma_from_eta(etas, ctx)
         for n in range(9):
-            assert abs(back.mpf(n) - gammas.mpf(n)) < mpf("1e-23"), f"roundtrip n={n}"
+            assert abs(exact(back[n]) - exact(gammas[n])) < mpf("1e-23"), f"roundtrip n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120
     report(5, elapsed, 120, "eta identities, recurrence pair, signs, roundtrip")
@@ -162,23 +163,23 @@ def test_criterion_6_zeta_derivatives():
     apostol = zeta_derivs_at_zero(table("gamma", 7, ctx), ctx)
     log_chain = zeta_derivs_log_chain(table("eta", 7, ctx), ctx)
     with mp.workdps(60):
-        assert abs(apostol.mpf(1) + mp.log(2 * mp.pi) / 2) < mpf("1e-25")
+        assert abs(exact(apostol[1]) + mp.log(2 * mp.pi) / 2) < mpf("1e-25")
         via_53 = (
-            gammas.mpf(1)
-            + gammas.mpf(0) ** 2 / 2
+            exact(gammas[1])
+            + exact(gammas[0]) ** 2 / 2
             - mp.pi**2 / 24
             - mp.log(2 * mp.pi) ** 2 / 2
         )
         # the same quantity written directly in eta terms
-        via_s4 = etas.mpf(1) / 2 - (mp.pi**2 / 6) / 4 - mp.log(2 * mp.pi) ** 2 / 2
+        via_s4 = exact(etas[1]) / 2 - (mp.pi**2 / 6) / 4 - mp.log(2 * mp.pi) ** 2 / 2
         assert abs(via_53 - via_s4) < mpf("1e-23")
-        assert abs(apostol.mpf(2) - via_53) < mpf("1e-23")
-        assert abs(apostol.mpf(2) - mpf(FROZEN["zeta_deriv2_at_0"])) < mpf("1e-23")
+        assert abs(exact(apostol[2]) - via_53) < mpf("1e-23")
+        assert abs(exact(apostol[2]) - mpf(FROZEN["zeta_deriv2_at_0"])) < mpf("1e-23")
         for n in range(9):
-            assert abs(apostol.mpf(n) - log_chain.mpf(n)) < mpf("1e-22"), f"n={n}"
+            assert abs(exact(apostol[n]) - exact(log_chain[n])) < mpf("1e-22"), f"n={n}"
         for n in range(1, 9):
             got = gamma_from_zeta_derivs(n, log_chain, ctx)
-            assert abs(got - gammas.mpf(n - 1)) < mpf("1e-22"), f"n={n}"
+            assert abs(got - exact(gammas[n - 1])) < mpf("1e-22"), f"n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120
     report(6, elapsed, 120, "zeta'(0), zeta''(0), route agreement, forward map")
@@ -191,19 +192,19 @@ def test_criterion_7_xi_derivatives_and_signs():
     xi_bell = xi_table(sigmas, ctx)
     xi_rec = xi_deriv_recurrence(sigmas, ctx)
     with mp.workdps(60):
-        l1, l2, l3 = lambdas.mpf(1), lambdas.mpf(2), lambdas.mpf(3)
-        assert abs(xi_bell.mpf(1) - l1 / 2) < mpf("1e-23")
-        assert abs(xi_bell.mpf(2) - (l1**2 + l2 - 2 * l1) / 2) < mpf("1e-23")
+        l1, l2, l3 = exact(lambdas[1]), exact(lambdas[2]), exact(lambdas[3])
+        assert abs(exact(xi_bell[1]) - l1 / 2) < mpf("1e-23")
+        assert abs(exact(xi_bell[2]) - (l1**2 + l2 - 2 * l1) / 2) < mpf("1e-23")
         cubic = (l1**3 + 3 * l1 * (l2 - 2 * l1) + 6 * l1 - 6 * l2 + 2 * l3) / 2
-        assert abs(xi_bell.mpf(3) - cubic) < mpf("1e-23")
+        assert abs(exact(xi_bell[3]) - cubic) < mpf("1e-23")
         for n in range(1, 9):
-            assert abs(xi_rec.mpf(n) - xi_bell.mpf(n)) < mpf("1e-23"), f"n={n}"
+            assert abs(exact(xi_rec[n]) - exact(xi_bell[n])) < mpf("1e-23"), f"n={n}"
         for n in range(1, 11):
-            assert xi_bell.mpf(n) > 0, f"positivity n={n}"
+            assert exact(xi_bell[n]) > 0, f"positivity n={n}"
         assert l2 > l1 * (2 - l1)              # lambda_2 lower bound
         assert l2 > l1                          # monotone step
-        assert sigmas.mpf(1) ** 2 > sigmas.mpf(2)
-        assert abs(sigmas.mpf(1) - l1) < mpf("1e-25")
+        assert exact(sigmas[1]) ** 2 > exact(sigmas[2])
+        assert abs(exact(sigmas[1]) - l1) < mpf("1e-25")
     elapsed = time.perf_counter() - start
     assert elapsed < 60
     report(7, elapsed, 60, "xi derivative forms, recurrence vs Bell, positivity")

@@ -1,11 +1,11 @@
 """The package's number layer, on the standard library, against mpmath.
 
 stieltjes reads --u, rounds every gamma_n(u) and writes every decimal of the
-package without mpmath, and the step maps above gamma compute in Binary
-arithmetic, so each piece is held to the mpmath operation it replaces, on
-seeded random cases: the writer to libmp.to_str (mp.nstr), the parser to
-libmp.from_str (mpf(raw)), the rounding helpers to mpf division and
-addition at the gamma precisions, and every Binary operator to the mpf
+package without mpmath, and every step map, route and verify side computes
+in Binary arithmetic, so each piece is held to the mpmath operation it
+replaces, on seeded random cases: the writer to libmp.to_str (mp.nstr), the
+parser to libmp.from_str (mpf(raw)), the rounding helpers to mpf division
+and addition at the gamma precisions, and every Binary operator to the mpf
 operator it stands for.
 """
 import operator
@@ -16,14 +16,16 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf, from_str, to_str
 
-from zkconst import stieltjes
-from zkconst.precision import PrecisionContext, dps_to_prec, extra_digits
+from exact import exact
+from zkconst import kernel, stieltjes, zeta_derivs
+from zkconst.precision import (
+    MAX_DIGITS,
+    MIN_DIGITS,
+    PrecisionContext,
+    dps_to_prec,
+    extra_digits,
+)
 from zkconst.stieltjes import Binary, _add, _from_decimal, _round, decimal_str
-
-
-def exact(x):
-    """x, a Binary, as an mpf with no rounding."""
-    return mp.make_mpf(x._mpf_)
 
 
 def random_binary(rng):
@@ -232,15 +234,59 @@ def test_comparisons_are_exact():
         assert hash(a) == hash(Fraction(a)), a
 
 
-def test_outside_workdps_it_rounds_as_mpf_does():
-    # in mpmath code a Binary stands in for the mpf it is: its operators
-    # round to mpmath's working precision, and an mpf operand is mpmath's
+ARITHMETIC_OPS = (
+    operator.neg, operator.pos, abs, lambda x: x**2, lambda x: x**-3,
+    lambda x: x + 1, lambda x: 1 + x, lambda x: x - x, lambda x: 2 - x,
+    lambda x: x * x, lambda x: 3 * x, lambda x: x / 3, lambda x: 1 / x,
+)
+
+
+def test_outside_workdps_arithmetic_raises():
+    # no default precision: a value computed outside workdps would round to
+    # one nobody chose, whatever mpmath's own precision is
+    x = Binary(2**80 + 1, -70)
+    for op in ARITHMETIC_OPS:
+        with pytest.raises(RuntimeError):
+            op(x)
+        for dps in (15, 40):
+            with mp.workdps(dps), pytest.raises(RuntimeError):
+                op(x)
+    # reading one needs no precision
+    assert x > 1 and x == Binary(2**80 + 1, -70) and x != 0 and float(x) == 1024.0
+    assert hash(x) == hash(Fraction(2**80 + 1, 2**70))
+
+
+def test_an_mpf_operand_is_mpmaths():
+    # mpf's reflected operator reads a Binary exactly and rounds as mpmath
+    # does, inside workdps or not
     x, y = Binary(2**80 + 1, -70), Binary(-3, -200)
     for dps in (15, 40):
         with mp.workdps(dps):
-            assert (x * y)._mpf_ == (exact(x) * exact(y))._mpf_
-            assert (x + 1)._mpf_ == (exact(x) + 1)._mpf_
-            mixed = x / mp.mpf(3)
-            assert type(mixed) is mpf and mixed == exact(x) / 3
-    with stieltjes.workdps(40), mp.workdps(15):
-        assert (x * y)._mpf_ != (exact(x) * exact(y))._mpf_
+            want = [exact(x) / 3, exact(x) * exact(y), 1 + exact(x), exact(y) - exact(x)]
+            for inside in (False, True):
+                with stieltjes.workdps(60) if inside else mp.workdps(dps):
+                    got = [x / mpf(3), exact(y) * x, mpf(1) + x, y - exact(x)]
+                assert all(type(v) is mpf for v in got)
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (dps, inside)
+
+
+def test_powers_are_mpf_powers_at_the_zeta0_and_side_precisions():
+    # zeta_derivs takes (pi/2)^m and (-log 2 pi)^k at the zeta0 solve
+    # precision and verify at the elementary side precision, m, k <= 10:
+    # many of these exact powers have 1000 bits or more, where mpmath's
+    # mpf_pow_int truncates instead of rounding once, as Binary.__pow__ does
+    wide = 0
+    for digits in range(MIN_DIGITS, MAX_DIGITS + 1):
+        ctx = PrecisionContext(digits)
+        for dps in (zeta_derivs._solve_dps(ctx),
+                    ctx.working_dps + extra_digits("elementary_side")):
+            bases = [kernel.pi_at(dps), kernel.log_2pi_at(dps)]
+            with stieltjes.workdps(dps):
+                bases = [bases[0] / 2, -bases[1]]
+                got = [base**m for base in bases for m in range(2, 11)]
+            with mp.workdps(dps):
+                want = [exact(base) ** m for base in bases for m in range(2, 11)]
+            wide += sum(abs(base.man).bit_length() * m >= 1000
+                        for base in bases for m in range(2, 11))
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want], digits
+    assert wide > 500

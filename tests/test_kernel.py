@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from exact import exact
 from memos import clear_package_memos
 from oracles import FROZEN, brute_zeta
 from zkconst import kernel
@@ -58,7 +59,7 @@ class TestZetaInt:
         lo = PrecisionContext(digits=30)
         hi = PrecisionContext(digits=50)
         with mp.workdps(70):
-            diff = abs(zeta_int_mpf(7, lo) - zeta_int_mpf(7, hi))
+            diff = abs(exact(zeta_int_mpf(7, lo)) - exact(zeta_int_mpf(7, hi)))
             assert diff < mpf(10) ** (-(30 - 2))
 
     def test_one_weight_row_serves_every_zeta_at_a_context(self):
@@ -108,12 +109,13 @@ class TestAtomsAreMpmaths:
     """The kernel's atoms are computed on the standard library; each must
     have, bit for bit, the mpf that mpmath gives at the same precision."""
 
-    def test_logs(self):
+    def test_pi_and_logs(self):
         for dps in ATOM_DPS:
             ctx = PrecisionContext(MIN_DIGITS, dps - MIN_DIGITS)
             with mp.workdps(dps):
-                want = mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi)
-            got = kernel.log2_mpf(ctx), kernel.log_pi_mpf(ctx), kernel.log_2pi_mpf(ctx)
+                want = +mp.pi, mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi), mp.log(2 * mp.pi)
+            got = (kernel.pi_at(dps), kernel.log2_mpf(ctx), kernel.log_pi_mpf(ctx),
+                   kernel.log_2pi_mpf(ctx), kernel.log_2pi_at(dps))
             assert [x._mpf_ for x in got] == [x._mpf_ for x in want], f"dps={dps}"
 
     def test_default_tolerances(self):
@@ -172,13 +174,13 @@ class TestPolygammaThreeHalves:
     def test_order_one_is_3zeta2_minus_4(self, ctx30):
         v = polygamma_three_halves_mpf(1, ctx30)
         with mp.workdps(60):
-            expect = 3 * zeta_int_mpf(2, ctx30) - 4
+            expect = 3 * exact(zeta_int_mpf(2, ctx30)) - 4
             assert abs(v - expect) < mpf(10) ** (-ctx30.working_dps + 2)
             assert abs(v - mpf(FROZEN["psi1_three_halves"])) < mpf("1e-40")
 
     def test_sign_alternation_up_to_20(self, ctx30):
         for n in range(1, 21):
-            v = polygamma_three_halves_mpf(n, ctx30)
+            v = exact(polygamma_three_halves_mpf(n, ctx30))
             assert (-1) ** (n + 1) * v > 0, f"sign wrong at n={n}"
 
     def test_negative_order_rejected(self, ctx30):
@@ -191,8 +193,8 @@ class TestPolygammaThreeHalves:
         with mp.workdps(70):
             for n in (0, 5, 15):
                 diff = abs(
-                    polygamma_three_halves_mpf(n, lo)
-                    - polygamma_three_halves_mpf(n, hi)
+                    exact(polygamma_three_halves_mpf(n, lo))
+                    - exact(polygamma_three_halves_mpf(n, hi))
                 )
-                scale = max(1, abs(polygamma_three_halves_mpf(n, hi)))
+                scale = max(1, abs(exact(polygamma_three_halves_mpf(n, hi))))
                 assert diff / scale < mpf(10) ** (-(30 - 2))

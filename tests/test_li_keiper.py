@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from exact import exact
 from oracles import FROZEN, lambda_from_sigma_differences
 from zkconst import li_keiper
 from zkconst.li_keiper import (
@@ -52,18 +53,18 @@ class TestClosedForms:
 
 class TestSigmaRoute:
     def test_r1_is_sigma1(self, ctx30, chain30):
-        lam = lambda_table(chain30["sigmas"], ctx30).mpf(1)
+        lam = exact(lambda_table(chain30["sigmas"], ctx30)[1])
         with mp.workdps(60):
-            assert abs(lam - chain30["sigmas"].mpf(1)) < mpf("1e-35")
+            assert abs(lam - exact(chain30["sigmas"][1])) < mpf("1e-35")
 
     def test_r2_expands_to_2sigma1_minus_sigma2(self, ctx30, chain30):
         s = chain30["sigmas"]
-        lam = lambda_table(s, ctx30).mpf(2)
+        lam = exact(lambda_table(s, ctx30)[2])
         with mp.workdps(60):
-            assert abs(lam - (2 * s.mpf(1) - s.mpf(2))) < mpf("1e-35")
+            assert abs(lam - (2 * exact(s[1]) - exact(s[2]))) < mpf("1e-35")
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = lambda_table(chain30["sigmas"], ctx30).mpf(2)
+        lam = exact(lambda_table(chain30["sigmas"], ctx30)[2])
         with mp.workdps(60):
             diff = abs(lam - lambda_closed(2, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -78,15 +79,15 @@ class TestSigmaRoute:
 
 class TestEtaPsiRoute:
     def test_r1_is_pure_linear_term(self, ctx30, chain30):
-        lam = lambda_via_eta_psi(1, chain30["etas"], ctx30)
+        lam = exact(lambda_via_eta_psi(1, chain30["etas"], ctx30))
         with mp.workdps(60):
-            diff = abs(lam - lambda_closed(1, ctx30))
+            diff = abs(lam - exact(lambda_closed(1, ctx30)))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = lambda_via_eta_psi(2, chain30["etas"], ctx30)
+        lam = exact(lambda_via_eta_psi(2, chain30["etas"], ctx30))
         with mp.workdps(60):
-            diff = abs(lam - lambda_closed(2, ctx30))
+            diff = abs(lam - exact(lambda_closed(2, ctx30)))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_agrees_with_sigma_route_to_r10(self, ctx30, chain30):
@@ -94,7 +95,7 @@ class TestEtaPsiRoute:
         with mp.workdps(60):
             for r in range(1, 11):
                 a = lambda_via_eta_psi(r, chain30["etas"], ctx30)
-                b = chain30["lambdas"].mpf(r)
+                b = exact(chain30["lambdas"][r])
                 assert abs(a - b) < tol, f"r={r}"
 
 
@@ -103,9 +104,9 @@ class TestCoffeyRoute:
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for r in (2, 3, 10):
-                a = lambda_via_coffey(r, chain30["etas"], ctx30)
-                assert abs(a - chain30["lambdas"].mpf(r)) < tol
-                b = lambda_via_eta_psi(r, chain30["etas"], ctx30)
+                a = exact(lambda_via_coffey(r, chain30["etas"], ctx30))
+                assert abs(a - exact(chain30["lambdas"][r])) < tol
+                b = exact(lambda_via_eta_psi(r, chain30["etas"], ctx30))
                 assert abs(a - b) < tol
 
     def test_requires_r_at_least_two(self, ctx30, chain30):
@@ -118,7 +119,7 @@ class TestCoffeyRoute:
         # constant fitted to lambda_2's closed form would absorb it
         via_coffey = li_keiper.lambda_via_coffey
         monkeypatch.setattr(
-            li_keiper, "lambda_via_coffey", lambda r, etas, ctx: via_coffey(r, etas, ctx) + 1
+            li_keiper, "lambda_via_coffey", lambda r, etas, ctx: exact(via_coffey(r, etas, ctx)) + 1
         )
         failed = {r.identity for r in run_suite("lambda", PrecisionContext(digits))
                   if not r.passed}
@@ -133,7 +134,7 @@ class TestGDerivatives:
     def test_particular_values(self, ctx30, chain30):
         lam = chain30["lambdas"]
         with mp.workdps(60):
-            l1, l2, l3 = lam.mpf(1), lam.mpf(2), lam.mpf(3)
+            l1, l2, l3 = exact(lam[1]), exact(lam[2]), exact(lam[3])
             cases = {
                 0: l1,
                 1: l2 - 2 * l1,
@@ -147,8 +148,8 @@ class TestGDerivatives:
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for r in range(9):
-                a = g_derivs_at_one(r, chain30["lambdas"], ctx30)
-                b = g_derivs_at_one_via_eta(r, chain30["etas"], ctx30)
+                a = exact(g_derivs_at_one(r, chain30["lambdas"], ctx30))
+                b = exact(g_derivs_at_one_via_eta(r, chain30["etas"], ctx30))
                 assert abs(a - b) < tol, f"r={r}"
 
     def test_insufficient_lambdas(self, ctx30, chain30):
@@ -170,7 +171,7 @@ class TestMasterRecurrence:
         lam = chain30["lambdas"]
         with mp.workdps(60):
             values = list(lam.values)
-            values[1] = lam.mpf(2) + mpf("1e-3")
+            values[1] = exact(lam[2]) + mpf("1e-3")
             bumped = ConstantTable.of("lambda", values, "perturbed", ctx30)
         res = recurrence_residual_3_13(0, chain30["gammas"], bumped, ctx30)
         with mp.workdps(60):
@@ -278,11 +279,11 @@ class TestTransformProperties:
             sigmas = [mp.ldexp(mp.mpf(man), exp) for man, exp in pairs]
         drawn = ConstantTable.of("sigma", sigmas, "drawn", ctx)
         got = lambda_table(drawn, ctx).values
-        exact = [_exact(s) for s in sigmas]
-        want = lambda_from_sigma_differences(exact)
+        rationals = [_exact(s) for s in sigmas]
+        want = lambda_from_sigma_differences(rationals)
         unit = Fraction(1, 10**ctx.working_dps)
         for r in range(1, len(sigmas) + 1):
-            scale = sum(math.comb(r, j) * abs(exact[j - 1]) for j in range(1, r + 1))
+            scale = sum(math.comb(r, j) * abs(rationals[j - 1]) for j in range(1, r + 1))
             assert abs(_exact(got[r - 1]) - want[r - 1]) <= unit * scale, f"r={r}"
 
 
@@ -293,12 +294,12 @@ class TestTransformAccuracy:
         # sigma -> lambda and lambda -> sigma at the cap, at the step row the
         # lambda table runs at, against the exact transform of the same mpfs
         ctx = PrecisionContext(digits=digits)
-        values = [0, *table(kind, 20, ctx).values]
+        values = [0, *map(exact, table(kind, 20, ctx).values)]
         with mp.workdps(ctx.working_dps + extra_digits("step")):
             got = binomial_alternating_transform(values)
-        exact = [Fraction(0), *(_exact(v) for v in values[1:])]
+        rationals = [Fraction(0), *(_exact(v) for v in values[1:])]
         unit = Fraction(1, 10**ctx.working_dps)
         assert got[0] == 0
         for i, value in enumerate(got[1:], 1):
-            want = sum(math.comb(i, j) * (-1) ** j * exact[j] for j in range(i + 1))
+            want = sum(math.comb(i, j) * (-1) ** j * rationals[j] for j in range(i + 1))
             assert abs(_exact(value) - want) <= unit * max(1, abs(want)), f"i={i}"

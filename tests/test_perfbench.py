@@ -99,9 +99,11 @@ def test_trace_cli_runs():
 # serve every other request for them.  Gamma^(m)(1) is not memoised: the
 # Apostol weights read m = 0..10 once, and the three gamma-deriv-at-one-m*
 # reports recompute m = 1..3, each with one gamma_0 read, one Bell value and
-# m - 1 zeta reads: 3 stieltjes_gamma, as_mpf, bell_recurrence_value and
+# m - 1 zeta reads: 3 stieltjes_gamma, bell_recurrence_value and
 # bell_recurrence_values calls, 9 returned Bell entries and 3 zeta_int_mpf
-# calls of the counts below.
+# calls of the counts below.  pi and log(2 pi) at the zeta0 solve and the
+# elementary side precisions are memoised per dps: pi_at is read by the
+# Apostol weights, eq-5.3 and the cosine weights, log_2pi_at by the weights.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (1063, 0),
@@ -115,8 +117,10 @@ VERIFY_ALL_10_COUNTS = {
     "eta_sigma.gamma_from_eta": (1, 0),
     "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
     "kernel.log2_mpf": (25, 0),  # memo
+    "kernel.log_2pi_at": (1, 0),
     "kernel.log_2pi_mpf": (2, 0),
     "kernel.log_pi_mpf": (35, 0),  # memo
+    "kernel.pi_at": (3, 0),
     "kernel.polygamma_three_halves_mpf": (154, 0),
     "kernel.zeta_int_mpf": (148, 0),  # memo
     "li_keiper.binomial_alternating_transform": (73, 441),  # memo
@@ -140,8 +144,11 @@ VERIFY_ALL_10_COUNTS = {
     "stieltjes.stieltjes_gamma": (41, 0),  # memo
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
     # one per report verdict (223), default_tol (11), step map, route and
-    # first psi^(n)(3/2) (12); sigma_table takes two precisions
-    "stieltjes.workdps": (310, 0),
+    # first psi^(n)(3/2) (12); sigma_table takes two precisions.  zeta_derivs
+    # takes 41: 13 Gamma^(m)(1) at m >= 1, 9 L derivatives, the Apostol
+    # weights, both zeta0 tables and 16 forward evaluations; verify 7: one
+    # per side block and eq-3.20's lhs
+    "stieltjes.workdps": (358, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),
@@ -153,10 +160,6 @@ VERIFY_ALL_10_COUNTS = {
     "xi.xi_deriv_recurrence": (1, 0),
     "xi.xi_table": (1, 0),
     "zeta_derivs.L_derivs_at_zero": (9, 0),
-    # one per table value read as an mpf, by verify and zeta_derivs, and
-    # per stieltjes_gamma at a non-Binary u; the step maps above gamma read
-    # Binary values and call it no more (was 920, as kernel.as_mpf)
-    "zeta_derivs.as_mpf": (303, 0),
     "zeta_derivs.gamma_derivs_at_one_mpf": (14, 0),  # the weights to the cap, 3 closed forms
     "zeta_derivs.gamma_from_zeta_derivs": (16, 0),
     "zeta_derivs.zeta_derivs_at_zero": (1, 0),

@@ -1,4 +1,5 @@
 import pytest
+from exact import exact
 from memos import clear_package_memos, package_memos
 from mpmath import mp, mpf
 from mpmath.libmp import dps_to_prec as mpmath_dps_to_prec
@@ -68,9 +69,9 @@ class TestCheckIndex:
         lambda ctx, chain: stieltjes_gamma(True, 1, ctx),
         lambda ctx, chain: positivity_report(True, ctx),
         lambda ctx, chain: lambda_via_eta_psi(True, chain["etas"], ctx),
-        lambda ctx, chain: chain["gammas"].mpf(True),
+        lambda ctx, chain: chain["gammas"][True],
     ], ids=["table", "stieltjes_gamma", "positivity_report", "lambda_via_eta_psi",
-            "ConstantTable.mpf"])
+            "ConstantTable[]"])
     def test_bool_is_refused(self, call, ctx30, chain30):
         with pytest.raises(ValueError):
             call(ctx30, chain30)
@@ -114,7 +115,7 @@ def test_roundtrip_decimal_reparses_to_run_precision():
 def _printed(kind, ctx):
     """The `kind` table at its cap, as `zkconst table` prints it."""
     return [mp.nstr(v, ctx.digits, strip_zeros=False)
-            for _, v, _ in table(kind, family(kind)[1], ctx)]
+            for v in table(kind, family(kind)[1], ctx).values]
 
 
 @pytest.fixture
@@ -130,7 +131,7 @@ def clear_memos():
 
 def test_every_memo_is_found_and_bounded():
     names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
-    assert {"stieltjes._gamma_row", "chain._longest", "kernel._logs",
+    assert {"stieltjes._gamma_row", "chain._longest", "kernel._atoms",
             "kernel._polygamma_memo", "zeta_derivs._apostol_weights"} <= set(names)
     assert all(maxsize is not None for maxsize in names.values()), names
 
@@ -201,17 +202,17 @@ class TestConstantTable:
         starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
         for kind, start in starts.items():
             table = ConstantTable.of(kind, [mpf(1), mpf(2)], "t", ctx30)
-            assert [n for n, _, _ in table] == [start, start + 1]
+            assert [n for n, _, _ in table.rows()] == [start, start + 1]
             assert table.digits == 30
 
     def test_of_one_tag_for_every_entry(self, ctx30):
         table = ConstantTable.of("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)
-        assert [method for _, _, method in table] == ["recurrence-4.4"] * 3
+        assert [method for _, _, method in table.rows()] == ["recurrence-4.4"] * 3
 
     def test_of_keeps_per_entry_tags(self, ctx30):
         tags = ["closed-2.13", "eta-zeta-s4", "eta-zeta-s4"]
         table = ConstantTable.of("sigma", [mpf(1)] * 3, tags, ctx30)
-        assert [method for _, _, method in table] == tags
+        assert [method for _, _, method in table.rows()] == tags
 
     def test_of_rejects_tag_count_mismatch(self, ctx30):
         with pytest.raises(ValueError):
@@ -219,6 +220,6 @@ class TestConstantTable:
 
     def test_value_range(self, ctx30):
         table = ConstantTable.of("gamma", [mpf(1), mpf(2)], "hasse-2.8", ctx30)
-        assert float(table.mpf(1)) == 2.0
+        assert float(exact(table[1])) == 2.0
         with pytest.raises(ValueError):
-            table.mpf(2)
+            table[2]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from exact import exact
 from zkconst import li_keiper, xi
 from zkconst.reports import (
     all_passed,
@@ -23,7 +24,7 @@ from zkconst.verify import run_suite
 
 class TestEqualityReport:
     def test_pass_iff_within_tol(self, ctx30):
-        tol = default_tol(ctx30)
+        tol = exact(default_tol(ctx30))
         with mp.workdps(60):
             a = mp.sqrt(2)
             good = equality_report("same", a, a + tol / 10, tol, ctx30)
@@ -184,7 +185,7 @@ def test_negated_report_sides_print_the_table_digits(ctx30):
     reports = {r.identity: r for r in run_suite("eta", ctx30)}
     etas = table("eta", 12, ctx30)
     for n in range(2, 13, 2):
-        assert reports[f"eta-sign-alternation-n{n}"].lhs == negated(etas.mpf(n))
+        assert reports[f"eta-sign-alternation-n{n}"].lhs == negated(exact(etas[n]))
 
 
 @pytest.mark.parametrize("kind, n", [("lambda", 11), ("lambda", 12),
@@ -199,7 +200,7 @@ def test_a_fault_in_the_last_table_entries_fails_verify(kind, n, monkeypatch):
     def planted(sigmas, ctx):
         built = good(sigmas, ctx)
         values = list(built.values)
-        values[n - 1] += 100 * default_tol(ctx)
+        values[n - 1] = exact(values[n - 1]) + 100 * exact(default_tol(ctx))
         return ConstantTable.of(kind, values, built.methods, ctx)
 
     monkeypatch.setattr(module, build, planted)

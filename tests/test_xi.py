@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from exact import exact
 from zkconst.chain import table
 from zkconst.li_keiper import binomial_alternating_transform, lambda_table
 from zkconst.precision import extra_digits
@@ -22,36 +23,36 @@ def xi_bell(ctx30, sigmas):
 class TestBellRoute:
     def test_first_derivative_is_half_sigma1(self, ctx30, chain30, sigmas, xi_bell):
         with mp.workdps(60):
-            assert abs(xi_bell.mpf(1) - sigmas.mpf(1) / 2) < mpf("1e-35")
-            assert abs(xi_bell.mpf(1) - chain30["lambdas"].mpf(1) / 2) < mpf(10) ** (
+            assert abs(exact(xi_bell[1]) - exact(sigmas[1]) / 2) < mpf("1e-35")
+            assert abs(exact(xi_bell[1]) - exact(chain30["lambdas"][1]) / 2) < mpf(10) ** (
                 -(ctx30.digits - 5)
             )
 
     def test_second_derivative_lambda_expansion(self, ctx30, chain30, xi_bell):
         lam = chain30["lambdas"]
         with mp.workdps(60):
-            l1, l2 = lam.mpf(1), lam.mpf(2)
+            l1, l2 = exact(lam[1]), exact(lam[2])
             expected = (l1**2 + l2 - 2 * l1) / 2
-            assert abs(xi_bell.mpf(2) - expected) < mpf(10) ** (-(ctx30.digits - 5))
+            assert abs(exact(xi_bell[2]) - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_third_derivative_lambda_expansion(self, ctx30, chain30, xi_bell):
         lam = chain30["lambdas"]
         with mp.workdps(60):
-            l1, l2, l3 = lam.mpf(1), lam.mpf(2), lam.mpf(3)
+            l1, l2, l3 = exact(lam[1]), exact(lam[2]), exact(lam[3])
             expected = (l1**3 + 3 * l1 * (l2 - 2 * l1) + 6 * l1 - 6 * l2 + 2 * l3) / 2
-            assert abs(xi_bell.mpf(3) - expected) < mpf(10) ** (-(ctx30.digits - 5))
+            assert abs(exact(xi_bell[3]) - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_positivity(self, xi_bell):
         for n in range(1, 11):
-            assert xi_bell.mpf(n) > 0, f"xi^({n})(1)"
+            assert exact(xi_bell[n]) > 0, f"xi^({n})(1)"
 
     def test_implication_arithmetic(self, ctx30, chain30, xi_bell):
         # 2 xi''(1) = lambda_2 - lambda_1 (2 - lambda_1), the bridge from
         # second-derivative positivity to the lambda_2 lower bound
         lam = chain30["lambdas"]
         with mp.workdps(60):
-            l1, l2 = lam.mpf(1), lam.mpf(2)
-            assert abs(2 * xi_bell.mpf(2) - (l2 - l1 * (2 - l1))) < mpf(10) ** (
+            l1, l2 = exact(lam[1]), exact(lam[2])
+            assert abs(2 * exact(xi_bell[2]) - (l2 - l1 * (2 - l1))) < mpf(10) ** (
                 -(ctx30.digits - 5)
             )
             assert l2 > l1 * (2 - l1)
@@ -74,21 +75,21 @@ class TestRecurrenceRoute:
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for n in range(1, 9):
-                assert abs(rec.mpf(n) - xi_bell.mpf(n)) < tol, f"n={n}"
+                assert abs(exact(rec[n]) - exact(xi_bell[n])) < tol, f"n={n}"
 
     def test_n2_entry_matches_lambda_form(self, ctx30, chain30, sigmas):
         rec = xi_deriv_recurrence(sigmas, ctx30)
         lam = chain30["lambdas"]
         with mp.workdps(60):
-            l1, l2 = lam.mpf(1), lam.mpf(2)
+            l1, l2 = exact(lam[1]), exact(lam[2])
             expected = l2 / 2 - l1 + l1**2 / 2
-            assert abs(rec.mpf(2) - expected) < mpf(10) ** (-(ctx30.digits - 5))
+            assert abs(exact(rec[2]) - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_all_entries_positive(self, ctx30, sigmas):
         rec = xi_deriv_recurrence(sigmas, ctx30)
         assert rec.max_n == sigmas.max_n
         for n in range(1, 11):
-            assert rec.mpf(n) > 0
+            assert exact(rec[n]) > 0
 
     def test_insufficient_sigmas(self, ctx30, chain30):
         # the map reads every entry of its table, so only a table of another

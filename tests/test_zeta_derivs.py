@@ -1,6 +1,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from exact import exact
 from oracles import FROZEN
 from zkconst.chain import table
 from zkconst.kernel import zeta_int_mpf
@@ -29,10 +30,10 @@ class TestGammaDerivatives:
         assert gamma_derivs_at_one_mpf(0, ctx30) == 1
 
     def test_first_three_closed_forms(self, ctx30, chain30):
-        g0 = chain30["gammas"].mpf(0)
+        g0 = exact(chain30["gammas"][0])
         with mp.workdps(60):
-            z2 = zeta_int_mpf(2, ctx30)
-            z3 = zeta_int_mpf(3, ctx30)
+            z2 = exact(zeta_int_mpf(2, ctx30))
+            z3 = exact(zeta_int_mpf(3, ctx30))
             expected = {
                 1: -g0,
                 2: z2 + g0**2,
@@ -61,7 +62,7 @@ class TestLDerivatives:
     def test_second_derivative_at_zero(self, ctx30, chain30):
         v = L_derivs_at_zero(1, chain30["etas"], ctx30)
         with mp.workdps(60):
-            expected = zeta_int_mpf(2, ctx30) / 2 - chain30["etas"].mpf(1) - 1
+            expected = exact(zeta_int_mpf(2, ctx30)) / 2 - exact(chain30["etas"][1]) - 1
             assert abs(v - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_cross_check_against_zeta_second_derivative(
@@ -71,7 +72,7 @@ class TestLDerivatives:
         apostol, _ = zeta_tables
         v = L_derivs_at_zero(1, chain30["etas"], ctx30)
         with mp.workdps(60):
-            expected = -2 * apostol.mpf(2) - mp.log(2 * mp.pi) ** 2 - 1
+            expected = -2 * exact(apostol[2]) - mp.log(2 * mp.pi) ** 2 - 1
             assert abs(v - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_insufficient_etas(self, ctx30, chain30):
@@ -82,17 +83,17 @@ class TestLDerivatives:
 class TestZetaDerivativesAtZero:
     def test_entry_zero_is_minus_half(self, zeta_tables):
         apostol, log_chain = zeta_tables
-        assert float(apostol.mpf(0)) == -0.5
-        assert float(log_chain.mpf(0)) == -0.5
+        assert float(exact(apostol[0])) == -0.5
+        assert float(exact(log_chain[0])) == -0.5
 
     def test_first_derivative_both_routes(self, ctx30, zeta_tables):
         with mp.workdps(60):
             expected = -mp.log(2 * mp.pi) / 2
             for table in zeta_tables:
-                assert abs(table.mpf(1) - expected) < mpf(10) ** (
+                assert abs(exact(table[1]) - expected) < mpf(10) ** (
                     -(ctx30.digits - 3)
                 )
-                assert abs(table.mpf(1) - mpf(FROZEN["zeta_deriv1_at_0"])) < mpf(
+                assert abs(exact(table[1]) - mpf(FROZEN["zeta_deriv1_at_0"])) < mpf(
                     "1e-40"
                 )
 
@@ -100,16 +101,16 @@ class TestZetaDerivativesAtZero:
         g = chain30["gammas"]
         with mp.workdps(60):
             via_formula = (
-                g.mpf(1)
-                + g.mpf(0) ** 2 / 2
+                exact(g[1])
+                + exact(g[0]) ** 2 / 2
                 - mp.pi**2 / 24
                 - mp.log(2 * mp.pi) ** 2 / 2
             )
             for table in zeta_tables:
-                assert abs(table.mpf(2) - via_formula) < mpf(10) ** (
+                assert abs(exact(table[2]) - via_formula) < mpf(10) ** (
                     -(ctx30.digits - 5)
                 )
-                assert abs(table.mpf(2) - mpf(FROZEN["zeta_deriv2_at_0"])) < mpf(
+                assert abs(exact(table[2]) - mpf(FROZEN["zeta_deriv2_at_0"])) < mpf(
                     "1e-40"
                 )
 
@@ -119,10 +120,10 @@ class TestZetaDerivativesAtZero:
         g = chain30["gammas"]
         e = chain30["etas"]
         with mp.workdps(60):
-            z2 = zeta_int_mpf(2, ctx30)
+            z2 = exact(zeta_int_mpf(2, ctx30))
             log2pi2 = mp.log(2 * mp.pi) ** 2
-            a = g.mpf(1) + g.mpf(0) ** 2 / 2 - mp.pi**2 / 24 - log2pi2 / 2
-            b = e.mpf(1) / 2 - z2 / 4 - log2pi2 / 2
+            a = exact(g[1]) + exact(g[0]) ** 2 / 2 - mp.pi**2 / 24 - log2pi2 / 2
+            b = exact(e[1]) / 2 - z2 / 4 - log2pi2 / 2
             assert abs(a - b) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_routes_agree_entrywise(self, ctx30, zeta_tables):
@@ -130,7 +131,7 @@ class TestZetaDerivativesAtZero:
         tol = mpf(10) ** (-(ctx30.digits - 6))
         with mp.workdps(60):
             for n in range(9):
-                assert abs(apostol.mpf(n) - log_chain.mpf(n)) < tol, f"n={n}"
+                assert abs(exact(apostol[n]) - exact(log_chain[n])) < tol, f"n={n}"
 
     def test_route_and_cap_validation(self, ctx30, chain30):
         with pytest.raises(ValueError):
@@ -155,7 +156,7 @@ class TestForwardMap:
         with mp.workdps(60):
             for n in range(1, 9):
                 got = gamma_from_zeta_derivs(n, log_chain, ctx30)
-                assert abs(got - chain30["gammas"].mpf(n - 1)) < tol, f"n={n}"
+                assert abs(got - exact(chain30["gammas"][n - 1])) < tol, f"n={n}"
 
     def test_inverse_then_forward_is_identity(self, ctx30, chain30, zeta_tables):
         apostol, _ = zeta_tables
@@ -163,14 +164,14 @@ class TestForwardMap:
         with mp.workdps(60):
             for n in range(1, 9):
                 got = gamma_from_zeta_derivs(n, apostol, ctx30)
-                assert abs(got - chain30["gammas"].mpf(n - 1)) < tol
+                assert abs(got - exact(chain30["gammas"][n - 1])) < tol
 
     def test_n1_constant_cancellation(self, ctx30, chain30, zeta_tables):
         # log(2 pi) + gamma + 2 zeta'(0) must collapse to gamma
         _, log_chain = zeta_tables
-        g0 = chain30["gammas"].mpf(0)
+        g0 = exact(chain30["gammas"][0])
         with mp.workdps(60):
-            lhs = mp.log(2 * mp.pi) + g0 + 2 * log_chain.mpf(1)
+            lhs = mp.log(2 * mp.pi) + g0 + 2 * exact(log_chain[1])
             assert abs(lhs - g0) < mpf(10) ** (-(ctx30.digits - 3))
 
     def test_insufficient_table(self, ctx30, zeta_tables):
