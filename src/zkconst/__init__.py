@@ -9,8 +9,9 @@ recurrence and sign claim tying them together.
 Every submodule but __main__ is registered lazily: it sits in sys.modules and
 on the package from the start, but its code runs on the first attribute read,
 so a command executes only the modules its route reaches (`table --seq gamma`
-runs cli, chain, precision and stieltjes).  The public names below resolve
-through the module-level __getattr__, which loads their home module.
+runs cli, chain, precision and stieltjes).  The public names are listed
+once, in _HOMES under their home module, and __all__ is read off it; each
+resolves through the module-level __getattr__, which loads its home module.
 """
 
 import importlib.util
@@ -18,37 +19,6 @@ import os
 import sys
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstantTable",
-    "ConvergenceError",
-    "PrecisionContext",
-    "VerificationReport",
-    "L_derivs_at_zero",
-    "bell_determinant",
-    "bell_symbolic",
-    "eta_from_gamma",
-    "eta_from_gamma_coffey",
-    "g_derivs_at_one",
-    "g_derivs_at_one_via_eta",
-    "gamma_from_eta",
-    "gamma_from_zeta_derivs",
-    "lambda_closed",
-    "lambda_table",
-    "lambda_via_coffey",
-    "lambda_via_eta_psi",
-    "positivity_report",
-    "recurrence_residual_3_13",
-    "run_suite",
-    "sigma_table",
-    "stieltjes_gamma",
-    "stieltjes_table",
-    "table",
-    "xi_deriv_recurrence",
-    "xi_table",
-    "zeta_derivs_at_zero",
-    "zeta_derivs_log_chain",
-]
 
 # the module each public name is defined in
 _HOMES = {
@@ -70,6 +40,7 @@ _HOMES = {
         "zeta_derivs_log_chain",
     ),
 }
+__all__ = [name for names in _HOMES.values() for name in names]
 
 
 def _register_lazily() -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 
 from .bell import bell_recurrence_values
-from .kernel import log2_mpf, log_pi_mpf, zeta_int_mpf
+from .kernel import atoms, zeta_int_mpf
 from .precision import PrecisionContext, extra_digits
 from .stieltjes import Binary, ConstantTable, require, workdps
 
@@ -104,8 +104,8 @@ def sigma_table(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     form, the rest from eta, with per-entry route tags."""
     require(etas, "eta", "sigma_table")
     with workdps(ctx.working_dps):
-        gamma = -etas[0]
-        values = [+(-log_pi_mpf(ctx) / 2 + gamma / 2 + 1 - log2_mpf(ctx))]
+        gamma, logs = -etas[0], atoms(ctx.working_dps)
+        values = [+(-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2)]
     with workdps(ctx.working_dps + extra_digits("sigma")):
         for n in range(1, etas.max_n + 1):
             z = zeta_int_mpf(n + 1, ctx)

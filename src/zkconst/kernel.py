@@ -12,7 +12,7 @@ pi comes from Machin's 16 atan(1/5) - 4 atan(1/239) and each log from the
 gamma row's integer atanh (stieltjes._log), in fixed point with 64 guard
 bits, rounded once as mp.pi and mp.log round theirs; log pi and log 2 pi
 are, as mpmath takes them, the logs of pi and 2 pi rounded to the working
-precision.  All four are computed once per precision.
+precision.  All four are computed once per precision, by atoms(dps).
 
 zeta(n) is evaluated through the alternating series
 
@@ -32,34 +32,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 from .precision import PrecisionContext, check_index, dps_to_prec, extra_digits
 from .stieltjes import Binary, _log, _round, stieltjes_gamma, workdps
-
-
-def log2_mpf(ctx: PrecisionContext) -> Binary:
-    """log 2 at working precision."""
-    return _atoms(ctx.working_dps)[1]
-
-
-def log_pi_mpf(ctx: PrecisionContext) -> Binary:
-    """log pi at working precision."""
-    return _atoms(ctx.working_dps)[2]
-
-
-def log_2pi_mpf(ctx: PrecisionContext) -> Binary:
-    """log(2 pi) at working precision."""
-    return _atoms(ctx.working_dps)[3]
-
-
-def pi_at(dps: int) -> Binary:
-    """pi rounded to dps digits."""
-    return _atoms(dps)[0]
-
-
-def log_2pi_at(dps: int) -> Binary:
-    """log(2 pi) rounded to dps digits."""
-    return _atoms(dps)[3]
 
 
 def _atan_inverse(x: int, bits: int) -> int:
@@ -81,16 +57,22 @@ def _pi(bits: int) -> int:
     return (16 * _atan_inverse(5, bits + 32) - 4 * _atan_inverse(239, bits + 32)) >> 32
 
 
+class Atoms(NamedTuple):
+    pi: Binary
+    log2: Binary
+    log_pi: Binary
+    log_2pi: Binary
+
+
 @lru_cache(maxsize=16)
-def _atoms(dps: int) -> tuple:
-    """(pi, log 2, log pi, log(2 pi)) rounded to dps digits, once per dps,
-    as mp.pi, mp.log(2), mp.log(mp.pi) and mp.log(2 * mp.pi) take them; the
-    public names stay plain functions so that call counts see every call."""
+def atoms(dps: int) -> Atoms:
+    """pi, log 2, log pi and log(2 pi) rounded to dps digits, once per dps,
+    as mp.pi, mp.log(2), mp.log(mp.pi) and mp.log(2 * mp.pi) take them."""
     prec = dps_to_prec(dps)
     bits = prec + 64  # guard bits, as mpmath computes its own
     pi = _round(_pi(bits), 1, -bits, prec)
-    return (pi, *(_round(_log(x, bits), 1, -bits, prec)
-                  for x in (Binary(2), pi, Binary(pi.man, pi.exp + 1))))
+    return Atoms(pi, *(_round(_log(x, bits), 1, -bits, prec)
+                       for x in (Binary(2), pi, Binary(pi.man, pi.exp + 1))))
 
 
 class _CrvzWeights:
@@ -171,7 +153,7 @@ def _polygamma_memo(n: int, ctx: PrecisionContext) -> Binary:
     if n == 0:
         gamma = stieltjes_gamma(0, Binary(1), ctx)
         with workdps(ctx.working_dps):
-            return +(2 - gamma - 2 * log2_mpf(ctx))
+            return +(2 - gamma - 2 * atoms(ctx.working_dps).log2)
     with workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
         z = zeta_int_mpf(n + 1, ctx)
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z

@@ -28,12 +28,7 @@ import itertools
 import math
 import operator
 
-from .kernel import (
-    log2_mpf,
-    log_pi_mpf,
-    polygamma_three_halves_mpf,
-    zeta_int_mpf,
-)
+from .kernel import atoms, polygamma_three_halves_mpf, zeta_int_mpf
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
 from .reports import inequality_report, inequality_reports
 from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
@@ -63,10 +58,9 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> Binary:
     check_index(n, "a closed form's index n", 1, 2)
     with workdps(ctx.working_dps + extra_digits("step")):
         gamma = stieltjes_gamma(0, Binary(1), ctx)
-        log2 = log2_mpf(ctx)
-        logpi = log_pi_mpf(ctx)
+        logs = atoms(ctx.working_dps)
         if n == 1:
-            return +(-logpi / 2 + gamma / 2 + 1 - log2)
+            return +(-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2)
         gamma1 = stieltjes_gamma(1, Binary(1), ctx)
         z2 = zeta_int_mpf(2, ctx)
         return +(
@@ -74,8 +68,8 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> Binary:
             + 1
             + gamma
             - gamma**2
-            - 2 * log2
-            - logpi
+            - 2 * logs.log2
+            - logs.log_pi
             - 2 * gamma1
         )
 
@@ -92,7 +86,8 @@ def lambda_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
 
 def _linear_term(r: int, gamma, ctx: PrecisionContext):
     """r/2 (gamma - 2 log 2 + 2 - log pi) = r * lambda_1."""
-    return r * (gamma - 2 * log2_mpf(ctx) + 2 - log_pi_mpf(ctx)) / 2
+    logs = atoms(ctx.working_dps)
+    return r * (gamma - 2 * logs.log2 + 2 - logs.log_pi) / 2
 
 
 def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
@@ -131,7 +126,8 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bin
             )
         for j in range(1, r + 1):
             acc -= math.comb(r, j) * etas[j - 1]
-        acc -= r * (gamma + 2 * log2_mpf(ctx) + log_pi_mpf(ctx)) / 2
+        logs = atoms(ctx.working_dps)
+        acc -= r * (gamma + 2 * logs.log2 + logs.log_pi) / 2
         # lambda_r = r [z^r] log xi(1/(1-z)), and the factor s of
         # xi(s) = s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) / 2 gives
         # log s = -log(1-z) = sum_r z^r / r there: 1 in every lambda_r
@@ -163,7 +159,7 @@ def g_derivs_at_one_via_eta(
         value = polygamma_three_halves_mpf(r, ctx) / 2 ** (r + 1)
         value -= math.factorial(r) * etas[r]
         if r == 0:
-            value -= log_pi_mpf(ctx) / 2
+            value -= atoms(ctx.working_dps).log_pi / 2
         return +value
 
 
@@ -203,7 +199,7 @@ def recurrence_residual_3_13(
                 * psis[n - m]
             )
         lhs += (n + 1) * s / 2 ** (n + 1)
-        lhs += (-1) ** (n + 1) * (n + 1) * gammas[n] * log_pi_mpf(ctx) / 2
+        lhs += (-1) ** (n + 1) * (n + 1) * gammas[n] * atoms(ctx.working_dps).log_pi / 2
         lhs += (-1) ** (n + 1) * (n + 2) * gammas[n + 1]
 
         # sums[k] = sum_{j=1}^k C(k,j) (-1)^j lambda_j, with lambda_0 = 0

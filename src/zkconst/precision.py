@@ -12,7 +12,8 @@ Every integer argument with a range (an index, a table's max_n, digits,
 tol_exp) is checked by check_index, against the limits kept here: the
 digits range, the suites and each family's first index and cap (FAMILIES).
 A value leaves the package only in a ConstantTable or a VerificationReport,
-and both raise ValueError on a value that is not finite.  The context and
+and both read it through stieltjes' readers, Binary.of and rounded, which
+raise ValueError on an inf, a nan or no number.  The context and
 the table are Frozen records: their fields are set once, by __init__.
 
 The package runs on the standard library alone.  The argument parser and

@@ -9,11 +9,12 @@ every report because one constructor, `_report`, decides every verdict; the
 public constructors only pass it an error rule and a tolerance.  Inequality
 checks encode their violation magnitude as abs_err against a zero
 tolerance, and exact checks an error of 0 or 1 against a zero tolerance.
-A report with a side that is not finite is an error, never a verdict.
-`equality_reports` and `inequality_reports` build a whole indexed family of
-reports from route pairs.  Sides may be a stieltjes.Binary, an mpf, an int
-or a Fraction; the verdict runs in Binary arithmetic, each operation rounded
-as the mpf operation it stands for.
+A report with a side that is not finite, or no number, is an error, never
+a verdict.  `equality_reports` and `inequality_reports` build a whole
+indexed family of reports from route pairs.  Sides may be a
+stieltjes.Binary, an mpf, a float, an int or a Fraction, read as mpf reads
+them (stieltjes.rounded); the verdict runs in Binary arithmetic, each
+operation rounded as the mpf operation it stands for.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .precision import PrecisionContext, extra_digits
-from .stieltjes import Binary, _finite, decimal_str, workdps
+from .stieltjes import Binary, decimal_str, rounded, workdps
 
 
 class VerificationReport(NamedTuple):
@@ -45,15 +46,6 @@ class VerificationReport(NamedTuple):
         }
 
 
-def to_mpf(x) -> Binary | None:
-    """mpf(x) at the working precision, as the Binary with its bits, or
-    None for an mpf inf or nan; an int or Fraction is taken as
-    mpf(numerator) / denominator."""
-    if hasattr(x, "_mpf_"):  # a Binary or an mpf
-        return +Binary.of(x) if _finite(x) else None
-    return +Binary(x.numerator) / x.denominator
-
-
 def roundtrip_decimal(value: Binary, ctx: PrecisionContext) -> str:
     """Decimal string that, parsed at working_dps, gives back the value
     rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
@@ -73,12 +65,10 @@ def _report(identity, lhs, rhs, error, tol, ctx, method_tags) -> VerificationRep
     """The one verdict: both sides and the tolerance rounded to report
     precision, abs_err = error(lhs, rhs), and passed = abs_err <= tol; both
     sides are recorded at run precision.  A side that is not finite raises
-    ValueError: max(0, nan) is 0, so a NaN would otherwise pass an
-    inequality."""
+    ValueError in rounded: max(0, nan) is 0, so a NaN would otherwise pass
+    an inequality."""
     with workdps(ctx.working_dps + extra_digits("report")):
-        lhs, rhs, tol = to_mpf(lhs), to_mpf(rhs), to_mpf(tol)
-        if lhs is None or rhs is None:
-            raise ValueError(f"{identity}: both report sides must be finite")
+        lhs, rhs, tol = rounded(lhs), rounded(rhs), rounded(tol)
         abs_err = error(lhs, rhs)
         return VerificationReport(
             identity=identity,

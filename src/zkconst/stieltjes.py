@@ -76,9 +76,12 @@ The package runs on the standard library alone, in one number type: u,
 each gamma_n(u) and every value above them is a Binary, rounded (_round,
 _add) as mpf arithmetic would round it, so bit for bit the mpf value.
 Binary arithmetic rounds the same way at the one precision workdps sets,
-and raises outside it.  --u is read in mpmath's syntax, and every decimal
-the package writes comes from decimal_str, correctly rounded in mpmath's
-nstr layout.
+and raises outside it.  A number from outside enters through Binary.of,
+exactly (a table value, a value to print; the one reader of an mpf's
+bits), or through rounded, as mpf(x) rounds it (a report side, a gamma
+row's u); both refuse an inf, a nan and no number with ValueError.  --u is
+read in mpmath's syntax, and every decimal the package writes comes from
+decimal_str, correctly rounded in mpmath's nstr layout.
 """
 
 from __future__ import annotations
@@ -134,18 +137,18 @@ def _working_prec() -> int:
     return _prec
 
 
-def _operator(rounded):
-    """The Binary operator rounded(man, exp, other's man, other's exp) on a
+def _operator(rule):
+    """The Binary operator rule(man, exp, other's man, other's exp) on a
     Binary or an int.  Any other operand, an mpf among them, is left to its
     reflected operator; an mpf's reads a Binary exactly."""
     def method(self, other):
         if isinstance(other, Binary):
-            return rounded(self.man, self.exp, other.man, other.exp)
+            return rule(self.man, self.exp, other.man, other.exp)
         try:
             man = operator.index(other)
         except TypeError:
             return NotImplemented
-        return rounded(self.man, self.exp, man, 0)
+        return rule(self.man, self.exp, man, 0)
     return method
 
 
@@ -172,10 +175,17 @@ class Binary(Frozen):
 
     @classmethod
     def of(cls, x) -> "Binary":
-        """x, a Binary or a finite mpf, as the Binary it is."""
+        """x, a Binary or a finite mpf, as the Binary it is: the one reader
+        of an mpf's bits.  An mpf inf or nan (mpmath's (0, 0, exp != 0)),
+        or anything else, raises ValueError."""
         if isinstance(x, Binary):
             return x
-        sign, man, exp, _ = x._mpf_
+        try:
+            sign, man, exp, _ = x._mpf_
+        except AttributeError:
+            raise ValueError(f"a value must be a Binary or an mpf, not {x!r}") from None
+        if not man and exp:
+            raise ValueError(f"a value must be finite, not {x}")
         return cls(-man if sign else man, exp)
 
     @property
@@ -238,10 +248,16 @@ class Binary(Frozen):
 numbers.Rational.register(Binary)
 
 
-def _finite(x) -> bool:
-    """x, a Binary or an mpf, is not inf or nan (mpmath's (0, 0, exp != 0))."""
-    _, man, exp, _ = x._mpf_
-    return bool(man) or not exp
+def rounded(x) -> Binary:
+    """x rounded to the precision workdps sets, as mpf(x) rounds it: a float
+    or a Rational as mpf(numerator) / denominator, anything else as Binary.of
+    reads it.  An inf, a nan or no real number raises ValueError."""
+    if isinstance(x, Binary) or not isinstance(x, (float, numbers.Rational)):
+        return +Binary.of(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"a value must be finite, not {x}")
+    num, den = x.as_integer_ratio()
+    return +Binary(num) / den
 
 
 def _round(p: int, q: int, exp: int, prec: int) -> Binary:
@@ -323,10 +339,12 @@ def decimal_str(x, digits: int, strip_zeros: bool = True) -> str:
     """x, a Binary or an mpf, to `digits` significant digits, correctly
     rounded (half up; past 10^+-400 to 64 bits below the digits) in nstr's
     layout: fixed point when min(-(digits // 3), -5) < e < digits for the
-    leading digit's exponent e, else d.ddde+-N."""
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        return "0.0" if _finite(x) else str(x)  # an mpf inf or nan prints itself
+    leading digit's exponent e, else d.ddde+-N.  Any other x raises
+    ValueError, as Binary.of does."""
+    x = Binary.of(x)
+    if not x.man:
+        return "0.0"
+    man, exp = abs(x.man), x.exp
     scale = digits - math.floor((exp + man.bit_length() - 1) * math.log10(2))
     num, den, shift = _times_ten(man, exp, scale, 4 * digits + 64)
     den <<= max(-shift, 0)
@@ -342,7 +360,7 @@ def decimal_str(x, digits: int, strip_zeros: bool = True) -> str:
     if strip_zeros:
         text = text.rstrip("0")
         text += "0" if text.endswith(".") else ""
-    return "-" * sign + text + (f"e{lead:+d}" if lead else "")
+    return "-" * (x.man < 0) + text + (f"e{lead:+d}" if lead else "")
 
 
 class ConstantTable(Frozen):
@@ -351,9 +369,9 @@ class ConstantTable(Frozen):
     values[i] and methods[i] belong to index start + i, where start is the
     family's first index in FAMILIES; every entry names the formula route
     that produced it.  values hold the builder's values as the exact Binary
-    each is, whether it handed in a Binary or an mpf, and table[n] is one.
-    An empty table, or a value that is not a finite Binary or mpf, raises
-    ValueError, so neither is ever printed.
+    each is (Binary.of), whether it handed in a Binary or an mpf, and
+    table[n] is one.  An empty table, or a value that is not a finite Binary
+    or mpf, raises ValueError, so neither is ever printed.
     """
 
     __slots__ = ("kind", "values", "methods", "digits")
@@ -366,10 +384,6 @@ class ConstantTable(Frozen):
             raise ValueError("a table needs one method tag per value")
         if not all(methods):
             raise ValueError("every table entry needs a method tag")
-        if not all(hasattr(v, "_mpf_") for v in values):
-            raise ValueError(f"every {kind} table value must be a Binary or an mpf")
-        if not all(_finite(v) for v in values):
-            raise ValueError(f"every {kind} table value must be finite")
         values = tuple(map(Binary.of, values))
         self._set(kind=kind, values=values, methods=methods, digits=digits)
 
@@ -619,20 +633,15 @@ def _positive(u, name: str) -> Binary:
 def _row_u(u, ctx: PrecisionContext) -> Binary:
     """u as the gamma row keys it: rounded as mpf(u) rounds it at the
     working precision of the largest n, and checked > 0."""
-    prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1]))
+    dps = ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
     if isinstance(u, str):
-        value = _from_decimal(u, prec)
-    elif hasattr(u, "_mpf_"):  # a Binary or an mpf
-        sign, man, exp, _ = u._mpf_
-        value = _round(-man if sign else man, 1, exp, prec) if _finite(u) else None
-    elif isinstance(u, float) and not math.isfinite(u):
-        value = None
-    elif isinstance(u, (float, numbers.Rational)):  # as mpf(numerator) / denominator
-        num, den = u.as_integer_ratio()
-        top = _round(num, 1, 0, prec)
-        value = _round(top.man, den, top.exp, prec)
-    else:  # None, or no real number
-        value = None
+        value = _from_decimal(u, dps_to_prec(dps))
+    else:
+        try:
+            with workdps(dps):
+                value = rounded(u)
+        except ValueError:  # an inf, a nan or no real number
+            value = None
     return _positive(value, "u")
 
 

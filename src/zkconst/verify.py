@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import bell, eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
 from .chain import table
-from .kernel import log_2pi_mpf, pi_at, zeta_int_mpf
+from .kernel import atoms, zeta_int_mpf
 from .precision import MAX_DIGITS, SUITES, PrecisionContext, check_index, extra_digits
 from .reports import (
     default_tol,
@@ -513,7 +513,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     side_dps = ctx.working_dps + extra_digits("elementary_side")
 
     with workdps(side_dps):
-        log2pi = log_2pi_mpf(ctx)
+        log2pi = atoms(ctx.working_dps).log_2pi
         tol_52 = default_tol(ctx, ctx.digits - 3)
         reports.append(
             equality_report(
@@ -524,7 +524,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
         g0, g1 = gammas[0], gammas[1]
         eta1 = etas[1]
         z2 = zeta_int_mpf(2, ctx)
-        via_53 = g1 + g0**2 / 2 - pi_at(side_dps)**2 / 24 - log2pi**2 / 2
+        via_53 = g1 + g0**2 / 2 - atoms(side_dps).pi**2 / 24 - log2pi**2 / 2
         via_s4 = eta1 / 2 - z2 / 4 - log2pi**2 / 2
         reports.append(
             equality_report(
@@ -587,7 +587,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     # the cosine-derivative weights must be exactly sparse in odd order;
     # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian integers
     with workdps(side_dps):
-        pi_val = pi_at(side_dps)
+        pi_val = atoms(side_dps).pi
         ok = True
         worst = Binary(0)
         re, im = 1, 0

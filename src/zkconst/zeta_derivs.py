@@ -48,7 +48,7 @@ import math
 from functools import lru_cache
 
 from .bell import bell_recurrence_value, bell_recurrence_values
-from .kernel import log_2pi_at, log_2pi_mpf, pi_at, zeta_int_mpf
+from .kernel import atoms, zeta_int_mpf
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
 from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
 
@@ -77,7 +77,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> Bina
     check_index(n, "the L derivative index n", 0)
     with workdps(ctx.working_dps + extra_digits("step")):
         if n == 0:
-            return +(log_2pi_mpf(ctx) - 1)
+            return +(atoms(ctx.working_dps).log_2pi - 1)
         require(etas, "eta", "L_derivs_at_zero", n)
         fact = math.factorial(n)
         zcoeff = 1 - Binary(1, -(n + 1)) * (1 - (-1) ** n)
@@ -109,8 +109,8 @@ def _apostol_weights(ctx: PrecisionContext) -> tuple:
     orders = range(FAMILIES["zeta0"][1] + 1)
     dps = _solve_dps(ctx)
     with workdps(dps):
-        pi_val = pi_at(dps)
-        minus_log2pi = -log_2pi_at(dps)
+        pi_val = atoms(dps).pi
+        minus_log2pi = -atoms(dps).log_2pi
         cos_weights = [_cos_weight(j, pi_val) for j in orders]
         # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
         ec = [

@@ -25,7 +25,16 @@ from zkconst.precision import (
     dps_to_prec,
     extra_digits,
 )
-from zkconst.stieltjes import Binary, _add, _from_decimal, _round, decimal_str
+from zkconst.reports import default_tol, equality_report, exact_report, inequality_report
+from zkconst.stieltjes import (
+    Binary,
+    ConstantTable,
+    _add,
+    _from_decimal,
+    _round,
+    decimal_str,
+    stieltjes_gamma,
+)
 
 
 def random_binary(rng):
@@ -46,7 +55,7 @@ def test_writer_is_mpmaths_to_str():
             x, digits, strip)
 
 
-def test_writer_reads_an_mpf_and_the_special_values():
+def test_writer_reads_an_mpf_and_refuses_the_special_values():
     # the last few values carry into a new leading digit at some digits
     carries = ("0.99999999999", "999.9996", "-9.9999999", "99999.5", "9999999999.6")
     with mp.workdps(50):
@@ -55,8 +64,11 @@ def test_writer_reads_an_mpf_and_the_special_values():
             for digits in (1, 2, 3, 4, 8, 10, 45):
                 assert decimal_str(x, digits) == mp.nstr(x, digits)
                 assert decimal_str(x, digits, False) == mp.nstr(x, digits, strip_zeros=False)
+    # no value reaches the writer unchecked: an inf or nan is refused, not
+    # printed
     for special in (mp.inf, -mp.inf, mp.nan):
-        assert decimal_str(special, 8) == mp.nstr(special, 8)
+        with pytest.raises(ValueError, match="finite"):
+            decimal_str(special, 8)
 
 
 def random_decimal(rng):
@@ -280,7 +292,7 @@ def test_powers_are_mpf_powers_at_the_zeta0_and_side_precisions():
         ctx = PrecisionContext(digits)
         for dps in (zeta_derivs._solve_dps(ctx),
                     ctx.working_dps + extra_digits("elementary_side")):
-            bases = [kernel.pi_at(dps), kernel.log_2pi_at(dps)]
+            bases = [kernel.atoms(dps).pi, kernel.atoms(dps).log_2pi]
             with stieltjes.workdps(dps):
                 bases = [bases[0] / 2, -bases[1]]
                 got = [base**m for base in bases for m in range(2, 11)]
@@ -290,3 +302,31 @@ def test_powers_are_mpf_powers_at_the_zeta0_and_side_precisions():
                         for base in bases for m in range(2, 11))
             assert [v._mpf_ for v in got] == [v._mpf_ for v in want], digits
     assert wide > 500
+
+
+# every way a number enters the package: a table value, a report side, the u
+# of a gamma row and a value to print each refuse an inf, a nan and what is
+# no real number, with ValueError, never a verdict, a row or a string
+ENTRIES = {
+    "table-value": lambda x, ctx: ConstantTable.of("gamma", [x], "hasse-2.8", ctx),
+    "equality-lhs": lambda x, ctx: equality_report("x", x, 0, default_tol(ctx), ctx),
+    "equality-rhs": lambda x, ctx: equality_report("x", 0, x, default_tol(ctx), ctx),
+    "inequality-lhs": lambda x, ctx: inequality_report("x", x, 0, ctx),
+    "inequality-rhs": lambda x, ctx: inequality_report("x", 0, x, ctx),
+    "exact-lhs": lambda x, ctx: exact_report("x", True, x, 0, ctx),
+    "exact-rhs": lambda x, ctx: exact_report("x", True, 0, x, ctx),
+    "gamma-u": lambda x, ctx: stieltjes_gamma(0, x, ctx),
+    "decimal-str": lambda x, ctx: decimal_str(x, 8),
+}
+REFUSED = {
+    "float-inf": float("inf"), "float-minus-inf": float("-inf"), "float-nan": float("nan"),
+    "mpf-inf": mp.inf, "mpf-minus-inf": -mp.inf, "mpf-nan": mp.nan,
+    "None": None, "complex": 1 + 2j,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("value", REFUSED)
+def test_every_entry_refuses_what_is_no_finite_number(ctx30, entry, value):
+    with pytest.raises(ValueError):
+        ENTRIES[entry](REFUSED[value], ctx30)

@@ -7,8 +7,9 @@ every such name must also resolve on its module, or a removed function could
 linger in __all__.  Likewise every module-level private function, class or
 assignment must be referenced somewhere in the package outside its own
 definition, every working precision outside precision.py must come from its
-budget, no module but precision.py and bell.py tests for an int itself, and
-no file under src/ holds an assert statement or imports mpmath.
+budget, no module but precision.py and bell.py tests for an int itself, no
+file under src/ holds an assert statement or imports mpmath, and no code but
+stieltjes.Binary reads an mpf's _mpf_.
 
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
@@ -47,7 +48,8 @@ def unused_imports(source: str) -> list:
             imported |= {a.asname or a.name for a in node.names}
         elif isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            # only a literal list exports names; a computed __all__ exports none
             exported |= {ast.literal_eval(e) for e in node.value.elts}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used - exported)
@@ -56,6 +58,9 @@ def unused_imports(source: str) -> list:
 def test_checker_flags_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\n__all__ = ['tau']\nsys.exit(pi)\n"
     assert unused_imports(source) == ["os"]
+    computed = ("from math import e, pi\n_HOMES = {'math': ('pi',)}\n"
+                "__all__ = [n for names in _HOMES.values() for n in names]\n")
+    assert unused_imports(computed) == ["e", "pi"]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -396,6 +401,40 @@ def test_no_mpmath_import_under_src():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert sources
     assert mpmath_imports(sources) == []
+
+
+def mpf_readers(sources: dict) -> list:
+    """Functions, classes or modules, as "module.qualname", that read an
+    mpf's _mpf_ (as an attribute, or by name through getattr or hasattr)
+    outside stieltjes.Binary, whose Binary.of is the one reader of an mpf's
+    bits."""
+    owned = {}
+    for module, src in sources.items():
+        _owned_nodes(ast.parse(src), module, owned)
+    return sorted(
+        qualname for qualname, nodes in owned.items()
+        if qualname.split(".")[:2] != ["stieltjes", "Binary"] and any(
+            isinstance(n, ast.Attribute) and n.attr == "_mpf_"
+            or isinstance(n, ast.Constant) and n.value == "_mpf_" for n in nodes)
+    )
+
+
+def test_checker_flags_an_mpf_read_outside_binary():
+    sources = {
+        "stieltjes": "class Binary:\n    @classmethod\n    def of(cls, x):\n"
+                     "        return x._mpf_\n    @property\n    def _mpf_(self):\n"
+                     "        return ()\nclass BinaryRow:\n    def read(self, x):\n"
+                     "        return x._mpf_\ndef _finite(x):\n    return x._mpf_[1]\n",
+        "reports": "def to_mpf(x):\n    return hasattr(x, '_mpf_')\n"
+                   "def doc():\n    '''reads no _mpf_'''\nSIGN = ONE._mpf_[0]\n",
+    }
+    assert mpf_readers(sources) == [
+        "reports", "reports.to_mpf", "stieltjes.BinaryRow.read", "stieltjes._finite"]
+
+
+def test_only_binary_reads_an_mpf():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert mpf_readers(sources) == []
 
 
 # prints, on the last line of stderr, the package modules a CLI command

@@ -111,11 +111,10 @@ class TestAtomsAreMpmaths:
 
     def test_pi_and_logs(self):
         for dps in ATOM_DPS:
-            ctx = PrecisionContext(MIN_DIGITS, dps - MIN_DIGITS)
             with mp.workdps(dps):
-                want = +mp.pi, mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi), mp.log(2 * mp.pi)
-            got = (kernel.pi_at(dps), kernel.log2_mpf(ctx), kernel.log_pi_mpf(ctx),
-                   kernel.log_2pi_mpf(ctx), kernel.log_2pi_at(dps))
+                want = +mp.pi, mp.log(2), mp.log(mp.pi), mp.log(2 * mp.pi)
+            got = kernel.atoms(dps)
+            assert got._fields == ("pi", "log2", "log_pi", "log_2pi")
             assert [x._mpf_ for x in got] == [x._mpf_ for x in want], f"dps={dps}"
 
     def test_default_tolerances(self):

@@ -101,9 +101,9 @@ def test_trace_cli_runs():
 # reports recompute m = 1..3, each with one gamma_0 read, one Bell value and
 # m - 1 zeta reads: 3 stieltjes_gamma, bell_recurrence_value and
 # bell_recurrence_values calls, 9 returned Bell entries and 3 zeta_int_mpf
-# calls of the counts below.  pi and log(2 pi) at the zeta0 solve and the
-# elementary side precisions are memoised per dps: pi_at is read by the
-# Apostol weights, eq-5.3 and the cosine weights, log_2pi_at by the weights.
+# calls of the counts below.  pi and the logs come from one memo per dps,
+# kernel.atoms, an lru_cache that the tracer does not wrap, so no row counts
+# them.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (1063, 0),
@@ -116,11 +116,6 @@ VERIFY_ALL_10_COUNTS = {
     "eta_sigma.eta_from_gamma_coffey": (1, 0),
     "eta_sigma.gamma_from_eta": (1, 0),
     "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
-    "kernel.log2_mpf": (25, 0),  # memo
-    "kernel.log_2pi_at": (1, 0),
-    "kernel.log_2pi_mpf": (2, 0),
-    "kernel.log_pi_mpf": (35, 0),  # memo
-    "kernel.pi_at": (3, 0),
     "kernel.polygamma_three_halves_mpf": (154, 0),
     "kernel.zeta_int_mpf": (148, 0),  # memo
     "li_keiper.binomial_alternating_transform": (73, 441),  # memo
@@ -139,16 +134,18 @@ VERIFY_ALL_10_COUNTS = {
     "reports.inequality_report": (29, 0),
     "reports.inequality_reports": (2, 24),
     "reports.roundtrip_decimal": (446, 0),  # both sides of each of the 223 reports
-    "reports.to_mpf": (669, 0),  # 3 per report (sides, tolerance)
     "stieltjes.require": (99, 0),  # memo: one per step map
+    # 3 per report (sides, tolerance), and one per u that is not a str:
+    # each stieltjes_gamma call and stieltjes_table's own read
+    "stieltjes.rounded": (711, 0),
     "stieltjes.stieltjes_gamma": (41, 0),  # memo
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
     # one per report verdict (223), default_tol (11), step map, route and
     # first psi^(n)(3/2) (12); sigma_table takes two precisions.  zeta_derivs
     # takes 41: 13 Gamma^(m)(1) at m >= 1, 9 L derivatives, the Apostol
     # weights, both zeta0 tables and 16 forward evaluations; verify 7: one
-    # per side block and eq-3.20's lhs
-    "stieltjes.workdps": (358, 0),
+    # per side block and eq-3.20's lhs; and one per u read by rounded (42)
+    "stieltjes.workdps": (400, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),

@@ -16,6 +16,7 @@ from zkconst.li_keiper import binomial_alternating_transform
 from zkconst.precision import ConvergenceError, PrecisionContext
 from zkconst.stieltjes import (
     GAMMA_TAG,
+    Binary,
     stieltjes_gamma,
     stieltjes_table,
 )
@@ -189,12 +190,15 @@ class TestMemo:
     context)."""
 
     def test_spellings_of_one_u_share_an_entry(self, ctx30):
-        values = [
-            stieltjes_gamma(0, u, ctx30)
-            for u in (1, "1", Fraction(1), mpf(1), 1.0)
-        ]
-        assert row_cache() == (1, 4)
-        assert all(v._mpf_ == values[0]._mpf_ for v in values)
+        # a str, a Rational, a float, an mpf and a Binary, each read by one
+        # reader, give one row key
+        for rows, spellings in enumerate([
+            (1, "1", Fraction(1), mpf(1), 1.0),
+            ("2.5", Fraction(5, 2), 2.5, mpf("2.5"), Binary(5, -1)),
+        ], 1):
+            values = [stieltjes_gamma(0, u, ctx30) for u in spellings]
+            assert row_cache() == (rows, 4 * rows)
+            assert all(v._mpf_ == values[0]._mpf_ for v in values)
 
     @pytest.mark.parametrize(
         "other",
