@@ -414,14 +414,6 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
 # xi suite
 
 
-def _eq_3_20_lhs(sigmas):
-    """sigma_1^2 rounded to 15 digits (53 bits, mpmath's default
-    precision), at which eq-3.20 prints its lhs, not at the side precision
-    of the suite's other sides; ROADMAP item 15c widens it."""
-    with workdps(15):
-        return sigmas[1] ** 2
-
-
 def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
     tol = default_tol(ctx, tol_exp)
     reports = []
@@ -473,18 +465,18 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
                 method_tags=(li_keiper.LAMBDA_TAG,),
             )
         )
-    reports.append(
-        inequality_report(
-            "eq-3.18", lambdas[2], lambdas[1], ctx,
-            method_tags=(li_keiper.LAMBDA_TAG,),
+        reports.append(
+            inequality_report(
+                "eq-3.18", l2, l1, ctx,
+                method_tags=(li_keiper.LAMBDA_TAG,),
+            )
         )
-    )
-    reports.append(
-        inequality_report(
-            "eq-3.20", _eq_3_20_lhs(sigmas), sigmas[2], ctx,
-            method_tags=(eta_sigma.SIGMA_CLOSED_TAG, eta_sigma.SIGMA_TAG),
+        reports.append(
+            inequality_report(
+                "eq-3.20", sigmas[1] ** 2, sigmas[2], ctx,
+                method_tags=(eta_sigma.SIGMA_CLOSED_TAG, eta_sigma.SIGMA_TAG),
+            )
         )
-    )
 
     reports += equality_reports(
         range(1, max_n + 1), tol, ctx,

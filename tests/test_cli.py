@@ -420,12 +420,15 @@ class TestExitCodeWiring:
 # expression with itself (lambda_1 by four routes that are one formula,
 # g-deriv-two-routes-r0, the coffey-3.34 calibration and xi-reflection-n*)
 # gave way to 19 on lambda_11, lambda_12 and xi^(9..12)(1): every other
-# report line stayed byte-identical)
+# report line stayed byte-identical; the four `verify --suite all` digests
+# were re-pinned when eq-3.20's lhs, sigma_1^2, began to be squared at the
+# side precision, no longer at 53 bits: only that lhs moved, from its 16th
+# significant digit on, and no report name, count or verdict changed)
 GOLDEN_STDOUT = {
     "verify --suite all --digits 10":
-        "d00e9ad05eb6b8fc8aed1c324f4b9fe540cb3e0e158d007f665c4c1567b4d746",
+        "2b88a948aecad0f40f1a2ee1d33ba083f6a1e9244ec19e60668fdf9e238c5a53",
     "verify --suite all --digits 30":
-        "db84835a4671904ac45874008e63418c8953a9d6fb6fa9cb3a5b6d3256e4ad32",
+        "dc23f33f99a4fb75b984d8a12b8304336152ad0b5804f9e8d536d20644567119",
     "table --seq gamma --max-n 20 --digits 10":
         "39a847bc2f0379176161bb35f6311dfe89bd9eaa394b7e8da873b7d92166ee54",
     "table --seq eta --max-n 20 --digits 10":
@@ -445,7 +448,7 @@ GOLDEN_STDOUT = {
     "li-check --max-n 20 --digits 30":
         "915ba1ed32e7413d019ff50e56d81d46707cf0017f9ae622a2d58b3d745cfac2",
     "verify --suite all --digits 10 --format json":
-        "bbda76c4a147fc59c7c57003d50c8c995920877240dd2aa705b8a98885085aa3",
+        "9b6cd1cd850bef5a9eb5cc04b5ad86cbd7d7cda58af252cd87f0a49261e30f37",
     "li-check --max-n 20 --digits 10 --format json":
         "e402372c4c3a6a60d8c0ef3177f950199732de089f3b422a0523191d2c90a13b",
     "table --seq sigma --max-n 20 --digits 10 --format json":
@@ -458,7 +461,7 @@ GOLDEN_STDOUT = {
         "38d186c58955d0f744f2b8e22ec052be40f17ec67f334259e4530f77ae45b3b0",
     # 220 reports: at 60 digits the escalation checks drop out
     "verify --suite all --digits 60":
-        "89ff4259edf4734b8160c741816a810b290e0db90693e5df22e0e17d5500cfdd",
+        "9a2ded798580c5c109fb6ddca818339f30311cbbaae932e30e0d1da3867cecea",
     # the one path where the run's tolerance and the fixed tolerances differ
     "verify --suite lambda --digits 30 --tol-exp 30":
         "8456c8e6595d7cb1b096937d1a9ca9cf8e121ac86eeadcde6a283c44ae8c3216",

@@ -205,10 +205,6 @@ BUDGET_EXEMPT = {
         "of the logs, from the prime sieve or the chain, and 16 for the "
         "chain's start u + 1, rounded before its fixed point; sized in bits, "
         "not in digits per step",
-    "verify._eq_3_20_lhs":
-        "sigma_1^2 at 15 digits (53 bits), the precision eq-3.20 prints its "
-        "lhs at; ROADMAP item 15c moves it to the side precision, which "
-        "changes that printed lhs",
 }
 
 

@@ -143,9 +143,9 @@ VERIFY_ALL_10_COUNTS = {
     # one per report verdict (223), default_tol (11), step map, route and
     # first psi^(n)(3/2) (12); sigma_table takes two precisions.  zeta_derivs
     # takes 41: 13 Gamma^(m)(1) at m >= 1, 9 L derivatives, the Apostol
-    # weights, both zeta0 tables and 16 forward evaluations; verify 7: one
-    # per side block and eq-3.20's lhs; and one per u read by rounded (42)
-    "stieltjes.workdps": (400, 0),
+    # weights, both zeta0 tables and 16 forward evaluations; verify 6: one
+    # per side block; and one per u that rounded reads (42)
+    "stieltjes.workdps": (399, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),
