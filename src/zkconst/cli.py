@@ -7,9 +7,8 @@
     zkconst li-check --max-n <N> [--digits <D>] [--format <text|json>]
 
 --digits D lies in [10, 60]; --tol-exp T (default D - 5) lies in [1, D] and
-judges the numeric identities against 10^-T, except those whose tolerance is
-fixed (residuals, escalation, exact and inequality checks, ...; the verify
-module docstring lists them).
+judges every numeric identity against 10^-T; exact and inequality checks are
+judged against 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or cap error,
 3 convergence failure, 4 internal error (any other exception, reported as one

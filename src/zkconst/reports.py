@@ -65,10 +65,13 @@ def _report(identity, lhs, rhs, error, tol, ctx, method_tags) -> VerificationRep
     """The one verdict: both sides and the tolerance rounded to report
     precision, abs_err = error(lhs, rhs), and passed = abs_err <= tol; both
     sides are recorded at run precision.  A side that is not finite raises
-    ValueError in rounded: max(0, nan) is 0, so a NaN would otherwise pass
-    an inequality."""
+    rounded's ValueError, prefixed with the identity: max(0, nan) is 0, so
+    a NaN would otherwise pass an inequality."""
     with workdps(ctx.working_dps + extra_digits("report")):
-        lhs, rhs, tol = rounded(lhs), rounded(rhs), rounded(tol)
+        try:
+            lhs, rhs, tol = rounded(lhs), rounded(rhs), rounded(tol)
+        except ValueError as exc:
+            raise ValueError(f"{identity}: {exc}") from exc
         abs_err = error(lhs, rhs)
         return VerificationReport(
             identity=identity,

@@ -13,16 +13,9 @@ pairs (p, q); the routes take them scaled to integers and only the witness
 is divided by the scale, once (see `_scale_to_integers`), so every trial
 runs in integer arithmetic.
 
-Numeric identities are judged against 10^-tol_exp, defaulting to
-tol_exp = digits - 5, except for these, whose tolerance is fixed:
-
-  recurrence residuals eq-3.14-n0, eq-3.13-n*      10^-(digits - 8)
-  zeta0-routes-n*, eq-5.5-forward-n*,
-    forward-inverse-identity-n*                    10^-(digits - 6)
-  eq-5.2                                           10^-(digits - 3)
-  gamma-escalation-n*, gamma-guard-stability-n*    10^-(digits - 2)
-  cos-weight-even-orders                           10^-(digits + guard - 8)
-  exact and inequality checks                      0
+Every numeric identity is judged against one tolerance per run,
+reports.default_tol: 10^-tol_exp, with tol_exp = digits - 5 by default.
+Exact and inequality checks are judged against 0.
 """
 
 from __future__ import annotations
@@ -236,22 +229,22 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
             )
         )
 
-    # precision escalation: D and D+20 agree to 10^-(D-2)
+    # precision escalation: D and D+20 agree
     step = min(20, MAX_DIGITS - ctx.digits)
     if step > 0:
         esc = PrecisionContext(ctx.digits + step, ctx.guard_digits)
         reports += equality_reports(
-            (0, 1, 5), default_tol(ctx, ctx.digits - 2), ctx,
+            (0, 1, 5), tol, ctx,
             ("gamma-escalation-n", lambda n: stieltjes_gamma(n, 1, ctx),
              lambda n: stieltjes_gamma(n, 1, esc),
              (GAMMA_TAG, f"{GAMMA_TAG}@{esc.digits}d")),
         )
 
     # guard stability: guard_digits -> guard_digits + 10 moves the value
-    # by less than 10^-(digits-2)
+    # by no more than the tolerance
     wide = PrecisionContext(ctx.digits, ctx.guard_digits + 10)
     reports += equality_reports(
-        (1, 3), default_tol(ctx, ctx.digits - 2), ctx,
+        (1, 3), tol, ctx,
         ("gamma-guard-stability-n", lambda n: stieltjes_gamma(n, 1, ctx),
          lambda n: stieltjes_gamma(n, 1, wide), (GAMMA_TAG, f"{GAMMA_TAG}+guard")),
     )
@@ -369,15 +362,14 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
     )
 
     # master recurrence residuals; n = 0 is the eq-3.14 specialization
-    res_tol = default_tol(ctx, ctx.digits - 8)
     residual = (
         lambda n: li_keiper.recurrence_residual_3_13(n, gammas, lambdas, ctx),
         lambda n: 0,
         (li_keiper.RESIDUAL_TAG, GAMMA_TAG, li_keiper.LAMBDA_TAG),
     )
-    reports += equality_reports((0,), res_tol, ctx, ("eq-3.14-n", *residual))
+    reports += equality_reports((0,), tol, ctx, ("eq-3.14-n", *residual))
     # index n reads gamma to n + 1 and lambda to n + 2
-    reports += equality_reports(range(1, max_r - 1), res_tol, ctx, ("eq-3.13-n", *residual))
+    reports += equality_reports(range(1, max_r - 1), tol, ctx, ("eq-3.13-n", *residual))
 
     # g^(r)(1) reads lambda to r + 1 and eta to r; r = 0 is lambda_1
     reports += equality_reports(
@@ -506,10 +498,9 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
 
     with workdps(side_dps):
         log2pi = atoms(ctx.working_dps).log_2pi
-        tol_52 = default_tol(ctx, ctx.digits - 3)
         reports.append(
             equality_report(
-                "eq-5.2", z_ap[1], -log2pi / 2, tol_52, ctx,
+                "eq-5.2", z_ap[1], -log2pi / 2, tol, ctx,
                 method_tags=(zeta_derivs.APOSTOL_TAG, "closed-5.2"),
             )
         )
@@ -543,14 +534,13 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
             )
         )
 
-    route_tol = default_tol(ctx, ctx.digits - 6)
     reports += equality_reports(
-        range(max_n + 1), route_tol, ctx,
+        range(max_n + 1), tol, ctx,
         ("zeta0-routes-n", z_ap.__getitem__, z_lc.__getitem__,
          (zeta_derivs.APOSTOL_TAG, zeta_derivs.LOG_CHAIN_TAG)),
     )
     reports += equality_reports(
-        range(1, max_n + 1), route_tol, ctx,
+        range(1, max_n + 1), tol, ctx,
         ("eq-5.5-forward-n",
          lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_lc, ctx),
          lambda n: gammas[n - 1],
@@ -577,7 +567,9 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
     )
 
     # the cosine-derivative weights must be exactly sparse in odd order;
-    # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian integers
+    # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian integers.
+    # In even order both sides round the same power (pi/2)^m, so they agree
+    # exactly
     with workdps(side_dps):
         pi_val = atoms(side_dps).pi
         ok = True
@@ -592,13 +584,10 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
                     ok = False
             else:
                 worst = max(worst, abs(numeric - w))
-        sparsity_tol = default_tol(ctx, ctx.digits + ctx.guard_digits - 8)
         reports.append(_holds("cos-weight-odd-orders-vanish", ok, ctx, ("cos-derivative-5.5",)))
         reports.append(
-            equality_report(
-                "cos-weight-even-orders", worst, 0, sparsity_tol, ctx,
-                method_tags=("cos-derivative-5.5", "numeric-cosine"),
-            )
+            exact_report("cos-weight-even-orders", worst == 0, worst, 0, ctx,
+                         method_tags=("cos-derivative-5.5", "numeric-cosine"))
         )
     return reports
 
@@ -621,9 +610,9 @@ def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):
 
     tol_exp must be an int in [1, ctx.digits]: a looser bound would pass
     vacuously.  The upper cap is a policy, not a limit of the run's
-    precision (every report also meets digits + 6); ROADMAP item 3
-    revisits it.  tol_exp sets the tolerance of every numeric identity
-    except those listed in the module docstring, whose tolerance is fixed.
+    precision (every report also meets digits + 5); ROADMAP item 3
+    revisits it.  tol_exp sets the tolerance 10^-tol_exp of every numeric
+    identity; exact and inequality checks are judged against 0.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")

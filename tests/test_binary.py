@@ -306,7 +306,8 @@ def test_powers_are_mpf_powers_at_the_zeta0_and_side_precisions():
 
 # every way a number enters the package: a table value, a report side, the u
 # of a gamma row and a value to print each refuse an inf, a nan and what is
-# no real number, with ValueError, never a verdict, a row or a string
+# no real number, with ValueError, never a verdict, a row or a string; a
+# report's refusal begins with the report's name
 ENTRIES = {
     "table-value": lambda x, ctx: ConstantTable.of("gamma", [x], "hasse-2.8", ctx),
     "equality-lhs": lambda x, ctx: equality_report("x", x, 0, default_tol(ctx), ctx),
@@ -328,5 +329,6 @@ REFUSED = {
 @pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("value", REFUSED)
 def test_every_entry_refuses_what_is_no_finite_number(ctx30, entry, value):
-    with pytest.raises(ValueError):
+    named = entry.startswith(("equality", "inequality", "exact"))
+    with pytest.raises(ValueError, match="^x: " if named else None):
         ENTRIES[entry](REFUSED[value], ctx30)

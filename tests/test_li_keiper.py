@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from zkconst.li_keiper import (
 )
 from zkconst.chain import table
 from zkconst.precision import PrecisionContext, extra_digits
+from zkconst.reports import default_tol
 from zkconst.stieltjes import ConstantTable
 from zkconst.verify import run_suite
 
@@ -159,7 +161,7 @@ class TestGDerivatives:
 
 class TestMasterRecurrence:
     def test_residuals_up_to_six(self, ctx30, chain30):
-        tol = mpf(10) ** (-(ctx30.digits - 8))
+        tol = exact(default_tol(ctx30))
         for n in range(7):
             res = recurrence_residual_3_13(
                 n, chain30["gammas"], chain30["lambdas"], ctx30
@@ -182,6 +184,21 @@ class TestMasterRecurrence:
             recurrence_residual_3_13(12, chain30["gammas"], chain30["lambdas"], ctx30)
         with pytest.raises(ValueError):
             recurrence_residual_3_13(13, chain30["gammas"], chain30["lambdas"], ctx30)
+
+    @pytest.mark.parametrize("sign", ["(+1)", "(-2)"])
+    def test_a_sign_mutant_of_the_rhs_fails_verify_at_10_digits(self, sign, monkeypatch):
+        # the paper's (-1)^n (n+1)! weight with its sign base changed: the
+        # lambda suite's residuals must catch it even at the fewest digits
+        source = Path(li_keiper.__file__).read_text()
+        original = "(-1) ** n * math.factorial(n + 1)"
+        assert source.count(original) == 1
+        mutant = source.replace(original, f"{sign} ** n * math.factorial(n + 1)")
+        namespace = {"__name__": "zkconst.li_keiper_mutant", "__package__": "zkconst"}
+        exec(compile(mutant, li_keiper.__file__, "exec"), namespace)
+        monkeypatch.setattr(li_keiper, "recurrence_residual_3_13",
+                            namespace["recurrence_residual_3_13"])
+        reports = run_suite("lambda", PrecisionContext(10))
+        assert any(not r.passed for r in reports)
 
 
 class TestCombinatorialHelpers:

@@ -140,38 +140,34 @@ EXACT_OR_INEQUALITY = re.compile(
     r"(bell-(routes-exact|printed-poly|monomial-weights|convolution"
     r"|scaled-determinant)-n\d+|bell-exp-derivative-m\d+-x[\d.]+"
     r"|hasse-normalization-delta|eq-3\.27-involution"
-    r"|eq-3\.9-p\d+|cos-weight-odd-orders-vanish"
+    r"|eq-3\.9-p\d+|cos-weight-(odd-orders-vanish|even-orders)"
     r"|eta1-nonneg-consequence|eta0-negative|eta-sign-alternation-n\d+"
     r"|eq-3\.1[78]|eq-3\.20|xi-deriv-positive-n\d+)"
 )
 
 
-def fixed_tol_exps(digits, guard):
-    """(identity pattern, tolerance exponent) of the checks whose tolerance
-    does not follow tol_exp, as the verify module docstring lists them."""
-    return [
-        (r"eq-3\.1[34]-n\d+", digits - 8),
-        (r"(zeta0-routes|eq-5\.5-forward|forward-inverse-identity)-n\d+", digits - 6),
-        (r"eq-5\.2", digits - 3),
-        (r"gamma-(escalation|guard-stability)-n\d+", digits - 2),
-        (r"cos-weight-even-orders", digits + guard - 8),
-    ]
-
-
-def test_tol_exp_governs_all_but_fixed_tolerances(ctx30):
-    fixed = fixed_tol_exps(ctx30.digits, ctx30.guard_digits)
-    reports = run_suite("all", ctx30, 20)
-    assert len(reports) == 223
+def wrong_tolerances(reports, tol_exp):
+    """(identity, tol, wanted) of every report not judged against 10^-tol_exp
+    if numeric, or 0 if exact or an inequality."""
     wrong = []
     for r in reports:
-        exps = [e for pattern, e in fixed if re.fullmatch(pattern, r.identity)]
-        if EXACT_OR_INEQUALITY.fullmatch(r.identity):
-            want = "0.0"
-        else:
-            want = f"1.0e-{exps[0] if exps else 20}"
+        want = "0.0" if EXACT_OR_INEQUALITY.fullmatch(r.identity) else f"1.0e-{tol_exp}"
         if r.tol != want:
             wrong.append((r.identity, r.tol, want))
-    assert not wrong
+    return wrong
+
+
+def test_tol_exp_governs_every_numeric_identity(ctx30):
+    reports = run_suite("all", ctx30, 20)
+    assert len(reports) == 223
+    assert not wrong_tolerances(reports, 20)
+
+
+@pytest.mark.parametrize("digits, count", [(10, 223), (30, 223), (60, 220)])
+def test_default_run_judges_every_numeric_identity_at_digits_minus_5(digits, count):
+    reports = run_suite("all", PrecisionContext(digits))
+    assert len(reports) == count
+    assert not wrong_tolerances(reports, digits - 5)
 
 
 def test_negated_report_sides_print_the_table_digits(ctx30):

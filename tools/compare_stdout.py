@@ -27,6 +27,8 @@ byte-identical and, when they are not:
     verdict changed;
   - the worst change of a report side (lhs or rhs) as a multiple of
     10^-(digits+5) * max(1, |old side|);
+  - how many reports' tol and abs_err moved, and the first few by name as
+    old -> new, so a change of tolerance alone reads as one;
   - the table rows whose printed value changed, as n: old -> new.
 Exit status 0 when every command keeps its exit code, stderr, report names
 and verdicts and every side moves by at most that bound; 1 otherwise.  A
@@ -50,6 +52,7 @@ GAMMA_US = ("2", "0.001", "1e-20", "2.5", "1e30", "150", "1000")
 # --u values at the edges of mpmath's syntax, read to 20 digits' worth of rows
 EDGE_US = ("1/3", "1e300", "1e401", "1e-401", "2.5e-30", "' 2 '", "1_0")
 SIDE_MARGIN = 5  # a side may move by 10^-(digits + SIDE_MARGIN), relative above 1
+FIRST_FEW = 5  # moved tol and abs_err fields listed by name per command
 
 
 def assigned(path: Path, name: str) -> ast.expr:
@@ -122,16 +125,18 @@ def run(src: str, command: str) -> tuple:
 
 def parse(stdout: str) -> tuple:
     """(reports, rows) of one output: reports as [(identity, passed, lhs,
-    rhs)] in order, table rows as {n: printed value}."""
+    rhs, abs_err, tol)] in order, table rows as {n: printed value}."""
     if stdout.startswith("{"):
         data = json.loads(stdout)
-        reports = [(r["identity"], r["pass"], r["lhs"], r["rhs"]) for r in data.get("reports", [])]
+        reports = [(r["identity"], r["pass"], r["lhs"], r["rhs"], r["abs_err"], r["tol"])
+                   for r in data.get("reports", [])]
         return reports, {r["n"]: r["value"] for r in data.get("rows", [])}
     reports, rows = [], {}
     for line in stdout.splitlines():
         if line.startswith(("pass  ", "FAIL  ")):
-            verdict, identity, lhs, rhs = line.split("  ")[:4]
-            reports.append((identity, verdict == "pass", lhs[len("lhs="):], rhs[len("rhs="):]))
+            verdict, identity, *fields = line.split("  ")[:6]
+            reports.append((identity, verdict == "pass",
+                            *(field.partition("=")[2] for field in fields)))
             continue
         fields = line.replace(",", " ").split()
         if len(fields) == 3 and fields[0].isdigit():
@@ -187,6 +192,12 @@ def compare(command: str, old: tuple, new: tuple) -> tuple:
     if where is not None:
         ok = ok and worst <= 1
         lines.append(f"worst side change {mp.nstr(worst, 3)} x 10^-(digits+{SIDE_MARGIN}) at {where}")
+    for field, i in (("abs_err", 4), ("tol", 5)):
+        moved = [f"{a[0]} {a[i]} -> {b[i]}" for a, b in pairs if a[i] != b[i]]
+        if moved:
+            more = f"; {len(moved) - FIRST_FEW} more" if len(moved) > FIRST_FEW else ""
+            lines.append(f"{field} moved in {len(moved)} reports: "
+                         + "; ".join(moved[:FIRST_FEW]) + more)
     rows = [
         f"{n}: {old_rows.get(n)} -> {new_rows.get(n)}"
         for n in sorted(set(old_rows) | set(new_rows)) if old_rows.get(n) != new_rows.get(n)
