@@ -74,12 +74,7 @@ def _emit_reports(checks, suite: str, digits: int, fmt: str) -> tuple:
 # before it writes, so a closed stdout cannot change it
 def _cmd_table(args) -> tuple:
     ctx = PrecisionContext(digits=args.digits)
-    u = args.u
-    # only gamma reads --u; chain.table refuses it for any other family
-    # unparsed, so that usage error executes no stieltjes
-    if u is not None and args.seq == "gamma":
-        u = stieltjes.parse_u(u, ctx)
-    table = chain.table(args.seq, args.max_n, ctx, u=u)
+    table = chain.table(args.seq, args.max_n, ctx, u=args.u)
     return EXIT_OK, _emit_table(table, args.seq, args.format)
 
 

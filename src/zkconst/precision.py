@@ -56,7 +56,6 @@ _BUDGET = {
     "elementary_side": (0, 10),  # suite sides from log(2 pi), pi, cos and zeta(k) afresh
     "report": (0, 10),  # a report compares its sides and tolerance without rounding them
     "roundtrip": (0, 5),  # digits a printed side carries so that it reparses at working_dps
-    "parse_u": (0, 10),  # the --u argument, read before the gamma row converts it
 }
 
 

@@ -79,9 +79,10 @@ Binary arithmetic rounds the same way at the one precision workdps sets,
 and raises outside it.  A number from outside enters through Binary.of,
 exactly (a table value, a value to print; the one reader of an mpf's
 bits), or through rounded, as mpf(x) rounds it (a report side, a gamma
-row's u); both refuse an inf, a nan and no number with ValueError.  --u is
-read in mpmath's syntax, and every decimal the package writes comes from
-decimal_str, correctly rounded in mpmath's nstr layout.
+row's u); both refuse an inf, a nan and no number with ValueError.  A u
+given as a string, --u or a library argument alike, is read once, by _row_u,
+in mpmath's syntax at the row's precision, and every decimal the package
+writes comes from decimal_str, correctly rounded in mpmath's nstr layout.
 """
 
 from __future__ import annotations
@@ -623,45 +624,37 @@ class _GammaRow:
 _gamma_row = lru_cache(maxsize=32)(_GammaRow)
 
 
-def _positive(u, name: str) -> Binary:
-    """u, unless it is None or not > 0; name is how the caller knows it."""
-    if u is None or u.man <= 0:
-        raise ValueError(f"{name} must be a finite real > 0")
-    return u
-
-
 def _row_u(u, ctx: PrecisionContext) -> Binary:
-    """u as the gamma row keys it: rounded as mpf(u) rounds it at the
-    working precision of the largest n, and checked > 0."""
+    """u as the gamma row keys it, read once for the CLI and the library:
+    rounded as mpf(u) rounds it at the working precision of the largest n,
+    a str read there in mpmath's syntax, and checked finite and > 0.  The
+    messages name --u, the flag a CLI user typed it as."""
     dps = ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
     if isinstance(u, str):
-        value = _from_decimal(u, dps_to_prec(dps))
+        try:
+            value = _from_decimal(u, dps_to_prec(dps))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse --u value {u!r}") from exc
     else:
         try:
             with workdps(dps):
                 value = rounded(u)
         except ValueError:  # an inf, a nan or no real number
             value = None
-    return _positive(value, "u")
-
-
-def parse_u(raw: str, ctx: PrecisionContext) -> Binary:
-    """The --u argument as a Binary, read as mpf(raw) reads it at the
-    parse_u precision, before the gamma row converts it."""
-    try:
-        u = _from_decimal(raw, dps_to_prec(ctx.working_dps + extra_digits("parse_u")))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse --u value {raw!r}") from exc
-    return _positive(u, "--u")
+    if value is None or value.man <= 0:
+        raise ValueError("--u must be a finite real > 0")
+    return value
 
 
 def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> Binary:
     """gamma_n(u) accurate to ctx.digits digits; gamma_n(1) = gamma_n.
 
-    u accepts int, Fraction, mpf, Binary, or a decimal string; a Python
-    float is taken at its exact binary value (pass a string for decimal
-    semantics); anything else raises ValueError.  The value is the row's
-    exact Binary.
+    u accepts int, Fraction, mpf, Binary, or a decimal string, read as
+    mpf(u) reads it at the row's precision, as --u is; a Python float is
+    taken at its exact binary value (pass a string for decimal semantics).
+    A string mpmath cannot read raises ValueError("cannot parse --u value
+    ..."), and an inf, a nan, a u <= 0 or no number ValueError("--u must be
+    a finite real > 0").  The value is the row's exact Binary.
     """
     start, cap = FAMILIES["gamma"]
     check_index(n, "the stieltjes index n", start, cap)

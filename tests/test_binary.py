@@ -1,12 +1,13 @@
 """The package's number layer, on the standard library, against mpmath.
 
-stieltjes reads --u, rounds every gamma_n(u) and writes every decimal of the
-package without mpmath, and every step map, route and verify side computes
-in Binary arithmetic, so each piece is held to the mpmath operation it
-replaces, on seeded random cases: the writer to libmp.to_str (mp.nstr), the
-parser to libmp.from_str (mpf(raw)), the rounding helpers to mpf division
-and addition at the gamma precisions, and every Binary operator to the mpf
-operator it stands for.
+stieltjes reads a string u, --u or a library argument, rounds every
+gamma_n(u) and writes every decimal of the package without mpmath, and every
+step map, route and verify side computes in Binary arithmetic, so each piece
+is held to the mpmath operation it replaces, on seeded random cases: the
+writer to libmp.to_str (mp.nstr), the parser to libmp.from_str (mpf(raw)) at
+the gamma row's precisions, where it reads u, the rounding helpers to mpf
+division and addition at the gamma precisions, and every Binary operator to
+the mpf operator it stands for.
 """
 import operator
 import random
@@ -100,9 +101,10 @@ def read_here(raw, prec):
     return None if value is None else value._mpf_
 
 
-# every precision the package parses at: --u, and a str u of stieltjes_gamma
-PARSE_PRECS = sorted({dps_to_prec(PrecisionContext(d).working_dps + extra_digits(step, n))
-                      for d in (10, 30, 45, 60) for step, n in (("parse_u", 0), ("gamma", 20))})
+# every precision the package parses at: the gamma row's, where it reads a
+# str u, --u or a library argument alike
+PARSE_PRECS = [dps_to_prec(PrecisionContext(d).working_dps + extra_digits("gamma", 20))
+               for d in (10, 30, 45, 60)]
 
 
 def test_parser_is_mpmaths_from_str():
@@ -136,7 +138,7 @@ def test_parser_refuses_exactly_what_mpmath_refuses():
 ])
 def test_parse_u_keeps_its_two_messages(raw, message):
     with pytest.raises(ValueError) as info:
-        stieltjes.parse_u(raw, PrecisionContext(digits=30))
+        stieltjes_gamma(0, raw, PrecisionContext(digits=30))
     assert str(info.value) == message
 
 

@@ -118,13 +118,15 @@ class TestTableCommand:
         assert first.returncode == second.returncode == 0
 
 
-def table_exit_code(u_raw):
-    """Exit code of `table --seq gamma --max-n 0 --u=<u_raw>`, in process;
-    the = form keeps argparse from reading a leading '-' as an option."""
+def table_usage(u_raw):
+    """(exit code, stderr) of `table --seq gamma --max-n 0 --u=<u_raw>`, in
+    process; the = form keeps argparse from reading a leading '-' as an
+    option."""
     from zkconst import cli
 
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(["table", "--seq", "gamma", "--max-n", "0", f"--u={u_raw}"])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return cli.main(["table", "--seq", "gamma", "--max-n", "0", f"--u={u_raw}"]), err.getvalue()
 
 
 # positive finite decimals in the forms a user types: 12, 0.5, .5, 5., 1e-7,
@@ -156,33 +158,64 @@ class TestParseU:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(raw=POSITIVE_DECIMALS)
     def test_positive_finite_decimals_parse(self, raw, ctx30):
+        # read once, at the gamma row's precision, for the CLI and the library
         from zkconst import stieltjes
+        from zkconst.precision import FAMILIES, extra_digits
 
-        u = stieltjes.parse_u(raw, ctx30)
+        u = stieltjes._row_u(raw, ctx30)
         exact = Fraction(raw.lstrip("+"))
+        row_dps = ctx30.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
         assert mp.isfinite(u) and u.man > 0
-        with mp.workdps(ctx30.working_dps + 20):
+        with mp.workdps(row_dps + 20):
             want = mpf(exact.numerator) / exact.denominator
-            assert abs(u - want) <= want * mpf(10) ** -ctx30.working_dps
+            assert abs(u - want) <= want * mpf(10) ** -row_dps
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(ZEROS | NEGATIVES | NON_FINITE | UNPARSEABLE)
     def test_every_other_value_exits_2(self, raw):
         from zkconst.cli import EXIT_USAGE
 
-        assert table_exit_code(raw) == EXIT_USAGE
+        assert table_usage(raw)[0] == EXIT_USAGE
 
-    @pytest.mark.parametrize("raw", ["-1", "0", "inf", "nan"])
-    def test_one_check_names_its_caller(self, raw, ctx30):
-        # the flag for the CLI, the parameter for a library call
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(raw=ZEROS | NEGATIVES | NON_FINITE | UNPARSEABLE)
+    def test_the_library_refuses_it_with_the_clis_message(self, raw, ctx30):
+        # a ValueError, never a ZeroDivisionError or a float() message
         from zkconst import stieltjes
 
-        with pytest.raises(ValueError) as parsed:
-            stieltjes.parse_u(raw, ctx30)
-        assert str(parsed.value) == "--u must be a finite real > 0"
+        stderr = table_usage(raw)[1]
+        assert stderr.startswith("error: ") and stderr.endswith("\n")
+        for call in (lambda: stieltjes.stieltjes_gamma(0, raw, ctx30),
+                     lambda: stieltjes.stieltjes_table(1, ctx30, u=raw)):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == stderr[len("error: "):-1]
+
+    @pytest.mark.parametrize("raw", ["-1", "0", "inf", "nan"])
+    def test_one_message_for_the_cli_and_the_library(self, raw, ctx30):
+        from zkconst import stieltjes
+
+        assert table_usage(raw)[1] == "error: --u must be a finite real > 0\n"
         with pytest.raises(ValueError) as called:
             stieltjes.stieltjes_gamma(0, raw, ctx30)
-        assert str(called.value) == "u must be a finite real > 0"
+        assert str(called.value) == "--u must be a finite real > 0"
+
+
+@pytest.mark.parametrize("digits", ["10", "30", "60"])
+@pytest.mark.parametrize("raw", ["0.1", "2.5e-20", "1/3", "1e401"])
+def test_the_cli_and_the_library_share_one_gamma_row(raw, digits):
+    from memos import clear_package_memos
+    from zkconst import chain, cli, stieltjes
+    from zkconst.precision import PrecisionContext
+
+    clear_package_memos()
+    ctx = PrecisionContext(digits=int(digits))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["table", "--seq", "gamma", "--max-n", "20", "--u", raw,
+                         "--digits", digits]) == 0
+    called = stieltjes.stieltjes_table(20, ctx, u=raw)
+    assert stieltjes._gamma_row.cache_info().currsize == 1
+    assert chain.table("gamma", 20, ctx, u=raw).values == called.values
 
 
 class TestVerifyCommand:

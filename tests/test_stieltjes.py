@@ -136,7 +136,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("bad", [None, object(), 1j], ids=["None", "object", "complex"])
     def test_a_u_that_is_no_real_number_is_rejected(self, ctx30, bad):
-        with pytest.raises(ValueError, match="^u must be a finite real > 0$"):
+        with pytest.raises(ValueError, match="^--u must be a finite real > 0$"):
             stieltjes_gamma(0, bad, ctx30)
 
     def test_index_cap(self, ctx30):

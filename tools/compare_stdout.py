@@ -12,10 +12,10 @@ print their sides to working_dps + 5 digits, where a last-bit change
 shows), zeta0 at every max_n below its cap at 10, 30 and
 60 digits (each a fresh build of a shorter table, whose rows are the first
 rows of the table at the cap), gamma to 20 at seven values of u at 30, 45
-and 60 digits, and the help and usage
-errors (`--help`, each subcommand's `--help`, an unknown suite and family,
-`--digits 61`, an unparsable, infinite, negative and `1/0` `--u`, `--u` on
-eta, and gamma and `li-check` past their caps), and the `--u` edge cases
+and 60 digits, and the help and usage errors (`--help`, each subcommand's
+`--help`, an unknown suite and family, `--digits 61`, an unparsable,
+infinite, negative, `1/0`, `0/0`, `1/2/3` and `1e5/3` `--u`, `--u` on eta,
+and gamma and `li-check` past their caps), and the `--u` edge cases
 (gamma to 20 at a ratio, at exponents past mpmath's 400-digit cutoff, with
 spaces and with an underscore, in csv and json, and the refused nan, 0 and
 0x10), each command once.  Arguments are split as a shell splits them.  The
@@ -105,7 +105,9 @@ def command_set() -> list:
                  "verify --suite nope", "table --seq nope --max-n 1",
                  "table --seq gamma --max-n 1 --digits 61", "table --seq gamma --max-n 1 --u abc",
                  "table --seq gamma --max-n 1 --u inf", "table --seq gamma --max-n 1 --u -1",
-                 "table --seq gamma --max-n 1 --u 1/0", "table --seq gamma --max-n 21",
+                 "table --seq gamma --max-n 1 --u 1/0", "table --seq gamma --max-n 1 --u 0/0",
+                 "table --seq gamma --max-n 1 --u 1/2/3", "table --seq gamma --max-n 1 --u 1e5/3",
+                 "table --seq gamma --max-n 21",
                  "table --seq eta --max-n 1 --u 2", "li-check --max-n 21"]
     commands += [f"table --seq gamma --max-n 20 --u {u}" for u in EDGE_US]
     commands += [f"table --seq gamma --max-n 1 --u {u}" for u in ("nan", "0", "0x10")]
