@@ -13,8 +13,9 @@ Every table is built once per process.  Each step map is prefix-stable: the
 table up to m is, value for value, the first entries of the table up to any
 longer max_n.  So one memo per (family, context, u) keeps the longest table
 built so far and serves a shorter request as its prefix; only a longer one
-builds again, from the memoised table below it.  A build that raises stores
-nothing.
+builds again, from the memoised table below it.  u is keyed as the gamma row
+reads it (stieltjes._row_u), once, after max_n is checked, so two spellings
+of one value share a table.  A build that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> stieltjes.Con
     if u is not None and kind != "gamma":
         raise ValueError("--u is only meaningful with --seq gamma")
     check_index(max_n, f"--max-n for {kind}", start, cap)
+    if kind == "gamma":
+        u = stieltjes._row_u(1 if u is None else u, ctx)
     return _longest(kind, ctx, u).prefix(max_n)
 
 
@@ -52,14 +55,14 @@ class _Longest:
                                           self.table.methods[:end], self.ctx)
 
 
-# six families at a handful of contexts, plus one entry per u
+# six families at a handful of contexts, plus one entry per u as gamma reads it
 _longest = lru_cache(maxsize=64)(_Longest)
 
 
 def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> stieltjes.ConstantTable:
     """The `kind` table up to a checked max_n, from the memoised table below it."""
     if kind == "gamma":
-        return stieltjes.stieltjes_table(max_n, ctx, u=1 if u is None else u)
+        return stieltjes.stieltjes_table(max_n, ctx, u=u)
     if kind == "zeta0":
         return zeta_derivs.zeta_derivs_at_zero(table("gamma", max(0, max_n - 1), ctx), ctx)
     if kind == "eta":

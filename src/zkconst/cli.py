@@ -6,9 +6,10 @@
                   [--digits <D>] [--tol-exp <T>] [--format <text|json>]
     zkconst li-check --max-n <N> [--digits <D>] [--format <text|json>]
 
---digits D lies in [10, 60]; --tol-exp T (default D - 5) lies in [1, D] and
-judges every numeric identity against 10^-T; exact and inequality checks are
-judged against 0.
+--digits D lies in [10, 60]; main builds the run's one PrecisionContext from
+it, so a bad --digits is the first error of every command.  --tol-exp T
+(default D - 5) lies in [1, D] and judges every numeric identity against
+10^-T; exact and inequality checks are judged against 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or cap error,
 3 convergence failure, 4 internal error (any other exception, reported as one
@@ -72,20 +73,17 @@ def _emit_reports(checks, suite: str, digits: int, fmt: str) -> tuple:
 
 # each command returns (exit status, stdout text): main knows the status
 # before it writes, so a closed stdout cannot change it
-def _cmd_table(args) -> tuple:
-    ctx = PrecisionContext(digits=args.digits)
+def _cmd_table(args, ctx: PrecisionContext) -> tuple:
     table = chain.table(args.seq, args.max_n, ctx, u=args.u)
     return EXIT_OK, _emit_table(table, args.seq, args.format)
 
 
-def _cmd_verify(args) -> tuple:
-    ctx = PrecisionContext(digits=args.digits)
+def _cmd_verify(args, ctx: PrecisionContext) -> tuple:
     checks = verify.run_suite(args.suite, ctx, args.tol_exp)
     return _emit_reports(checks, args.suite, ctx.digits, args.format)
 
 
-def _cmd_li_check(args) -> tuple:
-    ctx = PrecisionContext(digits=args.digits)
+def _cmd_li_check(args, ctx: PrecisionContext) -> tuple:
     checks = li_keiper.positivity_report(args.max_n, ctx)
     return _emit_reports(checks, "li-check", ctx.digits, args.format)
 
@@ -129,7 +127,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        status, text = args.func(args)
+        status, text = args.func(args, PrecisionContext(digits=args.digits))
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

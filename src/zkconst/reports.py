@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .precision import PrecisionContext, extra_digits
+from .precision import PrecisionContext, check_index, extra_digits
 from .stieltjes import Binary, decimal_str, rounded, workdps
 
 
@@ -55,10 +55,14 @@ def roundtrip_decimal(value: Binary, ctx: PrecisionContext) -> str:
 
 def default_tol(ctx: PrecisionContext, tol_exp: int | None = None) -> Binary:
     """10^-tol_exp, defaulting to tol_exp = digits - 5, as mpf(10)^-tol_exp
-    rounds it."""
-    exp = ctx.digits - 5 if tol_exp is None else tol_exp
+    rounds it.  tol_exp must be an int in [1, ctx.digits]: a looser bound
+    would pass vacuously.  The upper cap is a policy, not a limit of the
+    run's precision (every report also meets digits + 5); ROADMAP item 3
+    revisits it."""
+    tol_exp = ctx.digits - 5 if tol_exp is None else tol_exp
+    check_index(tol_exp, "--tol-exp", 1, ctx.digits)
     with workdps(ctx.working_dps + extra_digits("report")):
-        return Binary(10) ** -exp
+        return Binary(10) ** -tol_exp
 
 
 def _report(identity, lhs, rhs, error, tol, ctx, method_tags) -> VerificationReport:

@@ -13,8 +13,9 @@ pairs (p, q); the routes take them scaled to integers and only the witness
 is divided by the scale, once (see `_scale_to_integers`), so every trial
 runs in integer arithmetic.
 
-Every numeric identity is judged against one tolerance per run,
-reports.default_tol: 10^-tol_exp, with tol_exp = digits - 5 by default.
+Every numeric identity is judged against one tolerance per run, which
+run_suite makes once and hands to every suite: reports.default_tol, which
+checks tol_exp and gives 10^-tol_exp, with tol_exp = digits - 5 by default.
 Exact and inequality checks are judged against 0.
 """
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 from . import bell, eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
 from .chain import table
 from .kernel import atoms, zeta_int_mpf
-from .precision import MAX_DIGITS, SUITES, PrecisionContext, check_index, extra_digits
+from .precision import MAX_DIGITS, SUITES, PrecisionContext, extra_digits
 from .reports import (
     default_tol,
     equality_report,
@@ -135,7 +136,7 @@ def _scaled_determinant_pairs(rng, n):
         )
 
 
-def suite_bell(ctx: PrecisionContext, tol_exp: int | None = None):
+def suite_bell(ctx: PrecisionContext, tol: Binary):
     rng = random.Random(_RNG_SEED)
     reports = []
 
@@ -204,8 +205,7 @@ def suite_bell(ctx: PrecisionContext, tol_exp: int | None = None):
 # stieltjes suite
 
 
-def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
-    tol = default_tol(ctx, tol_exp)
+def suite_stieltjes(ctx: PrecisionContext, tol: Binary):
     reports = []
 
     # the inner sums of the constant 1 are a Kronecker delta in i, so the weights
@@ -255,8 +255,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol_exp: int | None = None):
 # eta suite
 
 
-def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
-    tol = default_tol(ctx, tol_exp)
+def suite_eta(ctx: PrecisionContext, tol: Binary):
     reports = []
     max_n = 12
     gammas = table("gamma", max_n, ctx)
@@ -325,8 +324,7 @@ def suite_eta(ctx: PrecisionContext, tol_exp: int | None = None):
 # lambda suite
 
 
-def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
-    tol = default_tol(ctx, tol_exp)
+def suite_lambda(ctx: PrecisionContext, tol: Binary):
     reports = []
     max_r = 12
     gammas = table("gamma", max_r - 1, ctx)
@@ -406,8 +404,7 @@ def suite_lambda(ctx: PrecisionContext, tol_exp: int | None = None):
 # xi suite
 
 
-def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
-    tol = default_tol(ctx, tol_exp)
+def suite_xi(ctx: PrecisionContext, tol: Binary):
     reports = []
     max_n = 12  # the xi1 cap
     sigmas = table("sigma", max_n, ctx)
@@ -486,8 +483,7 @@ def suite_xi(ctx: PrecisionContext, tol_exp: int | None = None):
 # zeta-derivs suite
 
 
-def suite_zeta_derivs(ctx: PrecisionContext, tol_exp: int | None = None):
-    tol = default_tol(ctx, tol_exp)
+def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
     reports = []
     max_n = 8
     gammas = table("gamma", max_n, ctx)
@@ -608,15 +604,12 @@ _SUITE_RUNNERS = {
 def run_suite(suite: str, ctx: PrecisionContext, tol_exp: int | None = None):
     """Run one named suite (or all of them) and return its reports.
 
-    tol_exp must be an int in [1, ctx.digits]: a looser bound would pass
-    vacuously.  The upper cap is a policy, not a limit of the run's
-    precision (every report also meets digits + 5); ROADMAP item 3
-    revisits it.  tol_exp sets the tolerance 10^-tol_exp of every numeric
-    identity; exact and inequality checks are judged against 0.
+    The run's one tolerance is made here, once, after the suite name is
+    checked, by reports.default_tol, which checks tol_exp.  It judges every
+    numeric identity; exact and inequality checks are judged against 0.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if tol_exp is not None:
-        check_index(tol_exp, "--tol-exp", 1, ctx.digits)
+    tol = default_tol(ctx, tol_exp)
     names = _SUITE_RUNNERS if suite == "all" else (suite,)
-    return [r for name in names for r in _SUITE_RUNNERS[name](ctx, tol_exp)]
+    return [r for name in names for r in _SUITE_RUNNERS[name](ctx, tol)]

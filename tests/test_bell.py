@@ -18,6 +18,7 @@ from zkconst.bell import (
     substitute,
 )
 from zkconst.precision import PrecisionContext
+from zkconst.reports import default_tol
 from zkconst.verify import _first_mismatch, _random_pairs, _scale_to_integers, suite_bell
 
 PRINTED = {
@@ -320,9 +321,9 @@ EXACT_FAMILIES = ("bell-routes-exact-n", "bell-convolution-n", "bell-scaled-dete
     ids=["partition-coefficient", "determinant-sign", "recurrence-binomial"],
 )
 def test_planted_fault_fails_an_exact_family(plant, families, monkeypatch, ctx30):
-    assert all(r.passed for r in suite_bell(ctx30))
+    assert all(r.passed for r in suite_bell(ctx30, default_tol(ctx30)))
     plant(monkeypatch)
-    failed = [r.identity for r in suite_bell(ctx30) if not r.passed]
+    failed = [r.identity for r in suite_bell(ctx30, default_tol(ctx30)) if not r.passed]
     for family in families:
         assert any(name.startswith(family) for name in failed), (family, failed)
 
@@ -339,7 +340,8 @@ def test_derivative_rule_check_is_exact(digits, monkeypatch):
         return v if isinstance(v, int) else v + v / 10**12
 
     monkeypatch.setattr(bell, "bell_recurrence_value", planted)
-    verdicts = {r.identity: r.passed for r in suite_bell(PrecisionContext(digits=digits))}
+    ctx = PrecisionContext(digits=digits)
+    verdicts = {r.identity: r.passed for r in suite_bell(ctx, default_tol(ctx))}
     derivative = [name for name in verdicts if name.startswith("bell-exp-derivative-")]
     assert len(derivative) == 10
     assert not any(verdicts[name] for name in derivative)

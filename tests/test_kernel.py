@@ -13,6 +13,7 @@ from zkconst.precision import (
     FAMILIES, MAX_DIGITS, MIN_DIGITS, MIN_GUARD, PrecisionContext, extra_digits,
 )
 from zkconst.reports import default_tol
+from zkconst.stieltjes import Binary, workdps
 from zkconst.verify import run_suite
 
 # every dps a weight row is built at for digits 10..60 and guard_digits up to
@@ -118,12 +119,17 @@ class TestAtomsAreMpmaths:
             assert [x._mpf_ for x in got] == [x._mpf_ for x in want], f"dps={dps}"
 
     def test_default_tolerances(self):
+        # the power default_tol takes at every exponent a run may ask for;
+        # default_tol itself refuses exponents past ctx.digits
         for dps in ATOM_DPS:
             ctx = PrecisionContext(MIN_DIGITS, dps - MIN_DIGITS)
             with mp.workdps(dps + extra_digits("report")):
                 want = [mpf(10) ** -e for e in range(1, MAX_DIGITS + 1)]
-            got = [default_tol(ctx, e) for e in range(1, MAX_DIGITS + 1)]
+            with workdps(dps + extra_digits("report")):
+                got = [Binary(10) ** -e for e in range(1, MAX_DIGITS + 1)]
             assert [x._mpf_ for x in got] == [x._mpf_ for x in want], f"dps={dps}"
+            tols = [default_tol(ctx, e) for e in range(1, ctx.digits + 1)]
+            assert tols == got[:ctx.digits], f"dps={dps}"
 
     def test_zeta_is_the_crvz_quotient_in_mpf(self):
         # the same integer sum, its quotient taken as one mpf division

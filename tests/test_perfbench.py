@@ -127,7 +127,7 @@ VERIFY_ALL_10_COUNTS = {
     "li_keiper.lambda_via_eta_psi": (11, 0),
     "li_keiper.recurrence_residual_3_13": (11, 0),
     "reports.all_passed": (1, 0),
-    "reports.default_tol": (5, 0),  # one per numeric suite
+    "reports.default_tol": (1, 0),  # one per run
     "reports.equality_report": (137, 0),
     "reports.equality_reports": (14, 125),
     "reports.exact_report": (57, 0),
@@ -136,16 +136,17 @@ VERIFY_ALL_10_COUNTS = {
     "reports.roundtrip_decimal": (446, 0),  # both sides of each of the 223 reports
     "stieltjes.require": (99, 0),  # memo: one per step map
     # 3 per report (sides, tolerance), and one per u that is not a str:
-    # each stieltjes_gamma call and stieltjes_table's own read
-    "stieltjes.rounded": (711, 0),
+    # each stieltjes_gamma call, stieltjes_table's own read and the five
+    # gamma requests chain.table keys (three suites', eta's and zeta0's)
+    "stieltjes.rounded": (716, 0),
     "stieltjes.stieltjes_gamma": (41, 0),  # memo
     "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
-    # one per report verdict (223), default_tol (5), step map, route and
+    # one per report verdict (223), default_tol (1), step map, route and
     # first psi^(n)(3/2) (12); sigma_table takes two precisions.  zeta_derivs
     # takes 41: 13 Gamma^(m)(1) at m >= 1, 9 L derivatives, the Apostol
     # weights, both zeta0 tables and 16 forward evaluations; verify 6: one
-    # per side block; and one per u that rounded reads (42)
-    "stieltjes.workdps": (393, 0),
+    # per side block; and one per u that rounded reads (47)
+    "stieltjes.workdps": (394, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),

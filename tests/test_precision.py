@@ -99,8 +99,19 @@ class TestTableMemo:
         with pytest.raises(ConvergenceError):
             table("lambda", 5, ctx)
         assert chain._longest.cache_info().currsize == 4  # one holder per family built
-        assert all(chain._longest(kind, ctx, None).table is None
+        one = stieltjes._row_u(1, ctx)  # the u gamma's holder is keyed on
+        assert all(chain._longest(kind, ctx, one if kind == "gamma" else None).table is None
                    for kind in ("gamma", "eta", "sigma", "lambda"))
+        assert chain._longest.cache_info().currsize == 4
+
+    def test_one_entry_per_u_as_the_gamma_row_reads_it(self, clear_memos):
+        # four spellings of one u at the row's precision share one table
+        # and one gamma row
+        ctx = PrecisionContext(20)
+        tables = [table("gamma", 20, ctx, u=raw) for raw in ("0.1", "0.10", " 0.1", "1/10")]
+        assert chain._longest.cache_info().currsize == 1
+        assert stieltjes._gamma_row.cache_info().currsize == 1
+        assert all(t.values == tables[0].values for t in tables)
 
 
 def test_roundtrip_decimal_reparses_to_run_precision():

@@ -1,10 +1,11 @@
-"""README's python examples run as written, in order, in one namespace, and
-its Method tags table names every tag the reports emit."""
+"""README's python examples run as written, in order, in one namespace, its
+Method tags table names every tag the reports emit, and its budget table is
+precision's budget."""
 
 import re
 from pathlib import Path
 
-from zkconst import PrecisionContext, run_suite
+from zkconst import PrecisionContext, precision, run_suite
 from zkconst.li_keiper import positivity_report
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -30,3 +31,18 @@ def test_method_tags_table_names_every_emitted_tag():
     section = README.read_text().split("### Method tags", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"`([^`]+)`", section))
     assert sorted(emitted - documented) == []
+
+
+def test_budget_table_is_the_budget():
+    # the one hand-kept copy of precision._BUDGET, row for row: "n + 15"
+    # reads as (1, 15), "2n + 10, read at the cap: 30" as (2, 10) and "25"
+    # as (0, 25)
+    lines = README.read_text().split("| row | extra digits | used by |\n", 1)[1].splitlines()
+    rows = []
+    for line in lines[1:]:  # past the |---| line
+        if not line.startswith("|"):
+            break
+        name, extra = re.match(r"\| `(\w+)` \| ([^|]+?) \|", line).groups()
+        per, index, fixed = re.fullmatch(r"(?:(\d*)([nm]) \+ )?(\d+)(?:, .*)?", extra).groups()
+        rows.append((name, (int(per or 1) if index else 0, int(fixed))))
+    assert rows == list(precision._BUDGET.items())

@@ -128,6 +128,15 @@ class TestReportFamilies:
         ]
 
 
+@pytest.mark.parametrize("tol_exp", [0, -3, 11, True, 2.5])
+def test_default_tol_bounds_tol_exp(tol_exp):
+    # where 10^-tol_exp is made: 10^0, 10^3 and 10^-11 past digits would
+    # judge vacuously or past the cap, True is not the integer 1, and 2.5
+    # is no integer at all
+    with pytest.raises(ValueError, match=r"^--tol-exp must lie in \[1, 10\]$"):
+        default_tol(PrecisionContext(10), tol_exp)
+
+
 @pytest.mark.parametrize("tol_exp", [-5, 0, 31, 2.5, True])
 def test_run_suite_bounds_tol_exp(ctx30, tol_exp):
     # 1e5 would pass every check vacuously, and 10^-31 lies past the cap at

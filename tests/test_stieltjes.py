@@ -14,6 +14,7 @@ from zkconst import stieltjes as stieltjes_module
 from zkconst import verify
 from zkconst.li_keiper import binomial_alternating_transform
 from zkconst.precision import ConvergenceError, PrecisionContext
+from zkconst.reports import default_tol
 from zkconst.stieltjes import (
     GAMMA_TAG,
     Binary,
@@ -401,7 +402,8 @@ class TestTailWeights:
                            for j in range(length)], last
 
         monkeypatch.setattr(stieltjes_module, "_tail_weights", hockey_stick)
-        (check,) = [r for r in verify.suite_stieltjes(PrecisionContext(digits=10))
+        ctx = PrecisionContext(digits=10)
+        (check,) = [r for r in verify.suite_stieltjes(ctx, default_tol(ctx))
                     if r.identity == "hasse-normalization-delta"]
         assert not check.passed
 

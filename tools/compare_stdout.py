@@ -18,7 +18,9 @@ infinite, negative, `1/0`, `0/0`, `1/2/3` and `1e5/3` `--u`, `--u` on eta,
 and gamma and `li-check` past their caps), and the `--u` edge cases
 (gamma to 20 at a ratio, at exponents past mpmath's 400-digit cutoff, with
 spaces and with an underscore, in csv and json, and the refused nan, 0 and
-0x10), each command once.  Arguments are split as a shell splits them.  The
+0x10), and the `--tol-exp` cases (`verify --suite all --tol-exp 10` at 30
+and at 10 digits, and the refused `--tol-exp` 0, 31 and -5 of
+`verify --suite bell --digits 30`), each command once.  Arguments are split as a shell splits them.  The
 suites and families are read from the package source.
 For every command it prints whether its exit code, stdout and stderr are
 byte-identical and, when they are not:
@@ -112,6 +114,8 @@ def command_set() -> list:
     commands += [f"table --seq gamma --max-n 20 --u {u}" for u in EDGE_US]
     commands += [f"table --seq gamma --max-n 1 --u {u}" for u in ("nan", "0", "0x10")]
     commands += [f"table --seq gamma --max-n 20 --u 2.5e-30 --format {fmt}" for fmt in ("csv", "json")]
+    commands += [f"verify --suite all --digits {d} --tol-exp 10" for d in (30, 10)]
+    commands += [f"verify --suite bell --digits 30 --tol-exp {t}" for t in ("0", "31", "-5")]
     return list(dict.fromkeys(commands))
 
 
