@@ -2,10 +2,10 @@
 gamma -> eta -> sigma -> lambda | xi1 (and gamma -> zeta0) is written down.
 
 Above gamma, only `table` takes a max_n and checks it against the family's
-cap: each step map takes the table below it and maps the whole of it, so a
-family up to max_n is the map of the table below it up to max_n
-(eta_0..eta_(max_n - 1) for sigma, gamma_0..gamma_(max_n - 1) for zeta0,
-whose table up to 0 is a prefix of the one up to 1).
+cap: each step map takes the table below it and maps the whole of it, under
+that table's context, so a family up to max_n is the map of the table below
+it up to max_n (eta_0..eta_(max_n - 1) for sigma, gamma_0..gamma_(max_n - 1)
+for zeta0, whose table up to 0 is a prefix of the one up to 1).
 Range errors name the CLI flags, since the CLI passes its arguments
 straight through.
 
@@ -64,13 +64,13 @@ def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> stieltjes.Constan
     if kind == "gamma":
         return stieltjes.stieltjes_table(max_n, ctx, u=u)
     if kind == "zeta0":
-        return zeta_derivs.zeta_derivs_at_zero(table("gamma", max(0, max_n - 1), ctx), ctx)
+        return zeta_derivs.zeta_derivs_at_zero(table("gamma", max(0, max_n - 1), ctx))
     if kind == "eta":
-        return eta_sigma.eta_from_gamma(table("gamma", max_n, ctx), ctx)
+        return eta_sigma.eta_from_gamma(table("gamma", max_n, ctx))
     if kind == "sigma":
-        return eta_sigma.sigma_table(table("eta", max_n - 1, ctx), ctx)
+        return eta_sigma.sigma_table(table("eta", max_n - 1, ctx))
     sigmas = table("sigma", max_n, ctx)
     if kind == "lambda":
-        return li_keiper.lambda_table(sigmas, ctx)
-    return xi.xi_table(sigmas, ctx)
+        return li_keiper.lambda_table(sigmas)
+    return xi.xi_table(sigmas)
 

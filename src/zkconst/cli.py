@@ -44,7 +44,7 @@ EXIT_INTERNAL = 4
 def _emit_table(table: stieltjes.ConstantTable, seq: str, fmt: str) -> str:
     rows = [{"n": n, "value": value, "method": method} for n, value, method in table.rows()]
     if fmt == "json":
-        payload = {"seq": seq, "digits": table.digits, "rows": rows}
+        payload = {"seq": seq, "digits": table.ctx.digits, "rows": rows}
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         return "n,value,method\n" + "".join(

@@ -29,8 +29,9 @@ sigma_1 equals the first Li/Keiper constant and is taken from its closed
 form -1/2 log pi + 1/2 gamma + 1 - log 2, since the display above would need
 zeta(1) at n = 0.
 
-Each map takes a whole table and maps every entry of it: gamma_0..gamma_m
-gives eta_0..eta_m and back, and eta_0..eta_m gives sigma_1..sigma_(m+1).
+Each map takes a whole table and maps every entry of it, under the table's
+own context: gamma_0..gamma_m gives eta_0..eta_m and back, and eta_0..eta_m
+gives sigma_1..sigma_(m+1).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 
 from .bell import bell_recurrence_values
 from .kernel import atoms, zeta_int_mpf
-from .precision import PrecisionContext, extra_digits
+from .precision import extra_digits
 from .stieltjes import Binary, ConstantTable, require, workdps
 
 ETA_TAG = "recurrence-4.4"
@@ -49,10 +50,10 @@ SIGMA_CLOSED_TAG = "closed-2.13"
 SIGMA_TAG = "eta-zeta-s4"
 
 
-def eta_from_gamma(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def eta_from_gamma(gammas: ConstantTable) -> ConstantTable:
     """eta_n for every gamma_n in the table, by solving the gamma/eta
     recurrence in rising n."""
-    require(gammas, "gamma", "eta_from_gamma")
+    ctx = require(gammas, "gamma", "eta_from_gamma")
     with workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
         for n in range(gammas.max_n + 1):
@@ -68,9 +69,9 @@ def eta_from_gamma(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTabl
     return ConstantTable.of("eta", etas, ETA_TAG, ctx)
 
 
-def eta_from_gamma_coffey(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def eta_from_gamma_coffey(gammas: ConstantTable) -> ConstantTable:
     """Same map through the rearranged recurrence, as an independent code path."""
-    require(gammas, "gamma", "eta_from_gamma_coffey")
+    ctx = require(gammas, "gamma", "eta_from_gamma_coffey")
     with workdps(ctx.working_dps + extra_digits("eta")):
         etas = []
         for n in range(gammas.max_n + 1):
@@ -88,10 +89,10 @@ def eta_from_gamma_coffey(gammas: ConstantTable, ctx: PrecisionContext) -> Const
     return ConstantTable.of("eta", etas, ETA_COFFEY_TAG, ctx)
 
 
-def gamma_from_eta(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def gamma_from_eta(etas: ConstantTable) -> ConstantTable:
     """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)
     for every eta_n in the table."""
-    require(etas, "eta", "gamma_from_eta")
+    ctx = require(etas, "eta", "gamma_from_eta")
     with workdps(ctx.working_dps + extra_digits("eta")):
         args = [-math.factorial(r) * eta for r, eta in enumerate(etas.values)]
         ys = bell_recurrence_values(args)
@@ -99,10 +100,10 @@ def gamma_from_eta(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
-def sigma_table(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def sigma_table(etas: ConstantTable) -> ConstantTable:
     """sigma_1 .. sigma_(m+1) from eta_0 .. eta_m: sigma_1 from its closed
     form, the rest from eta, with per-entry route tags."""
-    require(etas, "eta", "sigma_table")
+    ctx = require(etas, "eta", "sigma_table")
     with workdps(ctx.working_dps):
         gamma, logs = -etas[0], atoms(ctx.working_dps)
         values = [+(-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2)]

@@ -16,8 +16,10 @@ lambda_1 has one expression only, -log(pi)/2 + gamma/2 + 1 - log 2: its
 closed form (lambda_closed(1), closed-2.13), sigma_1, the eta-psi-3.33
 linear term and g(1) all reduce to it, so no two routes check it.
 The sigma route is canonical (simplest error surface); the others are
-verification-only.  lambda_0 = sigma_0 = 0 by convention throughout, so every
-alternating binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
+verification-only.  Every route computes under its table's context, and
+the recurrence-3.13 residual refuses two tables at two contexts.
+lambda_0 = sigma_0 = 0 by convention throughout, so every alternating
+binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
 recurrence-3.13 residual) is an entry of binomial_alternating_transform;
 the other routes keep their own sums.
 """
@@ -74,10 +76,10 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> Binary:
         )
 
 
-def lambda_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def lambda_table(sigmas: ConstantTable) -> ConstantTable:
     """lambda_r for every sigma_r in the table, through the canonical sigma
     route: the negated binomial transform of sigma_0 = 0, sigma_1, ..."""
-    require(sigmas, "sigma", "lambda_table")
+    ctx = require(sigmas, "sigma", "lambda_table")
     with workdps(ctx.working_dps + extra_digits("step")):
         transform = binomial_alternating_transform([0, *sigmas.values])
         values = [-t for t in transform[1:]]
@@ -90,7 +92,7 @@ def _linear_term(r: int, gamma, ctx: PrecisionContext):
     return r * (gamma - 2 * logs.log2 + 2 - logs.log_pi) / 2
 
 
-def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
+def lambda_via_eta_psi(r: int, etas: ConstantTable) -> Binary:
     """lambda_r from polygamma values at 3/2 and eta constants.
 
     lambda_r = sum_{j=2}^r C(r,j)/(j-1)! [psi^(j-1)(3/2)/2^j - (j-1)! eta_{j-1}]
@@ -99,7 +101,7 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bi
     r = 1 is the bare linear term, which is lambda_1 itself.
     """
     check_index(r, "the lambda index r", 1)
-    require(etas, "eta", "lambda_via_eta_psi", r - 1)
+    ctx = require(etas, "eta", "lambda_via_eta_psi", r - 1)
     with workdps(ctx.working_dps + extra_digits("step")):
         gamma = -etas[0]
         acc = _linear_term(r, gamma, ctx)
@@ -110,10 +112,10 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bi
         return +acc
 
 
-def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
+def lambda_via_coffey(r: int, etas: ConstantTable) -> Binary:
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
     check_index(r, "the coffey-3.34 index r", 2)
-    require(etas, "eta", "lambda_via_coffey", r - 1)
+    ctx = require(etas, "eta", "lambda_via_coffey", r - 1)
     with workdps(ctx.working_dps + extra_digits("step")):
         gamma = -etas[0]
         acc = Binary(0)
@@ -134,7 +136,7 @@ def lambda_via_coffey(r: int, etas: ConstantTable, ctx: PrecisionContext) -> Bin
         return +(acc + 1)
 
 
-def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> Binary:
+def g_derivs_at_one(r: int, lambdas: ConstantTable) -> Binary:
     """Derivatives at 1 of the log-derivative of xi:
 
     g^(r)(1) = (-1)^(r+1) r! sum_{j=1}^{r+1} C(r+1,j) (-1)^j lambda_j
@@ -142,19 +144,17 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable, ctx: PrecisionContext) -> Bi
     with lambda_0 = 0, so g(1) = lambda_1, g'(1) = lambda_2 - 2 lambda_1, ...
     """
     check_index(r, "the derivative order r", 0)
-    require(lambdas, "lambda", "g_derivs_at_one", r + 1)
+    ctx = require(lambdas, "lambda", "g_derivs_at_one", r + 1)
     with workdps(ctx.working_dps + extra_digits("step")):
         acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
         return +((-1) ** (r + 1) * math.factorial(r) * acc)
 
 
-def g_derivs_at_one_via_eta(
-    r: int, etas: ConstantTable, ctx: PrecisionContext
-) -> Binary:
+def g_derivs_at_one_via_eta(r: int, etas: ConstantTable) -> Binary:
     """Independent route: g^(r)(1) = psi^(r)(3/2)/2^(r+1) - r! eta_r
     - [r = 0] log(pi)/2."""
     check_index(r, "the derivative order r", 0)
-    require(etas, "eta", "g_derivs_at_one_via_eta", r)
+    ctx = require(etas, "eta", "g_derivs_at_one_via_eta", r)
     with workdps(ctx.working_dps + extra_digits("step")):
         value = polygamma_three_halves_mpf(r, ctx) / 2 ** (r + 1)
         value -= math.factorial(r) * etas[r]
@@ -163,12 +163,7 @@ def g_derivs_at_one_via_eta(
         return +value
 
 
-def recurrence_residual_3_13(
-    n: int,
-    gammas: ConstantTable,
-    lambdas: ConstantTable,
-    ctx: PrecisionContext,
-) -> Binary:
+def recurrence_residual_3_13(n: int, gammas: ConstantTable, lambdas: ConstantTable) -> Binary:
     """|LHS - RHS| of the master gamma/lambda recurrence at index n.
 
     LHS = psi^(n+1)(3/2)/2^(n+2)
@@ -184,8 +179,9 @@ def recurrence_residual_3_13(
     the sum must contribute exactly gamma * lambda_1.
     """
     check_index(n, "the recurrence index n", 0)
-    require(gammas, "gamma", "recurrence_residual_3_13", n + 1)
-    require(lambdas, "lambda", "recurrence_residual_3_13", n + 2)
+    ctx = require(gammas, "gamma", "recurrence_residual_3_13", n + 1)
+    if require(lambdas, "lambda", "recurrence_residual_3_13", n + 2) != ctx:
+        raise ValueError("recurrence_residual_3_13 needs its two tables at one context")
     with workdps(ctx.working_dps + extra_digits("residual_3_13", n)):
         psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
         lhs = psis[n + 1] / 2 ** (n + 2)

@@ -365,35 +365,39 @@ def decimal_str(x, digits: int, strip_zeros: bool = True) -> str:
 
 
 class ConstantTable(Frozen):
-    """An indexed constant family with a method tag per entry.
+    """An indexed constant family with a method tag per entry, computed
+    under the PrecisionContext ctx.
 
     values[i] and methods[i] belong to index start + i, where start is the
     family's first index in FAMILIES; every entry names the formula route
     that produced it.  values hold the builder's values as the exact Binary
     each is (Binary.of), whether it handed in a Binary or an mpf, and
-    table[n] is one.  An empty table, or a value that is not a finite Binary
-    or mpf, raises ValueError, so neither is ever printed.
+    table[n] is one.  rows() prints ctx.digits digits, and every map or
+    route that reads the table computes under ctx.  An empty table, one
+    past its family's cap, or a value that is not a finite Binary or mpf,
+    raises ValueError, so none is ever printed.
     """
 
-    __slots__ = ("kind", "values", "methods", "digits")
+    __slots__ = ("kind", "values", "methods", "ctx")
 
-    def __init__(self, kind: str, values: tuple, methods: tuple, digits: int):
-        family(kind)
+    def __init__(self, kind: str, values: tuple, methods: tuple, ctx: PrecisionContext):
+        start, cap = family(kind)
         if not values:
             raise ValueError(f"a {kind} table needs at least one value")
+        check_index(start + len(values) - 1, f"the last index of a {kind} table", start, cap)
         if len(values) != len(methods):
             raise ValueError("a table needs one method tag per value")
         if not all(methods):
             raise ValueError("every table entry needs a method tag")
         values = tuple(map(Binary.of, values))
-        self._set(kind=kind, values=values, methods=methods, digits=digits)
+        self._set(kind=kind, values=values, methods=methods, ctx=ctx)
 
     @classmethod
     def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
         """A `kind` table of a list of values from the family's first index
         on; `method` is one tag for every entry or a list of per-entry tags."""
         tags = [method] * len(values) if isinstance(method, str) else method
-        return cls(kind, tuple(values), tuple(tags), ctx.digits)
+        return cls(kind, tuple(values), tuple(tags), ctx)
 
     @property
     def start(self) -> int:
@@ -409,16 +413,16 @@ class ConstantTable(Frozen):
         return self.values[n - self.start]
 
     def rows(self):
-        """(n, value as a decimal string of `digits` significant digits,
+        """(n, value as a decimal string of ctx.digits significant digits,
         method) for each entry: the table as the CLI prints it."""
         for n, value, method in zip(itertools.count(self.start), self.values, self.methods):
-            yield n, decimal_str(value, self.digits, strip_zeros=False), method
+            yield n, decimal_str(value, self.ctx.digits, strip_zeros=False), method
 
 
-def require(table, kind: str, who: str, max_n: int | None = None):
-    """Raise ValueError unless `table` is a `kind` table, reaching index
-    max_n when one is given."""
-    if table is None:
+def require(table, kind: str, who: str, max_n: int | None = None) -> PrecisionContext:
+    """The context of `table`, which its reader computes under; ValueError
+    unless `table` is a `kind` table, reaching index max_n when one is given."""
+    if not isinstance(table, ConstantTable):
         raise ValueError(f"{who} needs a {kind} table")
     if table.kind != kind:
         raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
@@ -426,6 +430,7 @@ def require(table, kind: str, who: str, max_n: int | None = None):
         raise ValueError(
             f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"
         )
+    return table.ctx
 
 
 def _two_atanh(p: int, q: int, bits: int) -> int:

@@ -260,7 +260,7 @@ def suite_eta(ctx: PrecisionContext, tol: Binary):
     max_n = 12
     gammas = table("gamma", max_n, ctx)
     etas = table("eta", max_n, ctx)
-    etas_alt = eta_sigma.eta_from_gamma_coffey(gammas, ctx)
+    etas_alt = eta_sigma.eta_from_gamma_coffey(gammas)
 
     with workdps(ctx.working_dps + extra_digits("side")):
         g0, g1, g2 = gammas[0], gammas[1], gammas[2]
@@ -311,7 +311,7 @@ def suite_eta(ctx: PrecisionContext, tol: Binary):
          lambda n: 0, (eta_sigma.ETA_TAG,)),
     )
 
-    round_trip = eta_sigma.gamma_from_eta(etas, ctx)
+    round_trip = eta_sigma.gamma_from_eta(etas)
     reports += equality_reports(
         range(9), tol, ctx,
         ("gamma-eta-roundtrip-n", round_trip.__getitem__, gammas.__getitem__,
@@ -334,8 +334,8 @@ def suite_lambda(ctx: PrecisionContext, tol: Binary):
     # no report on lambda_1: its closed form, sigma_1, the eta-psi-3.33
     # linear term and g(1) are one expression, so no two routes check it
     routes = range(2, max_r + 1)
-    eta_psi = {r: li_keiper.lambda_via_eta_psi(r, etas, ctx) for r in routes}
-    coffey = {r: li_keiper.lambda_via_coffey(r, etas, ctx) for r in routes}
+    eta_psi = {r: li_keiper.lambda_via_eta_psi(r, etas) for r in routes}
+    coffey = {r: li_keiper.lambda_via_coffey(r, etas) for r in routes}
     closed = {2: li_keiper.lambda_closed(2, ctx)}
     reports += equality_reports(
         closed, tol, ctx,
@@ -361,7 +361,7 @@ def suite_lambda(ctx: PrecisionContext, tol: Binary):
 
     # master recurrence residuals; n = 0 is the eq-3.14 specialization
     residual = (
-        lambda n: li_keiper.recurrence_residual_3_13(n, gammas, lambdas, ctx),
+        lambda n: li_keiper.recurrence_residual_3_13(n, gammas, lambdas),
         lambda n: 0,
         (li_keiper.RESIDUAL_TAG, GAMMA_TAG, li_keiper.LAMBDA_TAG),
     )
@@ -372,8 +372,8 @@ def suite_lambda(ctx: PrecisionContext, tol: Binary):
     # g^(r)(1) reads lambda to r + 1 and eta to r; r = 0 is lambda_1
     reports += equality_reports(
         range(1, max_r), tol, ctx,
-        ("g-deriv-two-routes-r", lambda r: li_keiper.g_derivs_at_one(r, lambdas, ctx),
-         lambda r: li_keiper.g_derivs_at_one_via_eta(r, etas, ctx),
+        ("g-deriv-two-routes-r", lambda r: li_keiper.g_derivs_at_one(r, lambdas),
+         lambda r: li_keiper.g_derivs_at_one_via_eta(r, etas),
          (li_keiper.G_DERIV_TAG, li_keiper.G_DERIV_ETA_TAG)),
     )
 
@@ -410,7 +410,7 @@ def suite_xi(ctx: PrecisionContext, tol: Binary):
     sigmas = table("sigma", max_n, ctx)
     lambdas = table("lambda", max_n, ctx)
     xi_bell = table("xi1", max_n, ctx)
-    xi_rec = xi.xi_deriv_recurrence(sigmas, ctx)
+    xi_rec = xi.xi_deriv_recurrence(sigmas)
 
     with workdps(ctx.working_dps + extra_digits("side")):
         l1, l2, l3 = lambdas[1], lambdas[2], lambdas[3]
@@ -489,7 +489,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
     gammas = table("gamma", max_n, ctx)
     etas = table("eta", max_n, ctx)
     z_ap = table("zeta0", max_n, ctx)
-    z_lc = zeta_derivs.zeta_derivs_log_chain(table("eta", max_n - 1, ctx), ctx)
+    z_lc = zeta_derivs.zeta_derivs_log_chain(table("eta", max_n - 1, ctx))
     side_dps = ctx.working_dps + extra_digits("elementary_side")
 
     with workdps(side_dps):
@@ -518,7 +518,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
             )
         )
         # L''(0) from the eta route against -2 zeta''(0) - log^2(2 pi) - 1
-        l2_eta = zeta_derivs.L_derivs_at_zero(1, etas, ctx)
+        l2_eta = zeta_derivs.L_derivs_at_zero(1, etas)
         reports.append(
             equality_report(
                 "eq-4.6-L2-cross-route",
@@ -538,11 +538,11 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
     reports += equality_reports(
         range(1, max_n + 1), tol, ctx,
         ("eq-5.5-forward-n",
-         lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_lc, ctx),
+         lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_lc),
          lambda n: gammas[n - 1],
          ("forward-5.5", zeta_derivs.LOG_CHAIN_TAG, GAMMA_TAG)),
         ("forward-inverse-identity-n",
-         lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_ap, ctx),
+         lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_ap),
          lambda n: gammas[n - 1],
          ("forward-5.5", zeta_derivs.APOSTOL_TAG)),
     )

@@ -7,9 +7,9 @@ complete Bell polynomial in the sigma coefficients:
     xi^(n)(1) = 1/2 Y_n(sigma_1, -1! sigma_2, ..., (-1)^(n-1) (n-1)! sigma_n)
 
 since xi(1) = xi(0) = 1/2.  That Bell form is the canonical route here, and
-both routes map sigma_1..sigma_m to xi^(1)(1)..xi^(m)(1), refusing an m past
-the xi1 family's cap.  The same recurrence that powers Y_{n+1} gives the
-cross-check
+both routes map sigma_1..sigma_m to xi^(1)(1)..xi^(m)(1) under the sigma
+table's context; the xi1 table refuses an m past its family's cap.  The same
+recurrence that powers Y_{n+1} gives the cross-check
 
     xi^(n+1)(1) = 1/2 (-1)^n n! sigma_{n+1}
                   + sum_{k=1}^n C(n,k) (-1)^(n-k) (n-k)! sigma_{n-k+1} xi^(k)(1)
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .bell import bell_recurrence_values
-from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
+from .precision import extra_digits
 from .stieltjes import Binary, ConstantTable, require, workdps
 
 XI_BELL_TAG = "bell-3.25"
@@ -35,11 +35,10 @@ XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
 XI_RECURRENCE_CONVENTION = "sigma[n-k+1] * (n-k)! * (-1)^(n-k)"
 
 
-def xi_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def xi_table(sigmas: ConstantTable) -> ConstantTable:
     """xi^(n)(1) for every sigma_n in the table, through the Bell route:
     xi^(n)(1) is half of Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
-    require(sigmas, "sigma", "xi_table")
-    check_index(sigmas.max_n, "the largest sigma index of xi_table", *FAMILIES["xi1"])
+    ctx = require(sigmas, "sigma", "xi_table")
     with workdps(ctx.working_dps + extra_digits("step")):
         args = [
             (-1) ** (j - 1) * math.factorial(j - 1) * sigmas[j]
@@ -49,11 +48,10 @@ def xi_table(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
     return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
 
 
-def xi_deriv_recurrence(sigmas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
     """xi^(n)(1) for every sigma_n in the table by the recurrence, as a
     verification route."""
-    require(sigmas, "sigma", "xi_deriv_recurrence")
-    check_index(sigmas.max_n, "the largest sigma index of xi_deriv_recurrence", *FAMILIES["xi1"])
+    ctx = require(sigmas, "sigma", "xi_deriv_recurrence")
     with workdps(ctx.working_dps + extra_digits("step")):
         xs = [Binary(0)]  # placeholder for unused index 0
         xs.append(+(sigmas[1] / 2))  # xi'(1) = sigma_1 / 2

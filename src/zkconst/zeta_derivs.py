@@ -39,7 +39,8 @@ x_p = (-1)^(p+1) p! zeta(p+1).
 Both routes and the forward map run at one precision per context, the zeta0
 budget read at the family's cap, so zeta^(n)(0) depends only on n and the
 context.  Each route is a step map: a gamma or eta table up to m gives
-zeta^(0..m+1)(0), and an m + 1 past the cap is refused.
+zeta^(0..m+1)(0) under that table's context, and an m + 1 past the cap is
+refused.
 """
 
 from __future__ import annotations
@@ -72,13 +73,13 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext) -> Binary:
         return +bell_recurrence_value(args)
 
 
-def L_derivs_at_zero(n: int, etas: ConstantTable, ctx: PrecisionContext) -> Binary:
+def L_derivs_at_zero(n: int, etas: ConstantTable) -> Binary:
     """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
     check_index(n, "the L derivative index n", 0)
+    ctx = require(etas, "eta", "L_derivs_at_zero", n)
     with workdps(ctx.working_dps + extra_digits("step")):
         if n == 0:
             return +(atoms(ctx.working_dps).log_2pi - 1)
-        require(etas, "eta", "L_derivs_at_zero", n)
         fact = math.factorial(n)
         zcoeff = 1 - Binary(1, -(n + 1)) * (1 - (-1) ** n)
         return +(
@@ -125,10 +126,10 @@ def _apostol_weights(ctx: PrecisionContext) -> tuple:
         )
 
 
-def zeta_derivs_at_zero(gammas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def zeta_derivs_at_zero(gammas: ConstantTable) -> ConstantTable:
     """zeta^(n)(0) for n = 0..m+1 by route apostol-5.5, from the table
     gamma_0..gamma_m.  Entry 0 is zeta(0) = -1/2."""
-    require(gammas, "gamma", "zeta_derivs_at_zero")
+    ctx = require(gammas, "gamma", "zeta_derivs_at_zero")
     max_n = gammas.max_n + 1
     check_index(max_n, "the largest zeta0 index of zeta_derivs_at_zero", *FAMILIES["zeta0"])
     a = _apostol_weights(ctx)
@@ -141,27 +142,26 @@ def zeta_derivs_at_zero(gammas: ConstantTable, ctx: PrecisionContext) -> Constan
     return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
 
 
-def zeta_derivs_log_chain(etas: ConstantTable, ctx: PrecisionContext) -> ConstantTable:
+def zeta_derivs_log_chain(etas: ConstantTable) -> ConstantTable:
     """zeta^(n)(0) for n = 0..m+1 by route log-chain-s4, from the table
     eta_0..eta_m; eta_0 is not read, since L^(1)(0) = log(2 pi) - 1.
     Entry 0 is zeta(0) = -1/2."""
-    require(etas, "eta", "zeta_derivs_log_chain")
+    ctx = require(etas, "eta", "zeta_derivs_log_chain")
     max_n = etas.max_n + 1
-    check_index(max_n, "the largest zeta0 index of zeta_derivs_log_chain", *FAMILIES["zeta0"])
     with workdps(_solve_dps(ctx)):
         values = [Binary(-1, -1)]
-        lder = [L_derivs_at_zero(m, etas, ctx) for m in range(max_n)]
+        lder = [L_derivs_at_zero(m, etas) for m in range(max_n)]
         ys = bell_recurrence_values(lder)
         for n in range(1, max_n + 1):
             values.append(+(n * values[n - 1] - ys[n] / 2))
     return ConstantTable.of("zeta0", values, LOG_CHAIN_TAG, ctx)
 
 
-def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable, ctx: PrecisionContext) -> Binary:
+def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable) -> Binary:
     """gamma_{n-1} by forward evaluation of the triangular relation, for n
     from 1 up to the zeta0 cap."""
     check_index(n, "the forward index n", 1, FAMILIES["zeta0"][1])
-    require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
+    ctx = require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
     a = _apostol_weights(ctx)
     with workdps(_solve_dps(ctx)):
         return +(sum(math.comb(n, l) * a[n - l] * zeta0[l] for l in range(n + 1)) / n)

@@ -75,16 +75,16 @@ def test_criterion_2_four_route_lambda_agreement():
     ctx = PrecisionContext(digits=30)
     tol = mpf("1e-25")
     gammas, etas, sigmas, lambdas = build_chain(10, ctx)
-    sigma_route = lambda_table(sigmas, ctx)
+    sigma_route = lambda_table(sigmas)
     with mp.workdps(60):
         values = {}
         for r in range(1, 11):
             values[r] = [exact(sigma_route[r]),
-                         exact(lambda_via_eta_psi(r, etas, ctx))]
+                         exact(lambda_via_eta_psi(r, etas))]
             if r <= 2:
                 values[r].append(exact(lambda_closed(r, ctx)))
             if r >= 2:
-                values[r].append(exact(lambda_via_coffey(r, etas, ctx)))
+                values[r].append(exact(lambda_via_coffey(r, etas)))
         worst = mp.mpf(0)
         for r, vals in values.items():
             for i in range(len(vals)):
@@ -104,7 +104,7 @@ def test_criterion_3_master_recurrence():
     worst = mp.mpf(0)
     with mp.workdps(60):
         for n in range(7):
-            res = recurrence_residual_3_13(n, gammas, lambdas, ctx)
+            res = recurrence_residual_3_13(n, gammas, lambdas)
             worst = max(worst, res)
             assert res < tol, f"n={n}: residual {res}"
     elapsed = time.perf_counter() - start
@@ -135,7 +135,7 @@ def test_criterion_5_eta_identities():
     ctx = PrecisionContext(digits=30)
     gammas = table("gamma", 12, ctx)
     etas = table("eta", 12, ctx)
-    etas_alt = eta_from_gamma_coffey(gammas, ctx)
+    etas_alt = eta_from_gamma_coffey(gammas)
     with mp.workdps(60):
         g0, g1, g2 = exact(gammas[0]), exact(gammas[1]), exact(gammas[2])
         assert abs(exact(etas[0]) + g0) < mpf("1e-22")
@@ -147,7 +147,7 @@ def test_criterion_5_eta_identities():
             assert abs(exact(etas[n]) - exact(etas_alt[n])) < mpf("1e-25"), f"n={n}"
         for n in range(1, 13):
             assert (-1) ** (n + 1) * exact(etas[n]) > 0, f"sign at n={n}"
-        back = gamma_from_eta(etas, ctx)
+        back = gamma_from_eta(etas)
         for n in range(9):
             assert abs(exact(back[n]) - exact(gammas[n])) < mpf("1e-23"), f"roundtrip n={n}"
     elapsed = time.perf_counter() - start
@@ -160,8 +160,8 @@ def test_criterion_6_zeta_derivatives():
     ctx = PrecisionContext(digits=30)
     gammas = table("gamma", 8, ctx)
     etas = table("eta", 8, ctx)
-    apostol = zeta_derivs_at_zero(table("gamma", 7, ctx), ctx)
-    log_chain = zeta_derivs_log_chain(table("eta", 7, ctx), ctx)
+    apostol = zeta_derivs_at_zero(table("gamma", 7, ctx))
+    log_chain = zeta_derivs_log_chain(table("eta", 7, ctx))
     with mp.workdps(60):
         assert abs(exact(apostol[1]) + mp.log(2 * mp.pi) / 2) < mpf("1e-25")
         via_53 = (
@@ -178,7 +178,7 @@ def test_criterion_6_zeta_derivatives():
         for n in range(9):
             assert abs(exact(apostol[n]) - exact(log_chain[n])) < mpf("1e-22"), f"n={n}"
         for n in range(1, 9):
-            got = gamma_from_zeta_derivs(n, log_chain, ctx)
+            got = gamma_from_zeta_derivs(n, log_chain)
             assert abs(got - exact(gammas[n - 1])) < mpf("1e-22"), f"n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120
@@ -189,8 +189,8 @@ def test_criterion_7_xi_derivatives_and_signs():
     start = time.perf_counter()
     ctx = PrecisionContext(digits=30)
     gammas, etas, sigmas, lambdas = build_chain(10, ctx)
-    xi_bell = xi_table(sigmas, ctx)
-    xi_rec = xi_deriv_recurrence(sigmas, ctx)
+    xi_bell = xi_table(sigmas)
+    xi_rec = xi_deriv_recurrence(sigmas)
     with mp.workdps(60):
         l1, l2, l3 = exact(lambdas[1]), exact(lambdas[2]), exact(lambdas[3])
         assert abs(exact(xi_bell[1]) - l1 / 2) < mpf("1e-23")

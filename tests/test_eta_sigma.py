@@ -37,7 +37,7 @@ class TestEtaRecurrence:
             assert abs(lhs - rhs) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_both_recurrences_agree(self, ctx30, chain30):
-        alt = eta_from_gamma_coffey(chain30["gammas"], ctx30)
+        alt = eta_from_gamma_coffey(chain30["gammas"])
         with mp.workdps(60):
             for n in range(14):
                 diff = abs(exact(chain30["etas"][n]) - exact(alt[n]))
@@ -58,12 +58,12 @@ class TestEtaRecurrence:
         # kind, which holds no gamma_n at all, falls short
         for step in (eta_from_gamma, eta_from_gamma_coffey):
             with pytest.raises(ValueError, match="gamma table, got eta"):
-                step(chain30["etas"], ctx30)
+                step(chain30["etas"])
 
 
 class TestGammaFromEta:
     def test_n0_recovers_gamma(self, ctx30, chain30):
-        back = gamma_from_eta(chain30["etas"], ctx30)
+        back = gamma_from_eta(chain30["etas"])
         with mp.workdps(60):
             diff = abs(exact(back[0]) - exact(chain30["gammas"][0]))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -78,7 +78,7 @@ class TestGammaFromEta:
             assert abs(lhs - rhs) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_round_trip_identity(self, ctx30, chain30):
-        back = gamma_from_eta(chain30["etas"], ctx30)
+        back = gamma_from_eta(chain30["etas"])
         tol = mpf(10) ** (-(ctx30.digits - 5))
         assert back.max_n == chain30["etas"].max_n
         with mp.workdps(60):
@@ -88,12 +88,12 @@ class TestGammaFromEta:
     def test_insufficient_etas_rejected(self, ctx30, chain30):
         # as for eta_from_gamma: only a table of another kind falls short
         with pytest.raises(ValueError, match="eta table, got gamma"):
-            gamma_from_eta(chain30["gammas"], ctx30)
+            gamma_from_eta(chain30["gammas"])
 
 
 class TestSigma:
     def test_sigma1_is_lambda1(self, ctx30, chain30):
-        s1 = exact(sigma_table(chain30["etas"], ctx30)[1])
+        s1 = exact(sigma_table(chain30["etas"])[1])
         with mp.workdps(60):
             diff = abs(s1 - lambda_closed(1, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -102,7 +102,7 @@ class TestSigma:
         # sigma_2 = eta_1 - (3/4) zeta(2) + 1, cross-checked through
         # lambda_2 = 2 sigma_1 - sigma_2 against the lambda_2 closed form
         etas = chain30["etas"]
-        s1, s2 = map(exact, sigma_table(etas, ctx30).values[:2])
+        s1, s2 = map(exact, sigma_table(etas).values[:2])
         with mp.workdps(60):
             direct = exact(etas[1]) - mpf(3) / 4 * exact(zeta_int_mpf(2, ctx30)) + 1
             assert abs(s2 - direct) < mpf(10) ** (-(ctx30.digits - 5))
@@ -124,16 +124,16 @@ class TestSigma:
 
     def test_eta_0_to_m_gives_sigma_1_to_m_plus_1(self, ctx30, chain30):
         etas = chain30["etas"]
-        assert sigma_table(etas, ctx30).max_n == etas.max_n + 1
+        assert sigma_table(etas).max_n == etas.max_n + 1
         only_eta0 = ConstantTable.of("eta", etas.values[:1], "t", ctx30)
-        sigmas = sigma_table(only_eta0, ctx30)
+        sigmas = sigma_table(only_eta0)
         assert (sigmas.start, sigmas.values, sigmas.methods) == (
             1, (chain30["sigmas"][1],), ("closed-2.13",))
 
     def test_insufficient_etas_rejected(self, ctx30, chain30):
         # only a table of another kind falls short
         with pytest.raises(ValueError, match="eta table, got gamma"):
-            sigma_table(chain30["gammas"], ctx30)
+            sigma_table(chain30["gammas"])
 
     @pytest.mark.parametrize("digits", [10, 30, 60])
     def test_cancellation_keeps_its_digits(self, digits):

@@ -8,8 +8,9 @@ linger in __all__.  Likewise every module-level private function, class or
 assignment must be referenced somewhere in the package outside its own
 definition, every working precision outside precision.py must come from its
 budget, no module but precision.py and bell.py tests for an int itself, no
-file under src/ holds an assert statement or imports mpmath, and no code but
-stieltjes.Binary reads an mpf's _mpf_.
+file under src/ holds an assert statement or imports mpmath, no code but
+stieltjes.Binary reads an mpf's _mpf_, and no function takes both a
+ConstantTable and a PrecisionContext.
 
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
@@ -431,6 +432,57 @@ def test_checker_flags_an_mpf_read_outside_binary():
 def test_only_binary_reads_an_mpf():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert mpf_readers(sources) == []
+
+
+def _annotation_name(node) -> str | None:
+    """The last dotted name of an annotation, whether written as a name, an
+    attribute (stieltjes.ConstantTable) or a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.rsplit(".", 1)[-1]
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def table_and_context_takers(sources: dict) -> list:
+    """Functions, as "module.qualname", with both a parameter annotated
+    ConstantTable and one annotated PrecisionContext: a table records its
+    context, so a second one could only contradict it."""
+    found = []
+
+    def visit(node, qualname):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, qualname)
+                continue
+            name = f"{qualname}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                params = [*child.args.posonlyargs, *child.args.args, *child.args.kwonlyargs]
+                if {"ConstantTable", "PrecisionContext"} <= {
+                        _annotation_name(p.annotation) for p in params if p.annotation}:
+                    found.append(name)
+            visit(child, name)
+
+    for module, src in sources.items():
+        visit(ast.parse(src), module)
+    return sorted(found)
+
+
+def test_checker_flags_a_table_and_a_context():
+    source = (
+        "def step(t: ConstantTable, ctx: PrecisionContext):\n    pass\n"
+        "def route(n: int, t: 'stieltjes.ConstantTable', *, ctx: 'PrecisionContext'):\n"
+        "    pass\n"
+        "def build(kind: str, ctx: precision.PrecisionContext) -> ConstantTable:\n    pass\n"
+        "def read(t: ConstantTable, ctx) -> PrecisionContext:\n    pass\n"
+        "class Maps:\n    def lam(self, s: ConstantTable, c: PrecisionContext):\n        pass\n"
+    )
+    assert table_and_context_takers({"m": source}) == ["m.Maps.lam", "m.route", "m.step"]
+
+
+def test_no_function_takes_a_table_and_a_context():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert table_and_context_takers(sources) == []
 
 
 # prints, on the last line of stderr, the package modules a CLI command

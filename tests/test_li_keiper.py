@@ -55,18 +55,18 @@ class TestClosedForms:
 
 class TestSigmaRoute:
     def test_r1_is_sigma1(self, ctx30, chain30):
-        lam = exact(lambda_table(chain30["sigmas"], ctx30)[1])
+        lam = exact(lambda_table(chain30["sigmas"])[1])
         with mp.workdps(60):
             assert abs(lam - exact(chain30["sigmas"][1])) < mpf("1e-35")
 
     def test_r2_expands_to_2sigma1_minus_sigma2(self, ctx30, chain30):
         s = chain30["sigmas"]
-        lam = exact(lambda_table(s, ctx30)[2])
+        lam = exact(lambda_table(s)[2])
         with mp.workdps(60):
             assert abs(lam - (2 * exact(s[1]) - exact(s[2]))) < mpf("1e-35")
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = exact(lambda_table(chain30["sigmas"], ctx30)[2])
+        lam = exact(lambda_table(chain30["sigmas"])[2])
         with mp.workdps(60):
             diff = abs(lam - lambda_closed(2, ctx30))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -74,20 +74,20 @@ class TestSigmaRoute:
     def test_bad_index_and_insufficient_table(self, ctx30, chain30):
         # the table has no index argument and maps every sigma_r it is
         # given, so only a table of another kind falls short
-        assert lambda_table(chain30["sigmas"], ctx30).max_n == chain30["sigmas"].max_n
+        assert lambda_table(chain30["sigmas"]).max_n == chain30["sigmas"].max_n
         with pytest.raises(ValueError, match="sigma table, got eta"):
-            lambda_table(chain30["etas"], ctx30)
+            lambda_table(chain30["etas"])
 
 
 class TestEtaPsiRoute:
     def test_r1_is_pure_linear_term(self, ctx30, chain30):
-        lam = exact(lambda_via_eta_psi(1, chain30["etas"], ctx30))
+        lam = exact(lambda_via_eta_psi(1, chain30["etas"]))
         with mp.workdps(60):
             diff = abs(lam - exact(lambda_closed(1, ctx30)))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = exact(lambda_via_eta_psi(2, chain30["etas"], ctx30))
+        lam = exact(lambda_via_eta_psi(2, chain30["etas"]))
         with mp.workdps(60):
             diff = abs(lam - exact(lambda_closed(2, ctx30)))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
@@ -96,7 +96,7 @@ class TestEtaPsiRoute:
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for r in range(1, 11):
-                a = lambda_via_eta_psi(r, chain30["etas"], ctx30)
+                a = lambda_via_eta_psi(r, chain30["etas"])
                 b = exact(chain30["lambdas"][r])
                 assert abs(a - b) < tol, f"r={r}"
 
@@ -106,14 +106,14 @@ class TestCoffeyRoute:
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for r in (2, 3, 10):
-                a = exact(lambda_via_coffey(r, chain30["etas"], ctx30))
+                a = exact(lambda_via_coffey(r, chain30["etas"]))
                 assert abs(a - exact(chain30["lambdas"][r])) < tol
-                b = exact(lambda_via_eta_psi(r, chain30["etas"], ctx30))
+                b = exact(lambda_via_eta_psi(r, chain30["etas"]))
                 assert abs(a - b) < tol
 
     def test_requires_r_at_least_two(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            lambda_via_coffey(1, chain30["etas"], ctx30)
+            lambda_via_coffey(1, chain30["etas"])
 
     @pytest.mark.parametrize("digits", [10, 30])
     def test_an_offset_in_the_sum_fails_verify(self, digits, monkeypatch):
@@ -121,7 +121,7 @@ class TestCoffeyRoute:
         # constant fitted to lambda_2's closed form would absorb it
         via_coffey = li_keiper.lambda_via_coffey
         monkeypatch.setattr(
-            li_keiper, "lambda_via_coffey", lambda r, etas, ctx: exact(via_coffey(r, etas, ctx)) + 1
+            li_keiper, "lambda_via_coffey", lambda r, etas: exact(via_coffey(r, etas)) + 1
         )
         failed = {r.identity for r in run_suite("lambda", PrecisionContext(digits))
                   if not r.passed}
@@ -143,29 +143,27 @@ class TestGDerivatives:
                 2: 6 * l1 - 6 * l2 + 2 * l3,
             }
             for r, expected in cases.items():
-                got = g_derivs_at_one(r, lam, ctx30)
+                got = g_derivs_at_one(r, lam)
                 assert abs(got - expected) < mpf("1e-35"), f"r={r}"
 
     def test_two_routes_agree(self, ctx30, chain30):
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for r in range(9):
-                a = exact(g_derivs_at_one(r, chain30["lambdas"], ctx30))
-                b = exact(g_derivs_at_one_via_eta(r, chain30["etas"], ctx30))
+                a = exact(g_derivs_at_one(r, chain30["lambdas"]))
+                b = exact(g_derivs_at_one_via_eta(r, chain30["etas"]))
                 assert abs(a - b) < tol, f"r={r}"
 
     def test_insufficient_lambdas(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            g_derivs_at_one(13, chain30["lambdas"], ctx30)
+            g_derivs_at_one(13, chain30["lambdas"])
 
 
 class TestMasterRecurrence:
     def test_residuals_up_to_six(self, ctx30, chain30):
         tol = exact(default_tol(ctx30))
         for n in range(7):
-            res = recurrence_residual_3_13(
-                n, chain30["gammas"], chain30["lambdas"], ctx30
-            )
+            res = recurrence_residual_3_13(n, chain30["gammas"], chain30["lambdas"])
             assert res < tol, f"n={n}: {res}"
 
     def test_lambda2_perturbation_moves_residual_linearly(self, ctx30, chain30):
@@ -175,15 +173,22 @@ class TestMasterRecurrence:
             values = list(lam.values)
             values[1] = exact(lam[2]) + mpf("1e-3")
             bumped = ConstantTable.of("lambda", values, "perturbed", ctx30)
-        res = recurrence_residual_3_13(0, chain30["gammas"], bumped, ctx30)
+        res = recurrence_residual_3_13(0, chain30["gammas"], bumped)
         with mp.workdps(60):
             assert abs(res - mpf("1e-3")) < mpf("1e-9")
 
     def test_insufficient_tables(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            recurrence_residual_3_13(12, chain30["gammas"], chain30["lambdas"], ctx30)
+            recurrence_residual_3_13(12, chain30["gammas"], chain30["lambdas"])
         with pytest.raises(ValueError):
-            recurrence_residual_3_13(13, chain30["gammas"], chain30["lambdas"], ctx30)
+            recurrence_residual_3_13(13, chain30["gammas"], chain30["lambdas"])
+
+    def test_tables_at_two_contexts_are_refused(self, ctx30):
+        # each table computes under its own context, and the residual reads
+        # two: no one context of the two would be right for both
+        with pytest.raises(ValueError, match="two tables at one context"):
+            recurrence_residual_3_13(1, table("gamma", 5, ctx30),
+                                     table("lambda", 5, PrecisionContext(60)))
 
     @pytest.mark.parametrize("sign", ["(+1)", "(-2)"])
     def test_a_sign_mutant_of_the_rhs_fails_verify_at_10_digits(self, sign, monkeypatch):
@@ -236,9 +241,9 @@ class TestCombinatorialHelpers:
                 for n in range(len(seq))
             ]
 
-        before = lambda_table(chain30["sigmas"], ctx30).values
+        before = lambda_table(chain30["sigmas"]).values
         monkeypatch.setattr(li_keiper, "binomial_alternating_transform", unsigned)
-        after = lambda_table(chain30["sigmas"], ctx30).values
+        after = lambda_table(chain30["sigmas"]).values
         assert all(a != b for a, b in zip(after, before))
         (check,) = [
             r for r in run_suite("lambda", ctx30) if r.identity == "eq-3.27-involution"
@@ -295,7 +300,7 @@ class TestTransformProperties:
         with mp.workprec(256):
             sigmas = [mp.ldexp(mp.mpf(man), exp) for man, exp in pairs]
         drawn = ConstantTable.of("sigma", sigmas, "drawn", ctx)
-        got = lambda_table(drawn, ctx).values
+        got = lambda_table(drawn).values
         rationals = [_exact(s) for s in sigmas]
         want = lambda_from_sigma_differences(rationals)
         unit = Fraction(1, 10**ctx.working_dps)

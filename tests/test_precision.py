@@ -6,10 +6,13 @@ from mpmath.libmp import dps_to_prec as mpmath_dps_to_prec
 
 from zkconst import chain, precision, stieltjes
 from zkconst.chain import table
-from zkconst.li_keiper import lambda_via_eta_psi, positivity_report
+from zkconst.eta_sigma import eta_from_gamma, eta_from_gamma_coffey, gamma_from_eta, sigma_table
+from zkconst.li_keiper import lambda_table, lambda_via_coffey, lambda_via_eta_psi, positivity_report
 from zkconst.precision import FAMILIES, ConvergenceError, PrecisionContext, check_index, family
 from zkconst.reports import default_tol, equality_report, roundtrip_decimal
 from zkconst.stieltjes import ConstantTable, stieltjes_gamma
+from zkconst.xi import xi_deriv_recurrence, xi_table
+from zkconst.zeta_derivs import zeta_derivs_at_zero, zeta_derivs_log_chain
 
 
 class TestPrecisionContext:
@@ -68,7 +71,7 @@ class TestCheckIndex:
         lambda ctx, chain: table("gamma", True, ctx),
         lambda ctx, chain: stieltjes_gamma(True, 1, ctx),
         lambda ctx, chain: positivity_report(True, ctx),
-        lambda ctx, chain: lambda_via_eta_psi(True, chain["etas"], ctx),
+        lambda ctx, chain: lambda_via_eta_psi(True, chain["etas"]),
         lambda ctx, chain: chain["gammas"][True],
     ], ids=["table", "stieltjes_gamma", "positivity_report", "lambda_via_eta_psi",
             "ConstantTable[]"])
@@ -90,6 +93,24 @@ def test_tables_are_prefix_stable(kind, digits, clear_memos):
     for m in range(start, cap):
         clear_memos()
         assert table(kind, m, ctx).values == full[:m - start + 1], f"m={m}"
+
+
+@pytest.mark.parametrize("digits, guard", [(10, 10), (30, 10), (60, 10), (30, 25)])
+def test_every_map_computes_under_its_tables_context(digits, guard):
+    # no map takes a context: each returns a table at its input's, and
+    # chain.table's table is the map of chain.table's table below it
+    ctx = PrecisionContext(digits, guard)
+    gammas, etas, sigmas = (table(kind, 4, ctx) for kind in ("gamma", "eta", "sigma"))
+    for step, below in [(eta_from_gamma, gammas), (eta_from_gamma_coffey, gammas),
+                        (gamma_from_eta, etas), (sigma_table, etas), (lambda_table, sigmas),
+                        (xi_table, sigmas), (xi_deriv_recurrence, sigmas),
+                        (zeta_derivs_at_zero, gammas), (zeta_derivs_log_chain, etas)]:
+        assert step(below).ctx == ctx, step.__name__
+    assert eta_from_gamma(gammas) == etas
+    assert sigma_table(table("eta", 3, ctx)) == sigmas
+    assert lambda_table(sigmas) == table("lambda", 4, ctx)
+    assert xi_table(sigmas) == table("xi1", 4, ctx)
+    assert zeta_derivs_at_zero(table("gamma", 3, ctx)) == table("zeta0", 4, ctx)
 
 
 class TestTableMemo:
@@ -193,6 +214,20 @@ class TestConstantTable:
         with pytest.raises(ValueError, match="at least one value"):
             ConstantTable.of("eta", [], "recurrence-4.4", ctx30)
 
+    def test_no_table_reaches_past_its_cap(self, ctx30):
+        # sigma_1 .. sigma_21 from eta_0 .. eta_20 would lie past every
+        # budget row and every check of the sigma family
+        with pytest.raises(ValueError, match=r"last index of a sigma table must lie in \[1, 20\]"):
+            sigma_table(table("eta", 20, ctx30))
+        with pytest.raises(ValueError, match=r"last index of a gamma table must lie in \[0, 20\]"):
+            ConstantTable.of("gamma", [mpf(1)] * 22, "t", ctx30)
+
+    def test_a_map_refuses_what_is_not_a_table(self):
+        with pytest.raises(ValueError, match="^eta_from_gamma needs a gamma table$"):
+            eta_from_gamma([mpf(1)])
+        with pytest.raises(ValueError, match="^lambda_via_coffey needs a eta table$"):
+            lambda_via_coffey(3, (mpf(1),) * 4)
+
     def test_unknown_kind(self, ctx30):
         with pytest.raises(ValueError):
             ConstantTable.of("mystery", [], "hasse-2.8", ctx30)
@@ -214,7 +249,7 @@ class TestConstantTable:
         for kind, start in starts.items():
             table = ConstantTable.of(kind, [mpf(1), mpf(2)], "t", ctx30)
             assert [n for n, _, _ in table.rows()] == [start, start + 1]
-            assert table.digits == 30
+            assert table.ctx.digits == 30
 
     def test_of_one_tag_for_every_entry(self, ctx30):
         table = ConstantTable.of("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)

@@ -202,11 +202,11 @@ def test_a_fault_in_the_last_table_entries_fails_verify(kind, n, monkeypatch):
                             else (xi, "xi_table", "xi"))
     good = getattr(module, build)
 
-    def planted(sigmas, ctx):
-        built = good(sigmas, ctx)
+    def planted(sigmas):
+        built = good(sigmas)
         values = list(built.values)
-        values[n - 1] = exact(values[n - 1]) + 100 * exact(default_tol(ctx))
-        return ConstantTable.of(kind, values, built.methods, ctx)
+        values[n - 1] = exact(values[n - 1]) + 100 * exact(default_tol(built.ctx))
+        return ConstantTable.of(kind, values, built.methods, built.ctx)
 
     monkeypatch.setattr(module, build, planted)
     assert not all_passed(run_suite(suite, PrecisionContext(10)))

@@ -17,7 +17,7 @@ def sigmas(ctx30):
 
 @pytest.fixture(scope="module")
 def xi_bell(ctx30, sigmas):
-    return xi_table(sigmas, ctx30)
+    return xi_table(sigmas)
 
 
 class TestBellRoute:
@@ -60,25 +60,25 @@ class TestBellRoute:
 
     def test_bad_inputs(self, ctx30, chain30):
         with pytest.raises(ValueError, match="sigma table, got eta"):
-            xi_table(chain30["etas"], ctx30)
+            xi_table(chain30["etas"])
 
     @pytest.mark.parametrize("route", [xi_table, xi_deriv_recurrence])
     def test_sigma_table_past_the_cap_rejected(self, route, ctx30):
         # no route vouches for xi^(n)(1) past the xi1 cap of 12
         with pytest.raises(ValueError, match=r"must lie in \[1, 12\]"):
-            route(table("sigma", 20, ctx30), ctx30)
+            route(table("sigma", 20, ctx30))
 
 
 class TestRecurrenceRoute:
     def test_matches_bell_route(self, ctx30, sigmas, xi_bell):
-        rec = xi_deriv_recurrence(sigmas, ctx30)
+        rec = xi_deriv_recurrence(sigmas)
         tol = mpf(10) ** (-(ctx30.digits - 5))
         with mp.workdps(60):
             for n in range(1, 9):
                 assert abs(exact(rec[n]) - exact(xi_bell[n])) < tol, f"n={n}"
 
     def test_n2_entry_matches_lambda_form(self, ctx30, chain30, sigmas):
-        rec = xi_deriv_recurrence(sigmas, ctx30)
+        rec = xi_deriv_recurrence(sigmas)
         lam = chain30["lambdas"]
         with mp.workdps(60):
             l1, l2 = exact(lam[1]), exact(lam[2])
@@ -86,7 +86,7 @@ class TestRecurrenceRoute:
             assert abs(exact(rec[2]) - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_all_entries_positive(self, ctx30, sigmas):
-        rec = xi_deriv_recurrence(sigmas, ctx30)
+        rec = xi_deriv_recurrence(sigmas)
         assert rec.max_n == sigmas.max_n
         for n in range(1, 11):
             assert exact(rec[n]) > 0
@@ -95,7 +95,7 @@ class TestRecurrenceRoute:
         # the map reads every entry of its table, so only a table of another
         # kind, which holds no sigma_n at all, falls short
         with pytest.raises(ValueError, match="sigma table, got lambda"):
-            xi_deriv_recurrence(chain30["lambdas"], ctx30)
+            xi_deriv_recurrence(chain30["lambdas"])
 
 
 
@@ -108,8 +108,8 @@ def test_user_mpf_sigmas_map_as_their_binaries_do(ctx30):
     mine = ConstantTable.of("sigma", typed, "typed", ctx30)
     exact = ConstantTable.of("sigma", [Binary.of(v) for v in typed], "typed", ctx30)
     for step in (lambda_table, xi_table):
-        assert [v._mpf_ for v in step(mine, ctx30).values] == [
-            v._mpf_ for v in step(exact, ctx30).values], step.__name__
+        assert [v._mpf_ for v in step(mine).values] == [
+            v._mpf_ for v in step(exact).values], step.__name__
     with mp.workdps(ctx30.working_dps + extra_digits("step")):
         want = [-t for t in binomial_alternating_transform([0, *typed])[1:]]
-    assert [v._mpf_ for v in lambda_table(mine, ctx30).values] == [v._mpf_ for v in want]
+    assert [v._mpf_ for v in lambda_table(mine).values] == [v._mpf_ for v in want]

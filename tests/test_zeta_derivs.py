@@ -20,8 +20,8 @@ from zkconst.zeta_derivs import (
 
 @pytest.fixture(scope="module")
 def zeta_tables(ctx30, chain30):
-    apostol = zeta_derivs_at_zero(table("gamma", 7, ctx30), ctx30)
-    log_chain = zeta_derivs_log_chain(table("eta", 7, ctx30), ctx30)
+    apostol = zeta_derivs_at_zero(table("gamma", 7, ctx30))
+    log_chain = zeta_derivs_log_chain(table("eta", 7, ctx30))
     return apostol, log_chain
 
 
@@ -53,14 +53,14 @@ class TestGammaDerivatives:
 
 class TestLDerivatives:
     def test_first_derivative_at_zero(self, ctx30, chain30):
-        v = L_derivs_at_zero(0, chain30["etas"], ctx30)
+        v = L_derivs_at_zero(0, chain30["etas"])
         with mp.workdps(60):
             assert abs(v - (mp.log(2 * mp.pi) - 1)) < mpf(10) ** (
                 -(ctx30.digits - 3)
             )
 
     def test_second_derivative_at_zero(self, ctx30, chain30):
-        v = L_derivs_at_zero(1, chain30["etas"], ctx30)
+        v = L_derivs_at_zero(1, chain30["etas"])
         with mp.workdps(60):
             expected = exact(zeta_int_mpf(2, ctx30)) / 2 - exact(chain30["etas"][1]) - 1
             assert abs(v - expected) < mpf(10) ** (-(ctx30.digits - 5))
@@ -70,14 +70,14 @@ class TestLDerivatives:
     ):
         # L''(0) = -2 zeta''(0) - log^2(2 pi) - 1
         apostol, _ = zeta_tables
-        v = L_derivs_at_zero(1, chain30["etas"], ctx30)
+        v = L_derivs_at_zero(1, chain30["etas"])
         with mp.workdps(60):
             expected = -2 * exact(apostol[2]) - mp.log(2 * mp.pi) ** 2 - 1
             assert abs(v - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_insufficient_etas(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            L_derivs_at_zero(14, chain30["etas"], ctx30)
+            L_derivs_at_zero(14, chain30["etas"])
 
 
 class TestZetaDerivativesAtZero:
@@ -135,18 +135,18 @@ class TestZetaDerivativesAtZero:
 
     def test_route_and_cap_validation(self, ctx30, chain30):
         with pytest.raises(ValueError):
-            zeta_derivs_at_zero(chain30["gammas"], ctx30)  # reaches zeta^(14)(0)
+            zeta_derivs_at_zero(chain30["gammas"])  # reaches zeta^(14)(0)
         with pytest.raises(ValueError):
-            zeta_derivs_at_zero(None, ctx30)  # missing table
+            zeta_derivs_at_zero(None)  # missing table
 
     @pytest.mark.parametrize("route, kind", [(zeta_derivs_at_zero, "gamma"),
                                              (zeta_derivs_log_chain, "eta")])
     def test_a_table_one_past_the_cap_is_refused(self, route, kind, ctx30):
         # a table to the cap would give zeta^(cap+1)(0), one past the weights
         cap = FAMILIES["zeta0"][1]
-        route(table(kind, cap - 1, ctx30), ctx30)
+        route(table(kind, cap - 1, ctx30))
         with pytest.raises(ValueError):
-            route(table(kind, cap, ctx30), ctx30)
+            route(table(kind, cap, ctx30))
 
 
 class TestForwardMap:
@@ -155,7 +155,7 @@ class TestForwardMap:
         tol = mpf(10) ** (-(ctx30.digits - 6))
         with mp.workdps(60):
             for n in range(1, 9):
-                got = gamma_from_zeta_derivs(n, log_chain, ctx30)
+                got = gamma_from_zeta_derivs(n, log_chain)
                 assert abs(got - exact(chain30["gammas"][n - 1])) < tol, f"n={n}"
 
     def test_inverse_then_forward_is_identity(self, ctx30, chain30, zeta_tables):
@@ -163,7 +163,7 @@ class TestForwardMap:
         tol = mpf(10) ** (-(ctx30.digits - 6))
         with mp.workdps(60):
             for n in range(1, 9):
-                got = gamma_from_zeta_derivs(n, apostol, ctx30)
+                got = gamma_from_zeta_derivs(n, apostol)
                 assert abs(got - exact(chain30["gammas"][n - 1])) < tol
 
     def test_n1_constant_cancellation(self, ctx30, chain30, zeta_tables):
@@ -177,16 +177,19 @@ class TestForwardMap:
     def test_insufficient_table(self, ctx30, zeta_tables):
         apostol, _ = zeta_tables
         with pytest.raises(ValueError):
-            gamma_from_zeta_derivs(9, apostol, ctx30)
+            gamma_from_zeta_derivs(9, apostol)
         with pytest.raises(ValueError):
-            gamma_from_zeta_derivs(0, apostol, ctx30)
+            gamma_from_zeta_derivs(0, apostol)
 
     def test_an_index_past_the_cap_is_refused(self, ctx30):
-        # a hand-built table reaches zeta^(11)(0); the weights stop at the cap
+        # no zeta0 table reaches zeta^(11)(0), and the forward map refuses
+        # that index on a table to the cap; the weights stop at the cap
         cap = FAMILIES["zeta0"][1]
-        long_table = ConstantTable.of("zeta0", [mpf(-1) / 2] * (cap + 2), "hand-built", ctx30)
-        with pytest.raises(ValueError):
-            gamma_from_zeta_derivs(cap + 1, long_table, ctx30)
+        with pytest.raises(ValueError, match=r"last index of a zeta0 table must lie in \[0, 10\]"):
+            ConstantTable.of("zeta0", [mpf(-1) / 2] * (cap + 2), "hand-built", ctx30)
+        to_cap = ConstantTable.of("zeta0", [mpf(-1) / 2] * (cap + 1), "hand-built", ctx30)
+        with pytest.raises(ValueError, match=r"forward index n must lie in \[1, 10\]"):
+            gamma_from_zeta_derivs(cap + 1, to_cap)
 
 
 class TestCosineWeights:
