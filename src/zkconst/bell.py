@@ -12,17 +12,17 @@ exactly:
 
 The recurrence is the fast numeric route; the partition sum is the symbolic
 definition, returned as a plain {exponent tuple: coefficient} dict and
-evaluated by substitute(); the determinant clears its denominators once and
-is evaluated by fraction-free elimination in integers, so the three-route
+evaluated by substitute(); the determinant takes integer arguments and is
+evaluated by fraction-free elimination in integers, so the three-route
 comparison is exact.  Every route is weighted-homogeneous,
-Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an exact caller can scale
-rational arguments to integers and divide the value by c^n once.
+Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an exact caller scales
+rational arguments to integers and divides the value by c^n once; the
+partition sum and the recurrence also take Fractions directly.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 MAX_SYMBOLIC_N = 20  # partition enumeration cap; p(20) = 627 partitions
 
@@ -114,10 +114,8 @@ def bell_recurrence_value(args):
 def _check_entries(entries, who):
     # a bool is refused, since True would pass for 1
     for c in entries:
-        if type(c) is bool or not isinstance(c, (int, Fraction)):
-            raise ValueError(
-                f"{who} takes int or Fraction entries (bool refused), got {c!r}"
-            )
+        if type(c) is not int:
+            raise ValueError(f"{who} takes int entries (bool refused), got {c!r}")
 
 
 def _scaled_bracket(nums, den) -> int:
@@ -141,48 +139,36 @@ def _scaled_bracket(nums, den) -> int:
     return row[0]
 
 
-def _quotient(num, den):
-    """num/den exactly: an int when den divides num, else a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
-def bracket_determinant(cs) -> int | Fraction:
+def bracket_determinant(cs) -> int:
     """The n x n almost-triangular determinant [c_1, c_2, ..., c_n].
 
     Row 1 holds c_1..c_n; row i (i >= 2) holds the subdiagonal entry n-i+1
     followed by c_1..c_{n-i+1}; everything below the subdiagonal is zero.
-    The entries are int or Fraction (bool refused; anything else raises
-    ValueError).  They are written as integer numerators over D, the lcm of
-    their denominators, and the determinant is D^-n times the integer
-    elimination of _scaled_bracket: an int when that is an integer, else a
-    Fraction.
+    The entries are ints (bool refused; anything else raises ValueError),
+    so the determinant is _scaled_bracket's elimination at den = 1.
     """
-    n = len(cs)
-    if n < 1:
+    if len(cs) < 1:
         raise ValueError("bracket determinant needs n >= 1 entries")
     _check_entries(cs, "bracket_determinant")
-    den = math.lcm(*(c.denominator for c in cs))
-    nums = [c.numerator * (den // c.denominator) for c in cs]
-    return _quotient(_scaled_bracket(nums, den), den**n)
+    return _scaled_bracket(cs, 1)
 
 
-def bell_determinant(args) -> int | Fraction:
+def bell_determinant(args) -> int:
     """Y_n(args) as the determinant [x_1/0!, -x_2/1!, ..., (-1)^(n+1) x_n/(n-1)!].
 
-    The arguments are int or Fraction (bool refused; anything else raises
-    ValueError).  Entry k, (-1)^k x_k / k!, has denominator dividing
-    k! q_k for x_k = p_k / q_k, so D, the lcm of the k! q_k, clears every
-    entry at once and the value is D^-n times _scaled_bracket's: an int
-    when that is an integer, else a Fraction.
+    The arguments are ints (bool refused; anything else raises ValueError).
+    D = (n-1)! clears every entry (-1)^k x_k / k! at once, and Y_n is
+    _scaled_bracket's D^n Y_n divided by D^n.  Integer arguments give an
+    integer Y_n, so a remainder is a fault in the elimination and raises
+    ArithmeticError.
     """
     n = len(args)
     if n < 1:
         raise ValueError("bell_determinant needs n >= 1 arguments")
     _check_entries(args, "bell_determinant")
-    dens = [math.factorial(k) * x.denominator for k, x in enumerate(args)]
-    den = math.lcm(*dens)
-    nums = [
-        (-1) ** k * x.numerator * (den // d) for k, (x, d) in enumerate(zip(args, dens))
-    ]
-    return _quotient(_scaled_bracket(nums, den), den**n)
+    den = math.factorial(n - 1)
+    nums = [(-1) ** k * x * (den // math.factorial(k)) for k, x in enumerate(args)]
+    value, rem = divmod(_scaled_bracket(nums, den), den**n)
+    if rem:
+        raise ArithmeticError(f"bell_determinant: {den}^{n} leaves remainder {rem}")
+    return value

@@ -30,6 +30,7 @@ import itertools
 import math
 import operator
 
+from . import chain
 from .kernel import atoms, polygamma_three_halves_mpf, zeta_int_mpf
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
 from .reports import inequality_report, inequality_reports
@@ -218,10 +219,8 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
     raised.  The range error names the li-check flag, since the CLI passes
     --max-n straight through.
     """
-    from .chain import table  # not at the top: chain imports li_keiper
-
     check_index(max_n, "--max-n for li-check", *FAMILIES["lambda"])
-    lambdas = table("lambda", max(max_n, 3), ctx)
+    lambdas = chain.table("lambda", max(max_n, 3), ctx)
     reports = inequality_reports(
         range(1, max_n + 1), ctx,
         ("li-positivity-n", lambda r: lambdas[r], lambda r: 0, (LAMBDA_TAG,)),

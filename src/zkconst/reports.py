@@ -94,11 +94,13 @@ def equality_report(identity: str, lhs, rhs, tol, ctx: PrecisionContext,
     return _report(identity, lhs, rhs, lambda a, b: abs(a - b), tol, ctx, method_tags)
 
 
-def exact_report(identity: str, equal: bool, witness_lhs, witness_rhs,
-                 ctx: PrecisionContext, method_tags=()) -> VerificationReport:
-    """An exact (rational-arithmetic) check; witnesses are representative values."""
-    return _report(identity, witness_lhs, witness_rhs,
-                   lambda a, b: Binary(0 if equal else 1), 0, ctx, method_tags)
+def exact_report(identity: str, witness_lhs, witness_rhs, ctx: PrecisionContext,
+                 method_tags=()) -> VerificationReport:
+    """witness_lhs == witness_rhs, compared exactly before either side is
+    rounded; abs_err is 0 when they are equal, else 1."""
+    error = Binary(0 if witness_lhs == witness_rhs else 1)
+    return _report(identity, witness_lhs, witness_rhs, lambda a, b: error, 0, ctx,
+                   method_tags)
 
 
 def inequality_report(identity: str, lhs, rhs, ctx: PrecisionContext,

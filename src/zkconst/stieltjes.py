@@ -422,10 +422,11 @@ class ConstantTable(Frozen):
 def require(table, kind: str, who: str, max_n: int | None = None) -> PrecisionContext:
     """The context of `table`, which its reader computes under; ValueError
     unless `table` is a `kind` table, reaching index max_n when one is given."""
+    article = "an" if kind[0] in "aeiou" else "a"
     if not isinstance(table, ConstantTable):
-        raise ValueError(f"{who} needs a {kind} table")
+        raise ValueError(f"{who} needs {article} {kind} table")
     if table.kind != kind:
-        raise ValueError(f"{who} needs a {kind} table, got {table.kind}")
+        raise ValueError(f"{who} needs {article} {kind} table, got {table.kind}")
     if max_n is not None and table.max_n < max_n:
         raise ValueError(
             f"{who} needs {kind} entries up to {max_n}, table stops at {table.max_n}"

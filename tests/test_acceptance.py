@@ -6,6 +6,7 @@ runtime calibration.
 """
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -121,7 +122,10 @@ def test_criterion_4_bell_triple_equality():
             v = [Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
             a = substitute(terms, v)
             b = bell_recurrence_value(v)
-            c = bell_determinant(v)
+            # the determinant takes integers: Y_n(L x_1, ..., L^n x_n) / L^n
+            scale = math.lcm(*(x.denominator for x in v))
+            c = Fraction(bell_determinant([int(x * scale**j) for j, x in enumerate(v, 1)]),
+                         scale**n)
             assert a == b == c, f"route mismatch at n={n}, v={v}"
     for n, expected in PRINTED_POLYS.items():
         assert bell_symbolic(n) == expected, f"printed poly n={n}"

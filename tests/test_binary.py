@@ -316,8 +316,8 @@ ENTRIES = {
     "equality-rhs": lambda x, ctx: equality_report("x", 0, x, default_tol(ctx), ctx),
     "inequality-lhs": lambda x, ctx: inequality_report("x", x, 0, ctx),
     "inequality-rhs": lambda x, ctx: inequality_report("x", 0, x, ctx),
-    "exact-lhs": lambda x, ctx: exact_report("x", True, x, 0, ctx),
-    "exact-rhs": lambda x, ctx: exact_report("x", True, 0, x, ctx),
+    "exact-lhs": lambda x, ctx: exact_report("x", x, 0, ctx),
+    "exact-rhs": lambda x, ctx: exact_report("x", 0, x, ctx),
     "gamma-u": lambda x, ctx: stieltjes_gamma(0, x, ctx),
     "decimal-str": lambda x, ctx: decimal_str(x, 8),
 }

@@ -8,18 +8,18 @@ linger in __all__.  Likewise every module-level private function, class or
 assignment must be referenced somewhere in the package outside its own
 definition, every working precision outside precision.py must come from its
 budget, no module but precision.py and bell.py tests for an int itself, no
-file under src/ holds an assert statement or imports mpmath, no code but
-stieltjes.Binary reads an mpf's _mpf_, and no function takes both a
-ConstantTable and a PrecisionContext.
+file under src/ holds an assert statement, imports mpmath or imports
+inside a function, no code but stieltjes.Binary reads an mpf's _mpf_, and
+no function takes both a ConstantTable and a PrecisionContext.
 
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
 the startup checks run commands in fresh processes: `table --seq gamma` executes exactly cli,
 chain, precision and stieltjes and loads neither mpmath nor fractions, every
 table, li-check and every verify suite load no mpmath, no table or li-check
-command executes verify, --help executes only cli and precision, no command
-loads dataclasses or inspect, and help and the usage errors load no
-fractions either.
+loads fractions, no table or li-check command executes verify, --help
+executes only cli and precision, no command loads dataclasses or inspect,
+and help and the usage errors load no fractions either.
 """
 import ast
 import os
@@ -86,60 +86,32 @@ def test_every_export_resolves():
     assert unresolved_exports(zkconst) == []
 
 
-def _package_modules(nodes) -> set:
-    """Package modules named by the relative imports among `nodes`."""
-    names = set()
-    for node in nodes:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            names |= {node.module} if node.module else {a.name for a in node.names}
-    return names
+def imports_in_functions(sources: dict) -> list:
+    """"module:line" of every import statement inside a function.  Every
+    package module is registered lazily, so an import at the top of a module
+    executes nothing until the imported module is read, and no import cycle
+    needs an import deferred into a function."""
+    found = set()
+    for module, src in sources.items():
+        for fn in ast.walk(ast.parse(src)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{module}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
 
 
-def late_imports_breaking_no_cycle(sources: dict) -> list:
-    """Functions, as "module.function", that import inside their body although
-    the import breaks no cycle.  A late import is allowed only of a package
-    module that imports the caller at module level, directly or through
-    other package modules."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
-    top = {name: _package_modules(tree.body) for name, tree in trees.items()}
-
-    def reaches(start, goal):
-        seen, todo = set(), [start]
-        while todo:
-            name = todo.pop()
-            if name == goal:
-                return True
-            if name not in seen:
-                seen.add(name)
-                todo.extend(top.get(name, ()))
-        return False
-
-    bad = set()
-    for name, tree in trees.items():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(fn):
-                if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                    continue
-                targets = _package_modules([node])
-                if not targets or not all(reaches(t, name) for t in targets):
-                    bad.add(f"{name}.{fn.name}")
-    return sorted(bad)
+def test_checker_flags_an_import_in_a_function():
+    source = ("import math\nfrom . import chain\ndef f():\n    from .chain import table\n"
+              "class C:\n    import os\n    def g(self):\n        def h():\n"
+              "            import sys\n        return h\n")
+    assert imports_in_functions({"m": source, "n": "from fractions import Fraction\n"}) == [
+        "m:4", "m:9"]
 
 
-def test_checker_flags_a_late_import_that_breaks_no_cycle():
-    sources = {
-        "a": "from .b import g\ndef f():\n    from .c import h\n    from fractions import Fraction\n",
-        "b": "def g():\n    from .a import f\n",
-        "c": "def h():\n    import math\n",
-    }
-    assert late_imports_breaking_no_cycle(sources) == ["a.f", "c.h"]
-
-
-def test_late_imports_only_break_cycles():
-    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert late_imports_breaking_no_cycle(sources) == []
+def test_no_import_inside_a_function_under_src():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert imports_in_functions(sources) == []
 
 
 def _bound_names(node) -> list:
@@ -526,13 +498,12 @@ HELP_AND_USAGE_ERRORS = (
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # every command is a fresh process, and these (with the ast, dis and
     # tokenize that inspect pulls in, and the decimal that fractions does)
-    # cost it milliseconds before any work; fractions is needed only by a
-    # command that computes more than a gamma table
-    for command in HELP_AND_USAGE_ERRORS:
+    # cost it milliseconds before any work; fractions is needed only by
+    # verify, whose exact witnesses are Fractions
+    for command in (*HELP_AND_USAGE_ERRORS, "table --seq gamma --max-n 3",
+                    "li-check --max-n 3"):
         assert after_command(command)[1] == set(), command
-    for command in ("table --seq gamma --max-n 3", "li-check --max-n 3",
-                    "verify --suite all --digits 10"):
-        assert after_command(command)[1] <= {"fractions"}, command
+    assert after_command("verify --suite all --digits 10")[1] <= {"fractions"}
 
 
 # every table above gamma, li-check and every verify suite compute on the
@@ -552,6 +523,17 @@ def test_tables_above_gamma_and_li_check_load_no_mpmath(command):
 ])
 def test_zeta0_and_verify_load_no_mpmath(command):
     assert "mpmath" not in after_command(command)[1]
+
+
+# every table and li-check runs its Bell recurrence on Binary values, and
+# Bell's determinants, the routes only verify runs, take integers
+@pytest.mark.parametrize("command", [
+    *(f"table --seq {kind} --max-n {FAMILIES[kind][1]}"
+      for kind in ("eta", "sigma", "lambda", "xi1", "zeta0")),
+    "li-check --max-n 20",
+])
+def test_tables_and_li_check_load_no_fractions(command):
+    assert "fractions" not in after_command(command)[1]
 
 
 def test_gamma_table_loads_no_fractions():

@@ -225,7 +225,7 @@ class TestConstantTable:
     def test_a_map_refuses_what_is_not_a_table(self):
         with pytest.raises(ValueError, match="^eta_from_gamma needs a gamma table$"):
             eta_from_gamma([mpf(1)])
-        with pytest.raises(ValueError, match="^lambda_via_coffey needs a eta table$"):
+        with pytest.raises(ValueError, match="^lambda_via_coffey needs an eta table$"):
             lambda_via_coffey(3, (mpf(1),) * 4)
 
     def test_unknown_kind(self, ctx30):

@@ -64,15 +64,21 @@ class TestInequalityReport:
 
 class TestExactReport:
     def test_fraction_witnesses(self, ctx30):
-        r = exact_report("frac", True, Fraction(1, 3), Fraction(1, 3), ctx30)
+        r = exact_report("frac", Fraction(1, 3), Fraction(1, 3), ctx30)
         assert r.passed
         with mp.workdps(50):
             assert abs(mpf(r.lhs) - mpf(1) / 3) < mpf("1e-30")
 
     def test_failure_marks_error(self, ctx30):
-        r = exact_report("frac", False, 1, 2, ctx30)
+        r = exact_report("frac", 1, 2, ctx30)
         assert not r.passed
         assert r.abs_err == "1.0"
+
+    def test_verdict_is_taken_before_rounding(self, ctx30):
+        # 1 + 2^-200 rounds to 1 at any report precision, yet is not 1
+        r = exact_report("tiny", Fraction(2**200 + 1, 2**200), 1, ctx30)
+        assert not r.passed
+        assert r.lhs == r.rhs
 
 
 NON_FINITE_SIDES = pytest.mark.parametrize(
