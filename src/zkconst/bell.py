@@ -12,9 +12,10 @@ exactly:
 
 The recurrence is the fast numeric route; the partition sum is the symbolic
 definition, returned as a plain {exponent tuple: coefficient} dict and
-evaluated by substitute(); the determinant takes integer arguments and is
-evaluated by fraction-free elimination in integers, so the three-route
-comparison is exact.  Every route is weighted-homogeneous,
+evaluated by substitute(); its enumeration is memoised per n, and every call
+returns a fresh dict, which the caller may change.  The determinant takes
+integer arguments and is evaluated by fraction-free elimination in integers,
+so the three-route comparison is exact.  Every route is weighted-homogeneous,
 Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an exact caller scales
 rational arguments to integers and divides the value by c^n once; the
 partition sum and the recurrence also take Fractions directly.
@@ -23,6 +24,7 @@ partition sum and the recurrence also take Fractions directly.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 MAX_SYMBOLIC_N = 20  # partition enumeration cap; p(20) = 627 partitions
 
@@ -45,6 +47,23 @@ def _partition_multiplicities(n: int):
     yield from descend(0, n)
 
 
+@lru_cache(maxsize=MAX_SYMBOLIC_N + 1)
+def _partition_terms(n: int) -> tuple:
+    """Y_n's (exponent tuple, coefficient) pairs, enumerated once per n."""
+    nfact = math.factorial(n)
+    terms = []
+    for ks in _partition_multiplicities(n):
+        denom = 1
+        for j, k in enumerate(ks, start=1):
+            if k:
+                denom *= math.factorial(k) * math.factorial(j) ** k
+        coeff, rem = divmod(nfact, denom)
+        if rem:
+            raise ArithmeticError(f"n!/{denom} is not an integer coefficient")
+        terms.append((ks, coeff))
+    return tuple(terms)
+
+
 def bell_symbolic(n: int) -> dict:
     """Y_n from the partition-sum definition, as {exponent tuple: int coefficient}.
 
@@ -57,20 +76,7 @@ def bell_symbolic(n: int) -> dict:
         raise ValueError(
             f"partition count grows too fast: n <= {MAX_SYMBOLIC_N} supported"
         )
-    if n == 0:
-        return {(): 1}
-    terms: dict = {}
-    nfact = math.factorial(n)
-    for ks in _partition_multiplicities(n):
-        denom = 1
-        for j, k in enumerate(ks, start=1):
-            if k:
-                denom *= math.factorial(k) * math.factorial(j) ** k
-        coeff, rem = divmod(nfact, denom)
-        if rem:
-            raise ArithmeticError(f"n!/{denom} is not an integer coefficient")
-        terms[ks] = coeff
-    return terms
+    return dict(_partition_terms(n))
 
 
 def substitute(terms: dict, values):
@@ -80,11 +86,10 @@ def substitute(terms: dict, values):
         raise ValueError(f"need {nvars} values, got {len(values)}")
     total = 0
     for expo, coeff in terms.items():
-        term = coeff
         for e, v in zip(expo, values):
             if e:
-                term = term * v**e
-        total = total + term
+                coeff = coeff * (v if e == 1 else v**e)
+        total = total + coeff
     return total
 
 
@@ -157,7 +162,8 @@ def bell_determinant(args) -> int:
     """Y_n(args) as the determinant [x_1/0!, -x_2/1!, ..., (-1)^(n+1) x_n/(n-1)!].
 
     The arguments are ints (bool refused; anything else raises ValueError).
-    D = (n-1)! clears every entry (-1)^k x_k / k! at once, and Y_n is
+    D = (n-1)! clears every entry (-1)^k x_k / k! at once, each factor
+    (-1)^k D / k! the one before divided by -k, and Y_n is
     _scaled_bracket's D^n Y_n divided by D^n.  Integer arguments give an
     integer Y_n, so a remainder is a fault in the elimination and raises
     ArithmeticError.
@@ -166,8 +172,11 @@ def bell_determinant(args) -> int:
     if n < 1:
         raise ValueError("bell_determinant needs n >= 1 arguments")
     _check_entries(args, "bell_determinant")
-    den = math.factorial(n - 1)
-    nums = [(-1) ** k * x * (den // math.factorial(k)) for k, x in enumerate(args)]
+    den = entry = math.factorial(n - 1)
+    nums = []
+    for k, x in enumerate(args):
+        nums.append(entry * x)
+        entry = -entry // (k + 1)
     value, rem = divmod(_scaled_bracket(nums, den), den**n)
     if rem:
         raise ArithmeticError(f"bell_determinant: {den}^{n} leaves remainder {rem}")

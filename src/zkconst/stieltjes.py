@@ -59,7 +59,8 @@ one step, log p = log(p - 1) + 2 atanh(1/(2p - 1)), and each composite is
 the sum log p + log(m/p).  Every other u takes one head log and the
 recurrence from x = u, or from u + 1 with a second head log when u < 1,
 where the atanh series converges too slowly; a head log of x = f 2^t,
-1 <= f < 2, is 2 atanh((f - 1)/(f + 1)) + 2 t atanh(1/3).  Past
+1 <= f < 2, is 2 atanh((f - 1)/(f + 1)) + 2 t atanh(1/3).  At y = 1/q each
+term is the last divided by the small q^2, the exact floor of 2^bits / q^j.  Past
 x = 2^(2 bits) no step moves a log by 2^-bits, so x is clamped there.  Every
 integer of the row thus keeps the size of its precision, whatever the
 exponent of u, except 1/u of a u < 1: that one term, log^n(u)/u, is divided
@@ -309,12 +310,14 @@ def _times_ten(man: int, exp: int, k: int, bits: int) -> tuple:
     """(num, den, e) with num / den * 2^e = man 2^exp 10^k: exact for
     |k| <= 400 (mpmath's cutoff; 5^400 < 2^929), else within a relative
     2^-bits, with 5^|k| cut after each square and multiply."""
-    width = 1000 if abs(k) <= 400 else bits + abs(k).bit_length() + 1
-    five, e5 = 1, 0
-    for digit in bin(abs(k))[2:]:
-        five, e5 = five * five * (5 if digit == "1" else 1), 2 * e5
-        cut = max(five.bit_length() - width, 0)
-        five, e5 = five >> cut, e5 + cut
+    if abs(k) <= 400:  # a cut below would cut nothing
+        five, e5 = 5 ** abs(k), 0
+    else:
+        width, five, e5 = bits + abs(k).bit_length() + 1, 1, 0
+        for digit in bin(abs(k))[2:]:
+            five, e5 = five * five * (5 if digit == "1" else 1), 2 * e5
+            cut = max(five.bit_length() - width, 0)
+            five, e5 = five >> cut, e5 + cut
     return (man * five, 1, exp + k + e5) if k >= 0 else (man, five, exp + k - e5)
 
 
@@ -381,10 +384,10 @@ class ConstantTable(Frozen):
     __slots__ = ("kind", "values", "methods", "ctx")
 
     def __init__(self, kind: str, values: tuple, methods: tuple, ctx: PrecisionContext):
-        start, cap = family(kind)
+        start = family(kind)[0]
         if not values:
             raise ValueError(f"a {kind} table needs at least one value")
-        check_index(start + len(values) - 1, f"the last index of a {kind} table", start, cap)
+        _check_last(kind, start + len(values) - 1)
         if len(values) != len(methods):
             raise ValueError("a table needs one method tag per value")
         if not all(methods):
@@ -419,6 +422,11 @@ class ConstantTable(Frozen):
             yield n, decimal_str(value, self.ctx.digits, strip_zeros=False), method
 
 
+def _check_last(kind: str, last: int) -> None:
+    """ValueError unless a `kind` table may end at index `last`."""
+    check_index(last, f"the last index of a {kind} table", *family(kind))
+
+
 def require(table, kind: str, who: str, max_n: int | None = None) -> PrecisionContext:
     """The context of `table`, which its reader computes under; ValueError
     unless `table` is a `kind` table, reaching index max_n when one is given."""
@@ -439,10 +447,10 @@ def _two_atanh(p: int, q: int, bits: int) -> int:
     atanh y = y + y^3/3 + y^5/5 + ... in integers; off by at most twice its
     number of terms in the last place."""
     term = (p << bits) // q
-    square = (p * p << bits) // (q * q)
+    square = q * q if p == 1 else (p * p << bits) // (q * q)
     acc, j = term, 1
-    while term:
-        term = (term * square) >> bits
+    while term:  # at p = 1 each term is the exact floor of 2^bits / q^j
+        term = term // square if p == 1 else (term * square) >> bits
         j += 2
         acc += term // j
     return 2 * acc

@@ -9,9 +9,9 @@ order given, so `lambda-sigma-vs-coffey-r2` precedes
 `lambda-eta-psi-vs-coffey-r2`, which precedes `lambda-sigma-vs-coffey-r3`.
 Exact combinatorial identities run on seeded trials (the seed is fixed, so
 repeated runs are byte-identical).  A Bell trial draws rationals as integer
-pairs (p, q); the routes take them scaled to integers and only the witness
-is divided by the scale, once (see `_scale_to_integers`), so every trial
-runs in integer arithmetic.
+pairs (p, q), the pairs randint would draw (see `_random_pairs`); the
+routes take them scaled to integers and only the witness is divided by the
+scale, once (see `_scale_to_integers`), so every trial runs in integers.
 
 Every numeric identity is judged against one tolerance per run, which
 run_suite makes once and hands to every suite: reports.default_tol, which
@@ -57,8 +57,16 @@ _REFERENCE_POLYS = {
 
 def _random_pairs(rng, n):
     """n seeded rationals p/q as unreduced (p, q) integer pairs, p in
-    [-20, 20] and q in [1, 12], each drawn numerator first."""
-    return [(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(n)]
+    [-20, 20] and q in [1, 12], drawn as rng.randint(-20, 20) and then
+    rng.randint(1, 12) draw them: 6 random bits redrawn while >= 41, 4 while >= 12."""
+    bits, pairs = rng.getrandbits, []
+    for _ in range(n):
+        while (p := bits(6)) >= 41:
+            pass
+        while (q := bits(4)) >= 12:
+            pass
+        pairs.append((p - 20, q + 1))
+    return pairs
 
 
 def _scale_to_integers(*vectors):
@@ -68,9 +76,11 @@ def _scale_to_integers(*vectors):
     maps these to L^n Y_n(x): exactly, and in integers.  The q need not be
     reduced: any common multiple L gives the same Y_n(x)."""
     scale = math.lcm(*(q for vs in vectors for _, q in vs))
-    return scale, *(
-        [p * (scale // q) * scale**j for j, (p, q) in enumerate(vs)] for vs in vectors
-    )
+    scaled = []
+    for vs in vectors:
+        power = 1  # L^j after the j-th entry
+        scaled.append([p * (power := power * scale) // q for p, q in vs])
+    return scale, *scaled
 
 
 # ---------------------------------------------------------------------------

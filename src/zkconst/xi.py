@@ -8,7 +8,7 @@ complete Bell polynomial in the sigma coefficients:
 
 since xi(1) = xi(0) = 1/2.  That Bell form is the canonical route here, and
 both routes map sigma_1..sigma_m to xi^(1)(1)..xi^(m)(1) under the sigma
-table's context; the xi1 table refuses an m past its family's cap.  The same
+table's context, refusing an m past the xi1 cap before any entry.  The same
 recurrence that powers Y_{n+1} gives the cross-check
 
     xi^(n+1)(1) = 1/2 (-1)^n n! sigma_{n+1}
@@ -26,7 +26,7 @@ import math
 
 from .bell import bell_recurrence_values
 from .precision import extra_digits
-from .stieltjes import Binary, ConstantTable, require, workdps
+from .stieltjes import Binary, ConstantTable, _check_last, require, workdps
 
 XI_BELL_TAG = "bell-3.25"
 XI_RECURRENCE_TAG = "recurrence-6.2-shifted"
@@ -39,6 +39,7 @@ def xi_table(sigmas: ConstantTable) -> ConstantTable:
     """xi^(n)(1) for every sigma_n in the table, through the Bell route:
     xi^(n)(1) is half of Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
     ctx = require(sigmas, "sigma", "xi_table")
+    _check_last("xi1", sigmas.max_n)
     with workdps(ctx.working_dps + extra_digits("step")):
         args = [
             (-1) ** (j - 1) * math.factorial(j - 1) * sigmas[j]
@@ -52,6 +53,7 @@ def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
     """xi^(n)(1) for every sigma_n in the table by the recurrence, as a
     verification route."""
     ctx = require(sigmas, "sigma", "xi_deriv_recurrence")
+    _check_last("xi1", sigmas.max_n)
     with workdps(ctx.working_dps + extra_digits("step")):
         xs = [Binary(0)]  # placeholder for unused index 0
         xs.append(+(sigmas[1] / 2))  # xi'(1) = sigma_1 / 2

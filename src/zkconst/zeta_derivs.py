@@ -40,7 +40,7 @@ Both routes and the forward map run at one precision per context, the zeta0
 budget read at the family's cap, so zeta^(n)(0) depends only on n and the
 context.  Each route is a step map: a gamma or eta table up to m gives
 zeta^(0..m+1)(0) under that table's context, and an m + 1 past the cap is
-refused.
+refused before any entry is computed.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from functools import lru_cache
 from .bell import bell_recurrence_value, bell_recurrence_values
 from .kernel import atoms, zeta_int_mpf
 from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
-from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
+from .stieltjes import Binary, ConstantTable, _check_last, require, stieltjes_gamma, workdps
 
 APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
@@ -148,6 +148,7 @@ def zeta_derivs_log_chain(etas: ConstantTable) -> ConstantTable:
     Entry 0 is zeta(0) = -1/2."""
     ctx = require(etas, "eta", "zeta_derivs_log_chain")
     max_n = etas.max_n + 1
+    _check_last("zeta0", max_n)
     with workdps(_solve_dps(ctx)):
         values = [Binary(-1, -1)]
         lder = [L_derivs_at_zero(m, etas) for m in range(max_n)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from memos import clear_package_memos
 from oracles import bracket_matrix, central_derivative, cofactor_determinant
 from zkconst import bell
 from zkconst.bell import (
@@ -64,6 +65,19 @@ class TestSymbolic:
         # True == 1 and hash(True) == hash(1), so only the type tells them apart
         with pytest.raises(ValueError, match="integer n >= 0"):
             bell_symbolic(bad)
+
+    def test_a_returned_dict_is_the_callers_own(self):
+        # the enumeration is memoised, so a caller's edit must not reach it
+        terms = bell_symbolic(5)
+        terms[(0, 1, 1, 0, 0)] += 1
+        del terms[(5, 0, 0, 0, 0)]
+        assert bell_symbolic(5) == PRINTED[5]
+
+    def test_clearing_the_package_memos_clears_the_enumeration(self):
+        bell_symbolic(7)
+        assert bell._partition_terms.cache_info().currsize > 0
+        clear_package_memos()
+        assert bell._partition_terms.cache_info().currsize == 0
 
     def test_substitute_needs_enough_values(self):
         with pytest.raises(ValueError):
@@ -231,11 +245,17 @@ class TestScaledTrials:
     L^j p_j/q_j with L the lcm of the unreduced q, and divides by L^n;
     weighted homogeneity makes that exact for every route."""
 
-    def test_pairs_follow_the_seeded_stream(self):
-        # numerator, then denominator, entry by entry
-        rng, twin = random.Random(1729), random.Random(1729)
-        expected = [(twin.randint(-20, 20), twin.randint(1, 12)) for _ in range(5)]
-        assert _random_pairs(rng, 5) == expected
+    @pytest.mark.parametrize("seed", [0, 1, 1729, 2**70 + 11])
+    def test_pairs_follow_the_seeded_stream(self, seed):
+        # randint's pairs, numerator first, for every size the suite draws,
+        # twice back to back as a convolution trial draws xs and ys; the
+        # stream is left where randint would leave it
+        rng, twin = random.Random(seed), random.Random(seed)
+        for n in range(1, 9):
+            for _ in range(2):
+                expected = [(twin.randint(-20, 20), twin.randint(1, 12)) for _ in range(n)]
+                assert _random_pairs(rng, n) == expected
+        assert rng.getstate() == twin.getstate()
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.lists(PAIRS, min_size=1, max_size=8))

@@ -33,6 +33,7 @@ from zkconst.stieltjes import (
     _add,
     _from_decimal,
     _round,
+    _times_ten,
     decimal_str,
     stieltjes_gamma,
 )
@@ -99,6 +100,14 @@ def read_here(raw, prec):
     except (ValueError, ZeroDivisionError) as exc:
         return type(exc)
     return None if value is None else value._mpf_
+
+
+@pytest.mark.parametrize("man, exp", [(1, 0), (-12345, -7), (2**200 + 1, 90)])
+def test_times_ten_is_exact_to_400(man, exp):
+    # up to mpmath's 400-digit cutoff the power of five is taken whole
+    for k in range(-400, 401):
+        num, den, e = _times_ten(man, exp, k, 64)
+        assert Fraction(num, den) * Fraction(2) ** e == man * Fraction(2) ** exp * Fraction(10) ** k, k
 
 
 # every precision the package parses at: the gamma row's, where it reads a

@@ -164,7 +164,8 @@ def clear_memos():
 def test_every_memo_is_found_and_bounded():
     names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
     assert {"stieltjes._gamma_row", "chain._longest", "kernel.atoms",
-            "kernel._polygamma_memo", "zeta_derivs._apostol_weights"} <= set(names)
+            "kernel._polygamma_memo", "zeta_derivs._apostol_weights",
+            "bell._partition_terms"} <= set(names)
     assert all(maxsize is not None for maxsize in names.values()), names
 
 

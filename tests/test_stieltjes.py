@@ -18,9 +18,25 @@ from zkconst.reports import default_tol
 from zkconst.stieltjes import (
     GAMMA_TAG,
     Binary,
+    _two_atanh,
     stieltjes_gamma,
     stieltjes_table,
 )
+
+
+def _primes(top):
+    return [p for p in range(2, top + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+@pytest.mark.parametrize("bits", [64, 574, 1400])
+def test_two_atanh_of_a_unit_fraction_is_within_its_bound(bits):
+    # the atom logs take 2 atanh(1/3), and an integer row's sieve 2 atanh(1/(2p - 1))
+    # for each prime p: each off by at most twice its number of terms
+    for q in [3, *(2 * p - 1 for p in _primes(300))]:
+        terms = sum(1 for j in range(1, bits + 2, 2) if q**j <= 1 << bits)
+        with mp.workdps(bits // 3 + 30):
+            want = mpf(2) ** bits * 2 * mp.atanh(mpf(1) / q)
+            assert abs(_two_atanh(1, q, bits) - want) <= 2 * terms, q
 
 
 class TestGammaValues:

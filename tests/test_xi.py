@@ -2,6 +2,7 @@ import pytest
 from mpmath import mp, mpf
 
 from exact import exact
+from zkconst import xi
 from zkconst.chain import table
 from zkconst.li_keiper import binomial_alternating_transform, lambda_table
 from zkconst.precision import extra_digits
@@ -63,10 +64,18 @@ class TestBellRoute:
             xi_table(chain30["etas"])
 
     @pytest.mark.parametrize("route", [xi_table, xi_deriv_recurrence])
-    def test_sigma_table_past_the_cap_rejected(self, route, ctx30):
-        # no route vouches for xi^(n)(1) past the xi1 cap of 12
-        with pytest.raises(ValueError, match=r"must lie in \[1, 12\]"):
-            route(table("sigma", 20, ctx30))
+    def test_sigma_table_past_the_cap_rejected(self, route, ctx30, monkeypatch):
+        # no route vouches for xi^(n)(1) past the xi1 cap of 12, and the
+        # cap is checked before any entry: no working precision is set and
+        # no Bell recurrence runs
+        def computed(*args):
+            raise AssertionError("an entry was computed past the cap")
+
+        sigmas = table("sigma", 20, ctx30)
+        monkeypatch.setattr(xi, "bell_recurrence_values", computed)
+        monkeypatch.setattr(xi, "workdps", computed)
+        with pytest.raises(ValueError, match=r"last index of a xi1 table must lie in \[1, 12\]"):
+            route(sigmas)
 
 
 class TestRecurrenceRoute:

@@ -3,6 +3,7 @@ from mpmath import mp, mpf
 
 from exact import exact
 from oracles import FROZEN
+from zkconst import zeta_derivs
 from zkconst.chain import table
 from zkconst.kernel import zeta_int_mpf
 from zkconst.precision import FAMILIES, PrecisionContext
@@ -141,12 +142,20 @@ class TestZetaDerivativesAtZero:
 
     @pytest.mark.parametrize("route, kind", [(zeta_derivs_at_zero, "gamma"),
                                              (zeta_derivs_log_chain, "eta")])
-    def test_a_table_one_past_the_cap_is_refused(self, route, kind, ctx30):
-        # a table to the cap would give zeta^(cap+1)(0), one past the weights
+    def test_a_table_one_past_the_cap_is_refused(self, route, kind, ctx30, monkeypatch):
+        # a table to the cap would give zeta^(cap+1)(0), one past the
+        # weights, and the cap is checked before any entry: no working
+        # precision is set and no Bell recurrence runs
+        def computed(*args):
+            raise AssertionError("an entry was computed past the cap")
+
         cap = FAMILIES["zeta0"][1]
         route(table(kind, cap - 1, ctx30))
-        with pytest.raises(ValueError):
-            route(table(kind, cap, ctx30))
+        to_cap = table(kind, cap, ctx30)
+        monkeypatch.setattr(zeta_derivs, "bell_recurrence_values", computed)
+        monkeypatch.setattr(zeta_derivs, "workdps", computed)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 10\]"):
+            route(to_cap)
 
 
 class TestForwardMap:
