@@ -40,7 +40,6 @@ import math
 
 from .bell import bell_recurrence_values
 from .kernel import atoms, zeta_int_mpf
-from .precision import extra_digits
 from .stieltjes import Binary, ConstantTable, require, workdps
 
 ETA_TAG = "recurrence-4.4"
@@ -54,7 +53,7 @@ def eta_from_gamma(gammas: ConstantTable) -> ConstantTable:
     """eta_n for every gamma_n in the table, by solving the gamma/eta
     recurrence in rising n."""
     ctx = require(gammas, "gamma", "eta_from_gamma")
-    with workdps(ctx.working_dps + extra_digits("eta")):
+    with workdps(ctx.dps("eta")):
         etas = []
         for n in range(gammas.max_n + 1):
             acc = (-1) ** (n + 1) * (n + 1) * gammas[n] / math.factorial(n)
@@ -72,7 +71,7 @@ def eta_from_gamma(gammas: ConstantTable) -> ConstantTable:
 def eta_from_gamma_coffey(gammas: ConstantTable) -> ConstantTable:
     """Same map through the rearranged recurrence, as an independent code path."""
     ctx = require(gammas, "gamma", "eta_from_gamma_coffey")
-    with workdps(ctx.working_dps + extra_digits("eta")):
+    with workdps(ctx.dps("eta")):
         etas = []
         for n in range(gammas.max_n + 1):
             acc = (-1) ** (n + 1) * (n + 1) * gammas[n]
@@ -93,7 +92,7 @@ def gamma_from_eta(etas: ConstantTable) -> ConstantTable:
     """gamma_n = (-1)^n / (n+1) * Y_{n+1}(gamma, -1! eta_1, ..., -n! eta_n)
     for every eta_n in the table."""
     ctx = require(etas, "eta", "gamma_from_eta")
-    with workdps(ctx.working_dps + extra_digits("eta")):
+    with workdps(ctx.dps("eta")):
         args = [-math.factorial(r) * eta for r, eta in enumerate(etas.values)]
         ys = bell_recurrence_values(args)
         values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(len(args))]
@@ -107,7 +106,7 @@ def sigma_table(etas: ConstantTable) -> ConstantTable:
     with workdps(ctx.working_dps):
         gamma, logs = -etas[0], atoms(ctx.working_dps)
         values = [+(-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2)]
-    with workdps(ctx.working_dps + extra_digits("sigma")):
+    with workdps(ctx.dps("sigma")):
         for n in range(1, etas.max_n + 1):
             z = zeta_int_mpf(n + 1, ctx)
             values.append(

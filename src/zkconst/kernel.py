@@ -130,7 +130,7 @@ def zeta_int_mpf(n: int, ctx: PrecisionContext) -> Binary:
     reader: working_dps plus the zeta_atom row, accurate to the zeta_int row
     beyond that."""
     check_index(n, "the zeta argument n", 2)
-    return _zeta_int_raw(n, ctx.working_dps + extra_digits("zeta_atom"))
+    return _zeta_int_raw(n, ctx.dps("zeta_atom"))
 
 
 def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext) -> Binary:
@@ -154,7 +154,7 @@ def _polygamma_memo(n: int, ctx: PrecisionContext) -> Binary:
         gamma = stieltjes_gamma(0, Binary(1), ctx)
         with workdps(ctx.working_dps):
             return +(2 - gamma - 2 * atoms(ctx.working_dps).log2)
-    with workdps(ctx.working_dps + extra_digits("psi_three_halves", n)):
+    with workdps(ctx.dps("psi_three_halves", n)):
         z = zeta_int_mpf(n + 1, ctx)
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z
         bracket = 2 ** (n + 1) * (z - 1) - z

@@ -32,7 +32,7 @@ import operator
 
 from . import chain
 from .kernel import atoms, polygamma_three_halves_mpf, zeta_int_mpf
-from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
+from .precision import FAMILIES, PrecisionContext, check_index
 from .reports import inequality_report, inequality_reports
 from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
 
@@ -59,7 +59,7 @@ def binomial_alternating_transform(seq):
 def lambda_closed(n: int, ctx: PrecisionContext) -> Binary:
     """Closed forms: only lambda_1 and lambda_2 have one."""
     check_index(n, "a closed form's index n", 1, 2)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         gamma = stieltjes_gamma(0, Binary(1), ctx)
         logs = atoms(ctx.working_dps)
         if n == 1:
@@ -81,7 +81,7 @@ def lambda_table(sigmas: ConstantTable) -> ConstantTable:
     """lambda_r for every sigma_r in the table, through the canonical sigma
     route: the negated binomial transform of sigma_0 = 0, sigma_1, ..."""
     ctx = require(sigmas, "sigma", "lambda_table")
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         transform = binomial_alternating_transform([0, *sigmas.values])
         values = [-t for t in transform[1:]]
     return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
@@ -103,7 +103,7 @@ def lambda_via_eta_psi(r: int, etas: ConstantTable) -> Binary:
     """
     check_index(r, "the lambda index r", 1)
     ctx = require(etas, "eta", "lambda_via_eta_psi", r - 1)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         gamma = -etas[0]
         acc = _linear_term(r, gamma, ctx)
         for j in range(2, r + 1):
@@ -117,7 +117,7 @@ def lambda_via_coffey(r: int, etas: ConstantTable) -> Binary:
     """lambda_r from integer zeta values and eta constants (r >= 2)."""
     check_index(r, "the coffey-3.34 index r", 2)
     ctx = require(etas, "eta", "lambda_via_coffey", r - 1)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         gamma = -etas[0]
         acc = Binary(0)
         for j in range(2, r + 1):
@@ -146,7 +146,7 @@ def g_derivs_at_one(r: int, lambdas: ConstantTable) -> Binary:
     """
     check_index(r, "the derivative order r", 0)
     ctx = require(lambdas, "lambda", "g_derivs_at_one", r + 1)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
         return +((-1) ** (r + 1) * math.factorial(r) * acc)
 
@@ -156,7 +156,7 @@ def g_derivs_at_one_via_eta(r: int, etas: ConstantTable) -> Binary:
     - [r = 0] log(pi)/2."""
     check_index(r, "the derivative order r", 0)
     ctx = require(etas, "eta", "g_derivs_at_one_via_eta", r)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         value = polygamma_three_halves_mpf(r, ctx) / 2 ** (r + 1)
         value -= math.factorial(r) * etas[r]
         if r == 0:
@@ -183,7 +183,7 @@ def recurrence_residual_3_13(n: int, gammas: ConstantTable, lambdas: ConstantTab
     ctx = require(gammas, "gamma", "recurrence_residual_3_13", n + 1)
     if require(lambdas, "lambda", "recurrence_residual_3_13", n + 2) != ctx:
         raise ValueError("recurrence_residual_3_13 needs its two tables at one context")
-    with workdps(ctx.working_dps + extra_digits("residual_3_13", n)):
+    with workdps(ctx.dps("residual_3_13", n)):
         psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
         lhs = psis[n + 1] / 2 ** (n + 2)
         s = Binary(0)
@@ -225,7 +225,7 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
         range(1, max_n + 1), ctx,
         ("li-positivity-n", lambda r: lambdas[r], lambda r: 0, (LAMBDA_TAG,)),
     )
-    with workdps(ctx.working_dps + extra_digits("side")):
+    with workdps(ctx.dps("side")):
         l1 = lambdas[1]
         bound_317 = +(l1 * (2 - l1))
     reports.append(

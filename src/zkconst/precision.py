@@ -4,8 +4,9 @@ Every numeric operation in the package is a pure function of its arguments
 plus a PrecisionContext.  The context fixes the number of decimal digits the
 caller wants to trust and the extra guard digits carried internally, which
 together set the truncation threshold for infinite series.  How many digits
-each kind of step carries beyond that is read from one table, through
-extra_digits, and dps_to_prec turns digits into bits.  Results are exact
+each kind of step carries beyond that is read from one table, _BUDGET, and
+PrecisionContext.dps(step, n) is the one rule that adds a row to
+working_dps; dps_to_prec turns digits into bits.  Results are exact
 binaries (stieltjes.Binary), rounded as mpf arithmetic rounds at the same
 precision; the context they were computed under is their precision.
 Every integer argument with a range (an index, a table's max_n, digits,
@@ -47,7 +48,7 @@ _BUDGET = {
     "zeta_atom": (0, 25),  # one zeta(k) per context for its widest readers: sigma's cancellation, psi^(20)(3/2) at n + 5
     "psi_three_halves": (1, 5),  # 2^(n+1) (zeta(n+1) - 1) - zeta(n+1) ~ (2/3)^(n+1), times n!
     "gamma_deriv": (1, 5),  # Gamma^(m)(1) = Y_m(-gamma, 1! zeta(2), ...), weights to (m-1)!
-    "zeta0": (2, 10),  # apostol-5.5: Leibniz sums over Gamma^(m)(1), log^k(2 pi) and zeta^(l)(0)
+    "zeta0": (0, 30),  # apostol-5.5: Leibniz sums over Gamma^(m)(1), log^k(2 pi), zeta^(l)(0) to the cap
     "residual_3_13": (1, 10),  # (n+1)! times lambda sums that cancel against gamma, psi sums
     "eta": (0, 10),  # gamma <-> eta recurrences: each eta_n sums n products / (j-1)!
     "sigma": (0, 25),  # sigma_(n+1) = +-eta_n - (1 - 2^-(n+1)) zeta(n+1) + 1 cancels to |sigma_20| ~ 1e-23
@@ -132,6 +133,11 @@ class PrecisionContext(Frozen):
     def working_dps(self) -> int:
         """Decimal digits carried by default in intermediate arithmetic."""
         return self.digits + self.guard_digits
+
+    def dps(self, step: str, n: int = 0) -> int:
+        """Decimal digits of a `step` at index n: working_dps plus the
+        step's budget row, the one place a row meets working_dps."""
+        return self.working_dps + extra_digits(step, n)
 
 
 def family(kind: str) -> tuple:

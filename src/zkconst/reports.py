@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .precision import PrecisionContext, check_index, extra_digits
+from .precision import PrecisionContext, check_index
 from .stieltjes import Binary, decimal_str, rounded, workdps
 
 
@@ -49,8 +49,8 @@ class VerificationReport(NamedTuple):
 def roundtrip_decimal(value: Binary, ctx: PrecisionContext) -> str:
     """Decimal string that, parsed at working_dps, gives back the value
     rounded to working_dps: a float of p bits needs ceil(p log10 2) + 1
-    significant digits, so it carries working_dps + the roundtrip row."""
-    return decimal_str(value, ctx.working_dps + extra_digits("roundtrip"), strip_zeros=False)
+    significant digits, so it carries ctx.dps("roundtrip") of them."""
+    return decimal_str(value, ctx.dps("roundtrip"), strip_zeros=False)
 
 
 def default_tol(ctx: PrecisionContext, tol_exp: int | None = None) -> Binary:
@@ -61,7 +61,7 @@ def default_tol(ctx: PrecisionContext, tol_exp: int | None = None) -> Binary:
     revisits it."""
     tol_exp = ctx.digits - 5 if tol_exp is None else tol_exp
     check_index(tol_exp, "--tol-exp", 1, ctx.digits)
-    with workdps(ctx.working_dps + extra_digits("report")):
+    with workdps(ctx.dps("report")):
         return Binary(10) ** -tol_exp
 
 
@@ -71,7 +71,7 @@ def _report(identity, lhs, rhs, error, tol, ctx, method_tags) -> VerificationRep
     sides are recorded at run precision.  A side that is not finite raises
     rounded's ValueError, prefixed with the identity: max(0, nan) is 0, so
     a NaN would otherwise pass an inequality."""
-    with workdps(ctx.working_dps + extra_digits("report")):
+    with workdps(ctx.dps("report")):
         try:
             lhs, rhs, tol = rounded(lhs), rounded(rhs), rounded(tol)
         except ValueError as exc:

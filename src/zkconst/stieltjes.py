@@ -103,7 +103,6 @@ from .precision import (
     PrecisionContext,
     check_index,
     dps_to_prec,
-    extra_digits,
     family,
 )
 
@@ -567,8 +566,8 @@ class _GammaRow:
         log_u = math.log(self.big_u.man) + self.big_u.exp * math.log(2)
         max_n = FAMILIES["gamma"][1]
         # the outer terms of every series stop below 10^-working_dps
-        self.alloc = min(_series_length(log_u, ctx.working_dps, max_n), 20 * ctx.working_dps + 1)
-        self.prec = dps_to_prec(ctx.working_dps + extra_digits("gamma", max_n)) + self.alloc + 64
+        self.alloc = min(_series_length(log_u, ctx.working_dps, max_n), 1 + 20 * ctx.working_dps)
+        self.prec = dps_to_prec(ctx.dps("gamma", max_n)) + self.alloc + 64
         bits = self.prec + 32  # the logs' rounding stays in these 32 bits
         count = self.shift + self.alloc
         # x = u + first, rounded to bits + 16 bits, as a / 2^bits; past
@@ -600,10 +599,10 @@ class _GammaRow:
         in integers, plus log^n(u)/u when u < 1, each quotient and the sum
         rounded to the working precision of n as mpf arithmetic rounds them."""
         if n not in self.values:
-            prec = dps_to_prec(self.ctx.working_dps + extra_digits("gamma", n))
+            prec = dps_to_prec(self.ctx.dps("gamma", n))
             if self.first:
                 head = _round(self._powers(n)[0], self.u.man, -self.prec - self.u.exp, prec)
-            total = (n + 1) * self._shifted(n) - self._tail(n)
+            total = (n + 1) * self._shifted(n) - self._tail(n, prec)
             value = _round(total, n + 1, -self.prec, prec)
             self.values[n] = _add(head, value, prec) if self.first else value
         return self.values[n]
@@ -613,9 +612,11 @@ class _GammaRow:
         powers = self._powers(n)[self.first:self.shift]
         return sum(map(operator.mul, powers, self.recips)) >> self.prec
 
-    def _tail(self, n: int) -> int:
+    def _tail(self, n: int, prec: int) -> int:
         """-(n + 1) gamma_n(U), the double series over the row's alloc outer
-        terms as one dot product with _tail_weights, scaled by 2^prec."""
+        terms as one dot product with _tail_weights, scaled by 2^self.prec.
+        A ConvergenceError carries the partial sum rounded to prec bits, the
+        working precision gamma_n is rounded to."""
         scale, weights, last = _tail_weights(self.alloc)
         powers = self._powers(n + 1)[self.shift:]
         total = sum(map(operator.mul, weights, powers)) // scale
@@ -626,8 +627,7 @@ class _GammaRow:
         raise ConvergenceError(
             f"gamma_{n}({decimal_str(self.big_u, 8)}) did not converge within "
             f"{self.alloc} outer terms",
-            partial=_round(-total, n + 1, -self.prec,
-                           dps_to_prec(self.ctx.working_dps + extra_digits("gamma", n))),
+            partial=_round(-total, n + 1, -self.prec, prec),
             index=self.alloc,
         )
 
@@ -643,15 +643,14 @@ def _row_u(u, ctx: PrecisionContext) -> Binary:
     rounded as mpf(u) rounds it at the working precision of the largest n,
     a str read there in mpmath's syntax, and checked finite and > 0.  The
     messages name --u, the flag a CLI user typed it as."""
-    dps = ctx.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
     if isinstance(u, str):
         try:
-            value = _from_decimal(u, dps_to_prec(dps))
+            value = _from_decimal(u, dps_to_prec(ctx.dps("gamma", FAMILIES["gamma"][1])))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse --u value {u!r}") from exc
     else:
         try:
-            with workdps(dps):
+            with workdps(ctx.dps("gamma", FAMILIES["gamma"][1])):
                 value = rounded(u)
         except ValueError:  # an inf, a nan or no real number
             value = None

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import bell, eta_sigma, li_keiper, stieltjes, xi, zeta_derivs
 from .chain import table
 from .kernel import atoms, zeta_int_mpf
-from .precision import FAMILIES, MAX_DIGITS, SUITES, PrecisionContext, extra_digits
+from .precision import FAMILIES, MAX_DIGITS, SUITES, PrecisionContext
 from .reports import (
     default_tol,
     equality_report,
@@ -227,7 +227,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol: Binary):
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
 
     gamma_at_2 = stieltjes_gamma(0, 2, ctx)
-    with workdps(ctx.working_dps + extra_digits("side")):
+    with workdps(ctx.dps("side")):
         reports.append(
             equality_report(
                 "gamma0-at-2-is-gamma-minus-1",
@@ -272,7 +272,7 @@ def suite_eta(ctx: PrecisionContext, tol: Binary):
     etas = table("eta", max_n, ctx)
     etas_alt = eta_sigma.eta_from_gamma_coffey(gammas)
 
-    with workdps(ctx.working_dps + extra_digits("side")):
+    with workdps(ctx.dps("side")):
         g0, g1, g2 = gammas[0], gammas[1], gammas[2]
         reports.append(
             equality_report(
@@ -422,7 +422,7 @@ def suite_xi(ctx: PrecisionContext, tol: Binary):
     xi_bell = table("xi1", max_n, ctx)
     xi_rec = xi.xi_deriv_recurrence(sigmas)
 
-    with workdps(ctx.working_dps + extra_digits("side")):
+    with workdps(ctx.dps("side")):
         l1, l2, l3 = lambdas[1], lambdas[2], lambdas[3]
         reports.append(
             equality_report(
@@ -500,9 +500,8 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
     etas = table("eta", max_n, ctx)
     z_ap = table("zeta0", max_n, ctx)
     z_lc = zeta_derivs.zeta_derivs_log_chain(table("eta", max_n - 1, ctx))
-    side_dps = ctx.working_dps + extra_digits("elementary_side")
 
-    with workdps(side_dps):
+    with workdps(ctx.dps("elementary_side")):
         log2pi = atoms(ctx.working_dps).log_2pi
         reports.append(
             equality_report(
@@ -513,7 +512,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
         g0, g1 = gammas[0], gammas[1]
         eta1 = etas[1]
         z2 = zeta_int_mpf(2, ctx)
-        via_53 = g1 + g0**2 / 2 - atoms(side_dps).pi**2 / 24 - log2pi**2 / 2
+        via_53 = g1 + g0**2 / 2 - atoms(ctx.dps("elementary_side")).pi**2 / 24 - log2pi**2 / 2
         via_s4 = eta1 / 2 - z2 / 4 - log2pi**2 / 2
         reports.append(
             equality_report(
@@ -557,7 +556,7 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
          ("forward-5.5", zeta_derivs.APOSTOL_TAG)),
     )
 
-    with workdps(side_dps):
+    with workdps(ctx.dps("elementary_side")):
         g0 = gammas[0]
         z2 = zeta_int_mpf(2, ctx)
         z3 = zeta_int_mpf(3, ctx)
@@ -576,8 +575,8 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
     # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian integers.
     # In even order both sides round the same power (pi/2)^m, so they agree
     # exactly
-    with workdps(side_dps):
-        pi_val = atoms(side_dps).pi
+    with workdps(ctx.dps("elementary_side")):
+        pi_val = atoms(ctx.dps("elementary_side")).pi
         ok = True
         worst = Binary(0)
         re, im = 1, 0

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 from .bell import bell_recurrence_values
-from .precision import extra_digits
 from .stieltjes import Binary, ConstantTable, _check_last, require, workdps
 
 XI_BELL_TAG = "bell-3.25"
@@ -40,7 +39,7 @@ def xi_table(sigmas: ConstantTable) -> ConstantTable:
     xi^(n)(1) is half of Y_n at x_j = (-1)^(j-1) (j-1)! sigma_j."""
     ctx = require(sigmas, "sigma", "xi_table")
     _check_last("xi1", sigmas.max_n)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         args = [
             (-1) ** (j - 1) * math.factorial(j - 1) * sigmas[j]
             for j in range(1, sigmas.max_n + 1)
@@ -54,7 +53,7 @@ def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
     verification route."""
     ctx = require(sigmas, "sigma", "xi_deriv_recurrence")
     _check_last("xi1", sigmas.max_n)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         xs = [Binary(0)]  # placeholder for unused index 0
         xs.append(+(sigmas[1] / 2))  # xi'(1) = sigma_1 / 2
         for n in range(1, sigmas.max_n):

@@ -36,11 +36,11 @@ Gamma-function derivatives at 1 come from the Bell form
 Gamma^(m)(1) = Y_m(-gamma, x_1, ..., x_{m-1}) with
 x_p = (-1)^(p+1) p! zeta(p+1).
 
-Both routes and the forward map run at one precision per context, the zeta0
-budget read at the family's cap, so zeta^(n)(0) depends only on n and the
-context.  Each route is a step map: a gamma or eta table up to m gives
-zeta^(0..m+1)(0) under that table's context, and an m + 1 past the cap is
-refused before any entry is computed.
+Both routes and the forward map run at one precision per context,
+ctx.dps("zeta0"), so zeta^(n)(0) depends only on n and the context.  Each
+route is a step map: a gamma or eta table up to m gives zeta^(0..m+1)(0)
+under that table's context, and an m + 1 past the cap is refused before any
+entry is computed.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from .bell import bell_recurrence_value, bell_recurrence_values
 from .kernel import atoms, zeta_int_mpf
-from .precision import FAMILIES, PrecisionContext, check_index, extra_digits
+from .precision import FAMILIES, PrecisionContext, check_index
 from .stieltjes import Binary, ConstantTable, _check_last, require, stieltjes_gamma, workdps
 
 APOSTOL_TAG = "apostol-5.5"
@@ -65,7 +65,7 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext) -> Binary:
     check_index(m, "the derivative order m", 0)
     if m == 0:
         return Binary(1)
-    with workdps(ctx.working_dps + extra_digits("gamma_deriv", m)):
+    with workdps(ctx.dps("gamma_deriv", m)):
         gamma = stieltjes_gamma(0, 1, ctx)
         args = [-gamma]
         for p in range(1, m):
@@ -77,7 +77,7 @@ def L_derivs_at_zero(n: int, etas: ConstantTable) -> Binary:
     """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
     check_index(n, "the L derivative index n", 0)
     ctx = require(etas, "eta", "L_derivs_at_zero", n)
-    with workdps(ctx.working_dps + extra_digits("step")):
+    with workdps(ctx.dps("step")):
         if n == 0:
             return +(atoms(ctx.working_dps).log_2pi - 1)
         fact = math.factorial(n)
@@ -96,22 +96,15 @@ def _cos_weight(m: int, pi_val):
     return (-1) ** (m // 2) * (pi_val / 2) ** m
 
 
-def _solve_dps(ctx: PrecisionContext) -> int:
-    """Working digits of every zeta0 solve and forward evaluation: the zeta0
-    budget read at the family's cap."""
-    return ctx.working_dps + extra_digits("zeta0", FAMILIES["zeta0"][1])
-
-
 @lru_cache(maxsize=16)
 def _apostol_weights(ctx: PrecisionContext) -> tuple:
     """a_m = A^(m)(0) for A(s) = 2 (2 pi)^-s Gamma(1+s) cos(pi s/2) and
     m = 0 up to the zeta0 cap, at the solve precision, by two Leibniz
     products; a_0 = 2 exactly."""
     orders = range(FAMILIES["zeta0"][1] + 1)
-    dps = _solve_dps(ctx)
-    with workdps(dps):
-        pi_val = atoms(dps).pi
-        minus_log2pi = -atoms(dps).log_2pi
+    with workdps(ctx.dps("zeta0")):
+        pi_val = atoms(ctx.dps("zeta0")).pi
+        minus_log2pi = -atoms(ctx.dps("zeta0")).log_2pi
         cos_weights = [_cos_weight(j, pi_val) for j in orders]
         # (2 pi)^-s cos(pi s/2); the odd cosine orders vanish and are skipped
         ec = [
@@ -131,9 +124,9 @@ def zeta_derivs_at_zero(gammas: ConstantTable) -> ConstantTable:
     gamma_0..gamma_m.  Entry 0 is zeta(0) = -1/2."""
     ctx = require(gammas, "gamma", "zeta_derivs_at_zero")
     max_n = gammas.max_n + 1
-    check_index(max_n, "the largest zeta0 index of zeta_derivs_at_zero", *FAMILIES["zeta0"])
+    _check_last("zeta0", max_n)
     a = _apostol_weights(ctx)
-    with workdps(_solve_dps(ctx)):
+    with workdps(ctx.dps("zeta0")):
         values = [Binary(-1, -1)]
         for n in range(1, max_n + 1):
             # the pivot C(n, n) a_0 = 2 multiplies the unknown zeta^(n)(0)
@@ -149,7 +142,7 @@ def zeta_derivs_log_chain(etas: ConstantTable) -> ConstantTable:
     ctx = require(etas, "eta", "zeta_derivs_log_chain")
     max_n = etas.max_n + 1
     _check_last("zeta0", max_n)
-    with workdps(_solve_dps(ctx)):
+    with workdps(ctx.dps("zeta0")):
         values = [Binary(-1, -1)]
         lder = [L_derivs_at_zero(m, etas) for m in range(max_n)]
         ys = bell_recurrence_values(lder)
@@ -164,5 +157,5 @@ def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable) -> Binary:
     check_index(n, "the forward index n", 1, FAMILIES["zeta0"][1])
     ctx = require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
     a = _apostol_weights(ctx)
-    with workdps(_solve_dps(ctx)):
+    with workdps(ctx.dps("zeta0")):
         return +(sum(math.comb(n, l) * a[n - l] * zeta0[l] for l in range(n + 1)) / n)

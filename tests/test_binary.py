@@ -18,13 +18,12 @@ from mpmath import mp, mpf
 from mpmath.libmp import finf, fnan, fninf, from_str, to_str
 
 from exact import exact
-from zkconst import kernel, stieltjes, zeta_derivs
+from zkconst import kernel, stieltjes
 from zkconst.precision import (
     MAX_DIGITS,
     MIN_DIGITS,
     PrecisionContext,
     dps_to_prec,
-    extra_digits,
 )
 from zkconst.reports import default_tol, equality_report, exact_report, inequality_report
 from zkconst.stieltjes import (
@@ -112,7 +111,7 @@ def test_times_ten_is_exact_to_400(man, exp):
 
 # every precision the package parses at: the gamma row's, where it reads a
 # str u, --u or a library argument alike
-PARSE_PRECS = [dps_to_prec(PrecisionContext(d).working_dps + extra_digits("gamma", 20))
+PARSE_PRECS = [dps_to_prec(PrecisionContext(d).dps("gamma", 20))
                for d in (10, 30, 45, 60)]
 
 
@@ -152,7 +151,7 @@ def test_parse_u_keeps_its_two_messages(raw, message):
 
 
 # the gamma precisions: gamma_n at every digits and n
-GAMMA_PRECS = sorted({dps_to_prec(PrecisionContext(d).working_dps + extra_digits("gamma", n))
+GAMMA_PRECS = sorted({dps_to_prec(PrecisionContext(d).dps("gamma", n))
                       for d in range(10, 61) for n in range(21)})
 
 
@@ -301,8 +300,7 @@ def test_powers_are_mpf_powers_at_the_zeta0_and_side_precisions():
     wide = 0
     for digits in range(MIN_DIGITS, MAX_DIGITS + 1):
         ctx = PrecisionContext(digits)
-        for dps in (zeta_derivs._solve_dps(ctx),
-                    ctx.working_dps + extra_digits("elementary_side")):
+        for dps in (ctx.dps("zeta0"), ctx.dps("elementary_side")):
             bases = [kernel.atoms(dps).pi, kernel.atoms(dps).log_2pi]
             with stieltjes.workdps(dps):
                 bases = [bases[0] / 2, -bases[1]]

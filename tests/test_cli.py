@@ -160,11 +160,11 @@ class TestParseU:
     def test_positive_finite_decimals_parse(self, raw, ctx30):
         # read once, at the gamma row's precision, for the CLI and the library
         from zkconst import stieltjes
-        from zkconst.precision import FAMILIES, extra_digits
+        from zkconst.precision import FAMILIES
 
         u = stieltjes._row_u(raw, ctx30)
         exact = Fraction(raw.lstrip("+"))
-        row_dps = ctx30.working_dps + extra_digits("gamma", FAMILIES["gamma"][1])
+        row_dps = ctx30.dps("gamma", FAMILIES["gamma"][1])
         assert mp.isfinite(u) and u.man > 0
         with mp.workdps(row_dps + 20):
             want = mpf(exact.numerator) / exact.denominator

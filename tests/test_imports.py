@@ -6,8 +6,8 @@ used, which covers the names __init__ resolves through its __getattr__; so
 every such name must also resolve on its module, or a removed function could
 linger in __all__.  Likewise every module-level private function, class or
 assignment must be referenced somewhere in the package outside its own
-definition, every working precision outside precision.py must come from its
-budget, no module but precision.py and bell.py tests for an int itself, no
+definition, every working precision outside precision.py is ctx.working_dps
+or ctx.dps(step, n), no module but precision.py and bell.py tests for an int itself, no
 file under src/ holds an assert statement, imports mpmath or imports
 inside a function, no code but stieltjes.Binary reads an mpf's _mpf_, and
 no function takes both a ConstantTable and a PrecisionContext.
@@ -172,6 +172,10 @@ def test_every_private_is_referenced():
 
 # the functions that may set a working precision outside the budget, and why
 BUDGET_EXEMPT = {
+    "kernel._CrvzWeights.__init__":
+        "the CRVZ row's working digits: the zeta_int row stacked on the "
+        "digits zeta_int_mpf asks for, which already read the zeta_atom row, "
+        "not on working_dps",
     "stieltjes._GammaRow.__init__":
         "bit margins of the fixed-point log row: alloc bits for the 2^i "
         "cancellation of the inner sums, 64 bits of rounding, 32 guard bits "
@@ -203,50 +207,39 @@ def _sum_terms(node) -> list:
     return [node]
 
 
-def _reads_budget(node, helpers) -> bool:
-    """node is ctx.working_dps itself or calls extra_digits or a helper that
-    returns a budget expression."""
-    if isinstance(node, ast.Attribute) and node.attr == "working_dps":
-        return True
-    return any(isinstance(sub, ast.Call) and _called_name(sub) in helpers
-               for sub in ast.walk(node))
+def _is_working_dps(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "working_dps"
+
+
+def _is_dps_call(node) -> bool:
+    return isinstance(node, ast.Call) and _called_name(node) == "dps"
 
 
 def budget_violations(sources: dict) -> list:
-    """Functions, as "module.qualname", that add an integer literal to a
-    budget expression (ctx.working_dps or an extra_digits call), or set a
-    working precision (mp.workdps, mp.workprec, extra_dps=) to anything but
-    a budget expression: directly, through a local name, or through a
-    helper that returns one."""
+    """Functions, as "module.qualname", outside precision.py that add to or
+    subtract from ctx.working_dps, add an integer literal to a ctx.dps(step,
+    n) read, call extra_digits, or set a working precision (mp.workdps,
+    mp.workprec, extra_dps=) to anything but ctx.working_dps or ctx.dps(step,
+    n) itself."""
     owned = {}
     for module, src in sources.items():
         if module != "precision":
             _owned_nodes(ast.parse(src), module, owned)
-    helpers = {"extra_digits"}
-    for qualname, nodes in owned.items():
-        if any(isinstance(n, ast.Return) and n.value is not None
-               and _reads_budget(n.value, helpers) for n in nodes):
-            helpers.add(qualname.rsplit(".", 1)[-1])
     bad = set()
     for qualname, nodes in owned.items():
-        local = {n.targets[0].id: n.value for n in nodes if isinstance(n, ast.Assign)
-                 and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name)}
-
-        def from_budget(value):
-            value = local.get(value.id, value) if isinstance(value, ast.Name) else value
-            return _reads_budget(value, helpers)
-
         for node in nodes:
-            if isinstance(node, ast.BinOp):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
                 terms = _sum_terms(node)
                 literal = any(isinstance(t, ast.Constant) and type(t.value) is int for t in terms)
-                if literal and any(_reads_budget(t, helpers) for t in terms):
+                budget = any(map(_is_dps_call, ast.walk(node)))
+                if any(map(_is_working_dps, terms)) or literal and budget:
                     bad.add(qualname)
             if isinstance(node, ast.Call):
                 values = [kw.value for kw in node.keywords if kw.arg == "extra_dps"]
                 if _called_name(node) in ("workdps", "workprec"):
                     values += node.args[:1]
-                if not all(from_budget(v) for v in values):
+                budget = all(_is_working_dps(v) or _is_dps_call(v) for v in values)
+                if _called_name(node) == "extra_digits" or not budget:
                     bad.add(qualname)
     return sorted(bad)
 
@@ -258,16 +251,22 @@ def test_checker_flags_a_precision_outside_the_budget():
         "def fixed():\n    with mp.workdps(50):\n        pass\n"
         "def padded(ctx):\n"
         "    with mp.workdps(ctx.working_dps + extra_digits('step') + 1):\n        pass\n"
-        "def budgeted(ctx):\n    with mp.workdps(ctx.working_dps + extra_digits('step')):\n"
-        "        return zeta_int_mpf(2, ctx, extra_dps=extra_digits('step'))\n"
-        "def plain(ctx):\n    with mp.workdps(ctx.working_dps):\n        pass\n"
-        "def _dps(ctx):\n    return ctx.working_dps + extra_digits('zeta0', 3)\n"
-        "def via_helper(ctx):\n    dps = _dps(ctx)\n    with mp.workdps(dps):\n        pass\n"
+        "def by_hand(ctx):\n    with mp.workdps(ctx.working_dps + extra_digits('step')):\n"
+        "        pass\n"
+        "def row_read(n):\n    return extra_digits('gamma', n)\n"
+        "def shifted(ctx):\n    return atoms(ctx.dps('step') - 2)\n"
+        "def via_local(ctx):\n    dps = ctx.dps('zeta0')\n    with mp.workdps(dps):\n"
+        "        pass\n"
+        "def budgeted(ctx):\n    with mp.workdps(ctx.dps('step')):\n"
+        "        return zeta_int_mpf(2, ctx, extra_dps=ctx.dps('gamma', 3))\n"
+        "def plain(ctx):\n    with mp.workdps(ctx.working_dps):\n"
+        "        return int(1.32 * ctx.working_dps) + 4\n"
         "class Row:\n    def grow(self):\n        with mp.workprec(self.prec + 16):\n"
         "            pass\n"
     )
-    assert budget_violations({"m": source}) == [
-        "m.Row.grow", "m.fixed", "m.literal_step", "m.padded", "m.planted",
+    assert budget_violations({"m": source, "precision": source}) == [
+        "m.Row.grow", "m.by_hand", "m.fixed", "m.literal_step", "m.padded", "m.planted",
+        "m.row_read", "m.shifted", "m.via_local",
     ]
 
 

@@ -23,7 +23,7 @@ from zkconst.li_keiper import (
     recurrence_residual_3_13,
 )
 from zkconst.chain import table
-from zkconst.precision import PrecisionContext, extra_digits
+from zkconst.precision import PrecisionContext
 from zkconst.reports import default_tol
 from zkconst.stieltjes import ConstantTable
 from zkconst.verify import run_suite
@@ -317,7 +317,7 @@ class TestTransformAccuracy:
         # lambda table runs at, against the exact transform of the same mpfs
         ctx = PrecisionContext(digits=digits)
         values = [0, *map(exact, table(kind, 20, ctx).values)]
-        with mp.workdps(ctx.working_dps + extra_digits("step")):
+        with mp.workdps(ctx.dps("step")):
             got = binomial_alternating_transform(values)
         rationals = [Fraction(0), *(_exact(v) for v in values[1:])]
         unit = Fraction(1, 10**ctx.working_dps)

@@ -43,6 +43,19 @@ def test_dps_to_prec_is_mpmaths():
         mpmath_dps_to_prec(d) for d in range(1, 401)]
 
 
+@pytest.mark.parametrize("digits, guard", [(10, 10), (30, 10), (60, 10), (30, 30)])
+def test_dps_is_working_dps_plus_the_row(digits, guard):
+    # ctx.dps is the one place a budget row meets working_dps, and it gives
+    # every step the integer working_dps + extra_digits(step, n)
+    ctx = PrecisionContext(digits, guard)
+    for step in precision._BUDGET:
+        for n in range(21):
+            assert ctx.dps(step, n) == ctx.working_dps + precision.extra_digits(step, n), (step, n)
+    # the zeta0 solve precision: the per-index row 2n + 10 it replaced, read
+    # at the cap n = 10
+    assert ctx.dps("zeta0") == ctx.working_dps + 30
+
+
 class TestBigReal:
     # values are plain mpf; the package refuses inf and nan where one leaves it
     def test_finite_required(self, ctx30):

@@ -35,14 +35,13 @@ def test_method_tags_table_names_every_emitted_tag():
 
 def test_budget_table_is_the_budget():
     # the one hand-kept copy of precision._BUDGET, row for row: "n + 15"
-    # reads as (1, 15), "2n + 10, read at the cap: 30" as (2, 10) and "25"
-    # as (0, 25)
+    # reads as (1, 15) and "25" as (0, 25)
     lines = README.read_text().split("| row | extra digits | used by |\n", 1)[1].splitlines()
     rows = []
     for line in lines[1:]:  # past the |---| line
         if not line.startswith("|"):
             break
         name, extra = re.match(r"\| `(\w+)` \| ([^|]+?) \|", line).groups()
-        per, index, fixed = re.fullmatch(r"(?:(\d*)([nm]) \+ )?(\d+)(?:, .*)?", extra).groups()
-        rows.append((name, (int(per or 1) if index else 0, int(fixed))))
+        index, fixed = re.fullmatch(r"(?:([nm]) \+ )?(\d+)", extra).groups()
+        rows.append((name, (1 if index else 0, int(fixed))))
     assert rows == list(precision._BUDGET.items())

@@ -13,7 +13,7 @@ from oracles import FROZEN, em_gamma_table
 from zkconst import stieltjes as stieltjes_module
 from zkconst import verify
 from zkconst.li_keiper import binomial_alternating_transform
-from zkconst.precision import ConvergenceError, PrecisionContext
+from zkconst.precision import ConvergenceError, PrecisionContext, dps_to_prec
 from zkconst.reports import default_tol
 from zkconst.stieltjes import (
     GAMMA_TAG,
@@ -276,9 +276,10 @@ class TestLogRow:
         # dot product with the weights is the double series over every outer
         # term of the row, summed here from its definition, to the working
         # precision of gamma_20: the row's bits less its alloc + 64 extra ones
-        row = make_row("1", PrecisionContext(digits=10))
+        ctx = PrecisionContext(digits=10)
+        row = make_row("1", ctx)
         assert row.shift == 46
-        got = row._tail(n)
+        got = row._tail(n, dps_to_prec(ctx.dps("gamma", n)))
         with mp.workdps(200):
             want = double_series(n, 47, row.alloc)
             err = abs(mp.ldexp(got, -row.prec) - want)

@@ -5,7 +5,6 @@ from exact import exact
 from zkconst import xi
 from zkconst.chain import table
 from zkconst.li_keiper import binomial_alternating_transform, lambda_table
-from zkconst.precision import extra_digits
 from zkconst.stieltjes import Binary, ConstantTable
 from zkconst.xi import xi_deriv_recurrence, xi_table
 
@@ -119,6 +118,6 @@ def test_user_mpf_sigmas_map_as_their_binaries_do(ctx30):
     for step in (lambda_table, xi_table):
         assert [v._mpf_ for v in step(mine).values] == [
             v._mpf_ for v in step(exact).values], step.__name__
-    with mp.workdps(ctx30.working_dps + extra_digits("step")):
+    with mp.workdps(ctx30.dps("step")):
         want = [-t for t in binomial_alternating_transform([0, *typed])[1:]]
     assert [v._mpf_ for v in lambda_table(mine).values] == [v._mpf_ for v in want]

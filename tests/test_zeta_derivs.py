@@ -154,7 +154,7 @@ class TestZetaDerivativesAtZero:
         to_cap = table(kind, cap, ctx30)
         monkeypatch.setattr(zeta_derivs, "bell_recurrence_values", computed)
         monkeypatch.setattr(zeta_derivs, "workdps", computed)
-        with pytest.raises(ValueError, match=r"must lie in \[0, 10\]"):
+        with pytest.raises(ValueError, match=r"^the last index of a zeta0 table must lie in \[0, 10\]$"):
             route(to_cap)
 
 

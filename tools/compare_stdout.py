@@ -5,12 +5,12 @@
 runs `python3 -m zkconst` once per command with PYTHONPATH set to each
 `src/` directory in turn.  The command set is the golden commands of
 tests/test_cli.py (GOLDEN_STDOUT), `verify --suite` every suite at 10, 30,
-45 and 60 digits, every family at its cap, `li-check --max-n 20` and
-`verify --suite zeta-derivs` at every --digits from 10 to 60 (a rounding
-slip, of a power or an atom say, may show at one precision only, and both
-print their sides to working_dps + 5 digits, where a last-bit change
-shows), zeta0 at every max_n below its cap at 10, 30 and
-60 digits (each a fresh build of a shorter table, whose rows are the first
+45 and 60 digits, every family at its cap, `li-check --max-n 20`,
+`verify --suite zeta-derivs` and `verify --suite all` at every --digits from
+10 to 60 (a rounding slip, of a power, an atom or a budget row one digit
+short say, may show at one precision only, and li-check and verify print
+their sides to working_dps + 5 digits, where a last-bit change shows),
+zeta0 at every max_n below its cap at 10, 30 and 60 digits (each a fresh build of a shorter table, whose rows are the first
 rows of the table at the cap), gamma to 20 at seven values of u at 30, 45
 and 60 digits, and the help and usage errors (`--help`, each subcommand's
 `--help`, an unknown suite and family, `--digits 61`, an unparsable,
@@ -95,7 +95,8 @@ def command_set() -> list:
         for kind, cap in caps.items() for d in every_digits
     ]
     commands += [f"li-check --max-n 20 --digits {d}" for d in every_digits]
-    commands += [f"verify --suite zeta-derivs --digits {d}" for d in every_digits]
+    commands += [f"verify --suite {s} --digits {d}"
+                 for s in ("zeta-derivs", "all") for d in every_digits]
     commands += [
         f"table --seq zeta0 --max-n {n} --digits {d}"
         for n in range(1, caps["zeta0"]) for d in (10, 30, 60)
