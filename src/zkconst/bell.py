@@ -13,12 +13,13 @@ exactly:
 The recurrence is the fast numeric route; the partition sum is the symbolic
 definition, returned as a plain {exponent tuple: coefficient} dict and
 evaluated by substitute(); its enumeration is memoised per n, and every call
-returns a fresh dict, which the caller may change.  The determinant takes
-integer arguments and is evaluated by fraction-free elimination in integers,
-so the three-route comparison is exact.  Every route is weighted-homogeneous,
-Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an exact caller scales
-rational arguments to integers and divides the value by c^n once; the
-partition sum and the recurrence also take Fractions directly.
+returns a fresh dict, which the caller may change.  substitute() reads each
+monomial's nonzero exponents from a memo of every monomial to MAX_SYMBOLIC_N.
+The determinant takes integer arguments and is evaluated by fraction-free
+elimination in integers, so the three-route comparison is exact.  Every route
+is weighted-homogeneous, Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an
+exact caller scales rational arguments to integers and divides the value by
+c^n once; the partition sum and the recurrence also take Fractions directly.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def bell_symbolic(n: int) -> dict:
     return dict(_partition_terms(n))
 
 
+@lru_cache(maxsize=2714)  # every monomial of Y_0 .. Y_20: p(0) + p(1) + ... + p(20)
+def _nonzero(expo: tuple) -> tuple:
+    """The (index, exponent) pairs of a monomial's nonzero exponents."""
+    return tuple((j, e) for j, e in enumerate(expo) if e)
+
+
 def substitute(terms: dict, values):
     """Evaluate a bell_symbolic dict at values (exact for int/Fraction inputs)."""
     nvars = len(next(iter(terms), ()))
@@ -86,9 +93,8 @@ def substitute(terms: dict, values):
         raise ValueError(f"need {nvars} values, got {len(values)}")
     total = 0
     for expo, coeff in terms.items():
-        for e, v in zip(expo, values):
-            if e:
-                coeff = coeff * (v if e == 1 else v**e)
+        for j, e in _nonzero(expo):
+            coeff = coeff * (values[j] if e == 1 else values[j] ** e)
         total = total + coeff
     return total
 

@@ -21,17 +21,17 @@ byte-identical output.
 
 Like the whole package, this module runs on the standard library alone,
 and it reads the step modules only as lazily registered module objects:
---help and the usage errors execute cli and precision only.
+--help and the usage errors execute cli and precision only, and json is
+loaded only by --format json, through json_format.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import chain, li_keiper, reports, stieltjes, verify
+from . import chain, json_format, li_keiper, reports, stieltjes, verify
 from .precision import DEFAULT_DIGITS, FAMILIES, SUITES, ConvergenceError, PrecisionContext
 
 EXIT_OK = 0
@@ -44,8 +44,7 @@ EXIT_INTERNAL = 4
 def _emit_table(table: stieltjes.ConstantTable, seq: str, fmt: str) -> str:
     rows = [{"n": n, "value": value, "method": method} for n, value, method in table.rows()]
     if fmt == "json":
-        payload = {"seq": seq, "digits": table.ctx.digits, "rows": rows}
-        return json.dumps(payload, indent=2) + "\n"
+        return json_format.dumps({"seq": seq, "digits": table.ctx.digits, "rows": rows})
     if fmt == "csv":
         return "n,value,method\n" + "".join(
             f"{row['n']},{row['value']},{row['method']}\n" for row in rows)
@@ -56,12 +55,8 @@ def _emit_table(table: stieltjes.ConstantTable, seq: str, fmt: str) -> str:
 def _emit_reports(checks, suite: str, digits: int, fmt: str) -> tuple:
     status = EXIT_OK if reports.all_passed(checks) else EXIT_VERIFY_FAILED
     if fmt == "json":
-        payload = {
-            "suite": suite,
-            "digits": digits,
-            "reports": [r.as_dict() for r in checks],
-        }
-        return status, json.dumps(payload, indent=2) + "\n"
+        payload = {"suite": suite, "digits": digits, "reports": [r.as_dict() for r in checks]}
+        return status, json_format.dumps(payload)
     npass = sum(1 for r in checks if r.passed)
     lines = [
         f"{'pass' if r.passed else 'FAIL'}  {r.identity}  lhs={r.lhs}  rhs={r.rhs}  "

@@ -38,8 +38,8 @@ one more outer and shifted terms.
 The target does not depend on n, so every gamma_n(u) at one (u, context)
 runs its series at the same U.  One memoised row per (u, context) holds, as
 integers scaled by 2^P, log(u + k) for every k < shift + alloc (the shifted
-terms' logs, then the tail's log(U + j)), the reciprocals 1/(u + m) of the
-shifted terms and one power list.  The bound is the series' only stopping
+terms' logs, then the tail's log(U + j)) and one list of terms at the latest
+power.  The bound is the series' only stopping
 rule: the last outer index I = alloc - 1 is the first i at which the bound
 B(U, i) log^21(U + i) of the largest n falls below 10^-(digits + guard):
 alloc is 90 at 30 digits and 126 at 60, but 5 at u = 1e30 and 60 digits,
@@ -64,12 +64,14 @@ term is the last divided by the small q^2, the exact floor of 2^bits / q^j.  Pas
 x = 2^(2 bits) no step moves a log by 2^-bits, so x is clamped there.  Every
 integer of the row thus keeps the size of its precision, whatever the
 exponent of u, except 1/u of a u < 1: that one term, log^n(u)/u, is divided
-by u on its own.  log^(k+1) comes from log^k by an integer multiply and shift;
-the shifted sum of each n is one sum of products of a power list with the
-reciprocals.  The tail of each n swaps the double series' two sums into one
-dot product of the power list with the exact weights (-1)^j D w_j,
-w_j = sum_{i=j}^{I} C(i,j)/(i+1) and D = lcm(1, ..., I + 1), divided by D
-once; the shifted sum and the tail meet in integers and are rounded once.
+by u on its own.  The shifted terms log^k(u + m)/(u + m) and the tail's
+log^(k+1)(U + j) are running products from the reciprocals and the logs:
+one integer multiply and shift per term per power, restarted for an n
+below the latest power.  The shifted sum of each n is the sum of its terms,
+and its tail swaps the double series' two sums into one dot product of its
+terms with the exact weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1)
+and D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the
+tail meet in integers and are rounded once.
 The row also keeps every finished gamma_n(u), so it is the one place a
 gamma value is remembered; a series that fails to converge stores nothing.
 
@@ -94,7 +96,7 @@ import math
 import numbers
 import operator
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .precision import (
     FAMILIES,
@@ -124,32 +126,27 @@ def workdps(dps: int):
         _prec = saved
 
 
-def _compare(test, m: int, e: int, n: int, f: int) -> bool:
-    """test(m 2^e - n 2^f, 0), exact: the difference rounded to 2 bits
-    keeps the sign."""
-    return test(_sum(m, e, -n, f, 2).man, 0)
+def _no_prec():
+    """Raise: outside workdps, Binary arithmetic would round to a precision nobody chose."""
+    raise RuntimeError("Binary arithmetic runs only inside workdps")
 
 
-def _working_prec() -> int:
-    """The bits workdps sets: Binary arithmetic outside it raises, so no
-    value is rounded to a precision nobody chose."""
-    if _prec is None:
-        raise RuntimeError("Binary arithmetic runs only inside workdps")
-    return _prec
+def _operand(other) -> tuple:
+    """(man, exp) of a Binary or an int, else (None, None): any other operand,
+    an mpf among them, is left to its reflected operator."""
+    if isinstance(other, Binary):
+        return other.man, other.exp
+    try:
+        return operator.index(other), 0
+    except TypeError:
+        return None, None
 
 
-def _operator(rule):
-    """The Binary operator rule(man, exp, other's man, other's exp) on a
-    Binary or an int.  Any other operand, an mpf among them, is left to its
-    reflected operator; an mpf's reads a Binary exactly."""
+def _comparison(test):
+    """test(self, other), exact: the difference rounded to 2 bits keeps its sign."""
     def method(self, other):
-        if isinstance(other, Binary):
-            return rule(self.man, self.exp, other.man, other.exp)
-        try:
-            man = operator.index(other)
-        except TypeError:
-            return NotImplemented
-        return rule(self.man, self.exp, man, 0)
+        n, f = _operand(other)
+        return NotImplemented if n is None else test(_sum(self.man, self.exp, -n, f, 2).man, 0)
     return method
 
 
@@ -162,17 +159,19 @@ class Binary(Frozen):
     the precision workdps sets, ties to even, as mpmath rounds them, so each
     result is the mpf's bit for bit; outside workdps they raise
     RuntimeError.  An mpf operand is mpmath's: mpf's reflected operator
-    takes over.  Comparisons with a Binary or an int are exact, and a
-    Binary hashes as the int or Fraction it equals.
+    takes over, before any precision is read.  Comparisons with a Binary or
+    an int are exact, and a Binary hashes as the int or Fraction it equals.
     """
 
     __slots__ = ("man", "exp")
 
     def __init__(self, man: int, exp: int = 0):
-        zeros = (man & -man).bit_length() - 1 if man else 0
-        # set directly, not through _set: every rounding makes a Binary
-        object.__setattr__(self, "man", man >> zeros)
-        object.__setattr__(self, "exp", exp + zeros if man else 0)
+        # every rounding makes a Binary: set through the slots, not _set
+        if not man & 1:  # only an even mantissa has trailing zeros
+            zeros = (man & -man).bit_length() - 1
+            man, exp = (man >> zeros, exp + zeros) if man else (0, 0)
+        _set_man(self, man)
+        _set_exp(self, exp)
 
     @classmethod
     def of(cls, x) -> "Binary":
@@ -201,18 +200,40 @@ class Binary(Frozen):
     def denominator(self) -> int:
         return 1 << max(-self.exp, 0)
 
-    # (m, e) is self, (n, f) the other operand
-    __add__ = __radd__ = _operator(lambda m, e, n, f: _sum(m, e, n, f, _working_prec()))
-    __sub__ = _operator(lambda m, e, n, f: _sum(m, e, -n, f, _working_prec()))
-    __rsub__ = _operator(lambda m, e, n, f: _sum(n, f, -m, e, _working_prec()))
-    __mul__ = __rmul__ = _operator(lambda m, e, n, f: _round(m * n, 1, e + f, _working_prec()))
-    __truediv__ = _operator(lambda m, e, n, f: _round(m, n, e - f, _working_prec()))
-    __rtruediv__ = _operator(lambda m, e, n, f: _round(n, m, f - e, _working_prec()))
-    __lt__ = _operator(partial(_compare, operator.lt))
-    __le__ = _operator(partial(_compare, operator.le))
-    __gt__ = _operator(partial(_compare, operator.gt))
-    __ge__ = _operator(partial(_compare, operator.ge))
-    __eq__ = _operator(partial(_compare, operator.eq))
+    # (n, f) is the other operand, and _prec (never 0) is read only once it is one
+    def __add__(self, other):
+        n, f = _operand(other)
+        return NotImplemented if n is None else _sum(self.man, self.exp, n, f, _prec or _no_prec())
+
+    def __sub__(self, other):
+        n, f = _operand(other)
+        return NotImplemented if n is None else _sum(self.man, self.exp, -n, f, _prec or _no_prec())
+
+    def __rsub__(self, other):
+        n, f = _operand(other)
+        return NotImplemented if n is None else _sum(n, f, -self.man, self.exp, _prec or _no_prec())
+
+    def __mul__(self, other):
+        n, f = _operand(other)
+        return NotImplemented if n is None else _round(
+            self.man * n, 1, self.exp + f, _prec or _no_prec())
+
+    def __truediv__(self, other):
+        n, f = _operand(other)
+        return NotImplemented if n is None else _round(
+            self.man, n, self.exp - f, _prec or _no_prec())
+
+    def __rtruediv__(self, other):
+        n, f = _operand(other)
+        return NotImplemented if n is None else _round(
+            n, self.man, f - self.exp, _prec or _no_prec())
+
+    __radd__, __rmul__ = __add__, __mul__
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+    __eq__ = _comparison(operator.eq)
 
     def __hash__(self):
         """The hash of the rational man 2^exp, as int and Fraction hash it."""
@@ -227,25 +248,26 @@ class Binary(Frozen):
         wider and then divided into 1."""
         if not isinstance(n, numbers.Integral):
             return NotImplemented
-        prec = _working_prec()
+        prec = _prec or _no_prec()
         if n >= 0:
             return _round(self.man**n, 1, self.exp * n, prec)
         power = self if n == -1 else _round(self.man**-n, 1, self.exp * -n, prec + 5)
         return _round(1, power.man, -power.exp, prec)
 
     def __neg__(self) -> "Binary":
-        return _round(-self.man, 1, self.exp, _working_prec())
+        return _round(-self.man, 1, self.exp, _prec or _no_prec())
 
     def __pos__(self) -> "Binary":
-        return _round(self.man, 1, self.exp, _working_prec())
+        return _round(self.man, 1, self.exp, _prec or _no_prec())
 
     def __abs__(self) -> "Binary":
-        return _round(abs(self.man), 1, self.exp, _working_prec())
+        return _round(abs(self.man), 1, self.exp, _prec or _no_prec())
 
     def __float__(self) -> float:
         return self.numerator / self.denominator
 
 
+_set_man, _set_exp = Binary.man.__set__, Binary.exp.__set__
 numbers.Rational.register(Binary)
 
 
@@ -541,14 +563,13 @@ class _GammaRow:
     """Every gamma_n(u) at one u, a Binary, and one context.
 
     u is shifted once to U = u + shift.  The row holds, as integers scaled
-    by 2^prec, log(u + k) for k < shift + alloc, the reciprocals 1/(u + m)
-    of the shifted terms from m = first on and the latest power list, and
-    the finished gamma_n(u) of every n summed so far.  first is 1 when
-    u < 1: 1/u then has any size, so the term log^n(u)/u is divided by u
-    as a Binary.  Every n sums all alloc outer terms, the length the
-    convergence bound gives the largest n, at most 20 (digits + guard) + 1;
-    a series whose last outer term is not below the threshold raises
-    ConvergenceError.
+    by 2^prec, log(u + k) for k < shift + alloc, the terms at power 0
+    (start) and at the latest power (terms, see _terms), and the finished
+    gamma_n(u) of every n summed so far.  first is 1 when u < 1: 1/u then
+    has any size, so the term log^n(u)/u is divided by u as a Binary.
+    Every n sums all alloc outer terms, the length the convergence bound
+    gives the largest n, at most 20 (digits + guard) + 1; a series whose
+    last outer term is not below the threshold raises ConvergenceError.
     """
 
     def __init__(self, u: Binary, ctx: PrecisionContext):
@@ -582,17 +603,21 @@ class _GammaRow:
             heads = [_log(v, bits) for v in (u, x)[:first + 1]]
             logs = heads[:first] + _log_chain(heads[first], a, count - first, bits)
         self.logs = [v >> 32 for v in logs]
-        self.recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
-        self.power, self.powers = 0, [1 << self.prec] * len(self.logs)
+        # power 0: 1 = log^0 u when u < 1, then 1/(u + m) to the shift, then the tail's logs
+        recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
+        self.start = [1 << self.prec] * first + recips + self.logs[self.shift:]
+        self.power, self.terms = 0, self.start
 
-    def _powers(self, k: int) -> list:
-        """log^k(u + j) for j < shift + alloc, scaled by 2^prec."""
-        if k < self.power:
-            self.power, self.powers = 0, [1 << self.prec] * len(self.logs)
-        while self.power < k:
-            self.powers = [(p * q) >> self.prec for p, q in zip(self.powers, self.logs)]
+    def _terms(self, n: int) -> list:
+        """The terms at power n, scaled by 2^prec: log^n(u + m)/(u + m) for m < shift
+        (log^n u at m = 0 when u < 1) and log^(n+1)(U + j) for j < alloc; one
+        multiply per term by its log per power, from power 0 again for a lower n."""
+        if n < self.power:
+            self.power, self.terms = 0, self.start
+        while self.power < n:
+            self.terms = [(t * v) >> self.prec for t, v in zip(self.terms, self.logs)]
             self.power += 1
-        return self.powers
+        return self.terms
 
     def gamma(self, n: int) -> Binary:
         """gamma_n(u): the shifted terms plus the double series at U, added
@@ -601,7 +626,7 @@ class _GammaRow:
         if n not in self.values:
             prec = dps_to_prec(self.ctx.dps("gamma", n))
             if self.first:
-                head = _round(self._powers(n)[0], self.u.man, -self.prec - self.u.exp, prec)
+                head = _round(self._terms(n)[0], self.u.man, -self.prec - self.u.exp, prec)
             total = (n + 1) * self._shifted(n) - self._tail(n, prec)
             value = _round(total, n + 1, -self.prec, prec)
             self.values[n] = _add(head, value, prec) if self.first else value
@@ -609,8 +634,7 @@ class _GammaRow:
 
     def _shifted(self, n: int) -> int:
         """sum_{first <= m < shift} log^n(u + m) / (u + m), scaled by 2^prec."""
-        powers = self._powers(n)[self.first:self.shift]
-        return sum(map(operator.mul, powers, self.recips)) >> self.prec
+        return sum(self._terms(n)[self.first:self.shift])
 
     def _tail(self, n: int, prec: int) -> int:
         """-(n + 1) gamma_n(U), the double series over the row's alloc outer
@@ -618,7 +642,7 @@ class _GammaRow:
         A ConvergenceError carries the partial sum rounded to prec bits, the
         working precision gamma_n is rounded to."""
         scale, weights, last = _tail_weights(self.alloc)
-        powers = self._powers(n + 1)[self.shift:]
+        powers = self._terms(n)[self.shift:]
         total = sum(map(operator.mul, weights, powers)) // scale
         # the last outer term, inner / (2^prec (I + 1)), is below 10^-(digits + guard)
         inner = sum(map(operator.mul, last, powers))

@@ -74,10 +74,31 @@ class TestSymbolic:
         assert bell_symbolic(5) == PRINTED[5]
 
     def test_clearing_the_package_memos_clears_the_enumeration(self):
-        bell_symbolic(7)
-        assert bell._partition_terms.cache_info().currsize > 0
+        # and the nonzero exponents substitute reads per monomial
+        substitute(bell_symbolic(7), list(range(7)))
+        memos = (bell._partition_terms, bell._nonzero)
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
         clear_package_memos()
-        assert bell._partition_terms.cache_info().currsize == 0
+        assert all(memo.cache_info().currsize == 0 for memo in memos)
+
+    def test_the_monomial_memo_holds_every_monomial_to_the_cap(self):
+        monomials = sum(len(bell_symbolic(n)) for n in range(bell.MAX_SYMBOLIC_N + 1))
+        assert bell._nonzero.cache_info().maxsize == monomials
+
+    def test_substitute_on_a_callers_dict_is_the_sum_of_its_monomials(self):
+        # substitute multiplies only the nonzero exponents; a dict built by
+        # hand, with zero exponents, keys in any order and Fraction
+        # coefficients, takes every position of every monomial here
+        rng = random.Random(9101)
+        for n in range(1, 9):
+            terms = list(bell_symbolic(n).items())
+            terms += [(tuple(rng.choice((0, 0, 1, 3)) for _ in range(n)),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for _ in range(3)]
+            rng.shuffle(terms)
+            built = dict(terms)
+            v = random_fractions(rng, n)
+            want = sum(c * math.prod(x**e for x, e in zip(v, expo)) for expo, c in built.items())
+            assert substitute(built, v) == want, n
 
     def test_substitute_needs_enough_values(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ chain, precision and stieltjes and loads neither mpmath nor fractions, every
 table, li-check and every verify suite load no mpmath, no table or li-check
 loads fractions, no table or li-check command executes verify, --help
 executes only cli and precision, no command loads dataclasses or inspect,
-and help and the usage errors load no fractions either.
+help and the usage errors load no fractions either, and json is loaded
+only by --format json.
 """
 import ast
 import os
@@ -469,7 +470,8 @@ except SystemExit:
     pass
 executed = sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
                   if name.startswith("zkconst.") and type(module) is types.ModuleType)
-print((executed, sorted({"dataclasses", "fractions", "inspect", "mpmath"} & set(sys.modules))),
+print((executed, sorted({"dataclasses", "fractions", "inspect", "json", "mpmath"}
+                         & set(sys.modules))),
       file=sys.stderr)
 """
 
@@ -498,7 +500,8 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # every command is a fresh process, and these (with the ast, dis and
     # tokenize that inspect pulls in, and the decimal that fractions does)
     # cost it milliseconds before any work; fractions is needed only by
-    # verify, whose exact witnesses are Fractions
+    # verify, whose exact witnesses are Fractions, and json only by
+    # --format json
     for command in (*HELP_AND_USAGE_ERRORS, "table --seq gamma --max-n 3",
                     "li-check --max-n 3"):
         assert after_command(command)[1] == set(), command
@@ -513,15 +516,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     *(f"li-check --max-n 20 --format {fmt}" for fmt in ("text", "json")),
 ])
 def test_tables_above_gamma_and_li_check_load_no_mpmath(command):
-    assert "mpmath" not in after_command(command)[1]
+    loaded = after_command(command)[1]
+    assert "mpmath" not in loaded
+    # json is loaded by --format json alone
+    assert ("json" in loaded) == command.endswith("--format json")
 
 
 @pytest.mark.parametrize("command", [
     *(f"table --seq zeta0 --max-n 10 --format {fmt}" for fmt in ("text", "csv", "json")),
     *(f"verify --suite {suite}" for suite in SUITES),
+    "verify --suite bell --format json",
 ])
 def test_zeta0_and_verify_load_no_mpmath(command):
-    assert "mpmath" not in after_command(command)[1]
+    loaded = after_command(command)[1]
+    assert "mpmath" not in loaded
+    assert ("json" in loaded) == command.endswith("--format json")
 
 
 # every table and li-check runs its Bell recurrence on Binary values, and
@@ -532,17 +541,18 @@ def test_zeta0_and_verify_load_no_mpmath(command):
     "li-check --max-n 20",
 ])
 def test_tables_and_li_check_load_no_fractions(command):
-    assert "fractions" not in after_command(command)[1]
+    assert not {"fractions", "json"} & after_command(command)[1]
 
 
 def test_gamma_table_loads_no_fractions():
     # a gamma table parses --u, sums, rounds and prints on the standard
     # library: at the default u and at one u from each gamma-sweep regime
-    # (tiny, unit, moderate, huge), in every format
+    # (tiny, unit, moderate, huge), in every format; json is loaded by
+    # --format json alone
     for u in ("", " --u 1e-20", " --u 2.5", " --u 57.3", " --u 1e30"):
         for fmt in ("text", "csv", "json"):
             command = f"table --seq gamma --max-n 3{u} --format {fmt}"
-            assert after_command(command)[1] == set(), command
+            assert after_command(command)[1] == ({"json"} if fmt == "json" else set()), command
 
 
 # the modules that compute or check constants, as opposed to parsing

@@ -331,6 +331,20 @@ class TestLogRow:
         for n in range(21):
             row.gamma(n)
 
+    @pytest.mark.parametrize("digits", [10, 30, 60])
+    @pytest.mark.parametrize("u", ["1", "1e-20", "2.5", "57.3"])
+    def test_a_lower_n_restarts_to_the_same_bits(self, u, digits):
+        # the terms are carried as running products, one power at a time, so
+        # an n below the row's power restarts from the reciprocals; each
+        # value keeps the bits of a fresh row asked in order
+        ctx = PrecisionContext(digits=digits)
+        fresh = make_row(u, ctx)
+        want = {n: fresh.gamma(n) for n in range(21)}
+        row = make_row(u, ctx)
+        for n in (5, 1, 20, 0, 13, 3):
+            assert row.gamma(n)._mpf_ == want[n]._mpf_, n
+        assert row.power == 3  # the last ask restarted from 0
+
     def test_a_planted_short_row_raises_and_caches_nothing(self, monkeypatch):
         # a row whose bound were short fails loudly instead of growing
         monkeypatch.setattr(stieltjes_module, "_series_length", lambda *args: 3)

@@ -8,8 +8,10 @@ old, new, old, new, ... so a drift in host speed reaches both sides alike.
 This process pins itself, and so every command it starts, to the lowest CPU
 it may run on.  A run's time is the child's own user + system CPU seconds,
 from its `wait4` rusage; a run that exits non-zero stops the comparison.
-Prints the median per side, in ms, and the change from old to new, in ms
-and in percent of the old median.  Standard library only.
+Prints the median per side, in ms, with its lower and upper quartiles (the
+spread a comparison should be read against), and the change of the medians
+from old to new, in ms and in percent of the old median.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ def cpu_seconds(src: str, args: list) -> float:
     return usage.ru_utime + usage.ru_stime
 
 
+def spread(runs: list) -> tuple:
+    """(median, lower quartile, upper quartile) of runs, in ms."""
+    ms = [run * 1e3 for run in runs]
+    q1, _, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else ms * 3
+    return statistics.median(ms), q1, q3
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -48,10 +57,11 @@ def main(argv=None) -> None:
     for _ in range(opts.runs):
         for src, runs in sides:
             runs.append(cpu_seconds(src, args))
-    old, new = (statistics.median(runs) * 1e3 for _, runs in sides)
     print(f"command: python3 -m zkconst {' '.join(args)}  (runs per side: {opts.runs})")
-    print(f"old  {old:8.1f} ms  median CPU  {opts.old_src}")
-    print(f"new  {new:8.1f} ms  median CPU  {opts.new_src}")
+    for name, (src, runs) in zip(("old", "new"), sides):
+        median, q1, q3 = spread(runs)
+        print(f"{name}  {median:8.1f} ms  median CPU  (quartiles {q1:.1f} .. {q3:.1f})  {src}")
+    old, new = (spread(runs)[0] for _, runs in sides)
     print(f"diff {new - old:+8.1f} ms  ({(new - old) / old:+.1%})")
 
 
