@@ -13,8 +13,9 @@ exactly:
 The recurrence is the fast numeric route; the partition sum is the symbolic
 definition, returned as a plain {exponent tuple: coefficient} dict and
 evaluated by substitute(); its enumeration is memoised per n, and every call
-returns a fresh dict, which the caller may change.  substitute() reads each
-monomial's nonzero exponents from a memo of every monomial to MAX_SYMBOLIC_N.
+returns a fresh dict, which the caller may change.  substitute() walks only
+each monomial's nonzero exponents, as _sparse() lists them; a caller that
+evaluates one polynomial many times builds that form once and passes it.
 The determinant takes integer arguments and is evaluated by fraction-free
 elimination in integers, so the three-route comparison is exact.  Every route
 is weighted-homogeneous, Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x), so an
@@ -80,20 +81,23 @@ def bell_symbolic(n: int) -> dict:
     return dict(_partition_terms(n))
 
 
-@lru_cache(maxsize=2714)  # every monomial of Y_0 .. Y_20: p(0) + p(1) + ... + p(20)
-def _nonzero(expo: tuple) -> tuple:
-    """The (index, exponent) pairs of a monomial's nonzero exponents."""
-    return tuple((j, e) for j, e in enumerate(expo) if e)
+def _sparse(terms: dict) -> tuple:
+    """A bell_symbolic dict's variable count, and each of its monomials as
+    (coefficient, its nonzero (index, exponent) pairs)."""
+    monomials = tuple((c, tuple((j, e) for j, e in enumerate(expo) if e))
+                      for expo, c in terms.items())
+    return len(next(iter(terms), ())), monomials
 
 
-def substitute(terms: dict, values):
-    """Evaluate a bell_symbolic dict at values (exact for int/Fraction inputs)."""
-    nvars = len(next(iter(terms), ()))
+def substitute(terms, values):
+    """Evaluate a bell_symbolic dict, or its _sparse() form, at values
+    (exact for int/Fraction inputs)."""
+    nvars, monomials = _sparse(terms) if isinstance(terms, dict) else terms
     if len(values) < nvars:
         raise ValueError(f"need {nvars} values, got {len(values)}")
     total = 0
-    for expo, coeff in terms.items():
-        for j, e in _nonzero(expo):
+    for coeff, pairs in monomials:
+        for j, e in pairs:
             coeff = coeff * (values[j] if e == 1 else values[j] ** e)
         total = total + coeff
     return total

@@ -78,7 +78,8 @@ def atoms(dps: int) -> Atoms:
 class _CrvzWeights:
     """The CRVZ weights at one dps, shared by every zeta(n) evaluated there:
     the integers d and c_0 .. c_(N-1), the working precision the sum is
-    rounded to, and its fixed-point width in bits.
+    rounded to, its fixed-point width in bits, and the sum's terms at the
+    latest n read.
 
     All of them are exact.  d = ((3+sqrt 8)^N + (3-sqrt 8)^N)/2 is an integer,
     and so is every b_k = (-1)^(k+1) N/(N+k) C(N+k, 2k) 4^k, whence the
@@ -105,6 +106,7 @@ class _CrvzWeights:
             weights.append(c)
             b = 2 * (k + nterms) * (k - nterms) * b // ((2 * k + 1) * (k + 1))
         self.weights = tuple(weights)
+        self.n = math.inf  # no row of terms yet: the first zeta read starts one
 
 
 # one row per dps; zeta_int_mpf reads one dps per context
@@ -117,10 +119,17 @@ def _zeta_int_raw(n: int, dps: int) -> Binary:
 
     acc = sum_k floor(c_k 2^shift / (k+1)^n) is eta(n) d 2^shift in integers;
     zeta(n) = acc 2^(n-1) / (d (2^(n-1) - 1) 2^shift) is rounded once, at
-    the row's working precision.
+    the row's working precision.  The row keeps its terms at the latest n,
+    and a step to n + 1 divides each by its k + 1: exact, as
+    floor(floor(a/b)/c) = floor(a/(bc)).  A lower n starts again from n = 0.
     """
     row = _crvz_weights(dps)
-    acc = sum((c << row.shift) // k**n for k, c in enumerate(row.weights, 1))
+    if n < row.n:
+        row.n, row.terms = 0, [c << row.shift for c in row.weights]
+    for _ in range(row.n, n):
+        row.terms = [t // k for k, t in enumerate(row.terms, 1)]
+    row.n = n
+    acc = sum(row.terms)
     half = 1 << (n - 1)
     return _round(acc * half, row.d * (half - 1), -row.shift, dps_to_prec(row.working_dps))
 

@@ -114,7 +114,7 @@ def _first_mismatch(identity, trials, ctx, method_tags):
 
 def _route_pairs(rng, n):
     """Partition sum against recurrence, then against determinant, per trial."""
-    terms = bell.bell_symbolic(n)
+    terms = bell._sparse(bell.bell_symbolic(n))
     for _ in range(100):
         scale, v = _scale_to_integers(_random_pairs(rng, n))
         a = bell.substitute(terms, v)
@@ -226,6 +226,10 @@ def suite_stieltjes(ctx: PrecisionContext, tol: Binary):
     ok = sum(weights) == scale and sum(last) == 0
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
 
+    # blind to the row's tail and logs: both integer-u rows run at the same U
+    # with the same logs and tail, so this holds by construction (a 2^-40
+    # plant in _GammaRow._tail passes it; the reports below catch it at 30
+    # and 60 digits)
     gamma_at_2 = stieltjes_gamma(0, 2, ctx)
     with workdps(ctx.dps("side")):
         reports.append(

@@ -74,21 +74,16 @@ class TestSymbolic:
         assert bell_symbolic(5) == PRINTED[5]
 
     def test_clearing_the_package_memos_clears_the_enumeration(self):
-        # and the nonzero exponents substitute reads per monomial
-        substitute(bell_symbolic(7), list(range(7)))
-        memos = (bell._partition_terms, bell._nonzero)
-        assert all(memo.cache_info().currsize > 0 for memo in memos)
+        bell_symbolic(7)
+        assert bell._partition_terms.cache_info().currsize > 0
         clear_package_memos()
-        assert all(memo.cache_info().currsize == 0 for memo in memos)
-
-    def test_the_monomial_memo_holds_every_monomial_to_the_cap(self):
-        monomials = sum(len(bell_symbolic(n)) for n in range(bell.MAX_SYMBOLIC_N + 1))
-        assert bell._nonzero.cache_info().maxsize == monomials
+        assert bell._partition_terms.cache_info().currsize == 0
 
     def test_substitute_on_a_callers_dict_is_the_sum_of_its_monomials(self):
         # substitute multiplies only the nonzero exponents; a dict built by
         # hand, with zero exponents, keys in any order and Fraction
-        # coefficients, takes every position of every monomial here
+        # coefficients, takes every position of every monomial here, and so
+        # does its sparse form, built once
         rng = random.Random(9101)
         for n in range(1, 9):
             terms = list(bell_symbolic(n).items())
@@ -98,7 +93,7 @@ class TestSymbolic:
             built = dict(terms)
             v = random_fractions(rng, n)
             want = sum(c * math.prod(x**e for x, e in zip(v, expo)) for expo, c in built.items())
-            assert substitute(built, v) == want, n
+            assert substitute(built, v) == substitute(bell._sparse(built), v) == want, n
 
     def test_substitute_needs_enough_values(self):
         with pytest.raises(ValueError):

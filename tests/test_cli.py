@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -411,6 +412,38 @@ class TestExitCodeWiring:
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout
+
+
+# runs zkconst as `python -m zkconst` runs it, and reports the frozen heap
+# from an atexit hook, which runs after the entry has returned or raised
+_FREEZE_COUNT_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("zkconst", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestExitPath:
+    @pytest.mark.parametrize("command, status", [
+        ("table --seq gamma --max-n 3", 0),
+        ("verify --suite xi --digits 10", 0),
+        ("--help", 0),
+        ("table --seq nope --max-n 1", 2),
+    ])
+    def test_the_module_entry_freezes_the_heap_as_it_exits(self, command, status):
+        out = subprocess.run([sys.executable, "-c", _FREEZE_COUNT_AT_EXIT, *command.split()],
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == status, out.stderr
+        last = out.stderr.splitlines()[-1]
+        assert last.startswith("frozen ") and int(last.split()[1]) > 0, out.stderr
+
+    def test_cli_main_leaves_the_heap_unfrozen(self, capsys):
+        from zkconst import cli
+
+        before = gc.get_freeze_count()
+        assert cli.main(["table", "--seq", "gamma", "--max-n", "3"]) == 0
+        assert gc.get_freeze_count() == before
+        assert len(capsys.readouterr().out.splitlines()) == 4  # n = 0 .. 3
 
 
 # sha256 of stdout for a fixed command set, each pinned from the code before

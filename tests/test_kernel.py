@@ -142,6 +142,22 @@ class TestAtomsAreMpmaths:
                     want = mp.ldexp(acc * half, -row.shift) / (row.d * (half - 1))
                 assert kernel._zeta_int_raw(k, dps)._mpf_ == want._mpf_, f"dps={dps} k={k}"
 
+    def test_a_lower_n_restarts_the_terms_to_the_same_bits(self):
+        # the weight row keeps its terms at the latest n; each read below
+        # misses the zeta memo, so the row serves n in this order, stepping
+        # up and starting again from n = 0, and must give each n's fresh bits
+        order = (9, 2, 21, 3, 3, 14, 2, 40)
+        for dps in (10, 47, 105):
+            fresh = {}
+            for n in order:
+                kernel._zeta_int_raw.cache_clear()
+                kernel._crvz_weights.cache_clear()
+                fresh[n] = kernel._zeta_int_raw(n, dps)
+            for n in order:
+                kernel._zeta_int_raw.cache_clear()
+                assert kernel._zeta_int_raw(n, dps) == fresh[n], f"dps={dps} n={n}"
+            assert kernel._crvz_weights.cache_info().currsize == 1
+
 
 class TestCrvzWeights:
     """The weights are exact integers: checked at every N a row reaches."""

@@ -178,7 +178,7 @@ def test_every_memo_is_found_and_bounded():
     names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
     assert {"stieltjes._gamma_row", "chain._longest", "kernel.atoms",
             "kernel._polygamma_memo", "zeta_derivs._apostol_weights",
-            "bell._partition_terms", "bell._nonzero"} <= set(names)
+            "bell._partition_terms"} <= set(names)
     assert all(maxsize is not None for maxsize in names.values()), names
 
 
