@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .precision import check_index
+
 MAX_SYMBOLIC_N = 20  # partition enumeration cap; p(20) = 627 partitions
 
 
@@ -71,13 +73,7 @@ def bell_symbolic(n: int) -> dict:
 
     The exponent tuple (e_1, ..., e_n) stands for x_1^e_1 ... x_n^e_n.
     """
-    # a bool is refused, since True would pass for 1
-    if type(n) is not int or n < 0:
-        raise ValueError("bell_symbolic needs an integer n >= 0")
-    if n > MAX_SYMBOLIC_N:
-        raise ValueError(
-            f"partition count grows too fast: n <= {MAX_SYMBOLIC_N} supported"
-        )
+    check_index(n, "bell_symbolic's n", 0, MAX_SYMBOLIC_N)
     return dict(_partition_terms(n))
 
 

@@ -76,10 +76,10 @@ def atoms(dps: int) -> Atoms:
 
 
 class _CrvzWeights:
-    """The CRVZ weights at one dps, shared by every zeta(n) evaluated there:
-    the integers d and c_0 .. c_(N-1), the working precision the sum is
-    rounded to, its fixed-point width in bits, and the sum's terms at the
-    latest n read.
+    """The CRVZ row at one dps: the integers d and c_0 .. c_(N-1), the
+    working precision the sum is rounded to, its fixed-point width in bits,
+    the sum's terms at the last n computed, and values, zeta(2), zeta(3), ...
+    in a list that only grows, the one memo of zeta(n) at this dps.
 
     All of them are exact.  d = ((3+sqrt 8)^N + (3-sqrt 8)^N)/2 is an integer,
     and so is every b_k = (-1)^(k+1) N/(N+k) C(N+k, 2k) 4^k, whence the
@@ -106,32 +106,25 @@ class _CrvzWeights:
             weights.append(c)
             b = 2 * (k + nterms) * (k - nterms) * b // ((2 * k + 1) * (k + 1))
         self.weights = tuple(weights)
-        self.n = math.inf  # no row of terms yet: the first zeta read starts one
+        self.terms = [(c << self.shift) // k for k, c in enumerate(weights, 1)]  # at n = 1
+        self.values = []  # zeta(n) at index n - 2
+
+    def zeta(self, n: int) -> Binary:
+        """zeta(n), n >= 2, computing every missing zeta(m), m <= n, in order:
+        acc = sum_k floor(c_k 2^shift / (k+1)^m) is eta(m) d 2^shift in
+        integers, and zeta(m) = acc 2^(m-1) / (d (2^(m-1) - 1) 2^shift) is
+        rounded once, at the row's working precision.  The step to m divides
+        each term of m - 1 by its k + 1: exact, as floor(floor(a/b)/c) = floor(a/(bc))."""
+        while len(self.values) < n - 1:
+            self.terms = [t // k for k, t in enumerate(self.terms, 1)]
+            half = 1 << len(self.values) + 1  # 2^(m-1), m = len(values) + 2
+            self.values.append(_round(sum(self.terms) * half, self.d * (half - 1), -self.shift,
+                                      dps_to_prec(self.working_dps)))
+        return self.values[n - 2]
 
 
 # one row per dps; zeta_int_mpf reads one dps per context
 _crvz_weights = lru_cache(maxsize=16)(_CrvzWeights)
-
-
-@lru_cache(maxsize=4096)
-def _zeta_int_raw(n: int, dps: int) -> Binary:
-    """zeta(n), n >= 2, accurate to dps + the zeta_int row's digits.
-
-    acc = sum_k floor(c_k 2^shift / (k+1)^n) is eta(n) d 2^shift in integers;
-    zeta(n) = acc 2^(n-1) / (d (2^(n-1) - 1) 2^shift) is rounded once, at
-    the row's working precision.  The row keeps its terms at the latest n,
-    and a step to n + 1 divides each by its k + 1: exact, as
-    floor(floor(a/b)/c) = floor(a/(bc)).  A lower n starts again from n = 0.
-    """
-    row = _crvz_weights(dps)
-    if n < row.n:
-        row.n, row.terms = 0, [c << row.shift for c in row.weights]
-    for _ in range(row.n, n):
-        row.terms = [t // k for k, t in enumerate(row.terms, 1)]
-    row.n = n
-    acc = sum(row.terms)
-    half = 1 << (n - 1)
-    return _round(acc * half, row.d * (half - 1), -row.shift, dps_to_prec(row.working_dps))
 
 
 def zeta_int_mpf(n: int, ctx: PrecisionContext) -> Binary:
@@ -139,7 +132,7 @@ def zeta_int_mpf(n: int, ctx: PrecisionContext) -> Binary:
     reader: working_dps plus the zeta_atom row, accurate to the zeta_int row
     beyond that."""
     check_index(n, "the zeta argument n", 2)
-    return _zeta_int_raw(n, ctx.dps("zeta_atom"))
+    return _crvz_weights(ctx.dps("zeta_atom")).zeta(n)
 
 
 def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext) -> Binary:

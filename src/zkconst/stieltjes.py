@@ -38,8 +38,8 @@ one more outer and shifted terms.
 The target does not depend on n, so every gamma_n(u) at one (u, context)
 runs its series at the same U.  One memoised row per (u, context) holds, as
 integers scaled by 2^P, log(u + k) for every k < shift + alloc (the shifted
-terms' logs, then the tail's log(U + j)) and one list of terms at the latest
-power.  The bound is the series' only stopping
+terms' logs, then the tail's log(U + j)) and one list of terms at the power
+of the last value computed.  The bound is the series' only stopping
 rule: the last outer index I = alloc - 1 is the first i at which the bound
 B(U, i) log^21(U + i) of the largest n falls below 10^-(digits + guard):
 alloc is 90 at 30 digits and 126 at 60, but 5 at u = 1e30 and 60 digits,
@@ -66,18 +66,20 @@ integer of the row thus keeps the size of its precision, whatever the
 exponent of u, except 1/u of a u < 1: that one term, log^n(u)/u, is divided
 by u on its own.  The shifted terms log^k(u + m)/(u + m) and the tail's
 log^(k+1)(U + j) are running products from the reciprocals and the logs:
-one integer multiply and shift per term per power, restarted for an n
-below the latest power.  The shifted sum of each n is the sum of its terms,
-and its tail swaps the double series' two sums into one dot product of its
-terms with the exact weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1)
-and D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the
-tail meet in integers and are rounded once.
-The row also keeps every finished gamma_n(u), so it is the one place a
-gamma value is remembered; a series that fails to converge stores nothing.
+one integer multiply and shift per term per power, stepped once per value,
+as the row computes gamma_0(u), gamma_1(u), ... in index order, each once.
+The shifted sum of each n is the sum of its terms, and its tail swaps the
+double series' two sums into one dot product of its terms with the exact
+weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1) and
+D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the tail
+meet in integers and are rounded once.
+The row keeps every finished gamma_n(u) in a list that only grows, the one
+memo of the values it computes (chain.table keeps the tables built from
+them); a series that fails to converge stores nothing and steps no term.
 
 The package runs on the standard library alone, in one number type: u,
 each gamma_n(u) and every value above them is a Binary, rounded (_round,
-_add) as mpf arithmetic would round it, so bit for bit the mpf value.
+_sum) as mpf arithmetic would round it, so bit for bit the mpf value.
 Binary arithmetic rounds the same way at the one precision workdps sets,
 and raises outside it.  A number from outside enters through Binary.of,
 exactly (a table value, a value to print; the one reader of an mpf's
@@ -305,11 +307,6 @@ def _round(p: int, q: int, exp: int, prec: int) -> Binary:
     if low > half or low == half and (rem or quot & 1):
         quot += 1
     return Binary(-quot if p < 0 else quot, exp - shift + drop)
-
-
-def _add(a: Binary, b: Binary, prec: int) -> Binary:
-    """a + b rounded as _round rounds."""
-    return _sum(a.man, a.exp, b.man, b.exp, prec)
 
 
 def _sum(m: int, e: int, n: int, f: int, prec: int) -> Binary:
@@ -563,13 +560,13 @@ class _GammaRow:
     """Every gamma_n(u) at one u, a Binary, and one context.
 
     u is shifted once to U = u + shift.  The row holds, as integers scaled
-    by 2^prec, log(u + k) for k < shift + alloc, the terms at power 0
-    (start) and at the latest power (terms, see _terms), and the finished
-    gamma_n(u) of every n summed so far.  first is 1 when u < 1: 1/u then
-    has any size, so the term log^n(u)/u is divided by u as a Binary.
-    Every n sums all alloc outer terms, the length the convergence bound
-    gives the largest n, at most 20 (digits + guard) + 1; a series whose
-    last outer term is not below the threshold raises ConvergenceError.
+    by 2^prec, log(u + k) for k < shift + alloc and the terms of the last
+    value computed (see gamma), and values, gamma_0(u), gamma_1(u), ..., a
+    list that only grows.  first is 1 when u < 1: 1/u then has any size, so
+    the term log^n(u)/u is divided by u as a Binary.  Every n sums all alloc
+    outer terms, the length the convergence bound gives the largest n, at
+    most 20 (digits + guard) + 1; a series whose last outer term is not
+    below the threshold raises ConvergenceError.
     """
 
     def __init__(self, u: Binary, ctx: PrecisionContext):
@@ -582,8 +579,9 @@ class _GammaRow:
         self.shift = max(target - floor, 0)
         # the log chain starts at u, or at u + 1 when u < 1
         self.first = first = 0 if floor else 1
-        self.values = {}  # n -> gamma_n(u)
-        self.big_u = _add(u, Binary(self.shift), dps_to_prec(ctx.working_dps)) if self.shift else u
+        self.values = []  # gamma_n(u) at index n
+        self.big_u = (_sum(u.man, u.exp, self.shift, 0, dps_to_prec(ctx.working_dps))
+                      if self.shift else u)
         log_u = math.log(self.big_u.man) + self.big_u.exp * math.log(2)
         max_n = FAMILIES["gamma"][1]
         # the outer terms of every series stop below 10^-working_dps
@@ -594,7 +592,7 @@ class _GammaRow:
         # x = u + first, rounded to bits + 16 bits, as a / 2^bits; past
         # 2^(2 bits) no step of the chain moves a log by 2^-bits, so x is
         # clamped there
-        x = _add(u, Binary(1), bits + 16) if first else u
+        x = _sum(u.man, u.exp, 1, 0, bits + 16) if first else u
         clamped = x.exp + x.man.bit_length() > 2 * bits
         a = 1 << 3 * bits if clamped else (x.numerator << bits) // x.denominator
         if u.exp >= 0 and floor <= count:
@@ -605,44 +603,39 @@ class _GammaRow:
         self.logs = [v >> 32 for v in logs]
         # power 0: 1 = log^0 u when u < 1, then 1/(u + m) to the shift, then the tail's logs
         recips = [(1 << (self.prec + bits)) // (a + (m << bits)) for m in range(self.shift - first)]
-        self.start = [1 << self.prec] * first + recips + self.logs[self.shift:]
-        self.power, self.terms = 0, self.start
-
-    def _terms(self, n: int) -> list:
-        """The terms at power n, scaled by 2^prec: log^n(u + m)/(u + m) for m < shift
-        (log^n u at m = 0 when u < 1) and log^(n+1)(U + j) for j < alloc; one
-        multiply per term by its log per power, from power 0 again for a lower n."""
-        if n < self.power:
-            self.power, self.terms = 0, self.start
-        while self.power < n:
-            self.terms = [(t * v) >> self.prec for t, v in zip(self.terms, self.logs)]
-            self.power += 1
-        return self.terms
+        self.terms = [1 << self.prec] * first + recips + self.logs[self.shift:]
 
     def gamma(self, n: int) -> Binary:
-        """gamma_n(u): the shifted terms plus the double series at U, added
-        in integers, plus log^n(u)/u when u < 1, each quotient and the sum
-        rounded to the working precision of n as mpf arithmetic rounds them."""
-        if n not in self.values:
-            prec = dps_to_prec(self.ctx.dps("gamma", n))
+        """gamma_n(u), computing every missing gamma_m(u), m <= n, in order: the
+        shifted terms plus the double series at U, added in integers, plus
+        log^m(u)/u when u < 1, each quotient and the sum rounded to the working
+        precision of m as mpf arithmetic rounds them.  The terms of m, scaled by
+        2^prec, are log^m(u + k)/(u + k) for k < shift (log^m u at k = 0 when
+        u < 1) and log^(m+1)(U + j) for j < alloc, one multiply per term by its
+        log past those of m - 1, and are kept only with gamma_m(u)."""
+        while len(self.values) <= n:
+            m = len(self.values)
+            terms = self.terms
+            if m:  # one power past the terms of gamma_(m-1)
+                terms = [(t * v) >> self.prec for t, v in zip(terms, self.logs)]
+            prec = dps_to_prec(self.ctx.dps("gamma", m))
+            shifted = sum(terms[self.first:self.shift])
+            total = (m + 1) * shifted - self._tail(terms[self.shift:], m, prec)
+            value = _round(total, m + 1, -self.prec, prec)
             if self.first:
-                head = _round(self._terms(n)[0], self.u.man, -self.prec - self.u.exp, prec)
-            total = (n + 1) * self._shifted(n) - self._tail(n, prec)
-            value = _round(total, n + 1, -self.prec, prec)
-            self.values[n] = _add(head, value, prec) if self.first else value
+                head = _round(terms[0], self.u.man, -self.prec - self.u.exp, prec)
+                value = _sum(head.man, head.exp, value.man, value.exp, prec)
+            self.values.append(value)
+            self.terms = terms
         return self.values[n]
 
-    def _shifted(self, n: int) -> int:
-        """sum_{first <= m < shift} log^n(u + m) / (u + m), scaled by 2^prec."""
-        return sum(self._terms(n)[self.first:self.shift])
-
-    def _tail(self, n: int, prec: int) -> int:
-        """-(n + 1) gamma_n(U), the double series over the row's alloc outer
-        terms as one dot product with _tail_weights, scaled by 2^self.prec.
-        A ConvergenceError carries the partial sum rounded to prec bits, the
-        working precision gamma_n is rounded to."""
+    def _tail(self, powers: list, n: int, prec: int) -> int:
+        """-(n + 1) gamma_n(U), scaled by 2^self.prec: the double series over
+        the row's alloc outer terms as one dot product of _tail_weights with
+        powers, the terms log^(n+1)(U + j) of n.  A ConvergenceError carries
+        the partial sum rounded to prec bits, the working precision gamma_n
+        is rounded to."""
         scale, weights, last = _tail_weights(self.alloc)
-        powers = self._terms(n)[self.shift:]
         total = sum(map(operator.mul, weights, powers)) // scale
         # the last outer term, inner / (2^prec (I + 1)), is below 10^-(digits + guard)
         inner = sum(map(operator.mul, last, powers))

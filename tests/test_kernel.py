@@ -64,7 +64,6 @@ class TestZetaInt:
             assert diff < mpf(10) ** (-(30 - 2))
 
     def test_one_weight_row_serves_every_zeta_at_a_context(self):
-        kernel._zeta_int_raw.cache_clear()
         kernel._crvz_weights.cache_clear()
         ctx = PrecisionContext(digits=37)
         for n in range(2, 21):
@@ -140,23 +139,20 @@ class TestAtomsAreMpmaths:
                 half = 1 << (k - 1)
                 with mp.workdps(row.working_dps):
                     want = mp.ldexp(acc * half, -row.shift) / (row.d * (half - 1))
-                assert kernel._zeta_int_raw(k, dps)._mpf_ == want._mpf_, f"dps={dps} k={k}"
+                assert row.zeta(k)._mpf_ == want._mpf_, f"dps={dps} k={k}"
 
     def test_a_lower_n_restarts_the_terms_to_the_same_bits(self):
-        # the weight row keeps its terms at the latest n; each read below
-        # misses the zeta memo, so the row serves n in this order, stepping
-        # up and starting again from n = 0, and must give each n's fresh bits
+        # the row computes each zeta(n) once, in index order, whatever order
+        # they are read in: every value keeps the bits of a fresh row read in
+        # rising n
         order = (9, 2, 21, 3, 3, 14, 2, 40)
         for dps in (10, 47, 105):
-            fresh = {}
+            fresh = kernel._CrvzWeights(dps)
+            want = [fresh.zeta(n) for n in range(2, 41)]
+            row = kernel._CrvzWeights(dps)
             for n in order:
-                kernel._zeta_int_raw.cache_clear()
-                kernel._crvz_weights.cache_clear()
-                fresh[n] = kernel._zeta_int_raw(n, dps)
-            for n in order:
-                kernel._zeta_int_raw.cache_clear()
-                assert kernel._zeta_int_raw(n, dps) == fresh[n], f"dps={dps} n={n}"
-            assert kernel._crvz_weights.cache_info().currsize == 1
+                assert row.zeta(n)._mpf_ == want[n - 2]._mpf_, f"dps={dps} n={n}"
+            assert row.values == want
 
 
 class TestCrvzWeights:

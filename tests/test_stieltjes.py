@@ -237,7 +237,7 @@ class TestMemo:
             with pytest.raises(ConvergenceError):
                 stieltjes_gamma(0, 1, ctx)
         assert row_cache() == (1, 1)  # the second call ran the series again
-        assert stieltjes_module._gamma_row(stieltjes_module.Binary(1), ctx).values == {}
+        assert stieltjes_module._gamma_row(stieltjes_module.Binary(1), ctx).values == []
         # a row of the bound's own length sums the same series to the end
         monkeypatch.undo()
         stieltjes_module._gamma_row.cache_clear()
@@ -279,7 +279,8 @@ class TestLogRow:
         ctx = PrecisionContext(digits=10)
         row = make_row("1", ctx)
         assert row.shift == 46
-        got = row._tail(n, dps_to_prec(ctx.dps("gamma", n)))
+        row.gamma(n)  # the row's terms are now those of gamma_n
+        got = row._tail(row.terms[row.shift:], n, dps_to_prec(ctx.dps("gamma", n)))
         with mp.workdps(200):
             want = double_series(n, 47, row.alloc)
             err = abs(mp.ldexp(got, -row.prec) - want)
@@ -301,10 +302,12 @@ class TestLogRow:
             # last place, so each log is within one unit of it
             for k, (got, want) in enumerate(zip(row.logs, logs)):
                 assert abs(got - mp.ldexp(want, row.prec)) < 1 + mpf(2) ** -10, k
-            # the term m = 0 of a u < 1 is left to mpf
+            # the term m = 0 of a u < 1 is left to mpf; the row keeps the
+            # terms of the last value it computed
             for n in (0, 1, 5, 20):
                 want = mp.fsum(logs[m] ** n / xs[m] for m in range(row.first, row.shift))
-                err = abs(row._shifted(n) - mp.ldexp(want, row.prec))
+                row.gamma(n)
+                err = abs(sum(row.terms[row.first:row.shift]) - mp.ldexp(want, row.prec))
                 # 2^12 units of 2^-prec are 2^-(alloc + 52) units of the
                 # working precision of gamma_20
                 assert err <= 2**12 * max(1, abs(want)), n
@@ -334,16 +337,38 @@ class TestLogRow:
     @pytest.mark.parametrize("digits", [10, 30, 60])
     @pytest.mark.parametrize("u", ["1", "1e-20", "2.5", "57.3"])
     def test_a_lower_n_restarts_to_the_same_bits(self, u, digits):
-        # the terms are carried as running products, one power at a time, so
-        # an n below the row's power restarts from the reciprocals; each
-        # value keeps the bits of a fresh row asked in order
+        # the row computes each value once, in index order, whatever order
+        # they are read in: every value keeps the bits of a fresh row read in
+        # rising n
         ctx = PrecisionContext(digits=digits)
         fresh = make_row(u, ctx)
-        want = {n: fresh.gamma(n) for n in range(21)}
+        want = [fresh.gamma(n) for n in range(21)]
         row = make_row(u, ctx)
         for n in (5, 1, 20, 0, 13, 3):
             assert row.gamma(n)._mpf_ == want[n]._mpf_, n
-        assert row.power == 3  # the last ask restarted from 0
+        assert row.values == want
+
+    @pytest.mark.parametrize("u", ["1", "1e-20", "2.5"])
+    def test_a_failed_value_leaves_the_row_as_it_was(self, u, monkeypatch):
+        # a ConvergenceError at gamma_3 stores no value and keeps the terms
+        # of gamma_2; gamma_5 then has a fresh row's bits, which it would not
+        # if the power of gamma_3 were stepped twice
+        ctx = PrecisionContext(digits=30)
+        want = make_row(u, ctx).gamma(5)
+        row = make_row(u, ctx)
+        tail = row._tail
+
+        def planted(powers, n, prec):
+            if n == 3:
+                raise ConvergenceError("planted", partial=None, index=row.alloc)
+            return tail(powers, n, prec)
+
+        monkeypatch.setattr(row, "_tail", planted)
+        with pytest.raises(ConvergenceError):
+            row.gamma(5)
+        assert len(row.values) == 3
+        monkeypatch.undo()
+        assert row.gamma(5)._mpf_ == want._mpf_
 
     def test_a_planted_short_row_raises_and_caches_nothing(self, monkeypatch):
         # a row whose bound were short fails loudly instead of growing
