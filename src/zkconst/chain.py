@@ -9,13 +9,13 @@ for zeta0, whose table up to 0 is a prefix of the one up to 1).
 Range errors name the CLI flags, since the CLI passes its arguments
 straight through.
 
-Every table is built once per process.  Each step map is prefix-stable: the
-table up to m is, value for value, the first entries of the table up to any
-longer max_n.  So one memo per (family, context, u) keeps the longest table
-built so far and serves a shorter request as its prefix; only a longer one
-builds again, from the memoised table below it.  u is keyed as the gamma row
-reads it (stieltjes._row_u), once, after max_n is checked, so two spellings
-of one value share a table.  A build that raises stores nothing.
+Every table is built once per process.  A gamma table is the prefix of the
+gamma row, the one memo of gamma (stieltjes.stieltjes_table).  Above gamma,
+each step map is prefix-stable: the table up to m is, value for value, the
+first entries of the table up to any longer max_n.  So one memo per (family,
+context) keeps the longest table built so far and serves a shorter request
+as its prefix; only a longer one builds again, from the memoised table below
+it.  A build that raises stores nothing.
 """
 
 from __future__ import annotations
@@ -33,36 +33,34 @@ def table(kind: str, max_n: int, ctx: PrecisionContext, u=None) -> stieltjes.Con
         raise ValueError("--u is only meaningful with --seq gamma")
     check_index(max_n, f"--max-n for {kind}", start, cap)
     if kind == "gamma":
-        u = stieltjes._row_u(1 if u is None else u, ctx)
-    return _longest(kind, ctx, u).prefix(max_n)
+        return stieltjes.stieltjes_table(max_n, ctx, 1 if u is None else u)
+    return _longest(kind, ctx).prefix(max_n)
 
 
 class _Longest:
-    """The longest `kind` table built so far at one (ctx, u)."""
+    """The longest `kind` table built so far at one ctx."""
 
-    def __init__(self, kind: str, ctx: PrecisionContext, u):
-        self.kind, self.ctx, self.u = kind, ctx, u
+    def __init__(self, kind: str, ctx: PrecisionContext):
+        self.kind, self.ctx = kind, ctx
         self.table = None
 
     def prefix(self, max_n: int) -> stieltjes.ConstantTable:
         """The table up to max_n, built only when the longest one falls short."""
         if self.table is None or self.table.max_n < max_n:
-            self.table = _build(self.kind, max_n, self.ctx, self.u)
+            self.table = _build(self.kind, max_n, self.ctx)
         if self.table.max_n == max_n:
             return self.table
         end = max_n - self.table.start + 1
-        return stieltjes.ConstantTable.of(self.kind, self.table.values[:end],
-                                          self.table.methods[:end], self.ctx)
+        return stieltjes.ConstantTable(self.kind, self.table.values[:end],
+                                       self.table.methods[:end], self.ctx)
 
 
-# six families at a handful of contexts, plus one entry per u as gamma reads it
+# the five families above gamma at a handful of contexts
 _longest = lru_cache(maxsize=64)(_Longest)
 
 
-def _build(kind: str, max_n: int, ctx: PrecisionContext, u) -> stieltjes.ConstantTable:
+def _build(kind: str, max_n: int, ctx: PrecisionContext) -> stieltjes.ConstantTable:
     """The `kind` table up to a checked max_n, from the memoised table below it."""
-    if kind == "gamma":
-        return stieltjes.stieltjes_table(max_n, ctx, u=u)
     if kind == "zeta0":
         return zeta_derivs.zeta_derivs_at_zero(table("gamma", max(0, max_n - 1), ctx))
     if kind == "eta":

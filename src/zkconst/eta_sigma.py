@@ -65,7 +65,7 @@ def eta_from_gamma(gammas: ConstantTable) -> ConstantTable:
                     / math.factorial(j - 1)
                 )
             etas.append(+acc)
-    return ConstantTable.of("eta", etas, ETA_TAG, ctx)
+    return ConstantTable("eta", etas, ETA_TAG, ctx)
 
 
 def eta_from_gamma_coffey(gammas: ConstantTable) -> ConstantTable:
@@ -85,7 +85,7 @@ def eta_from_gamma_coffey(gammas: ConstantTable) -> ConstantTable:
                 )
             acc += (-1) ** (n + 1) * math.factorial(n) * inner
             etas.append(+(acc / math.factorial(n)))
-    return ConstantTable.of("eta", etas, ETA_COFFEY_TAG, ctx)
+    return ConstantTable("eta", etas, ETA_COFFEY_TAG, ctx)
 
 
 def gamma_from_eta(etas: ConstantTable) -> ConstantTable:
@@ -96,7 +96,7 @@ def gamma_from_eta(etas: ConstantTable) -> ConstantTable:
         args = [-math.factorial(r) * eta for r, eta in enumerate(etas.values)]
         ys = bell_recurrence_values(args)
         values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(len(args))]
-    return ConstantTable.of("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
+    return ConstantTable("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
 def sigma_table(etas: ConstantTable) -> ConstantTable:
@@ -113,4 +113,4 @@ def sigma_table(etas: ConstantTable) -> ConstantTable:
                 +((-1) ** (n + 1) * etas[n] - (1 - Binary(1, -(n + 1))) * z + 1)
             )
     tags = [SIGMA_CLOSED_TAG] + [SIGMA_TAG] * etas.max_n
-    return ConstantTable.of("sigma", values, tags, ctx)
+    return ConstantTable("sigma", values, tags, ctx)

@@ -84,7 +84,7 @@ def lambda_table(sigmas: ConstantTable) -> ConstantTable:
     with workdps(ctx.dps("step")):
         transform = binomial_alternating_transform([0, *sigmas.values])
         values = [-t for t in transform[1:]]
-    return ConstantTable.of("lambda", values, LAMBDA_TAG, ctx)
+    return ConstantTable("lambda", values, LAMBDA_TAG, ctx)
 
 
 def _linear_term(r: int, gamma, ctx: PrecisionContext):
@@ -210,14 +210,27 @@ def recurrence_residual_3_13(n: int, gammas: ConstantTable, lambdas: ConstantTab
         return +abs(lhs - rhs)
 
 
+def lambda2_bounds(lambdas: ConstantTable, tags_317: tuple) -> list:
+    """The reports of the lambda_2 lower bounds eq-3.17, lambda_2 >=
+    lambda_1 (2 - lambda_1), with method tags tags_317, and eq-3.18,
+    lambda_2 >= lambda_1, each side at the table's side precision."""
+    ctx = require(lambdas, "lambda", "lambda2_bounds", 2)
+    with workdps(ctx.dps("side")):
+        l1, l2 = lambdas[1], lambdas[2]
+        return [
+            inequality_report("eq-3.17", l2, l1 * (2 - l1), ctx, method_tags=tags_317),
+            inequality_report("eq-3.18", l2, l1, ctx, method_tags=(LAMBDA_TAG,)),
+        ]
+
+
 def positivity_report(max_n: int, ctx: PrecisionContext):
     """Sign verdicts for lambda_1..lambda_max_n plus the chained inequalities.
 
     Returns one VerificationReport per lambda index asserting nonnegativity,
-    dedicated reports for lambda_2 > lambda_1 (2 - lambda_1), for
-    lambda_2 > lambda_1, and for lambda_3 > 0.  Failures are reported, not
-    raised.  The range error names the li-check flag, since the CLI passes
-    --max-n straight through.
+    the lambda2_bounds reports for lambda_2 >= lambda_1 (2 - lambda_1) and
+    lambda_2 >= lambda_1, and one for lambda_3 >= 0.  Failures are reported,
+    not raised.  The range error names the li-check flag, since the CLI
+    passes --max-n straight through.
     """
     check_index(max_n, "--max-n for li-check", *FAMILIES["lambda"])
     lambdas = chain.table("lambda", max(max_n, 3), ctx)
@@ -225,27 +238,7 @@ def positivity_report(max_n: int, ctx: PrecisionContext):
         range(1, max_n + 1), ctx,
         ("li-positivity-n", lambda r: lambdas[r], lambda r: 0, (LAMBDA_TAG,)),
     )
-    with workdps(ctx.dps("side")):
-        l1 = lambdas[1]
-        bound_317 = +(l1 * (2 - l1))
-    reports.append(
-        inequality_report(
-            "eq-3.17",
-            lambdas[2],
-            bound_317,
-            ctx,
-            method_tags=(LAMBDA_TAG, "xi2-positivity"),
-        )
-    )
-    reports.append(
-        inequality_report(
-            "eq-3.18",
-            lambdas[2],
-            lambdas[1],
-            ctx,
-            method_tags=(LAMBDA_TAG,),
-        )
-    )
+    reports += lambda2_bounds(lambdas, (LAMBDA_TAG, "xi2-positivity"))
     reports.append(
         inequality_report(
             "li-lambda3-positive",

@@ -74,8 +74,9 @@ weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1) and
 D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the tail
 meet in integers and are rounded once.
 The row keeps every finished gamma_n(u) in a list that only grows, the one
-memo of the values it computes (chain.table keeps the tables built from
-them); a series that fails to converge stores nothing and steps no term.
+memo of the values it computes: a gamma table is the row's prefix, read
+after one stieltjes_gamma call fills the row to its max_n; a series that
+fails to converge stores nothing and steps no term.
 
 The package runs on the standard library alone, in one number type: u,
 each gamma_n(u) and every value above them is a Binary, rounded (_round,
@@ -389,6 +390,8 @@ class ConstantTable(Frozen):
     """An indexed constant family with a method tag per entry, computed
     under the PrecisionContext ctx.
 
+    It is built from a list of values from the family's first index on and
+    `method`, one tag for every entry or a list of per-entry tags.
     values[i] and methods[i] belong to index start + i, where start is the
     family's first index in FAMILIES; every entry names the formula route
     that produced it.  values hold the builder's values as the exact Binary
@@ -401,24 +404,18 @@ class ConstantTable(Frozen):
 
     __slots__ = ("kind", "values", "methods", "ctx")
 
-    def __init__(self, kind: str, values: tuple, methods: tuple, ctx: PrecisionContext):
+    def __init__(self, kind: str, values, method, ctx: PrecisionContext):
         start = family(kind)[0]
         if not values:
             raise ValueError(f"a {kind} table needs at least one value")
         _check_last(kind, start + len(values) - 1)
+        methods = (method,) * len(values) if isinstance(method, str) else tuple(method)
         if len(values) != len(methods):
             raise ValueError("a table needs one method tag per value")
         if not all(methods):
             raise ValueError("every table entry needs a method tag")
         values = tuple(map(Binary.of, values))
         self._set(kind=kind, values=values, methods=methods, ctx=ctx)
-
-    @classmethod
-    def of(cls, kind: str, values, method, ctx: PrecisionContext) -> "ConstantTable":
-        """A `kind` table of a list of values from the family's first index
-        on; `method` is one tag for every entry or a list of per-entry tags."""
-        tags = [method] * len(values) if isinstance(method, str) else method
-        return cls(kind, tuple(values), tuple(tags), ctx)
 
     @property
     def start(self) -> int:
@@ -693,8 +690,9 @@ def stieltjes_gamma(n: int, u, ctx: PrecisionContext) -> Binary:
 
 def stieltjes_table(max_n: int, ctx: PrecisionContext, u=1) -> ConstantTable:
     """gamma_0(u) .. gamma_max_n(u) as a table of Binary values (u defaults
-    to 1)."""
+    to 1): one stieltjes_gamma call fills the row to max_n in index order,
+    and the table is the row's first max_n + 1 values."""
     check_index(max_n, "max_n", *FAMILIES["gamma"])
     u = _row_u(u, ctx)
-    values = [stieltjes_gamma(n, u, ctx) for n in range(max_n + 1)]
-    return ConstantTable.of("gamma", values, GAMMA_TAG, ctx)
+    stieltjes_gamma(max_n, u, ctx)
+    return ConstantTable("gamma", _gamma_row(u, ctx).values[:max_n + 1], GAMMA_TAG, ctx)

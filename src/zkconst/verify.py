@@ -462,18 +462,7 @@ def suite_xi(ctx: PrecisionContext, tol: Binary):
                 method_tags=(xi.XI_BELL_TAG, li_keiper.LAMBDA_TAG),
             )
         )
-        reports.append(
-            inequality_report(
-                "eq-3.17", l2, l1 * (2 - l1), ctx,
-                method_tags=(li_keiper.LAMBDA_TAG,),
-            )
-        )
-        reports.append(
-            inequality_report(
-                "eq-3.18", l2, l1, ctx,
-                method_tags=(li_keiper.LAMBDA_TAG,),
-            )
-        )
+        reports += li_keiper.lambda2_bounds(lambdas, (li_keiper.LAMBDA_TAG,))
         reports.append(
             inequality_report(
                 "eq-3.20", sigmas[1] ** 2, sigmas[2], ctx,

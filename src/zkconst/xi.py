@@ -45,7 +45,7 @@ def xi_table(sigmas: ConstantTable) -> ConstantTable:
             for j in range(1, sigmas.max_n + 1)
         ]
         values = [+(y / 2) for y in bell_recurrence_values(args)[1:]]
-    return ConstantTable.of("xi1", values, XI_BELL_TAG, ctx)
+    return ConstantTable("xi1", values, XI_BELL_TAG, ctx)
 
 
 def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
@@ -67,5 +67,5 @@ def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
                     * xs[k]
                 )
             xs.append(+acc)
-    return ConstantTable.of("xi1", xs[1:], XI_RECURRENCE_TAG, ctx)
+    return ConstantTable("xi1", xs[1:], XI_RECURRENCE_TAG, ctx)
 

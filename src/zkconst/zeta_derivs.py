@@ -132,7 +132,7 @@ def zeta_derivs_at_zero(gammas: ConstantTable) -> ConstantTable:
             # the pivot C(n, n) a_0 = 2 multiplies the unknown zeta^(n)(0)
             known = sum(math.comb(n, l) * a[n - l] * values[l] for l in range(n))
             values.append(+((n * gammas[n - 1] - known) / 2))
-    return ConstantTable.of("zeta0", values, APOSTOL_TAG, ctx)
+    return ConstantTable("zeta0", values, APOSTOL_TAG, ctx)
 
 
 def zeta_derivs_log_chain(etas: ConstantTable) -> ConstantTable:
@@ -148,7 +148,7 @@ def zeta_derivs_log_chain(etas: ConstantTable) -> ConstantTable:
         ys = bell_recurrence_values(lder)
         for n in range(1, max_n + 1):
             values.append(+(n * values[n - 1] - ys[n] / 2))
-    return ConstantTable.of("zeta0", values, LOG_CHAIN_TAG, ctx)
+    return ConstantTable("zeta0", values, LOG_CHAIN_TAG, ctx)
 
 
 def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable) -> Binary:

@@ -320,7 +320,7 @@ def test_powers_are_mpf_powers_at_the_zeta0_and_side_precisions():
 # no real number, with ValueError, never a verdict, a row or a string; a
 # report's refusal begins with the report's name
 ENTRIES = {
-    "table-value": lambda x, ctx: ConstantTable.of("gamma", [x], "hasse-2.8", ctx),
+    "table-value": lambda x, ctx: ConstantTable("gamma", [x], "hasse-2.8", ctx),
     "equality-lhs": lambda x, ctx: equality_report("x", x, 0, default_tol(ctx), ctx),
     "equality-rhs": lambda x, ctx: equality_report("x", 0, x, default_tol(ctx), ctx),
     "inequality-lhs": lambda x, ctx: inequality_report("x", x, 0, ctx),

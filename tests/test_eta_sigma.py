@@ -125,7 +125,7 @@ class TestSigma:
     def test_eta_0_to_m_gives_sigma_1_to_m_plus_1(self, ctx30, chain30):
         etas = chain30["etas"]
         assert sigma_table(etas).max_n == etas.max_n + 1
-        only_eta0 = ConstantTable.of("eta", etas.values[:1], "t", ctx30)
+        only_eta0 = ConstantTable("eta", etas.values[:1], "t", ctx30)
         sigmas = sigma_table(only_eta0)
         assert (sigmas.start, sigmas.values, sigmas.methods) == (
             1, (chain30["sigmas"][1],), ("closed-2.13",))

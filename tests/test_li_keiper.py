@@ -172,7 +172,7 @@ class TestMasterRecurrence:
         with mp.workdps(60):
             values = list(lam.values)
             values[1] = exact(lam[2]) + mpf("1e-3")
-            bumped = ConstantTable.of("lambda", values, "perturbed", ctx30)
+            bumped = ConstantTable("lambda", values, "perturbed", ctx30)
         res = recurrence_residual_3_13(0, chain30["gammas"], bumped)
         with mp.workdps(60):
             assert abs(res - mpf("1e-3")) < mpf("1e-9")
@@ -262,6 +262,23 @@ class TestPositivityReport:
         assert all(r.passed for r in reports)
         assert all(r.method_tags for r in reports)
 
+    @pytest.mark.parametrize("digits", [10, 60])
+    def test_li_check_and_verify_share_the_lambda2_bounds(self, digits):
+        # one function writes eq-3.17 and eq-3.18 for both; only li-check
+        # tags eq-3.17 with xi2-positivity
+        ctx = PrecisionContext(digits)
+
+        def bounds(reports):
+            return {r.identity: r for r in reports if r.identity in ("eq-3.17", "eq-3.18")}
+
+        li_check, verify = bounds(positivity_report(1, ctx)), bounds(run_suite("xi", ctx))
+        assert set(li_check) == set(verify) == {"eq-3.17", "eq-3.18"}
+        for name, r in li_check.items():
+            assert (r.lhs, r.rhs, r.abs_err) == (verify[name].lhs, verify[name].rhs,
+                                                 verify[name].abs_err)
+        assert li_check["eq-3.17"].method_tags == ("sigma-3.29", "xi2-positivity")
+        assert verify["eq-3.17"].method_tags == li_check["eq-3.18"].method_tags == ("sigma-3.29",)
+
     def test_small_max_n_still_reports_lambda3(self, ctx30):
         reports = positivity_report(1, ctx30)
         names = [r.identity for r in reports]
@@ -299,7 +316,7 @@ class TestTransformProperties:
         ctx = PrecisionContext(digits=digits)
         with mp.workprec(256):
             sigmas = [mp.ldexp(mp.mpf(man), exp) for man, exp in pairs]
-        drawn = ConstantTable.of("sigma", sigmas, "drawn", ctx)
+        drawn = ConstantTable("sigma", sigmas, "drawn", ctx)
         got = lambda_table(drawn).values
         rationals = [_exact(s) for s in sigmas]
         want = lambda_from_sigma_differences(rationals)

@@ -91,12 +91,15 @@ def test_trace_cli_runs():
 # per convolution trial (x and y, 6 x 20) and once per xi, gamma-from-eta
 # and log-chain table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell
 # values); require once per step map and per-index route call.
-# Every table is built once per process (chain.table keeps the longest one per
-# family and context and serves shorter requests as its prefix), and
-# psi^(n)(3/2), log 2, log pi, log(2 pi) and the Apostol weights are memoised,
-# so the rows marked "memo" count only first builds: the eta suite's gamma
-# and eta tables to 12 and the lambda suite's sigma and lambda tables to 12
-# serve every other request for them.  Gamma^(m)(1) is not memoised: the
+# Every table is built once per process (above gamma, chain.table keeps the
+# longest one per family and context and serves shorter requests as its
+# prefix; a gamma table is a prefix of the gamma row, the one memo of gamma),
+# and psi^(n)(3/2), log 2, log pi, log(2 pi) and the Apostol weights are
+# memoised, so the rows marked "memo" count only first builds: the eta
+# suite's eta table to 12 and the lambda suite's sigma and lambda tables to
+# 12 serve every other request for them, and each of the five gamma requests
+# (three suites', eta's and zeta0's) is one stieltjes_table call, which makes
+# one stieltjes_gamma call to fill the row to its max_n.  Gamma^(m)(1) is not memoised: the
 # Apostol weights read m = 0..10 once, and the three gamma-deriv-at-one-m*
 # reports recompute m = 1..3, each with one gamma_0 read, one Bell value and
 # m - 1 zeta reads: 3 stieltjes_gamma, bell_recurrence_value and
@@ -121,6 +124,7 @@ VERIFY_ALL_10_COUNTS = {
     "li_keiper.binomial_alternating_transform": (73, 441),  # memo
     "li_keiper.g_derivs_at_one": (11, 0),
     "li_keiper.g_derivs_at_one_via_eta": (11, 0),
+    "li_keiper.lambda2_bounds": (1, 2),  # the xi suite's eq-3.17 and eq-3.18
     "li_keiper.lambda_closed": (1, 0),
     "li_keiper.lambda_table": (1, 0),  # memo: was 2, the xi suite's is a prefix
     "li_keiper.lambda_via_coffey": (11, 0),
@@ -134,19 +138,18 @@ VERIFY_ALL_10_COUNTS = {
     "reports.inequality_report": (29, 0),
     "reports.inequality_reports": (2, 24),
     "reports.roundtrip_decimal": (446, 0),  # both sides of each of the 223 reports
-    "stieltjes.require": (100, 0),  # memo: one per step map
+    "stieltjes.require": (101, 0),  # memo: one per step map, and lambda2_bounds
     # 3 per report (sides, tolerance), and one per u that is not a str:
-    # each stieltjes_gamma call, stieltjes_table's own read and the five
-    # gamma requests chain.table keys (three suites', eta's and zeta0's)
-    "stieltjes.rounded": (716, 0),
-    "stieltjes.stieltjes_gamma": (41, 0),  # memo
-    "stieltjes.stieltjes_table": (1, 0),  # memo: was 11, one per gamma request
+    # each stieltjes_gamma call and each stieltjes_table's own read
+    "stieltjes.rounded": (707, 0),
+    "stieltjes.stieltjes_gamma": (33, 0),  # memo
+    "stieltjes.stieltjes_table": (5, 0),  # one per gamma request
     # one per report verdict (223), default_tol (1), step map, route and
     # first psi^(n)(3/2) (12); sigma_table takes two precisions.  zeta_derivs
     # takes 41: 13 Gamma^(m)(1) at m >= 1, 9 L derivatives, the Apostol
     # weights, both zeta0 tables and 16 forward evaluations; verify 6: one
-    # per side block; and one per u that rounded reads (47)
-    "stieltjes.workdps": (394, 0),
+    # per side block; lambda2_bounds 1; and one per u that rounded reads (38)
+    "stieltjes.workdps": (386, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),

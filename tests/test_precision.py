@@ -61,7 +61,7 @@ class TestBigReal:
     def test_finite_required(self, ctx30):
         for bad in (mp.inf, mp.nan):
             with pytest.raises(ValueError, match="finite"):
-                ConstantTable.of("gamma", [bad], "hasse-2.8", ctx30)
+                ConstantTable("gamma", [bad], "hasse-2.8", ctx30)
             with pytest.raises(ValueError, match="finite"):
                 equality_report("x", bad, mpf(0), default_tol(ctx30), ctx30)
 
@@ -132,20 +132,34 @@ class TestTableMemo:
         monkeypatch.setattr(stieltjes, "_series_length", lambda *args: 3)
         with pytest.raises(ConvergenceError):
             table("lambda", 5, ctx)
-        assert chain._longest.cache_info().currsize == 4  # one holder per family built
-        one = stieltjes._row_u(1, ctx)  # the u gamma's holder is keyed on
-        assert all(chain._longest(kind, ctx, one if kind == "gamma" else None).table is None
-                   for kind in ("gamma", "eta", "sigma", "lambda"))
-        assert chain._longest.cache_info().currsize == 4
+        # one holder per family built above gamma, whose one memo is its row
+        assert chain._longest.cache_info().currsize == 3
+        assert all(chain._longest(kind, ctx).table is None for kind in ("eta", "sigma", "lambda"))
+        assert chain._longest.cache_info().currsize == 3
+        assert stieltjes._gamma_row(stieltjes._row_u(1, ctx), ctx).values == []
 
     def test_one_entry_per_u_as_the_gamma_row_reads_it(self, clear_memos):
-        # four spellings of one u at the row's precision share one table
-        # and one gamma row
+        # four spellings of one u at the row's precision share one gamma
+        # row, and chain keeps no gamma table of its own
         ctx = PrecisionContext(20)
         tables = [table("gamma", 20, ctx, u=raw) for raw in ("0.1", "0.10", " 0.1", "1/10")]
-        assert chain._longest.cache_info().currsize == 1
+        assert chain._longest.cache_info().currsize == 0
         assert stieltjes._gamma_row.cache_info().currsize == 1
         assert all(t.values == tables[0].values for t in tables)
+
+    def test_a_gamma_table_reads_u_twice_and_computes_each_gamma_once(self, clear_memos,
+                                                                      monkeypatch):
+        # stieltjes_table reads u once and hands it to one stieltjes_gamma
+        # call, which fills the row in index order, one series per gamma_n
+        ctx = PrecisionContext(20)
+        reads, series = [], []
+        row_u, tail = stieltjes._row_u, stieltjes._GammaRow._tail
+        monkeypatch.setattr(stieltjes, "_row_u", lambda u, c: reads.append(u) or row_u(u, c))
+        monkeypatch.setattr(stieltjes._GammaRow, "_tail",
+                            lambda row, powers, n, prec: series.append(n) or tail(row, powers, n, prec))
+        table("gamma", 20, ctx, u="0.1")
+        assert len(reads) <= 2
+        assert series == list(range(21))
 
 
 def test_roundtrip_decimal_reparses_to_run_precision():
@@ -217,18 +231,18 @@ class TestConstantTable:
     def test_natural_starts(self, ctx30):
         starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
         for kind, start in starts.items():
-            table = ConstantTable.of(kind, [mpf(1), mpf(2)], "hasse-2.8", ctx30)
+            table = ConstantTable(kind, [mpf(1), mpf(2)], "hasse-2.8", ctx30)
             assert table.start == start
             assert table.max_n == start + 1
 
     def test_method_tag_required(self, ctx30):
         with pytest.raises(ValueError):
-            ConstantTable.of("gamma", [mpf(1)], "", ctx30)
+            ConstantTable("gamma", [mpf(1)], "", ctx30)
 
     def test_empty_table_rejected(self, ctx30):
         # no step map can return one: each maps a table of at least one entry
         with pytest.raises(ValueError, match="at least one value"):
-            ConstantTable.of("eta", [], "recurrence-4.4", ctx30)
+            ConstantTable("eta", [], "recurrence-4.4", ctx30)
 
     def test_no_table_reaches_past_its_cap(self, ctx30):
         # sigma_1 .. sigma_21 from eta_0 .. eta_20 would lie past every
@@ -236,7 +250,7 @@ class TestConstantTable:
         with pytest.raises(ValueError, match=r"last index of a sigma table must lie in \[1, 20\]"):
             sigma_table(table("eta", 20, ctx30))
         with pytest.raises(ValueError, match=r"last index of a gamma table must lie in \[0, 20\]"):
-            ConstantTable.of("gamma", [mpf(1)] * 22, "t", ctx30)
+            ConstantTable("gamma", [mpf(1)] * 22, "t", ctx30)
 
     def test_a_map_refuses_what_is_not_a_table(self):
         with pytest.raises(ValueError, match="^eta_from_gamma needs a gamma table$"):
@@ -246,42 +260,42 @@ class TestConstantTable:
 
     def test_unknown_kind(self, ctx30):
         with pytest.raises(ValueError):
-            ConstantTable.of("mystery", [], "hasse-2.8", ctx30)
+            ConstantTable("mystery", [], "hasse-2.8", ctx30)
 
     @pytest.mark.parametrize("values", [[1, 2], [0.5], ["0.1"]], ids=["int", "float", "str"])
     def test_values_must_be_binary_or_mpf(self, ctx30, values):
         # a value with no _mpf_ is a bad input, not an internal error
         with pytest.raises(ValueError, match="must be a Binary or an mpf, not "):
-            ConstantTable.of("sigma", values, "closed-2.13", ctx30)
+            ConstantTable("sigma", values, "closed-2.13", ctx30)
 
     def test_values_must_be_finite(self, ctx30):
         # the only check between a computed value and the printed table
         for bad in (mp.inf, -mp.inf, mp.nan):
             with pytest.raises(ValueError, match="finite"):
-                ConstantTable.of("gamma", [mpf(1), bad], "hasse-2.8", ctx30)
+                ConstantTable("gamma", [mpf(1), bad], "hasse-2.8", ctx30)
 
     def test_of_starts_at_family_index(self, ctx30):
         starts = {"gamma": 0, "eta": 0, "sigma": 1, "lambda": 1, "xi1": 1, "zeta0": 0}
         for kind, start in starts.items():
-            table = ConstantTable.of(kind, [mpf(1), mpf(2)], "t", ctx30)
+            table = ConstantTable(kind, [mpf(1), mpf(2)], "t", ctx30)
             assert [n for n, _, _ in table.rows()] == [start, start + 1]
             assert table.ctx.digits == 30
 
     def test_of_one_tag_for_every_entry(self, ctx30):
-        table = ConstantTable.of("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)
+        table = ConstantTable("eta", [mpf(1)] * 3, "recurrence-4.4", ctx30)
         assert [method for _, _, method in table.rows()] == ["recurrence-4.4"] * 3
 
     def test_of_keeps_per_entry_tags(self, ctx30):
         tags = ["closed-2.13", "eta-zeta-s4", "eta-zeta-s4"]
-        table = ConstantTable.of("sigma", [mpf(1)] * 3, tags, ctx30)
+        table = ConstantTable("sigma", [mpf(1)] * 3, tags, ctx30)
         assert [method for _, _, method in table.rows()] == tags
 
     def test_of_rejects_tag_count_mismatch(self, ctx30):
         with pytest.raises(ValueError):
-            ConstantTable.of("sigma", [mpf(1)] * 3, ["closed-2.13", "eta-zeta-s4"], ctx30)
+            ConstantTable("sigma", [mpf(1)] * 3, ["closed-2.13", "eta-zeta-s4"], ctx30)
 
     def test_value_range(self, ctx30):
-        table = ConstantTable.of("gamma", [mpf(1), mpf(2)], "hasse-2.8", ctx30)
+        table = ConstantTable("gamma", [mpf(1), mpf(2)], "hasse-2.8", ctx30)
         assert float(exact(table[1])) == 2.0
         with pytest.raises(ValueError):
             table[2]

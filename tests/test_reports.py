@@ -212,7 +212,7 @@ def test_a_fault_in_the_last_table_entries_fails_verify(kind, n, monkeypatch):
         built = good(sigmas)
         values = list(built.values)
         values[n - 1] = exact(values[n - 1]) + 100 * exact(default_tol(built.ctx))
-        return ConstantTable.of(kind, values, built.methods, built.ctx)
+        return ConstantTable(kind, values, built.methods, built.ctx)
 
     monkeypatch.setattr(module, build, planted)
     assert not all_passed(run_suite(suite, PrecisionContext(10)))

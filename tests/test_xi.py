@@ -113,8 +113,8 @@ def test_user_mpf_sigmas_map_as_their_binaries_do(ctx30):
     # for bit, and the lambda table is its formula taken in mpf arithmetic
     with mp.workdps(ctx30.working_dps):
         typed = [mpf("0.0230957") / k for k in range(1, 13)]
-    mine = ConstantTable.of("sigma", typed, "typed", ctx30)
-    exact = ConstantTable.of("sigma", [Binary.of(v) for v in typed], "typed", ctx30)
+    mine = ConstantTable("sigma", typed, "typed", ctx30)
+    exact = ConstantTable("sigma", [Binary.of(v) for v in typed], "typed", ctx30)
     for step in (lambda_table, xi_table):
         assert [v._mpf_ for v in step(mine).values] == [
             v._mpf_ for v in step(exact).values], step.__name__

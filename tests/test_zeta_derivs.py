@@ -195,8 +195,8 @@ class TestForwardMap:
         # that index on a table to the cap; the weights stop at the cap
         cap = FAMILIES["zeta0"][1]
         with pytest.raises(ValueError, match=r"last index of a zeta0 table must lie in \[0, 10\]"):
-            ConstantTable.of("zeta0", [mpf(-1) / 2] * (cap + 2), "hand-built", ctx30)
-        to_cap = ConstantTable.of("zeta0", [mpf(-1) / 2] * (cap + 1), "hand-built", ctx30)
+            ConstantTable("zeta0", [mpf(-1) / 2] * (cap + 2), "hand-built", ctx30)
+        to_cap = ConstantTable("zeta0", [mpf(-1) / 2] * (cap + 1), "hand-built", ctx30)
         with pytest.raises(ValueError, match=r"forward index n must lie in \[1, 10\]"):
             gamma_from_zeta_derivs(cap + 1, to_cap)
 

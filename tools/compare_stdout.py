@@ -12,7 +12,9 @@ short say, may show at one precision only, and li-check and verify print
 their sides to working_dps + 5 digits, where a last-bit change shows),
 zeta0 at every max_n below its cap at 10, 30 and 60 digits (each a fresh build of a shorter table, whose rows are the first
 rows of the table at the cap), gamma to 20 at seven values of u at 30, 45
-and 60 digits, and the help and usage errors (`--help`, each subcommand's
+and 60 digits, gamma and `li-check` at every max_n below their caps at 10,
+30 and 60 digits (a gamma table is a prefix of its row, and li-check's
+eq-3.17 and eq-3.18 come from one function), and the help and usage errors (`--help`, each subcommand's
 `--help`, an unknown suite and family, `--digits 61`, an unparsable,
 infinite, negative, `1/0`, `0/0`, `1/2/3` and `1e5/3` `--u`, `--u` on eta,
 and gamma and `li-check` past their caps), and the `--u` edge cases
@@ -103,6 +105,11 @@ def command_set() -> list:
     ]
     commands += [
         f"table --seq gamma --max-n 20 --u {u} --digits {d}" for u in GAMMA_US for d in (30, 45, 60)
+    ]
+    commands += [
+        f"{cmd} --max-n {n} --digits {d}"
+        for cmd, start, cap in (("table --seq gamma", 0, caps["gamma"]), ("li-check", 1, caps["lambda"]))
+        for n in range(start, cap) for d in (10, 30, 60)
     ]
     commands += ["--help", "table --help", "verify --help", "li-check --help",
                  "verify --suite nope", "table --seq nope --max-n 1",
