@@ -64,7 +64,7 @@ def eta_from_gamma(gammas: ConstantTable) -> ConstantTable:
                     * etas[n - j]
                     / math.factorial(j - 1)
                 )
-            etas.append(+acc)
+            etas.append(acc)
     return ConstantTable("eta", etas, ETA_TAG, ctx)
 
 
@@ -84,7 +84,7 @@ def eta_from_gamma_coffey(gammas: ConstantTable) -> ConstantTable:
                     / math.factorial(n - k - 1)
                 )
             acc += (-1) ** (n + 1) * math.factorial(n) * inner
-            etas.append(+(acc / math.factorial(n)))
+            etas.append(acc / math.factorial(n))
     return ConstantTable("eta", etas, ETA_COFFEY_TAG, ctx)
 
 
@@ -95,7 +95,7 @@ def gamma_from_eta(etas: ConstantTable) -> ConstantTable:
     with workdps(ctx.dps("eta")):
         args = [-math.factorial(r) * eta for r, eta in enumerate(etas.values)]
         ys = bell_recurrence_values(args)
-        values = [+((-1) ** n * ys[n + 1] / (n + 1)) for n in range(len(args))]
+        values = [(-1) ** n * ys[n + 1] / (n + 1) for n in range(len(args))]
     return ConstantTable("gamma", values, GAMMA_FROM_ETA_TAG, ctx)
 
 
@@ -105,12 +105,10 @@ def sigma_table(etas: ConstantTable) -> ConstantTable:
     ctx = require(etas, "eta", "sigma_table")
     with workdps(ctx.working_dps):
         gamma, logs = -etas[0], atoms(ctx.working_dps)
-        values = [+(-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2)]
+        values = [-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2]
     with workdps(ctx.dps("sigma")):
         for n in range(1, etas.max_n + 1):
             z = zeta_int_mpf(n + 1, ctx)
-            values.append(
-                +((-1) ** (n + 1) * etas[n] - (1 - Binary(1, -(n + 1))) * z + 1)
-            )
+            values.append((-1) ** (n + 1) * etas[n] - (1 - Binary(1, -(n + 1))) * z + 1)
     tags = [SIGMA_CLOSED_TAG] + [SIGMA_TAG] * etas.max_n
     return ConstantTable("sigma", values, tags, ctx)

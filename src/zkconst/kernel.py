@@ -143,22 +143,17 @@ def polygamma_three_halves_mpf(n: int, ctx: PrecisionContext) -> Binary:
     n >= 1:  psi^(n)(3/2) = (-1)^(n+1) n! ([2^(n+1) - 1] zeta(n+1) - 2^(n+1)).
 
     The n >= 1 bracket cancels to roughly (2/3)^(n+1), so it is evaluated
-    at the budget's psi_three_halves row in the stable grouping below.
+    at the budget's psi_three_halves row in the stable grouping below.  No
+    memo keeps it: every map that reads psi^(n)(3/2) reads each n once.
     """
     check_index(n, "the polygamma order n", 0)
-    return _polygamma_memo(n, ctx)
-
-
-@lru_cache(maxsize=256)
-def _polygamma_memo(n: int, ctx: PrecisionContext) -> Binary:
-    """psi^(n)(3/2) for a checked n, at its own fixed precision."""
     if n == 0:
         gamma = stieltjes_gamma(0, Binary(1), ctx)
         with workdps(ctx.working_dps):
-            return +(2 - gamma - 2 * atoms(ctx.working_dps).log2)
+            return 2 - gamma - 2 * atoms(ctx.working_dps).log2
     with workdps(ctx.dps("psi_three_halves", n)):
         z = zeta_int_mpf(n + 1, ctx)
         # (2^(n+1) - 1) z - 2^(n+1) = 2^(n+1) (z - 1) - z
         bracket = 2 ** (n + 1) * (z - 1) - z
         sign = 1 if n % 2 == 1 else -1
-        return +(sign * math.factorial(n) * bracket)
+        return sign * math.factorial(n) * bracket

@@ -14,10 +14,14 @@ computes each lambda_r, r >= 2, by up to four routes and insists they agree:
 
 lambda_1 has one expression only, -log(pi)/2 + gamma/2 + 1 - log 2: its
 closed form (lambda_closed(1), closed-2.13), sigma_1, the eta-psi-3.33
-linear term and g(1) all reduce to it, so no two routes check it.
-The sigma route is canonical (simplest error surface); the others are
-verification-only.  Every route computes under its table's context, and
-the recurrence-3.13 residual refuses two tables at two contexts.
+linear term, entry 1 of coffey-3.34 and g(1) all reduce to it, so no two
+routes check it.  The sigma route is canonical (simplest error surface);
+the others are verification-only.  Every function that reads a table maps
+all of it, under its context, and takes no index: eta_0..eta_m gives
+lambda_1..lambda_(m+1) by either eta route (an m + 1 past the lambda cap is
+refused before any entry is computed), g^(r)(1) for every r the table
+reaches, and the recurrence-3.13 residual at every n both its tables reach;
+it refuses two tables at two contexts.
 lambda_0 = sigma_0 = 0 by convention throughout, so every alternating
 binomial sum over sigma or lambda (sigma-3.29, binomial-3.26, the
 recurrence-3.13 residual) is an entry of binomial_alternating_transform;
@@ -34,7 +38,7 @@ from . import chain
 from .kernel import atoms, polygamma_three_halves_mpf, zeta_int_mpf
 from .precision import FAMILIES, PrecisionContext, check_index
 from .reports import inequality_report, inequality_reports
-from .stieltjes import Binary, ConstantTable, require, stieltjes_gamma, workdps
+from .stieltjes import Binary, ConstantTable, _check_last, require, stieltjes_gamma, workdps
 
 LAMBDA_TAG = "sigma-3.29"
 LAMBDA_CLOSED_TAG = "closed-3.6"
@@ -63,10 +67,10 @@ def lambda_closed(n: int, ctx: PrecisionContext) -> Binary:
         gamma = stieltjes_gamma(0, Binary(1), ctx)
         logs = atoms(ctx.working_dps)
         if n == 1:
-            return +(-logs.log_pi / 2 + gamma / 2 + 1 - logs.log2)
+            return -logs.log_pi / 2 + gamma / 2 + 1 - logs.log2
         gamma1 = stieltjes_gamma(1, Binary(1), ctx)
         z2 = zeta_int_mpf(2, ctx)
-        return +(
+        return (
             Binary(3, -2) * z2
             + 1
             + gamma
@@ -87,85 +91,88 @@ def lambda_table(sigmas: ConstantTable) -> ConstantTable:
     return ConstantTable("lambda", values, LAMBDA_TAG, ctx)
 
 
-def _linear_term(r: int, gamma, ctx: PrecisionContext):
-    """r/2 (gamma - 2 log 2 + 2 - log pi) = r * lambda_1."""
-    logs = atoms(ctx.working_dps)
-    return r * (gamma - 2 * logs.log2 + 2 - logs.log_pi) / 2
-
-
-def lambda_via_eta_psi(r: int, etas: ConstantTable) -> Binary:
-    """lambda_r from polygamma values at 3/2 and eta constants.
+def lambda_via_eta_psi(etas: ConstantTable) -> ConstantTable:
+    """lambda_1 .. lambda_(m+1) from polygamma values at 3/2 and the table
+    eta_0 .. eta_m:
 
     lambda_r = sum_{j=2}^r C(r,j)/(j-1)! [psi^(j-1)(3/2)/2^j - (j-1)! eta_{j-1}]
                + r/2 (gamma - 2 log 2 + 2 - log pi)
 
-    r = 1 is the bare linear term, which is lambda_1 itself.
+    Entry 1 is the bare linear term, which is lambda_1 itself.  Each bracket
+    is computed once, for every r that reads it.
     """
-    check_index(r, "the lambda index r", 1)
-    ctx = require(etas, "eta", "lambda_via_eta_psi", r - 1)
+    ctx = require(etas, "eta", "lambda_via_eta_psi")
+    _check_last("lambda", etas.max_n + 1)
     with workdps(ctx.dps("step")):
-        gamma = -etas[0]
-        acc = _linear_term(r, gamma, ctx)
-        for j in range(2, r + 1):
-            psi = polygamma_three_halves_mpf(j - 1, ctx)
-            bracket = psi / 2 ** j - math.factorial(j - 1) * etas[j - 1]
-            acc += math.comb(r, j) * bracket / math.factorial(j - 1)
-        return +acc
-
-
-def lambda_via_coffey(r: int, etas: ConstantTable) -> Binary:
-    """lambda_r from integer zeta values and eta constants (r >= 2)."""
-    check_index(r, "the coffey-3.34 index r", 2)
-    ctx = require(etas, "eta", "lambda_via_coffey", r - 1)
-    with workdps(ctx.dps("step")):
-        gamma = -etas[0]
-        acc = Binary(0)
-        for j in range(2, r + 1):
-            acc += (
-                (-1) ** j
-                * math.comb(r, j)
-                * (1 - Binary(1, -j))
-                * zeta_int_mpf(j, ctx)
-            )
-        for j in range(1, r + 1):
-            acc -= math.comb(r, j) * etas[j - 1]
         logs = atoms(ctx.working_dps)
-        acc -= r * (gamma + 2 * logs.log2 + logs.log_pi) / 2
-        # lambda_r = r [z^r] log xi(1/(1-z)), and the factor s of
-        # xi(s) = s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) / 2 gives
-        # log s = -log(1-z) = sum_r z^r / r there: 1 in every lambda_r
-        return +(acc + 1)
+        linear = -etas[0] - 2 * logs.log2 + 2 - logs.log_pi
+        brackets = [
+            polygamma_three_halves_mpf(j - 1, ctx) / 2 ** j - math.factorial(j - 1) * etas[j - 1]
+            for j in range(2, etas.max_n + 2)
+        ]
+        values = []
+        for r in range(1, etas.max_n + 2):
+            acc = r * linear / 2
+            for j, bracket in enumerate(brackets[: r - 1], 2):
+                acc += math.comb(r, j) * bracket / math.factorial(j - 1)
+            values.append(acc)
+    return ConstantTable("lambda", values, LAMBDA_ETA_PSI_TAG, ctx)
 
 
-def g_derivs_at_one(r: int, lambdas: ConstantTable) -> Binary:
-    """Derivatives at 1 of the log-derivative of xi:
+def lambda_via_coffey(etas: ConstantTable) -> ConstantTable:
+    """lambda_1 .. lambda_(m+1) from integer zeta values and the table
+    eta_0 .. eta_m; entry 1 reduces to lambda_1's one expression."""
+    ctx = require(etas, "eta", "lambda_via_coffey")
+    _check_last("lambda", etas.max_n + 1)
+    with workdps(ctx.dps("step")):
+        logs = atoms(ctx.working_dps)
+        gamma = -etas[0]
+        constant = gamma + 2 * logs.log2 + logs.log_pi
+        values = []
+        for r in range(1, etas.max_n + 2):
+            acc = Binary(0)
+            for j in range(2, r + 1):
+                acc += (-1) ** j * math.comb(r, j) * (1 - Binary(1, -j)) * zeta_int_mpf(j, ctx)
+            for j in range(1, r + 1):
+                acc -= math.comb(r, j) * etas[j - 1]
+            acc -= r * constant / 2
+            # lambda_r = r [z^r] log xi(1/(1-z)), and the factor s of
+            # xi(s) = s (s-1) pi^(-s/2) Gamma(s/2) zeta(s) / 2 gives
+            # log s = -log(1-z) = sum_r z^r / r there: 1 in every lambda_r
+            values.append(acc + 1)
+    return ConstantTable("lambda", values, LAMBDA_COFFEY_TAG, ctx)
+
+
+def g_derivs_at_one(lambdas: ConstantTable) -> list:
+    """Derivatives at 1 of the log-derivative of xi, r = 0 .. m - 1, from
+    the table lambda_1 .. lambda_m:
 
     g^(r)(1) = (-1)^(r+1) r! sum_{j=1}^{r+1} C(r+1,j) (-1)^j lambda_j
 
     with lambda_0 = 0, so g(1) = lambda_1, g'(1) = lambda_2 - 2 lambda_1, ...
     """
-    check_index(r, "the derivative order r", 0)
-    ctx = require(lambdas, "lambda", "g_derivs_at_one", r + 1)
+    ctx = require(lambdas, "lambda", "g_derivs_at_one")
     with workdps(ctx.dps("step")):
-        acc = binomial_alternating_transform([0, *lambdas.values[: r + 1]])[r + 1]
-        return +((-1) ** (r + 1) * math.factorial(r) * acc)
+        sums = binomial_alternating_transform([0, *lambdas.values])
+        return [(-1) ** (r + 1) * math.factorial(r) * acc for r, acc in enumerate(sums[1:])]
 
 
-def g_derivs_at_one_via_eta(r: int, etas: ConstantTable) -> Binary:
-    """Independent route: g^(r)(1) = psi^(r)(3/2)/2^(r+1) - r! eta_r
-    - [r = 0] log(pi)/2."""
-    check_index(r, "the derivative order r", 0)
-    ctx = require(etas, "eta", "g_derivs_at_one_via_eta", r)
+def g_derivs_at_one_via_eta(etas: ConstantTable) -> list:
+    """Independent route, r = 0 .. m from the table eta_0 .. eta_m:
+    g^(r)(1) = psi^(r)(3/2)/2^(r+1) - r! eta_r - [r = 0] log(pi)/2."""
+    ctx = require(etas, "eta", "g_derivs_at_one_via_eta")
     with workdps(ctx.dps("step")):
-        value = polygamma_three_halves_mpf(r, ctx) / 2 ** (r + 1)
-        value -= math.factorial(r) * etas[r]
-        if r == 0:
-            value -= atoms(ctx.working_dps).log_pi / 2
-        return +value
+        values = [
+            polygamma_three_halves_mpf(r, ctx) / 2 ** (r + 1) - math.factorial(r) * eta
+            for r, eta in enumerate(etas.values)
+        ]
+        values[0] -= atoms(ctx.working_dps).log_pi / 2
+        return values
 
 
-def recurrence_residual_3_13(n: int, gammas: ConstantTable, lambdas: ConstantTable) -> Binary:
-    """|LHS - RHS| of the master gamma/lambda recurrence at index n.
+def recurrence_residual_3_13(gammas: ConstantTable, lambdas: ConstantTable) -> list:
+    """|LHS - RHS| of the master gamma/lambda recurrence at every index n
+    that both tables reach: gamma to n + 1 and lambda to n + 2.
 
     LHS = psi^(n+1)(3/2)/2^(n+2)
           + (n+1)/2^(n+1) sum_{m=0}^n C(n,m) (-1)^m gamma_m 2^m psi^(n-m)(3/2)
@@ -177,37 +184,36 @@ def recurrence_residual_3_13(n: int, gammas: ConstantTable, lambdas: ConstantTab
 
     The gamma-weighted double sum carries the coefficient (n+1) C(n,m) m!;
     that weight is forced by the n = 0 specialization (tag eq-3.14), where
-    the sum must contribute exactly gamma * lambda_1.
+    the sum must contribute exactly gamma * lambda_1.  Each n computes at
+    its own residual precision.
     """
-    check_index(n, "the recurrence index n", 0)
-    ctx = require(gammas, "gamma", "recurrence_residual_3_13", n + 1)
-    if require(lambdas, "lambda", "recurrence_residual_3_13", n + 2) != ctx:
+    ctx = require(gammas, "gamma", "recurrence_residual_3_13", 1)
+    if require(lambdas, "lambda", "recurrence_residual_3_13", 2) != ctx:
         raise ValueError("recurrence_residual_3_13 needs its two tables at one context")
-    with workdps(ctx.dps("residual_3_13", n)):
-        psis = [polygamma_three_halves_mpf(k, ctx) for k in range(n + 2)]
-        lhs = psis[n + 1] / 2 ** (n + 2)
-        s = Binary(0)
-        for m in range(n + 1):
-            s += (
-                math.comb(n, m)
-                * (-1) ** m
-                * gammas[m]
-                * 2 ** m
-                * psis[n - m]
-            )
-        lhs += (n + 1) * s / 2 ** (n + 1)
-        lhs += (-1) ** (n + 1) * (n + 1) * gammas[n] * atoms(ctx.working_dps).log_pi / 2
-        lhs += (-1) ** (n + 1) * (n + 2) * gammas[n + 1]
+    last = min(gammas.max_n - 1, lambdas.max_n - 2)
+    psis = [polygamma_three_halves_mpf(k, ctx) for k in range(last + 2)]
+    log_pi = atoms(ctx.working_dps).log_pi
+    residuals = []
+    for n in range(last + 1):
+        with workdps(ctx.dps("residual_3_13", n)):
+            lhs = psis[n + 1] / 2 ** (n + 2)
+            s = Binary(0)
+            for m in range(n + 1):
+                s += math.comb(n, m) * (-1) ** m * gammas[m] * 2 ** m * psis[n - m]
+            lhs += (n + 1) * s / 2 ** (n + 1)
+            lhs += (-1) ** (n + 1) * (n + 1) * gammas[n] * log_pi / 2
+            lhs += (-1) ** (n + 1) * (n + 2) * gammas[n + 1]
 
-        # sums[k] = sum_{j=1}^k C(k,j) (-1)^j lambda_j, with lambda_0 = 0
-        sums = binomial_alternating_transform([0, *lambdas.values[: n + 2]])
-        rhs = sums[n + 2] * ((-1) ** n * math.factorial(n + 1))
-        double = Binary(0)
-        for m in range(n + 1):
-            double += math.comb(n, m) * math.factorial(m) * gammas[n - m] * sums[m + 1]
-        rhs += (-1) ** (n + 1) * (n + 1) * double
+            # sums[k] = sum_{j=1}^k C(k,j) (-1)^j lambda_j, with lambda_0 = 0
+            sums = binomial_alternating_transform([0, *lambdas.values[: n + 2]])
+            rhs = sums[n + 2] * ((-1) ** n * math.factorial(n + 1))
+            double = Binary(0)
+            for m in range(n + 1):
+                double += math.comb(n, m) * math.factorial(m) * gammas[n - m] * sums[m + 1]
+            rhs += (-1) ** (n + 1) * (n + 1) * double
 
-        return +abs(lhs - rhs)
+            residuals.append(abs(lhs - rhs))
+    return residuals
 
 
 def lambda2_bounds(lambdas: ConstantTable, tags_317: tuple) -> list:

@@ -71,8 +71,9 @@ as the row computes gamma_0(u), gamma_1(u), ... in index order, each once.
 The shifted sum of each n is the sum of its terms, and its tail swaps the
 double series' two sums into one dot product of its terms with the exact
 weights (-1)^j D w_j, w_j = sum_{i=j}^{I} C(i,j)/(i+1) and
-D = lcm(1, ..., I + 1), divided by D once; the shifted sum and the tail
-meet in integers and are rounded once.
+D = lcm(1, ..., I + 1), divided by D once; the row computes the weights
+once, when it is built, and the shifted sum and the tail meet in integers
+and are rounded once.
 The row keeps every finished gamma_n(u) in a list that only grows, the one
 memo of the values it computes: a gamma table is the row's prefix, read
 after one stieltjes_gamma call fills the row to its max_n; a series that
@@ -526,7 +527,6 @@ def _series_length(log_u: float, stop_digits: int, max_n: int) -> int:
     return i + 1
 
 
-@lru_cache(maxsize=32)
 def _tail_weights(length: int) -> tuple:
     """(D, [(-1)^j D w_j], [(-1)^j C(I, j)]) for j <= I = length - 1, where
     w_j = sum_{i=j}^{I} C(i,j)/(i+1) and D = lcm(1, ..., I + 1), so that
@@ -558,12 +558,13 @@ class _GammaRow:
 
     u is shifted once to U = u + shift.  The row holds, as integers scaled
     by 2^prec, log(u + k) for k < shift + alloc and the terms of the last
-    value computed (see gamma), and values, gamma_0(u), gamma_1(u), ..., a
-    list that only grows.  first is 1 when u < 1: 1/u then has any size, so
-    the term log^n(u)/u is divided by u as a Binary.  Every n sums all alloc
-    outer terms, the length the convergence bound gives the largest n, at
-    most 20 (digits + guard) + 1; a series whose last outer term is not
-    below the threshold raises ConvergenceError.
+    value computed (see gamma), the exact tail_weights of its alloc outer
+    terms, computed once (_tail_weights), and values, gamma_0(u),
+    gamma_1(u), ..., a list that only grows.  first is 1 when u < 1: 1/u
+    then has any size, so the term log^n(u)/u is divided by u as a Binary.
+    Every n sums all alloc outer terms, the length the convergence bound
+    gives the largest n, at most 20 (digits + guard) + 1; a series whose
+    last outer term is not below the threshold raises ConvergenceError.
     """
 
     def __init__(self, u: Binary, ctx: PrecisionContext):
@@ -584,6 +585,7 @@ class _GammaRow:
         # the outer terms of every series stop below 10^-working_dps
         self.alloc = min(_series_length(log_u, ctx.working_dps, max_n), 1 + 20 * ctx.working_dps)
         self.prec = dps_to_prec(ctx.dps("gamma", max_n)) + self.alloc + 64
+        self.tail_weights = _tail_weights(self.alloc)
         bits = self.prec + 32  # the logs' rounding stays in these 32 bits
         count = self.shift + self.alloc
         # x = u + first, rounded to bits + 16 bits, as a / 2^bits; past
@@ -628,11 +630,11 @@ class _GammaRow:
 
     def _tail(self, powers: list, n: int, prec: int) -> int:
         """-(n + 1) gamma_n(U), scaled by 2^self.prec: the double series over
-        the row's alloc outer terms as one dot product of _tail_weights with
+        the row's alloc outer terms as one dot product of its tail_weights with
         powers, the terms log^(n+1)(U + j) of n.  A ConvergenceError carries
         the partial sum rounded to prec bits, the working precision gamma_n
         is rounded to."""
-        scale, weights, last = _tail_weights(self.alloc)
+        scale, weights, last = self.tail_weights
         total = sum(map(operator.mul, weights, powers)) // scale
         # the last outer term, inner / (2^prec (I + 1)), is below 10^-(digits + guard)
         inner = sum(map(operator.mul, last, powers))

@@ -222,7 +222,7 @@ def suite_stieltjes(ctx: PrecisionContext, tol: Binary):
     # of this suite's gamma_0(1) row sum it to 1, and its last outer term is 0
     gamma = stieltjes_gamma(0, 1, ctx)
     row = stieltjes._gamma_row(stieltjes.Binary(1), ctx)
-    scale, weights, last = stieltjes._tail_weights(row.alloc)
+    scale, weights, last = row.tail_weights
     ok = sum(weights) == scale and sum(last) == 0
     reports.append(_holds("hasse-normalization-delta", ok, ctx, (GAMMA_TAG, "limit-2.5")))
 
@@ -346,48 +346,50 @@ def suite_lambda(ctx: PrecisionContext, tol: Binary):
     lambdas = table("lambda", max_r, ctx)
 
     # no report on lambda_1: its closed form, sigma_1, the eta-psi-3.33
-    # linear term and g(1) are one expression, so no two routes check it
+    # linear term, entry 1 of coffey-3.34 and g(1) are one expression, so no
+    # two routes check it
     routes = range(2, max_r + 1)
-    eta_psi = {r: li_keiper.lambda_via_eta_psi(r, etas) for r in routes}
-    coffey = {r: li_keiper.lambda_via_coffey(r, etas) for r in routes}
+    eta_psi = li_keiper.lambda_via_eta_psi(etas)
+    coffey = li_keiper.lambda_via_coffey(etas)
     closed = {2: li_keiper.lambda_closed(2, ctx)}
     reports += equality_reports(
         closed, tol, ctx,
         ("lambda-closed-vs-sigma-r", closed.get, lambdas.__getitem__,
          (li_keiper.LAMBDA_CLOSED_TAG, li_keiper.LAMBDA_TAG)),
-        ("lambda-closed-vs-eta-psi-r", closed.get, eta_psi.get,
+        ("lambda-closed-vs-eta-psi-r", closed.get, eta_psi.__getitem__,
          (li_keiper.LAMBDA_CLOSED_TAG, li_keiper.LAMBDA_ETA_PSI_TAG)),
-        ("lambda-closed-vs-coffey-r", closed.get, coffey.get,
+        ("lambda-closed-vs-coffey-r", closed.get, coffey.__getitem__,
          (li_keiper.LAMBDA_CLOSED_TAG, li_keiper.LAMBDA_COFFEY_TAG)),
     )
     reports += equality_reports(
         routes, tol, ctx,
-        ("lambda-sigma-vs-eta-psi-r", lambdas.__getitem__, eta_psi.get,
+        ("lambda-sigma-vs-eta-psi-r", lambdas.__getitem__, eta_psi.__getitem__,
          (li_keiper.LAMBDA_TAG, li_keiper.LAMBDA_ETA_PSI_TAG)),
     )
     reports += equality_reports(
         routes, tol, ctx,
-        ("lambda-sigma-vs-coffey-r", lambdas.__getitem__, coffey.get,
+        ("lambda-sigma-vs-coffey-r", lambdas.__getitem__, coffey.__getitem__,
          (li_keiper.LAMBDA_TAG, li_keiper.LAMBDA_COFFEY_TAG)),
-        ("lambda-eta-psi-vs-coffey-r", eta_psi.get, coffey.get,
+        ("lambda-eta-psi-vs-coffey-r", eta_psi.__getitem__, coffey.__getitem__,
          (li_keiper.LAMBDA_ETA_PSI_TAG, li_keiper.LAMBDA_COFFEY_TAG)),
     )
 
-    # master recurrence residuals; n = 0 is the eq-3.14 specialization
+    # master recurrence residuals, n = 0 .. max_r - 2 from gamma to max_r - 1
+    # and lambda to max_r; n = 0 is the eq-3.14 specialization
     residual = (
-        lambda n: li_keiper.recurrence_residual_3_13(n, gammas, lambdas),
+        li_keiper.recurrence_residual_3_13(gammas, lambdas).__getitem__,
         lambda n: 0,
         (li_keiper.RESIDUAL_TAG, GAMMA_TAG, li_keiper.LAMBDA_TAG),
     )
     reports += equality_reports((0,), tol, ctx, ("eq-3.14-n", *residual))
-    # index n reads gamma to n + 1 and lambda to n + 2
     reports += equality_reports(range(1, max_r - 1), tol, ctx, ("eq-3.13-n", *residual))
 
-    # g^(r)(1) reads lambda to r + 1 and eta to r; r = 0 is lambda_1
+    # g^(r)(1), r = 0 .. max_r - 1, from lambda to max_r and eta to
+    # max_r - 1; r = 0 is lambda_1
     reports += equality_reports(
         range(1, max_r), tol, ctx,
-        ("g-deriv-two-routes-r", lambda r: li_keiper.g_derivs_at_one(r, lambdas),
-         lambda r: li_keiper.g_derivs_at_one_via_eta(r, etas),
+        ("g-deriv-two-routes-r", li_keiper.g_derivs_at_one(lambdas).__getitem__,
+         li_keiper.g_derivs_at_one_via_eta(etas).__getitem__,
          (li_keiper.G_DERIV_TAG, li_keiper.G_DERIV_ETA_TAG)),
     )
 
@@ -494,19 +496,21 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
     z_ap = table("zeta0", max_n, ctx)
     z_lc = zeta_derivs.zeta_derivs_log_chain(table("eta", max_n - 1, ctx))
 
+    # every elementary side, from log(2 pi), pi, gamma_0, gamma_1, zeta(2)
+    # and zeta(3) read once; the reports keep their order
     with workdps(ctx.dps("elementary_side")):
         log2pi = atoms(ctx.working_dps).log_2pi
+        pi_val = atoms(ctx.dps("elementary_side")).pi
+        g0, g1 = gammas[0], gammas[1]
+        z2, z3 = zeta_int_mpf(2, ctx), zeta_int_mpf(3, ctx)
         reports.append(
             equality_report(
                 "eq-5.2", z_ap[1], -log2pi / 2, tol, ctx,
                 method_tags=(zeta_derivs.APOSTOL_TAG, "closed-5.2"),
             )
         )
-        g0, g1 = gammas[0], gammas[1]
-        eta1 = etas[1]
-        z2 = zeta_int_mpf(2, ctx)
-        via_53 = g1 + g0**2 / 2 - atoms(ctx.dps("elementary_side")).pi**2 / 24 - log2pi**2 / 2
-        via_s4 = eta1 / 2 - z2 / 4 - log2pi**2 / 2
+        via_53 = g1 + g0**2 / 2 - pi_val**2 / 24 - log2pi**2 / 2
+        via_s4 = etas[1] / 2 - z2 / 4 - log2pi**2 / 2
         reports.append(
             equality_report(
                 "eq-5.3-vs-s4-zeta2deriv", via_53, via_s4, tol, ctx,
@@ -520,56 +524,25 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
             )
         )
         # L''(0) from the eta route against -2 zeta''(0) - log^2(2 pi) - 1
-        l2_eta = zeta_derivs.L_derivs_at_zero(1, etas)
         reports.append(
             equality_report(
                 "eq-4.6-L2-cross-route",
-                l2_eta,
+                zeta_derivs.L_derivs_at_zero(etas)[1],
                 -2 * z_ap[2] - log2pi**2 - 1,
                 tol,
                 ctx,
                 method_tags=(zeta_derivs.L_DERIV_TAG, zeta_derivs.APOSTOL_TAG),
             )
         )
-
-    reports += equality_reports(
-        range(max_n + 1), tol, ctx,
-        ("zeta0-routes-n", z_ap.__getitem__, z_lc.__getitem__,
-         (zeta_derivs.APOSTOL_TAG, zeta_derivs.LOG_CHAIN_TAG)),
-    )
-    reports += equality_reports(
-        range(1, max_n + 1), tol, ctx,
-        ("eq-5.5-forward-n",
-         lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_lc),
-         lambda n: gammas[n - 1],
-         ("forward-5.5", zeta_derivs.LOG_CHAIN_TAG, GAMMA_TAG)),
-        ("forward-inverse-identity-n",
-         lambda n: zeta_derivs.gamma_from_zeta_derivs(n, z_ap),
-         lambda n: gammas[n - 1],
-         ("forward-5.5", zeta_derivs.APOSTOL_TAG)),
-    )
-
-    with workdps(ctx.dps("elementary_side")):
-        g0 = gammas[0]
-        z2 = zeta_int_mpf(2, ctx)
-        z3 = zeta_int_mpf(3, ctx)
         known = {
             1: -g0,
             2: z2 + g0**2,
             3: -(2 * z3 + 3 * g0 * z2 + g0**3),
         }
-    reports += equality_reports(
-        known, tol, ctx,
-        ("gamma-deriv-at-one-m", lambda m: zeta_derivs.gamma_derivs_at_one_mpf(m, ctx),
-         known.get, (zeta_derivs.GAMMA_DERIV_TAG, "closed-A.7")),
-    )
-
-    # the cosine-derivative weights must be exactly sparse in odd order;
-    # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian integers.
-    # In even order both sides round the same power (pi/2)^m, so they agree
-    # exactly
-    with workdps(ctx.dps("elementary_side")):
-        pi_val = atoms(ctx.dps("elementary_side")).pi
+        # the cosine-derivative weights must be exactly sparse in odd order;
+        # cos(m pi/2) = Re(i^m), with i^m = re + i im kept in Gaussian
+        # integers.  In even order both sides round the same power
+        # (pi/2)^m, so they agree exactly
         ok = True
         worst = Binary(0)
         re, im = 1, 0
@@ -582,11 +555,32 @@ def suite_zeta_derivs(ctx: PrecisionContext, tol: Binary):
                     ok = False
             else:
                 worst = max(worst, abs(numeric - w))
-        reports.append(_holds("cos-weight-odd-orders-vanish", ok, ctx, ("cos-derivative-5.5",)))
-        reports.append(
-            exact_report("cos-weight-even-orders", worst, 0, ctx,
-                         method_tags=("cos-derivative-5.5", "numeric-cosine"))
-        )
+
+    reports += equality_reports(
+        range(max_n + 1), tol, ctx,
+        ("zeta0-routes-n", z_ap.__getitem__, z_lc.__getitem__,
+         (zeta_derivs.APOSTOL_TAG, zeta_derivs.LOG_CHAIN_TAG)),
+    )
+    # gamma_0 .. gamma_(max_n - 1) from each zeta0 table
+    forward_lc = zeta_derivs.gamma_from_zeta_derivs(z_lc)
+    forward_ap = zeta_derivs.gamma_from_zeta_derivs(z_ap)
+    reports += equality_reports(
+        range(1, max_n + 1), tol, ctx,
+        ("eq-5.5-forward-n", lambda n: forward_lc[n - 1], lambda n: gammas[n - 1],
+         (zeta_derivs.FORWARD_TAG, zeta_derivs.LOG_CHAIN_TAG, GAMMA_TAG)),
+        ("forward-inverse-identity-n", lambda n: forward_ap[n - 1], lambda n: gammas[n - 1],
+         (zeta_derivs.FORWARD_TAG, zeta_derivs.APOSTOL_TAG)),
+    )
+    reports += equality_reports(
+        known, tol, ctx,
+        ("gamma-deriv-at-one-m", lambda m: zeta_derivs.gamma_derivs_at_one_mpf(m, ctx),
+         known.get, (zeta_derivs.GAMMA_DERIV_TAG, "closed-A.7")),
+    )
+    reports.append(_holds("cos-weight-odd-orders-vanish", ok, ctx, ("cos-derivative-5.5",)))
+    reports.append(
+        exact_report("cos-weight-even-orders", worst, 0, ctx,
+                     method_tags=("cos-derivative-5.5", "numeric-cosine"))
+    )
     return reports
 
 

@@ -44,7 +44,7 @@ def xi_table(sigmas: ConstantTable) -> ConstantTable:
             (-1) ** (j - 1) * math.factorial(j - 1) * sigmas[j]
             for j in range(1, sigmas.max_n + 1)
         ]
-        values = [+(y / 2) for y in bell_recurrence_values(args)[1:]]
+        values = [y / 2 for y in bell_recurrence_values(args)[1:]]
     return ConstantTable("xi1", values, XI_BELL_TAG, ctx)
 
 
@@ -55,7 +55,7 @@ def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
     _check_last("xi1", sigmas.max_n)
     with workdps(ctx.dps("step")):
         xs = [Binary(0)]  # placeholder for unused index 0
-        xs.append(+(sigmas[1] / 2))  # xi'(1) = sigma_1 / 2
+        xs.append(sigmas[1] / 2)  # xi'(1) = sigma_1 / 2
         for n in range(1, sigmas.max_n):
             acc = (-1) ** n * math.factorial(n) * sigmas[n + 1] / 2
             for k in range(1, n + 1):
@@ -66,6 +66,6 @@ def xi_deriv_recurrence(sigmas: ConstantTable) -> ConstantTable:
                     * sigmas[n - k + 1]
                     * xs[k]
                 )
-            xs.append(+acc)
+            xs.append(acc)
     return ConstantTable("xi1", xs[1:], XI_RECURRENCE_TAG, ctx)
 

@@ -37,10 +37,12 @@ Gamma^(m)(1) = Y_m(-gamma, x_1, ..., x_{m-1}) with
 x_p = (-1)^(p+1) p! zeta(p+1).
 
 Both routes and the forward map run at one precision per context,
-ctx.dps("zeta0"), so zeta^(n)(0) depends only on n and the context.  Each
-route is a step map: a gamma or eta table up to m gives zeta^(0..m+1)(0)
-under that table's context, and an m + 1 past the cap is refused before any
-entry is computed.
+ctx.dps("zeta0"), so zeta^(n)(0) depends only on n and the context.  Every
+function that reads a table maps all of it, under its context, and takes no
+index: each route maps a gamma or eta table up to m to zeta^(0..m+1)(0),
+refusing an m + 1 past the cap before any entry is computed;
+L_derivs_at_zero maps eta_0..eta_m to L^(1..m+1)(0), and the forward map
+zeta^(0..m)(0) to gamma_0..gamma_(m-1).
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ APOSTOL_TAG = "apostol-5.5"
 LOG_CHAIN_TAG = "log-chain-s4"
 GAMMA_DERIV_TAG = "bell-A.7"
 L_DERIV_TAG = "eta-zeta-s4"
+FORWARD_TAG = "forward-5.5"
 
 
 def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext) -> Binary:
@@ -70,23 +73,21 @@ def gamma_derivs_at_one_mpf(m: int, ctx: PrecisionContext) -> Binary:
         args = [-gamma]
         for p in range(1, m):
             args.append((-1) ** (p + 1) * math.factorial(p) * zeta_int_mpf(p + 1, ctx))
-        return +bell_recurrence_value(args)
+        return bell_recurrence_value(args)
 
 
-def L_derivs_at_zero(n: int, etas: ConstantTable) -> Binary:
-    """L^(n+1)(0) for L(s) = log[(s-1) zeta(s)]; n = 0 gives log(2 pi) - 1."""
-    check_index(n, "the L derivative index n", 0)
-    ctx = require(etas, "eta", "L_derivs_at_zero", n)
+def L_derivs_at_zero(etas: ConstantTable) -> list:
+    """L^(n+1)(0), n = 0 .. m, for L(s) = log[(s-1) zeta(s)], from the table
+    eta_0 .. eta_m; n = 0 gives log(2 pi) - 1, and eta_0 is not read."""
+    ctx = require(etas, "eta", "L_derivs_at_zero")
     with workdps(ctx.dps("step")):
-        if n == 0:
-            return +(atoms(ctx.working_dps).log_2pi - 1)
-        fact = math.factorial(n)
-        zcoeff = 1 - Binary(1, -(n + 1)) * (1 - (-1) ** n)
-        return +(
-            (-1) ** n * fact * etas[n]
-            + zcoeff * fact * zeta_int_mpf(n + 1, ctx)
-            - fact
-        )
+        values = [atoms(ctx.working_dps).log_2pi - 1]
+        for n in range(1, etas.max_n + 1):
+            fact = math.factorial(n)
+            zcoeff = 1 - Binary(1, -(n + 1)) * (1 - (-1) ** n)
+            values.append((-1) ** n * fact * etas[n] + zcoeff * fact * zeta_int_mpf(n + 1, ctx)
+                          - fact)
+        return values
 
 
 def _cos_weight(m: int, pi_val):
@@ -131,7 +132,7 @@ def zeta_derivs_at_zero(gammas: ConstantTable) -> ConstantTable:
         for n in range(1, max_n + 1):
             # the pivot C(n, n) a_0 = 2 multiplies the unknown zeta^(n)(0)
             known = sum(math.comb(n, l) * a[n - l] * values[l] for l in range(n))
-            values.append(+((n * gammas[n - 1] - known) / 2))
+            values.append((n * gammas[n - 1] - known) / 2)
     return ConstantTable("zeta0", values, APOSTOL_TAG, ctx)
 
 
@@ -144,18 +145,20 @@ def zeta_derivs_log_chain(etas: ConstantTable) -> ConstantTable:
     _check_last("zeta0", max_n)
     with workdps(ctx.dps("zeta0")):
         values = [Binary(-1, -1)]
-        lder = [L_derivs_at_zero(m, etas) for m in range(max_n)]
-        ys = bell_recurrence_values(lder)
+        ys = bell_recurrence_values(L_derivs_at_zero(etas))
         for n in range(1, max_n + 1):
-            values.append(+(n * values[n - 1] - ys[n] / 2))
+            values.append(n * values[n - 1] - ys[n] / 2)
     return ConstantTable("zeta0", values, LOG_CHAIN_TAG, ctx)
 
 
-def gamma_from_zeta_derivs(n: int, zeta0: ConstantTable) -> Binary:
-    """gamma_{n-1} by forward evaluation of the triangular relation, for n
-    from 1 up to the zeta0 cap."""
-    check_index(n, "the forward index n", 1, FAMILIES["zeta0"][1])
-    ctx = require(zeta0, "zeta0", "gamma_from_zeta_derivs", n)
+def gamma_from_zeta_derivs(zeta0: ConstantTable) -> ConstantTable:
+    """gamma_0 .. gamma_(m-1) by forward evaluation of the triangular
+    relation, from the table zeta^(0)(0) .. zeta^(m)(0), m >= 1."""
+    ctx = require(zeta0, "zeta0", "gamma_from_zeta_derivs", 1)
     a = _apostol_weights(ctx)
     with workdps(ctx.dps("zeta0")):
-        return +(sum(math.comb(n, l) * a[n - l] * zeta0[l] for l in range(n + 1)) / n)
+        values = [
+            sum(math.comb(n, l) * a[n - l] * zeta0[l] for l in range(n + 1)) / n
+            for n in range(1, zeta0.max_n + 1)
+        ]
+    return ConstantTable("gamma", values, FORWARD_TAG, ctx)

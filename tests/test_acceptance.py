@@ -77,15 +77,15 @@ def test_criterion_2_four_route_lambda_agreement():
     tol = mpf("1e-25")
     gammas, etas, sigmas, lambdas = build_chain(10, ctx)
     sigma_route = lambda_table(sigmas)
+    eta_psi, coffey = lambda_via_eta_psi(etas), lambda_via_coffey(etas)
     with mp.workdps(60):
         values = {}
         for r in range(1, 11):
-            values[r] = [exact(sigma_route[r]),
-                         exact(lambda_via_eta_psi(r, etas))]
+            values[r] = [exact(sigma_route[r]), exact(eta_psi[r])]
             if r <= 2:
                 values[r].append(exact(lambda_closed(r, ctx)))
             if r >= 2:
-                values[r].append(exact(lambda_via_coffey(r, etas)))
+                values[r].append(exact(coffey[r]))
         worst = mp.mpf(0)
         for r, vals in values.items():
             for i in range(len(vals)):
@@ -103,9 +103,10 @@ def test_criterion_3_master_recurrence():
     tol = mpf("1e-22")
     gammas, _, _, lambdas = build_chain(9, ctx)
     worst = mp.mpf(0)
+    residuals = recurrence_residual_3_13(gammas, lambdas)
     with mp.workdps(60):
         for n in range(7):
-            res = recurrence_residual_3_13(n, gammas, lambdas)
+            res = exact(residuals[n])
             worst = max(worst, res)
             assert res < tol, f"n={n}: residual {res}"
     elapsed = time.perf_counter() - start
@@ -181,8 +182,9 @@ def test_criterion_6_zeta_derivatives():
         assert abs(exact(apostol[2]) - mpf(FROZEN["zeta_deriv2_at_0"])) < mpf("1e-23")
         for n in range(9):
             assert abs(exact(apostol[n]) - exact(log_chain[n])) < mpf("1e-22"), f"n={n}"
+        forward = gamma_from_zeta_derivs(log_chain)
         for n in range(1, 9):
-            got = gamma_from_zeta_derivs(n, log_chain)
+            got = exact(forward[n - 1])
             assert abs(got - exact(gammas[n - 1])) < mpf("1e-22"), f"n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 120

@@ -9,8 +9,9 @@ assignment must be referenced somewhere in the package outside its own
 definition, every working precision outside precision.py is ctx.working_dps
 or ctx.dps(step, n), no module but precision.py and bell.py tests for an int itself, no
 file under src/ holds an assert statement, imports mpmath or imports
-inside a function, no code but stieltjes.Binary reads an mpf's _mpf_, and
-no function takes both a ConstantTable and a PrecisionContext.
+inside a function, no code but stieltjes.Binary reads an mpf's _mpf_, no
+function takes both a ConstantTable and a PrecisionContext, and none but
+stieltjes.require both a ConstantTable and an int.
 
 The package registers its modules lazily: importing it executes none of
 them, and a command's startup cost is the modules its route executes.  So
@@ -406,20 +407,22 @@ def test_only_binary_reads_an_mpf():
     assert mpf_readers(sources) == []
 
 
-def _annotation_name(node) -> str | None:
-    """The last dotted name of an annotation, whether written as a name, an
-    attribute (stieltjes.ConstantTable) or a string."""
+def _annotation_names(node) -> set:
+    """The last dotted name of an annotation, or of each side of a union
+    X | Y, whether written as a name, an attribute (stieltjes.ConstantTable)
+    or a string."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _annotation_names(node.left) | _annotation_names(node.right)
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.rsplit(".", 1)[-1]
+        return _annotation_names(ast.parse(node.value, mode="eval").body)
     if isinstance(node, ast.Attribute):
-        return node.attr
-    return node.id if isinstance(node, ast.Name) else None
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
 
 
-def table_and_context_takers(sources: dict) -> list:
+def table_takers(sources: dict, other: str) -> list:
     """Functions, as "module.qualname", with both a parameter annotated
-    ConstantTable and one annotated PrecisionContext: a table records its
-    context, so a second one could only contradict it."""
+    ConstantTable and one annotated `other`."""
     found = []
 
     def visit(node, qualname):
@@ -430,8 +433,8 @@ def table_and_context_takers(sources: dict) -> list:
             name = f"{qualname}.{child.name}"
             if not isinstance(child, ast.ClassDef):
                 params = [*child.args.posonlyargs, *child.args.args, *child.args.kwonlyargs]
-                if {"ConstantTable", "PrecisionContext"} <= {
-                        _annotation_name(p.annotation) for p in params if p.annotation}:
+                kinds = [_annotation_names(p.annotation) for p in params if p.annotation]
+                if any("ConstantTable" in k for k in kinds) and any(other in k for k in kinds):
                     found.append(name)
             visit(child, name)
 
@@ -449,12 +452,31 @@ def test_checker_flags_a_table_and_a_context():
         "def read(t: ConstantTable, ctx) -> PrecisionContext:\n    pass\n"
         "class Maps:\n    def lam(self, s: ConstantTable, c: PrecisionContext):\n        pass\n"
     )
-    assert table_and_context_takers({"m": source}) == ["m.Maps.lam", "m.route", "m.step"]
+    assert table_takers({"m": source}, "PrecisionContext") == ["m.Maps.lam", "m.route", "m.step"]
 
 
 def test_no_function_takes_a_table_and_a_context():
+    # a table records its context, so a second one could only contradict it
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert table_and_context_takers(sources) == []
+    assert table_takers(sources, "PrecisionContext") == []
+
+
+def test_checker_flags_a_table_and_an_index():
+    source = (
+        "def f(t: ConstantTable, n: int):\n    pass\n"
+        "def g(n: 'int | None', t: 'stieltjes.ConstantTable'):\n    pass\n"
+        "def h(t: ConstantTable, kind: str) -> int:\n    pass\n"
+        "def k(t: ConstantTable | None, n: int | None = None):\n    pass\n"
+    )
+    assert table_takers({"m": source}, "int") == ["m.f", "m.g", "m.k"]
+
+
+def test_no_function_but_require_takes_a_table_and_an_index():
+    # every route maps the whole table it reads: an index is checked only
+    # where it enters the package, and require checks that a table reaches
+    # the entries its reader needs
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name in table_takers(sources, "int") if name != "stieltjes.require"] == []
 
 
 # prints, on the last line of stderr, the package modules a CLI command

@@ -81,48 +81,67 @@ class TestSigmaRoute:
 
 class TestEtaPsiRoute:
     def test_r1_is_pure_linear_term(self, ctx30, chain30):
-        lam = exact(lambda_via_eta_psi(1, chain30["etas"]))
+        lam = exact(lambda_via_eta_psi(chain30["etas"])[1])
         with mp.workdps(60):
             diff = abs(lam - exact(lambda_closed(1, ctx30)))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_r2_agrees_with_closed(self, ctx30, chain30):
-        lam = exact(lambda_via_eta_psi(2, chain30["etas"]))
+        lam = exact(lambda_via_eta_psi(chain30["etas"])[2])
         with mp.workdps(60):
             diff = abs(lam - exact(lambda_closed(2, ctx30)))
             assert diff < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_agrees_with_sigma_route_to_r10(self, ctx30, chain30):
         tol = mpf(10) ** (-(ctx30.digits - 5))
+        eta_psi = lambda_via_eta_psi(chain30["etas"])
         with mp.workdps(60):
             for r in range(1, 11):
-                a = lambda_via_eta_psi(r, chain30["etas"])
+                a = exact(eta_psi[r])
                 b = exact(chain30["lambdas"][r])
                 assert abs(a - b) < tol, f"r={r}"
+
+    def test_maps_eta_to_m_to_lambda_to_m_plus_1(self, ctx30, chain30):
+        # eta_0 .. eta_13 gives lambda_1 .. lambda_14 under the table's
+        # context; eta to the cap would give a lambda_21 past its cap
+        eta_psi = lambda_via_eta_psi(chain30["etas"])
+        assert (eta_psi.kind, eta_psi.max_n, eta_psi.ctx) == ("lambda", 14, ctx30)
+        assert set(eta_psi.methods) == {li_keiper.LAMBDA_ETA_PSI_TAG}
+        for route in (lambda_via_eta_psi, lambda_via_coffey):
+            with pytest.raises(ValueError, match=r"last index of a lambda table must lie in \[1, 20\]"):
+                route(table("eta", 20, ctx30))
 
 
 class TestCoffeyRoute:
     def test_r3_and_r10_cross_routes(self, ctx30, chain30):
         tol = mpf(10) ** (-(ctx30.digits - 5))
+        coffey, eta_psi = lambda_via_coffey(chain30["etas"]), lambda_via_eta_psi(chain30["etas"])
         with mp.workdps(60):
             for r in (2, 3, 10):
-                a = exact(lambda_via_coffey(r, chain30["etas"]))
+                a = exact(coffey[r])
                 assert abs(a - exact(chain30["lambdas"][r])) < tol
-                b = exact(lambda_via_eta_psi(r, chain30["etas"]))
+                b = exact(eta_psi[r])
                 assert abs(a - b) < tol
 
-    def test_requires_r_at_least_two(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            lambda_via_coffey(1, chain30["etas"])
+    def test_entry_one_is_sigma1(self, ctx30, chain30):
+        # entry 1 reduces to lambda_1's one expression, which sigma_1 is
+        coffey = lambda_via_coffey(chain30["etas"])
+        with mp.workdps(60):
+            diff = abs(exact(coffey[1]) - exact(chain30["sigmas"][1]))
+            assert diff <= exact(default_tol(ctx30))
 
     @pytest.mark.parametrize("digits", [10, 30])
     def test_an_offset_in_the_sum_fails_verify(self, digits, monkeypatch):
         # the route off by a constant, as a wrong additive term leaves it: a
         # constant fitted to lambda_2's closed form would absorb it
         via_coffey = li_keiper.lambda_via_coffey
-        monkeypatch.setattr(
-            li_keiper, "lambda_via_coffey", lambda r, etas: exact(via_coffey(r, etas)) + 1
-        )
+
+        def offset(etas):
+            lambdas = via_coffey(etas)
+            return ConstantTable("lambda", [exact(v) + 1 for v in lambdas.values],
+                                 lambdas.methods, lambdas.ctx)
+
+        monkeypatch.setattr(li_keiper, "lambda_via_coffey", offset)
         failed = {r.identity for r in run_suite("lambda", PrecisionContext(digits))
                   if not r.passed}
         assert failed == {
@@ -143,28 +162,33 @@ class TestGDerivatives:
                 2: 6 * l1 - 6 * l2 + 2 * l3,
             }
             for r, expected in cases.items():
-                got = g_derivs_at_one(r, lam)
+                got = exact(g_derivs_at_one(lam)[r])
                 assert abs(got - expected) < mpf("1e-35"), f"r={r}"
 
     def test_two_routes_agree(self, ctx30, chain30):
         tol = mpf(10) ** (-(ctx30.digits - 5))
+        g, g_eta = g_derivs_at_one(chain30["lambdas"]), g_derivs_at_one_via_eta(chain30["etas"])
         with mp.workdps(60):
             for r in range(9):
-                a = exact(g_derivs_at_one(r, chain30["lambdas"]))
-                b = exact(g_derivs_at_one_via_eta(r, chain30["etas"]))
-                assert abs(a - b) < tol, f"r={r}"
+                assert abs(exact(g[r]) - exact(g_eta[r])) < tol, f"r={r}"
 
     def test_insufficient_lambdas(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            g_derivs_at_one(13, chain30["lambdas"])
+        # lambda_1 .. lambda_13 reach g^(12)(1), eta_0 .. eta_13 g^(13)(1),
+        # and a table of another kind is refused
+        assert len(g_derivs_at_one(chain30["lambdas"])) == 13
+        assert len(g_derivs_at_one_via_eta(chain30["etas"])) == 14
+        with pytest.raises(ValueError, match="needs a lambda table, got eta"):
+            g_derivs_at_one(chain30["etas"])
+        with pytest.raises(ValueError, match="needs an eta table, got lambda"):
+            g_derivs_at_one_via_eta(chain30["lambdas"])
 
 
 class TestMasterRecurrence:
     def test_residuals_up_to_six(self, ctx30, chain30):
         tol = exact(default_tol(ctx30))
+        residuals = recurrence_residual_3_13(chain30["gammas"], chain30["lambdas"])
         for n in range(7):
-            res = recurrence_residual_3_13(n, chain30["gammas"], chain30["lambdas"])
-            assert res < tol, f"n={n}: {res}"
+            assert residuals[n] < tol, f"n={n}: {residuals[n]}"
 
     def test_lambda2_perturbation_moves_residual_linearly(self, ctx30, chain30):
         # the n = 0 identity is linear in lambda_2 with unit coefficient
@@ -173,21 +197,26 @@ class TestMasterRecurrence:
             values = list(lam.values)
             values[1] = exact(lam[2]) + mpf("1e-3")
             bumped = ConstantTable("lambda", values, "perturbed", ctx30)
-        res = recurrence_residual_3_13(0, chain30["gammas"], bumped)
+        res = exact(recurrence_residual_3_13(chain30["gammas"], bumped)[0])
         with mp.workdps(60):
             assert abs(res - mpf("1e-3")) < mpf("1e-9")
 
     def test_insufficient_tables(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            recurrence_residual_3_13(12, chain30["gammas"], chain30["lambdas"])
-        with pytest.raises(ValueError):
-            recurrence_residual_3_13(13, chain30["gammas"], chain30["lambdas"])
+        # index n reads gamma to n + 1 and lambda to n + 2, so the residuals
+        # stop where the shorter table does, and n = 0 needs gamma_1 and lambda_2
+        gammas, lambdas = chain30["gammas"], chain30["lambdas"]
+        assert len(recurrence_residual_3_13(gammas, lambdas)) == 12
+        assert len(recurrence_residual_3_13(table("gamma", 5, ctx30), lambdas)) == 5
+        with pytest.raises(ValueError, match="needs gamma entries up to 1"):
+            recurrence_residual_3_13(table("gamma", 0, ctx30), lambdas)
+        with pytest.raises(ValueError, match="needs lambda entries up to 2"):
+            recurrence_residual_3_13(gammas, table("lambda", 1, ctx30))
 
     def test_tables_at_two_contexts_are_refused(self, ctx30):
         # each table computes under its own context, and the residual reads
         # two: no one context of the two would be right for both
         with pytest.raises(ValueError, match="two tables at one context"):
-            recurrence_residual_3_13(1, table("gamma", 5, ctx30),
+            recurrence_residual_3_13(table("gamma", 5, ctx30),
                                      table("lambda", 5, PrecisionContext(60)))
 
     @pytest.mark.parametrize("sign", ["(+1)", "(-2)"])

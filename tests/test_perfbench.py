@@ -78,10 +78,11 @@ def test_trace_cli_runs():
 # (calls, total length of returned lists) of every traced function in
 # `verify --suite all --digits 10`.  A route that escapes the tracer (held
 # in a nested container, say) or runs a different number of times changes
-# this table.  binomial_alternating_transform is called 73 times, returning
-# 441 entries: 252 in eq-3.27-involution, the rest in the lambda table,
-# g_derivs_at_one and the 3.13 residuals; substitute and bell_determinant once
-# per seeded trial of bell-routes-exact-n1..n8 (8 x 100); bracket_determinant
+# this table.  binomial_alternating_transform is called 63 times, returning
+# 366 entries: 252 in eq-3.27-involution, 13 each in the lambda table and
+# g_derivs_at_one, and 88 in the 3.13 residuals, one per n; substitute and
+# bell_determinant once per seeded trial of bell-routes-exact-n1..n8
+# (8 x 100); bracket_determinant
 # once per trial of bell-scaled-determinant-n1..n6 (6 x 20), since
 # bell_determinant runs the shared integer elimination itself;
 # bell_recurrence_value once per route trial, once per scaled-determinant
@@ -90,12 +91,16 @@ def test_trace_cli_runs():
 # bell_recurrence_values once inside each bell_recurrence_value call, twice
 # per convolution trial (x and y, 6 x 20) and once per xi, gamma-from-eta
 # and log-chain table (gamma-from-eta maps all of eta_0..eta_12, 14 Bell
-# values); require once per step map and per-index route call.
+# values); require once per step map and route, twice in the residual.
+# Every route maps the whole table it reads, so each runs once, and
+# g_derivs_at_one, g_derivs_at_one_via_eta, L_derivs_at_zero and the
+# residual return lists: g^(0..11)(1) twice, L^(1..8)(0) and L^(1..9)(0), and
+# the residuals at n = 0..10.
 # Every table is built once per process (above gamma, chain.table keeps the
 # longest one per family and context and serves shorter requests as its
 # prefix; a gamma table is a prefix of the gamma row, the one memo of gamma),
-# and psi^(n)(3/2), log 2, log pi, log(2 pi) and the Apostol weights are
-# memoised, so the rows marked "memo" count only first builds: the eta
+# and log 2, log pi, log(2 pi) and the Apostol weights are memoised, so the
+# rows marked "memo" count only first builds: the eta
 # suite's eta table to 12 and the lambda suite's sigma and lambda tables to
 # 12 serve every other request for them, and each of the five gamma requests
 # (three suites', eta's and zeta0's) is one stieltjes_table call, which makes
@@ -104,9 +109,12 @@ def test_trace_cli_runs():
 # reports recompute m = 1..3, each with one gamma_0 read, one Bell value and
 # m - 1 zeta reads: 3 stieltjes_gamma, bell_recurrence_value and
 # bell_recurrence_values calls, 9 returned Bell entries and 3 zeta_int_mpf
-# calls of the counts below.  pi and the logs come from one memo per dps,
-# kernel.atoms, an lru_cache that the tracer does not wrap, so no row counts
-# them.
+# calls of the counts below.  psi^(n)(3/2) is not memoised either: each of
+# the three maps that read it reads each order once, psi^(1..11) in
+# lambda_via_eta_psi and psi^(0..11) in g_derivs_at_one_via_eta and the
+# residual, and psi(3/2) reads gamma_0 each time.  pi and the logs come
+# from one memo per dps, kernel.atoms, an lru_cache that the tracer does not
+# wrap, so no row counts them.
 VERIFY_ALL_10_COUNTS = {
     "bell.bell_determinant": (800, 0),
     "bell.bell_recurrence_value": (1063, 0),
@@ -119,17 +127,17 @@ VERIFY_ALL_10_COUNTS = {
     "eta_sigma.eta_from_gamma_coffey": (1, 0),
     "eta_sigma.gamma_from_eta": (1, 0),
     "eta_sigma.sigma_table": (1, 0),  # memo: was 4, the xi suite's three are prefixes
-    "kernel.polygamma_three_halves_mpf": (154, 0),
-    "kernel.zeta_int_mpf": (148, 0),  # memo
-    "li_keiper.binomial_alternating_transform": (73, 441),  # memo
-    "li_keiper.g_derivs_at_one": (11, 0),
-    "li_keiper.g_derivs_at_one_via_eta": (11, 0),
+    "kernel.polygamma_three_halves_mpf": (35, 0),
+    "kernel.zeta_int_mpf": (176, 0),  # memo
+    "li_keiper.binomial_alternating_transform": (63, 366),
+    "li_keiper.g_derivs_at_one": (1, 12),
+    "li_keiper.g_derivs_at_one_via_eta": (1, 12),
     "li_keiper.lambda2_bounds": (1, 2),  # the xi suite's eq-3.17 and eq-3.18
     "li_keiper.lambda_closed": (1, 0),
     "li_keiper.lambda_table": (1, 0),  # memo: was 2, the xi suite's is a prefix
-    "li_keiper.lambda_via_coffey": (11, 0),
-    "li_keiper.lambda_via_eta_psi": (11, 0),
-    "li_keiper.recurrence_residual_3_13": (11, 0),
+    "li_keiper.lambda_via_coffey": (1, 0),
+    "li_keiper.lambda_via_eta_psi": (1, 0),
+    "li_keiper.recurrence_residual_3_13": (1, 11),
     "reports.all_passed": (1, 0),
     "reports.default_tol": (1, 0),  # one per run
     "reports.equality_report": (137, 0),
@@ -138,18 +146,19 @@ VERIFY_ALL_10_COUNTS = {
     "reports.inequality_report": (29, 0),
     "reports.inequality_reports": (2, 24),
     "reports.roundtrip_decimal": (446, 0),  # both sides of each of the 223 reports
-    "stieltjes.require": (101, 0),  # memo: one per step map, and lambda2_bounds
+    "stieltjes.require": (20, 0),  # memo: one per step map and route, and lambda2_bounds
     # 3 per report (sides, tolerance), and one per u that is not a str:
     # each stieltjes_gamma call and each stieltjes_table's own read
-    "stieltjes.rounded": (707, 0),
-    "stieltjes.stieltjes_gamma": (33, 0),  # memo
+    "stieltjes.rounded": (708, 0),
+    "stieltjes.stieltjes_gamma": (34, 0),  # memo
     "stieltjes.stieltjes_table": (5, 0),  # one per gamma request
-    # one per report verdict (223), default_tol (1), step map, route and
-    # first psi^(n)(3/2) (12); sigma_table takes two precisions.  zeta_derivs
-    # takes 41: 13 Gamma^(m)(1) at m >= 1, 9 L derivatives, the Apostol
-    # weights, both zeta0 tables and 16 forward evaluations; verify 6: one
-    # per side block; lambda2_bounds 1; and one per u that rounded reads (38)
-    "stieltjes.workdps": (386, 0),
+    # one per report verdict (223), default_tol (1), step map (8; sigma_table
+    # takes two precisions), lambda_closed (1), lambda route (4 maps and the
+    # residual's 11 indices) and psi^(n)(3/2) (35).  zeta_derivs takes 20: 13
+    # Gamma^(m)(1) at m >= 1, 2 L-derivative maps, the Apostol weights, both
+    # zeta0 tables and 2 forward maps; verify 4: one per side block;
+    # lambda2_bounds 1; and one per u that rounded reads (39)
+    "stieltjes.workdps": (347, 0),
     "stieltjes.decimal_str": (892, 0),  # 4 per report (sides, abs_err, tolerance)
     "verify.run_suite": (1, 223),
     "verify.suite_bell": (1, 45),
@@ -160,9 +169,9 @@ VERIFY_ALL_10_COUNTS = {
     "verify.suite_zeta_derivs": (1, 34),
     "xi.xi_deriv_recurrence": (1, 0),
     "xi.xi_table": (1, 0),
-    "zeta_derivs.L_derivs_at_zero": (9, 0),
+    "zeta_derivs.L_derivs_at_zero": (2, 17),
     "zeta_derivs.gamma_derivs_at_one_mpf": (14, 0),  # the weights to the cap, 3 closed forms
-    "zeta_derivs.gamma_from_zeta_derivs": (16, 0),
+    "zeta_derivs.gamma_from_zeta_derivs": (2, 0),
     "zeta_derivs.zeta_derivs_at_zero": (1, 0),
     "zeta_derivs.zeta_derivs_log_chain": (1, 0),
 }

@@ -7,12 +7,26 @@ from mpmath.libmp import dps_to_prec as mpmath_dps_to_prec
 from zkconst import chain, precision, stieltjes
 from zkconst.chain import table
 from zkconst.eta_sigma import eta_from_gamma, eta_from_gamma_coffey, gamma_from_eta, sigma_table
-from zkconst.li_keiper import lambda_table, lambda_via_coffey, lambda_via_eta_psi, positivity_report
+from zkconst.li_keiper import (
+    g_derivs_at_one,
+    g_derivs_at_one_via_eta,
+    lambda_closed,
+    lambda_table,
+    lambda_via_coffey,
+    lambda_via_eta_psi,
+    positivity_report,
+    recurrence_residual_3_13,
+)
 from zkconst.precision import FAMILIES, ConvergenceError, PrecisionContext, check_index, family
 from zkconst.reports import default_tol, equality_report, roundtrip_decimal
 from zkconst.stieltjes import ConstantTable, stieltjes_gamma
 from zkconst.xi import xi_deriv_recurrence, xi_table
-from zkconst.zeta_derivs import zeta_derivs_at_zero, zeta_derivs_log_chain
+from zkconst.zeta_derivs import (
+    L_derivs_at_zero,
+    gamma_from_zeta_derivs,
+    zeta_derivs_at_zero,
+    zeta_derivs_log_chain,
+)
 
 
 class TestPrecisionContext:
@@ -84,9 +98,9 @@ class TestCheckIndex:
         lambda ctx, chain: table("gamma", True, ctx),
         lambda ctx, chain: stieltjes_gamma(True, 1, ctx),
         lambda ctx, chain: positivity_report(True, ctx),
-        lambda ctx, chain: lambda_via_eta_psi(True, chain["etas"]),
+        lambda ctx, chain: lambda_closed(True, ctx),
         lambda ctx, chain: chain["gammas"][True],
-    ], ids=["table", "stieltjes_gamma", "positivity_report", "lambda_via_eta_psi",
+    ], ids=["table", "stieltjes_gamma", "positivity_report", "lambda_closed",
             "ConstantTable[]"])
     def test_bool_is_refused(self, call, ctx30, chain30):
         with pytest.raises(ValueError):
@@ -106,6 +120,35 @@ def test_tables_are_prefix_stable(kind, digits, clear_memos):
     for m in range(start, cap):
         clear_memos()
         assert table(kind, m, ctx).values == full[:m - start + 1], f"m={m}"
+
+
+# route -> (map, the kinds of the tables it reads, offset): its i-th table
+# reaches m + offset + i, so the residual reads gamma to m + 1 and lambda to
+# m + 2, and every map returns m + 1 entries
+_ROUTES = {
+    "lambda_via_eta_psi": (lambda_via_eta_psi, ("eta",), 0),
+    "lambda_via_coffey": (lambda_via_coffey, ("eta",), 0),
+    "g_derivs_at_one": (g_derivs_at_one, ("lambda",), 1),
+    "g_derivs_at_one_via_eta": (g_derivs_at_one_via_eta, ("eta",), 0),
+    "L_derivs_at_zero": (L_derivs_at_zero, ("eta",), 0),
+    "gamma_from_zeta_derivs": (gamma_from_zeta_derivs, ("zeta0",), 1),
+    "recurrence_residual_3_13": (recurrence_residual_3_13, ("gamma", "lambda"), 1),
+}
+
+
+@pytest.mark.parametrize("digits", [10, 30, 60])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_routes_are_prefix_stable(route, digits):
+    # a route maps the whole table it is given, so its map of a shorter
+    # table must be the first entries of its map of a longer one, exactly
+    ctx = PrecisionContext(digits)
+    step, kinds, offset = _ROUTES[route]
+    for m in range(1, 7):
+        short = step(*(table(kind, m + offset + i, ctx) for i, kind in enumerate(kinds)))
+        full = step(*(table(kind, m + 3 + offset + i, ctx) for i, kind in enumerate(kinds)))
+        short, full = (getattr(t, "values", t) for t in (short, full))
+        assert len(full) == len(short) + 3, f"m={m}"
+        assert list(full[:len(short)]) == list(short), f"m={m}"
 
 
 @pytest.mark.parametrize("digits, guard", [(10, 10), (30, 10), (60, 10), (30, 25)])
@@ -193,8 +236,7 @@ def test_every_memo_is_found_and_bounded():
     names = {name: memo.cache_info().maxsize for name, memo in package_memos()}
     assert set(names) == {
         "bell._partition_terms", "chain._longest", "kernel.atoms", "kernel._crvz_weights",
-        "kernel._polygamma_memo", "stieltjes._tail_weights", "stieltjes._gamma_row",
-        "zeta_derivs._apostol_weights"}
+        "stieltjes._gamma_row", "zeta_derivs._apostol_weights"}
     assert all(maxsize is not None for maxsize in names.values()), names
 
 
@@ -256,7 +298,7 @@ class TestConstantTable:
         with pytest.raises(ValueError, match="^eta_from_gamma needs a gamma table$"):
             eta_from_gamma([mpf(1)])
         with pytest.raises(ValueError, match="^lambda_via_coffey needs an eta table$"):
-            lambda_via_coffey(3, (mpf(1),) * 4)
+            lambda_via_coffey((mpf(1),) * 4)
 
     def test_unknown_kind(self, ctx30):
         with pytest.raises(ValueError):

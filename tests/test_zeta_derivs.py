@@ -54,14 +54,14 @@ class TestGammaDerivatives:
 
 class TestLDerivatives:
     def test_first_derivative_at_zero(self, ctx30, chain30):
-        v = L_derivs_at_zero(0, chain30["etas"])
+        v = exact(L_derivs_at_zero(chain30["etas"])[0])
         with mp.workdps(60):
             assert abs(v - (mp.log(2 * mp.pi) - 1)) < mpf(10) ** (
                 -(ctx30.digits - 3)
             )
 
     def test_second_derivative_at_zero(self, ctx30, chain30):
-        v = L_derivs_at_zero(1, chain30["etas"])
+        v = exact(L_derivs_at_zero(chain30["etas"])[1])
         with mp.workdps(60):
             expected = exact(zeta_int_mpf(2, ctx30)) / 2 - exact(chain30["etas"][1]) - 1
             assert abs(v - expected) < mpf(10) ** (-(ctx30.digits - 5))
@@ -71,14 +71,16 @@ class TestLDerivatives:
     ):
         # L''(0) = -2 zeta''(0) - log^2(2 pi) - 1
         apostol, _ = zeta_tables
-        v = L_derivs_at_zero(1, chain30["etas"])
+        v = exact(L_derivs_at_zero(chain30["etas"])[1])
         with mp.workdps(60):
             expected = -2 * exact(apostol[2]) - mp.log(2 * mp.pi) ** 2 - 1
             assert abs(v - expected) < mpf(10) ** (-(ctx30.digits - 5))
 
     def test_insufficient_etas(self, ctx30, chain30):
-        with pytest.raises(ValueError):
-            L_derivs_at_zero(14, chain30["etas"])
+        # eta_0 .. eta_13 reach L^(14)(0), and a table of another kind is refused
+        assert len(L_derivs_at_zero(chain30["etas"])) == 14
+        with pytest.raises(ValueError, match="needs an eta table, got gamma"):
+            L_derivs_at_zero(chain30["gammas"])
 
 
 class TestZetaDerivativesAtZero:
@@ -162,17 +164,19 @@ class TestForwardMap:
     def test_reproduces_gamma_sequence(self, ctx30, chain30, zeta_tables):
         _, log_chain = zeta_tables
         tol = mpf(10) ** (-(ctx30.digits - 6))
+        forward = gamma_from_zeta_derivs(log_chain)
         with mp.workdps(60):
             for n in range(1, 9):
-                got = gamma_from_zeta_derivs(n, log_chain)
+                got = exact(forward[n - 1])
                 assert abs(got - exact(chain30["gammas"][n - 1])) < tol, f"n={n}"
 
     def test_inverse_then_forward_is_identity(self, ctx30, chain30, zeta_tables):
         apostol, _ = zeta_tables
         tol = mpf(10) ** (-(ctx30.digits - 6))
+        forward = gamma_from_zeta_derivs(apostol)
         with mp.workdps(60):
             for n in range(1, 9):
-                got = gamma_from_zeta_derivs(n, apostol)
+                got = exact(forward[n - 1])
                 assert abs(got - exact(chain30["gammas"][n - 1])) < tol
 
     def test_n1_constant_cancellation(self, ctx30, chain30, zeta_tables):
@@ -184,21 +188,25 @@ class TestForwardMap:
             assert abs(lhs - g0) < mpf(10) ** (-(ctx30.digits - 3))
 
     def test_insufficient_table(self, ctx30, zeta_tables):
+        # zeta^(0..8)(0) gives gamma_0 .. gamma_7, tagged forward-5.5; a
+        # table to 0 gives no gamma, and one of another kind is refused
         apostol, _ = zeta_tables
-        with pytest.raises(ValueError):
-            gamma_from_zeta_derivs(9, apostol)
-        with pytest.raises(ValueError):
-            gamma_from_zeta_derivs(0, apostol)
+        forward = gamma_from_zeta_derivs(apostol)
+        assert (forward.kind, forward.max_n, forward.ctx) == ("gamma", 7, ctx30)
+        assert set(forward.methods) == {"forward-5.5"}
+        with pytest.raises(ValueError, match="needs zeta0 entries up to 1, table stops at 0"):
+            gamma_from_zeta_derivs(table("zeta0", 0, ctx30))
+        with pytest.raises(ValueError, match="needs a zeta0 table, got gamma"):
+            gamma_from_zeta_derivs(table("gamma", 3, ctx30))
 
     def test_an_index_past_the_cap_is_refused(self, ctx30):
-        # no zeta0 table reaches zeta^(11)(0), and the forward map refuses
-        # that index on a table to the cap; the weights stop at the cap
+        # no zeta0 table reaches zeta^(11)(0), so the forward map of a table
+        # to the cap stops at gamma_9; the weights stop at the cap
         cap = FAMILIES["zeta0"][1]
         with pytest.raises(ValueError, match=r"last index of a zeta0 table must lie in \[0, 10\]"):
             ConstantTable("zeta0", [mpf(-1) / 2] * (cap + 2), "hand-built", ctx30)
         to_cap = ConstantTable("zeta0", [mpf(-1) / 2] * (cap + 1), "hand-built", ctx30)
-        with pytest.raises(ValueError, match=r"forward index n must lie in \[1, 10\]"):
-            gamma_from_zeta_derivs(cap + 1, to_cap)
+        assert gamma_from_zeta_derivs(to_cap).max_n == cap - 1
 
 
 class TestCosineWeights:
